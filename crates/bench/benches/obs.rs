@@ -7,7 +7,7 @@
 //! recording paths.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use zmail_obs::{Registry, Tracer};
+use zmail_obs::Registry;
 
 fn bench_obs(c: &mut Criterion) {
     let enabled = Registry::new();
@@ -45,23 +45,6 @@ fn bench_obs(c: &mut Criterion) {
         b.iter(|| {
             v = v.wrapping_mul(6364136223846793005).wrapping_add(1);
             histogram_off.record(v >> 40);
-        });
-    });
-
-    let tracer_on = Tracer::new(4096);
-    let tracer_off = Tracer::disabled(4096);
-    c.bench_function("trace_event_enabled", |b| {
-        let mut ts = 0u64;
-        b.iter(|| {
-            ts += 1;
-            tracer_on.event(ts, "bench", String::new());
-        });
-    });
-    c.bench_function("trace_event_disabled", |b| {
-        let mut ts = 0u64;
-        b.iter(|| {
-            ts += 1;
-            tracer_off.event(ts, "bench", String::new());
         });
     });
 

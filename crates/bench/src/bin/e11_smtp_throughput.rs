@@ -17,7 +17,9 @@ use zmail_bench::{fmt, pct, Report};
 use zmail_core::bridge::ZmailGateway;
 use zmail_core::{UserAddr, ZmailConfig};
 use zmail_sim::Table;
-use zmail_smtp::{Client, CollectSink, MailMessage, TcpConnection, TcpMailServer, ZmailHeaders};
+use zmail_smtp::{
+    Client, CollectSink, MailMessage, TcpConnection, ThreadedConfig, ThreadedServer, ZmailHeaders,
+};
 
 const MESSAGES: u32 = 2_000;
 
@@ -62,7 +64,8 @@ fn main() {
 
     // Plain SMTP: the same server and client with a collect-only sink.
     let sink = CollectSink::shared();
-    let mut plain_server = TcpMailServer::start("plain.example", sink.clone()).unwrap();
+    let mut plain_server =
+        ThreadedServer::start("plain.example", sink.clone(), ThreadedConfig::default()).unwrap();
     let plain_rate = submit_batch(
         plain_server.addr(),
         "u0@isp0.example".into(),
@@ -79,7 +82,8 @@ fn main() {
             .build(),
         3,
     );
-    let mut zmail_server = TcpMailServer::start("zmail.example", gateway.clone()).unwrap();
+    let mut zmail_server =
+        ThreadedServer::start("zmail.example", gateway.clone(), ThreadedConfig::default()).unwrap();
     let zmail_rate = submit_batch(
         zmail_server.addr(),
         ZmailGateway::address(UserAddr::new(0, 0)),

@@ -2,22 +2,23 @@
 //!
 //! Two promises keep telemetry safe to leave on in experiments:
 //!
-//! 1. traces recorded against the **simulation clock** are a pure
-//!    function of the workload — running the same trace twice yields
-//!    byte-identical exported trace logs, so traces can be diffed across
-//!    runs and machines;
+//! 1. the sim engine's **event counters and final queue depth** are a
+//!    pure function of the workload — running the same trace twice
+//!    yields equal snapshots (the byte-identical sim-clock span stream
+//!    is gated by `tests/parallel_harness.rs` and `zmail-core --lib
+//!    flight_recorder`);
 //! 2. explorer **profiling never perturbs verification**: the
 //!    [`ExploreReport`](zmail_ap::ExploreReport) half of a profiled run
 //!    is byte-identical to the unprofiled run at every thread count.
 
 use zmail_core::spec::{check_with, check_with_profiled, SpecParams, TimeoutMode};
 use zmail_core::{ZmailConfig, ZmailSystem};
-use zmail_obs::{export, Registry, Tracer};
+use zmail_obs::Registry;
 use zmail_sim::{Sampler, SimDuration, SimTelemetry, TrafficConfig, TrafficGenerator};
 
-/// Runs one simulated day of two-ISP traffic with sim-clock tracing
-/// attached, returning the exported trace plus the metrics snapshot.
-fn traced_run(seed: u64) -> (String, zmail_obs::Snapshot) {
+/// Runs one simulated day of two-ISP traffic with telemetry attached,
+/// returning the metrics snapshot.
+fn observed_run(seed: u64) -> zmail_obs::Snapshot {
     let traffic = TrafficConfig {
         isps: 2,
         users_per_isp: 10,
@@ -27,46 +28,29 @@ fn traced_run(seed: u64) -> (String, zmail_obs::Snapshot) {
     let trace = TrafficGenerator::new(traffic).generate(&mut Sampler::new(seed));
 
     let registry = Registry::new();
-    let tracer = Tracer::new(1 << 16);
-    let handle = tracer.clone(); // shares the ring buffer
     let mut system = ZmailSystem::new(ZmailConfig::builder(2, 10).build(), 42);
-    system.attach_telemetry(SimTelemetry::with_tracer(&registry, tracer));
+    system.attach_telemetry(SimTelemetry::new(&registry));
     system.run_trace(&trace);
-
-    (
-        export::trace_json_lines(&handle.drain()),
-        registry.snapshot(),
-    )
+    registry.snapshot()
 }
 
 #[test]
-fn sim_clock_traces_are_byte_identical_across_runs() {
-    let (first_trace, first_snap) = traced_run(7);
-    let (second_trace, second_snap) = traced_run(7);
+fn sim_counters_are_identical_across_runs() {
+    let first = observed_run(7);
+    let second = observed_run(7);
     assert!(
-        first_trace.lines().count() > 10,
-        "the run should actually trace events"
+        first.counters["sim.events"] > 10,
+        "the run should actually handle events"
     );
-    assert_eq!(
-        first_trace, second_trace,
-        "sim-clock traces must be a pure function of the workload"
-    );
-    // The sim event counters and final queue depth are deterministic
-    // too; only the wall-clock-derived values (`sim.events_per_sec`, the
+    // Only the wall-clock-derived values (`sim.events_per_sec`, the
     // latency histograms) may differ between runs.
-    assert_eq!(first_snap.counters, second_snap.counters);
+    assert_eq!(first.counters, second.counters);
     assert_eq!(
-        first_snap.gauges["sim.queue_depth"],
-        second_snap.gauges["sim.queue_depth"]
+        first.gauges["sim.queue_depth"],
+        second.gauges["sim.queue_depth"]
     );
-}
-
-#[test]
-fn different_workloads_produce_different_traces() {
-    // Sanity check that the byte-equality above is not vacuous.
-    let (first_trace, _) = traced_run(7);
-    let (other_trace, _) = traced_run(8);
-    assert_ne!(first_trace, other_trace);
+    // Sanity check that the equality above is not vacuous.
+    assert_ne!(first.counters, observed_run(8).counters);
 }
 
 #[test]

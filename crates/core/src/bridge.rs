@@ -1,8 +1,9 @@
 //! Zmail over unmodified SMTP: the deployment story of §1.3.
 //!
 //! [`ZmailGateway`] implements [`zmail_smtp::MailSink`], so a standard
-//! [`zmail_smtp::SmtpServer`] — over memory transport or real TCP — becomes
-//! a Zmail-compliant mail exchanger with **zero protocol changes**:
+//! [`zmail_smtp::SmtpServer`] session — over memory transport, or over
+//! real TCP behind [`zmail_smtp::ThreadedServer`] — becomes a
+//! Zmail-compliant mail exchanger with **zero protocol changes**:
 //!
 //! * the sender address is parsed back to a Zmail user; the ISP's ledger
 //!   runs the §4.1 guards; a refused send surfaces as an ordinary `552`
@@ -20,7 +21,7 @@ use crate::config::{NonCompliantPolicy, ZmailConfig};
 use crate::ids::{mailbox, parse_mailbox, IspId};
 use crate::isp::{Isp, SendOutcome};
 use crate::msg::NetMsg;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use zmail_crypto::KeyPair;
 use zmail_econ::EPennies;
 use zmail_obs::{FlightRecorder, SpanStatus};
@@ -67,7 +68,7 @@ pub struct ZmailGateway {
 
 impl std::fmt::Debug for ZmailGateway {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.inner.lock().expect("gateway lock");
+        let state = self.state();
         f.debug_struct("ZmailGateway")
             .field("isps", &state.isps.len())
             .field("stats", &state.stats)
@@ -97,13 +98,23 @@ impl ZmailGateway {
         }
     }
 
+    /// The one place the gateway takes its lock. A panic under the lock
+    /// (e.g. [`inbox`](Self::inbox) with an out-of-range address) poisons
+    /// it; the read-only views look through the poison, while `deliver`
+    /// and `accept_recipient` check [`Mutex::is_poisoned`] once they hold
+    /// the guard and refuse — rather than every later call, and the
+    /// server worker running it, panicking in turn.
+    fn state(&self) -> MutexGuard<'_, GatewayState> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Snapshot of a user's inbox.
     ///
     /// # Panics
     ///
-    /// Panics if the address is out of range or the lock is poisoned.
+    /// Panics if the address is out of range.
     pub fn inbox(&self, addr: UserAddr) -> Vec<MailMessage> {
-        let state = self.inner.lock().expect("gateway lock");
+        let state = self.state();
         state.mailboxes[state.mailbox_index(addr)].clone()
     }
 
@@ -111,19 +122,15 @@ impl ZmailGateway {
     ///
     /// # Panics
     ///
-    /// Panics if the address is out of range or the lock is poisoned.
+    /// Panics if the address is out of range.
     pub fn balance(&self, addr: UserAddr) -> EPennies {
-        let state = self.inner.lock().expect("gateway lock");
+        let state = self.state();
         state.isps[addr.isp as usize].user(addr.user).balance
     }
 
     /// Gateway counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lock is poisoned.
     pub fn stats(&self) -> GatewayStats {
-        self.inner.lock().expect("gateway lock").stats
+        self.state().stats
     }
 
     /// The canonical mailbox string for an address (convenience for
@@ -136,12 +143,8 @@ impl ZmailGateway {
     /// mints a lifecycle root, and delivered copies carry the context in
     /// their `X-Zmail-Trace` header. The caller keeps a clone to
     /// `finalize` and `drain`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lock is poisoned.
     pub fn attach_flight_recorder(&self, recorder: FlightRecorder) {
-        self.inner.lock().expect("gateway lock").flight = recorder;
+        self.state().flight = recorder;
     }
 }
 
@@ -149,7 +152,10 @@ use rand::SeedableRng;
 
 impl MailSink for ZmailGateway {
     fn accept_recipient(&self, _from: &str, to: &str) -> bool {
-        let state = self.inner.lock().expect("gateway lock");
+        let state = self.state();
+        if self.inner.is_poisoned() {
+            return false;
+        }
         match parse_mailbox(to) {
             Some(addr) => addr.isp < state.config.isps && addr.user < state.config.users_per_isp,
             None => false, // we only host Zmail mailboxes
@@ -157,7 +163,10 @@ impl MailSink for ZmailGateway {
     }
 
     fn deliver(&self, message: MailMessage) -> Result<(), SinkError> {
-        let mut state = self.inner.lock().expect("gateway lock");
+        let mut state = self.state();
+        if self.inner.is_poisoned() {
+            return Err(SinkError::overloaded("gateway ledger unavailable"));
+        }
         let recipients: Vec<UserAddr> = message
             .recipients()
             .iter()
@@ -390,7 +399,12 @@ mod tests {
     #[test]
     fn works_behind_real_tcp() {
         let gw = gateway();
-        let mut server = zmail_smtp::TcpMailServer::start("zmail.example", gw.clone()).unwrap();
+        let mut server = zmail_smtp::ThreadedServer::start(
+            "zmail.example",
+            gw.clone(),
+            zmail_smtp::ThreadedConfig::default(),
+        )
+        .unwrap();
         let conn = zmail_smtp::TcpConnection::connect(server.addr()).unwrap();
         let mut client = Client::connect(conn, "client.example").unwrap();
         let msg = MailMessage::builder(
@@ -403,6 +417,29 @@ mod tests {
         client.quit().unwrap();
         server.stop();
         assert_eq!(gw.balance(UserAddr::new(1, 2)), EPennies(101));
+    }
+
+    #[test]
+    fn poisoned_lock_sheds_mail_instead_of_panicking_every_worker() {
+        let gw = gateway();
+        let alice = ZmailGateway::address(UserAddr::new(0, 0));
+        let bob = ZmailGateway::address(UserAddr::new(1, 1));
+        submit(&gw, &alice, &bob).unwrap();
+        // The documented out-of-range `inbox` panic fires under the lock.
+        let poisoner = gw.clone();
+        std::thread::spawn(move || poisoner.inbox(UserAddr::new(9, 9)))
+            .join()
+            .expect_err("out-of-range inbox panics");
+
+        let msg = MailMessage::builder(alice.as_str(), bob.as_str())
+            .body("after the panic\r\n")
+            .build();
+        assert!(matches!(gw.deliver(msg), Err(SinkError::Overloaded(_))));
+        assert!(!gw.accept_recipient(&alice, &bob));
+        // The books stay readable for the postmortem.
+        assert_eq!(gw.stats().delivered_paid, 1);
+        assert_eq!(gw.balance(UserAddr::new(1, 1)), EPennies(101));
+        assert!(format!("{gw:?}").contains("delivered_paid: 1"));
     }
 
     #[test]

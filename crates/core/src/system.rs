@@ -1658,9 +1658,7 @@ impl ZmailSystem {
     }
 
     /// Attaches a telemetry sink to the underlying engine: events are
-    /// counted and timed per type (`workload`, `deliver`, `day_end`, …)
-    /// and, if the sink carries a tracer, traced under the **sim clock**
-    /// so two runs of the same seed produce byte-identical trace streams.
+    /// counted and timed per type (`workload`, `deliver`, `day_end`, …).
     pub fn attach_telemetry(&mut self, telemetry: zmail_sim::SimTelemetry) {
         self.sim.attach_telemetry(telemetry);
     }

@@ -1,9 +1,9 @@
 //! Smoke binary for the observability substrate: exercises the metrics
-//! registry, the tracer, and all three exporters end-to-end, and fails
-//! loudly (non-zero exit) if any invariant is violated. Run by
+//! registry, the flight recorder, and all four exporters end-to-end, and
+//! fails loudly (non-zero exit) if any invariant is violated. Run by
 //! `scripts/ci.sh`.
 
-use zmail_obs::{export, Registry, Tracer};
+use zmail_obs::{export, FlightRecorder, Registry};
 
 fn main() {
     // --- metrics: counters, gauges, histograms across threads ---------
@@ -45,14 +45,15 @@ fn main() {
     assert_eq!(merged.histograms["smoke.latency_us"].count, 200_000);
 
     // --- tracing: deterministic sim-clock stamps + wraparound ---------
-    let tracer = Tracer::new(8);
-    tracer.span_start(0, "smoke.run");
-    for ms in 1..=20u64 {
-        tracer.event(ms, "smoke.tick", format!("i={ms}"));
+    let recorder = FlightRecorder::new(8);
+    for ms in 0..22u64 {
+        let ctx = recorder
+            .begin_trace(ms, "smoke.tick", "smoke", "")
+            .expect("sampling is 1/1");
+        recorder.end(ms + 1, ctx);
     }
-    tracer.span_end(21, "smoke.run");
-    let log = tracer.drain();
-    assert_eq!(log.events.len(), 8, "ring did not bound");
+    let log = recorder.drain();
+    assert_eq!(log.spans.len(), 8, "ring did not bound");
     assert_eq!(log.dropped, 14, "drop accounting wrong");
 
     // --- exporters ----------------------------------------------------
@@ -78,13 +79,14 @@ fn main() {
         "prometheus +Inf bucket missing"
     );
 
-    let trace = export::trace_json_lines(&log);
+    let trace = export::chrome_trace(&log);
+    assert_eq!(trace.matches("\"ph\":\"X\"").count(), 8, "span events");
     assert!(
-        trace.contains("\"type\":\"trace_summary\",\"events\":8,\"dropped\":14"),
-        "trace summary wrong"
+        trace.contains("ring overflowed, 14 spans lost"),
+        "chrome trace hides the overflow"
     );
 
-    println!("obs smoke: metrics + tracing + 3 exporters OK");
+    println!("obs smoke: metrics + tracing + 4 exporters OK");
     println!("--- human ---\n{human}");
     println!("--- json-lines ---\n{json}");
     println!("--- prometheus ---\n{prom}");

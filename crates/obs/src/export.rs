@@ -1,5 +1,5 @@
-//! Renderers for [`Snapshot`]s and [`TraceLog`]s: human tables,
-//! JSON-lines, and Prometheus text exposition format.
+//! Renderers for [`Snapshot`]s (human tables, JSON-lines, Prometheus
+//! text exposition format) and [`SpanLog`]s (Chrome trace-event JSON).
 //!
 //! All JSON is emitted by hand — the workspace has no JSON dependency —
 //! with full string escaping, one object per line so streams can be
@@ -8,7 +8,6 @@
 
 use crate::metrics::{HistogramSnapshot, Snapshot};
 use crate::span::SpanLog;
-use crate::trace::TraceLog;
 use std::fmt::Write as _;
 
 /// Escapes `s` for inclusion inside a JSON string literal.
@@ -192,32 +191,6 @@ pub fn prometheus(snap: &Snapshot) -> String {
     out
 }
 
-/// Renders a trace log as JSON-lines, one event per line in stream
-/// order, followed by a summary line reporting the drop count.
-///
-/// When events are timestamped from the sim clock, this output is a pure
-/// function of the workload — byte-identical across runs.
-pub fn trace_json_lines(log: &TraceLog) -> String {
-    let mut out = String::new();
-    for ev in &log.events {
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"trace\",\"ts\":{},\"kind\":\"{}\",\"name\":\"{}\",\"detail\":\"{}\"}}",
-            ev.ts,
-            ev.kind.label(),
-            json_escape(&ev.name),
-            json_escape(&ev.detail)
-        );
-    }
-    let _ = writeln!(
-        out,
-        "{{\"type\":\"trace_summary\",\"events\":{},\"dropped\":{}}}",
-        log.events.len(),
-        log.dropped
-    );
-    out
-}
-
 /// Renders a [`SpanLog`] in the Chrome trace-event JSON format, loadable
 /// in `chrome://tracing` / Perfetto.
 ///
@@ -301,7 +274,6 @@ mod tests {
     use super::*;
     use crate::metrics::Registry;
     use crate::span::FlightRecorder;
-    use crate::trace::Tracer;
 
     fn sample_snapshot() -> Snapshot {
         let r = Registry::new();
@@ -380,22 +352,6 @@ smtp_parse_us_p999 9
     fn json_escaping() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn trace_export_golden() {
-        let t = Tracer::new(4);
-        t.span_start(0, "run");
-        t.event(3, "tick", "q=\"x\"");
-        t.span_end(7, "run");
-        let got = trace_json_lines(&t.drain());
-        let want = "\
-{\"type\":\"trace\",\"ts\":0,\"kind\":\"span_start\",\"name\":\"run\",\"detail\":\"\"}
-{\"type\":\"trace\",\"ts\":3,\"kind\":\"event\",\"name\":\"tick\",\"detail\":\"q=\\\"x\\\"\"}
-{\"type\":\"trace\",\"ts\":7,\"kind\":\"span_end\",\"name\":\"run\",\"detail\":\"\"}
-{\"type\":\"trace_summary\",\"events\":3,\"dropped\":0}
-";
-        assert_eq!(got, want);
     }
 
     #[test]

@@ -11,10 +11,6 @@
 //!   parallel explorer's inner loop. A disabled registry costs one
 //!   relaxed atomic load per site; [`Snapshot`]s are exact-equality
 //!   integer captures that merge associatively across worker threads.
-//! - **Tracing** ([`Tracer`]): spans and events in a bounded ring
-//!   buffer. Inside the simulation engine, events are stamped with the
-//!   sim clock, so traces are deterministic and byte-diffable across
-//!   runs; elsewhere a monotonic wall clock is used.
 //! - **Causal spans** ([`FlightRecorder`]): per-message lifecycle trees
 //!   — a [`TraceId`] minted at submission, parent/child [`SpanRecord`]s
 //!   for queue wait, bank round-trips, WAL group-commit, delivery, and
@@ -22,10 +18,9 @@
 //!   and [`attribute`] folding finished traces into `trace.phase.*`
 //!   latency histograms.
 //! - **Exporters** ([`export::human`], [`export::json_lines`],
-//!   [`export::prometheus`], [`export::trace_json_lines`],
-//!   [`export::chrome_trace`]): pure renderings of snapshots, trace
-//!   logs, and span logs. Identical snapshots render to identical
-//!   bytes.
+//!   [`export::prometheus`], [`export::chrome_trace`]): pure renderings
+//!   of snapshots and span logs. Identical snapshots render to
+//!   identical bytes.
 //!
 //! The crate is deliberately dependency-free: it sits below every other
 //! crate in the workspace and must build offline.
@@ -59,7 +54,6 @@
 pub mod export;
 mod metrics;
 mod span;
-mod trace;
 
 pub use metrics::{
     global, Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, BUCKETS,
@@ -68,4 +62,3 @@ pub use span::{
     attribute, FlightRecorder, SpanCtx, SpanId, SpanLog, SpanRecord, SpanStatus, TraceId,
     TraceSummary,
 };
-pub use trace::{TraceEvent, TraceKind, TraceLog, Tracer};

@@ -1,11 +1,11 @@
 //! Causal span tracing: a deterministic flight recorder for message
 //! lifecycles.
 //!
-//! Where [`crate::Tracer`] records a flat stream of named events, this
-//! module records **trees**: a [`FlightRecorder`] mints a [`TraceId`] at
-//! message submission and tracks every hop of that message's life —
-//! queue wait, bank round-trip, WAL group-commit, delivery, ack — as
-//! parent/child [`SpanRecord`]s. Finished spans land in a bounded ring;
+//! This module records **trees**: a [`FlightRecorder`] mints a
+//! [`TraceId`] at message submission and tracks every hop of that
+//! message's life — queue wait, bank round-trip, WAL group-commit,
+//! delivery, ack — as parent/child [`SpanRecord`]s. Finished spans land
+//! in a bounded ring;
 //! [`SpanLog::validate`] checks the structural invariants (balance,
 //! nesting, bank-request links) that the proptests assert.
 //!

@@ -52,7 +52,7 @@ pub trait World {
     );
 
     /// Short static label for an event, used by telemetry to bucket
-    /// per-event-type latency histograms and trace lines. The default
+    /// per-event-type latency histograms. The default
     /// lumps everything under one label; worlds with an event enum
     /// should override it.
     fn event_label(_event: &Self::Event) -> &'static str {
@@ -121,15 +121,10 @@ impl<W: World> Simulation<W> {
         }
     }
 
-    /// Attaches a telemetry sink; subsequent events are counted, timed,
-    /// and (if the sink carries a tracer) traced under the sim clock.
+    /// Attaches a telemetry sink; subsequent events are counted and
+    /// timed.
     pub fn attach_telemetry(&mut self, telemetry: SimTelemetry) {
         self.telemetry = Some(telemetry);
-    }
-
-    /// The attached telemetry sink, if any.
-    pub fn telemetry(&self) -> Option<&SimTelemetry> {
-        self.telemetry.as_ref()
     }
 
     /// Schedules an initial event before the run starts.
@@ -173,7 +168,7 @@ impl<W: World> Simulation<W> {
                 // borrows the world and queue.
                 let label_and_start = self.telemetry.as_ref().map(|tel| {
                     let label = W::event_label(&event);
-                    (label, tel.on_event_start(time.as_millis(), label))
+                    (label, tel.is_profiling().then(std::time::Instant::now))
                 });
                 let mut scheduler = Scheduler {
                     now: time,
@@ -292,7 +287,7 @@ impl<W: World> Simulation<W> {
                 .unwrap_or_else(|| self.world.stage(time, &event));
             let label_and_start = self.telemetry.as_ref().map(|tel| {
                 let label = W::event_label(&event);
-                (label, tel.on_event_start(time.as_millis(), label))
+                (label, tel.is_profiling().then(std::time::Instant::now))
             });
             let mut scheduler = Scheduler {
                 now: time,
@@ -452,18 +447,17 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_counts_and_traces_under_sim_clock() {
+    fn telemetry_counts_and_times_events() {
         use crate::telemetry::SimTelemetry;
-        use zmail_obs::{Registry, Tracer};
+        use zmail_obs::Registry;
 
         let registry = Registry::new();
-        let tracer = Tracer::new(64);
         let mut sim = Simulation::new(BellTower {
             rings: Vec::new(),
             period: SimDuration::from_secs(2),
             limit: 3,
         });
-        sim.attach_telemetry(SimTelemetry::with_tracer(&registry, tracer.clone()));
+        sim.attach_telemetry(SimTelemetry::new(&registry));
         sim.schedule(SimTime::ZERO, Ring);
         sim.run_to_completion();
 
@@ -471,10 +465,6 @@ mod tests {
         assert_eq!(snap.counters["sim.events"], 3);
         assert_eq!(snap.gauges["sim.queue_depth"], 0);
         assert_eq!(snap.histograms["sim.handle_us.event"].count, 3);
-
-        // Trace stamps are sim-clock milliseconds: 0s, 2s, 4s.
-        let ts: Vec<u64> = tracer.drain().events.iter().map(|e| e.ts).collect();
-        assert_eq!(ts, vec![0, 2000, 4000]);
     }
 
     /// A bank of cells: each event bumps one cell with a staged value
@@ -626,25 +616,6 @@ mod tests {
         }
         assert!(snap.histograms["sim.tick.stage_worker_us"].count > 0);
         assert!(snap.histograms["sim.tick.apply_us"].count > 0);
-    }
-
-    #[test]
-    fn snapshots_surface_trace_ring_overflow() {
-        use crate::telemetry::SimTelemetry;
-        use zmail_obs::{Registry, Tracer};
-
-        let registry = Registry::new();
-        let tracer = Tracer::new(2); // tiny ring: guaranteed overflow
-        let mut sim = Simulation::new(BellTower {
-            rings: Vec::new(),
-            period: SimDuration::from_secs(1),
-            limit: 10,
-        });
-        sim.attach_telemetry(SimTelemetry::with_tracer(&registry, tracer));
-        sim.schedule(SimTime::ZERO, Ring);
-        sim.run_to_completion();
-        let snap = registry.snapshot();
-        assert_eq!(snap.gauges["trace.dropped"], 8);
     }
 
     #[test]

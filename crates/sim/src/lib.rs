@@ -20,11 +20,11 @@
 //! * [`rng`] — seeded random sampling: exponential inter-arrival times,
 //!   Poisson counts, Zipf popularity, Bernoulli trials — implemented here so
 //!   the only external randomness dependency stays `rand`;
-//! * [`stats`] — counters, log-binned histograms with percentiles, time
-//!   series, and an aligned-table printer used by every experiment binary;
+//! * [`stats`] — streaming summaries, exact quantiles, and an
+//!   aligned-table printer used by every experiment binary;
 //! * [`telemetry`] — an optional [`SimTelemetry`] sink wiring the engine
-//!   into `zmail-obs`: event counts, queue depth, per-event-type handler
-//!   latency, and sim-clock-stamped (hence deterministic) trace streams;
+//!   into `zmail-obs`: event counts, queue depth, and per-event-type
+//!   handler latency;
 //! * [`workload`] — email traffic models: normal users, spammers,
 //!   newsletters, mailing lists, and virus/zombie outbreaks.
 //!
@@ -63,6 +63,6 @@ pub use racecheck::{
 };
 pub use rng::Sampler;
 pub use shrink::{ddmin, DdminOutcome};
-pub use stats::{Histogram, Quantiles, Summary, Table, TimeSeries};
+pub use stats::{Quantiles, Summary, Table};
 pub use telemetry::SimTelemetry;
 pub use workload::{MailKind, SendEvent, TrafficConfig, TrafficGenerator, UserAddr};

@@ -1,13 +1,11 @@
 //! Measurement primitives shared by the experiments.
 //!
 //! * [`Summary`] — streaming mean/variance/min/max (Welford);
-//! * [`Histogram`] — log-binned histogram with percentile queries, suitable
-//!   for latency- and count-shaped data spanning orders of magnitude;
-//! * [`TimeSeries`] — `(time, value)` samples with windowed aggregation;
+//! * [`Quantiles`] — exact order statistics over an in-memory sample
+//!   (streaming latency histograms live in `zmail_obs::Histogram`);
 //! * [`Table`] — the aligned-column printer every `e*` experiment binary
 //!   uses, so harness output is uniform and diffable.
 
-use crate::clock::SimTime;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -96,131 +94,11 @@ impl fmt::Display for Summary {
     }
 }
 
-/// A log-binned histogram over non-negative values.
-///
-/// Bin `i` covers `[base^i, base^(i+1))`, with a dedicated underflow bin for
-/// zero. Percentile queries return the geometric midpoint of the bin
-/// containing the rank, which is accurate to the bin's relative width
-/// (≈ 10% with the default base of 1.25).
-///
-/// # Example
-///
-/// ```rust
-/// use zmail_sim::Histogram;
-///
-/// let mut h = Histogram::new();
-/// for latency_ms in [3.0, 5.0, 8.0, 120.0, 7.0, 6.0] {
-///     h.record(latency_ms);
-/// }
-/// let median = h.median().unwrap();
-/// assert!(median > 3.0 && median < 20.0);
-/// assert_eq!(h.count(), 6);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    base: f64,
-    zero_count: u64,
-    bins: Vec<u64>,
-    total: u64,
-    summary: Summary,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Creates a histogram with the default bin base (1.25).
-    pub fn new() -> Self {
-        Self::with_base(1.25)
-    }
-
-    /// Creates a histogram with a custom bin base (> 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base <= 1`.
-    pub fn with_base(base: f64) -> Self {
-        assert!(base > 1.0, "histogram base must exceed 1");
-        Histogram {
-            base,
-            zero_count: 0,
-            bins: Vec::new(),
-            total: 0,
-            summary: Summary::new(),
-        }
-    }
-
-    /// Records a non-negative observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is negative or NaN.
-    pub fn record(&mut self, x: f64) {
-        assert!(x >= 0.0, "histogram values must be non-negative");
-        self.total += 1;
-        self.summary.record(x);
-        if x < 1.0 {
-            self.zero_count += 1;
-            return;
-        }
-        let bin = (x.ln() / self.base.ln()).floor() as usize;
-        if bin >= self.bins.len() {
-            self.bins.resize(bin + 1, 0);
-        }
-        self.bins[bin] += 1;
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Streaming summary over the same observations.
-    pub fn summary(&self) -> &Summary {
-        &self.summary
-    }
-
-    /// The approximate value at quantile `q` in `[0, 1]`, or `None` when
-    /// empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-        if self.total == 0 {
-            return None;
-        }
-        let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
-        let mut seen = self.zero_count;
-        if rank <= seen {
-            return Some(0.0);
-        }
-        for (i, &count) in self.bins.iter().enumerate() {
-            seen += count;
-            if rank <= seen {
-                let lo = self.base.powi(i as i32);
-                let hi = self.base.powi(i as i32 + 1);
-                return Some((lo * hi).sqrt());
-            }
-        }
-        self.summary.max()
-    }
-
-    /// Median shorthand.
-    pub fn median(&self) -> Option<f64> {
-        self.quantile(0.5)
-    }
-}
-
 /// Exact small-sample quantiles over a finite set of observations.
 ///
-/// Complements [`Histogram`] (streaming, approximate): when an experiment
-/// has the full sample in memory — per-user balance drifts, per-incident
-/// latencies — exact order statistics are cheap and preferable.
+/// When an experiment has the full sample in memory — per-user balance
+/// drifts, per-incident latencies — exact order statistics are cheap and
+/// preferable to a streaming, approximate histogram.
 ///
 /// # Example
 ///
@@ -282,66 +160,6 @@ impl Quantiles {
     /// Always false: construction requires at least one sample.
     pub fn is_empty(&self) -> bool {
         false
-    }
-}
-
-/// A `(time, value)` series with aggregation helpers.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a sample; times must be non-decreasing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` precedes the last recorded time.
-    pub fn record(&mut self, at: SimTime, value: f64) {
-        if let Some(&(last, _)) = self.points.last() {
-            assert!(at >= last, "time series must be recorded in order");
-        }
-        self.points.push((at, value));
-    }
-
-    /// The raw samples, oldest first.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the series is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The last value, or `None` when empty.
-    pub fn last_value(&self) -> Option<f64> {
-        self.points.last().map(|&(_, v)| v)
-    }
-
-    /// Mean of values in the half-open window `[from, to)`.
-    pub fn window_mean(&self, from: SimTime, to: SimTime) -> Option<f64> {
-        let vals: Vec<f64> = self
-            .points
-            .iter()
-            .filter(|&&(t, _)| t >= from && t < to)
-            .map(|&(_, v)| v)
-            .collect();
-        if vals.is_empty() {
-            None
-        } else {
-            Some(vals.iter().sum::<f64>() / vals.len() as f64)
-        }
     }
 }
 
@@ -447,7 +265,6 @@ impl fmt::Display for Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::SimDuration;
 
     #[test]
     fn summary_known_values() {
@@ -471,46 +288,6 @@ mod tests {
         assert_eq!(s.std_dev(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn histogram_quantiles_bracket_true_values() {
-        let mut h = Histogram::new();
-        for i in 1..=1000 {
-            h.record(f64::from(i));
-        }
-        let median = h.median().unwrap();
-        assert!(
-            median > 400.0 && median < 620.0,
-            "median estimate {median} too far from 500"
-        );
-        let p99 = h.quantile(0.99).unwrap();
-        assert!(p99 > 800.0 && p99 < 1250.0, "p99 estimate {p99}");
-        let p0 = h.quantile(0.0).unwrap();
-        assert!(p0 <= 2.0);
-    }
-
-    #[test]
-    fn histogram_zero_bin() {
-        let mut h = Histogram::new();
-        for _ in 0..10 {
-            h.record(0.0);
-        }
-        h.record(100.0);
-        assert_eq!(h.quantile(0.5), Some(0.0));
-        assert_eq!(h.count(), 11);
-    }
-
-    #[test]
-    fn histogram_empty_quantile_none() {
-        let h = Histogram::new();
-        assert_eq!(h.quantile(0.5), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn histogram_negative_panics() {
-        Histogram::new().record(-1.0);
     }
 
     #[test]
@@ -543,31 +320,6 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn exact_quantiles_nan_panics() {
         Quantiles::from_samples(vec![1.0, f64::NAN]);
-    }
-
-    #[test]
-    fn time_series_window_mean() {
-        let mut ts = TimeSeries::new();
-        for day in 0..10u64 {
-            ts.record(SimTime::ZERO + SimDuration::from_days(day), day as f64);
-        }
-        let m = ts
-            .window_mean(
-                SimTime::ZERO + SimDuration::from_days(2),
-                SimTime::ZERO + SimDuration::from_days(5),
-            )
-            .unwrap();
-        assert!((m - 3.0).abs() < 1e-12); // days 2, 3, 4
-        assert_eq!(ts.last_value(), Some(9.0));
-        assert_eq!(ts.len(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "in order")]
-    fn time_series_out_of_order_panics() {
-        let mut ts = TimeSeries::new();
-        ts.record(SimTime::ZERO + SimDuration::from_secs(10), 1.0);
-        ts.record(SimTime::ZERO, 2.0);
     }
 
     #[test]

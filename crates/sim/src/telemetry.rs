@@ -1,4 +1,4 @@
-//! Engine telemetry: metrics and deterministic tracing for the event loop.
+//! Engine telemetry: metrics for the event loop.
 //!
 //! A [`SimTelemetry`] attached to a [`Simulation`](crate::Simulation)
 //! records, per processed event:
@@ -26,19 +26,14 @@
 //!   [`HEAT_KEY_CAP`] distinct keys get their own series, the rest pool
 //!   into `sim.shard.heat.other`).
 //!
-//! Optionally, each event is also written to a [`Tracer`] stamped with
-//! the **sim clock** (integer milliseconds), not the wall clock. Because
-//! virtual time is a pure function of the workload, two runs of the same
-//! seed yield byte-identical trace streams — the deterministic-trace
-//! guarantee the guard test in `crates/bench/tests/determinism.rs`
-//! asserts. Wall-clock latency histograms (and the profiler series
-//! above) are kept out of the trace for the same reason. Snapshots also
-//! carry `trace.dropped` — events lost to ring wraparound — so exports
-//! never silently truncate.
+//! The counters and the final `sim.queue_depth` are a pure function of
+//! the workload; wall-clock values (`sim.events_per_sec`, the latency
+//! histograms and the profiler timings) are gated on the registry being
+//! enabled and never feed back into the run.
 
 use std::collections::HashMap;
 use std::time::Instant;
-use zmail_obs::{Counter, Gauge, Histogram, Registry, Tracer};
+use zmail_obs::{Counter, Gauge, Histogram, Registry};
 
 /// Distinct footprint keys that get their own `sim.shard.heat.<key>`
 /// series before further keys pool into `sim.shard.heat.other`.
@@ -63,12 +58,10 @@ pub struct SimTelemetry {
     /// [`HEAT_KEY_CAP`] distinct keys.
     heat: HashMap<u64, Counter>,
     heat_other: Counter,
-    tracer: Option<Tracer>,
 }
 
 impl SimTelemetry {
-    /// Creates a telemetry sink recording into `registry`, without
-    /// tracing.
+    /// Creates a telemetry sink recording into `registry`.
     pub fn new(registry: &Registry) -> Self {
         SimTelemetry {
             registry: registry.clone(),
@@ -83,39 +76,14 @@ impl SimTelemetry {
             apply_us: registry.histogram("sim.tick.apply_us"),
             heat: HashMap::new(),
             heat_other: registry.counter("sim.shard.heat.other"),
-            tracer: None,
         }
     }
 
-    /// Creates a telemetry sink that additionally writes every event to
-    /// `tracer`, stamped with sim-clock milliseconds.
-    pub fn with_tracer(registry: &Registry, tracer: Tracer) -> Self {
-        let mut t = Self::new(registry);
-        t.tracer = Some(tracer);
-        t
-    }
-
-    /// The tracer, if one is attached.
-    pub fn tracer(&self) -> Option<&Tracer> {
-        self.tracer.as_ref()
-    }
-
-    /// Whether the registry is live — gates the wall-clock profiler
-    /// timings so a disabled sink costs nothing on the tick path.
+    /// Whether the registry is live — gates every wall-clock timing so
+    /// a disabled sink costs nothing on the event and tick paths.
     #[inline]
     pub(crate) fn is_profiling(&self) -> bool {
         self.registry.is_enabled()
-    }
-
-    /// Called by the engine just before an event handler runs. Returns
-    /// the wall-clock start when latency timing is on (registry
-    /// enabled); tracing piggybacks here with the sim-clock stamp.
-    #[inline]
-    pub(crate) fn on_event_start(&self, now_ms: u64, label: &'static str) -> Option<Instant> {
-        if let Some(tracer) = &self.tracer {
-            tracer.event(now_ms, label, String::new());
-        }
-        self.registry.is_enabled().then(Instant::now)
     }
 
     /// Called by the engine after a handler returns.
@@ -178,18 +146,11 @@ impl SimTelemetry {
     }
 
     /// Called by the engine at the end of a full run with the events
-    /// handled and the wall time taken. Also publishes the tracer's
-    /// ring-overflow count so snapshots report `trace.dropped` instead
-    /// of silently truncating.
+    /// handled and the wall time taken.
     pub(crate) fn on_run_complete(&self, handled: u64, wall: std::time::Duration) {
         let secs = wall.as_secs_f64();
         if secs > 0.0 {
             self.events_per_sec.set((handled as f64 / secs) as i64);
-        }
-        if let Some(tracer) = &self.tracer {
-            self.registry
-                .gauge("trace.dropped")
-                .set(tracer.dropped() as i64);
         }
     }
 }

@@ -11,11 +11,11 @@
 //!   a [`MailSink`];
 //! * [`client`] — a client that drives any [`Connection`] to submit mail;
 //! * [`transport`] — an in-memory loopback connection for tests and
-//!   simulations, and a real TCP transport (`std::net`) for the end-to-end
-//!   benchmark (experiment E11);
-//! * [`threaded`] — a multi-threaded accept loop with a bounded worker
+//!   simulations, and a real TCP connection (`std::net`);
+//! * [`threaded`] — the TCP server: an accept loop with a bounded worker
 //!   pool, per-connection timeouts, a max-connection cap, and `421` load
-//!   shedding, built for the open-loop overload experiments (E21);
+//!   shedding, serving the end-to-end benchmark (E11) and the open-loop
+//!   overload experiments (E21);
 //! * [`zheaders`] — the `X-Zmail-*` extension headers that carry payment
 //!   metadata *inside* standard messages, which is precisely how Zmail
 //!   rides on SMTP without modifying it.
@@ -67,9 +67,7 @@ pub use relay::RelaySink;
 pub use reply::{Reply, ReplyCode};
 pub use server::{CollectSink, MailSink, SinkError, SmtpServer};
 pub use threaded::{ThreadedConfig, ThreadedServer, ThreadedStats};
-pub use transport::{
-    bind_loopback, Connection, FaultyConnection, MemoryTransport, TcpConnection, TcpMailServer,
-};
+pub use transport::{bind_loopback, Connection, FaultyConnection, MemoryTransport, TcpConnection};
 pub use zheaders::{
     canonical_digest, extract_ack_signature, extract_signature, stamp_ack_signature,
     stamp_signature, strip_signatures, ZmailHeaders, HEADER_ACK_SIG, HEADER_ACK_TO, HEADER_KIND,

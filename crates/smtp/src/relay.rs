@@ -55,16 +55,22 @@ impl MailSink for RelaySink {
 mod tests {
     use super::*;
     use crate::server::CollectSink;
-    use crate::transport::TcpMailServer;
+    use crate::threaded::{ThreadedConfig, ThreadedServer};
     use crate::zheaders::{ZmailHeaders, HEADER_PAYMENT};
 
     #[test]
     fn relay_forwards_message_with_headers_intact() {
         // terminal server <- relay server <- client
         let terminal_sink = CollectSink::shared();
-        let mut terminal = TcpMailServer::start("terminal.example", terminal_sink.clone()).unwrap();
+        let mut terminal = ThreadedServer::start(
+            "terminal.example",
+            terminal_sink.clone(),
+            ThreadedConfig::default(),
+        )
+        .unwrap();
         let relay_sink = RelaySink::new(terminal.addr(), "relay.example");
-        let mut relay = TcpMailServer::start("relay.example", relay_sink).unwrap();
+        let mut relay =
+            ThreadedServer::start("relay.example", relay_sink, ThreadedConfig::default()).unwrap();
 
         let mut message = MailMessage::builder("a@x.example", "b@y.example")
             .header("Subject", "through the middle hop")
@@ -111,7 +117,8 @@ mod tests {
         // Point the relay at a port nothing listens on.
         let dead: SocketAddr = "127.0.0.1:1".parse().unwrap();
         let relay_sink = RelaySink::new(dead, "relay.example");
-        let mut relay = TcpMailServer::start("relay.example", relay_sink).unwrap();
+        let mut relay =
+            ThreadedServer::start("relay.example", relay_sink, ThreadedConfig::default()).unwrap();
         let conn = TcpConnection::connect(relay.addr()).unwrap();
         let mut client = Client::connect(conn, "origin.example").unwrap();
         let msg = MailMessage::builder("a@x.example", "b@y.example")
@@ -125,12 +132,31 @@ mod tests {
 
     #[test]
     fn two_hop_relay_chain() {
+        // One worker per server: the pool degenerates to serving
+        // sessions sequentially, which is all a relay chain needs.
+        let sequential = ThreadedConfig {
+            workers: 1,
+            ..Default::default()
+        };
         let terminal_sink = CollectSink::shared();
-        let mut terminal = TcpMailServer::start("terminal.example", terminal_sink.clone()).unwrap();
-        let mut hop2 =
-            TcpMailServer::start("hop2.example", RelaySink::new(terminal.addr(), "hop2")).unwrap();
-        let mut hop1 =
-            TcpMailServer::start("hop1.example", RelaySink::new(hop2.addr(), "hop1")).unwrap();
+        let mut terminal = ThreadedServer::start(
+            "terminal.example",
+            terminal_sink.clone(),
+            sequential.clone(),
+        )
+        .unwrap();
+        let mut hop2 = ThreadedServer::start(
+            "hop2.example",
+            RelaySink::new(terminal.addr(), "hop2"),
+            sequential.clone(),
+        )
+        .unwrap();
+        let mut hop1 = ThreadedServer::start(
+            "hop1.example",
+            RelaySink::new(hop2.addr(), "hop1"),
+            sequential,
+        )
+        .unwrap();
 
         let conn = TcpConnection::connect(hop1.addr()).unwrap();
         let mut client = Client::connect(conn, "origin.example").unwrap();

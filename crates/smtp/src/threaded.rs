@@ -1,9 +1,11 @@
-//! A multi-threaded accept-loop SMTP server with explicit backpressure.
+//! The TCP front door: a multi-threaded accept-loop SMTP server with
+//! explicit backpressure.
 //!
-//! [`crate::transport::TcpMailServer`] spawns one unbounded thread per
-//! connection — fine for E11's single closed-loop client, fatal under an
-//! open-loop generator that keeps dialing regardless of how the server is
-//! doing. [`ThreadedServer`] is the overload-safe replacement:
+//! One unbounded thread per connection is fine for a single closed-loop
+//! client and fatal under an open-loop generator that keeps dialing
+//! regardless of how the server is doing, so [`ThreadedServer`] bounds
+//! every stage (`workers: 1` degenerates to serving sessions one at a
+//! time, in accept order):
 //!
 //! * an **acceptor** thread pulls connections off the listener and pushes
 //!   them onto a **bounded** hand-off queue;

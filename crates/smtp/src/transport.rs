@@ -2,18 +2,14 @@
 //!
 //! The substrate separates the SMTP state machines from byte transport via
 //! the [`Connection`] trait. [`MemoryTransport`] gives tests and simulations
-//! a zero-cost loopback; [`TcpConnection`] and [`TcpMailServer`] run the
-//! same state machines over real sockets for the end-to-end deployability
-//! experiment (E11).
+//! a zero-cost loopback; [`TcpConnection`] runs the same state machines
+//! over real sockets — [`crate::ThreadedServer`] is the accept loop that
+//! serves them — for the end-to-end deployability experiment (E11).
 
-use crate::server::{MailSink, SmtpServer};
 use bytes::{Buf, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use zmail_fault::{LineFaults, LineVerdict};
 use zmail_sim::Sampler;
 
@@ -235,78 +231,6 @@ impl Connection for TcpConnection {
             }
             self.buffer.extend_from_slice(&chunk[..n]);
         }
-    }
-}
-
-/// A threaded TCP mail server: accepts connections on a loopback port and
-/// runs one [`SmtpServer`] session per connection.
-#[derive(Debug)]
-pub struct TcpMailServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-}
-
-impl TcpMailServer {
-    /// Binds `127.0.0.1:0` and starts serving with the given sink.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind error.
-    pub fn start<S>(hostname: impl Into<String>, sink: S) -> io::Result<TcpMailServer>
-    where
-        S: MailSink + Clone + Send + 'static,
-    {
-        let listener = bind_loopback(5)?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let hostname = hostname.into();
-        let accept_shutdown = Arc::clone(&shutdown);
-        let accept_thread = std::thread::spawn(move || {
-            let mut sessions: Vec<JoinHandle<()>> = Vec::new();
-            for stream in listener.incoming() {
-                if accept_shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                let server = SmtpServer::new(hostname.clone(), sink.clone());
-                sessions.push(std::thread::spawn(move || {
-                    let _ = server.serve(TcpConnection::new(stream));
-                }));
-            }
-            for s in sessions {
-                let _ = s.join();
-            }
-        });
-        Ok(TcpMailServer {
-            addr,
-            shutdown,
-            accept_thread: Some(accept_thread),
-        })
-    }
-
-    /// The bound address clients should connect to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops accepting and joins the accept loop. Idempotent.
-    pub fn stop(&mut self) {
-        if self.accept_thread.is_none() {
-            return;
-        }
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Kick the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for TcpMailServer {
-    fn drop(&mut self) {
-        self.stop();
     }
 }
 

@@ -5,12 +5,16 @@
 
 use zmail::core::bridge::ZmailGateway;
 use zmail::core::{UserAddr, ZmailConfig};
-use zmail::smtp::{Client, MailMessage, TcpConnection, TcpMailServer};
+use zmail::smtp::{Client, MailMessage, TcpConnection, ThreadedConfig, ThreadedServer};
 
 fn main() {
     let gateway = ZmailGateway::new(ZmailConfig::builder(2, 4).build(), 1);
-    let mut server =
-        TcpMailServer::start("mx.zmail.example", gateway.clone()).expect("bind loopback");
+    let mut server = ThreadedServer::start(
+        "mx.zmail.example",
+        gateway.clone(),
+        ThreadedConfig::default(),
+    )
+    .expect("bind loopback");
     println!("zmail SMTP gateway listening on {}", server.addr());
 
     let alice = UserAddr::new(0, 0);

@@ -12,7 +12,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --release"
 cargo build --release
 
-echo "== cargo test"
+echo "== cargo test (every suite, once)"
 cargo test -q --workspace
 
 echo "== cargo doc (first-party crates, warnings are errors)"
@@ -30,46 +30,20 @@ cargo run --release -q -p zmail-bench --bin speclint -- --independence-json > /d
 echo "== obs smoke (metrics/tracing/exporters end to end)"
 cargo run --release -q -p zmail-obs --bin obs_smoke > /dev/null
 
-echo "== determinism guards (sim-clock traces, profiled explorer)"
-cargo test -q --release -p zmail-bench --test determinism
-
-echo "== fault scenarios (randomized plans over fixed seeds, shrinker)"
-cargo test -q --release -p zmail --test fault_scenarios
-
-echo "== property suites (crypto envelopes/nonces, SMTP grammar)"
-cargo test -q --release -p zmail-crypto --test properties
-cargo test -q --release -p zmail-smtp --test properties
-
-echo "== durability (recovery round-trips, storage faults, E16 smoke)"
-cargo test -q --release -p zmail-store --test recovery_properties
-cargo test -q --release -p zmail-fault --test storage_faults
+echo "== durability (E16 smoke)"
 cargo run --release -q -p zmail-bench --bin e16_durability -- --smoke > /dev/null
 
-echo "== sharding (split/merge properties, 2PC crash faults, E17 smoke)"
-cargo test -q --release -p zmail-store --test shard_properties
-cargo test -q --release -p zmail-fault --test shard_crashes
+echo "== sharding (E17 smoke)"
 cargo run --release -q -p zmail-bench --bin e17_million_users -- --smoke > /dev/null
 
 echo "== parallel equivalence (serial vs threaded E17 runs byte-identical)"
 cargo run --release -q -p zmail-bench --bin e17_million_users -- --equivalence > /dev/null
 
-echo "== racecheck (SIM001-SIM006 negative suite, footprint proptests)"
-cargo test -q --release -p zmail-sim --test racecheck
-cargo test -q --release -p zmail-core --test massive_racecheck
-
-echo "== parallel harness (frozen seeds: byte-identical at 1/2/4/8 threads, racecheck clean)"
-cargo test -q --release -p zmail --test parallel_harness
+echo "== racecheck (E18 smoke: both worlds checked)"
 cargo run --release -q -p zmail-bench --bin e18_racecheck -- --smoke > /dev/null
 
-echo "== flight recorder (trace determinism, zmail-trace golden, E19 smoke)"
-cargo test -q --release -p zmail-core --lib flight_recorder
-cargo test -q --release -p zmail-bench --bin zmail_trace
+echo "== flight recorder (E19 smoke)"
 cargo run --release -q -p zmail-bench --bin e19_tracing -- --smoke > /dev/null
-
-echo "== attestations (canonical header form, attack-class regressions, refund replay)"
-cargo test -q --release -p zmail-smtp --test canonicalization
-cargo test -q --release -p zmail --test adversary_regression
-cargo test -q --release -p zmail --test refund_replay
 
 echo "== adversary campaign smoke (every attack class held, weakened verifiers convicted)"
 cargo run --release -q -p zmail-bench --bin e20_adversary -- --smoke > /dev/null
@@ -80,11 +54,6 @@ grep -q "AttackClass" crates/fault/README.md
 grep -q "adversary\." crates/obs/README.md
 grep -q "^| E20 " EXPERIMENTS.md
 
-echo "== load generator (schedule determinism, CO-safe latency, threaded soak)"
-cargo test -q --release -p zmail-load --test determinism
-cargo test -q --release -p zmail-load --test coordinated_omission
-cargo test -q --release -p zmail-smtp --test threaded_soak
-
 echo "== open-loop overload smoke (sweep shape, liveness, seq conservation)"
 cargo run --release -q -p zmail-bench --bin e21_open_loop -- --smoke > /dev/null
 
@@ -94,5 +63,8 @@ grep -q "coordinated-omission" crates/load/README.md
 grep -q "load\." crates/obs/README.md
 grep -q "server\.accept\." crates/obs/README.md
 grep -q "^| E21 " EXPERIMENTS.md
+
+echo "== repo benchmark smoke (own workspace: builds against this tree, --locked pins the dependency graph)"
+cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
 echo "CI: all green"

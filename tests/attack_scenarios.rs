@@ -6,7 +6,7 @@ use zmail::core::{CheatMode, IspId, UserAddr, ZmailConfig, ZmailSystem};
 use zmail::econ::EPennies;
 use zmail::sim::workload::{SendEvent, TrafficConfig, TrafficGenerator};
 use zmail::sim::{MailKind, Sampler, SimDuration, SimTime};
-use zmail::smtp::{Client, MailMessage, TcpConnection, TcpMailServer};
+use zmail::smtp::{Client, MailMessage, TcpConnection, ThreadedConfig, ThreadedServer};
 
 /// A spammer who "recycles" e-pennies by spamming their own sockpuppet
 /// accounts pays nothing net — but also reaches no victims. Zero-sum means
@@ -52,7 +52,8 @@ fn self_dealing_recycles_pennies_but_reaches_no_victims() {
 #[test]
 fn forged_payment_stamp_is_neutralized_at_the_gateway() {
     let gateway = ZmailGateway::new(ZmailConfig::builder(2, 3).build(), 91);
-    let mut server = TcpMailServer::start("zmail.example", gateway.clone()).unwrap();
+    let mut server =
+        ThreadedServer::start("zmail.example", gateway.clone(), ThreadedConfig::default()).unwrap();
     let conn = TcpConnection::connect(server.addr()).unwrap();
     let mut client = Client::connect(conn, "attacker.example").unwrap();
     let victim = UserAddr::new(1, 0);

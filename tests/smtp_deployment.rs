@@ -5,7 +5,7 @@ use std::thread;
 use zmail::core::bridge::ZmailGateway;
 use zmail::core::{UserAddr, ZmailConfig};
 use zmail::econ::EPennies;
-use zmail::smtp::{Client, MailMessage, RelaySink, TcpConnection, TcpMailServer};
+use zmail::smtp::{Client, MailMessage, RelaySink, TcpConnection, ThreadedConfig, ThreadedServer};
 
 #[test]
 fn concurrent_clients_over_tcp_keep_the_ledger_consistent() {
@@ -14,7 +14,8 @@ fn concurrent_clients_over_tcp_keep_the_ledger_consistent() {
         ZmailConfig::builder(2, users_per_isp).limit(1_000).build(),
         2024,
     );
-    let mut server = TcpMailServer::start("zmail.example", gateway.clone()).unwrap();
+    let mut server =
+        ThreadedServer::start("zmail.example", gateway.clone(), ThreadedConfig::default()).unwrap();
     let addr = server.addr();
 
     // Four concurrent senders, each submitting 10 messages.
@@ -70,7 +71,12 @@ fn bounce_and_foreign_mail_coexist_on_one_server() {
             .build(),
         7,
     );
-    let mut server = TcpMailServer::start("zmail.example", gateway.clone()).unwrap();
+    // One worker: the pool degenerates to one session at a time.
+    let sequential = ThreadedConfig {
+        workers: 1,
+        ..Default::default()
+    };
+    let mut server = ThreadedServer::start("zmail.example", gateway.clone(), sequential).unwrap();
     let addr = server.addr();
 
     let alice = UserAddr::new(0, 0);
@@ -112,10 +118,12 @@ fn zmail_works_behind_a_noncompliant_relay() {
     // never heard of Zmail carries it without modification. Chain:
     // client -> plain relay -> Zmail gateway.
     let gateway = ZmailGateway::new(ZmailConfig::builder(2, 4).build(), 77);
-    let mut terminal = TcpMailServer::start("zmail.example", gateway.clone()).unwrap();
-    let mut relay = TcpMailServer::start(
+    let mut terminal =
+        ThreadedServer::start("zmail.example", gateway.clone(), ThreadedConfig::default()).unwrap();
+    let mut relay = ThreadedServer::start(
         "relay.example",
         RelaySink::new(terminal.addr(), "relay.example"),
+        ThreadedConfig::default(),
     )
     .unwrap();
 
@@ -151,10 +159,12 @@ fn gateway_bounce_propagates_back_through_the_relay() {
             .build(),
         78,
     );
-    let mut terminal = TcpMailServer::start("zmail.example", gateway.clone()).unwrap();
-    let mut relay = TcpMailServer::start(
+    let mut terminal =
+        ThreadedServer::start("zmail.example", gateway.clone(), ThreadedConfig::default()).unwrap();
+    let mut relay = ThreadedServer::start(
         "relay.example",
         RelaySink::new(terminal.addr(), "relay.example"),
+        ThreadedConfig::default(),
     )
     .unwrap();
     let conn = TcpConnection::connect(relay.addr()).unwrap();
