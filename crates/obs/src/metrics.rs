@@ -151,13 +151,20 @@ impl Histogram {
     /// Records one observation.
     #[inline]
     pub fn record(&self, v: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
+        self.record_n(v, 1);
+    }
+
+    /// Records `n` observations of the same value `v` at the cost of
+    /// one: for a caller that tallied a run of equal samples itself.
+    #[inline]
+    pub fn record_n(&self, v: u64, n: u64) {
+        if n == 0 || !self.enabled.load(Ordering::Relaxed) {
             return;
         }
         let core = &*self.core;
-        core.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        core.count.fetch_add(1, Ordering::Relaxed);
-        core.sum.fetch_add(v, Ordering::Relaxed);
+        core.buckets[bucket_index(v)].fetch_add(n, Ordering::Relaxed);
+        core.count.fetch_add(n, Ordering::Relaxed);
+        core.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
         core.min.fetch_min(v, Ordering::Relaxed);
         core.max.fetch_max(v, Ordering::Relaxed);
     }
@@ -627,6 +634,20 @@ mod tests {
         assert_eq!(two.count, 2);
         assert_eq!(two.max, u64::MAX);
         assert_eq!(two.quantile(1.0), Some(bucket_lower_bound(BUCKETS - 1)));
+    }
+
+    #[test]
+    fn record_n_equals_n_records() {
+        let r = Registry::new();
+        let (one_by_one, run) = (r.histogram("a"), r.histogram("b"));
+        for (v, n) in [(256, 5), (3, 1), (1 << 40, 64), (9, 0)] {
+            for _ in 0..n {
+                one_by_one.record(v);
+            }
+            run.record_n(v, n);
+        }
+        assert_eq!(run.snapshot(), one_by_one.snapshot());
+        assert_eq!(run.snapshot().count, 70);
     }
 
     #[test]

@@ -171,35 +171,65 @@ impl Books {
     /// The checkpoint payload: fixed little-endian, field order exactly
     /// as declared, counts as `u32` prefixes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(self.isps.len() as u32).to_le_bytes());
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Exact byte length of [`Books::encode`]'s output.
+    pub(crate) fn encoded_len(&self) -> usize {
+        let isps: usize = self
+            .isps
+            .iter()
+            .map(|isp| {
+                4 + isp.users.len() * USER_BYTES
+                    + 8
+                    + 4
+                    + isp.credit.len() * 8
+                    + 4
+                    + isp.nonces.len() * 8
+            })
+            .sum();
+        let banks: usize = self
+            .banks
+            .iter()
+            .map(|bank| 4 + bank.accounts.len() * 8 + 8)
+            .sum();
+        4 + isps + 4 + banks
+    }
+
+    /// Appends the checkpoint payload to `out`, which the caller has
+    /// sized from [`Books::encoded_len`].
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        put_count(out, self.isps.len());
         for isp in &self.isps {
-            out.extend_from_slice(&(isp.users.len() as u32).to_le_bytes());
+            put_count(out, isp.users.len());
             for u in &isp.users {
-                out.extend_from_slice(&u.account.to_le_bytes());
-                out.extend_from_slice(&u.balance.to_le_bytes());
-                out.extend_from_slice(&u.sent_today.to_le_bytes());
-                out.extend_from_slice(&u.limit.to_le_bytes());
+                let mut user = [0u8; USER_BYTES];
+                user[0..8].copy_from_slice(&u.account.to_le_bytes());
+                user[8..16].copy_from_slice(&u.balance.to_le_bytes());
+                user[16..20].copy_from_slice(&u.sent_today.to_le_bytes());
+                user[20..24].copy_from_slice(&u.limit.to_le_bytes());
+                out.extend_from_slice(&user);
             }
             out.extend_from_slice(&isp.avail.to_le_bytes());
-            out.extend_from_slice(&(isp.credit.len() as u32).to_le_bytes());
+            put_count(out, isp.credit.len());
             for c in &isp.credit {
                 out.extend_from_slice(&c.to_le_bytes());
             }
-            out.extend_from_slice(&(isp.nonces.len() as u32).to_le_bytes());
+            put_count(out, isp.nonces.len());
             for n in &isp.nonces {
                 out.extend_from_slice(&n.to_le_bytes());
             }
         }
-        out.extend_from_slice(&(self.banks.len() as u32).to_le_bytes());
+        put_count(out, self.banks.len());
         for bank in &self.banks {
-            out.extend_from_slice(&(bank.accounts.len() as u32).to_le_bytes());
+            put_count(out, bank.accounts.len());
             for a in &bank.accounts {
                 out.extend_from_slice(&a.to_le_bytes());
             }
             out.extend_from_slice(&bank.issued.to_le_bytes());
         }
-        out
     }
 
     /// Decodes a checkpoint payload; `None` on any short read, oversized
@@ -209,27 +239,18 @@ impl Books {
         let isp_count = r.count()?;
         let mut isps = Vec::with_capacity(isp_count);
         for _ in 0..isp_count {
-            let user_count = r.count()?;
-            let mut users = Vec::with_capacity(user_count);
-            for _ in 0..user_count {
-                users.push(UserBooks {
-                    account: r.i64()?,
-                    balance: r.i64()?,
-                    sent_today: r.u32()?,
-                    limit: r.u32()?,
-                });
-            }
+            let users = r
+                .strided::<USER_BYTES>()?
+                .map(|user| UserBooks {
+                    account: i64::from_le_bytes(field(user, 0)),
+                    balance: i64::from_le_bytes(field(user, 8)),
+                    sent_today: u32::from_le_bytes(field(user, 16)),
+                    limit: u32::from_le_bytes(field(user, 20)),
+                })
+                .collect();
             let avail = r.i64()?;
-            let credit_count = r.count()?;
-            let mut credit = Vec::with_capacity(credit_count);
-            for _ in 0..credit_count {
-                credit.push(r.i64()?);
-            }
-            let nonce_count = r.count()?;
-            let mut nonces = Vec::with_capacity(nonce_count);
-            for _ in 0..nonce_count {
-                nonces.push(r.u64()?);
-            }
+            let credit = r.strided()?.map(|c| i64::from_le_bytes(*c)).collect();
+            let nonces = r.strided()?.map(|n| u64::from_le_bytes(*n)).collect();
             isps.push(IspBooks {
                 users,
                 avail,
@@ -240,13 +261,8 @@ impl Books {
         let bank_count = r.count()?;
         let mut banks = Vec::with_capacity(bank_count);
         for _ in 0..bank_count {
-            let account_count = r.count()?;
-            let mut accounts = Vec::with_capacity(account_count);
-            for _ in 0..account_count {
-                accounts.push(r.i64()?);
-            }
             banks.push(BankBooks {
-                accounts,
+                accounts: r.strided()?.map(|a| i64::from_le_bytes(*a)).collect(),
                 issued: r.i64()?,
             });
         }
@@ -261,6 +277,20 @@ impl Books {
             .map(|isp| isp.avail + isp.users.iter().map(|u| u.balance).sum::<i64>())
             .sum()
     }
+}
+
+/// Encoded size of one [`UserBooks`]: two `i64`s and two `u32`s.
+const USER_BYTES: usize = 24;
+
+fn put_count(out: &mut Vec<u8>, count: usize) {
+    out.extend_from_slice(&(count as u32).to_le_bytes());
+}
+
+/// The `N` bytes of `from` starting at `at`.
+fn field<const N: usize>(from: &[u8; USER_BYTES], at: usize) -> [u8; N] {
+    let mut out = [0; N];
+    out.copy_from_slice(&from[at..at + N]);
+    out
 }
 
 struct Cursor<'a> {
@@ -283,18 +313,22 @@ impl<'a> Cursor<'a> {
         Some(v)
     }
 
-    fn u64(&mut self) -> Option<u64> {
-        let end = self.at.checked_add(8)?;
-        let v = u64::from_le_bytes(self.bytes.get(self.at..end)?.try_into().ok()?);
-        self.at = end;
-        Some(v)
-    }
-
     /// A length prefix, bounded by the bytes that could possibly remain
     /// so corrupt counts cannot trigger huge allocations.
     fn count(&mut self) -> Option<usize> {
         let v = self.u32()? as usize;
         (v <= self.bytes.len().saturating_sub(self.at)).then_some(v)
+    }
+
+    /// A counted run of `N`-byte elements, taken in one bounds check;
+    /// the iterator's exact length lets `collect` reserve up front.
+    fn strided<const N: usize>(&mut self) -> Option<std::slice::Iter<'a, [u8; N]>> {
+        let count = self.count()?;
+        let end = self.at.checked_add(count.checked_mul(N)?)?;
+        let (elements, rest) = self.bytes.get(self.at..end)?.as_chunks::<N>();
+        debug_assert!(rest.is_empty());
+        self.at = end;
+        Some(elements.iter())
     }
 }
 

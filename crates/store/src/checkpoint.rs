@@ -4,8 +4,9 @@
 //! (`ckpt.a`, `ckpt.b`), so a crash mid-write can destroy at most the
 //! slot being written — the other still holds the previous complete
 //! image. Recovery reads both, keeps every slot whose magic, length,
-//! and trailing CRC check out, and picks the one with the highest
-//! sequence number.
+//! and trailing CRC check out, and decodes the books of the one with
+//! the highest sequence number (falling back to the other if they do
+//! not decode).
 //!
 //! Slot layout (all little-endian):
 //!
@@ -46,26 +47,54 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// The slot this checkpoint belongs in.
     pub fn slot(&self) -> &'static str {
-        SLOTS[(self.seq % 2) as usize]
+        slot_for(self.seq)
     }
 
     /// Serializes the slot image, CRC last.
     pub fn encode(&self) -> Vec<u8> {
-        let books = self.books.encode();
-        let mut out = Vec::with_capacity(HEADER + books.len() + 4);
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.wal_offset.to_le_bytes());
-        out.extend_from_slice(&(books.len() as u32).to_le_bytes());
-        out.extend_from_slice(&books);
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        encode_slot(self.seq, self.wal_offset, &self.books)
     }
 
     /// Decodes and verifies a slot image; `None` if the magic, framing,
     /// CRC, or books payload is damaged in any way.
     pub fn decode(bytes: &[u8]) -> Option<Checkpoint> {
+        VerifiedSlot::of(bytes)?.decode()
+    }
+}
+
+/// The slot checkpoint `seq` is written to: the two alternate.
+pub(crate) fn slot_for(seq: u64) -> &'static str {
+    SLOTS[(seq % 2) as usize]
+}
+
+/// The slot image of `books` taken at `wal_offset`, encoded from the
+/// borrowed books straight into one exactly-sized buffer.
+pub(crate) fn encode_slot(seq: u64, wal_offset: u64, books: &Books) -> Vec<u8> {
+    let books_len = books.encoded_len();
+    let mut out = Vec::with_capacity(HEADER + books_len + 4);
+    out.extend_from_slice(&MAGIC.to_le_bytes());
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&wal_offset.to_le_bytes());
+    out.extend_from_slice(&(books_len as u32).to_le_bytes());
+    books.encode_into(&mut out);
+    assert_eq!(out.len(), HEADER + books_len, "encoded_len disagrees");
+    let crc = crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
+}
+
+/// A slot image whose CRC, magic and length check out but whose books
+/// payload is still encoded — so recovery can verify every slot and pay
+/// for decoding only the one it keeps.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct VerifiedSlot<'a> {
+    pub(crate) seq: u64,
+    pub(crate) wal_offset: u64,
+    books: &'a [u8],
+}
+
+impl<'a> VerifiedSlot<'a> {
+    pub(crate) fn of(bytes: &'a [u8]) -> Option<Self> {
         if bytes.len() < HEADER + 4 {
             return None;
         }
@@ -81,14 +110,20 @@ impl Checkpoint {
         let seq = u64::from_le_bytes(body[4..12].try_into().ok()?);
         let wal_offset = u64::from_le_bytes(body[12..20].try_into().ok()?);
         let books_len = u32::from_le_bytes(body[20..24].try_into().ok()?) as usize;
-        let payload = body.get(HEADER..)?;
-        if payload.len() != books_len {
-            return None;
-        }
-        Some(Checkpoint {
+        let books = body.get(HEADER..)?;
+        (books.len() == books_len).then_some(VerifiedSlot {
             seq,
             wal_offset,
-            books: Books::decode(payload)?,
+            books,
+        })
+    }
+
+    /// Decodes the books payload; `None` if it is not a books encoding.
+    pub(crate) fn decode(&self) -> Option<Checkpoint> {
+        Some(Checkpoint {
+            seq: self.seq,
+            wal_offset: self.wal_offset,
+            books: Books::decode(self.books)?,
         })
     }
 }

@@ -19,11 +19,12 @@
 //! run.
 
 use crate::books::Books;
-use crate::checkpoint::{Checkpoint, SLOTS};
-use crate::metrics::StoreMetrics;
+use crate::checkpoint::{self, Checkpoint, VerifiedSlot, SLOTS};
+use crate::metrics::{StoreMetrics, Tally};
 use crate::record::LedgerRecord;
 use crate::storage::Storage;
 use crate::wal;
+use std::cmp::Reverse;
 use std::time::Instant;
 
 /// Name of the WAL blob in the backend.
@@ -82,7 +83,11 @@ pub struct LedgerStore<S: Storage> {
     appended: u64,
     ckpt_seq: u64,
     since_checkpoint: u64,
+    tally: Tally,
 }
+
+/// Visitor handed every record of a shard's valid log, in log order.
+pub(crate) type Observer<'a> = &'a mut dyn FnMut(&LedgerRecord);
 
 impl<S: Storage> LedgerStore<S> {
     /// Opens a store, running recovery against whatever the backend
@@ -91,6 +96,18 @@ impl<S: Storage> LedgerStore<S> {
     /// on top of it). A torn WAL tail is truncated in the backend so
     /// subsequent appends extend the valid prefix.
     pub fn open(storage: S, config: StoreConfig, initial: Books) -> (Self, RecoveryReport) {
+        Self::open_observed(storage, config, initial, None)
+    }
+
+    /// [`LedgerStore::open`], with `observe` shown the whole valid log
+    /// (not just the replayed tail) in the same pass — what the sharded
+    /// engine's in-doubt transfer collector needs.
+    pub(crate) fn open_observed(
+        storage: S,
+        config: StoreConfig,
+        initial: Books,
+        observe: Option<Observer<'_>>,
+    ) -> (Self, RecoveryReport) {
         let mut store = LedgerStore {
             storage,
             config,
@@ -102,8 +119,9 @@ impl<S: Storage> LedgerStore<S> {
             appended: 0,
             ckpt_seq: 0,
             since_checkpoint: 0,
+            tally: Tally::default(),
         };
-        let (books, report, next_seq) = recover(&store.storage, &store.initial);
+        let (books, report, next_seq) = recover(&store.storage, &store.initial, observe);
         if report.truncated_bytes > 0 {
             store.storage.truncate(WAL, report.wal_bytes);
         }
@@ -126,16 +144,11 @@ impl<S: Storage> LedgerStore<S> {
     /// Journals one record and applies it to the engine's books.
     /// Auto-commits when the batch reaches `config.batch_records`.
     pub fn append(&mut self, rec: &LedgerRecord) {
-        let start = Instant::now();
-        let mut payload = Vec::with_capacity(32);
-        rec.encode_into(&mut payload);
-        wal::encode_frame(&payload, &mut self.pending);
+        wal::encode_frame_with(&mut self.pending, |payload| rec.encode_into(payload));
         self.books.apply(rec);
         self.appended += 1;
         self.pending_records += 1;
-        let m = StoreMetrics::get();
-        m.appends.inc();
-        m.append_micros.record_duration(start.elapsed());
+        self.tally.append();
         if self.pending_records >= self.config.batch_records.max(1) {
             self.commit();
         }
@@ -162,31 +175,37 @@ impl<S: Storage> LedgerStore<S> {
         if self.pending.is_empty() {
             return;
         }
-        let start = Instant::now();
+        // One commit in `PUBLISH_EVERY` is timed (at a commit per record,
+        // two clock reads cost more than the append between them) and
+        // publishes the tallies.
+        let sampled = self.tally.publish_due();
+        let timer = (sampled && zmail_obs::global().is_enabled()).then(Instant::now);
         self.storage.append(WAL, &self.pending);
         self.storage.sync(WAL);
         self.wal_len += self.pending.len() as u64;
         self.since_checkpoint += self.pending_records as u64;
-        let m = StoreMetrics::get();
-        m.commits.inc();
-        m.wal_bytes.add(self.pending.len() as u64);
-        m.batch_records.record(self.pending_records as u64);
-        m.commit_micros.record_duration(start.elapsed());
+        self.tally
+            .commit(self.pending_records as u64, self.pending.len() as u64);
+        if sampled {
+            if let Some(start) = timer {
+                StoreMetrics::get()
+                    .commit_micros
+                    .record_duration(start.elapsed());
+            }
+            self.tally.publish();
+        }
         self.pending.clear();
         self.pending_records = 0;
     }
 
     fn write_checkpoint(&mut self) {
-        let ckpt = Checkpoint {
-            seq: self.ckpt_seq,
-            wal_offset: self.wal_len,
-            books: self.books.clone(),
-        };
-        let bytes = ckpt.encode();
-        self.storage.write(ckpt.slot(), &bytes);
-        self.storage.sync(ckpt.slot());
+        let slot = checkpoint::slot_for(self.ckpt_seq);
+        let bytes = checkpoint::encode_slot(self.ckpt_seq, self.wal_len, &self.books);
+        self.storage.write(slot, &bytes);
+        self.storage.sync(slot);
         self.ckpt_seq += 1;
         self.since_checkpoint = 0;
+        self.tally.publish();
         let m = StoreMetrics::get();
         m.checkpoints.inc();
         m.checkpoint_bytes.record(bytes.len() as u64);
@@ -197,7 +216,16 @@ impl<S: Storage> LedgerStore<S> {
     /// reconstruct. Uncommitted (buffered) records are invisible to it,
     /// exactly as they would be to a crash.
     pub fn simulate_recovery(&self) -> (Books, RecoveryReport) {
-        let (books, report, _) = recover(&self.storage, &self.initial);
+        self.simulate_recovery_observed(None)
+    }
+
+    /// [`LedgerStore::simulate_recovery`], with `observe` shown the whole
+    /// valid log in the same pass.
+    pub(crate) fn simulate_recovery_observed(
+        &self,
+        observe: Option<Observer<'_>>,
+    ) -> (Books, RecoveryReport) {
+        let (books, report, _) = recover(&self.storage, &self.initial, observe);
         (books, report)
     }
 
@@ -242,51 +270,94 @@ impl<S: Storage> LedgerStore<S> {
     }
 }
 
-/// The shared recovery pass: pure over the backend's bytes. Returns the
-/// recovered books, the report, and the next checkpoint sequence.
-fn recover<S: Storage>(storage: &S, initial: &Books) -> (Books, RecoveryReport, u64) {
+/// The newest checkpoint the backend holds, and how many present slots
+/// were rejected. Every present slot has its CRC, magic and length
+/// verified; the books payload is decoded newest slot first, and only
+/// until one decodes.
+fn load_checkpoint<S: Storage>(storage: &S) -> (Option<Checkpoint>, u32) {
+    let images = SLOTS.map(|slot| storage.read(slot));
     let mut corrupt_slots = 0;
-    let mut best: Option<Checkpoint> = None;
-    for slot in SLOTS {
-        let bytes = storage.read(slot);
-        if bytes.is_empty() {
-            continue;
-        }
-        match Checkpoint::decode(&bytes) {
-            Some(ckpt) if best.as_ref().is_none_or(|b| ckpt.seq > b.seq) => best = Some(ckpt),
-            Some(_) => {}
+    let mut verified = Vec::with_capacity(SLOTS.len());
+    for bytes in images.iter().filter(|bytes| !bytes.is_empty()) {
+        match VerifiedSlot::of(bytes) {
+            Some(slot) => verified.push(slot),
             None => corrupt_slots += 1,
         }
     }
+    verified.sort_by_key(|slot| Reverse(slot.seq));
+    for slot in verified {
+        match slot.decode() {
+            Some(ckpt) => return (Some(ckpt), corrupt_slots),
+            None => corrupt_slots += 1,
+        }
+    }
+    (None, corrupt_slots)
+}
+
+/// Hands `visit` every record framed in `bytes` from offset `from` on
+/// and returns the offset of the first frame the WAL scan rejects or
+/// whose checksum-valid payload is not a record (the end of `bytes` if
+/// there is none): nothing from there on can be trusted.
+fn walk(bytes: &[u8], from: u64, mut visit: impl FnMut(&LedgerRecord)) -> u64 {
+    let mut frames = wal::Frames::new(bytes, from);
+    for (offset, payload) in frames.by_ref() {
+        match LedgerRecord::decode(payload) {
+            Some(rec) => visit(&rec),
+            None => return offset,
+        }
+    }
+    frames.offset()
+}
+
+/// The shared recovery pass: pure over the backend's bytes. Returns the
+/// recovered books, the report, and the next checkpoint sequence.
+///
+/// The WAL is read once. Replay starts at the checkpoint's `wal_offset`;
+/// an `observe`r is first walked through the frames before it, so that
+/// it sees the whole valid log while each frame is still checksummed
+/// and decoded once.
+fn recover<S: Storage>(
+    storage: &S,
+    initial: &Books,
+    mut observe: Option<Observer<'_>>,
+) -> (Books, RecoveryReport, u64) {
+    let (best, corrupt_slots) = load_checkpoint(storage);
     let (mut books, from, checkpoint_seq, next_seq) = match best {
         Some(ckpt) => (ckpt.books, ckpt.wal_offset, Some(ckpt.seq), ckpt.seq + 1),
         None => (initial.clone(), 0, None, 0),
     };
     let wal_bytes = storage.read(WAL);
-    let scan = wal::scan(&wal_bytes, from);
-    let mut valid_len = scan.valid_len;
-    let mut torn = scan.torn;
+    let from = from.min(wal_bytes.len() as u64);
+    let observed = match observe.as_deref_mut() {
+        Some(observe) => walk(&wal_bytes[..from as usize], 0, observe),
+        None => from,
+    };
+    // The observer joins the replay only if its own walk arrived where
+    // the replay starts.
+    let mut joined = if observed == from {
+        observe.take()
+    } else {
+        None
+    };
     let mut replayed = 0u64;
-    for (payload, offset) in scan.payloads.iter().zip(&scan.offsets) {
-        match LedgerRecord::decode(payload) {
-            Some(rec) => {
-                books.apply(&rec);
-                replayed += 1;
-            }
-            None => {
-                // Checksum-valid frame holding garbage: cut here too.
-                valid_len = *offset;
-                torn = true;
-                break;
-            }
+    let valid_len = walk(&wal_bytes, from, |rec| {
+        books.apply(rec);
+        replayed += 1;
+        if let Some(observe) = joined.as_deref_mut() {
+            observe(rec);
         }
+    });
+    if let Some(observe) = observe {
+        // Damage in the old log: the observer goes on alone from where
+        // it stopped, within what the replay found valid.
+        walk(&wal_bytes[..valid_len as usize], observed, observe);
     }
     let report = RecoveryReport {
         checkpoint_seq,
         corrupt_slots,
         replayed_records: replayed,
-        torn_tail: torn,
-        truncated_bytes: (wal_bytes.len() as u64).saturating_sub(valid_len),
+        torn_tail: valid_len < wal_bytes.len() as u64,
+        truncated_bytes: wal_bytes.len() as u64 - valid_len,
         wal_bytes: valid_len,
     };
     (books, report, next_seq)
@@ -488,6 +559,121 @@ mod tests {
             "full-log replay from bootstrap"
         );
         assert_eq!(recovered.books(), &live);
+    }
+
+    /// A slot image whose header, length and CRC are all valid around
+    /// `payload`, whatever it holds.
+    fn slot_around(seq: u64, wal_offset: u64, payload: &[u8]) -> Vec<u8> {
+        let mut out = checkpoint::MAGIC.to_le_bytes().to_vec();
+        out.extend_from_slice(&seq.to_le_bytes());
+        out.extend_from_slice(&wal_offset.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(payload);
+        let crc = wal::crc32(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn newer_slot_with_undecodable_books_falls_back_to_the_older_slot() {
+        let cfg = StoreConfig {
+            batch_records: 1,
+            checkpoint_every: 1024,
+        };
+        let (mut store, _) = LedgerStore::open(MemStorage::new(), cfg, bootstrap());
+        let stream = records(12);
+        for rec in &stream[..5] {
+            store.append(rec);
+        }
+        store.checkpoint(); // seq 0 in ckpt.a, five records in
+        let older_offset = store.wal_len();
+        for rec in &stream[5..] {
+            store.append(rec);
+        }
+        let live = store.books().clone();
+        let mut backend = store.into_storage();
+        // Seq 1 claims the whole log is covered, over garbage books.
+        let wal_len = backend.len(WAL);
+        backend.write(SLOTS[1], &slot_around(1, wal_len, &[0xFF; 40]));
+        assert!(VerifiedSlot::of(&backend.read(SLOTS[1])).is_some());
+
+        let (recovered, report) = LedgerStore::open(backend, cfg, bootstrap());
+        assert_eq!(report.corrupt_slots, 1);
+        assert_eq!(report.checkpoint_seq, Some(0));
+        assert_eq!(
+            report.replayed_records, 7,
+            "tail replayed from the older slot's wal_offset {older_offset}"
+        );
+        assert_eq!(recovered.books(), &live);
+        assert_eq!(recovered.next_checkpoint_seq(), 1);
+    }
+
+    #[test]
+    fn two_verified_slots_with_undecodable_books_fall_back_to_bootstrap() {
+        let (mut store, _) =
+            LedgerStore::open(MemStorage::new(), StoreConfig::default(), bootstrap());
+        for rec in records(6) {
+            store.append(&rec);
+        }
+        let live = store.books().clone();
+        let mut backend = store.into_storage();
+        let wal_len = backend.len(WAL);
+        backend.write(SLOTS[0], &slot_around(4, wal_len, &[0xFF; 40]));
+        backend.write(SLOTS[1], &slot_around(5, wal_len, b"not books"));
+        let (recovered, report) = LedgerStore::open(backend, StoreConfig::default(), bootstrap());
+        assert_eq!(report.corrupt_slots, 2);
+        assert_eq!(report.checkpoint_seq, None);
+        assert_eq!(report.replayed_records, 6, "full log over the bootstrap");
+        assert_eq!(recovered.books(), &live);
+    }
+
+    /// What an observer of `simulate_recovery_observed` is shown.
+    fn observed(store: &LedgerStore<MemStorage>) -> (Vec<LedgerRecord>, RecoveryReport) {
+        let mut seen = Vec::new();
+        let (_, report) = store.simulate_recovery_observed(Some(&mut |rec| seen.push(*rec)));
+        (seen, report)
+    }
+
+    #[test]
+    fn observer_sees_the_whole_log_once_while_replay_starts_at_the_checkpoint() {
+        let cfg = StoreConfig {
+            batch_records: 1,
+            checkpoint_every: 8,
+        };
+        let (mut store, _) = LedgerStore::open(MemStorage::new(), cfg, bootstrap());
+        let stream = records(21);
+        for rec in &stream {
+            store.append(rec);
+        }
+        let (seen, report) = observed(&store);
+        assert_eq!(seen, stream);
+        assert_eq!(report.replayed_records, 21 - 16);
+        assert_eq!(store.simulate_recovery(), (store.books().clone(), report));
+    }
+
+    #[test]
+    fn damage_before_the_checkpoint_ends_the_observers_view_not_the_replay() {
+        let cfg = StoreConfig {
+            batch_records: 1,
+            checkpoint_every: 8,
+        };
+        let (mut store, _) = LedgerStore::open(MemStorage::new(), cfg, bootstrap());
+        let stream = records(12);
+        for rec in &stream {
+            store.append(rec);
+        }
+        let live = store.books().clone();
+        // Flip a payload byte of the fourth frame: old log, already
+        // covered by the checkpoint taken after record 8.
+        let mut log = store.storage().read(WAL);
+        let fourth = wal::scan(&log, 0).offsets[3] as usize;
+        log[fourth + wal::FRAME_HEADER] ^= 0x01;
+        store.storage_mut().write(WAL, &log);
+        let (seen, report) = observed(&store);
+        assert_eq!(seen, stream[..3], "the view ends at the damaged frame");
+        assert_eq!(report.replayed_records, 4);
+        assert!(!report.torn_tail);
+        assert_eq!(store.simulate_recovery().0, live);
     }
 
     #[test]

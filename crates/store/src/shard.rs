@@ -48,10 +48,9 @@
 //! ([`ShardMetrics`]).
 
 use crate::books::{BankBooks, Books, IspBooks, UserBooks};
-use crate::engine::{LedgerStore, RecoveryReport, StoreConfig, WAL};
+use crate::engine::{LedgerStore, RecoveryReport, StoreConfig};
 use crate::record::{LedgerRecord, XferKind, XferLeg};
 use crate::storage::Storage;
-use crate::wal;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -311,35 +310,53 @@ struct XferScan {
     max_xid: Option<u64>,
 }
 
-fn scan_xfers(wal_bytes: &[u8], valid_len: u64) -> XferScan {
-    let mut out = XferScan::default();
-    let bounded = &wal_bytes[..valid_len.min(wal_bytes.len() as u64) as usize];
-    let scan = wal::scan(bounded, 0);
-    for payload in &scan.payloads {
-        let Some(rec) = LedgerRecord::decode(payload) else {
-            // Checksum-valid frame holding garbage: recovery cuts the
-            // WAL here, so nothing after it can be trusted either.
-            break;
-        };
-        match rec {
+impl XferScan {
+    /// Folds in the next record of the shard's log (the engine's
+    /// recovery pass shows every record of the valid log, in order).
+    fn observe(&mut self, rec: &LedgerRecord) {
+        let xid = match *rec {
             LedgerRecord::XferPrepare {
                 xid, dst, credit, ..
             } => {
-                out.prepared.insert(xid, (dst, credit));
-                out.max_xid = Some(out.max_xid.map_or(xid, |m| m.max(xid)));
+                self.prepared.insert(xid, (dst, credit));
+                xid
             }
             LedgerRecord::XferApply { xid, .. } => {
-                out.applied.insert(xid);
-                out.max_xid = Some(out.max_xid.map_or(xid, |m| m.max(xid)));
+                self.applied.insert(xid);
+                xid
             }
             LedgerRecord::XferRelease { xid } => {
-                out.prepared.remove(&xid);
-                out.max_xid = Some(out.max_xid.map_or(xid, |m| m.max(xid)));
+                self.prepared.remove(&xid);
+                xid
             }
-            _ => {}
+            _ => return,
+        };
+        self.max_xid = Some(self.max_xid.map_or(xid, |m| m.max(xid)));
+    }
+}
+
+/// Every shard's [`XferScan`] folded together: the transfers recovery
+/// must finish.
+#[derive(Debug, Default)]
+struct InDoubt {
+    /// Unreleased prepares: xid → (source shard, dst shard, credit leg).
+    prepared: BTreeMap<u64, (usize, u32, XferLeg)>,
+    /// Applies journaled on any shard.
+    applied: BTreeSet<u64>,
+    /// One past the highest xid in any shard's log.
+    next_xid: u64,
+}
+
+impl InDoubt {
+    fn absorb(&mut self, shard: usize, scan: XferScan) {
+        for (xid, (dst, credit)) in scan.prepared {
+            self.prepared.insert(xid, (shard, dst, credit));
+        }
+        self.applied.extend(scan.applied);
+        if let Some(max) = scan.max_xid {
+            self.next_xid = self.next_xid.max(max + 1);
         }
     }
-    out
 }
 
 /// A cross-shard transfer whose apply has not been journaled yet: the
@@ -417,17 +434,28 @@ impl<S: Storage> ShardedLedgerStore<S> {
         assert!(!storages.is_empty(), "at least one shard required");
         let map = ShardMap::new(storages.len() as u32, &bootstrap);
         let parts = map.split(&bootstrap);
+        // Each engine is about to clone its part: give the global
+        // books' memory back first so the copies can reuse it.
+        drop(bootstrap);
         let mut stores = Vec::with_capacity(storages.len());
         let mut reports = Vec::with_capacity(storages.len());
-        for (storage, part) in storages.into_iter().zip(parts) {
-            let (store, report) = LedgerStore::open(storage, config, part);
+        let mut in_doubt = InDoubt::default();
+        for (s, (storage, part)) in storages.into_iter().zip(parts).enumerate() {
+            let mut scan = XferScan::default();
+            let (store, report) = LedgerStore::open_observed(
+                storage,
+                config,
+                part,
+                Some(&mut |rec| scan.observe(rec)),
+            );
+            in_doubt.absorb(s, scan);
             stores.push(store);
             reports.push(report);
         }
         let mut sharded = ShardedLedgerStore {
             map,
             stores,
-            next_xid: 0,
+            next_xid: in_doubt.next_xid,
             pending_xfers: Vec::new(),
             pending_user_deltas: BTreeMap::new(),
             pending_releases: Vec::new(),
@@ -437,36 +465,29 @@ impl<S: Storage> ShardedLedgerStore<S> {
             resolved_forward: 0,
             resolved_acked: 0,
         };
-        sharded.resolve_in_doubt(&mut report);
+        sharded.resolve_in_doubt(&in_doubt, &mut report);
         let m = ShardMetrics::get();
         m.resolved_forward.add(report.resolved_forward);
         m.resolved_acked.add(report.resolved_acked);
         (sharded, report)
     }
 
-    /// Scans every shard's WAL for unreleased prepares and completes
-    /// them through the normal append path: the credit is applied on the
+    /// Completes the unreleased prepares the per-shard recovery passes
+    /// found through the normal append path: the credit is applied on the
     /// destination unless its apply already survived, and the release is
     /// journaled on the source. Ascending-xid order keeps resolution
     /// deterministic.
-    fn resolve_in_doubt(&mut self, report: &mut ShardRecoveryReport) {
-        let mut in_doubt: BTreeMap<u64, (usize, u32, XferLeg)> = BTreeMap::new();
-        let mut applied: BTreeSet<u64> = BTreeSet::new();
-        for (s, store) in self.stores.iter().enumerate() {
-            let scan = scan_xfers(&store.storage().read(WAL), store.wal_len());
-            for (xid, (dst, credit)) in scan.prepared {
-                in_doubt.insert(xid, (s, dst, credit));
-            }
-            applied.extend(scan.applied);
-            if let Some(max) = scan.max_xid {
-                self.next_xid = self.next_xid.max(max + 1);
-            }
-        }
+    fn resolve_in_doubt(&mut self, found: &InDoubt, report: &mut ShardRecoveryReport) {
+        let InDoubt {
+            prepared: in_doubt,
+            applied,
+            ..
+        } = found;
         // Same durability order as the live path: make every replayed
         // apply durable first, then journal the releases, so a crash
         // mid-resolution can never leave a released prepare whose apply
         // was lost.
-        for (&xid, &(_, dst, credit)) in &in_doubt {
+        for (&xid, &(_, dst, credit)) in in_doubt {
             if applied.contains(&xid) {
                 report.resolved_acked += 1;
             } else {
@@ -477,7 +498,7 @@ impl<S: Storage> ShardedLedgerStore<S> {
         if report.resolved_forward > 0 {
             self.commit_all();
         }
-        for (&xid, &(src, _, _)) in &in_doubt {
+        for (&xid, &(src, _, _)) in in_doubt {
             self.stores[src].append(&LedgerRecord::XferRelease { xid });
         }
         if report.resolved_forward + report.resolved_acked > 0 {
@@ -630,7 +651,7 @@ impl<S: Storage> ShardedLedgerStore<S> {
             }
             return;
         }
-        let start = Instant::now();
+        let timer = zmail_obs::global().is_enabled().then(Instant::now);
         m.cross_shard.inc();
         let xid = self.next_xid;
         self.next_xid += 1;
@@ -699,7 +720,9 @@ impl<S: Storage> ShardedLedgerStore<S> {
             // Pool legs carry no user state.
             XferKind::PoolBuy | XferKind::PoolSell => {}
         }
-        m.xfer_micros.record_duration(start.elapsed());
+        if let Some(start) = timer {
+            m.xfer_micros.record_duration(start.elapsed());
+        }
     }
 
     /// Journals every pending apply, preserving the durability order:
@@ -833,20 +856,17 @@ impl<S: Storage> ShardedLedgerStore<S> {
     pub fn simulate_recovery(&self) -> (Books, ShardRecoveryReport) {
         let mut parts = Vec::with_capacity(self.stores.len());
         let mut report = ShardRecoveryReport::default();
-        let mut in_doubt: BTreeMap<u64, (usize, u32, XferLeg)> = BTreeMap::new();
-        let mut applied: BTreeSet<u64> = BTreeSet::new();
+        let mut in_doubt = InDoubt::default();
         for (s, store) in self.stores.iter().enumerate() {
-            let (books, shard_report) = store.simulate_recovery();
-            let scan = scan_xfers(&store.storage().read(WAL), shard_report.wal_bytes);
-            for (xid, (dst, credit)) in scan.prepared {
-                in_doubt.insert(xid, (s, dst, credit));
-            }
-            applied.extend(scan.applied);
+            let mut scan = XferScan::default();
+            let (books, shard_report) =
+                store.simulate_recovery_observed(Some(&mut |rec| scan.observe(rec)));
+            in_doubt.absorb(s, scan);
             parts.push(books);
             report.shards.push(shard_report);
         }
-        for (xid, (_, dst, credit)) in in_doubt {
-            if applied.contains(&xid) {
+        for (xid, (_, dst, credit)) in in_doubt.prepared {
+            if in_doubt.applied.contains(&xid) {
                 report.resolved_acked += 1;
             } else {
                 parts[dst as usize].apply(&credit.record());
@@ -940,6 +960,7 @@ impl ShardMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::WAL;
     use crate::storage::MemStorage;
 
     fn bootstrap(isps: u32, users: u32) -> Books {

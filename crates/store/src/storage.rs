@@ -73,6 +73,17 @@ impl MemStorage {
     pub fn total_bytes(&self) -> u64 {
         self.blobs.values().map(|b| b.len() as u64).sum()
     }
+
+    /// The blob `name`, created empty if absent; the key is only
+    /// allocated on that first touch.
+    fn blob_mut(&mut self, name: &str) -> &mut Vec<u8> {
+        if !self.blobs.contains_key(name) {
+            self.blobs.insert(name.to_string(), Vec::new());
+        }
+        self.blobs
+            .get_mut(name)
+            .expect("blob present or just inserted")
+    }
 }
 
 impl Storage for MemStorage {
@@ -81,14 +92,13 @@ impl Storage for MemStorage {
     }
 
     fn write(&mut self, name: &str, bytes: &[u8]) {
-        self.blobs.insert(name.to_string(), bytes.to_vec());
+        let blob = self.blob_mut(name);
+        blob.clear();
+        blob.extend_from_slice(bytes);
     }
 
     fn append(&mut self, name: &str, bytes: &[u8]) {
-        self.blobs
-            .entry(name.to_string())
-            .or_default()
-            .extend_from_slice(bytes);
+        self.blob_mut(name).extend_from_slice(bytes);
     }
 
     fn sync(&mut self, _name: &str) {}
