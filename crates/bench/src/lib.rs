@@ -117,17 +117,6 @@ impl Report {
         Report { metrics }
     }
 
-    /// Like [`Report::new`], but with the metrics format supplied
-    /// directly instead of parsed from `std::env::args` — for tests and
-    /// embedding.
-    pub fn with_metrics(id: &str, claim: &str, metrics: Option<MetricsFormat>) -> Report {
-        header(id, claim);
-        if metrics.is_some() {
-            zmail_obs::global().set_enabled(true);
-        }
-        Report { metrics }
-    }
-
     /// Whether `--metrics` was requested (and the global registry armed).
     pub fn metrics_enabled(&self) -> bool {
         self.metrics.is_some()

@@ -67,9 +67,10 @@ pub struct Bank {
     compliant: Vec<bool>,
     /// Which ISPs this bank serves (all of them for the central bank).
     served: Vec<bool>,
-    accounts: Vec<RealPennies>,
+    /// The durable ledgers: per-ISP real-money accounts and outstanding
+    /// issue. Changed only by [`Bank::commit`].
+    books: BankBooks,
     exchange: ExchangeRate,
-    issued: i64,
     seq: u64,
     nnc: Nnc,
     /// `verify[i][g]` = the value of `credit[i]` reported by `isp[g]`.
@@ -120,9 +121,11 @@ impl Bank {
             keypair,
             compliant: config.compliant.clone(),
             served,
-            accounts: vec![config.initial_bank_account; n],
+            books: BankBooks {
+                accounts: vec![config.initial_bank_account.0; n],
+                issued: 0,
+            },
             exchange: config.exchange_rate,
-            issued: 0,
             seq: 0,
             nnc: Nnc::new(seed ^ 0x0B4A_4B0B, u64::MAX),
             verify: vec![vec![0; n]; n],
@@ -144,7 +147,10 @@ impl Bank {
         self.index = index;
     }
 
-    fn journal(&mut self, rec: LedgerRecord) {
+    /// The one way the durable ledgers change; see
+    /// [`Isp::commit`](crate::isp::Isp).
+    fn commit(&mut self, rec: LedgerRecord) {
+        self.books.apply(&rec);
         if self.journal_enabled {
             self.journal.push(rec);
         }
@@ -156,13 +162,10 @@ impl Bank {
         std::mem::take(&mut self.journal)
     }
 
-    /// This bank's durable books: a snapshot of its accounts and issuance
-    /// in the store's format, used to bootstrap a ledger store.
-    pub fn books(&self) -> BankBooks {
-        BankBooks {
-            accounts: self.accounts.iter().map(|a| a.0).collect(),
-            issued: self.issued,
-        }
+    /// This bank's durable books: its accounts and issuance in the
+    /// store's format, what bootstraps a ledger store.
+    pub fn books(&self) -> &BankBooks {
+        &self.books
     }
 
     /// Whether this bank serves `isp`.
@@ -177,13 +180,13 @@ impl Bank {
 
     /// Real-money account of `isp` at the bank.
     pub fn account(&self, isp: IspId) -> RealPennies {
-        self.accounts[isp.index()]
+        RealPennies(self.books.accounts[isp.index()])
     }
 
     /// E-pennies currently outstanding (issued − retired); the anchor of
     /// the conservation audit.
     pub fn issued(&self) -> i64 {
-        self.issued
+        self.books.issued
     }
 
     /// Counters accumulated so far.
@@ -243,13 +246,10 @@ impl Bank {
             return Err(CryptoError::ReplayDetected);
         }
         let cost = self.exchange.to_real(EPennies(value));
-        let account = &mut self.accounts[from.index()];
-        let accepted = value > 0 && *account >= cost;
+        let accepted = value > 0 && self.account(from) >= cost;
         let granted = if accepted {
-            *account -= cost;
-            self.issued += value;
             self.stats.buys_granted += 1;
-            self.journal(LedgerRecord::BankBuy {
+            self.commit(LedgerRecord::BankBuy {
                 bank: self.index,
                 isp: from.0,
                 value,
@@ -298,10 +298,8 @@ impl Bank {
             return Err(CryptoError::ReplayDetected);
         }
         let credited = self.exchange.to_real(EPennies(value));
-        self.accounts[from.index()] += credited;
-        self.issued -= value;
         self.stats.sells += 1;
-        self.journal(LedgerRecord::BankSell {
+        self.commit(LedgerRecord::BankSell {
             bank: self.index,
             isp: from.0,
             value,

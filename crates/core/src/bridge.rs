@@ -58,6 +58,12 @@ impl GatewayState {
     fn mailbox_index(&self, addr: UserAddr) -> usize {
         addr.isp as usize * self.config.users_per_isp as usize + addr.user as usize
     }
+
+    /// Whether `addr` names a mailbox of this deployment. Addresses come
+    /// off the wire, so every index into the ledgers is checked here.
+    fn hosts(&self, addr: UserAddr) -> bool {
+        addr.isp < self.config.isps && addr.user < self.config.users_per_isp
+    }
 }
 
 /// A Zmail-compliant SMTP mail sink (clone freely: clones share state).
@@ -125,7 +131,7 @@ impl ZmailGateway {
     /// Panics if the address is out of range.
     pub fn balance(&self, addr: UserAddr) -> EPennies {
         let state = self.state();
-        state.isps[addr.isp as usize].user(addr.user).balance
+        EPennies(state.isps[addr.isp as usize].user(addr.user).balance)
     }
 
     /// Gateway counters.
@@ -156,10 +162,8 @@ impl MailSink for ZmailGateway {
         if self.inner.is_poisoned() {
             return false;
         }
-        match parse_mailbox(to) {
-            Some(addr) => addr.isp < state.config.isps && addr.user < state.config.users_per_isp,
-            None => false, // we only host Zmail mailboxes
-        }
+        // We only host Zmail mailboxes.
+        parse_mailbox(to).is_some_and(|addr| state.hosts(addr))
     }
 
     fn deliver(&self, message: MailMessage) -> Result<(), SinkError> {
@@ -176,7 +180,7 @@ impl MailSink for ZmailGateway {
             return Err("no deliverable recipients".into());
         }
         match parse_mailbox(message.from()) {
-            Some(sender) if state.config.is_compliant(IspId(sender.isp)) => {
+            Some(sender) if state.hosts(sender) && state.config.is_compliant(IspId(sender.isp)) => {
                 // One lifecycle root per accepted submission, stamped
                 // with the logical submission clock.
                 let ts = state.seq;
@@ -238,7 +242,8 @@ impl MailSink for ZmailGateway {
                 Ok(())
             }
             _ => {
-                // Foreign or non-compliant sender: unpaid, policy applies.
+                // Foreign, out-of-range or non-compliant sender: unpaid,
+                // policy applies.
                 let policy = state.config.non_compliant_policy;
                 match policy {
                     NonCompliantPolicy::Discard => {
@@ -417,6 +422,57 @@ mod tests {
         client.quit().unwrap();
         server.stop();
         assert_eq!(gw.balance(UserAddr::new(1, 2)), EPennies(101));
+    }
+
+    #[test]
+    fn hostile_sender_addresses_get_a_reply_and_leave_the_gateway_serving() {
+        use crate::backpressure::{AdmissionConfig, BackpressureSink};
+        let gw = gateway();
+        let sink = BackpressureSink::start(
+            gw.clone(),
+            Box::new(zmail_store::MemStorage::new()),
+            AdmissionConfig::default(),
+        );
+        let mut server = zmail_smtp::ThreadedServer::start(
+            "zmail.example",
+            sink.clone(),
+            zmail_smtp::ThreadedConfig::default(),
+        )
+        .unwrap();
+        let bob = UserAddr::new(1, 1);
+        let send = |from: &str| {
+            let stream = std::net::TcpStream::connect(server.addr()).unwrap();
+            // A wedged gateway must fail this test, not hang it.
+            stream
+                .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+                .unwrap();
+            let conn = zmail_smtp::TcpConnection::new(stream);
+            let mut client = Client::connect(conn, "client.example").unwrap();
+            let msg = MailMessage::builder(from, ZmailGateway::address(bob))
+                .body("probe\r\n")
+                .build();
+            let result = client.send(&msg);
+            client.quit().unwrap();
+            result
+        };
+        // Well-formed mailboxes whose indices lie outside the 2x3
+        // deployment are foreign senders: unpaid, default policy delivers.
+        send("u0@isp999.example").expect("out-of-range ISP gets a 250");
+        send("u4000000000@isp0.example").expect("out-of-range user gets a 250");
+        send(&ZmailGateway::address(UserAddr::new(0, 0))).expect("honest mail still gets a 250");
+        server.stop();
+        sink.shutdown();
+        assert!(!gw.inner.is_poisoned());
+        assert_eq!(
+            gw.stats(),
+            GatewayStats {
+                delivered_paid: 1,
+                delivered_unpaid: 2,
+                bounced: 0,
+                dropped: 0,
+            }
+        );
+        assert_eq!(gw.balance(bob), EPennies(101));
     }
 
     #[test]

@@ -155,7 +155,7 @@ fn audit_with(
             continue; // non-compliant ISPs hold no protocol e-pennies
         }
         for user in 0..config.users_per_isp {
-            let balance = isp.user(user).balance.amount();
+            let balance = isp.user(user).balance;
             if balance < 0 {
                 return Err(AuditError::NegativeBalance {
                     isp: id,

@@ -5,7 +5,11 @@
 //! the same implementation runs under the discrete-event harness
 //! ([`crate::system`]), under unit tests, and behind the SMTP bridge.
 //!
-//! The ledgers mirror the paper's variables exactly:
+//! The durable ledgers are one [`IspBooks`], and every change to them is
+//! a [`LedgerRecord`]: a mutation site checks the paper's guard, then
+//! `commit`s the record, which applies it through
+//! [`IspBooks::apply`] — the same function WAL replay runs — and, with
+//! durability on, journals it. They mirror the paper's variables exactly:
 //!
 //! * per-user `account` (real pennies), `balance` (e-pennies), `sent`
 //!   (today's paid sends) and `limit` (the anti-zombie daily cap);
@@ -23,49 +27,16 @@ use crate::metrics::CoreMetrics;
 use crate::msg::{decode_value_nonce, encode_credit, encode_value_nonce, EmailMsg, NetMsg};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeSet, VecDeque};
-use std::error::Error;
+use std::collections::VecDeque;
 use std::fmt;
 use zmail_crypto::{
     open_with_public, seal_for_public, Attestation, CryptoError, Nnc, Nonce, PrivateKey, PublicKey,
 };
-use zmail_econ::{EPennies, RealPennies};
+use zmail_econ::EPennies;
 use zmail_sim::workload::{MailKind, UserAddr};
 use zmail_store::{IspBooks, LedgerRecord, UserBooks};
 
-/// One user's ledgers at their ISP.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UserAccount {
-    /// Real-money account held at the ISP.
-    pub account: RealPennies,
-    /// E-penny balance.
-    pub balance: EPennies,
-    /// Paid messages sent so far today (the paper's `sent[s]`).
-    pub sent_today: u32,
-    /// Daily cap on paid sends (the paper's `limit[s]`).
-    pub limit: u32,
-}
-
-/// Why a send was refused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SendError {
-    /// `balance[s] = 0` in the paper's guard.
-    InsufficientBalance,
-    /// `sent[s] >= limit[s]` — the anti-zombie cap. The paper sends the
-    /// user a warning to check for viruses; the harness records it.
-    DailyLimitExceeded,
-}
-
-impl fmt::Display for SendError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SendError::InsufficientBalance => write!(f, "insufficient e-penny balance"),
-            SendError::DailyLimitExceeded => write!(f, "daily send limit exceeded"),
-        }
-    }
-}
-
-impl Error for SendError {}
+pub use zmail_store::SendError;
 
 /// The result of an accepted send.
 #[derive(Debug, Clone, PartialEq)]
@@ -189,7 +160,7 @@ struct PendingSend {
 /// // User 0 mails user 2 of the peer ISP: one e-penny leaves with it.
 /// let outcome = isp.send_email(0, UserAddr::new(1, 2), MailKind::Personal)?;
 /// assert!(matches!(outcome, SendOutcome::Outbound { .. }));
-/// assert_eq!(isp.user(0).balance.amount(), 99);
+/// assert_eq!(isp.user(0).balance, 99);
 /// assert_eq!(isp.credit(IspId(1)), 1);
 /// # Ok::<(), zmail_core::SendError>(())
 /// ```
@@ -199,11 +170,13 @@ pub struct Isp {
     compliant: Vec<bool>,
     cheat: CheatMode,
     policy: NonCompliantPolicy,
-    users: Vec<UserAccount>,
-    avail: EPennies,
+    /// The durable ledgers: users, pool, per-peer credit and the
+    /// accepted attestation nonces (checkpointed, so a crash/restart
+    /// cannot be farmed for double refunds). Changed only by
+    /// [`Isp::commit`].
+    books: IspBooks,
     minavail: EPennies,
     maxavail: EPennies,
-    credit: Vec<i64>,
     cansend: bool,
     pending: VecDeque<PendingSend>,
     canbuy: bool,
@@ -220,10 +193,6 @@ pub struct Isp {
     idempotent: bool,
     journal_enabled: bool,
     journal: Vec<LedgerRecord>,
-    /// Attestation nonces already accepted by this ISP — the durable
-    /// replay-refusal set (checkpointed via [`IspBooks::nonces`], so a
-    /// crash/restart cannot be farmed for double refunds).
-    nonces_seen: BTreeSet<u64>,
     /// This ISP's attestation signing key, installed by the harness when
     /// `ZmailConfig::attestations` is on. `None` = legacy unsigned mode.
     attest_key: Option<PrivateKey>,
@@ -251,24 +220,25 @@ impl Isp {
     pub fn new(id: IspId, config: &ZmailConfig, bank_key: PublicKey, seed: u64) -> Self {
         config.validate();
         assert!(id.0 < config.isps, "isp id out of range");
-        let users = (0..config.users_per_isp)
-            .map(|_| UserAccount {
-                account: config.initial_account,
-                balance: config.initial_balance,
-                sent_today: 0,
-                limit: config.default_limit,
-            })
-            .collect();
+        let user = UserBooks {
+            account: config.initial_account.0,
+            balance: config.initial_balance.0,
+            sent_today: 0,
+            limit: config.default_limit,
+        };
         Isp {
             id,
             compliant: config.compliant.clone(),
             cheat: config.cheat_modes[id.index()],
             policy: config.non_compliant_policy,
-            users,
-            avail: config.initial_avail,
+            books: IspBooks {
+                users: vec![user; config.users_per_isp as usize],
+                avail: config.initial_avail.0,
+                credit: vec![0; config.isps as usize],
+                nonces: Vec::new(),
+            },
             minavail: config.minavail,
             maxavail: config.maxavail,
-            credit: vec![0; config.isps as usize],
             cansend: true,
             pending: VecDeque::new(),
             canbuy: true,
@@ -287,7 +257,6 @@ impl Isp {
             idempotent: config.idempotent_bank_ids,
             journal_enabled: config.durability.is_some(),
             journal: Vec::new(),
-            nonces_seen: BTreeSet::new(),
             attest_key: None,
             peer_keys: Vec::new(),
             attest_seq: 0,
@@ -297,7 +266,10 @@ impl Isp {
         }
     }
 
-    fn journal(&mut self, rec: LedgerRecord) {
+    /// The one way the durable ledgers change: applies `rec` to the
+    /// books and, with durability on, journals it.
+    fn commit(&mut self, rec: LedgerRecord) {
+        self.books.apply(&rec);
         if self.journal_enabled {
             self.journal.push(rec);
         }
@@ -312,22 +284,8 @@ impl Isp {
 
     /// The durable books this ISP would checkpoint: exactly the state
     /// `zmail-store` recovery reconstructs after a crash.
-    pub fn books(&self) -> IspBooks {
-        IspBooks {
-            users: self
-                .users
-                .iter()
-                .map(|u| UserBooks {
-                    account: u.account.0,
-                    balance: u.balance.0,
-                    sent_today: u.sent_today,
-                    limit: u.limit,
-                })
-                .collect(),
-            avail: self.avail.0,
-            credit: self.credit.clone(),
-            nonces: self.nonces_seen.iter().copied().collect(),
-        }
+    pub fn books(&self) -> &IspBooks {
+        &self.books
     }
 
     /// Installs recovered books, replacing the durable ledgers. Volatile
@@ -338,17 +296,10 @@ impl Isp {
     ///
     /// Panics if the books describe a different deployment shape.
     pub fn restore_books(&mut self, books: &IspBooks) {
-        assert_eq!(books.users.len(), self.users.len(), "user count mismatch");
-        assert_eq!(books.credit.len(), self.credit.len(), "peer count mismatch");
-        for (user, b) in self.users.iter_mut().zip(&books.users) {
-            user.account = RealPennies(b.account);
-            user.balance = EPennies(b.balance);
-            user.sent_today = b.sent_today;
-            user.limit = b.limit;
-        }
-        self.avail = EPennies(books.avail);
-        self.credit = books.credit.clone();
-        self.nonces_seen = books.nonces.iter().copied().collect();
+        let live = &self.books;
+        assert_eq!(books.users.len(), live.users.len(), "user count mismatch");
+        assert_eq!(books.credit.len(), live.credit.len(), "peer count mismatch");
+        self.books = books.clone();
     }
 
     /// This ISP's id.
@@ -366,8 +317,8 @@ impl Isp {
     /// # Panics
     ///
     /// Panics if `user` is out of range.
-    pub fn user(&self, user: u32) -> &UserAccount {
-        &self.users[user as usize]
+    pub fn user(&self, user: u32) -> &UserBooks {
+        &self.books.users[user as usize]
     }
 
     /// Sets one user's daily limit (the user-specified value of §5).
@@ -376,8 +327,7 @@ impl Isp {
     ///
     /// Panics if `user` is out of range.
     pub fn set_limit(&mut self, user: u32, limit: u32) {
-        self.users[user as usize].limit = limit;
-        self.journal(LedgerRecord::LimitSet {
+        self.commit(LedgerRecord::LimitSet {
             isp: self.id.0,
             user,
             limit,
@@ -387,8 +337,7 @@ impl Isp {
     /// Grants a user e-pennies directly (test/experiment setup shortcut;
     /// production top-ups go through [`Isp::user_buy`]).
     pub fn grant_balance(&mut self, user: u32, amount: EPennies) {
-        self.users[user as usize].balance += amount;
-        self.journal(LedgerRecord::Grant {
+        self.commit(LedgerRecord::Grant {
             isp: self.id.0,
             user,
             amount: amount.0,
@@ -397,17 +346,17 @@ impl Isp {
 
     /// The ISP's e-penny pool.
     pub fn avail(&self) -> EPennies {
-        self.avail
+        EPennies(self.books.avail)
     }
 
     /// The credit ledger entry for `peer`.
     pub fn credit(&self, peer: IspId) -> i64 {
-        self.credit[peer.index()]
+        self.books.credit[peer.index()]
     }
 
     /// Sum of all user balances (for conservation audits).
     pub fn total_user_balances(&self) -> EPennies {
-        self.users.iter().map(|u| u.balance).sum()
+        EPennies(self.books.users.iter().map(|u| u.balance).sum())
     }
 
     /// Counters accumulated so far.
@@ -452,22 +401,6 @@ impl Isp {
         ))
     }
 
-    /// The colluding-ring hook: signs a **valid** attestation for a paid
-    /// message this ISP never debited or booked — counterfeit value with
-    /// a genuine signature, which only the §4.4 credit audit (and the
-    /// conservation auditor) can catch. Returns `None` when attestations
-    /// are off.
-    pub fn sign_counterfeit(&mut self, sender: u32, to: UserAddr) -> Option<EmailMsg> {
-        let attestation = self.attest(sender, to, None)?;
-        Some(EmailMsg {
-            from: UserAddr::new(self.id.0, sender),
-            to,
-            kind: MailKind::Spam,
-            paid: true,
-            attestation: Some(attestation),
-        })
-    }
-
     /// Verifies a paid message's attestation: presence, signature under
     /// the origin ISP's key, field binding, and nonce freshness, in that
     /// order (each skipped only under the matching configured
@@ -500,14 +433,14 @@ impl Isp {
                 return Err(RefusalCause::FieldMismatch);
             }
         }
-        if !skip(AttestWeakness::SkipReplayCheck) && self.nonces_seen.contains(&att.nonce) {
-            return Err(RefusalCause::ReplayedNonce);
-        }
-        if self.nonces_seen.insert(att.nonce) {
-            self.journal(LedgerRecord::NonceSeen {
+        let nonce = att.nonce;
+        if self.books.nonces.binary_search(&nonce).is_err() {
+            self.commit(LedgerRecord::NonceSeen {
                 isp: self.id.0,
-                nonce: att.nonce,
+                nonce,
             });
+        } else if !skip(AttestWeakness::SkipReplayCheck) {
+            return Err(RefusalCause::ReplayedNonce);
         }
         Ok(())
     }
@@ -539,7 +472,10 @@ impl Isp {
         to: UserAddr,
         kind: MailKind,
     ) -> Result<SendOutcome, SendError> {
-        assert!((sender as usize) < self.users.len(), "sender out of range");
+        assert!(
+            (sender as usize) < self.books.users.len(),
+            "sender out of range"
+        );
         // Whatever this send turns out to be, it consumes any armed §5
         // refund binding: a buffered or refused ack must not leak its
         // refund pointer onto an unrelated later send.
@@ -554,8 +490,7 @@ impl Isp {
         if dest == self.id {
             // Local delivery: debit and credit inside this ISP.
             self.charge_sender(sender)?;
-            self.users[to.user as usize].balance += EPennies::ONE;
-            self.journal(LedgerRecord::Deposit {
+            self.commit(LedgerRecord::Deposit {
                 isp: self.id.0,
                 user: to.user,
             });
@@ -597,20 +532,20 @@ impl Isp {
     }
 
     fn charge_sender(&mut self, sender: u32) -> Result<(), SendError> {
-        let user = &mut self.users[sender as usize];
-        if user.balance < EPennies::ONE {
-            self.stats.bounced_balance += 1;
-            CoreMetrics::get().reject_balance.inc();
-            return Err(SendError::InsufficientBalance);
+        if let Err(refusal) = self.books.users[sender as usize].check_send() {
+            match refusal {
+                SendError::InsufficientBalance => {
+                    self.stats.bounced_balance += 1;
+                    CoreMetrics::get().reject_balance.inc();
+                }
+                SendError::DailyLimitExceeded => {
+                    self.stats.bounced_limit += 1;
+                    CoreMetrics::get().reject_limit.inc();
+                }
+            }
+            return Err(refusal);
         }
-        if user.sent_today >= user.limit {
-            self.stats.bounced_limit += 1;
-            CoreMetrics::get().reject_limit.inc();
-            return Err(SendError::DailyLimitExceeded);
-        }
-        user.balance -= EPennies::ONE;
-        user.sent_today += 1;
-        self.journal(LedgerRecord::Charge {
+        self.commit(LedgerRecord::Charge {
             isp: self.id.0,
             user: sender,
         });
@@ -636,9 +571,8 @@ impl Isp {
                 }
             }
         };
-        self.credit[dest.index()] += delta;
         if delta != 0 {
-            self.journal(LedgerRecord::CreditDelta {
+            self.commit(LedgerRecord::CreditDelta {
                 isp: self.id.0,
                 peer: dest.0,
                 delta,
@@ -655,7 +589,7 @@ impl Isp {
     pub fn receive_email(&mut self, from_isp: IspId, email: &EmailMsg) -> Delivery {
         assert_eq!(email.to.isp, self.id.0, "misrouted email");
         assert!(
-            (email.to.user as usize) < self.users.len(),
+            (email.to.user as usize) < self.books.users.len(),
             "unknown recipient"
         );
         if self.compliant[from_isp.index()] && email.paid {
@@ -665,13 +599,11 @@ impl Isp {
                     return Delivery::Refused(cause);
                 }
             }
-            self.users[email.to.user as usize].balance += EPennies::ONE;
-            self.credit[from_isp.index()] -= 1;
-            self.journal(LedgerRecord::Deposit {
+            self.commit(LedgerRecord::Deposit {
                 isp: self.id.0,
                 user: email.to.user,
             });
-            self.journal(LedgerRecord::CreditDelta {
+            self.commit(LedgerRecord::CreditDelta {
                 isp: self.id.0,
                 peer: from_isp.0,
                 delta: -1,
@@ -724,13 +656,9 @@ impl Isp {
     /// Panics if `t` is out of range or `x` is negative.
     pub fn user_buy(&mut self, t: u32, x: EPennies) -> bool {
         assert!(!x.is_negative(), "cannot buy a negative amount");
-        let price = RealPennies(x.amount()); // 1:1 at the ISP counter
-        let user = &mut self.users[t as usize];
-        if user.account >= price && self.avail >= x {
-            user.account -= price;
-            user.balance += x;
-            self.avail -= x;
-            self.journal(LedgerRecord::UserBuy {
+        // 1:1 at the ISP counter: `x` e-pennies cost `x` real pennies.
+        if self.books.users[t as usize].account >= x.0 && self.books.avail >= x.0 {
+            self.commit(LedgerRecord::UserBuy {
                 isp: self.id.0,
                 user: t,
                 amount: x.0,
@@ -748,12 +676,8 @@ impl Isp {
     /// Panics if `t` is out of range or `x` is negative.
     pub fn user_sell(&mut self, t: u32, x: EPennies) -> bool {
         assert!(!x.is_negative(), "cannot sell a negative amount");
-        let user = &mut self.users[t as usize];
-        if user.balance >= x {
-            user.balance -= x;
-            user.account += RealPennies(x.amount());
-            self.avail += x;
-            self.journal(LedgerRecord::UserSell {
+        if self.books.users[t as usize].balance >= x.0 {
+            self.commit(LedgerRecord::UserSell {
                 isp: self.id.0,
                 user: t,
                 amount: x.0,
@@ -767,7 +691,7 @@ impl Isp {
     /// Tops up `t`'s balance if it fell below the configured threshold.
     /// Returns whether a purchase happened.
     pub fn auto_topup(&mut self, t: u32, below: EPennies, amount: EPennies) -> bool {
-        if self.users[t as usize].balance < below {
+        if self.books.users[t as usize].balance < below.0 {
             self.user_buy(t, amount)
         } else {
             false
@@ -785,11 +709,11 @@ impl Isp {
     /// If the pool is low and no buy is outstanding, produces a sealed
     /// `buy` request refilling the pool to the midpoint target.
     pub fn maybe_buy(&mut self) -> Option<NetMsg> {
-        if !self.canbuy || self.avail >= self.minavail {
+        if !self.canbuy || self.avail() >= self.minavail {
             return None;
         }
         self.canbuy = false;
-        self.buyvalue = self.pool_target() - self.avail.amount();
+        self.buyvalue = self.pool_target() - self.books.avail;
         let nonce = self.nnc.next_nonce();
         self.ns1 = Some(nonce);
         let plain = encode_value_nonce(self.buyvalue, nonce);
@@ -804,11 +728,11 @@ impl Isp {
     /// If the pool is over-full and no sell is outstanding, produces a
     /// sealed `sell` request draining the pool to the midpoint target.
     pub fn maybe_sell(&mut self) -> Option<NetMsg> {
-        if !self.cansell || self.avail <= self.maxavail {
+        if !self.cansell || self.avail() <= self.maxavail {
             return None;
         }
         self.cansell = false;
-        self.sellvalue = self.avail.amount() - self.pool_target();
+        self.sellvalue = self.books.avail - self.pool_target();
         let nonce = self.nnc.next_nonce();
         self.ns2 = Some(nonce);
         let plain = encode_value_nonce(self.sellvalue, nonce);
@@ -923,8 +847,7 @@ impl Isp {
             self.canbuy = true;
             CoreMetrics::get().bank_buy_roundtrips.inc();
             if accepted != 0 {
-                self.avail += EPennies(self.buyvalue);
-                self.journal(LedgerRecord::PoolBuy {
+                self.commit(LedgerRecord::PoolBuy {
                     isp: self.id.0,
                     amount: self.buyvalue,
                 });
@@ -952,10 +875,9 @@ impl Isp {
         let (_, nr2) = decode_value_nonce(&plain).ok_or(CryptoError::Malformed)?;
         if self.ns2 == Some(nr2) {
             self.ns2 = None;
-            self.avail -= EPennies(self.sellvalue);
             self.cansell = true;
             CoreMetrics::get().bank_sell_roundtrips.inc();
-            self.journal(LedgerRecord::PoolSell {
+            self.commit(LedgerRecord::PoolSell {
                 isp: self.id.0,
                 amount: self.sellvalue,
             });
@@ -1002,12 +924,13 @@ impl Isp {
     pub fn finish_snapshot(&mut self) -> (NetMsg, Vec<(u32, UserAddr, MailKind)>) {
         let reply = NetMsg::SnapshotReply {
             from: self.id,
-            envelope: seal_for_public(&self.bank_key, &encode_credit(&self.credit), &mut self.rng),
+            envelope: seal_for_public(
+                &self.bank_key,
+                &encode_credit(&self.books.credit),
+                &mut self.rng,
+            ),
         };
-        for c in &mut self.credit {
-            *c = 0;
-        }
-        self.journal(LedgerRecord::SnapshotMarker { isp: self.id.0 });
+        self.commit(LedgerRecord::SnapshotMarker { isp: self.id.0 });
         self.cansend = true;
         self.seq += 1;
         let drained = self
@@ -1024,10 +947,7 @@ impl Isp {
 
     /// Resets every user's `sent` counter (the paper's end-of-day action).
     pub fn reset_daily(&mut self) {
-        for user in &mut self.users {
-            user.sent_today = 0;
-        }
-        self.journal(LedgerRecord::DailyReset { isp: self.id.0 });
+        self.commit(LedgerRecord::DailyReset { isp: self.id.0 });
     }
 }
 
@@ -1058,8 +978,8 @@ mod tests {
         let before_receiver = isp.user(1).balance;
         let outcome = isp.send_email(0, addr(0, 1), MailKind::Personal).unwrap();
         assert_eq!(outcome, SendOutcome::DeliveredLocally);
-        assert_eq!(isp.user(0).balance, before_sender - EPennies::ONE);
-        assert_eq!(isp.user(1).balance, before_receiver + EPennies::ONE);
+        assert_eq!(isp.user(0).balance, before_sender - 1);
+        assert_eq!(isp.user(1).balance, before_receiver + 1);
         assert_eq!(isp.user(0).sent_today, 1);
         assert_eq!(isp.credit(IspId(0)), 0, "local mail books no credit");
     }
@@ -1083,7 +1003,7 @@ mod tests {
             other => panic!("unexpected outcome {other:?}"),
         }
         assert_eq!(isps[0].credit(IspId(1)), 1);
-        assert_eq!(isps[0].user(0).balance, EPennies(99));
+        assert_eq!(isps[0].user(0).balance, 99);
     }
 
     #[test]
@@ -1100,7 +1020,7 @@ mod tests {
         };
         let delivery = isps[1].receive_email(IspId(0), &email);
         assert_eq!(delivery, Delivery::Delivered);
-        assert_eq!(isps[1].user(2).balance, EPennies(101));
+        assert_eq!(isps[1].user(2).balance, 101);
         assert_eq!(isps[1].credit(IspId(0)), -1);
         // Antisymmetry after quiescence.
         assert_eq!(isps[0].credit(IspId(1)) + isps[1].credit(IspId(0)), 0);
@@ -1224,12 +1144,12 @@ mod tests {
         let isp = &mut isps[0];
         let pool0 = isp.avail();
         assert!(isp.user_buy(0, EPennies(50)));
-        assert_eq!(isp.user(0).balance, EPennies(150));
-        assert_eq!(isp.user(0).account, RealPennies(950));
+        assert_eq!(isp.user(0).balance, 150);
+        assert_eq!(isp.user(0).account, 950);
         assert_eq!(isp.avail(), pool0 - EPennies(50));
         assert!(isp.user_sell(0, EPennies(150)));
-        assert_eq!(isp.user(0).balance, EPennies::ZERO);
-        assert_eq!(isp.user(0).account, RealPennies(1_100));
+        assert_eq!(isp.user(0).balance, 0);
+        assert_eq!(isp.user(0).account, 1_100);
         assert_eq!(isp.avail(), pool0 + EPennies(100));
     }
 
@@ -1249,7 +1169,7 @@ mod tests {
         // Drain the balance below 50.
         assert!(isp.user_sell(0, EPennies(60)));
         assert!(isp.auto_topup(0, EPennies(50), EPennies(10)));
-        assert_eq!(isp.user(0).balance, EPennies(50));
+        assert_eq!(isp.user(0).balance, 50);
     }
 
     #[test]
@@ -1333,7 +1253,7 @@ mod tests {
             .send_email(0, addr(1, 0), MailKind::Personal)
             .unwrap();
         assert_eq!(outcome, SendOutcome::Buffered);
-        assert_eq!(isps[0].user(0).balance, EPennies(100), "no debit yet");
+        assert_eq!(isps[0].user(0).balance, 100, "no debit yet");
         assert_eq!(isps[0].pending_sends(), 1);
         // Replayed request (same seq... now stale after finish) first:
         let (reply, drained) = isps[0].finish_snapshot();
@@ -1374,7 +1294,7 @@ mod tests {
         let mut isp = Isp::new(IspId(0), &config, *bank.public(), 22);
         isp.send_email(0, addr(1, 0), MailKind::Personal).unwrap();
         assert_eq!(isp.credit(IspId(1)), 0, "cheat hides the send");
-        assert_eq!(isp.user(0).balance, EPennies(99), "user still charged");
+        assert_eq!(isp.user(0).balance, 99, "user still charged");
     }
 
     #[test]

@@ -40,7 +40,8 @@ use zmail_obs::{FlightRecorder, SpanStatus};
 use zmail_sim::racecheck::{AccessRecorder, CheckedWorld, RacecheckReport, RecordedWorld};
 use zmail_sim::{ParallelWorld, Scheduler, SimDuration, SimTime, Simulation, World};
 use zmail_store::{
-    BankBooks, Books, IspBooks, MemStorage, ShardedLedgerStore, UserBooks, XferKind, XferLeg,
+    BankBooks, Books, IspBooks, MemStorage, SendError, ShardedLedgerStore, UserBooks, XferKind,
+    XferLeg,
 };
 
 /// Racecheck access class of the sharded ledger engines.
@@ -371,18 +372,19 @@ impl ParallelWorld for MassiveWorld {
         let to_shard = u64::from(self.store.map().user_shard(send.to_isp, send.to_user));
         self.recorder.read(CLASS_SHARD, from_shard);
         let sender = self.store.user(send.from_isp, send.from_user);
-        if sender.balance < 1 {
-            self.report.bounced_balance += 1;
+        if let Err(refusal) = sender.check_send() {
+            let note = match refusal {
+                SendError::InsufficientBalance => {
+                    self.report.bounced_balance += 1;
+                    "bounced=balance"
+                }
+                SendError::DailyLimitExceeded => {
+                    self.report.bounced_limit += 1;
+                    "bounced=limit"
+                }
+            };
             if let Some(ctx) = lifecycle {
-                self.flight.annotate(ctx, "bounced=balance");
-                self.flight.end_with(ms, ctx, SpanStatus::Dropped);
-            }
-            return;
-        }
-        if sender.sent_today >= sender.limit {
-            self.report.bounced_limit += 1;
-            if let Some(ctx) = lifecycle {
-                self.flight.annotate(ctx, "bounced=limit");
+                self.flight.annotate(ctx, note);
                 self.flight.end_with(ms, ctx, SpanStatus::Dropped);
             }
             return;
@@ -438,11 +440,14 @@ impl RecordedWorld for MassiveWorld {
 }
 
 /// Schedules the full `ticks × sends_per_tick` workload of `config`
-/// onto `sim` (plus the per-tick commit barrier).
-fn schedule_massive<W>(sim: &mut Simulation<W>, config: &MassiveConfig)
+/// (plus the per-tick commit barrier) over `world` — the bare
+/// [`MassiveWorld`] or a wrapper of it — and drives the tick-parallel
+/// engine with `threads` workers (0 = all cores, 1 = serial).
+fn drive<W>(world: W, config: &MassiveConfig, threads: usize) -> W
 where
-    W: World<Event = MassiveEvent>,
+    W: ParallelWorld<Event = MassiveEvent> + Sync,
 {
+    let mut sim = Simulation::new(world);
     for tick in 0..config.ticks {
         let at = SimTime::ZERO + SimDuration::from_secs(u64::from(tick));
         for i in 0..config.sends_per_tick {
@@ -453,17 +458,14 @@ where
         }
         sim.schedule(at, MassiveEvent::TickCommit);
     }
+    sim.run_parallel_to_completion(threads);
+    sim.into_world()
 }
 
-/// Runs one population-scale simulation: schedules
-/// `ticks × sends_per_tick` sends plus a per-tick commit, drives the
-/// tick-parallel engine with `threads` workers (0 = all cores, 1 =
-/// serial), and returns the report with the end-of-run books CRC.
-pub fn run_massive(config: &MassiveConfig, threads: usize) -> MassiveReport {
-    let mut sim = Simulation::new(MassiveWorld::new(*config));
-    schedule_massive(&mut sim, config);
-    sim.run_parallel_to_completion(threads);
-    let mut world = sim.into_world();
+/// Audits a finished world — exact conservation, and recovery over
+/// every shard reproducing the live books — then seals its report with
+/// the end-of-run books CRC.
+fn seal(mut world: MassiveWorld) -> MassiveReport {
     world.audit().expect("zero-sum audit must balance exactly");
     assert!(
         world.verify_recovery(),
@@ -471,6 +473,12 @@ pub fn run_massive(config: &MassiveConfig, threads: usize) -> MassiveReport {
     );
     world.finish();
     world.report
+}
+
+/// Runs one population-scale simulation: `ticks × sends_per_tick` sends
+/// plus a per-tick commit on `threads` workers, audited and sealed.
+pub fn run_massive(config: &MassiveConfig, threads: usize) -> MassiveReport {
+    seal(drive(MassiveWorld::new(*config), config, threads))
 }
 
 /// [`run_massive`] with a causal flight recorder attached — the E19
@@ -483,13 +491,7 @@ pub fn run_massive_traced(
 ) -> MassiveReport {
     let mut world = MassiveWorld::new(*config);
     world.attach_flight_recorder(recorder);
-    let mut sim = Simulation::new(world);
-    schedule_massive(&mut sim, config);
-    sim.run_parallel_to_completion(threads);
-    let mut world = sim.into_world();
-    world.audit().expect("zero-sum audit must balance exactly");
-    world.finish();
-    world.report
+    seal(drive(world, config, threads))
 }
 
 /// [`run_massive`] under the armed footprint race checker: the same
@@ -502,15 +504,13 @@ pub fn run_massive_checked(
     config: &MassiveConfig,
     threads: usize,
 ) -> (MassiveReport, RacecheckReport) {
-    let mut sim = Simulation::new(CheckedWorld::armed(MassiveWorld::new(*config)));
-    schedule_massive(&mut sim, config);
-    sim.run_parallel_to_completion(threads);
-    let checked = sim.into_world();
+    let checked = drive(
+        CheckedWorld::armed(MassiveWorld::new(*config)),
+        config,
+        threads,
+    );
     let racecheck = checked.report();
-    let mut world = checked.into_inner();
-    world.audit().expect("zero-sum audit must balance exactly");
-    world.finish();
-    (world.report, racecheck)
+    (seal(checked.into_inner()), racecheck)
 }
 
 #[cfg(test)]

@@ -151,7 +151,7 @@ impl Federation {
     /// Every member bank's durable books, in federation order — the
     /// bank half of a ledger-store bootstrap.
     pub fn bank_books(&self) -> Vec<zmail_store::BankBooks> {
-        self.banks.iter().map(Bank::books).collect()
+        self.banks.iter().map(|b| b.books().clone()).collect()
     }
 
     /// Takes the ledger records every member bank journalled since the

@@ -1275,7 +1275,7 @@ impl ZmailWorld {
         self.recorder.write(CLASS_ISP, isp_key(isp.0));
         let (books, recovery) = store.simulate_recovery();
         let recovered = &books.isps[isp.index()];
-        let diverged = *recovered != self.isps[isp.index()].books();
+        let diverged = recovered != self.isps[isp.index()].books();
         self.isps[isp.index()].restore_books(recovered);
         self.report.recoveries.push(RecoveryEvent {
             at: now,
@@ -1614,7 +1614,7 @@ impl ZmailSystem {
                 }
             }
             let bootstrap = Books {
-                isps: isps.iter().map(Isp::books).collect(),
+                isps: isps.iter().map(|isp| isp.books().clone()).collect(),
                 banks: banks.bank_books(),
             };
             let storages = (0..durability.shards.max(1))
@@ -1805,7 +1805,7 @@ impl ZmailSystem {
     ///
     /// Panics if the address is out of range.
     pub fn user_balance(&self, addr: UserAddr) -> EPennies {
-        self.isp(IspId(addr.isp)).user(addr.user).balance
+        EPennies(self.isp(IspId(addr.isp)).user(addr.user).balance)
     }
 
     /// E-pennies currently inside network messages.
@@ -1922,8 +1922,8 @@ impl ZmailSystem {
         let world = self.world();
         let store = world.store.as_ref()?;
         let (books, _) = store.simulate_recovery();
-        let live: Vec<_> = world.isps.iter().map(Isp::books).collect();
-        Some(books.isps == live && books.banks == world.banks.bank_books())
+        let live = world.isps.iter().map(Isp::books);
+        Some(books.isps.iter().eq(live) && books.banks == world.banks.bank_books())
     }
 
     /// Deterministic tallies of every fault the `zmail-fault` injector
@@ -1964,16 +1964,6 @@ impl ZmailSystem {
             .get(&pair_key(a.0, b.0))
             .copied()
             .unwrap_or(0)
-    }
-
-    /// Every ISP pair with a nonzero attestation-layer §4.4 correction.
-    pub fn adversary_pair_drifts(&self) -> Vec<(IspId, IspId, i64)> {
-        self.world()
-            .attest_pair_drift
-            .iter()
-            .filter(|(_, &d)| d != 0)
-            .map(|(&(a, b), &d)| (IspId(a), IspId(b), d))
-            .collect()
     }
 }
 

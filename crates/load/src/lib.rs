@@ -7,7 +7,7 @@
 //! The crate is three small layers:
 //!
 //! * [`spec`] — a declarative workload description
-//!   ([`WorkloadSpec`]), parseable from a TOML-subset text format, that
+//!   ([`WorkloadSpec`], a plain struct callers build literally) that
 //!   pins *everything* about a run: seed, rate, duration, arrival
 //!   process, population sizes and Zipf skew, worker/connection fan-out.
 //! * [`arrival`] — turns a spec into a concrete

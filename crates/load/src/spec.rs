@@ -1,12 +1,8 @@
-//! The declarative workload specification and its TOML-subset parser.
+//! The declarative workload specification.
 //!
-//! A workload is described by a small, flat TOML document — the same idea
-//! as berserker's workload configs: everything that shapes the traffic is
-//! data, so a run is reproducible from `(spec, seed)` alone. The parser
-//! deliberately implements only the subset the spec needs (flat
-//! `key = value` pairs, one optional `[burst]` table, strings, numbers,
-//! comments) rather than pulling in a TOML dependency; unknown keys are
-//! errors so a typo cannot silently fall back to a default.
+//! A workload is described by one flat struct — the same idea as
+//! berserker's workload configs: everything that shapes the traffic is
+//! data, so a run is reproducible from `(spec, seed)` alone.
 
 use std::fmt;
 
@@ -113,7 +109,6 @@ impl WorkloadSpec {
     pub fn validate(&self) -> Result<(), SpecError> {
         let bad = |field: &str, why: &str| {
             Err(SpecError {
-                line: 0,
                 message: format!("{field}: {why}"),
             })
         };
@@ -145,248 +140,18 @@ impl WorkloadSpec {
         }
         Ok(())
     }
-
-    /// Parses the TOML-subset workload document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] with the 1-based line number for unknown
-    /// keys, malformed values, or a failed [`WorkloadSpec::validate`].
-    pub fn parse(text: &str) -> Result<WorkloadSpec, SpecError> {
-        let mut spec = WorkloadSpec::default();
-        let mut section = String::new();
-        for (idx, raw) in text.lines().enumerate() {
-            let line_no = idx + 1;
-            let err = |message: String| SpecError {
-                line: line_no,
-                message,
-            };
-            let line = strip_comment(raw).trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix('[') {
-                let Some(name) = rest.strip_suffix(']') else {
-                    return Err(err(format!("malformed table header: {line:?}")));
-                };
-                if name != "burst" {
-                    return Err(err(format!("unknown table [{name}]")));
-                }
-                section = name.to_string();
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(err(format!("expected key = value, got {line:?}")));
-            };
-            let key = key.trim();
-            let value = Value::parse(value.trim()).map_err(&err)?;
-            match (section.as_str(), key) {
-                ("", "name") => spec.name = value.string(key).map_err(&err)?,
-                ("", "seed") => spec.seed = value.integer(key).map_err(&err)?,
-                ("", "rate_per_sec") => spec.rate_per_sec = value.number(key).map_err(&err)?,
-                ("", "duration_ms") => spec.duration_ms = value.integer(key).map_err(&err)?,
-                ("", "workers") => spec.workers = value.integer(key).map_err(&err)? as usize,
-                ("", "connections_per_worker") => {
-                    spec.connections_per_worker = value.integer(key).map_err(&err)? as usize
-                }
-                ("", "senders") => spec.senders = value.integer(key).map_err(&err)? as u32,
-                ("", "recipients") => spec.recipients = value.integer(key).map_err(&err)? as u32,
-                ("", "zipf_s") => spec.zipf_s = value.number(key).map_err(&err)?,
-                ("", "arrival") => {
-                    spec.arrival = match value.string(key).map_err(&err)?.as_str() {
-                        "poisson" => ArrivalKind::Poisson,
-                        "bursty" => ArrivalKind::Bursty,
-                        other => {
-                            return Err(err(format!(
-                                "arrival must be \"poisson\" or \"bursty\", got {other:?}"
-                            )))
-                        }
-                    }
-                }
-                ("", "sender_template") => {
-                    spec.sender_template = value.string(key).map_err(&err)?
-                }
-                ("", "recipient_template") => {
-                    spec.recipient_template = value.string(key).map_err(&err)?
-                }
-                ("", "body") => spec.body = value.string(key).map_err(&err)?,
-                ("burst", "period_ms") => {
-                    spec.burst.period_ms = value.integer(key).map_err(&err)?
-                }
-                ("burst", "burst_ms") => spec.burst.burst_ms = value.integer(key).map_err(&err)?,
-                ("burst", "multiplier") => {
-                    spec.burst.multiplier = value.number(key).map_err(&err)?
-                }
-                (sec, key) => {
-                    let place = if sec.is_empty() {
-                        "top level".to_string()
-                    } else {
-                        format!("[{sec}]")
-                    };
-                    return Err(err(format!("unknown key {key:?} at {place}")));
-                }
-            }
-        }
-        spec.validate()?;
-        Ok(spec)
-    }
-
-    /// Serializes back to the TOML subset [`WorkloadSpec::parse`] accepts.
-    pub fn to_toml(&self) -> String {
-        let mut out = String::new();
-        let kv = |out: &mut String, k: &str, v: String| {
-            out.push_str(k);
-            out.push_str(" = ");
-            out.push_str(&v);
-            out.push('\n');
-        };
-        kv(&mut out, "name", format!("{:?}", self.name));
-        kv(&mut out, "seed", self.seed.to_string());
-        kv(&mut out, "rate_per_sec", fmt_f64(self.rate_per_sec));
-        kv(&mut out, "duration_ms", self.duration_ms.to_string());
-        kv(&mut out, "workers", self.workers.to_string());
-        kv(
-            &mut out,
-            "connections_per_worker",
-            self.connections_per_worker.to_string(),
-        );
-        kv(&mut out, "senders", self.senders.to_string());
-        kv(&mut out, "recipients", self.recipients.to_string());
-        kv(&mut out, "zipf_s", fmt_f64(self.zipf_s));
-        let arrival = match self.arrival {
-            ArrivalKind::Poisson => "poisson",
-            ArrivalKind::Bursty => "bursty",
-        };
-        kv(&mut out, "arrival", format!("{arrival:?}"));
-        kv(
-            &mut out,
-            "sender_template",
-            format!("{:?}", self.sender_template),
-        );
-        kv(
-            &mut out,
-            "recipient_template",
-            format!("{:?}", self.recipient_template),
-        );
-        kv(&mut out, "body", format!("{:?}", self.body));
-        if self.arrival == ArrivalKind::Bursty {
-            out.push_str("\n[burst]\n");
-            kv(&mut out, "period_ms", self.burst.period_ms.to_string());
-            kv(&mut out, "burst_ms", self.burst.burst_ms.to_string());
-            kv(&mut out, "multiplier", fmt_f64(self.burst.multiplier));
-        }
-        out
-    }
 }
 
-/// Writes a float so it round-trips through the parser (always a `.`).
-fn fmt_f64(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{v:.1}")
-    } else {
-        format!("{v}")
-    }
-}
-
-/// Drops a `#` comment, honoring quoted strings.
-fn strip_comment(line: &str) -> &str {
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '\\' if in_string && !escaped => {
-                escaped = true;
-                continue;
-            }
-            '"' if !escaped => in_string = !in_string,
-            '#' if !in_string => return &line[..i],
-            _ => {}
-        }
-        escaped = false;
-    }
-    line
-}
-
-/// A parsed scalar value.
-enum Value {
-    Str(String),
-    Num(f64),
-    Int(u64),
-}
-
-impl Value {
-    fn parse(raw: &str) -> Result<Value, String> {
-        if let Some(inner) = raw.strip_prefix('"') {
-            let Some(inner) = inner.strip_suffix('"') else {
-                return Err(format!("unterminated string: {raw:?}"));
-            };
-            // Minimal escapes: \" \\ \r \n \t
-            let mut out = String::with_capacity(inner.len());
-            let mut chars = inner.chars();
-            while let Some(c) = chars.next() {
-                if c != '\\' {
-                    out.push(c);
-                    continue;
-                }
-                match chars.next() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('r') => out.push('\r'),
-                    Some('n') => out.push('\n'),
-                    Some('t') => out.push('\t'),
-                    other => return Err(format!("unsupported escape \\{other:?}")),
-                }
-            }
-            return Ok(Value::Str(out));
-        }
-        if let Ok(i) = raw.parse::<u64>() {
-            return Ok(Value::Int(i));
-        }
-        if let Ok(f) = raw.parse::<f64>() {
-            return Ok(Value::Num(f));
-        }
-        Err(format!("cannot parse value: {raw:?}"))
-    }
-
-    fn string(self, key: &str) -> Result<String, String> {
-        match self {
-            Value::Str(s) => Ok(s),
-            _ => Err(format!("{key} expects a quoted string")),
-        }
-    }
-
-    fn integer(self, key: &str) -> Result<u64, String> {
-        match self {
-            Value::Int(i) => Ok(i),
-            _ => Err(format!("{key} expects a non-negative integer")),
-        }
-    }
-
-    fn number(self, key: &str) -> Result<f64, String> {
-        match self {
-            Value::Num(f) => Ok(f),
-            Value::Int(i) => Ok(i as f64),
-            _ => Err(format!("{key} expects a number")),
-        }
-    }
-}
-
-/// A spec parse/validation failure with its 1-based line (0 = whole doc).
+/// A [`WorkloadSpec::validate`] failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecError {
-    /// 1-based source line, or 0 for document-level validation errors.
-    pub line: usize,
-    /// What went wrong.
+    /// The offending field and what is wrong with it.
     pub message: String,
 }
 
 impl fmt::Display for SpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line == 0 {
-            write!(f, "workload spec invalid: {}", self.message)
-        } else {
-            write!(f, "workload spec line {}: {}", self.line, self.message)
-        }
+        write!(f, "workload spec invalid: {}", self.message)
     }
 }
 
@@ -395,70 +160,6 @@ impl std::error::Error for SpecError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const EXAMPLE: &str = r#"
-# E21 steady-state probe
-name = "steady"
-seed = 42
-rate_per_sec = 500.0
-duration_ms = 2000
-workers = 4
-connections_per_worker = 4
-senders = 1000          # Zipf-weighted population
-recipients = 500
-zipf_s = 1.1
-arrival = "bursty"
-sender_template = "u{}@isp0.example"
-recipient_template = "u{}@isp1.example"
-
-[burst]
-period_ms = 500
-burst_ms = 100
-multiplier = 8.0
-"#;
-
-    #[test]
-    fn parses_the_full_example() {
-        let spec = WorkloadSpec::parse(EXAMPLE).unwrap();
-        assert_eq!(spec.name, "steady");
-        assert_eq!(spec.seed, 42);
-        assert_eq!(spec.rate_per_sec, 500.0);
-        assert_eq!(spec.workers, 4);
-        assert_eq!(spec.arrival, ArrivalKind::Bursty);
-        assert_eq!(spec.burst.period_ms, 500);
-        assert_eq!(spec.burst.multiplier, 8.0);
-        assert_eq!(spec.sender_template, "u{}@isp0.example");
-        assert_eq!(spec.total_connections(), 16);
-    }
-
-    #[test]
-    fn round_trips_through_to_toml() {
-        let spec = WorkloadSpec::parse(EXAMPLE).unwrap();
-        let again = WorkloadSpec::parse(&spec.to_toml()).unwrap();
-        assert_eq!(spec, again);
-        // A default (Poisson) spec round-trips too.
-        let default = WorkloadSpec::default();
-        assert_eq!(WorkloadSpec::parse(&default.to_toml()).unwrap(), default);
-    }
-
-    #[test]
-    fn unknown_key_is_an_error_with_line_number() {
-        let err = WorkloadSpec::parse("rate_per_sec = 10.0\nworkrs = 4\n").unwrap_err();
-        assert_eq!(err.line, 2);
-        assert!(err.message.contains("workrs"));
-    }
-
-    #[test]
-    fn wrong_value_types_are_rejected() {
-        for doc in [
-            "seed = \"not a number\"",
-            "arrival = \"sometimes\"",
-            "name = unquoted",
-            "rate_per_sec = ",
-        ] {
-            assert!(WorkloadSpec::parse(doc).is_err(), "{doc:?}");
-        }
-    }
 
     #[test]
     fn validation_catches_nonsense() {
@@ -478,11 +179,5 @@ multiplier = 8.0
             ..WorkloadSpec::default()
         };
         assert!(no_placeholder.validate().is_err());
-    }
-
-    #[test]
-    fn comments_inside_strings_survive() {
-        let spec = WorkloadSpec::parse("body = \"contains # not a comment\"").unwrap();
-        assert_eq!(spec.body, "contains # not a comment");
     }
 }

@@ -9,14 +9,17 @@
 //! rebuilt by the protocol's own retransmission machinery, while the
 //! books come back from the store.
 //!
-//! [`Books::apply`] is the single replay function: a checkpoint plus a
-//! record sequence is replayed by folding `apply` — the same fold the
-//! live system performs implicitly through its mutation sites. The
+//! A ledger mutation is a [`LedgerRecord`], and [`IspBooks::apply`]
+//! (with [`BankBooks::apply`] for the bank's two) is its only
+//! implementation: the live `zmail-core` ISP commits every change
+//! through it, replay folds it over a checkpoint via [`Books::apply`],
+//! and the sharded store's outbox overlay uses its per-user half. The
 //! binary encoding (`encode`/`decode`) is the checkpoint payload format:
 //! fixed little-endian, no padding, so equal books encode to equal
 //! bytes and recovery comparisons can be exact.
 
 use crate::record::LedgerRecord;
+use std::fmt;
 
 /// Durable per-user state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -64,9 +67,158 @@ pub struct Books {
     pub banks: Vec<BankBooks>,
 }
 
+impl UserBooks {
+    /// The §4.1 send guard, `balance ≥ 1 ∧ sent < limit`: whether this
+    /// user may be charged for one more email.
+    ///
+    /// # Errors
+    ///
+    /// Returns which half of the guard refuses the send.
+    pub fn check_send(&self) -> Result<(), SendError> {
+        if self.balance < 1 {
+            Err(SendError::InsufficientBalance)
+        } else if self.sent_today >= self.limit {
+            Err(SendError::DailyLimitExceeded)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Applies the user's share of one record. Records that carry no
+    /// user state (pool, credit, bank, nonce) leave it untouched, so a
+    /// transfer leg of any kind can be folded into a per-user delta.
+    pub fn apply(&mut self, rec: &LedgerRecord) {
+        match *rec {
+            LedgerRecord::Charge { .. } => {
+                self.balance -= 1;
+                self.sent_today += 1;
+            }
+            LedgerRecord::Deposit { .. } => self.balance += 1,
+            LedgerRecord::Grant { amount, .. } => self.balance += amount,
+            LedgerRecord::UserBuy { amount, .. } | LedgerRecord::UserCounterBuy { amount, .. } => {
+                self.account -= amount;
+                self.balance += amount;
+            }
+            LedgerRecord::UserSell { amount, .. }
+            | LedgerRecord::UserCounterSell { amount, .. } => {
+                self.balance -= amount;
+                self.account += amount;
+            }
+            LedgerRecord::LimitSet { limit, .. } => self.limit = limit,
+            _ => {}
+        }
+    }
+
+    /// These books with `delta` — records applied to zeroed
+    /// [`UserBooks`] — added on: how the sharded store overlays credit
+    /// legs its outbox has not journaled yet.
+    pub fn plus(mut self, delta: &UserBooks) -> UserBooks {
+        self.account += delta.account;
+        self.balance += delta.balance;
+        self.sent_today += delta.sent_today;
+        self
+    }
+}
+
+/// Why the §4.1 guard refused a send.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SendError {
+    /// `balance[s] = 0` in the paper's guard.
+    InsufficientBalance,
+    /// `sent[s] >= limit[s]` — the anti-zombie cap. The paper sends the
+    /// user a warning to check for viruses; the harness records it.
+    DailyLimitExceeded,
+}
+
+impl fmt::Display for SendError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SendError::InsufficientBalance => write!(f, "insufficient e-penny balance"),
+            SendError::DailyLimitExceeded => write!(f, "daily send limit exceeded"),
+        }
+    }
+}
+
+impl std::error::Error for SendError {}
+
+impl IspBooks {
+    /// Applies one ISP-scoped record: the only implementation of a
+    /// ledger mutation. The live ISP commits through it, WAL replay
+    /// reaches it through [`Books::apply`], and the sharded store's read
+    /// overlay uses its per-user half ([`UserBooks::apply`]). The
+    /// record's `isp` field is routing, already consumed by the caller.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the record indexes a user or peer outside these books,
+    /// or is bank- or shard-scoped.
+    pub fn apply(&mut self, rec: &LedgerRecord) {
+        match *rec {
+            LedgerRecord::Charge { user, .. }
+            | LedgerRecord::Deposit { user, .. }
+            | LedgerRecord::Grant { user, .. }
+            | LedgerRecord::LimitSet { user, .. }
+            | LedgerRecord::UserCounterBuy { user, .. }
+            | LedgerRecord::UserCounterSell { user, .. } => self.users[user as usize].apply(rec),
+            LedgerRecord::UserBuy { user, amount, .. } => {
+                self.users[user as usize].apply(rec);
+                self.avail -= amount;
+            }
+            LedgerRecord::UserSell { user, amount, .. } => {
+                self.users[user as usize].apply(rec);
+                self.avail += amount;
+            }
+            LedgerRecord::DailyReset { .. } => {
+                for u in &mut self.users {
+                    u.sent_today = 0;
+                }
+            }
+            LedgerRecord::CreditDelta { peer, delta, .. } => self.credit[peer as usize] += delta,
+            LedgerRecord::SnapshotMarker { .. } => self.credit.fill(0),
+            LedgerRecord::PoolBuy { amount, .. } => self.avail += amount,
+            LedgerRecord::PoolSell { amount, .. } => self.avail -= amount,
+            LedgerRecord::NonceSeen { nonce, .. } => {
+                if let Err(at) = self.nonces.binary_search(&nonce) {
+                    self.nonces.insert(at, nonce);
+                }
+            }
+            LedgerRecord::BankBuy { .. }
+            | LedgerRecord::BankSell { .. }
+            | LedgerRecord::XferPrepare { .. }
+            | LedgerRecord::XferApply { .. }
+            | LedgerRecord::XferRelease { .. } => panic!("not an ISP-scoped record: {rec:?}"),
+        }
+    }
+}
+
+impl BankBooks {
+    /// Applies one bank-scoped record (§4.3); see [`IspBooks::apply`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other record, or an ISP index outside these books.
+    pub fn apply(&mut self, rec: &LedgerRecord) {
+        match *rec {
+            LedgerRecord::BankBuy {
+                isp, value, cost, ..
+            } => {
+                self.accounts[isp as usize] -= cost;
+                self.issued += value;
+            }
+            LedgerRecord::BankSell {
+                isp, value, credit, ..
+            } => {
+                self.accounts[isp as usize] += credit;
+                self.issued -= value;
+            }
+            _ => panic!("not a bank-scoped record: {rec:?}"),
+        }
+    }
+}
+
 impl Books {
-    /// Applies one record, mutating the books exactly as the live system
-    /// did when it journaled the record.
+    /// Applies one record by routing it to the books it names:
+    /// [`IspBooks::apply`] or [`BankBooks::apply`].
     ///
     /// # Panics
     ///
@@ -76,82 +228,22 @@ impl Books {
     /// checksums should have caught, not a condition to paper over.
     pub fn apply(&mut self, rec: &LedgerRecord) {
         match *rec {
-            LedgerRecord::Charge { isp, user } => {
-                let u = &mut self.isps[isp as usize].users[user as usize];
-                u.balance -= 1;
-                u.sent_today += 1;
-            }
-            LedgerRecord::Deposit { isp, user } => {
-                self.isps[isp as usize].users[user as usize].balance += 1;
-            }
-            LedgerRecord::CreditDelta { isp, peer, delta } => {
-                self.isps[isp as usize].credit[peer as usize] += delta;
-            }
-            LedgerRecord::UserBuy { isp, user, amount } => {
-                let books = &mut self.isps[isp as usize];
-                let u = &mut books.users[user as usize];
-                u.account -= amount;
-                u.balance += amount;
-                books.avail -= amount;
-            }
-            LedgerRecord::UserSell { isp, user, amount } => {
-                let books = &mut self.isps[isp as usize];
-                let u = &mut books.users[user as usize];
-                u.balance -= amount;
-                u.account += amount;
-                books.avail += amount;
-            }
-            LedgerRecord::PoolBuy { isp, amount } => {
-                self.isps[isp as usize].avail += amount;
-            }
-            LedgerRecord::PoolSell { isp, amount } => {
-                self.isps[isp as usize].avail -= amount;
-            }
-            LedgerRecord::BankBuy {
-                bank,
-                isp,
-                value,
-                cost,
-            } => {
-                let b = &mut self.banks[bank as usize];
-                b.accounts[isp as usize] -= cost;
-                b.issued += value;
-            }
-            LedgerRecord::BankSell {
-                bank,
-                isp,
-                value,
-                credit,
-            } => {
-                let b = &mut self.banks[bank as usize];
-                b.accounts[isp as usize] += credit;
-                b.issued -= value;
-            }
-            LedgerRecord::SnapshotMarker { isp } => {
-                for c in &mut self.isps[isp as usize].credit {
-                    *c = 0;
-                }
-            }
-            LedgerRecord::DailyReset { isp } => {
-                for u in &mut self.isps[isp as usize].users {
-                    u.sent_today = 0;
-                }
-            }
-            LedgerRecord::LimitSet { isp, user, limit } => {
-                self.isps[isp as usize].users[user as usize].limit = limit;
-            }
-            LedgerRecord::Grant { isp, user, amount } => {
-                self.isps[isp as usize].users[user as usize].balance += amount;
-            }
-            LedgerRecord::UserCounterBuy { isp, user, amount } => {
-                let u = &mut self.isps[isp as usize].users[user as usize];
-                u.account -= amount;
-                u.balance += amount;
-            }
-            LedgerRecord::UserCounterSell { isp, user, amount } => {
-                let u = &mut self.isps[isp as usize].users[user as usize];
-                u.balance -= amount;
-                u.account += amount;
+            LedgerRecord::Charge { isp, .. }
+            | LedgerRecord::Deposit { isp, .. }
+            | LedgerRecord::CreditDelta { isp, .. }
+            | LedgerRecord::UserBuy { isp, .. }
+            | LedgerRecord::UserSell { isp, .. }
+            | LedgerRecord::PoolBuy { isp, .. }
+            | LedgerRecord::PoolSell { isp, .. }
+            | LedgerRecord::SnapshotMarker { isp }
+            | LedgerRecord::DailyReset { isp }
+            | LedgerRecord::LimitSet { isp, .. }
+            | LedgerRecord::Grant { isp, .. }
+            | LedgerRecord::UserCounterBuy { isp, .. }
+            | LedgerRecord::UserCounterSell { isp, .. }
+            | LedgerRecord::NonceSeen { isp, .. } => self.isps[isp as usize].apply(rec),
+            LedgerRecord::BankBuy { bank, .. } | LedgerRecord::BankSell { bank, .. } => {
+                self.banks[bank as usize].apply(rec)
             }
             // The prepare carries both legs but only the debit touches
             // this shard's books; the credit lands on the destination via
@@ -159,12 +251,6 @@ impl Books {
             LedgerRecord::XferPrepare { debit, .. } => self.apply(&debit.record()),
             LedgerRecord::XferApply { leg, .. } => self.apply(&leg.record()),
             LedgerRecord::XferRelease { .. } => {}
-            LedgerRecord::NonceSeen { isp, nonce } => {
-                let nonces = &mut self.isps[isp as usize].nonces;
-                if let Err(at) = nonces.binary_search(&nonce) {
-                    nonces.insert(at, nonce);
-                }
-            }
         }
     }
 
@@ -412,6 +498,66 @@ mod tests {
         assert_eq!(books.epennies_found(), before);
         let bytes = books.encode();
         assert_eq!(Books::decode(&bytes), Some(books));
+    }
+
+    #[test]
+    fn scoped_apply_is_books_apply_on_one_element_books() {
+        let (isp, bank, user, amount) = (0, 0, 1, 9);
+        let records = [
+            LedgerRecord::Charge { isp, user },
+            LedgerRecord::Deposit { isp, user },
+            LedgerRecord::CreditDelta {
+                isp,
+                peer: 1,
+                delta: -3,
+            },
+            LedgerRecord::UserBuy { isp, user, amount },
+            LedgerRecord::UserSell { isp, user, amount },
+            LedgerRecord::PoolBuy { isp, amount },
+            LedgerRecord::PoolSell { isp, amount },
+            LedgerRecord::NonceSeen { isp, nonce: 5 },
+            LedgerRecord::LimitSet {
+                isp,
+                user,
+                limit: 7,
+            },
+            LedgerRecord::Grant { isp, user, amount },
+            LedgerRecord::UserCounterBuy { isp, user, amount },
+            LedgerRecord::UserCounterSell { isp, user, amount },
+            LedgerRecord::DailyReset { isp },
+            LedgerRecord::SnapshotMarker { isp },
+            LedgerRecord::BankBuy {
+                bank,
+                isp,
+                value: 40,
+                cost: 4,
+            },
+            LedgerRecord::BankSell {
+                bank,
+                isp,
+                value: 40,
+                credit: 4,
+            },
+        ];
+        let Books {
+            mut isps,
+            mut banks,
+        } = sample();
+        let mut alone = (isps.swap_remove(0), banks.swap_remove(0));
+        let mut routed = Books {
+            isps: vec![alone.0.clone()],
+            banks: vec![alone.1.clone()],
+        };
+        for rec in &records {
+            let before = alone.clone();
+            match rec {
+                LedgerRecord::BankBuy { .. } | LedgerRecord::BankSell { .. } => alone.1.apply(rec),
+                _ => alone.0.apply(rec),
+            }
+            routed.apply(rec);
+            assert_ne!(alone, before, "{rec:?} changed nothing");
+            assert_eq!((&routed.isps[0], &routed.banks[0]), (&alone.0, &alone.1));
+        }
     }
 
     #[test]

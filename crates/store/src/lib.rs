@@ -63,7 +63,7 @@ pub mod shard;
 pub mod storage;
 pub mod wal;
 
-pub use books::{BankBooks, Books, IspBooks, UserBooks};
+pub use books::{BankBooks, Books, IspBooks, SendError, UserBooks};
 pub use checkpoint::Checkpoint;
 pub use engine::{LedgerStore, RecoveryReport, StoreConfig, WAL};
 pub use metrics::StoreMetrics;

@@ -3,9 +3,8 @@
 //! Every way the paper's books can change — a §4.1 e-penny transfer leg,
 //! a §4.2 counter purchase, a §4.3 bank settlement, a §4.4 snapshot
 //! reset — is one [`LedgerRecord`] variant. Records are what the WAL
-//! stores and what [`crate::Books::apply`] replays; the pair must stay
-//! in lockstep with the live `zmail-core` mutation sites, which is
-//! exactly what the recovery round-trip property tests check.
+//! stores, what [`crate::Books::apply`] replays, and what the live
+//! `zmail-core` ISP and bank apply to change their books at all.
 //!
 //! The wire form is a fixed little-endian layout per variant, one tag
 //! byte followed by the fields in declaration order. There is no

@@ -357,6 +357,21 @@ impl InDoubt {
             self.next_xid = self.next_xid.max(max + 1);
         }
     }
+
+    /// Rolls every unreleased prepare forward, in ascending-xid order so
+    /// resolution is deterministic: `land(xid, dst, credit)` is called
+    /// for each credit leg whose apply no shard journaled; the rest only
+    /// need their release.
+    fn resolve(&self, report: &mut ShardRecoveryReport, mut land: impl FnMut(u64, usize, XferLeg)) {
+        for (&xid, &(_, dst, credit)) in &self.prepared {
+            if self.applied.contains(&xid) {
+                report.resolved_acked += 1;
+            } else {
+                land(xid, dst as usize, credit);
+                report.resolved_forward += 1;
+            }
+        }
+    }
 }
 
 /// A cross-shard transfer whose apply has not been journaled yet: the
@@ -378,18 +393,6 @@ struct PendingXfer {
     credit_global: XferLeg,
 }
 
-/// Aggregated pending credit for one user account — the per-account
-/// index over [`ShardedLedgerStore::pending_xfers`] that keeps
-/// [`ShardedLedgerStore::user`] an O(1) lookup instead of a scan of
-/// every outstanding transfer (reads happen once per send; the pending
-/// list grows with the whole tick).
-#[derive(Debug, Clone, Copy, Default)]
-struct PendingUserDelta {
-    account: i64,
-    balance: i64,
-    sent_today: i64,
-}
-
 /// N independent ledger engines presenting one exactly-conserved economy.
 #[derive(Debug)]
 pub struct ShardedLedgerStore<S: Storage> {
@@ -403,10 +406,12 @@ pub struct ShardedLedgerStore<S: Storage> {
     /// prepares have been group-committed, which batches what used to
     /// be a forced sync per transfer into one sync per shard per tick.
     pending_xfers: Vec<PendingXfer>,
-    /// Per-account aggregate of the pending credit legs, kept in
-    /// lockstep with `pending_xfers` (updated on push, cleared on
-    /// drain) so `user` reads don't scan the outbox.
-    pending_user_deltas: BTreeMap<(u32, u32), PendingUserDelta>,
+    /// Per-account aggregate of the pending credit legs — each leg
+    /// applied to zeroed [`UserBooks`] — kept in lockstep with
+    /// `pending_xfers` (updated on push, cleared on drain) so `user`
+    /// reads are a lookup, not a scan of an outbox that grows with the
+    /// whole tick.
+    pending_user_deltas: BTreeMap<(u32, u32), UserBooks>,
     /// Releases owed but not yet journaled: `(source shard, xid)` pairs
     /// whose destination apply has not been committed yet. A release
     /// must never be durable before its apply — a durable release with
@@ -475,30 +480,19 @@ impl<S: Storage> ShardedLedgerStore<S> {
     /// Completes the unreleased prepares the per-shard recovery passes
     /// found through the normal append path: the credit is applied on the
     /// destination unless its apply already survived, and the release is
-    /// journaled on the source. Ascending-xid order keeps resolution
-    /// deterministic.
+    /// journaled on the source.
     fn resolve_in_doubt(&mut self, found: &InDoubt, report: &mut ShardRecoveryReport) {
-        let InDoubt {
-            prepared: in_doubt,
-            applied,
-            ..
-        } = found;
         // Same durability order as the live path: make every replayed
         // apply durable first, then journal the releases, so a crash
         // mid-resolution can never leave a released prepare whose apply
         // was lost.
-        for (&xid, &(_, dst, credit)) in in_doubt {
-            if applied.contains(&xid) {
-                report.resolved_acked += 1;
-            } else {
-                self.stores[dst as usize].append(&LedgerRecord::XferApply { xid, leg: credit });
-                report.resolved_forward += 1;
-            }
-        }
+        found.resolve(report, |xid, dst, leg| {
+            self.stores[dst].append(&LedgerRecord::XferApply { xid, leg });
+        });
         if report.resolved_forward > 0 {
             self.commit_all();
         }
-        for (&xid, &(src, _, _)) in in_doubt {
+        for (&xid, &(src, _, _)) in &found.prepared {
             self.stores[src].append(&LedgerRecord::XferRelease { xid });
         }
         if report.resolved_forward + report.resolved_acked > 0 {
@@ -679,47 +673,12 @@ impl<S: Storage> ShardedLedgerStore<S> {
             credit_local: credit,
             credit_global,
         });
-        let leg = credit_global;
-        match leg.kind {
-            XferKind::Charge => {
-                let d = self
-                    .pending_user_deltas
-                    .entry((leg.isp, leg.user))
-                    .or_default();
-                d.balance -= 1;
-                d.sent_today += 1;
-            }
-            XferKind::Deposit => {
-                self.pending_user_deltas
-                    .entry((leg.isp, leg.user))
-                    .or_default()
-                    .balance += 1;
-            }
-            XferKind::CounterBuy => {
-                let d = self
-                    .pending_user_deltas
-                    .entry((leg.isp, leg.user))
-                    .or_default();
-                d.account -= leg.amount;
-                d.balance += leg.amount;
-            }
-            XferKind::CounterSell => {
-                let d = self
-                    .pending_user_deltas
-                    .entry((leg.isp, leg.user))
-                    .or_default();
-                d.balance -= leg.amount;
-                d.account += leg.amount;
-            }
-            XferKind::Grant => {
-                self.pending_user_deltas
-                    .entry((leg.isp, leg.user))
-                    .or_default()
-                    .balance += leg.amount;
-            }
-            // Pool legs carry no user state.
-            XferKind::PoolBuy | XferKind::PoolSell => {}
-        }
+        // A pool leg carries no user state: its `(isp, 0)` delta stays
+        // zero.
+        self.pending_user_deltas
+            .entry((credit_global.isp, credit_global.user))
+            .or_default()
+            .apply(&credit_global.record());
         if let Some(start) = timer {
             m.xfer_micros.record_duration(start.elapsed());
         }
@@ -782,37 +741,26 @@ impl<S: Storage> ShardedLedgerStore<S> {
     /// A tick's worth of cross-shard transfers therefore costs a
     /// bounded number of syncs (per *shard*, not per transfer).
     pub fn commit_all(&mut self) {
+        self.commit_shards();
+        if !self.pending_xfers.is_empty() {
+            // Its source commits find nothing buffered after wave 1.
+            self.flush_pending_applies();
+            self.commit_shards();
+        }
+        if !self.pending_releases.is_empty() {
+            for (src, xid) in std::mem::take(&mut self.pending_releases) {
+                self.stores[src].append(&LedgerRecord::XferRelease { xid });
+            }
+            self.commit_shards();
+        }
+        ShardMetrics::get().commits.inc();
+    }
+
+    /// Group-commits every shard; a no-op on one with nothing buffered.
+    fn commit_shards(&mut self) {
         for store in &mut self.stores {
             store.commit();
         }
-        if !self.pending_xfers.is_empty() {
-            let pending = std::mem::take(&mut self.pending_xfers);
-            self.pending_user_deltas.clear();
-            let mut touched = BTreeSet::new();
-            for p in pending {
-                self.stores[p.dst].append(&LedgerRecord::XferApply {
-                    xid: p.xid,
-                    leg: p.credit_local,
-                });
-                touched.insert(p.dst);
-                self.pending_releases.push((p.src, p.xid));
-            }
-            for dst in touched {
-                self.stores[dst].commit();
-            }
-        }
-        if !self.pending_releases.is_empty() {
-            let pending = std::mem::take(&mut self.pending_releases);
-            let mut touched = BTreeSet::new();
-            for (src, xid) in pending {
-                self.stores[src].append(&LedgerRecord::XferRelease { xid });
-                touched.insert(src);
-            }
-            for src in touched {
-                self.stores[src].commit();
-            }
-        }
-        ShardMetrics::get().commits.inc();
     }
 
     /// Forces a checkpoint on every shard.
@@ -840,13 +788,11 @@ impl<S: Storage> ShardedLedgerStore<S> {
     pub fn user(&self, isp: u32, user: u32) -> UserBooks {
         let s = self.map.user_shard(isp, user) as usize;
         let local = self.map.user_local(isp, user) as usize;
-        let mut books = self.stores[s].books().isps[isp as usize].users[local];
-        if let Some(d) = self.pending_user_deltas.get(&(isp, user)) {
-            books.account += d.account;
-            books.balance += d.balance;
-            books.sent_today = (i64::from(books.sent_today) + d.sent_today) as u32;
+        let books = self.stores[s].books().isps[isp as usize].users[local];
+        match self.pending_user_deltas.get(&(isp, user)) {
+            Some(delta) => books.plus(delta),
+            None => books,
         }
-        books
     }
 
     /// What a restart *right now* would reconstruct, without mutating
@@ -865,14 +811,7 @@ impl<S: Storage> ShardedLedgerStore<S> {
             parts.push(books);
             report.shards.push(shard_report);
         }
-        for (xid, (_, dst, credit)) in in_doubt.prepared {
-            if in_doubt.applied.contains(&xid) {
-                report.resolved_acked += 1;
-            } else {
-                parts[dst as usize].apply(&credit.record());
-                report.resolved_forward += 1;
-            }
-        }
+        in_doubt.resolve(&mut report, |_, dst, leg| parts[dst].apply(&leg.record()));
         (self.map.merge(&parts), report)
     }
 
@@ -1184,28 +1123,53 @@ mod tests {
 
     #[test]
     fn pending_transfers_overlay_reads_until_the_flush() {
-        let boot = bootstrap(4, 6);
-        let total = boot.epennies_found();
-        let (mut sharded, _) = ShardedLedgerStore::open(storages(4), StoreConfig::default(), boot);
+        let (mut sharded, _) =
+            ShardedLedgerStore::open(storages(4), StoreConfig::default(), bootstrap(4, 6));
         let (isp, user) = cross_shard_user(sharded.map(), 4, 6);
-        let before = sharded.user(isp, user);
-        sharded.append(&LedgerRecord::UserBuy {
+        let mut reference = bootstrap(4, 6);
+        let leg = |kind| XferLeg {
+            kind,
             isp,
             user,
             amount: 10,
-        });
-        // Mid-tick, before any flush: the credit is only in the outbox,
-        // but every read must already include it.
-        assert_eq!(sharded.pending_xfers.len(), 1);
-        let mid = sharded.user(isp, user);
-        assert_eq!(mid.balance, before.balance + 10);
-        assert_eq!(mid.account, before.account - 10);
-        assert_eq!(sharded.books().epennies_found(), total, "mid-tick view");
-        let mid_books = sharded.books();
+        };
+        let kinds = [
+            XferKind::Charge,
+            XferKind::Deposit,
+            XferKind::PoolBuy,
+            XferKind::PoolSell,
+            XferKind::CounterBuy,
+            XferKind::CounterSell,
+            XferKind::Grant,
+        ];
+        for (i, kind) in kinds.into_iter().enumerate() {
+            // The debit lives across the shard boundary from the credit
+            // under test: the pool for a user leg, the user for a pool leg.
+            let credit = leg(kind);
+            let debit = match kind {
+                XferKind::PoolBuy | XferKind::PoolSell => leg(XferKind::Charge),
+                _ => leg(XferKind::PoolSell),
+            };
+            sharded.transfer(debit, credit);
+            reference.apply(&debit.record());
+            reference.apply(&credit.record());
+            // Mid-tick, before any flush: the credits are only in the
+            // outbox, but every read must already include them all.
+            assert_eq!(sharded.pending_xfers.len(), i + 1);
+            assert_eq!(
+                sharded.user(isp, user),
+                reference.isps[isp as usize].users[user as usize],
+                "{kind:?}"
+            );
+            assert_eq!(sharded.books(), reference, "{kind:?} mid-tick view");
+        }
         sharded.commit_all();
         assert!(sharded.pending_xfers.is_empty());
-        assert_eq!(sharded.books(), mid_books, "flush must not move books");
-        assert_eq!(sharded.user(isp, user), mid);
+        assert_eq!(sharded.books(), reference, "flush must not move books");
+        assert_eq!(
+            sharded.user(isp, user),
+            reference.isps[isp as usize].users[user as usize]
+        );
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl MemStorage {
         self.blobs.keys().cloned().collect()
     }
 
-    /// Total bytes held across all blobs.
-    pub fn total_bytes(&self) -> u64 {
-        self.blobs.values().map(|b| b.len() as u64).sum()
-    }
-
     /// The blob `name`, created empty if absent; the key is only
     /// allocated on that first touch.
     fn blob_mut(&mut self, name: &str) -> &mut Vec<u8> {

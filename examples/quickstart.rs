@@ -42,7 +42,7 @@ fn main() {
             let account = system.isp(IspId(isp)).user(user);
             table.row_owned(vec![
                 addr.to_string(),
-                account.balance.amount().to_string(),
+                account.balance.to_string(),
                 account.sent_today.to_string(),
             ]);
         }

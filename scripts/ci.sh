@@ -68,3 +68,4 @@ echo "== repo benchmark smoke (own workspace: builds against this tree, --locked
 cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
 echo "CI: all green"
+echo "first-party Rust lines (scripts/loc.sh): $(scripts/loc.sh)"

@@ -30,7 +30,7 @@
 
 use crate::fault_scenarios::{Outcome, Scenario, Violation};
 use zmail_core::AttestWeakness;
-use zmail_fault::{AttackClass, ShrinkOutcome, ALL_ATTACK_CLASSES};
+use zmail_fault::{AttackClass, ShrinkOutcome};
 
 /// The frozen campaign seeds — the scenario harness's own frozen set,
 /// so regressions bisect cleanly against `tests/fault_scenarios.rs`.
@@ -206,11 +206,6 @@ pub fn run_campaign(classes: &[AttackClass], seeds: &[u64]) -> CampaignReport {
         }
     }
     CampaignReport { runs }
-}
-
-/// The full frozen campaign: every attack class over every frozen seed.
-pub fn run_full_campaign() -> CampaignReport {
-    run_campaign(&ALL_ATTACK_CLASSES, &CAMPAIGN_SEEDS)
 }
 
 /// One self-test case: a deliberately weakened verifier check, the

@@ -70,7 +70,7 @@ impl Bench {
         );
         let bootstrap = Books {
             isps: (0..ISPS)
-                .map(|i| Isp::new(IspId(i), &config, bank, seed).books())
+                .map(|i| Isp::new(IspId(i), &config, bank, seed).books().clone())
                 .collect(),
             banks: vec![BankBooks {
                 accounts: vec![1_000_000; ISPS as usize],
@@ -121,7 +121,7 @@ impl Bench {
         let (recovered, report) = self.store.simulate_recovery();
         assert!(!report.torn_tail, "clean shutdown must not report a tear");
         assert_eq!(
-            recovered.isps[1],
+            &recovered.isps[1],
             self.receiver.books(),
             "recovery lost part of the receiver's books (nonce set included)"
         );
