@@ -1,7 +1,9 @@
 //! Criterion micro-benchmarks for the four `zmail-store` kernels the
 //! repo benchmark's `recovery`, `sim_world` and `ledger_sharded`
 //! workloads spend their journal time in: the CRC, the WAL frame scan,
-//! the checkpoint image codec and the journal append.
+//! the checkpoint image codec and the journal append — plus the write
+//! side as a whole, a 200k-record fill with checkpoints on, which is
+//! where the checkpoint *policy* (not a kernel) shows.
 //!
 //! Uses only API that predates the PR-13 kernel rewrite, so the same
 //! file builds against a parent checkout for a before/after pair:
@@ -124,11 +126,40 @@ fn bench_append(c: &mut Criterion) {
     group.finish();
 }
 
+/// The `recovery` workload's fill on one engine: 200k records at 200k
+/// accounts, group commit 256, `checkpoint_every` 1024. The image
+/// (4.8 MB) dwarfs the log (3.4 MB), so what this times is how often the
+/// engine decides an image is worth writing.
+fn bench_checkpointed_fill(c: &mut Criterion) {
+    const RECORDS: u32 = 200_000;
+    const ACCOUNTS: u32 = 200_000;
+    let config = StoreConfig {
+        batch_records: 256,
+        checkpoint_every: 1024,
+    };
+    let bootstrap = books(ACCOUNTS);
+    let mut group = c.benchmark_group("fill_200k_records_200k_accounts");
+    group.throughput(Throughput::Elements(u64::from(RECORDS)));
+    group.sample_size(10);
+    group.bench_function("checkpoints_on", |b| {
+        b.iter(|| {
+            let (mut store, _) = LedgerStore::open(MemStorage::new(), config, bootstrap.clone());
+            for i in 0..RECORDS {
+                store.append(&record(i, ACCOUNTS));
+            }
+            store.commit();
+            store.wal_len()
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_crc32,
     bench_scan,
     bench_checkpoint,
-    bench_append
+    bench_append,
+    bench_checkpointed_fill
 );
 criterion_main!(benches);

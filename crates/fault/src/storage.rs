@@ -147,6 +147,17 @@ impl<S: Storage> Storage for FaultyStorage<S> {
         self.current(name)
     }
 
+    fn read_from(&self, name: &str, offset: u64) -> Vec<u8> {
+        match self.volatile.get(name) {
+            Some(cur) => usize::try_from(offset)
+                .ok()
+                .and_then(|at| cur.get(at..))
+                .unwrap_or_default()
+                .to_vec(),
+            None => self.durable.read_from(name, offset),
+        }
+    }
+
     fn write(&mut self, name: &str, bytes: &[u8]) {
         *self.current_mut(name) = bytes.to_vec();
     }

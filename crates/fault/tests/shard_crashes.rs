@@ -256,3 +256,241 @@ fn repro_release_durable_before_apply() {
         report.resolved_acked
     );
 }
+
+/// Everything above runs with checkpoints off. The sweep below turns
+/// them on, with books small enough (≈200 bytes a shard against ≈55 a
+/// prepare) that images fall due *inside* `commit_all`'s first wave —
+/// prepares open, applies and releases still owed — and kills the
+/// machine at every sync of the run.
+mod checkpointed_sweep {
+    use super::*;
+    use std::cell::Cell;
+    use std::collections::BTreeSet;
+    use std::rc::Rc;
+    use zmail_store::{wal, Storage, WAL};
+
+    const SHARDS: usize = 4;
+    const CFG: StoreConfig = StoreConfig {
+        batch_records: 1 << 20,
+        checkpoint_every: 4,
+    };
+
+    /// A shard's disk on a machine with a fuse: the `fuse`-th sync
+    /// anywhere on the machine is the last thing it does (in full, or
+    /// `torn` after that many bytes); every later sync never happens, so
+    /// `crash` leaves exactly what was durable at the kill.
+    #[derive(Debug)]
+    struct Killable {
+        disk: FaultyStorage<MemStorage>,
+        fuse: Rc<Cell<u64>>,
+        torn: Option<u64>,
+    }
+
+    impl Storage for Killable {
+        fn read(&self, name: &str) -> Vec<u8> {
+            self.disk.read(name)
+        }
+        fn read_from(&self, name: &str, offset: u64) -> Vec<u8> {
+            self.disk.read_from(name, offset)
+        }
+        fn write(&mut self, name: &str, bytes: &[u8]) {
+            self.disk.write(name, bytes)
+        }
+        fn append(&mut self, name: &str, bytes: &[u8]) {
+            self.disk.append(name, bytes)
+        }
+        fn sync(&mut self, name: &str) {
+            match self.fuse.get() {
+                0 => return, // already dead
+                1 => {
+                    if let Some(bytes) = self.torn {
+                        self.disk.arm_partial_sync(bytes);
+                    }
+                }
+                _ => {}
+            }
+            self.fuse.set(self.fuse.get() - 1);
+            self.disk.sync(name);
+        }
+        fn len(&self, name: &str) -> u64 {
+            self.disk.len(name)
+        }
+        fn truncate(&mut self, name: &str, len: u64) {
+            self.disk.truncate(name, len)
+        }
+    }
+
+    fn machine(
+        disks: Vec<FaultyStorage<MemStorage>>,
+        fuse: u64,
+        torn: Option<u64>,
+    ) -> (
+        ShardedLedgerStore<Killable>,
+        ShardRecoveryReport,
+        Rc<Cell<u64>>,
+    ) {
+        let fuse = Rc::new(Cell::new(fuse));
+        let storages = disks
+            .into_iter()
+            .map(|disk| Killable {
+                disk,
+                fuse: Rc::clone(&fuse),
+                torn,
+            })
+            .collect();
+        let (store, report) = ShardedLedgerStore::open(storages, CFG, bootstrap());
+        (store, report, fuse)
+    }
+
+    /// Counter trades between users and their ISP's pool — one record on
+    /// one shard, or a two-phase transfer across two — each of a distinct
+    /// amount, so a journaled debit names its operation.
+    fn ops() -> Vec<LedgerRecord> {
+        (0..60u32)
+            .map(|i| {
+                let (isp, user, amount) = (i % ISPS, (i * 5 + 1) % USERS, i64::from(i) + 1);
+                if i % 3 == 2 {
+                    LedgerRecord::UserSell { isp, user, amount }
+                } else {
+                    LedgerRecord::UserBuy { isp, user, amount }
+                }
+            })
+            .collect()
+    }
+
+    /// The whole run: a `commit_all` every six operations.
+    fn run(store: &mut ShardedLedgerStore<Killable>) {
+        for (i, op) in ops().iter().enumerate() {
+            store.append(op);
+            if i % 6 == 5 {
+                store.commit_all();
+            }
+        }
+        store.commit_all();
+    }
+
+    /// What the durable logs say, read frame by frame without the
+    /// recovery path: the amounts of the operations whose debit leg
+    /// survived, and how many prepares are unreleased with and without
+    /// their apply.
+    struct Durable {
+        debited: BTreeSet<i64>,
+        owed_apply: u64,
+        owed_release_only: u64,
+    }
+
+    fn durable(disks: &[FaultyStorage<MemStorage>]) -> Durable {
+        let mut debited = BTreeSet::new();
+        let (mut prepared, mut applied, mut released) =
+            (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
+        for disk in disks {
+            let log = disk.durable().read(WAL);
+            for payload in wal::scan(&log, 0).payloads {
+                match LedgerRecord::decode(payload).expect("a framed record") {
+                    LedgerRecord::UserBuy { amount, .. }
+                    | LedgerRecord::UserSell { amount, .. } => {
+                        debited.insert(amount);
+                    }
+                    LedgerRecord::XferPrepare { xid, debit, .. } => {
+                        debited.insert(debit.amount);
+                        prepared.insert(xid);
+                    }
+                    LedgerRecord::XferApply { xid, .. } => {
+                        applied.insert(xid);
+                    }
+                    LedgerRecord::XferRelease { xid } => {
+                        released.insert(xid);
+                    }
+                    other => panic!("the run journals no {other:?}"),
+                }
+            }
+        }
+        let open: Vec<u64> = prepared.difference(&released).copied().collect();
+        let owed_release_only = open.iter().filter(|xid| applied.contains(xid)).count() as u64;
+        Durable {
+            debited,
+            owed_apply: open.len() as u64 - owed_release_only,
+            owed_release_only,
+        }
+    }
+
+    /// Kills the machine at its `fuse`-th sync and checks the restart;
+    /// returns whether the restart recovered from an image while
+    /// transfers were still in doubt.
+    fn kill_at(fuse: u64, torn: Option<u64>) -> bool {
+        let disks = (0..SHARDS)
+            .map(|_| FaultyStorage::new(MemStorage::new()))
+            .collect();
+        let (mut store, _, _) = machine(disks, fuse, torn);
+        run(&mut store);
+        let mut disks: Vec<_> = store.into_storages().into_iter().map(|k| k.disk).collect();
+        for disk in &mut disks {
+            disk.crash();
+        }
+        let at = format!("kill at sync {fuse}, torn {torn:?}");
+        let found = durable(&disks);
+        let mut reference = bootstrap();
+        for op in ops() {
+            let (LedgerRecord::UserBuy { amount, .. } | LedgerRecord::UserSell { amount, .. }) = op
+            else {
+                unreachable!()
+            };
+            if found.debited.contains(&amount) {
+                reference.apply(&op);
+            }
+        }
+
+        let (recovered, report, _) = machine(disks, u64::MAX, None);
+        assert_eq!(report.resolved_forward, found.owed_apply, "{at}");
+        assert_eq!(report.resolved_acked, found.owed_release_only, "{at}");
+        assert_eq!(recovered.books(), reference, "{at}");
+        assert_eq!(
+            recovered.books().epennies_found(),
+            bootstrap().epennies_found(),
+            "{at}"
+        );
+        // The resolution was itself journaled durably: a second power
+        // cycle finds nothing in doubt and the same books.
+        let mut disks: Vec<_> = recovered
+            .into_storages()
+            .into_iter()
+            .map(|k| k.disk)
+            .collect();
+        for disk in &mut disks {
+            disk.crash();
+        }
+        let (again, second, _) = machine(disks, u64::MAX, None);
+        assert_eq!(second.resolved_forward + second.resolved_acked, 0, "{at}");
+        assert_eq!(again.books(), reference, "{at}");
+        report.checkpoint_seq().is_some() && found.owed_apply + found.owed_release_only > 0
+    }
+
+    #[test]
+    fn kill_at_every_sync_with_checkpoints_on_recovers_the_reference_fold() {
+        // An unkilled run counts the syncs there are to die at.
+        let disks = (0..SHARDS)
+            .map(|_| FaultyStorage::new(MemStorage::new()))
+            .collect();
+        let (mut store, _, fuse) = machine(disks, u64::MAX, None);
+        run(&mut store);
+        let syncs = u64::MAX - fuse.get();
+        let images: u64 = (0..SHARDS)
+            .map(|s| store.shard(s).next_checkpoint_seq())
+            .sum();
+        assert!(
+            images >= 8,
+            "checkpoints must fire mid-run: {images} images"
+        );
+
+        let mut image_with_transfers_in_doubt = 0;
+        for fuse in 1..=syncs + 1 {
+            for torn in [None, Some(5)] {
+                image_with_transfers_in_doubt += u32::from(kill_at(fuse, torn));
+            }
+        }
+        assert!(
+            image_with_transfers_in_doubt > 0,
+            "no kill point recovered from an image with a transfer in doubt"
+        );
+    }
+}

@@ -159,9 +159,12 @@ fn corrupt_newest_checkpoint_falls_back_to_the_older_slot() {
         checkpoint_every: 3,
     };
     let (mut store, _) = LedgerStore::open(FaultyStorage::new(MemStorage::new()), cfg, bootstrap());
-    for rec in records(8) {
+    // An image is written only once the log has outgrown it, so it takes
+    // more than `checkpoint_every` records apiece for two to exist.
+    for rec in records(40) {
         store.append(&rec);
     }
+    assert!(store.next_checkpoint_seq() >= 2, "two images written");
     let newest_seq = store.next_checkpoint_seq() - 1;
     let newest_slot = if newest_seq % 2 == 0 {
         "ckpt.a"
@@ -175,7 +178,7 @@ fn corrupt_newest_checkpoint_falls_back_to_the_older_slot() {
     assert_eq!(report.checkpoint_seq, Some(newest_seq - 1));
     assert_eq!(
         recovered.books(),
-        &state_after(8),
+        &state_after(40),
         "older checkpoint + longer WAL replay reaches the same books"
     );
 }
@@ -216,4 +219,80 @@ fn fault_free_wrapper_is_transparent() {
     assert_eq!(faulty.books(), plain.books());
     let faulty_backend = faulty.into_storage().into_durable();
     assert_eq!(&faulty_backend, plain.storage());
+}
+
+/// A backend that leaves `read_from` to the trait's provided method.
+struct SixMethods(MemStorage);
+
+impl Storage for SixMethods {
+    fn read(&self, name: &str) -> Vec<u8> {
+        self.0.read(name)
+    }
+    fn write(&mut self, name: &str, bytes: &[u8]) {
+        self.0.write(name, bytes)
+    }
+    fn append(&mut self, name: &str, bytes: &[u8]) {
+        self.0.append(name, bytes)
+    }
+    fn sync(&mut self, name: &str) {
+        self.0.sync(name)
+    }
+    fn len(&self, name: &str) -> u64 {
+        self.0.len(name)
+    }
+    fn truncate(&mut self, name: &str, len: u64) {
+        self.0.truncate(name, len)
+    }
+}
+
+/// `read_from(name, o)` is `read(name)[min(o, len)..]` at every offset
+/// up to and past the end, and empty for a blob that was never written.
+fn assert_read_from_is_a_suffix_of_read(storage: &impl Storage, what: &str) {
+    let whole = storage.read(WAL);
+    assert!(!whole.is_empty(), "{what}: the test needs bytes to slice");
+    let past_the_end = [whole.len() as u64 + 1, u64::MAX];
+    for offset in (0..=whole.len() as u64).chain(past_the_end) {
+        let expected = &whole[whole.len().min(offset as usize)..];
+        assert_eq!(
+            storage.read_from(WAL, offset),
+            expected,
+            "{what} at {offset}"
+        );
+    }
+    assert!(storage.read_from("absent", 0).is_empty(), "{what}");
+    assert!(storage.read_from("absent", 7).is_empty(), "{what}");
+}
+
+#[test]
+fn read_from_is_a_suffix_of_read_on_every_backend() {
+    let fill = |storage: &mut dyn Storage| {
+        storage.append(WAL, b"synced bytes, ");
+        storage.sync(WAL);
+        storage.append(WAL, b"then bytes no sync has covered");
+    };
+
+    let mut mem = MemStorage::new();
+    fill(&mut mem);
+    assert_read_from_is_a_suffix_of_read(&mem, "MemStorage");
+
+    let mut provided = SixMethods(MemStorage::new());
+    fill(&mut provided);
+    assert_read_from_is_a_suffix_of_read(&provided, "the provided method");
+
+    let root = std::env::temp_dir().join(format!("zmail-read-from-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let mut file = zmail_store::FileStorage::new(&root);
+    fill(&mut file);
+    assert_read_from_is_a_suffix_of_read(&file, "FileStorage");
+    std::fs::remove_dir_all(&root).unwrap();
+
+    // FaultyStorage: through the un-synced overlay, then — after a crash
+    // drops it — through to the durable image alone.
+    let mut faulty = FaultyStorage::new(MemStorage::new());
+    fill(&mut faulty);
+    assert_eq!(faulty.read(WAL).len(), 44, "overlay holds both appends");
+    assert_read_from_is_a_suffix_of_read(&faulty, "FaultyStorage, un-synced overlay");
+    faulty.crash();
+    assert_eq!(faulty.read(WAL), b"synced bytes, ");
+    assert_read_from_is_a_suffix_of_read(&faulty, "FaultyStorage, durable image");
 }

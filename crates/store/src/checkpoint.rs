@@ -16,10 +16,16 @@
 //! ```
 //!
 //! `wal_offset` is the WAL length at the moment the image was taken:
-//! replay starts there. Leaving the prefix in place instead of
-//! truncating the WAL at checkpoint time keeps the two writes
-//! independent — there is no window where a crash between "truncate
-//! WAL" and "write slot" could lose records.
+//! replay — and, without an observer, the read — starts there. Leaving
+//! the prefix in place instead of truncating the WAL at checkpoint time
+//! keeps the two writes independent — there is no window where a crash
+//! between "truncate WAL" and "write slot" could lose records.
+//!
+//! This module is the *format*. When an image is written is the
+//! engine's decision ([`crate::engine`], "When a checkpoint is due"),
+//! and a slot's length is the one number that decision takes from
+//! here: an image is due only once the log has grown by as many bytes
+//! as the slot would hold.
 
 use crate::books::Books;
 use crate::wal::crc32;
@@ -67,11 +73,17 @@ pub(crate) fn slot_for(seq: u64) -> &'static str {
     SLOTS[(seq % 2) as usize]
 }
 
+/// Bytes [`encode_slot`] writes for `books`: what a checkpoint costs, and
+/// so how much log it has to save a recovery before it is due.
+pub(crate) fn slot_len(books: &Books) -> usize {
+    HEADER + books.encoded_len() + 4
+}
+
 /// The slot image of `books` taken at `wal_offset`, encoded from the
 /// borrowed books straight into one exactly-sized buffer.
 pub(crate) fn encode_slot(seq: u64, wal_offset: u64, books: &Books) -> Vec<u8> {
     let books_len = books.encoded_len();
-    let mut out = Vec::with_capacity(HEADER + books_len + 4);
+    let mut out = Vec::with_capacity(slot_len(books));
     out.extend_from_slice(&MAGIC.to_le_bytes());
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(&wal_offset.to_le_bytes());

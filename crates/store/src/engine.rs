@@ -10,13 +10,40 @@
 //! reproduces the engine's books exactly; records appended but not yet
 //! committed are the window a crash may lose.
 //!
+//! # When a checkpoint is due
+//!
+//! A checkpoint trades a write of the whole books image now for a
+//! shorter replay later, so [`LedgerStore::commit`] writes one only when
+//! it pays for itself. Both must hold:
+//!
+//! * at least `checkpoint_every` records were committed since the image
+//!   recovery would start from, and
+//! * the WAL has grown, since that image's `wal_offset`, by at least the
+//!   length of the slot the checkpoint would write.
+//!
+//! The second term bounds the write side: every automatic image is paid
+//! for by at least as many log bytes, so checkpoint bytes never exceed
+//! WAL bytes (write amplification ≤ 2) however large the books grow
+//! against `checkpoint_every` — plus at most one image when recovery
+//! had to fall back to the older slot, which moves the mark back.
+//! Together they bound the read side: the tail recovery replays is at
+//! most max(`checkpoint_every` records, one image's worth of log), plus
+//! the one batch a crash can land between a commit's sync and its
+//! image's — O(state), whatever the log's length. Both counters are
+//! restored by `open` from what recovery replayed, so the bounds hold
+//! across restarts, not per process. [`LedgerStore::checkpoint`] is
+//! unconditional.
+//!
+//! # Recovery
+//!
 //! Recovery ([`LedgerStore::open`], [`LedgerStore::simulate_recovery`])
 //! reads both checkpoint slots, keeps the highest-sequence one that
-//! passes its checksum, replays the WAL tail from the checkpoint's
-//! `wal_offset`, and truncates anything the frame scan rejects. The
-//! whole path is a pure function of the backend's bytes — no clocks, no
-//! randomness — so a fixed plan+seed recovers byte-identically every
-//! run.
+//! passes its checksum, reads the WAL from that checkpoint's
+//! `wal_offset` on ([`Storage::read_from`] — the covered prefix is
+//! neither copied nor walked), replays it, and truncates anything the
+//! frame scan rejects. The whole path is a pure function of the
+//! backend's bytes — no clocks, no randomness — so a fixed plan+seed
+//! recovers byte-identically every run.
 
 use crate::books::Books;
 use crate::checkpoint::{self, Checkpoint, VerifiedSlot, SLOTS};
@@ -38,8 +65,13 @@ pub struct StoreConfig {
     /// durable before the next); larger batches trade the loss window
     /// for fewer syncs.
     pub batch_records: usize,
-    /// Write a checkpoint after this many committed records, bounding
-    /// replay length.
+    /// The least number of committed records between two automatic
+    /// checkpoints — a floor on their spacing, not a period. The other
+    /// half of "due" is that the WAL has grown by at least the image a
+    /// checkpoint would write (see the [module docs](self)), so with
+    /// books larger than `checkpoint_every` records of log, images are
+    /// spaced by their own size instead. `u64::MAX` turns automatic
+    /// checkpoints off.
     pub checkpoint_every: u64,
 }
 
@@ -82,7 +114,10 @@ pub struct LedgerStore<S: Storage> {
     wal_len: u64,
     appended: u64,
     ckpt_seq: u64,
+    /// Records committed since the image recovery would start from.
     since_checkpoint: u64,
+    /// WAL length that image covers (its `wal_offset`; 0 without one).
+    checkpointed_len: u64,
     tally: Tally,
 }
 
@@ -119,15 +154,26 @@ impl<S: Storage> LedgerStore<S> {
             appended: 0,
             ckpt_seq: 0,
             since_checkpoint: 0,
+            checkpointed_len: 0,
             tally: Tally::default(),
         };
-        let (books, report, next_seq) = recover(&store.storage, &store.initial, observe);
+        let Recovered {
+            books,
+            report,
+            next_seq,
+            replayed_from,
+        } = recover(&store.storage, &store.initial, observe);
         if report.truncated_bytes > 0 {
             store.storage.truncate(WAL, report.wal_bytes);
         }
         store.books = books;
         store.wal_len = report.wal_bytes;
         store.ckpt_seq = next_seq;
+        // The replayed tail is checkpoint debt this incarnation inherits:
+        // a process that restarts before appending `checkpoint_every`
+        // records of its own must still get to write an image.
+        store.since_checkpoint = report.replayed_records;
+        store.checkpointed_len = replayed_from.min(report.wal_bytes);
         StoreMetrics::get().recoveries.inc();
         StoreMetrics::get()
             .replayed_records
@@ -155,13 +201,23 @@ impl<S: Storage> LedgerStore<S> {
     }
 
     /// Flushes the buffered batch with one backend append+sync (the
-    /// group commit), then checkpoints if the record threshold passed.
-    /// A no-op when nothing is buffered.
+    /// group commit), then checkpoints if one is due (see the
+    /// [module docs](self)). A no-op when nothing is buffered.
     pub fn commit(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
         self.flush_batch();
-        if self.since_checkpoint >= self.config.checkpoint_every {
+        if self.checkpoint_due() {
             self.write_checkpoint();
         }
+    }
+
+    /// Whether an image written now would pay for itself: enough records
+    /// since the last one, and at least its own length of log to skip.
+    fn checkpoint_due(&self) -> bool {
+        self.since_checkpoint >= self.config.checkpoint_every
+            && self.wal_len - self.checkpointed_len >= checkpoint::slot_len(&self.books) as u64
     }
 
     /// Forces a checkpoint now: commits any buffered records, then
@@ -205,6 +261,7 @@ impl<S: Storage> LedgerStore<S> {
         self.storage.sync(slot);
         self.ckpt_seq += 1;
         self.since_checkpoint = 0;
+        self.checkpointed_len = self.wal_len;
         self.tally.publish();
         let m = StoreMetrics::get();
         m.checkpoints.inc();
@@ -225,8 +282,8 @@ impl<S: Storage> LedgerStore<S> {
         &self,
         observe: Option<Observer<'_>>,
     ) -> (Books, RecoveryReport) {
-        let (books, report, _) = recover(&self.storage, &self.initial, observe);
-        (books, report)
+        let recovered = recover(&self.storage, &self.initial, observe);
+        (recovered.books, recovered.report)
     }
 
     /// The engine's live books (checkpoint image source).
@@ -309,25 +366,43 @@ fn walk(bytes: &[u8], from: u64, mut visit: impl FnMut(&LedgerRecord)) -> u64 {
     frames.offset()
 }
 
-/// The shared recovery pass: pure over the backend's bytes. Returns the
-/// recovered books, the report, and the next checkpoint sequence.
+/// What [`recover`] reconstructed.
+struct Recovered {
+    books: Books,
+    report: RecoveryReport,
+    /// Sequence the next checkpoint will carry.
+    next_seq: u64,
+    /// WAL offset the replay started at: the recovered checkpoint's
+    /// `wal_offset`, 0 without one.
+    replayed_from: u64,
+}
+
+/// The shared recovery pass: pure over the backend's bytes.
 ///
-/// The WAL is read once. Replay starts at the checkpoint's `wal_offset`;
-/// an `observe`r is first walked through the frames before it, so that
-/// it sees the whole valid log while each frame is still checksummed
+/// Replay starts at the checkpoint's `wal_offset`, and without an
+/// observer that is also where the read starts: the log before it is
+/// neither copied out of the backend nor walked. An `observe`r needs the
+/// whole valid log, so for it the WAL is read from 0 and the frames
+/// before the checkpoint are walked first, each frame still checksummed
 /// and decoded once.
 fn recover<S: Storage>(
     storage: &S,
     initial: &Books,
     mut observe: Option<Observer<'_>>,
-) -> (Books, RecoveryReport, u64) {
+) -> Recovered {
     let (best, corrupt_slots) = load_checkpoint(storage);
-    let (mut books, from, checkpoint_seq, next_seq) = match best {
+    let (mut books, replayed_from, checkpoint_seq, next_seq) = match best {
         Some(ckpt) => (ckpt.books, ckpt.wal_offset, Some(ckpt.seq), ckpt.seq + 1),
         None => (initial.clone(), 0, None, 0),
     };
-    let wal_bytes = storage.read(WAL);
-    let from = from.min(wal_bytes.len() as u64);
+    // `wal_bytes` is the log from `base` on; every offset below is
+    // relative to it until the report is written.
+    let base = match observe {
+        Some(_) => 0,
+        None => replayed_from.min(storage.len(WAL)),
+    };
+    let wal_bytes = storage.read_from(WAL, base);
+    let from = (replayed_from - base).min(wal_bytes.len() as u64);
     let observed = match observe.as_deref_mut() {
         Some(observe) => walk(&wal_bytes[..from as usize], 0, observe),
         None => from,
@@ -358,9 +433,14 @@ fn recover<S: Storage>(
         replayed_records: replayed,
         torn_tail: valid_len < wal_bytes.len() as u64,
         truncated_bytes: wal_bytes.len() as u64 - valid_len,
-        wal_bytes: valid_len,
+        wal_bytes: base + valid_len,
     };
-    (books, report, next_seq)
+    Recovered {
+        books,
+        report,
+        next_seq,
+        replayed_from,
+    }
 }
 
 #[cfg(test)]
@@ -512,11 +592,13 @@ mod tests {
             checkpoint_every: 4,
         };
         let (mut store, _) = LedgerStore::open(MemStorage::new(), cfg, bootstrap());
-        for rec in records(12) {
+        // An image is due only once the log has outgrown it: enough
+        // records that both slots hold one.
+        for rec in records(40) {
             store.append(&rec);
         }
+        assert!(store.next_checkpoint_seq() >= 2, "two images written");
         let live = store.books().clone();
-        // Corrupt the newest slot (seq 2 lives in ckpt.a).
         let newest = SLOTS[((store.next_checkpoint_seq() - 1) % 2) as usize];
         let mut backend = store.into_storage();
         let mut bytes = backend.read(newest);

@@ -42,7 +42,10 @@
 //! With one shard the map is the identity, every record routes
 //! unchanged to shard 0, and the WAL bytes are identical to an
 //! unsharded [`LedgerStore`] — sharding is a pure
-//! refinement, which the equivalence property tests pin down.
+//! refinement, which the equivalence property tests pin down. No
+//! transfer record can exist in that log, so one-shard recovery skips
+//! the full scan and, like the unsharded engine, reads only the tail
+//! behind the newest checkpoint.
 //!
 //! Telemetry lands in the global `zmail-obs` registry under `shard.*`
 //! ([`ShardMetrics`]).
@@ -299,6 +302,14 @@ impl ShardRecoveryReport {
     }
 }
 
+/// Whether a deployment of `shards` shards can have journaled a two-phase
+/// transfer. With one shard source and destination always coincide, no
+/// `Xfer*` record is ever written, and recovery is the unsharded
+/// engine's: no observer, so only the tail it replays is read.
+fn journals_transfers(shards: usize) -> bool {
+    shards > 1
+}
+
 /// What one shard's full WAL scan says about two-phase transfers.
 #[derive(Debug, Default)]
 struct XferScan {
@@ -445,13 +456,15 @@ impl<S: Storage> ShardedLedgerStore<S> {
         let mut stores = Vec::with_capacity(storages.len());
         let mut reports = Vec::with_capacity(storages.len());
         let mut in_doubt = InDoubt::default();
+        let shards = storages.len();
         for (s, (storage, part)) in storages.into_iter().zip(parts).enumerate() {
             let mut scan = XferScan::default();
+            let mut observe = |rec: &LedgerRecord| scan.observe(rec);
             let (store, report) = LedgerStore::open_observed(
                 storage,
                 config,
                 part,
-                Some(&mut |rec| scan.observe(rec)),
+                journals_transfers(shards).then_some(&mut observe),
             );
             in_doubt.absorb(s, scan);
             stores.push(store);
@@ -805,8 +818,10 @@ impl<S: Storage> ShardedLedgerStore<S> {
         let mut in_doubt = InDoubt::default();
         for (s, store) in self.stores.iter().enumerate() {
             let mut scan = XferScan::default();
-            let (books, shard_report) =
-                store.simulate_recovery_observed(Some(&mut |rec| scan.observe(rec)));
+            let mut observe = |rec: &LedgerRecord| scan.observe(rec);
+            let (books, shard_report) = store.simulate_recovery_observed(
+                journals_transfers(self.stores.len()).then_some(&mut observe),
+            );
             in_doubt.absorb(s, scan);
             parts.push(books);
             report.shards.push(shard_report);

@@ -8,6 +8,18 @@
 //! models torn writes and lost un-synced bytes
 //! (`zmail_fault::FaultyStorage`).
 //!
+//! A seventh, [`Storage::read_from`], is the first minus a prefix: the
+//! blob from an offset on. It is a *provided* method — `read`, then
+//! slice — so a backend that implements only the six keeps working;
+//! [`MemStorage`], [`FileStorage`] and `FaultyStorage` override it so
+//! that recovery, which replays the log from its newest checkpoint's
+//! offset, copies only the bytes it replays.
+//!
+//! [`MemStorage`] holds a blob as fixed-size segments, not one vector:
+//! an append-only log then never reallocates what it already holds, and
+//! a process's peak memory does not depend on whether the allocator
+//! happened to find room to grow the log in place.
+//!
 //! # Semantics the engine relies on
 //!
 //! * Reading an absent blob yields the empty byte string — there is no
@@ -22,7 +34,7 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::Write as _;
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::PathBuf;
 
 /// A named-blob byte store.
@@ -32,6 +44,17 @@ use std::path::PathBuf;
 pub trait Storage {
     /// The full contents of `name` (empty if the blob was never written).
     fn read(&self, name: &str) -> Vec<u8>;
+
+    /// The contents of `name` from byte `offset` on: exactly
+    /// `read(name)[min(offset, len)..]`, so an offset at or past the end
+    /// (or an absent blob) reads as empty. Backends override this to
+    /// avoid materialising the prefix.
+    fn read_from(&self, name: &str, offset: u64) -> Vec<u8> {
+        let mut bytes = self.read(name);
+        let skip = bytes.len() - suffix(&bytes, offset).len();
+        bytes.drain(..skip); // nothing moves at offset 0
+        bytes
+    }
 
     /// Replaces `name` with exactly `bytes`.
     fn write(&mut self, name: &str, bytes: &[u8]);
@@ -50,12 +73,80 @@ pub trait Storage {
     fn truncate(&mut self, name: &str, len: u64);
 }
 
-/// Deterministic in-memory backend for simulation: a `BTreeMap` of byte
-/// vectors, so iteration order and recovered bytes are a pure function
-/// of the operations applied.
+/// `bytes` from `offset` on; empty at or past the end.
+fn suffix(bytes: &[u8], offset: u64) -> &[u8] {
+    usize::try_from(offset)
+        .ok()
+        .and_then(|at| bytes.get(at..))
+        .unwrap_or_default()
+}
+
+/// Bytes per segment of a [`MemStorage`] blob.
+const SEGMENT: usize = 1 << 20;
+
+/// One [`MemStorage`] blob: its bytes in order, cut into vectors of
+/// `SEGMENT` bytes (the last may be shorter; none is empty, so equal
+/// contents are equal values). A log that grows by appends therefore
+/// never moves what it already holds. One contiguous vector doubles its
+/// way up, holding the old and the new allocation at once at every step
+/// unless the allocator can extend it in place; that depends on what
+/// else sits in the heap, so a process's peak memory would differ from
+/// one run to the next by a whole log length.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Blob {
+    segments: Vec<Vec<u8>>,
+}
+
+impl Blob {
+    fn len(&self) -> usize {
+        self.segments
+            .last()
+            .map_or(0, |last| (self.segments.len() - 1) * SEGMENT + last.len())
+    }
+
+    fn append(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            if self.segments.last().is_none_or(|s| s.len() == SEGMENT) {
+                // The first segment grows as any vector does, so a small
+                // blob costs what it holds; one that filled a segment
+                // will fill the next.
+                let full = if self.segments.is_empty() { 0 } else { SEGMENT };
+                self.segments.push(Vec::with_capacity(full));
+            }
+            let last = self.segments.last_mut().expect("just ensured");
+            let (head, rest) = bytes.split_at(bytes.len().min(SEGMENT - last.len()));
+            last.extend_from_slice(head);
+            bytes = rest;
+        }
+    }
+
+    fn truncate(&mut self, len: usize) {
+        if len < self.len() {
+            self.segments.truncate(len.div_ceil(SEGMENT));
+            if let Some(last) = self.segments.last_mut() {
+                last.truncate(len - (len - 1) / SEGMENT * SEGMENT);
+            }
+        }
+    }
+
+    /// The bytes from `offset` on, contiguous; empty at or past the end.
+    fn read_from(&self, offset: usize) -> Vec<u8> {
+        let offset = offset.min(self.len());
+        let mut bytes = Vec::with_capacity(self.len() - offset);
+        let (first, within) = (offset / SEGMENT, offset % SEGMENT);
+        for (i, segment) in self.segments.iter().enumerate().skip(first) {
+            bytes.extend_from_slice(&segment[if i == first { within } else { 0 }..]);
+        }
+        bytes
+    }
+}
+
+/// Deterministic in-memory backend for simulation: a `BTreeMap` of
+/// segmented byte strings, so iteration order and recovered bytes are a
+/// pure function of the operations applied.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemStorage {
-    blobs: BTreeMap<String, Vec<u8>>,
+    blobs: BTreeMap<String, Blob>,
 }
 
 impl MemStorage {
@@ -71,9 +162,9 @@ impl MemStorage {
 
     /// The blob `name`, created empty if absent; the key is only
     /// allocated on that first touch.
-    fn blob_mut(&mut self, name: &str) -> &mut Vec<u8> {
+    fn blob_mut(&mut self, name: &str) -> &mut Blob {
         if !self.blobs.contains_key(name) {
-            self.blobs.insert(name.to_string(), Vec::new());
+            self.blobs.insert(name.to_string(), Blob::default());
         }
         self.blobs
             .get_mut(name)
@@ -83,17 +174,24 @@ impl MemStorage {
 
 impl Storage for MemStorage {
     fn read(&self, name: &str) -> Vec<u8> {
-        self.blobs.get(name).cloned().unwrap_or_default()
+        self.read_from(name, 0)
+    }
+
+    fn read_from(&self, name: &str, offset: u64) -> Vec<u8> {
+        let offset = usize::try_from(offset).unwrap_or(usize::MAX);
+        self.blobs
+            .get(name)
+            .map_or_else(Vec::new, |blob| blob.read_from(offset))
     }
 
     fn write(&mut self, name: &str, bytes: &[u8]) {
         let blob = self.blob_mut(name);
-        blob.clear();
-        blob.extend_from_slice(bytes);
+        blob.truncate(0);
+        blob.append(bytes);
     }
 
     fn append(&mut self, name: &str, bytes: &[u8]) {
-        self.blob_mut(name).extend_from_slice(bytes);
+        self.blob_mut(name).append(bytes);
     }
 
     fn sync(&mut self, _name: &str) {}
@@ -104,9 +202,7 @@ impl Storage for MemStorage {
 
     fn truncate(&mut self, name: &str, len: u64) {
         if let Some(blob) = self.blobs.get_mut(name) {
-            if (len as usize) < blob.len() {
-                blob.truncate(len as usize);
-            }
+            blob.truncate(usize::try_from(len).unwrap_or(usize::MAX));
         }
     }
 }
@@ -148,6 +244,18 @@ impl FileStorage {
 impl Storage for FileStorage {
     fn read(&self, name: &str) -> Vec<u8> {
         fs::read(self.path(name)).unwrap_or_default()
+    }
+
+    fn read_from(&self, name: &str, offset: u64) -> Vec<u8> {
+        // Seeking past the end is legal and reads as empty.
+        let tail = || -> std::io::Result<Vec<u8>> {
+            let mut file = fs::File::open(self.path(name))?;
+            file.seek(SeekFrom::Start(offset))?;
+            let mut tail = Vec::new();
+            file.read_to_end(&mut tail)?;
+            Ok(tail)
+        };
+        tail().unwrap_or_default()
     }
 
     fn write(&mut self, name: &str, bytes: &[u8]) {
@@ -201,6 +309,66 @@ mod tests {
         assert_eq!(s.len("wal"), 4);
         s.write("wal", b"xy");
         assert_eq!(s.read("wal"), b"xy");
+    }
+
+    /// A segmented blob is indistinguishable from one byte vector, at and
+    /// around every segment boundary, and equal contents compare equal
+    /// however they were arrived at.
+    #[test]
+    fn mem_storage_segments_are_invisible() {
+        let byte = |i: usize| (i % 251) as u8;
+        let mut s = MemStorage::new();
+        let mut model: Vec<u8> = Vec::new();
+        // Appends of sizes that straddle, end on and skip whole segments.
+        for chunk in [SEGMENT - 3, 7, SEGMENT - 4, 1, 2 * SEGMENT + 5, 0, 20] {
+            let bytes: Vec<u8> = (model.len()..model.len() + chunk).map(byte).collect();
+            s.append("wal", &bytes);
+            model.extend_from_slice(&bytes);
+            assert_eq!(s.len("wal"), model.len() as u64);
+        }
+        assert_eq!(s.read("wal"), model);
+        let end = model.len();
+        for at in [
+            0,
+            1,
+            SEGMENT - 1,
+            SEGMENT,
+            SEGMENT + 1,
+            2 * SEGMENT,
+            end - 1,
+            end,
+            end + 9,
+        ] {
+            assert_eq!(
+                s.read_from("wal", at as u64),
+                model[at.min(end)..],
+                "offset {at}"
+            );
+        }
+        assert!(s.read_from("wal", u64::MAX).is_empty());
+        for len in [
+            end + 1,
+            3 * SEGMENT + 1,
+            3 * SEGMENT,
+            2 * SEGMENT - 1,
+            SEGMENT,
+            5,
+            0,
+        ] {
+            s.truncate("wal", len as u64);
+            model.truncate(len);
+            assert_eq!(s.read("wal"), model, "truncated to {len}");
+            assert_eq!(s.len("wal"), model.len() as u64);
+            // The same bytes written in one go are the same value.
+            let mut fresh = MemStorage::new();
+            fresh.write("wal", &model);
+            assert_eq!(s, fresh, "truncated to {len}");
+            s.append("wal", &[byte(len)]);
+            model.push(byte(len));
+            assert_eq!(s.read("wal"), model, "appended after truncating to {len}");
+        }
+        s.write("wal", &model[..1]);
+        assert_eq!(s.read("wal"), model[..1]);
     }
 
     #[test]

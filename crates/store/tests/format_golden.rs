@@ -134,11 +134,15 @@ fn one_engine_writes_the_parent_commits_bytes() {
         store.append(&rec);
     }
     store.commit();
-    assert_eq!(store.next_checkpoint_seq(), 4, "64 records / 16 per image");
+    assert_eq!(
+        store.next_checkpoint_seq(),
+        2,
+        "1549 bytes of log / one ~576-byte image apiece"
+    );
     assert_eq!(fingerprint(store.storage()), ONE_ENGINE);
     let (recovered, report) = store.simulate_recovery();
     assert_eq!(&recovered, store.books());
-    assert_eq!(report.checkpoint_seq, Some(3));
+    assert_eq!(report.checkpoint_seq, Some(1));
     assert_eq!(report.corrupt_slots, 0);
 }
 
@@ -188,7 +192,17 @@ fn four_shards_write_the_parent_commits_bytes() {
 }
 
 // Recorded at the parent commit (b5b07ac) by running this file there.
-const ONE_ENGINE: [(usize, u32); 3] = [(1549, 409686110), (580, 1438372892), (588, 388273493)];
+//
+// The two slot entries of `ONE_ENGINE` were re-recorded at PR 16, the
+// WAL entry was not: since then an image is written only once the log
+// has grown by its own length, so this stream leaves two images (seq 0
+// after record 24 at WAL offset 575, seq 1 after record 48 at 1162)
+// where it left four (seq 2 and 3 in the slots), and a slot's body
+// carries its `seq` and `wal_offset`. The slot *format* did not move:
+// the new pairs are what the PR-14 commit (f1a122b) writes when this
+// stream is fed to it with automatic checkpoints off and `checkpoint()`
+// called after records 24 and 48. `FOUR_SHARDS` is untouched.
+const ONE_ENGINE: [(usize, u32); 3] = [(1549, 409686110), (572, 18654585), (580, 1955263551)];
 const FOUR_SHARDS: [[(usize, u32); 3]; 4] = [
     [(584, 4221333835), (236, 1016596361), (236, 1364898990)],
     [(478, 105659723), (236, 3052909983), (236, 319221731)],

@@ -5,9 +5,10 @@
 //! silently applied.
 
 use proptest::prelude::*;
+use zmail_store::checkpoint::{Checkpoint, SLOTS};
 use zmail_store::engine::WAL;
 use zmail_store::{
-    BankBooks, Books, IspBooks, LedgerRecord, LedgerStore, MemStorage, Storage, StoreConfig,
+    wal, BankBooks, Books, IspBooks, LedgerRecord, LedgerStore, MemStorage, Storage, StoreConfig,
     UserBooks,
 };
 
@@ -165,8 +166,25 @@ proptest! {
         let states = prefix_states(&records);
         let (recovered, report) = store.simulate_recovery();
         prop_assert_eq!(&recovered, states.last().unwrap());
-        // Replay is bounded by the checkpoint cadence plus one batch.
-        prop_assert!(report.replayed_records <= every + batch as u64);
+        // The replayed tail is bounded by what made no image due at the
+        // last commit: fewer than `every` records, or less log than the
+        // image is long. (A crash between a batch's sync and its image's
+        // adds that one batch; nothing crashed here.)
+        let frames = wal::scan(&store.storage().read(WAL), 0).offsets;
+        let frame_end = |i: usize| frames.get(i).copied().unwrap_or(report.wal_bytes);
+        let longest_frame = (0..frames.len())
+            .map(|i| frame_end(i + 1) - frames[i])
+            .max()
+            .unwrap_or(0);
+        let replayed_bytes =
+            report.wal_bytes - frame_end(frames.len() - report.replayed_records as usize);
+        let image = Checkpoint { seq: 0, wal_offset: 0, books: recovered };
+        let image_len = image.encode().len() as u64;
+        prop_assert!(
+            replayed_bytes < (every * longest_frame).max(image_len),
+            "replayed {} bytes ({} records): every {}, longest frame {}, image {}",
+            replayed_bytes, report.replayed_records, every, longest_frame, image_len
+        );
         // And a full reopen agrees with the pure simulation.
         let (reopened, _) = LedgerStore::open(store.into_storage(), cfg, bootstrap());
         prop_assert_eq!(reopened.books(), states.last().unwrap());
@@ -232,4 +250,133 @@ proptest! {
             bit, name, at
         );
     }
+}
+
+/// A backend that implements only the six required [`Storage`] methods
+/// (so the engine recovers through the provided `read_from`) and counts
+/// the checkpoint bytes written through it.
+#[derive(Debug, Default)]
+struct SixMethodStorage {
+    inner: MemStorage,
+    slot_bytes: u64,
+}
+
+impl Storage for SixMethodStorage {
+    fn read(&self, name: &str) -> Vec<u8> {
+        self.inner.read(name)
+    }
+    fn write(&mut self, name: &str, bytes: &[u8]) {
+        assert!(SLOTS.contains(&name), "only slots are replaced whole");
+        self.slot_bytes += bytes.len() as u64;
+        self.inner.write(name, bytes)
+    }
+    fn append(&mut self, name: &str, bytes: &[u8]) {
+        self.inner.append(name, bytes)
+    }
+    fn sync(&mut self, name: &str) {
+        self.inner.sync(name)
+    }
+    fn len(&self, name: &str) -> u64 {
+        self.inner.len(name)
+    }
+    fn truncate(&mut self, name: &str, len: u64) {
+        self.inner.truncate(name, len)
+    }
+}
+
+/// The bootstrap books cut to `isps` ISPs and grown to `users` accounts
+/// each (records still touch the first [`USERS`]), so that the image
+/// ranges from a few records' worth of log to more than the whole log.
+fn deployment(isps: u32, users: u32) -> Books {
+    let mut books = bootstrap();
+    books.isps.truncate(isps as usize);
+    for isp in &mut books.isps {
+        isp.users.resize(users as usize, isp.users[0]);
+    }
+    books
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Checkpoints pay for themselves: whatever the stream, the size of
+    /// the books, the batch and `checkpoint_every`, the images written
+    /// never add up to more bytes than the log they let recovery skip
+    /// (write amplification ≤ 2) — across a restart too — and recovery
+    /// equals the live books at every commit.
+    #[test]
+    fn checkpoint_bytes_never_exceed_wal_bytes(
+        ops in proptest::collection::vec((0u32..13, 0u32..8, 0u32..8, -1000i64..1000), 0..96),
+        isps in 1u32..=ISPS,
+        users in USERS..64,
+        batch in 1usize..9,
+        every in 1u64..48,
+        restart_at in 0usize..96,
+    ) {
+        let cfg = StoreConfig { batch_records: batch, checkpoint_every: every };
+        let (mut store, _) =
+            LedgerStore::open(SixMethodStorage::default(), cfg, deployment(isps, users));
+        for (i, &(kind, a, b, amt)) in ops.iter().enumerate() {
+            let rec = record_from(kind, a % isps, b, amt);
+            store.append(&rec);
+            if store.pending_records() == 0 {
+                let (recovered, report) = store.simulate_recovery();
+                prop_assert_eq!(&recovered, store.books(), "after record {}", i + 1);
+                prop_assert!(!report.torn_tail);
+            }
+            if i == restart_at {
+                store.commit();
+                let live = store.books().clone();
+                let (reopened, _) =
+                    LedgerStore::open(store.into_storage(), cfg, deployment(isps, users));
+                prop_assert_eq!(reopened.books(), &live);
+                store = reopened;
+            }
+        }
+        store.commit();
+        let backend = store.storage();
+        prop_assert!(
+            backend.slot_bytes <= store.wal_len(),
+            "{} checkpoint bytes for {} WAL bytes",
+            backend.slot_bytes, store.wal_len()
+        );
+    }
+}
+
+/// A process that keeps restarting before it has appended
+/// `checkpoint_every` records of its own must still checkpoint: the tail
+/// a restart replays is debt the next incarnation inherits. Before PR 16
+/// `open` started the count at zero, no image was ever written, and the
+/// tenth incarnation replayed all 400 records.
+#[test]
+fn a_crash_loop_still_checkpoints() {
+    let cfg = StoreConfig {
+        batch_records: 8,
+        checkpoint_every: 64,
+    };
+    let stream = records_from(
+        &(0..400u32)
+            .map(|i| (i % 13, i, i / 3, i64::from(i)))
+            .collect::<Vec<_>>(),
+    );
+    let mut backend = MemStorage::new();
+    let mut longest_replay = 0;
+    for incarnation in stream.chunks(40) {
+        let (mut store, report) = LedgerStore::open(backend, cfg, bootstrap());
+        longest_replay = longest_replay.max(report.replayed_records);
+        for rec in incarnation {
+            store.append(rec);
+        }
+        backend = store.into_storage(); // the crash
+    }
+    let (store, report) = LedgerStore::open(backend, cfg, bootstrap());
+    assert_eq!(store.books(), prefix_states(&stream).last().unwrap());
+    assert!(report.checkpoint_seq.is_some(), "no image in ten restarts");
+    // The 2×3 books are smaller than 64 records of log, so the tail is
+    // bounded by `checkpoint_every` records plus the batch that crossed it.
+    let bound = cfg.checkpoint_every + cfg.batch_records as u64;
+    assert!(
+        longest_replay.max(report.replayed_records) <= bound,
+        "a restart replayed {longest_replay} records, bound {bound}"
+    );
 }

@@ -4,9 +4,10 @@
 //! recovery — with the plain single-engine fold of the same stream.
 
 use proptest::prelude::*;
+use zmail_store::checkpoint::SLOTS;
 use zmail_store::{
-    BankBooks, Books, IspBooks, LedgerRecord, MemStorage, ShardMap, ShardedLedgerStore,
-    StoreConfig, UserBooks,
+    BankBooks, Books, IspBooks, LedgerRecord, LedgerStore, MemStorage, ShardMap,
+    ShardedLedgerStore, Storage, StoreConfig, UserBooks, WAL,
 };
 
 const ISPS: u32 = 3;
@@ -222,5 +223,67 @@ proptest! {
         prop_assert_eq!(reopened.books(), live);
         // Everything was committed, so nothing was in doubt.
         prop_assert_eq!(report.resolved_forward, 0);
+    }
+
+    /// One shard is the unsharded engine: over the same backend bytes —
+    /// intact, with a torn WAL tail, or with the newest image corrupt —
+    /// a one-shard store and a plain `LedgerStore` report the same
+    /// recovery, hold the same books, leave the same bytes behind, and
+    /// go on writing the same bytes. (The one-shard store recovers
+    /// without a transfer observer; this is what says it may.)
+    #[test]
+    fn one_shard_recovers_byte_identically_to_the_plain_engine(
+        ops in proptest::collection::vec((0u32..13, 0u32..8, 0u32..8, -1000i64..1000), 2..80),
+        batch in 1usize..6,
+        every in 1u64..24,
+        forced_image_at in 0usize..80,
+        damage in 0u32..3,
+        cut in 1u64..40,
+    ) {
+        let cfg = StoreConfig { batch_records: batch, checkpoint_every: every };
+        let (before, after) = ops.split_at(ops.len() / 2);
+        let (mut writer, _) = LedgerStore::open(MemStorage::new(), cfg, bootstrap());
+        for (i, &(k, a, b, amt)) in before.iter().enumerate() {
+            writer.append(&record_from(k, a, b, amt));
+            if i == forced_image_at % before.len() {
+                writer.checkpoint();
+            }
+        }
+        writer.commit();
+        let newest = SLOTS[((writer.next_checkpoint_seq() + 1) % 2) as usize];
+        let mut backend = writer.into_storage();
+        match damage {
+            0 => {}
+            1 => {
+                let len = backend.len(WAL);
+                backend.truncate(WAL, len.saturating_sub(cut));
+            }
+            _ => {
+                let mut image = backend.read(newest);
+                let at = cut as usize % image.len();
+                image[at] ^= 0x40;
+                backend.write(newest, &image);
+            }
+        }
+
+        let (mut plain, plain_report) = LedgerStore::open(backend.clone(), cfg, bootstrap());
+        let (mut sharded, sharded_report) =
+            ShardedLedgerStore::open(vec![backend], cfg, bootstrap());
+        prop_assert_eq!(&sharded_report.shards, &vec![plain_report]);
+        prop_assert_eq!(sharded_report.resolved_forward + sharded_report.resolved_acked, 0);
+        prop_assert_eq!(&sharded.books(), plain.books());
+        prop_assert_eq!(sharded.shard(0).storage(), plain.storage());
+        let (sim_books, sim_report) = sharded.simulate_recovery();
+        prop_assert_eq!((sim_books, sim_report.shards[0]), plain.simulate_recovery());
+
+        for &(k, a, b, amt) in after {
+            let rec = record_from(k, a, b, amt);
+            plain.append(&rec);
+            sharded.append(&rec);
+        }
+        plain.commit();
+        sharded.commit_all();
+        prop_assert_eq!(&sharded.books(), plain.books());
+        prop_assert_eq!(&sharded.into_storages()[0], plain.storage());
     }
 }

@@ -30,7 +30,7 @@ cargo run --release -q -p zmail-bench --bin speclint -- --independence-json > /d
 echo "== obs smoke (metrics/tracing/exporters end to end)"
 cargo run --release -q -p zmail-obs --bin obs_smoke > /dev/null
 
-echo "== durability (E16 smoke)"
+echo "== durability (E16 smoke: every recovery exact, checkpoint bytes <= WAL bytes at every population; exits non-zero otherwise)"
 cargo run --release -q -p zmail-bench --bin e16_durability -- --smoke > /dev/null
 
 echo "== sharding (E17 smoke)"
