@@ -65,7 +65,7 @@ fn run(loss: f64, retry: Option<SimDuration>, idempotent: bool, seed: u64) -> Ou
     let mut retries = 0;
     for i in 0..isps {
         let isp = system.isp(IspId(i));
-        if isp.buy_outstanding() || isp.sell_outstanding() {
+        if isp.exchange_outstanding() {
             wedged += 1;
         }
         if isp.avail() >= EPennies(1_000) {

@@ -20,14 +20,21 @@
 //!   every session currently waiting, which is exactly the bottleneck the
 //!   E21 offered-load sweep is designed to expose.
 //!
+//! Nobody waits on a dead thread. A panic inside the inner sink is caught
+//! and answered `452` for that message alone (its batch-mates still
+//! spool, sync and ack); if the drainer itself dies — a panicking storage
+//! backend — the sink stops admitting and every message queued or in
+//! hand is shed with `452`, where it used to park its session forever.
+//!
 //! The queue/commit counters live under `load.queue.*` / `load.commit.*`
 //! and the shed counter under `load.shed.*` in the global `zmail-obs`
 //! registry; always-on copies are available via
 //! [`BackpressureSink::stats`].
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 use zmail_smtp::{MailMessage, MailSink, SinkError};
@@ -56,11 +63,13 @@ impl Default for AdmissionConfig {
 pub struct AdmissionStats {
     /// Messages admitted to the queue.
     pub admitted: u64,
-    /// Messages shed because the queue was full (`452`).
+    /// Messages shed with `452`: the queue was full, the sink was
+    /// stopped, or the drainer died with them queued or in hand.
     pub shed: u64,
     /// Messages the inner sink accepted and the spool made durable.
     pub delivered: u64,
-    /// Messages the inner sink refused (`552` bounces).
+    /// Messages the inner sink refused (`552` bounces) or panicked on
+    /// (`452`).
     pub bounced: u64,
     /// Group-commit batches flushed.
     pub batches: u64,
@@ -131,6 +140,15 @@ struct Shared<S> {
     wait_us: zmail_obs::Histogram,
     batch_msgs: zmail_obs::Histogram,
     sync_us: zmail_obs::Histogram,
+}
+
+impl<S> Shared<S> {
+    /// Counts one shed message and words its `452`.
+    fn shed(&self, why: &str) -> SinkError {
+        self.stats.shed.fetch_add(1, Ordering::Relaxed);
+        self.shed_ctr.inc();
+        SinkError::overloaded(why)
+    }
 }
 
 /// Name of the durable spool blob inside the storage backend.
@@ -248,14 +266,10 @@ impl<S: MailSink> MailSink for BackpressureSink<S> {
         let completion = {
             let mut state = self.shared.queue.lock().expect("queue lock");
             if state.stopped {
-                self.shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-                self.shared.shed_ctr.inc();
-                return Err(SinkError::overloaded("server shutting down"));
+                return Err(self.shared.shed("server shutting down"));
             }
             if state.jobs.len() >= self.shared.config.queue_depth {
-                self.shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-                self.shared.shed_ctr.inc();
-                return Err(SinkError::overloaded("admission queue full"));
+                return Err(self.shared.shed("admission queue full"));
             }
             let completion = Completion::new();
             state.jobs.push_back(Job {
@@ -272,10 +286,39 @@ impl<S: MailSink> MailSink for BackpressureSink<S> {
     }
 }
 
+/// What the drainer holds between popping a batch and acknowledging it.
+struct Drainer<'a, S> {
+    shared: &'a Shared<S>,
+    /// The batch in hand: each job with the inner sink's verdict (`Ok`
+    /// until stage 1 has run).
+    batch: Vec<(Job, Result<(), SinkError>)>,
+}
+
+impl<S> Drop for Drainer<'_, S> {
+    /// However the drainer exits — `shutdown`, or a panic in the storage
+    /// backend — the sink stops admitting and every job still queued or
+    /// in hand is shed with `452`, so no submitter is left parked on a
+    /// completion nobody will fill. After a clean shutdown both are empty.
+    fn drop(&mut self) {
+        let shared = self.shared;
+        let mut state = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        state.stopped = true;
+        let queued = state.jobs.drain(..);
+        for job in queued.chain(self.batch.drain(..).map(|(job, _)| job)) {
+            job.completion
+                .complete(Err(shared.shed("admission drainer stopped")));
+        }
+    }
+}
+
 /// The drainer: pop a batch, run the ledger, one spool sync, then ack.
 fn drain_loop<S: MailSink>(shared: &Shared<S>) {
+    let mut drainer = Drainer {
+        shared,
+        batch: Vec::new(),
+    };
     loop {
-        let batch: Vec<Job> = {
+        {
             let mut state = shared.queue.lock().expect("queue lock");
             while state.jobs.is_empty() && !state.stopped {
                 state = shared.not_empty.wait(state).expect("queue lock");
@@ -284,19 +327,21 @@ fn drain_loop<S: MailSink>(shared: &Shared<S>) {
                 return;
             }
             let take = state.jobs.len().min(shared.config.batch);
-            let batch = state.jobs.drain(..take).collect();
+            let popped = state.jobs.drain(..take);
+            drainer.batch.extend(popped.map(|job| (job, Ok(()))));
             shared.depth_gauge.set(state.jobs.len() as i64);
-            batch
-        };
-        shared.batch_msgs.record(batch.len() as u64);
+        }
+        shared.batch_msgs.record(drainer.batch.len() as u64);
         shared.stats.batches.fetch_add(1, Ordering::Relaxed);
 
-        // Stage 1: run the inner sink (the ledger) per message.
-        let mut outcomes: Vec<(Job, Result<(), SinkError>)> = Vec::with_capacity(batch.len());
-        for job in batch {
+        // Stage 1: run the inner sink (the ledger) per message. No lock
+        // is held here, so a panic in it poisons nothing: it is that
+        // message's `452`, and the rest of the batch carries on.
+        for (job, result) in &mut drainer.batch {
             shared.wait_us.record_duration(job.enqueued.elapsed());
-            let result = shared.inner.deliver(job.message.clone());
-            outcomes.push((job, result));
+            let message = job.message.clone();
+            *result = catch_unwind(AssertUnwindSafe(|| shared.inner.deliver(message)))
+                .unwrap_or_else(|_| Err(SinkError::overloaded("delivery failed, try again")));
         }
 
         // Stage 2: group-commit — append every accepted message to the
@@ -304,7 +349,7 @@ fn drain_loop<S: MailSink>(shared: &Shared<S>) {
         {
             let mut spool = shared.spool.lock().expect("spool lock");
             let mut appended = 0u64;
-            for (job, result) in &outcomes {
+            for (job, result) in &drainer.batch {
                 if result.is_ok() {
                     let wire = job.message.to_data();
                     let frame = format!("{}\n", wire.len());
@@ -325,7 +370,7 @@ fn drain_loop<S: MailSink>(shared: &Shared<S>) {
         }
 
         // Stage 3: only now acknowledge — a 250 means "durable".
-        for (job, result) in outcomes {
+        for (job, result) in drainer.batch.drain(..) {
             match &result {
                 Ok(()) => shared.stats.delivered.fetch_add(1, Ordering::Relaxed),
                 Err(_) => shared.stats.bounced.fetch_add(1, Ordering::Relaxed),
@@ -458,6 +503,120 @@ mod tests {
         assert_eq!(stats.bounced, 1);
         assert_eq!(stats.delivered, 0);
         assert_eq!(stats.spooled_bytes, 0, "bounced mail is never spooled");
+    }
+
+    /// Runs `f` on its own thread and fails, instead of hanging, if it
+    /// has not returned within three seconds.
+    fn within_3s<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(std::time::Duration::from_secs(3))
+            .expect("a submitter is parked on a completion nobody will fill")
+    }
+
+    /// The spool bytes `message` costs: its length frame plus its wire form.
+    fn spool_cost(message: &MailMessage) -> u64 {
+        let wire = message.to_data().len();
+        (format!("{wire}\n").len() + wire) as u64
+    }
+
+    #[test]
+    fn a_panicking_inner_sink_costs_that_message_a_452_and_nothing_else() {
+        /// Panics on "poison"; holds "hold" until told to go on, so the
+        /// test can queue a whole batch behind it.
+        struct Poisonable(CollectSink, Mutex<std::sync::mpsc::Receiver<()>>);
+        impl MailSink for Poisonable {
+            fn deliver(&self, m: MailMessage) -> Result<(), SinkError> {
+                match m.header("Subject") {
+                    Some("hold") => self.1.lock().unwrap().recv().unwrap(),
+                    Some("poison") => panic!("sink bug"),
+                    _ => {}
+                }
+                self.0.deliver(m)
+            }
+        }
+        let (go_on, held) = std::sync::mpsc::channel();
+        let bp = BackpressureSink::start(
+            Poisonable(CollectSink::shared(), Mutex::new(held)),
+            Box::new(MemStorage::new()),
+            AdmissionConfig::default(),
+        );
+        let submit = |subject: &'static str| {
+            let bp = bp.clone();
+            std::thread::spawn(move || bp.deliver(msg(subject)))
+        };
+        // One batch holds the drainer; the next three queue up behind it
+        // and are popped together once it is let go.
+        let first = submit("hold");
+        while bp.stats().batches < 1 {
+            std::thread::yield_now();
+        }
+        let mates = ["m1", "poison", "m2"].map(submit);
+        while bp.stats().admitted < 4 {
+            std::thread::yield_now();
+        }
+        go_on.send(()).unwrap();
+        let answers = within_3s(move || {
+            let answer = |h: std::thread::JoinHandle<_>| h.join().unwrap();
+            (answer(first), mates.map(answer))
+        });
+        let (first, [m1, poison, m2]) = answers;
+        assert_eq!((first, m1, m2), (Ok(()), Ok(()), Ok(())), "batch-mates ack");
+        assert!(
+            matches!(poison, Err(SinkError::Overloaded(_))),
+            "{poison:?}"
+        );
+        assert_eq!(bp.stats().batches, 2, "the three shared a batch");
+        let later = bp.clone();
+        within_3s(move || later.deliver(msg("after"))).expect("the drainer survived");
+        bp.shutdown();
+        assert_eq!(bp.inner().0.len(), 4);
+        let stats = bp.stats();
+        assert_eq!((stats.admitted, stats.delivered, stats.bounced), (5, 4, 1));
+        let four: u64 = ["hold", "m1", "m2", "after"]
+            .iter()
+            .map(|subject| spool_cost(&msg(subject)))
+            .sum();
+        assert_eq!((stats.spooled_bytes, bp.spooled_bytes()), (four, four));
+    }
+
+    #[test]
+    fn a_dead_drainer_sheds_instead_of_parking_its_submitters() {
+        /// A storage backend whose device fails on the first sync.
+        struct FailingDisk(MemStorage);
+        impl Storage for FailingDisk {
+            fn read(&self, name: &str) -> Vec<u8> {
+                self.0.read(name)
+            }
+            fn write(&mut self, name: &str, bytes: &[u8]) {
+                self.0.write(name, bytes);
+            }
+            fn append(&mut self, name: &str, bytes: &[u8]) {
+                self.0.append(name, bytes);
+            }
+            fn sync(&mut self, _name: &str) {
+                panic!("disk gone");
+            }
+            fn len(&self, name: &str) -> u64 {
+                self.0.len(name)
+            }
+            fn truncate(&mut self, name: &str, len: u64) {
+                self.0.truncate(name, len);
+            }
+        }
+        let bp = BackpressureSink::start(
+            CollectSink::shared(),
+            Box::new(FailingDisk(MemStorage::new())),
+            AdmissionConfig::default(),
+        );
+        for subject in ["in hand when the disk failed", "after the drainer died"] {
+            let sink = bp.clone();
+            let err = within_3s(move || sink.deliver(msg(subject))).unwrap_err();
+            assert!(matches!(err, SinkError::Overloaded(_)), "{err:?}");
+        }
+        bp.shutdown();
+        let stats = bp.stats();
+        assert_eq!((stats.admitted, stats.shed, stats.delivered), (1, 2, 0));
     }
 
     #[test]

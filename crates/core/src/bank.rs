@@ -5,11 +5,14 @@
 //! them back, and periodically gathers every compliant ISP's `credit`
 //! array to verify pairwise consistency — the paper's misbehavior
 //! detection. All exchanges are sealed with the bank keypair and protected
-//! against replay by nonces, exactly as in the specification.
+//! against replay by nonces, exactly as in the specification. `buy` and
+//! `sell` are one handler, [`Bank::handle_exchange`], in which only the
+//! ledger line (and the reply words it decides) depends on the
+//! [`Exchange`] side.
 
 use crate::config::ZmailConfig;
 use crate::ids::IspId;
-use crate::msg::{decode_credit, decode_value_nonce, encode_value_nonce, NetMsg};
+use crate::msg::{decode_credit, decode_value_nonce, encode_value_nonce, Exchange, NetMsg};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -85,7 +88,9 @@ pub struct Bank {
     /// Serve retransmitted exchanges from a cache instead of dropping
     /// them ([`ZmailConfig::idempotent_bank_ids`]).
     idempotent: bool,
-    /// Sealed reply per request nonce, kept while idempotent ids are on.
+    /// Per request nonce, the copy of its reply a retransmission is
+    /// served — flagged `replayed` for the auditor. Empty unless
+    /// idempotent ids are on.
     reply_cache: BTreeMap<u64, NetMsg>,
     journal_enabled: bool,
     journal: Vec<LedgerRecord>,
@@ -203,118 +208,85 @@ impl Bank {
     // buy / sell
     // ------------------------------------------------------------------
 
-    /// Serves a cached reply for a retransmitted nonce, flagged
-    /// `replayed` for the auditor.
-    fn cached_reply(&mut self, nonce: u64) -> Option<NetMsg> {
-        let mut reply = self.reply_cache.get(&nonce)?.clone();
-        match &mut reply {
-            NetMsg::BuyReply { replayed, .. } | NetMsg::SellReply { replayed, .. } => {
-                *replayed = true;
-            }
-            _ => unreachable!("only exchange replies are cached"),
-        }
-        self.stats.idempotent_replays += 1;
-        Some(reply)
-    }
-
-    /// Handles `buy(x)` from `isp[g]`, returning the sealed reply.
+    /// Handles `buy(x)` / `sell(x)` from `isp[g]`, returning the sealed
+    /// reply. Opening, the replay guard, the reply cache and sealing are
+    /// the same for both; `side` picks the ledger line — a buy is granted
+    /// only if the ISP's account covers it, a sell is always honoured —
+    /// and with it the reply's `accepted` and `audit` words.
     ///
     /// With idempotent request ids on, a retransmission of an
     /// already-served nonce returns a cached copy of the original reply
     /// (marked `replayed`) instead of an error, so a lost reply can be
-    /// recovered without a second grant.
+    /// recovered without a second grant or retirement.
     ///
     /// # Errors
     ///
     /// Returns a [`CryptoError`] for undecipherable envelopes and
     /// [`CryptoError::ReplayDetected`] when the nonce was already used
     /// (and, with idempotent ids, no cached reply exists for it).
-    pub fn handle_buy(
+    pub fn handle_exchange(
         &mut self,
+        side: Exchange,
         from: IspId,
         envelope: &zmail_crypto::SealedEnvelope,
     ) -> Result<NetMsg, CryptoError> {
         let plain = open_with_private(self.keypair.private(), envelope)?;
         let (value, nonce) = decode_value_nonce(&plain).ok_or(CryptoError::Malformed)?;
         if self.replay.check_and_record(nonce).is_err() {
-            if self.idempotent {
-                if let Some(reply) = self.cached_reply(nonce) {
-                    return Ok(reply);
-                }
+            if let Some(reply) = self.reply_cache.get(&nonce) {
+                self.stats.idempotent_replays += 1;
+                return Ok(reply.clone());
             }
             self.stats.replays_dropped += 1;
             return Err(CryptoError::ReplayDetected);
         }
-        let cost = self.exchange.to_real(EPennies(value));
-        let accepted = value > 0 && self.account(from) >= cost;
-        let granted = if accepted {
-            self.stats.buys_granted += 1;
-            self.commit(LedgerRecord::BankBuy {
-                bank: self.index,
-                isp: from.0,
-                value,
-                cost: cost.0,
-            });
-            value
-        } else {
-            self.stats.buys_rejected += 1;
-            0
+        let (bank, isp) = (self.index, from.0);
+        let real = self.exchange.to_real(EPennies(value));
+        let (accepted, audit) = match side {
+            Exchange::Buy if value > 0 && self.account(from) >= real => {
+                self.stats.buys_granted += 1;
+                self.commit(LedgerRecord::BankBuy {
+                    bank,
+                    isp,
+                    value,
+                    cost: real.0,
+                });
+                (true, value)
+            }
+            Exchange::Buy => {
+                self.stats.buys_rejected += 1;
+                (false, 0)
+            }
+            Exchange::Sell => {
+                self.stats.sells += 1;
+                self.commit(LedgerRecord::BankSell {
+                    bank,
+                    isp,
+                    value,
+                    credit: real.0,
+                });
+                (false, value)
+            }
         };
         let reply_plain = encode_value_nonce(i64::from(accepted), nonce);
-        let reply = NetMsg::BuyReply {
-            envelope: seal_with_private(self.keypair.private(), &reply_plain, &mut self.rng),
-            audit: granted,
-            replayed: false,
-        };
+        let envelope = seal_with_private(self.keypair.private(), &reply_plain, &mut self.rng);
         if self.idempotent {
-            self.reply_cache.insert(nonce, reply.clone());
+            self.reply_cache.insert(
+                nonce,
+                NetMsg::ExchangeReply {
+                    side,
+                    envelope: envelope.clone(),
+                    audit,
+                    replayed: true,
+                },
+            );
         }
-        Ok(reply)
-    }
-
-    /// Handles `sell(x)` from `isp[g]`, returning the sealed confirmation.
-    ///
-    /// Retransmissions are served from the reply cache when idempotent
-    /// request ids are on; see [`Bank::handle_buy`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CryptoError`] for undecipherable envelopes and
-    /// [`CryptoError::ReplayDetected`] when the nonce was already used.
-    pub fn handle_sell(
-        &mut self,
-        from: IspId,
-        envelope: &zmail_crypto::SealedEnvelope,
-    ) -> Result<NetMsg, CryptoError> {
-        let plain = open_with_private(self.keypair.private(), envelope)?;
-        let (value, nonce) = decode_value_nonce(&plain).ok_or(CryptoError::Malformed)?;
-        if self.replay.check_and_record(nonce).is_err() {
-            if self.idempotent {
-                if let Some(reply) = self.cached_reply(nonce) {
-                    return Ok(reply);
-                }
-            }
-            self.stats.replays_dropped += 1;
-            return Err(CryptoError::ReplayDetected);
-        }
-        let credited = self.exchange.to_real(EPennies(value));
-        self.stats.sells += 1;
-        self.commit(LedgerRecord::BankSell {
-            bank: self.index,
-            isp: from.0,
-            value,
-            credit: credited.0,
-        });
-        let reply_plain = encode_value_nonce(0, nonce);
-        let reply = NetMsg::SellReply {
-            envelope: seal_with_private(self.keypair.private(), &reply_plain, &mut self.rng),
-            audit: value,
+        Ok(NetMsg::ExchangeReply {
+            side,
+            envelope,
+            audit,
             replayed: false,
-        };
-        if self.idempotent {
-            self.reply_cache.insert(nonce, reply.clone());
-        }
-        Ok(reply)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -444,32 +416,143 @@ mod tests {
         (bank, isps)
     }
 
+    /// `Exchange::BOTH × {fresh, idempotent}`, each cell walking one
+    /// exchange through every fate a reply can meet: forged, served,
+    /// retransmitted unchanged, lost and retried, matching, stale.
     #[test]
-    fn buy_grant_moves_money_and_issues() {
-        let cfg = ZmailConfig::builder(1, 2)
-            .avail_bounds(EPennies(100), EPennies(200), EPennies(10))
-            .build();
-        let mut bank = Bank::new(&cfg, 1);
-        let mut isp = Isp::new(IspId(0), &cfg, bank.public_key(), 2);
-        let account_before = bank.account(IspId(0));
-        let Some(NetMsg::Buy { envelope, audit }) = isp.maybe_buy() else {
-            panic!("expected buy");
-        };
-        let reply = bank.handle_buy(IspId(0), &envelope).unwrap();
-        assert_eq!(bank.issued(), audit);
-        assert_eq!(bank.account(IspId(0)), account_before - RealPennies(audit));
-        let NetMsg::BuyReply {
-            envelope,
-            audit: granted,
-            ..
-        } = reply
-        else {
-            panic!("expected buy reply");
-        };
-        assert_eq!(granted, audit);
-        isp.handle_buy_reply(&envelope).unwrap();
-        assert_eq!(isp.avail(), EPennies(10 + audit));
-        assert_eq!(bank.stats().buys_granted, 1);
+    fn exchange_table() {
+        for (side, other, initial) in [
+            (Exchange::Buy, Exchange::Sell, 50),
+            (Exchange::Sell, Exchange::Buy, 500),
+        ] {
+            for idempotent in [false, true] {
+                // A failure below is in the last cell named on stderr.
+                eprintln!("cell: {side:?}, idempotent={idempotent}");
+                let cfg = ZmailConfig::builder(1, 2)
+                    .avail_bounds(EPennies(100), EPennies(200), EPennies(initial))
+                    .idempotent_bank_ids(idempotent)
+                    .build();
+                let mut bank = Bank::new(&cfg, 7);
+                let mut isp = Isp::new(IspId(0), &cfg, bank.public_key(), 8);
+                let account = bank.account(IspId(0));
+                let sign = side.sign();
+                let one_of_side = [u64::from(sign > 0), u64::from(sign < 0)];
+
+                // The request: only the side whose edge the pool crossed
+                // fires, once, for the distance to the midpoint (150).
+                assert!(isp.retry_exchange(side).is_none(), "nothing yet");
+                assert!(isp.maybe_exchange(other).is_none());
+                let Some(NetMsg::Exchange {
+                    side: asked,
+                    envelope: request,
+                    audit: value,
+                }) = isp.maybe_exchange(side)
+                else {
+                    panic!("expected a request");
+                };
+                assert_eq!((asked, value), (side, sign * (150 - initial)));
+                assert!(isp.maybe_exchange(side).is_none(), "one at a time");
+                assert!(isp.exchange_outstanding());
+                assert_eq!(isp.exchange_request_id(other), None);
+                let id = isp.exchange_request_id(side).expect("outstanding");
+                let plain = open_with_private(bank.keypair.private(), &request).unwrap();
+                assert_eq!(decode_value_nonce(&plain), Some((value, id)));
+                assert_eq!([isp.stats().bank_buys, isp.stats().bank_sells], one_of_side);
+
+                // Forged envelope: right nonce, wrong key. An error, and
+                // the exchange stays open.
+                let mut rng = SmallRng::seed_from_u64(9);
+                let intruder = KeyPair::generate(&mut rng);
+                let forged =
+                    seal_with_private(intruder.private(), &encode_value_nonce(1, id), &mut rng);
+                assert!(isp.handle_exchange_reply(side, &forged).is_err());
+                assert_eq!(isp.exchange_request_id(side), Some(id));
+
+                // Served: the bank's ledger moves by `value`, the reply
+                // says so — and this reply is then lost.
+                let NetMsg::ExchangeReply {
+                    side: answered,
+                    envelope: lost,
+                    audit,
+                    replayed: false,
+                } = bank.handle_exchange(side, IspId(0), &request).unwrap()
+                else {
+                    panic!("expected a first-hand reply");
+                };
+                assert_eq!((answered, audit), (side, value));
+                assert_eq!(bank.issued(), sign * value);
+                assert_eq!(bank.account(IspId(0)), account - RealPennies(sign * value));
+                assert_eq!([bank.stats().buys_granted, bank.stats().sells], one_of_side);
+
+                // The same request again: dropped by the replay guard,
+                // or answered from the cache — never served twice.
+                match bank.handle_exchange(side, IspId(0), &request) {
+                    Err(e) if !idempotent => {
+                        assert_eq!(e, CryptoError::ReplayDetected);
+                        assert_eq!(bank.stats().replays_dropped, 1);
+                    }
+                    Ok(NetMsg::ExchangeReply {
+                        audit,
+                        replayed: true,
+                        ..
+                    }) if idempotent => {
+                        assert_eq!(audit, value);
+                        assert_eq!(bank.stats().idempotent_replays, 1);
+                    }
+                    other => panic!("{other:?}"),
+                }
+                assert_eq!(bank.issued(), sign * value, "not served twice");
+
+                // Lost reply → retry: same value, under a fresh nonce
+                // (served again: the duplicate E15 prices) or the same
+                // request id (answered from the cache).
+                assert!(isp.retry_exchange(other).is_none());
+                let Some(NetMsg::Exchange {
+                    envelope: retry,
+                    audit: retried,
+                    ..
+                }) = isp.retry_exchange(side)
+                else {
+                    panic!("expected a retransmission");
+                };
+                assert_eq!(retried, value);
+                assert_eq!(isp.exchange_request_id(side) == Some(id), idempotent);
+                let stats = isp.stats();
+                assert_eq!(
+                    [stats.bank_retries, stats.idempotent_retries],
+                    [1, u64::from(idempotent)]
+                );
+                let NetMsg::ExchangeReply {
+                    envelope: second,
+                    replayed,
+                    ..
+                } = bank.handle_exchange(side, IspId(0), &retry).unwrap()
+                else {
+                    panic!("expected a reply");
+                };
+                assert_eq!(replayed, idempotent);
+                let times = if idempotent { 1 } else { 2 };
+                assert_eq!(bank.issued(), times * sign * value);
+
+                // The "lost" reply turns up after all, ahead of the
+                // second: stale against a rotated nonce, matching
+                // against a kept one. Exactly one of the two is applied;
+                // the pool lands on the midpoint once.
+                let first = isp.handle_exchange_reply(side, &lost).unwrap();
+                assert_eq!(isp.exchange_outstanding(), !idempotent);
+                let then = isp.handle_exchange_reply(side, &second).unwrap();
+                assert_eq!((first, then), (idempotent, !idempotent));
+                assert_eq!(isp.avail(), EPennies(150));
+                assert!(!isp.exchange_outstanding());
+                assert_eq!(isp.stats().stale_replies, 1);
+                // A replay of either reply is ignored too.
+                assert!(!isp.handle_exchange_reply(side, &second).unwrap());
+                assert!(!isp.handle_exchange_reply(side, &lost).unwrap());
+                assert_eq!(isp.avail(), EPennies(150));
+                assert_eq!(isp.stats().stale_replies, 3);
+                assert!(isp.maybe_exchange(side).is_none(), "pool in band");
+            }
+        }
     }
 
     #[test]
@@ -480,61 +563,24 @@ mod tests {
         cfg.initial_bank_account = RealPennies(5); // can't afford 50 500
         let mut bank = Bank::new(&cfg, 3);
         let mut isp = Isp::new(IspId(0), &cfg, bank.public_key(), 4);
-        let Some(NetMsg::Buy { envelope, .. }) = isp.maybe_buy() else {
+        let Some(NetMsg::Exchange { envelope, .. }) = isp.maybe_exchange(Exchange::Buy) else {
             panic!("expected buy");
         };
-        let NetMsg::BuyReply {
+        let NetMsg::ExchangeReply {
             envelope, audit, ..
-        } = bank.handle_buy(IspId(0), &envelope).unwrap()
+        } = bank
+            .handle_exchange(Exchange::Buy, IspId(0), &envelope)
+            .unwrap()
         else {
             panic!("expected reply");
         };
         assert_eq!(audit, 0);
         assert_eq!(bank.issued(), 0);
-        isp.handle_buy_reply(&envelope).unwrap();
+        isp.handle_exchange_reply(Exchange::Buy, &envelope).unwrap();
         assert_eq!(isp.avail(), EPennies(0), "rejected buy adds nothing");
         assert_eq!(bank.stats().buys_rejected, 1);
-        // The ISP may try again (canbuy was restored).
-        assert!(isp.maybe_buy().is_some());
-    }
-
-    #[test]
-    fn sell_retires_epennies() {
-        let cfg = ZmailConfig::builder(1, 2)
-            .avail_bounds(EPennies(10), EPennies(50), EPennies(500))
-            .build();
-        let mut bank = Bank::new(&cfg, 5);
-        let mut isp = Isp::new(IspId(0), &cfg, bank.public_key(), 6);
-        let account_before = bank.account(IspId(0));
-        let Some(NetMsg::Sell { envelope, audit }) = isp.maybe_sell() else {
-            panic!("expected sell");
-        };
-        let NetMsg::SellReply { envelope, .. } = bank.handle_sell(IspId(0), &envelope).unwrap()
-        else {
-            panic!("expected reply");
-        };
-        assert_eq!(bank.issued(), -audit);
-        assert_eq!(bank.account(IspId(0)), account_before + RealPennies(audit));
-        isp.handle_sell_reply(&envelope).unwrap();
-        assert_eq!(isp.avail(), EPennies(30)); // midpoint of 10..50
-    }
-
-    #[test]
-    fn replayed_buy_is_dropped() {
-        let cfg = ZmailConfig::builder(1, 2)
-            .avail_bounds(EPennies(100), EPennies(200), EPennies(10))
-            .build();
-        let mut bank = Bank::new(&cfg, 7);
-        let mut isp = Isp::new(IspId(0), &cfg, bank.public_key(), 8);
-        let Some(NetMsg::Buy { envelope, .. }) = isp.maybe_buy() else {
-            panic!("expected buy");
-        };
-        bank.handle_buy(IspId(0), &envelope).unwrap();
-        let issued = bank.issued();
-        let err = bank.handle_buy(IspId(0), &envelope).unwrap_err();
-        assert_eq!(err, CryptoError::ReplayDetected);
-        assert_eq!(bank.issued(), issued, "replay must not issue twice");
-        assert_eq!(bank.stats().replays_dropped, 1);
+        // The ISP may try again (the exchange was closed).
+        assert!(isp.maybe_exchange(Exchange::Buy).is_some());
     }
 
     fn run_snapshot_round(bank: &mut Bank, isps: &mut [Isp]) -> ConsistencyReport {

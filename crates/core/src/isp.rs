@@ -14,7 +14,11 @@
 //! * per-user `account` (real pennies), `balance` (e-pennies), `sent`
 //!   (today's paid sends) and `limit` (the anti-zombie daily cap);
 //! * the pool `avail` bounded by `minavail`/`maxavail`, replenished from
-//!   and drained to the bank with nonce-protected sealed exchanges;
+//!   and drained to the bank with nonce-protected sealed exchanges — one
+//!   state machine for both directions, indexed by [`Exchange`]: the
+//!   paper's `buyvalue`/`ns1` and `sellvalue`/`ns2` are the two entries
+//!   of `outstanding`, and `side` decides only which edge of the band
+//!   triggers, which counter ticks and which pool record a reply books;
 //! * the per-peer `credit` array: +1 per paid send to `isp[j]`, −1 per
 //!   paid receive from `isp[j]`;
 //! * `cansend`, frozen during a snapshot; sends arriving while frozen are
@@ -24,7 +28,9 @@
 use crate::config::{AttestWeakness, CheatMode, NonCompliantPolicy, ZmailConfig};
 use crate::ids::IspId;
 use crate::metrics::CoreMetrics;
-use crate::msg::{decode_value_nonce, encode_credit, encode_value_nonce, EmailMsg, NetMsg};
+use crate::msg::{
+    decode_value_nonce, encode_credit, encode_value_nonce, EmailMsg, Exchange, NetMsg,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -135,6 +141,16 @@ pub struct IspStats {
     pub refused_attestations: u64,
 }
 
+/// One side's §4.3 exchange state: the paper's `buyvalue`/`ns1` or
+/// `sellvalue`/`ns2`. `canbuy`/`cansell` are `nonce.is_none()`: the
+/// paper clears the flag where it draws the nonce and sets it where the
+/// matching reply clears the nonce.
+#[derive(Debug, Clone, Copy, Default)]
+struct Outstanding {
+    value: i64,
+    nonce: Option<Nonce>,
+}
+
 /// A send intent queued while the ISP is frozen.
 #[derive(Debug, Clone, PartialEq)]
 struct PendingSend {
@@ -179,12 +195,8 @@ pub struct Isp {
     maxavail: EPennies,
     cansend: bool,
     pending: VecDeque<PendingSend>,
-    canbuy: bool,
-    cansell: bool,
-    buyvalue: i64,
-    sellvalue: i64,
-    ns1: Option<Nonce>,
-    ns2: Option<Nonce>,
+    /// The §4.3 exchange state, indexed by [`Exchange`].
+    outstanding: [Outstanding; 2],
     nnc: Nnc,
     bank_key: PublicKey,
     seq: u64,
@@ -241,12 +253,7 @@ impl Isp {
             maxavail: config.maxavail,
             cansend: true,
             pending: VecDeque::new(),
-            canbuy: true,
-            cansell: true,
-            buyvalue: 0,
-            sellvalue: 0,
-            ns1: None,
-            ns2: None,
+            outstanding: [Outstanding::default(); 2],
             nnc: Nnc::new(seed ^ 0xA11C_E5ED, u64::from(id.0)),
             bank_key,
             seq: 0,
@@ -706,71 +713,64 @@ impl Isp {
         (self.minavail.amount() + self.maxavail.amount()) / 2
     }
 
-    /// If the pool is low and no buy is outstanding, produces a sealed
-    /// `buy` request refilling the pool to the midpoint target.
-    pub fn maybe_buy(&mut self) -> Option<NetMsg> {
-        if !self.canbuy || self.avail() >= self.minavail {
+    /// If the pool has left `[minavail, maxavail]` on `side`'s edge (low
+    /// for a buy, over-full for a sell) and no such exchange is
+    /// outstanding, produces the sealed request moving it back to the
+    /// midpoint target.
+    pub fn maybe_exchange(&mut self, side: Exchange) -> Option<NetMsg> {
+        let avail = self.books.avail;
+        let out_of_band = match side {
+            Exchange::Buy => avail < self.minavail.amount(),
+            Exchange::Sell => avail > self.maxavail.amount(),
+        };
+        if self.outstanding[side.index()].nonce.is_some() || !out_of_band {
             return None;
         }
-        self.canbuy = false;
-        self.buyvalue = self.pool_target() - self.books.avail;
+        let value = side.sign() * (self.pool_target() - avail);
         let nonce = self.nnc.next_nonce();
-        self.ns1 = Some(nonce);
-        let plain = encode_value_nonce(self.buyvalue, nonce);
-        self.stats.bank_buys += 1;
-        CoreMetrics::get().bank_buys.inc();
-        Some(NetMsg::Buy {
-            envelope: seal_for_public(&self.bank_key, &plain, &mut self.rng),
-            audit: self.buyvalue,
-        })
-    }
-
-    /// If the pool is over-full and no sell is outstanding, produces a
-    /// sealed `sell` request draining the pool to the midpoint target.
-    pub fn maybe_sell(&mut self) -> Option<NetMsg> {
-        if !self.cansell || self.avail() <= self.maxavail {
-            return None;
+        self.outstanding[side.index()] = Outstanding {
+            value,
+            nonce: Some(nonce),
+        };
+        match side {
+            Exchange::Buy => {
+                self.stats.bank_buys += 1;
+                CoreMetrics::get().bank_buys.inc();
+            }
+            Exchange::Sell => {
+                self.stats.bank_sells += 1;
+                CoreMetrics::get().bank_sells.inc();
+            }
         }
-        self.cansell = false;
-        self.sellvalue = self.books.avail - self.pool_target();
-        let nonce = self.nnc.next_nonce();
-        self.ns2 = Some(nonce);
-        let plain = encode_value_nonce(self.sellvalue, nonce);
-        self.stats.bank_sells += 1;
-        CoreMetrics::get().bank_sells.inc();
-        Some(NetMsg::Sell {
+        Some(self.seal_exchange(side, value, nonce))
+    }
+
+    /// Seals `(value | nonce)` for the bank.
+    fn seal_exchange(&mut self, side: Exchange, value: i64, nonce: Nonce) -> NetMsg {
+        let plain = encode_value_nonce(value, nonce);
+        NetMsg::Exchange {
+            side,
             envelope: seal_for_public(&self.bank_key, &plain, &mut self.rng),
-            audit: self.sellvalue,
-        })
+            audit: value,
+        }
     }
 
-    /// Whether a buy exchange is outstanding (request sent, matching reply
-    /// not yet applied).
-    pub fn buy_outstanding(&self) -> bool {
-        self.ns1.is_some()
+    /// Whether a buy or a sell is outstanding (request sent, matching
+    /// reply not yet applied).
+    pub fn exchange_outstanding(&self) -> bool {
+        self.outstanding.iter().any(|o| o.nonce.is_some())
     }
 
-    /// Whether a sell exchange is outstanding.
-    pub fn sell_outstanding(&self) -> bool {
-        self.ns2.is_some()
-    }
-
-    /// The request id (nonce) of the outstanding buy exchange — the
+    /// The request id (nonce) of `side`'s outstanding exchange — the
     /// value the bank's reply must echo to be applied. Exposed so the
     /// flight recorder can link a `bank_rtt` span to the request it
     /// measures.
-    pub fn buy_request_id(&self) -> Option<u64> {
-        self.ns1
+    pub fn exchange_request_id(&self, side: Exchange) -> Option<u64> {
+        self.outstanding[side.index()].nonce
     }
 
-    /// The request id (nonce) of the outstanding sell exchange; see
-    /// [`Isp::buy_request_id`].
-    pub fn sell_request_id(&self) -> Option<u64> {
-        self.ns2
-    }
-
-    /// Retransmits an outstanding buy and the same `buyvalue`. Returns
-    /// `None` when nothing is outstanding.
+    /// Retransmits `side`'s outstanding exchange with the same value.
+    /// Returns `None` when nothing is outstanding.
     ///
     /// Two modes, selected by [`ZmailConfig::idempotent_bank_ids`]:
     ///
@@ -778,56 +778,30 @@ impl Isp {
     ///   guard at the bank silently drops an identical retransmission, so
     ///   recovery from a lost reply *requires* a fresh nonce — at the
     ///   price that, if only the reply (not the request) was lost, the
-    ///   bank grants twice and the duplicate grant is stranded (the stale
-    ///   reply is ignored here). Experiment E15 quantifies this.
+    ///   bank serves the request twice and the duplicate is stranded (the
+    ///   stale reply is ignored here). Experiment E15 quantifies this.
     /// * **idempotent** — the outstanding nonce doubles as a request id:
     ///   the retransmission re-seals the *same* `(value, nonce)` pair and
     ///   the bank serves a cached copy of its original reply, so a lost
     ///   reply strands nothing.
-    pub fn retry_buy(&mut self) -> Option<NetMsg> {
-        let nonce = if self.idempotent {
-            let nonce = self.ns1?;
+    pub fn retry_exchange(&mut self, side: Exchange) -> Option<NetMsg> {
+        let Outstanding { value, nonce } = self.outstanding[side.index()];
+        let mut nonce = nonce?;
+        if self.idempotent {
             self.stats.idempotent_retries += 1;
-            nonce
         } else {
-            self.ns1?;
-            let nonce = self.nnc.next_nonce();
-            self.ns1 = Some(nonce);
-            nonce
-        };
-        let plain = encode_value_nonce(self.buyvalue, nonce);
+            nonce = self.nnc.next_nonce();
+            self.outstanding[side.index()].nonce = Some(nonce);
+        }
         self.stats.bank_retries += 1;
         CoreMetrics::get().bank_retries.inc();
-        Some(NetMsg::Buy {
-            envelope: seal_for_public(&self.bank_key, &plain, &mut self.rng),
-            audit: self.buyvalue,
-        })
+        Some(self.seal_exchange(side, value, nonce))
     }
 
-    /// Retransmits an outstanding sell; see [`Isp::retry_buy`] for the
-    /// fresh-nonce vs idempotent retransmission modes.
-    pub fn retry_sell(&mut self) -> Option<NetMsg> {
-        let nonce = if self.idempotent {
-            let nonce = self.ns2?;
-            self.stats.idempotent_retries += 1;
-            nonce
-        } else {
-            self.ns2?;
-            let nonce = self.nnc.next_nonce();
-            self.ns2 = Some(nonce);
-            nonce
-        };
-        let plain = encode_value_nonce(self.sellvalue, nonce);
-        self.stats.bank_retries += 1;
-        CoreMetrics::get().bank_retries.inc();
-        Some(NetMsg::Sell {
-            envelope: seal_for_public(&self.bank_key, &plain, &mut self.rng),
-            audit: self.sellvalue,
-        })
-    }
-
-    /// Handles `buyreply(x)`: on a matching nonce, applies the grant and
-    /// returns `Ok(true)`.
+    /// Handles `buyreply(x)` / `sellreply(x)`: on a matching nonce,
+    /// closes `side`'s exchange, moves the pool (a granted buy adds
+    /// `buyvalue`, a sell confirmation retires `sellvalue`; a refused
+    /// buy moves nothing) and returns `Ok(true)`.
     ///
     /// Replayed or mismatched replies are counted and ignored
     /// (`Ok(false)`), per the paper's `ns1 != nr1 --> skip`.
@@ -836,57 +810,34 @@ impl Isp {
     ///
     /// Returns a [`CryptoError`] when the envelope cannot be opened — an
     /// active forgery rather than a replay.
-    pub fn handle_buy_reply(
+    pub fn handle_exchange_reply(
         &mut self,
+        side: Exchange,
         envelope: &zmail_crypto::SealedEnvelope,
     ) -> Result<bool, CryptoError> {
         let plain = open_with_public(&self.bank_key, envelope)?;
-        let (accepted, nr1) = decode_value_nonce(&plain).ok_or(CryptoError::Malformed)?;
-        if self.ns1 == Some(nr1) {
-            self.ns1 = None;
-            self.canbuy = true;
-            CoreMetrics::get().bank_buy_roundtrips.inc();
-            if accepted != 0 {
-                self.commit(LedgerRecord::PoolBuy {
-                    isp: self.id.0,
-                    amount: self.buyvalue,
-                });
+        let (accepted, nr) = decode_value_nonce(&plain).ok_or(CryptoError::Malformed)?;
+        let Outstanding { value, nonce } = self.outstanding[side.index()];
+        if nonce != Some(nr) {
+            self.stats.stale_replies += 1;
+            CoreMetrics::get().bank_stale_replies.inc();
+            return Ok(false);
+        }
+        self.outstanding[side.index()].nonce = None;
+        let isp = self.id.0;
+        match side {
+            Exchange::Buy => {
+                CoreMetrics::get().bank_buy_roundtrips.inc();
+                if accepted != 0 {
+                    self.commit(LedgerRecord::PoolBuy { isp, amount: value });
+                }
             }
-            Ok(true)
-        } else {
-            self.stats.stale_replies += 1;
-            CoreMetrics::get().bank_stale_replies.inc();
-            Ok(false)
+            Exchange::Sell => {
+                CoreMetrics::get().bank_sell_roundtrips.inc();
+                self.commit(LedgerRecord::PoolSell { isp, amount: value });
+            }
         }
-    }
-
-    /// Handles `sellreply(x)`: on a matching nonce, retires the sold
-    /// e-pennies from the pool and returns `Ok(true)`; stale replies
-    /// return `Ok(false)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CryptoError`] when the envelope cannot be opened.
-    pub fn handle_sell_reply(
-        &mut self,
-        envelope: &zmail_crypto::SealedEnvelope,
-    ) -> Result<bool, CryptoError> {
-        let plain = open_with_public(&self.bank_key, envelope)?;
-        let (_, nr2) = decode_value_nonce(&plain).ok_or(CryptoError::Malformed)?;
-        if self.ns2 == Some(nr2) {
-            self.ns2 = None;
-            self.cansell = true;
-            CoreMetrics::get().bank_sell_roundtrips.inc();
-            self.commit(LedgerRecord::PoolSell {
-                isp: self.id.0,
-                amount: self.sellvalue,
-            });
-            Ok(true)
-        } else {
-            self.stats.stale_replies += 1;
-            CoreMetrics::get().bank_stale_replies.inc();
-            Ok(false)
-        }
+        Ok(true)
     }
 
     // ------------------------------------------------------------------
@@ -1172,73 +1123,8 @@ mod tests {
         assert_eq!(isp.user(0).balance, 50);
     }
 
-    #[test]
-    fn buy_sell_roundtrip_with_real_envelopes() {
-        // Drive the ISP side against hand-rolled bank-side crypto.
-        let config = ZmailConfig::builder(1, 2)
-            .avail_bounds(EPennies(100), EPennies(200), EPennies(50))
-            .build();
-        let bank = KeyPair::generate(&mut SmallRng::seed_from_u64(12));
-        let mut isp = Isp::new(IspId(0), &config, *bank.public(), 13);
-        // Pool (50) is under minavail (100): a buy should be issued.
-        let Some(NetMsg::Buy { envelope, audit }) = isp.maybe_buy() else {
-            panic!("expected a buy request");
-        };
-        assert_eq!(audit, 100); // refill to midpoint 150
-        assert!(isp.maybe_buy().is_none(), "no duplicate buy while pending");
-        // Bank side: open, approve, reply.
-        let plain = zmail_crypto::open_with_private(bank.private(), &envelope).unwrap();
-        let (value, nonce) = decode_value_nonce(&plain).unwrap();
-        assert_eq!(value, 100);
-        let mut rng = SmallRng::seed_from_u64(14);
-        let reply = zmail_crypto::seal_with_private(
-            bank.private(),
-            &encode_value_nonce(1, nonce),
-            &mut rng,
-        );
-        isp.handle_buy_reply(&reply).unwrap();
-        assert_eq!(isp.avail(), EPennies(150));
-        // Replay the same reply: ignored.
-        isp.handle_buy_reply(&reply).unwrap();
-        assert_eq!(isp.avail(), EPennies(150));
-        assert_eq!(isp.stats().stale_replies, 1);
-    }
-
-    #[test]
-    fn sell_roundtrip_drains_pool() {
-        let config = ZmailConfig::builder(1, 2)
-            .avail_bounds(EPennies(100), EPennies(200), EPennies(500))
-            .build();
-        let bank = KeyPair::generate(&mut SmallRng::seed_from_u64(15));
-        let mut isp = Isp::new(IspId(0), &config, *bank.public(), 16);
-        let Some(NetMsg::Sell { envelope, audit }) = isp.maybe_sell() else {
-            panic!("expected a sell request");
-        };
-        assert_eq!(audit, 350); // drain 500 -> midpoint 150
-        let plain = zmail_crypto::open_with_private(bank.private(), &envelope).unwrap();
-        let (_, nonce) = decode_value_nonce(&plain).unwrap();
-        let mut rng = SmallRng::seed_from_u64(17);
-        let reply = zmail_crypto::seal_with_private(
-            bank.private(),
-            &encode_value_nonce(0, nonce),
-            &mut rng,
-        );
-        isp.handle_sell_reply(&reply).unwrap();
-        assert_eq!(isp.avail(), EPennies(150));
-    }
-
-    #[test]
-    fn forged_bank_reply_rejected() {
-        let (mut isps, _) = fixture(1);
-        let intruder = KeyPair::generate(&mut SmallRng::seed_from_u64(18));
-        let mut rng = SmallRng::seed_from_u64(19);
-        let forged = zmail_crypto::seal_with_private(
-            intruder.private(),
-            &encode_value_nonce(1, 0),
-            &mut rng,
-        );
-        assert!(isps[0].handle_buy_reply(&forged).is_err());
-    }
+    // The §4.3 exchange is tested against the real bank, both sides in
+    // one table: `bank::tests::exchange_table`.
 
     #[test]
     fn snapshot_freezes_buffers_and_flushes() {

@@ -94,7 +94,7 @@ pub use massive::{
     run_massive, run_massive_checked, run_massive_traced, MassiveConfig, MassiveEvent,
     MassiveReport, MassiveWorld,
 };
-pub use msg::{EmailMsg, NetMsg};
+pub use msg::{EmailMsg, Exchange, NetMsg};
 pub use multibank::{FederatedRound, Federation};
 pub use system::{RecoveryEvent, RunReport, ZmailSystem};
 pub use zombie::{ZombieAnalysis, ZombieIncident};

@@ -20,7 +20,7 @@
 use crate::bank::{Bank, ConsistencyReport};
 use crate::config::ZmailConfig;
 use crate::ids::IspId;
-use crate::msg::NetMsg;
+use crate::msg::{Exchange, NetMsg};
 use zmail_crypto::{CryptoError, PublicKey};
 
 /// One net inter-bank settlement flow: `(from_bank, to_bank, e_pennies)`,
@@ -176,32 +176,19 @@ impl Federation {
             || self.pending_regional.iter().any(Option::is_some)
     }
 
-    /// Routes a `buy` to the sender's home bank.
+    /// Routes a `buy` or `sell` to the sender's home bank.
     ///
     /// # Errors
     ///
     /// Propagates the bank's crypto/replay errors.
-    pub fn handle_buy(
+    pub fn handle_exchange(
         &mut self,
+        side: Exchange,
         from: IspId,
         envelope: &zmail_crypto::SealedEnvelope,
     ) -> Result<NetMsg, CryptoError> {
         let home = self.home_bank(from);
-        self.banks[home].handle_buy(from, envelope)
-    }
-
-    /// Routes a `sell` to the sender's home bank.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bank's crypto/replay errors.
-    pub fn handle_sell(
-        &mut self,
-        from: IspId,
-        envelope: &zmail_crypto::SealedEnvelope,
-    ) -> Result<NetMsg, CryptoError> {
-        let home = self.home_bank(from);
-        self.banks[home].handle_sell(from, envelope)
+        self.banks[home].handle_exchange(side, from, envelope)
     }
 
     /// Starts a federated snapshot: every regional bank requests its own
@@ -450,32 +437,42 @@ mod tests {
     }
 
     #[test]
-    fn buys_route_to_home_bank() {
-        let config = ZmailConfig::builder(2, 2)
-            .avail_bounds(
-                zmail_econ::EPennies(100),
-                zmail_econ::EPennies(200),
-                zmail_econ::EPennies(10),
-            )
-            .build();
-        let mut federation = Federation::new(&config, 2, 93);
-        let mut isp1 = Isp::new(IspId(1), &config, federation.public_key_for(IspId(1)), 7);
-        let Some(NetMsg::Buy { envelope, audit }) = isp1.maybe_buy() else {
-            panic!("expected buy");
-        };
-        let account_before = federation.bank(1).account(IspId(1));
-        let reply = federation.handle_buy(IspId(1), &envelope).unwrap();
-        assert_eq!(federation.bank(1).issued(), audit);
-        assert_eq!(federation.bank(0).issued(), 0, "wrong bank untouched");
-        assert_eq!(
-            federation.bank(1).account(IspId(1)),
-            account_before - zmail_econ::RealPennies(audit)
-        );
-        let NetMsg::BuyReply { envelope, .. } = reply else {
-            panic!("expected reply");
-        };
-        isp1.handle_buy_reply(&envelope).unwrap();
-        assert_eq!(isp1.avail(), zmail_econ::EPennies(10 + audit));
+    fn exchanges_route_to_home_bank() {
+        for (side, initial) in [(Exchange::Buy, 10), (Exchange::Sell, 500)] {
+            let config = ZmailConfig::builder(2, 2)
+                .avail_bounds(
+                    zmail_econ::EPennies(100),
+                    zmail_econ::EPennies(200),
+                    zmail_econ::EPennies(initial),
+                )
+                .build();
+            let mut federation = Federation::new(&config, 2, 93);
+            let mut isp1 = Isp::new(IspId(1), &config, federation.public_key_for(IspId(1)), 7);
+            let Some(NetMsg::Exchange {
+                envelope, audit, ..
+            }) = isp1.maybe_exchange(side)
+            else {
+                panic!("expected {side:?}");
+            };
+            let account_before = federation.bank(1).account(IspId(1));
+            let reply = federation
+                .handle_exchange(side, IspId(1), &envelope)
+                .unwrap();
+            assert_eq!(federation.bank(1).issued(), side.sign() * audit);
+            assert_eq!(federation.bank(0).issued(), 0, "wrong bank untouched");
+            assert_eq!(
+                federation.bank(1).account(IspId(1)),
+                account_before - zmail_econ::RealPennies(side.sign() * audit)
+            );
+            let NetMsg::ExchangeReply { envelope, .. } = reply else {
+                panic!("expected reply");
+            };
+            isp1.handle_exchange_reply(side, &envelope).unwrap();
+            assert_eq!(
+                isp1.avail(),
+                zmail_econ::EPennies(initial + side.sign() * audit)
+            );
+        }
     }
 
     #[test]
@@ -492,11 +489,11 @@ mod tests {
             )
             .build();
         let mut isp = Isp::new(IspId(0), &drained, federation.public_key_for(IspId(0)), 9);
-        let Some(NetMsg::Buy { envelope, .. }) = isp.maybe_buy() else {
+        let Some(NetMsg::Exchange { envelope, .. }) = isp.maybe_exchange(Exchange::Buy) else {
             panic!("expected buy");
         };
         // Deliver to the wrong bank: its private key cannot open it.
-        let err = federation.banks[1].handle_buy(IspId(0), &envelope);
+        let err = federation.banks[1].handle_exchange(Exchange::Buy, IspId(0), &envelope);
         assert!(err.is_err(), "wrong bank must fail to open the envelope");
     }
 

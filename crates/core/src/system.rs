@@ -14,7 +14,7 @@ use crate::ids::IspId;
 use crate::invariants::{self, AuditError};
 use crate::isp::{Delivery, Isp, RefusalCause, SendError, SendOutcome};
 use crate::metrics::CoreMetrics;
-use crate::msg::{EmailMsg, NetMsg};
+use crate::msg::{Digest, EmailMsg, Exchange, NetMsg};
 use crate::multibank::{Federation, SettlementFlow};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -265,8 +265,8 @@ struct ZmailWorld {
     /// snapshot-freeze buffer: one entry pushed per buffered send
     /// (`None` when untraced), one popped per drained send.
     queue_spans: Vec<VecDeque<Option<(SpanCtx, SpanCtx)>>>,
-    /// Per-ISP open `bank_rtt` spans: `[buy, sell]`, closed when the
-    /// matching reply is applied.
+    /// Per-ISP open `bank_rtt` spans, indexed by [`Exchange`], closed
+    /// when the matching reply is applied.
     bank_spans: Vec<[Option<SpanCtx>; 2]>,
     /// The adversary interpreter for `Fault::Adversary` clauses.
     /// `None` when the plan carries none — the tap then costs one
@@ -353,25 +353,19 @@ const CLASS_BANK: &str = "bank";
 /// Deterministic digest of one workload trace entry — the staging
 /// payload of `Event::Workload`, folded into
 /// [`RunReport::digest_checksum`] alongside each delivery's
-/// [`NetMsg::digest`]. FNV-1a over the entry fields, finished with an
-/// avalanche mix, exactly like the message digest.
+/// [`NetMsg::digest`], through the same hasher: each entry field as a
+/// little-endian `u64`.
 fn trace_digest(entry: &SendEvent) -> u64 {
-    const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = FNV_OFFSET;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
-    eat(entry.at.as_millis());
-    eat((u64::from(entry.from.isp) << 32) | u64::from(entry.from.user));
-    eat((u64::from(entry.to.isp) << 32) | u64::from(entry.to.user));
-    eat(entry.kind as u64);
-    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^ (h >> 31)
+    let mut h = Digest::new();
+    for v in [
+        entry.at.as_millis(),
+        (u64::from(entry.from.isp) << 32) | u64::from(entry.from.user),
+        (u64::from(entry.to.isp) << 32) | u64::from(entry.to.user),
+        entry.kind as u64,
+    ] {
+        h.eat(&v.to_le_bytes());
+    }
+    h.finish()
 }
 
 /// The fault layer's view of a [`Node`].
@@ -386,10 +380,7 @@ fn endpoint(node: Node) -> Endpoint {
 fn msg_class(msg: &NetMsg) -> MsgClass {
     match msg {
         NetMsg::Email(_) => MsgClass::Email,
-        NetMsg::Buy { .. }
-        | NetMsg::BuyReply { .. }
-        | NetMsg::Sell { .. }
-        | NetMsg::SellReply { .. } => MsgClass::Bank,
+        NetMsg::Exchange { .. } | NetMsg::ExchangeReply { .. } => MsgClass::Bank,
         NetMsg::SnapshotRequest { .. } | NetMsg::SnapshotReply { .. } => MsgClass::Snapshot,
     }
 }
@@ -535,28 +526,20 @@ impl ZmailWorld {
         lifecycle: Option<SpanCtx>,
     ) {
         let now = scheduler.now().as_millis();
-        if let Some(msg) = self.isps[isp.index()].maybe_buy() {
-            self.bank_spans[isp.index()][0] = lifecycle.and_then(|root| {
-                let req = self.isps[isp.index()].buy_request_id().unwrap_or(0);
+        for side in Exchange::BOTH {
+            let Some(msg) = self.isps[isp.index()].maybe_exchange(side) else {
+                continue;
+            };
+            self.bank_spans[isp.index()][side.index()] = lifecycle.and_then(|root| {
+                let req = self.isps[isp.index()]
+                    .exchange_request_id(side)
+                    .unwrap_or(0);
                 self.flight.child(
                     now,
                     root,
                     "bank_rtt",
                     isp_node(isp.0),
-                    format!("req={req}; buy"),
-                )
-            });
-            self.dispatch(scheduler, Node::Isp(isp), Node::Bank, msg, None);
-        }
-        if let Some(msg) = self.isps[isp.index()].maybe_sell() {
-            self.bank_spans[isp.index()][1] = lifecycle.and_then(|root| {
-                let req = self.isps[isp.index()].sell_request_id().unwrap_or(0);
-                self.flight.child(
-                    now,
-                    root,
-                    "bank_rtt",
-                    isp_node(isp.0),
-                    format!("req={req}; sell"),
+                    format!("req={req}; {}", side.label()),
                 )
             });
             self.dispatch(scheduler, Node::Isp(isp), Node::Bank, msg, None);
@@ -626,7 +609,7 @@ impl ZmailWorld {
         // An ISP-originated exchange arms a retransmission check —
         // before the fault decision, because a lost *request* is exactly
         // the case retransmission must cover.
-        if let (Node::Isp(isp), NetMsg::Buy { .. } | NetMsg::Sell { .. }, Some(after)) =
+        if let (Node::Isp(isp), NetMsg::Exchange { .. }, Some(after)) =
             (from, &msg, self.config.bank_retry_after)
         {
             scheduler.after(self.config.net_latency + after, Event::BankRetry(isp));
@@ -1020,7 +1003,8 @@ impl ZmailWorld {
             // sharing it close as no-ops.
             self.flight.end(now, t.delivery);
         }
-        self.pennies_in_flight -= msg.pennies_in_flight();
+        let in_flight = msg.pennies_in_flight();
+        self.pennies_in_flight -= in_flight;
         match (to, msg) {
             (Node::Isp(j), NetMsg::Email(email)) => {
                 let Node::Isp(origin) = from else {
@@ -1093,65 +1077,32 @@ impl ZmailWorld {
             }
             (
                 Node::Isp(j),
-                NetMsg::BuyReply {
+                NetMsg::ExchangeReply {
+                    side,
                     envelope,
                     audit,
                     replayed,
                 },
             ) => {
                 self.recorder.write(CLASS_ISP, isp_key(j.0));
-                match self.isps[j.index()].handle_buy_reply(&envelope) {
-                    Ok(applied) => {
-                        if applied {
-                            // Reply accepted: the buy round trip is over.
-                            if let Some(c) = self.bank_spans[j.index()][0].take() {
-                                self.flight.end(now, c);
-                            }
+                match self.isps[j.index()].handle_exchange_reply(side, &envelope) {
+                    // Reply accepted: the round trip is over.
+                    Ok(true) => {
+                        if let Some(c) = self.bank_spans[j.index()][side.index()].take() {
+                            self.flight.end(now, c);
                         }
-                        if applied && replayed {
-                            // The grant this cached reply carries was
-                            // stranded when the original reply was lost;
-                            // it just landed in the pool after all.
-                            self.pennies_stranded -= audit;
+                        if replayed {
+                            // The value this cached reply carries was
+                            // counted stranded when the original reply
+                            // was lost; the pool has now moved after all.
+                            self.pennies_stranded -= side.sign() * audit;
                         }
                     }
-                    Err(_) => {
-                        // Forged reply: restore the audit counter we
-                        // removed (replayed replies carry none).
-                        if !replayed {
-                            self.pennies_in_flight += audit;
-                        }
-                    }
-                }
-            }
-            (
-                Node::Isp(j),
-                NetMsg::SellReply {
-                    envelope,
-                    audit,
-                    replayed,
-                },
-            ) => {
-                self.recorder.write(CLASS_ISP, isp_key(j.0));
-                match self.isps[j.index()].handle_sell_reply(&envelope) {
-                    Ok(applied) => {
-                        if applied {
-                            if let Some(c) = self.bank_spans[j.index()][1].take() {
-                                self.flight.end(now, c);
-                            }
-                        }
-                        if applied && replayed {
-                            // The retirement was counted stranded when
-                            // the original confirmation was lost; the
-                            // pool has now actually given the value up.
-                            self.pennies_stranded += audit;
-                        }
-                    }
-                    Err(_) => {
-                        if !replayed {
-                            self.pennies_in_flight -= audit;
-                        }
-                    }
+                    // Stale: ignored by the ISP.
+                    Ok(false) => {}
+                    // Forged reply: restore the audit counter we removed
+                    // (replayed replies carry none).
+                    Err(_) => self.pennies_in_flight += in_flight,
                 }
             }
             (Node::Isp(j), NetMsg::SnapshotRequest { envelope }) => {
@@ -1163,21 +1114,12 @@ impl ZmailWorld {
                     scheduler.after(self.config.snapshot_timeout, Event::SnapshotTimeout(j));
                 }
             }
-            (Node::Bank, NetMsg::Buy { envelope, .. }) => {
+            (Node::Bank, NetMsg::Exchange { side, envelope, .. }) => {
                 let Node::Isp(g) = from else {
-                    panic!("buy must come from an ISP");
+                    panic!("{} must come from an ISP", side.label());
                 };
                 self.recorder.write(CLASS_BANK, BANK_KEY);
-                if let Ok(reply) = self.banks.handle_buy(g, &envelope) {
-                    self.dispatch(scheduler, Node::Bank, Node::Isp(g), reply, None);
-                }
-            }
-            (Node::Bank, NetMsg::Sell { envelope, .. }) => {
-                let Node::Isp(g) = from else {
-                    panic!("sell must come from an ISP");
-                };
-                self.recorder.write(CLASS_BANK, BANK_KEY);
-                if let Ok(reply) = self.banks.handle_sell(g, &envelope) {
+                if let Ok(reply) = self.banks.handle_exchange(side, g, &envelope) {
                     self.dispatch(scheduler, Node::Bank, Node::Isp(g), reply, None);
                 }
             }
@@ -1458,16 +1400,12 @@ impl ParallelWorld for ZmailWorld {
                 // state; issuing a retransmission mutates it (fresh
                 // nonce or idempotent resend bookkeeping).
                 self.recorder.read(CLASS_ISP, isp_key(isp.0));
-                if let Some(msg) = self.isps[isp.index()].retry_buy() {
+                for side in Exchange::BOTH {
+                    let Some(msg) = self.isps[isp.index()].retry_exchange(side) else {
+                        continue;
+                    };
                     self.recorder.write(CLASS_ISP, isp_key(isp.0));
-                    if let Some(c) = self.bank_spans[isp.index()][0] {
-                        self.flight.annotate(c, "retry");
-                    }
-                    self.dispatch(scheduler, Node::Isp(isp), Node::Bank, msg, None);
-                }
-                if let Some(msg) = self.isps[isp.index()].retry_sell() {
-                    self.recorder.write(CLASS_ISP, isp_key(isp.0));
-                    if let Some(c) = self.bank_spans[isp.index()][1] {
+                    if let Some(c) = self.bank_spans[isp.index()][side.index()] {
                         self.flight.annotate(c, "retry");
                     }
                     self.dispatch(scheduler, Node::Isp(isp), Node::Bank, msg, None);
@@ -2377,7 +2315,10 @@ mod tests {
         let (system, report) = run(config, t, 61);
         assert!(report.bank_messages_lost >= 1);
         assert!(
-            system.isp(IspId(0)).buy_outstanding(),
+            system
+                .isp(IspId(0))
+                .exchange_request_id(Exchange::Buy)
+                .is_some(),
             "the exchange must be permanently wedged"
         );
         assert_eq!(
@@ -2406,7 +2347,7 @@ mod tests {
                 system.isp(IspId(i)).avail() >= EPennies(1_000),
                 "isp[{i}] pool should have recovered"
             );
-            assert!(!system.isp(IspId(i)).buy_outstanding());
+            assert!(!system.isp(IspId(i)).exchange_outstanding());
         }
         let retries: u64 = (0..2)
             .map(|i| system.isp(IspId(i)).stats().bank_retries)
@@ -2559,7 +2500,7 @@ mod tests {
                 system.isp(IspId(i)).avail() >= EPennies(1_000),
                 "isp[{i}] pool should have recovered"
             );
-            assert!(!system.isp(IspId(i)).buy_outstanding());
+            assert!(!system.isp(IspId(i)).exchange_outstanding());
         }
         let retries: u64 = (0..2)
             .map(|i| system.isp(IspId(i)).stats().idempotent_retries)

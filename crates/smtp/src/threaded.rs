@@ -17,7 +17,10 @@
 //!   a well-formed SMTP answer, and the server's memory use stays flat;
 //! * every accepted stream gets read/write timeouts, so a stalled or
 //!   vanished peer cannot pin a worker forever: on timeout the worker
-//!   sends a best-effort `421` and closes.
+//!   sends a best-effort `421` and closes;
+//! * a session runs under `catch_unwind`, so a sink that panics loses
+//!   that one connection (dropped, no reply) and neither the worker nor
+//!   its connection slot.
 //!
 //! What gets dropped first under overload is therefore explicit and
 //! observable: whole connections at the accept gate (`server.accept.shed`,
@@ -32,6 +35,7 @@ use crate::SmtpError;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -209,7 +213,13 @@ impl ThreadedServer {
                 std::thread::spawn(move || {
                     while let Some(stream) = gate.pop() {
                         active_gauge.add(1);
-                        let timed_out = serve_stream(&hostname, &sink, &config, stream, &stats);
+                        // A sink that panics costs its own session only:
+                        // the unwind drops that socket, and the worker
+                        // still releases the slot and pops the next one.
+                        let timed_out = catch_unwind(AssertUnwindSafe(|| {
+                            serve_stream(&hostname, &sink, &config, stream, &stats)
+                        }))
+                        .unwrap_or(false);
                         if timed_out {
                             stats.timed_out.fetch_add(1, Ordering::Relaxed);
                             timeout_ctr.inc();
@@ -437,6 +447,46 @@ mod tests {
         assert_eq!(line.as_deref(), Some("421 mx.test idle timeout, closing"));
         server.stop();
         assert_eq!(server.stats().timed_out, 1);
+    }
+
+    #[test]
+    fn a_panicking_sink_costs_one_session_not_the_worker() {
+        struct Poisonable(CollectSink);
+        impl MailSink for Poisonable {
+            fn deliver(&self, message: MailMessage) -> Result<(), crate::SinkError> {
+                assert!(message.body() != "poison\r\n", "sink bug");
+                self.0.deliver(message)
+            }
+        }
+        let config = ThreadedConfig {
+            workers: 1,
+            ..tiny_config()
+        };
+        let sink = Arc::new(Poisonable(CollectSink::shared()));
+        let mut server = ThreadedServer::start("mx.test", Arc::clone(&sink), config).unwrap();
+        let send = |body: &str| {
+            // A client-side read timeout, so a wedged server fails the
+            // test instead of hanging it.
+            let stream = TcpStream::connect(server.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let mut client = Client::connect(TcpConnection::new(stream), "c.test")?;
+            client.send(&MailMessage::builder("a@x", "b@y").body(body).build())
+        };
+        send("before\r\n").expect("250");
+        // The poisoned session is dropped mid-exchange...
+        assert!(matches!(
+            send("poison\r\n"),
+            Err(SmtpError::ConnectionClosed)
+        ));
+        // ...and the only worker serves the next one.
+        send("after\r\n").expect("the worker and its slot survived");
+        server.stop();
+        assert_eq!(sink.0.len(), 2);
+        let stats = server.stats();
+        assert_eq!(stats.accepted_connections, 3);
+        assert_eq!(stats.accepted_messages, 2);
     }
 
     #[test]

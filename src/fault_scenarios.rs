@@ -421,7 +421,7 @@ impl Scenario {
         }
         for i in 0..self.isps {
             let isp = system.isp(IspId(i));
-            if isp.buy_outstanding() || isp.sell_outstanding() {
+            if isp.exchange_outstanding() {
                 violations.push(Violation::WedgedIsp(i));
             }
         }
