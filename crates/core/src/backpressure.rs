@@ -34,7 +34,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 use zmail_smtp::{MailMessage, MailSink, SinkError};
@@ -87,6 +87,16 @@ struct AtomicStats {
     spooled_bytes: AtomicU64,
 }
 
+/// The one way this file takes a lock or comes back from a condvar wait:
+/// through poison. The queue and completion locks are never held across
+/// foreign code; the spool lock is held across [`Storage`] calls, and a
+/// backend that panics there takes the drainer — the spool's only writer
+/// — with it, so what a poisoned guard still protects is read-only. An
+/// `expect` here would turn that one panic into one per caller.
+fn held<T>(guard: LockResult<T>) -> T {
+    guard.unwrap_or_else(PoisonError::into_inner)
+}
+
 /// One message's rendezvous between the session worker and the drainer.
 struct Completion {
     slot: Mutex<Option<Result<(), SinkError>>>,
@@ -102,17 +112,17 @@ impl Completion {
     }
 
     fn complete(&self, result: Result<(), SinkError>) {
-        *self.slot.lock().expect("completion lock") = Some(result);
+        *held(self.slot.lock()) = Some(result);
         self.done.notify_one();
     }
 
     fn wait(&self) -> Result<(), SinkError> {
-        let mut slot = self.slot.lock().expect("completion lock");
+        let mut slot = held(self.slot.lock());
         loop {
             if let Some(result) = slot.take() {
                 return result;
             }
-            slot = self.done.wait(slot).expect("completion lock");
+            slot = held(self.done.wait(slot));
         }
     }
 }
@@ -220,11 +230,11 @@ impl<S> BackpressureSink<S> {
     /// drainer. Idempotent; `deliver` afterwards sheds with `452`.
     pub fn shutdown(&self) {
         {
-            let mut state = self.shared.queue.lock().expect("queue lock");
+            let mut state = held(self.shared.queue.lock());
             state.stopped = true;
             self.shared.not_empty.notify_all();
         }
-        if let Some(handle) = self.drainer.lock().expect("drainer lock").take() {
+        if let Some(handle) = held(self.drainer.lock()).take() {
             let _ = handle.join();
         }
     }
@@ -249,11 +259,7 @@ impl<S> BackpressureSink<S> {
 
     /// Bytes currently in the durable spool blob.
     pub fn spooled_bytes(&self) -> u64 {
-        self.shared
-            .spool
-            .lock()
-            .expect("spool lock")
-            .len(SPOOL_BLOB)
+        held(self.shared.spool.lock()).len(SPOOL_BLOB)
     }
 }
 
@@ -264,7 +270,7 @@ impl<S: MailSink> MailSink for BackpressureSink<S> {
 
     fn deliver(&self, message: MailMessage) -> Result<(), SinkError> {
         let completion = {
-            let mut state = self.shared.queue.lock().expect("queue lock");
+            let mut state = held(self.shared.queue.lock());
             if state.stopped {
                 return Err(self.shared.shed("server shutting down"));
             }
@@ -301,7 +307,7 @@ impl<S> Drop for Drainer<'_, S> {
     /// completion nobody will fill. After a clean shutdown both are empty.
     fn drop(&mut self) {
         let shared = self.shared;
-        let mut state = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut state = held(shared.queue.lock());
         state.stopped = true;
         let queued = state.jobs.drain(..);
         for job in queued.chain(self.batch.drain(..).map(|(job, _)| job)) {
@@ -319,9 +325,9 @@ fn drain_loop<S: MailSink>(shared: &Shared<S>) {
     };
     loop {
         {
-            let mut state = shared.queue.lock().expect("queue lock");
+            let mut state = held(shared.queue.lock());
             while state.jobs.is_empty() && !state.stopped {
-                state = shared.not_empty.wait(state).expect("queue lock");
+                state = held(shared.not_empty.wait(state));
             }
             if state.jobs.is_empty() && state.stopped {
                 return;
@@ -347,7 +353,7 @@ fn drain_loop<S: MailSink>(shared: &Shared<S>) {
         // Stage 2: group-commit — append every accepted message to the
         // spool, then a single sync makes the whole batch durable.
         {
-            let mut spool = shared.spool.lock().expect("spool lock");
+            let mut spool = held(shared.spool.lock());
             let mut appended = 0u64;
             for (job, result) in &drainer.batch {
                 if result.is_ok() {
@@ -617,6 +623,11 @@ mod tests {
         bp.shutdown();
         let stats = bp.stats();
         assert_eq!((stats.admitted, stats.shed, stats.delivered), (1, 2, 0));
+        // The backend panicked under the spool lock. The postmortem views
+        // read through the poison: one frame reached the device's buffer,
+        // none was ever synced, so none is counted.
+        let unsynced = spool_cost(&msg("in hand when the disk failed"));
+        assert_eq!((bp.spooled_bytes(), stats.spooled_bytes), (unsynced, 0));
     }
 
     #[test]

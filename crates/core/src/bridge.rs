@@ -16,6 +16,12 @@
 //! The gateway models a *compliant backbone*: it holds every compliant
 //! ISP's ledger behind one mutex, so a single SMTP endpoint can accept
 //! mail for all of them (the way a test deployment would start).
+//!
+//! Its books are **volatile**: the gateway has no `zmail-store` to drain
+//! an ISP journal into, so it journals nothing, whatever
+//! [`ZmailConfig::durability`] says. Behind a
+//! [`BackpressureSink`](crate::BackpressureSink) the *mail* is durable
+//! before `250` (the spool); the balances are not.
 
 use crate::config::{NonCompliantPolicy, ZmailConfig};
 use crate::ids::{mailbox, parse_mailbox, IspId};
@@ -67,6 +73,7 @@ impl GatewayState {
 }
 
 /// A Zmail-compliant SMTP mail sink (clone freely: clones share state).
+/// The ledgers live in memory only — see the module docs.
 #[derive(Clone)]
 pub struct ZmailGateway {
     inner: Arc<Mutex<GatewayState>>,
@@ -84,8 +91,11 @@ impl std::fmt::Debug for ZmailGateway {
 
 impl ZmailGateway {
     /// Builds the gateway with fresh ledgers for every compliant ISP.
-    pub fn new(config: ZmailConfig, seed: u64) -> Self {
+    pub fn new(mut config: ZmailConfig, seed: u64) -> Self {
         config.validate();
+        // An `Isp` built under a durable configuration journals every
+        // mutation for its driver to drain; nothing here ever would.
+        config.durability = None;
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         let bank = KeyPair::generate(&mut rng);
         let isps: Vec<Isp> = (0..config.isps)
@@ -473,6 +483,24 @@ mod tests {
             }
         );
         assert_eq!(gw.balance(bob), EPennies(101));
+    }
+
+    #[test]
+    fn a_durable_config_does_not_fill_journals_nobody_drains() {
+        let gw = ZmailGateway::new(ZmailConfig::builder(2, 3).durable().build(), 31);
+        let alice = UserAddr::new(0, 0);
+        let bob = UserAddr::new(1, 1);
+        for _ in 0..20 {
+            let msg =
+                MailMessage::builder(ZmailGateway::address(alice), ZmailGateway::address(bob))
+                    .body("journal me\r\n")
+                    .build();
+            gw.deliver(msg).unwrap();
+        }
+        assert_eq!(gw.balance(bob), EPennies(120));
+        for isp in &mut gw.state().isps {
+            assert!(isp.drain_journal().is_empty(), "{} journals", isp.id());
+        }
     }
 
     #[test]

@@ -63,6 +63,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod adversary;
 pub mod backpressure;
 pub mod bank;
 pub mod bridge;

@@ -8,37 +8,29 @@
 //! (daily `sent` resets, billing-period credit snapshots with the
 //! quiescence freeze), and accumulates a [`RunReport`].
 
+use crate::adversary::AdversaryEngine;
 use crate::bank::{Bank, ConsistencyReport};
 use crate::config::ZmailConfig;
 use crate::ids::IspId;
-use crate::invariants::{self, AuditError};
+use crate::invariants::{self, AuditError, FlightLedger};
 use crate::isp::{Delivery, Isp, RefusalCause, SendError, SendOutcome};
 use crate::metrics::CoreMetrics;
 use crate::msg::{Digest, EmailMsg, Exchange, NetMsg};
 use crate::multibank::{Federation, SettlementFlow};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use zmail_crypto::{Attestation, KeyPair, PrivateKey, PublicKey};
+use std::collections::{BTreeMap, VecDeque};
+use zmail_crypto::{KeyPair, PrivateKey, PublicKey};
 use zmail_econ::EPennies;
 use zmail_fault::{
-    AdversaryCounters, AdversaryFault, AdversaryMetrics, AttackClass, Endpoint, Fault,
-    FaultCounters, FaultInjector, MsgClass, PairLedger, Verdict,
+    AdversaryCounters, AttackClass, Endpoint, Fault, FaultCounters, FaultInjector, MsgClass,
+    PairLedger, Verdict,
 };
 use zmail_obs::{FlightRecorder, SpanCtx, SpanStatus};
 use zmail_sim::racecheck::{AccessRecorder, CheckedWorld, RacecheckReport, RecordedWorld};
 use zmail_sim::workload::{MailKind, SendEvent, UserAddr};
 use zmail_sim::{ParallelWorld, Scheduler, SimDuration, SimTime, Simulation, World};
 use zmail_store::{Books, LedgerStore, MemStorage, ShardedLedgerStore};
-
-/// Addressable parties on the network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Node {
-    /// An ISP.
-    Isp(IspId),
-    /// The bank.
-    Bank,
-}
 
 /// Events driving the world.
 #[derive(Debug)]
@@ -47,8 +39,8 @@ enum Event {
     Workload(usize),
     /// A network message arrives at `to`.
     Deliver {
-        from: Node,
-        to: Node,
+        from: Endpoint,
+        to: Endpoint,
         msg: NetMsg,
         /// Causal trace context riding with an email: the message's
         /// lifecycle span and the open delivery span. `None` for bank
@@ -100,9 +92,10 @@ enum SendCause {
     Ack(Option<SpanCtx>),
 }
 
-/// The flight-recorder node name of an ISP.
+/// The flight-recorder node name of an ISP — the one its `delivery`
+/// spans get from their destination [`Endpoint`].
 fn isp_node(isp: u32) -> String {
-    format!("isp{isp}")
+    Endpoint::Isp(isp).to_string()
 }
 
 /// A mailing list wired into the protocol (§5): posts fan out as paid
@@ -224,16 +217,19 @@ struct ZmailWorld {
     banks: Federation,
     trace: Vec<SendEvent>,
     horizon: SimTime,
-    pennies_in_flight: i64,
-    /// E-pennies destroyed by lost paid emails (sender debited, receiver
-    /// never credited).
-    pennies_lost: i64,
-    /// E-pennies counterfeited by duplicated paid emails (receiver
-    /// credited twice for one debit).
-    pennies_duplicated: i64,
-    /// E-pennies stranded at the bank by lost buy/sell replies (issued or
-    /// retired exactly once more than any pool reflects).
-    pennies_stranded: i64,
+    /// Every e-penny that is neither in a balance nor in a pool: on the
+    /// wire, destroyed, counterfeited, or stranded at the bank. What
+    /// [`ZmailSystem::audit`] balances the books against.
+    ledger: FlightLedger,
+    /// Attestation-layer corrections to the §4.4 pair-sum prediction,
+    /// keyed by unordered ISP pair: +1 per refused *real* payment
+    /// (stripped or a duplicate caught by the nonce set — the sender
+    /// was debited, the receiver never credited), −1 per accepted
+    /// counterfeit (credited, never debited). Always maintained (empty
+    /// when attestations are off, since only attestation verification
+    /// refuses deliveries); the scenario harness folds it into the
+    /// injector's pair-ledger prediction.
+    attest_pair_drift: BTreeMap<(u32, u32), i64>,
     net_faults: zmail_sim::Sampler,
     faults: FaultInjector,
     lists: Vec<RegisteredList>,
@@ -273,65 +269,11 @@ struct ZmailWorld {
     /// branch per dispatch and draws nothing, keeping legacy runs
     /// byte-identical.
     adversary: Option<AdversaryEngine>,
-    /// Attestation-layer corrections to the §4.4 pair-sum prediction,
-    /// keyed by unordered ISP pair: +1 per refused *real* payment
-    /// (stripped or a duplicate caught by the nonce set — the sender
-    /// was debited, the receiver never credited), −1 per accepted
-    /// counterfeit (credited, never debited). Always maintained (empty
-    /// when attestations are off, since only attestation verification
-    /// refuses deliveries); the scenario harness folds it into the
-    /// injector's pair-ledger prediction.
-    attest_pair_drift: BTreeMap<(u32, u32), i64>,
 }
 
 /// Canonical unordered-pair key for §4.4 drift bookkeeping.
 fn pair_key(a: u32, b: u32) -> (u32, u32) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-/// Interprets the plan's [`AdversaryFault`] clauses on the serial apply
-/// path. Adversaries act *above* the channel layer — on message content
-/// and ledger claims, not on delivery — so they live here rather than in
-/// the [`FaultInjector`]. The engine taps every outbound email dispatch
-/// of an attacker ISP, rolls its own dedicated sampler (zero draws when
-/// no clause is configured), and injects counterfeit traffic straight
-/// onto the delivery queue so channel-fault accounting never mixes with
-/// attack accounting.
-struct AdversaryEngine {
-    clauses: Vec<AdversaryFault>,
-    sampler: zmail_sim::Sampler,
-    counters: AdversaryCounters,
-    /// Counterfeits in flight, keyed by `(receiving ISP, attestation
-    /// nonce)` — consulted at delivery time to attribute acceptances
-    /// and refusals to their attack class. Replayed acks are *not*
-    /// entered here: their nonce also rides the legitimate copy, and
-    /// the per-receiver nonce set refuses whichever arrives second.
-    injected: BTreeMap<(u32, u64), AttackClass>,
-    /// Nonces whose ack the adversary replayed, keyed like `injected`.
-    /// Consumed by the first `ReplayedNonce` refusal at that receiver,
-    /// attributing it to the attack (`replays_refused`) rather than to
-    /// a network duplication.
-    replayed: BTreeSet<(u32, u64)>,
-    /// Every ISP's signing key — a colluding ring shares key material,
-    /// and the simulation simply holds all of it (mutating another
-    /// ISP's state from inside a tap would also violate the declared
-    /// racecheck footprint). Empty when attestations are off: the
-    /// injection classes then have nothing to sign and stay idle.
-    keys: Vec<PrivateKey>,
-    /// The forger's own key: *not* in any ISP's directory, so its
-    /// attestations are exactly "well-formed but signed by nobody".
-    forger: PrivateKey,
-    /// A legitimate attestation captured off the zombie host's outbound
-    /// wire, with the ISP it was originally destined for — replayed
-    /// cross-destination with rotating sender identities.
-    stolen: Option<(Attestation, u32)>,
-    /// Monotone injection counter: rotates counterfeit identities and
-    /// mints collision-free nonces in the attacker's reserved ranges.
-    seq: u64,
+    (a.min(b), a.max(b))
 }
 
 /// Footprint key of an ISP's protocol state. Key 0 is the bank's, so
@@ -368,14 +310,6 @@ fn trace_digest(entry: &SendEvent) -> u64 {
     h.finish()
 }
 
-/// The fault layer's view of a [`Node`].
-fn endpoint(node: Node) -> Endpoint {
-    match node {
-        Node::Isp(i) => Endpoint::Isp(i.0),
-        Node::Bank => Endpoint::Bank,
-    }
-}
-
 /// The fault layer's traffic class of a message.
 fn msg_class(msg: &NetMsg) -> MsgClass {
     match msg {
@@ -386,6 +320,42 @@ fn msg_class(msg: &NetMsg) -> MsgClass {
 }
 
 impl ZmailWorld {
+    /// Counts a message that reached an inbox.
+    fn delivered(&mut self, kind: MailKind, paid: bool) {
+        *self.report.delivered_by_kind.entry(kind).or_default() += 1;
+        if paid {
+            self.report.paid_deliveries += 1;
+        } else {
+            self.report.unpaid_deliveries += 1;
+        }
+    }
+
+    /// Counts a message its receiving ISP filtered or refused.
+    fn dropped(&mut self, kind: MailKind) {
+        *self.report.dropped_by_kind.entry(kind).or_default() += 1;
+    }
+
+    /// Ends a message's lifecycle span, when it is traced: appends
+    /// `note` (unless empty) and queues the close with `status` for
+    /// [`ZmailWorld::flush_lifecycle_closes`].
+    fn close(&mut self, lifecycle: Option<SpanCtx>, note: &str, status: SpanStatus) {
+        if let Some(ctx) = lifecycle {
+            if !note.is_empty() {
+                self.flight.annotate(ctx, note);
+            }
+            self.pending_close.push((ctx, status));
+        }
+    }
+
+    /// Shifts the §4.4 pair-sum prediction of the unordered pair
+    /// `{a, b}` (see [`ZmailSystem::adversary_pair_drift`]).
+    fn drift(&mut self, a: IspId, b: IspId, by: i64) {
+        *self
+            .attest_pair_drift
+            .entry(pair_key(a.0, b.0))
+            .or_insert(0) += by;
+    }
+
     /// Routes an accepted send outcome; shared by workload and flush paths.
     fn process_send(
         &mut self,
@@ -417,7 +387,7 @@ impl ZmailWorld {
         if lifecycle.is_some() {
             self.apply_ctx = lifecycle;
         }
-        let sender_isp = IspId(from.isp);
+        let (sender_isp, origin) = (IspId(from.isp), Endpoint::Isp(from.isp));
         if !self.config.is_compliant(sender_isp) {
             // Non-compliant ISPs run no ledger: mail goes out unpaid.
             let msg = NetMsg::Email(EmailMsg {
@@ -427,13 +397,7 @@ impl ZmailWorld {
                 paid: false,
                 attestation: None,
             });
-            self.dispatch(
-                scheduler,
-                Node::Isp(sender_isp),
-                Node::Isp(IspId(to.isp)),
-                msg,
-                lifecycle,
-            );
+            self.dispatch(scheduler, origin, Endpoint::Isp(to.isp), msg, lifecycle);
             return;
         }
         // One mutation surface for the whole send path: the sender's
@@ -444,8 +408,7 @@ impl ZmailWorld {
         let outcome = self.isps[sender_isp.index()].send_email(from.user, to, kind);
         match outcome {
             Ok(SendOutcome::DeliveredLocally) => {
-                *self.report.delivered_by_kind.entry(kind).or_default() += 1;
-                self.report.paid_deliveries += 1;
+                self.delivered(kind, true);
                 // Same-ISP deliveries acknowledge too (§5): the ISP is
                 // both sender's and receiver's, but the refund mechanics
                 // are identical.
@@ -461,19 +424,10 @@ impl ZmailWorld {
                     attestation: None,
                 };
                 self.maybe_acknowledge(scheduler, &email, lifecycle);
-                if let Some(ctx) = lifecycle {
-                    self.flight.annotate(ctx, "local");
-                    self.pending_close.push((ctx, SpanStatus::Ok));
-                }
+                self.close(lifecycle, "local", SpanStatus::Ok);
             }
             Ok(SendOutcome::Outbound { to: dest, msg }) => {
-                self.dispatch(
-                    scheduler,
-                    Node::Isp(sender_isp),
-                    Node::Isp(dest),
-                    msg,
-                    lifecycle,
-                );
+                self.dispatch(scheduler, origin, Endpoint::Isp(dest.0), msg, lifecycle);
             }
             Ok(SendOutcome::Buffered) => {
                 self.report.buffered_sends += 1;
@@ -489,10 +443,7 @@ impl ZmailWorld {
             }
             Err(SendError::InsufficientBalance) => {
                 self.report.bounced_balance += 1;
-                if let Some(ctx) = lifecycle {
-                    self.flight.annotate(ctx, "bounced=balance");
-                    self.pending_close.push((ctx, SpanStatus::Dropped));
-                }
+                self.close(lifecycle, "bounced=balance", SpanStatus::Dropped);
             }
             Err(SendError::DailyLimitExceeded) => {
                 self.report.bounced_limit += 1;
@@ -500,10 +451,7 @@ impl ZmailWorld {
                     at: scheduler.now(),
                     user: from,
                 });
-                if let Some(ctx) = lifecycle {
-                    self.flight.annotate(ctx, "bounced=limit");
-                    self.pending_close.push((ctx, SpanStatus::Dropped));
-                }
+                self.close(lifecycle, "bounced=limit", SpanStatus::Dropped);
             }
         }
         // Behavioural knob: users top up when running low.
@@ -542,7 +490,7 @@ impl ZmailWorld {
                     format!("req={req}; {}", side.label()),
                 )
             });
-            self.dispatch(scheduler, Node::Isp(isp), Node::Bank, msg, None);
+            self.dispatch(scheduler, Endpoint::Isp(isp.0), Endpoint::Bank, msg, None);
         }
     }
 
@@ -591,39 +539,44 @@ impl ZmailWorld {
     fn dispatch(
         &mut self,
         scheduler: &mut Scheduler<'_, Event>,
-        from: Node,
-        to: Node,
+        from: Endpoint,
+        to: Endpoint,
         mut msg: NetMsg,
         lifecycle: Option<SpanCtx>,
     ) {
-        // The adversary's wire tap: an attacker ISP may mutate its own
-        // outbound email (strip the signature), capture it (replay,
-        // identity theft), or ride the send to inject counterfeits.
-        // Runs before the channel-fault verdict — the adversary acts at
-        // the origin, the network acts on the wire.
-        if self.adversary.is_some() {
-            if let (Node::Isp(origin), NetMsg::Email(email)) = (from, &mut msg) {
-                self.adversary_tap(scheduler, origin, email);
+        let now = scheduler.now();
+        // The adversary's wire tap runs before the channel-fault verdict,
+        // and what it emits goes straight onto the delivery queue: no
+        // verdict (the adversary controls its own wire) and no trace
+        // context (counterfeits have no legitimate lifecycle).
+        if let (Some(engine), Endpoint::Isp(origin), NetMsg::Email(email)) =
+            (self.adversary.as_mut(), from, &mut msg)
+        {
+            for (class, forged, delay) in engine.tap(&self.config, now, origin, email) {
+                // A replayed ack is a second credit claim on one debit,
+                // exactly like a network duplicate; any other counterfeit
+                // has no debit at all and counts only if it lands.
+                if class == AttackClass::ReplayAck {
+                    self.ledger.duplicated += 1;
+                }
+                let (to, msg) = (Endpoint::Isp(forged.to.isp), NetMsg::Email(forged));
+                self.put_on_wire(scheduler, delay, from, to, msg, None);
             }
         }
         // An ISP-originated exchange arms a retransmission check —
         // before the fault decision, because a lost *request* is exactly
         // the case retransmission must cover.
-        if let (Node::Isp(isp), NetMsg::Exchange { .. }, Some(after)) =
+        if let (Endpoint::Isp(isp), NetMsg::Exchange { .. }, Some(after)) =
             (from, &msg, self.config.bank_retry_after)
         {
-            scheduler.after(self.config.net_latency + after, Event::BankRetry(isp));
+            let check_at = self.config.net_latency + after;
+            scheduler.after(check_at, Event::BankRetry(IspId(isp)));
         }
         let class = msg_class(&msg);
         let pennies = msg.pennies_in_flight();
-        let verdict = self.faults.decide(
-            &mut self.net_faults,
-            scheduler.now(),
-            endpoint(from),
-            endpoint(to),
-            class,
-            pennies,
-        );
+        let verdict = self
+            .faults
+            .decide(&mut self.net_faults, now, from, to, class, pennies);
         match verdict {
             Verdict::Drop(_) => {
                 match class {
@@ -631,14 +584,14 @@ impl ZmailWorld {
                     // debited, the receiver is never credited.
                     MsgClass::Email => {
                         self.report.emails_lost += 1;
-                        self.pennies_lost += pennies;
+                        self.ledger.lost += pennies;
                     }
                     // A lost exchange message strands value at the bank: a
                     // lost grant was issued but never pooled (+audit), a lost
                     // retirement is still pooled (−audit).
                     MsgClass::Bank => {
                         self.report.bank_messages_lost += 1;
-                        self.pennies_stranded += pennies;
+                        self.ledger.stranded += pennies;
                     }
                     // Snapshot traffic carries no value; losing it stalls the
                     // billing round (there is no retry path in the paper).
@@ -646,10 +599,7 @@ impl ZmailWorld {
                         self.report.snapshot_messages_lost += 1;
                     }
                 }
-                if let Some(ctx) = lifecycle {
-                    self.flight.annotate(ctx, "lost=network");
-                    self.pending_close.push((ctx, SpanStatus::Dropped));
-                }
+                self.close(lifecycle, "lost=network", SpanStatus::Dropped);
             }
             Verdict::Deliver {
                 copies,
@@ -660,12 +610,8 @@ impl ZmailWorld {
                 // share it; the first arrival closes it, later closes
                 // no-op), parented under the send's lifecycle span.
                 let ctx = lifecycle.and_then(|root| {
-                    let dest = match to {
-                        Node::Isp(j) => isp_node(j.0),
-                        Node::Bank => "bank".to_string(),
-                    };
                     self.flight
-                        .child(scheduler.now().as_millis(), root, "delivery", dest, "")
+                        .child(now.as_millis(), root, "delivery", to.to_string(), "")
                         .map(|delivery| EmailTrace {
                             lifecycle: root,
                             delivery,
@@ -676,324 +622,35 @@ impl ZmailWorld {
                 // queue's FIFO tie-breaking.
                 for _ in 1..copies {
                     self.report.emails_duplicated += 1;
-                    self.pennies_duplicated += pennies;
-                    self.pennies_in_flight += pennies;
-                    self.report.network_messages += 1;
-                    scheduler.after(
-                        latency,
-                        Event::Deliver {
-                            from,
-                            to,
-                            msg: msg.clone(),
-                            ctx,
-                        },
-                    );
+                    self.ledger.duplicated += pennies;
+                    self.put_on_wire(scheduler, latency, from, to, msg.clone(), ctx);
                 }
-                self.pennies_in_flight += pennies;
-                self.report.network_messages += 1;
-                scheduler.after(latency, Event::Deliver { from, to, msg, ctx });
+                self.put_on_wire(scheduler, latency, from, to, msg, ctx);
             }
         }
     }
 
-    /// The adversary's wire tap: run on every outbound email dispatch,
-    /// before the channel-fault verdict. Every active clause owned by
-    /// the sending ISP gets a chance to act on (or ride on) this send.
-    fn adversary_tap(
+    /// Schedules `msg`'s arrival at `to` after `latency`; whatever value
+    /// it carries is in flight until [`ZmailWorld::handle_delivery`].
+    fn put_on_wire(
         &mut self,
         scheduler: &mut Scheduler<'_, Event>,
-        origin: IspId,
-        email: &mut EmailMsg,
-    ) {
-        // Take/put-back so clause handling can call `&mut self` helpers
-        // while holding the engine.
-        let Some(mut engine) = self.adversary.take() else {
-            return;
-        };
-        let now = scheduler.now();
-        let latency = self.config.net_latency;
-        for idx in 0..engine.clauses.len() {
-            let c = engine.clauses[idx];
-            if c.isp != origin.0 || !c.active(now) {
-                continue;
-            }
-            match c.class {
-                // Relay malware drops the `X-Zmail-Sig` header from
-                // paid outbound mail. The receiver refuses the unsigned
-                // payment claim; the already-debited e-penny is gone
-                // (accounted at refusal time).
-                AttackClass::Strip => {
-                    if email.paid && email.attestation.is_some() && engine.sampler.bernoulli(c.p) {
-                        email.attestation = None;
-                        engine.counters.stripped += 1;
-                        AdversaryMetrics::get().stripped.inc();
-                    }
-                }
-                // Refund farming: capture an outbound §5 ack and replay
-                // a byte-identical copy, hoping for a second refund.
-                // Accounted like a network duplication — one debit, two
-                // credit claims — which the receiver's nonce set must
-                // collapse back to one.
-                AttackClass::ReplayAck => {
-                    if email.kind == MailKind::Ack
-                        && email.paid
-                        && email.attestation.is_some()
-                        && engine.sampler.bernoulli(c.p)
-                    {
-                        engine.counters.replays += 1;
-                        AdversaryMetrics::get().replays.inc();
-                        self.pennies_duplicated += 1;
-                        let copy = email.clone();
-                        if let Some(att) = &copy.attestation {
-                            engine.replayed.insert((copy.to.isp, att.nonce));
-                        }
-                        // The replay trails the original so the nonce
-                        // set refuses the copy, not the real refund.
-                        self.inject(
-                            scheduler,
-                            origin,
-                            IspId(copy.to.isp),
-                            copy,
-                            latency + latency,
-                        );
-                    }
-                }
-                // Header forgery: a counterfeit paid claim signed with
-                // a key no directory knows. Fields are correctly bound
-                // — only the signature check can catch it.
-                AttackClass::Forge => {
-                    if engine.sampler.bernoulli(c.p) {
-                        engine.seq += 1;
-                        let start = (c.isp + 1 + engine.seq as u32) % self.config.isps.max(1);
-                        let Some(dest) = self.pick_dest(&[c.isp], start) else {
-                            continue;
-                        };
-                        let user = engine.seq as u32 % self.config.users_per_isp.max(1);
-                        let nonce = (u64::from(c.isp) << 48) | (1 << 47) | engine.seq;
-                        let att = Attestation::sign(
-                            &engine.forger,
-                            c.isp,
-                            user,
-                            dest,
-                            user,
-                            1,
-                            nonce,
-                            None,
-                        );
-                        let msg = EmailMsg {
-                            from: UserAddr::new(c.isp, user),
-                            to: UserAddr::new(dest, user),
-                            kind: MailKind::Spam,
-                            paid: true,
-                            attestation: Some(att),
-                        };
-                        engine.injected.insert((dest, nonce), AttackClass::Forge);
-                        engine.counters.forged += 1;
-                        AdversaryMetrics::get().forged.inc();
-                        self.inject(scheduler, origin, IspId(dest), msg, latency);
-                    }
-                }
-                // Colluding ring: the attacker signs with its *real*
-                // key a payment it never debited, addressed to its
-                // accomplice. Verification passes by construction —
-                // only the conservation audit and the §4.4 pair check
-                // can convict the pair.
-                AttackClass::Ring => {
-                    if engine.sampler.bernoulli(c.p) {
-                        let Some(key) = engine.keys.get(c.isp as usize).copied() else {
-                            continue;
-                        };
-                        engine.seq += 1;
-                        let user = engine.seq as u32 % self.config.users_per_isp.max(1);
-                        let nonce = (u64::from(c.isp) << 48) | (1 << 46) | engine.seq;
-                        let att = Attestation::sign(
-                            &key,
-                            c.isp,
-                            user,
-                            c.accomplice,
-                            user,
-                            1,
-                            nonce,
-                            None,
-                        );
-                        let msg = EmailMsg {
-                            from: UserAddr::new(c.isp, user),
-                            to: UserAddr::new(c.accomplice, user),
-                            kind: MailKind::Spam,
-                            paid: true,
-                            attestation: Some(att),
-                        };
-                        engine
-                            .injected
-                            .insert((c.accomplice, nonce), AttackClass::Ring);
-                        engine.counters.ring_counterfeits += 1;
-                        AdversaryMetrics::get().ring_counterfeits.inc();
-                        self.inject(scheduler, origin, IspId(c.accomplice), msg, latency);
-                    }
-                }
-                // Zombie botnet: steal the first legitimate attestation
-                // seen on the host's wire, then spray copies to *other*
-                // ISPs under rotating sender identities. Per-receiver
-                // nonce sets don't catch a cross-destination replay —
-                // the field-binding check must.
-                AttackClass::RotatingZombie => {
-                    if engine.stolen.is_none() {
-                        if let Some(att) = email.attestation {
-                            engine.stolen = Some((att, email.to.isp));
-                        }
-                    }
-                    if engine.sampler.bernoulli(c.p) {
-                        let Some((att, orig_dest)) = engine.stolen else {
-                            continue;
-                        };
-                        engine.seq += 1;
-                        let start = (c.isp + 1 + engine.seq as u32) % self.config.isps.max(1);
-                        let Some(dest) = self.pick_dest(&[c.isp, orig_dest], start) else {
-                            continue;
-                        };
-                        let user = engine.seq as u32 % self.config.users_per_isp.max(1);
-                        let msg = EmailMsg {
-                            from: UserAddr::new(c.isp, user),
-                            to: UserAddr::new(dest, user),
-                            kind: MailKind::VirusSpam,
-                            paid: true,
-                            attestation: Some(att),
-                        };
-                        engine
-                            .injected
-                            .insert((dest, att.nonce), AttackClass::RotatingZombie);
-                        engine.counters.zombie_sends += 1;
-                        AdversaryMetrics::get().zombie_sends.inc();
-                        self.inject(scheduler, origin, IspId(dest), msg, latency);
-                    }
-                }
-            }
-        }
-        self.adversary = Some(engine);
-    }
-
-    /// Puts an adversary-crafted email straight onto the delivery
-    /// queue: no channel-fault verdict (the adversary controls its own
-    /// wire) and no trace context (counterfeits have no legitimate
-    /// lifecycle).
-    fn inject(
-        &mut self,
-        scheduler: &mut Scheduler<'_, Event>,
-        from: IspId,
-        to: IspId,
-        email: EmailMsg,
         latency: SimDuration,
+        from: Endpoint,
+        to: Endpoint,
+        msg: NetMsg,
+        ctx: Option<EmailTrace>,
     ) {
-        self.pennies_in_flight += email.pennies_in_flight();
+        self.ledger.in_flight += msg.pennies_in_flight();
         self.report.network_messages += 1;
-        scheduler.after(
-            latency,
-            Event::Deliver {
-                from: Node::Isp(from),
-                to: Node::Isp(to),
-                msg: NetMsg::Email(email),
-                ctx: None,
-            },
-        );
-    }
-
-    /// First compliant ISP scanning cyclically from `start`, excluding
-    /// `exclude` — the counterfeit target chooser (deterministic, no
-    /// sampler draw).
-    fn pick_dest(&self, exclude: &[u32], start: u32) -> Option<u32> {
-        let n = self.config.isps;
-        (0..n)
-            .map(|k| (start + k) % n)
-            .find(|&d| !exclude.contains(&d) && self.config.is_compliant(IspId(d)))
-    }
-
-    /// Attributes a refused delivery to its cause and settles the
-    /// e-penny books. Counterfeit refusals carry no real value (nothing
-    /// was debited — `inject` put a phantom penny in flight and the
-    /// generic in-flight decrement already removed it). Refusals of
-    /// *real* payments destroy the debited e-penny: missing-attestation
-    /// (stripped) and replayed-nonce (the duplicate copy of a paid
-    /// message, adversarial or network-duplicated) both count it lost —
-    /// cancelling any duplication credit in the conservation equation —
-    /// and shift the §4.4 pair-sum prediction by +1 (the sender was
-    /// debited, this receiver credit never happened).
-    fn refused_accounting(
-        &mut self,
-        origin: IspId,
-        j: IspId,
-        email: &EmailMsg,
-        cause: RefusalCause,
-    ) {
-        let injected = match (self.adversary.as_mut(), email.attestation.as_ref()) {
-            (Some(engine), Some(att)) => engine.injected.remove(&(j.0, att.nonce)),
-            _ => None,
-        };
-        match injected {
-            Some(AttackClass::Forge) => {
-                if let Some(engine) = self.adversary.as_mut() {
-                    engine.counters.forged_refused += 1;
-                }
-            }
-            Some(AttackClass::RotatingZombie) => {
-                if let Some(engine) = self.adversary.as_mut() {
-                    engine.counters.zombie_refused += 1;
-                }
-            }
-            Some(_) => {}
-            None => match cause {
-                RefusalCause::MissingAttestation => {
-                    self.pennies_lost += 1;
-                    *self
-                        .attest_pair_drift
-                        .entry(pair_key(origin.0, j.0))
-                        .or_insert(0) += 1;
-                    if let Some(engine) = self.adversary.as_mut() {
-                        engine.counters.stripped_refused += 1;
-                    }
-                }
-                RefusalCause::ReplayedNonce => {
-                    self.pennies_lost += 1;
-                    // An adversarial ack replay leaves the pair sum
-                    // alone (the original copy settled the payment);
-                    // a *network* duplicate caught here cancels the
-                    // injector's predicted −1 duplication drift.
-                    let adversarial = email.attestation.as_ref().is_some_and(|att| {
-                        self.adversary
-                            .as_mut()
-                            .is_some_and(|e| e.replayed.remove(&(j.0, att.nonce)))
-                    });
-                    if adversarial {
-                        if let Some(engine) = self.adversary.as_mut() {
-                            engine.counters.replays_refused += 1;
-                        }
-                    } else {
-                        *self
-                            .attest_pair_drift
-                            .entry(pair_key(origin.0, j.0))
-                            .or_insert(0) += 1;
-                    }
-                }
-                RefusalCause::FieldMismatch => {
-                    // A re-targeted zombie copy whose `injected` entry
-                    // was already consumed by an earlier copy to the
-                    // same receiver (same stolen nonce, same key).
-                    if let Some(engine) = self.adversary.as_mut() {
-                        let nonce = email.attestation.as_ref().map(|a| a.nonce);
-                        if nonce.is_some() && engine.stolen.map(|(a, _)| a.nonce) == nonce {
-                            engine.counters.zombie_refused += 1;
-                        }
-                    }
-                }
-                RefusalCause::BadSignature => {}
-            },
-        }
+        scheduler.after(latency, Event::Deliver { from, to, msg, ctx });
     }
 
     fn handle_delivery(
         &mut self,
         scheduler: &mut Scheduler<'_, Event>,
-        from: Node,
-        to: Node,
+        from: Endpoint,
+        to: Endpoint,
         msg: NetMsg,
         ctx: Option<EmailTrace>,
     ) {
@@ -1004,79 +661,80 @@ impl ZmailWorld {
             self.flight.end(now, t.delivery);
         }
         let in_flight = msg.pennies_in_flight();
-        self.pennies_in_flight -= in_flight;
+        self.ledger.in_flight -= in_flight;
         match (to, msg) {
-            (Node::Isp(j), NetMsg::Email(email)) => {
-                let Node::Isp(origin) = from else {
+            (Endpoint::Isp(j), NetMsg::Email(email)) => {
+                let Endpoint::Isp(origin) = from else {
                     panic!("email from the bank is not part of the protocol");
                 };
+                let (origin, j) = (IspId(origin), IspId(j));
                 let lifecycle = ctx.map(|t| t.lifecycle);
                 if !self.config.is_compliant(j) {
                     // Non-compliant receivers keep no ledger; mail lands.
-                    *self.report.delivered_by_kind.entry(email.kind).or_default() += 1;
-                    self.report.unpaid_deliveries += 1;
-                    if let Some(root) = lifecycle {
-                        self.pending_close.push((root, SpanStatus::Ok));
-                    }
+                    self.delivered(email.kind, false);
+                    self.close(lifecycle, "", SpanStatus::Ok);
                     return;
                 }
                 self.recorder.write(CLASS_ISP, isp_key(j.0));
-                let delivery = self.isps[j.index()].receive_email(origin, &email);
-                match delivery {
+                match self.isps[j.index()].receive_email(origin, &email) {
                     Delivery::Delivered => {
                         // A counterfeit that *landed* shifted value: the
                         // receiver credited a payment the sender never
                         // made. Record the expected §4.4 pair-sum drift
                         // so the consistency audit (not this harness)
                         // is what convicts the pair.
-                        if let (Some(engine), Some(att)) =
-                            (self.adversary.as_mut(), email.attestation.as_ref())
-                        {
-                            if let Some(class) = engine.injected.remove(&(j.0, att.nonce)) {
-                                if class == AttackClass::Ring {
-                                    engine.counters.ring_accepted += 1;
-                                }
-                                *self
-                                    .attest_pair_drift
-                                    .entry(pair_key(att.origin_isp, j.0))
-                                    .or_insert(0) -= 1;
-                            }
+                        let engine = self.adversary.as_mut();
+                        if engine.and_then(|e| e.landed(j.0, &email)).is_some() {
+                            self.drift(origin, j, -1);
                         }
-                        *self.report.delivered_by_kind.entry(email.kind).or_default() += 1;
-                        if email.paid {
-                            self.report.paid_deliveries += 1;
-                        } else {
-                            self.report.unpaid_deliveries += 1;
-                        }
+                        self.delivered(email.kind, email.paid);
                         if lifecycle.is_some() {
                             self.apply_ctx = lifecycle;
                         }
                         self.maybe_acknowledge(scheduler, &email, lifecycle);
-                        if let Some(root) = lifecycle {
-                            self.pending_close.push((root, SpanStatus::Ok));
-                        }
+                        self.close(lifecycle, "", SpanStatus::Ok);
                     }
                     Delivery::Refused(cause) => {
                         self.report.refused_deliveries += 1;
-                        *self.report.dropped_by_kind.entry(email.kind).or_default() += 1;
-                        AdversaryMetrics::get().refusals.inc();
-                        self.refused_accounting(origin, j, &email, cause);
-                        if let Some(root) = lifecycle {
-                            self.flight.annotate(root, &format!("refused={cause}"));
-                            self.pending_close.push((root, SpanStatus::Dropped));
+                        self.dropped(email.kind);
+                        // What a refusal does to the books depends on
+                        // whose message it was.
+                        let engine = self.adversary.as_mut();
+                        match (AdversaryEngine::refused(engine, j.0, &email, cause), cause) {
+                            // The farmer's copy of an ack: refusing it
+                            // destroys the duplicate claim counted at the
+                            // tap; the original settled the pair.
+                            (Some(AttackClass::ReplayAck), _) => self.ledger.lost += 1,
+                            // A *real* payment — its signature stripped, or
+                            // the network's duplicate of one caught by the
+                            // nonce set. The debited e-penny is destroyed
+                            // (cancelling any duplication credit in the
+                            // conservation equation), and the §4.4 pair-sum
+                            // prediction shifts by +1: debited, never
+                            // credited here — for a duplicate, cancelling
+                            // the injector's predicted −1.
+                            (
+                                None | Some(AttackClass::Strip),
+                                RefusalCause::MissingAttestation | RefusalCause::ReplayedNonce,
+                            ) => {
+                                self.ledger.lost += 1;
+                                self.drift(origin, j, 1);
+                            }
+                            // A counterfeit turned away carried no real
+                            // value: nothing was debited, and its phantom
+                            // e-penny left the wire above.
+                            _ => {}
                         }
+                        self.close(lifecycle, &format!("refused={cause}"), SpanStatus::Dropped);
                     }
                     _ => {
-                        *self.report.dropped_by_kind.entry(email.kind).or_default() += 1;
-                        if let Some(root) = lifecycle {
-                            self.flight.annotate(root, "dropped=filter");
-                            self.pending_close.push((root, SpanStatus::Dropped));
-                        }
+                        self.dropped(email.kind);
+                        self.close(lifecycle, "dropped=filter", SpanStatus::Dropped);
                     }
                 }
             }
             (
-                Node::Isp(j),
+                Endpoint::Isp(j),
                 NetMsg::ExchangeReply {
                     side,
                     envelope,
@@ -1084,47 +742,51 @@ impl ZmailWorld {
                     replayed,
                 },
             ) => {
-                self.recorder.write(CLASS_ISP, isp_key(j.0));
-                match self.isps[j.index()].handle_exchange_reply(side, &envelope) {
+                self.recorder.write(CLASS_ISP, isp_key(j));
+                match self.isps[j as usize].handle_exchange_reply(side, &envelope) {
                     // Reply accepted: the round trip is over.
                     Ok(true) => {
-                        if let Some(c) = self.bank_spans[j.index()][side.index()].take() {
+                        if let Some(c) = self.bank_spans[j as usize][side.index()].take() {
                             self.flight.end(now, c);
                         }
                         if replayed {
                             // The value this cached reply carries was
                             // counted stranded when the original reply
                             // was lost; the pool has now moved after all.
-                            self.pennies_stranded -= side.sign() * audit;
+                            self.ledger.stranded -= side.sign() * audit;
                         }
                     }
-                    // Stale: ignored by the ISP.
-                    Ok(false) => {}
+                    // Stale: ignored by the ISP, but the bank has issued
+                    // or retired the value this reply carried — it is
+                    // stranded like a lost reply's (a replayed copy
+                    // carries none).
+                    Ok(false) => self.ledger.stranded += in_flight,
                     // Forged reply: restore the audit counter we removed
                     // (replayed replies carry none).
-                    Err(_) => self.pennies_in_flight += in_flight,
+                    Err(_) => self.ledger.in_flight += in_flight,
                 }
             }
-            (Node::Isp(j), NetMsg::SnapshotRequest { envelope }) => {
-                self.recorder.write(CLASS_ISP, isp_key(j.0));
-                if self.isps[j.index()]
+            (Endpoint::Isp(j), NetMsg::SnapshotRequest { envelope }) => {
+                self.recorder.write(CLASS_ISP, isp_key(j));
+                if self.isps[j as usize]
                     .handle_snapshot_request(&envelope)
                     .unwrap_or(false)
                 {
-                    scheduler.after(self.config.snapshot_timeout, Event::SnapshotTimeout(j));
+                    let timeout = Event::SnapshotTimeout(IspId(j));
+                    scheduler.after(self.config.snapshot_timeout, timeout);
                 }
             }
-            (Node::Bank, NetMsg::Exchange { side, envelope, .. }) => {
-                let Node::Isp(g) = from else {
+            (Endpoint::Bank, NetMsg::Exchange { side, envelope, .. }) => {
+                let Endpoint::Isp(g) = from else {
                     panic!("{} must come from an ISP", side.label());
                 };
                 self.recorder.write(CLASS_BANK, BANK_KEY);
-                if let Ok(reply) = self.banks.handle_exchange(side, g, &envelope) {
-                    self.dispatch(scheduler, Node::Bank, Node::Isp(g), reply, None);
+                if let Ok(reply) = self.banks.handle_exchange(side, IspId(g), &envelope) {
+                    self.dispatch(scheduler, Endpoint::Bank, from, reply, None);
                 }
             }
             (
-                Node::Bank,
+                Endpoint::Bank,
                 NetMsg::SnapshotReply {
                     from: isp,
                     envelope,
@@ -1287,17 +949,17 @@ impl ParallelWorld for ZmailWorld {
                     keys.push(isp_key(sender.0));
                 }
             }
-            Event::Deliver { to, msg, .. } => match to {
-                Node::Isp(j) => {
+            Event::Deliver { to, msg, .. } => match *to {
+                Endpoint::Isp(j) => {
                     // Email into a non-compliant ISP only bumps report
                     // counters; everything else mutates the receiver.
                     let ledgerless =
-                        matches!(msg, NetMsg::Email(_)) && !self.config.is_compliant(*j);
+                        matches!(msg, NetMsg::Email(_)) && !self.config.is_compliant(IspId(j));
                     if !ledgerless {
-                        keys.push(isp_key(j.0));
+                        keys.push(isp_key(j));
                     }
                 }
-                Node::Bank => keys.push(BANK_KEY),
+                Endpoint::Bank => keys.push(BANK_KEY),
             },
             Event::DayEnd => keys.extend((0..self.config.isps).map(isp_key)),
             Event::BillingKickoff => keys.push(BANK_KEY),
@@ -1335,14 +997,8 @@ impl ParallelWorld for ZmailWorld {
                 if index + 1 < self.trace.len() {
                     scheduler.at(self.trace[index + 1].at, Event::Workload(index + 1));
                 }
-                let entry = self.trace[index];
-                self.process_send(
-                    scheduler,
-                    entry.from,
-                    entry.to,
-                    entry.kind,
-                    SendCause::Fresh,
-                );
+                let SendEvent { from, to, kind, .. } = self.trace[index];
+                self.process_send(scheduler, from, to, kind, SendCause::Fresh);
             }
             Event::Deliver { from, to, msg, ctx } => {
                 self.handle_delivery(scheduler, from, to, msg, ctx);
@@ -1365,7 +1021,7 @@ impl ParallelWorld for ZmailWorld {
                     self.recorder.write(CLASS_BANK, BANK_KEY);
                     let requests = self.banks.start_snapshot();
                     for (isp, msg) in requests {
-                        self.dispatch(scheduler, Node::Bank, Node::Isp(isp), msg, None);
+                        self.dispatch(scheduler, Endpoint::Bank, Endpoint::Isp(isp.0), msg, None);
                     }
                 }
                 let next = now + self.config.billing_period;
@@ -1376,7 +1032,7 @@ impl ParallelWorld for ZmailWorld {
             Event::SnapshotTimeout(isp) => {
                 self.recorder.write(CLASS_ISP, isp_key(isp.0));
                 let (reply, drained) = self.isps[isp.index()].finish_snapshot();
-                self.dispatch(scheduler, Node::Isp(isp), Node::Bank, reply, None);
+                self.dispatch(scheduler, Endpoint::Isp(isp.0), Endpoint::Bank, reply, None);
                 for (sender, to, kind) in drained {
                     // The ISP's pending buffer is FIFO and `queue_spans`
                     // mirrors it entry-for-entry, so popping the front
@@ -1408,7 +1064,7 @@ impl ParallelWorld for ZmailWorld {
                     if let Some(c) = self.bank_spans[isp.index()][side.index()] {
                         self.flight.annotate(c, "retry");
                     }
-                    self.dispatch(scheduler, Node::Isp(isp), Node::Bank, msg, None);
+                    self.dispatch(scheduler, Endpoint::Isp(isp.0), Endpoint::Bank, msg, None);
                 }
             }
             Event::ListPost(index) => {
@@ -1515,31 +1171,7 @@ impl ZmailSystem {
         // world's own engine; everything else goes to the channel-level
         // injector (which treats unknown-to-it clauses as inert anyway,
         // but a clean split keeps the accounting honest).
-        let adversary_clauses: Vec<AdversaryFault> = config
-            .faults
-            .faults
-            .iter()
-            .filter_map(|f| match f {
-                Fault::Adversary(a) => Some(*a),
-                _ => None,
-            })
-            .collect();
-        let adversary = if adversary_clauses.is_empty() {
-            None
-        } else {
-            let mut forger_rng = SmallRng::seed_from_u64(seed ^ 0xF06E_F06E);
-            Some(AdversaryEngine {
-                clauses: adversary_clauses,
-                sampler: zmail_sim::Sampler::new(seed ^ 0xAD5E_ED00),
-                counters: AdversaryCounters::default(),
-                injected: BTreeMap::new(),
-                replayed: BTreeSet::new(),
-                keys: attest_keys,
-                forger: *KeyPair::generate(&mut forger_rng).private(),
-                stolen: None,
-                seq: 0,
-            })
-        };
+        let adversary = AdversaryEngine::from_plan(&config, seed, attest_keys);
         let faults = FaultInjector::new(config.faults.clone(), config.net_latency);
         // With durability on, open the ledger store over the bootstrap
         // books and arm a recovery restart at the close of every crash
@@ -1568,10 +1200,8 @@ impl ZmailSystem {
             banks,
             trace: Vec::new(),
             horizon: SimTime::ZERO,
-            pennies_in_flight: 0,
-            pennies_lost: 0,
-            pennies_duplicated: 0,
-            pennies_stranded: 0,
+            ledger: FlightLedger::default(),
+            attest_pair_drift: BTreeMap::new(),
             net_faults: zmail_sim::Sampler::new(seed ^ 0xFA17_FA17),
             faults,
             lists: Vec::new(),
@@ -1584,7 +1214,6 @@ impl ZmailSystem {
             queue_spans: vec![VecDeque::new(); isp_count],
             bank_spans: vec![[None, None]; isp_count],
             adversary,
-            attest_pair_drift: BTreeMap::new(),
         };
         let mut system = ZmailSystem {
             sim: Simulation::new(CheckedWorld::new(world)),
@@ -1748,7 +1377,7 @@ impl ZmailSystem {
 
     /// E-pennies currently inside network messages.
     pub fn pennies_in_flight(&self) -> i64 {
-        self.world().pennies_in_flight
+        self.world().ledger.in_flight
     }
 
     /// Runs the conservation and sanity audit (see [`crate::invariants`]).
@@ -1758,17 +1387,7 @@ impl ZmailSystem {
     /// Returns the first violated invariant.
     pub fn audit(&self) -> Result<(), AuditError> {
         let world = self.world();
-        invariants::audit_federated(
-            &world.config,
-            &world.isps,
-            &world.banks,
-            invariants::FlightLedger {
-                in_flight: world.pennies_in_flight,
-                lost: world.pennies_lost,
-                duplicated: world.pennies_duplicated,
-                stranded: world.pennies_stranded,
-            },
-        )
+        invariants::audit_federated(&world.config, &world.isps, &world.banks, world.ledger)
     }
 
     /// Registers a mailing list on the deployment: posts from
@@ -1824,17 +1443,17 @@ impl ZmailSystem {
     /// E-pennies destroyed by network loss so far (see
     /// [`ZmailConfigBuilder::lossy_network`](crate::config::ZmailConfigBuilder::lossy_network)).
     pub fn pennies_lost(&self) -> i64 {
-        self.world().pennies_lost
+        self.world().ledger.lost
     }
 
     /// E-pennies counterfeited by network duplication so far.
     pub fn pennies_duplicated(&self) -> i64 {
-        self.world().pennies_duplicated
+        self.world().ledger.duplicated
     }
 
     /// E-pennies stranded at the bank by lost buy/sell replies so far.
     pub fn pennies_stranded(&self) -> i64 {
-        self.world().pennies_stranded
+        self.world().ledger.stranded
     }
 
     /// The first ledger shard's engine, when the deployment was built

@@ -37,7 +37,7 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -92,6 +92,15 @@ struct AtomicStats {
     accepted_messages: AtomicU64,
 }
 
+/// The one way this file takes the gate lock or comes back from a wait
+/// on it: through poison. No foreign code runs under the lock and every
+/// update is a single store, so a guard some panicking thread left behind
+/// still holds a consistent state — looking through it costs nothing,
+/// while an `expect` would turn one panic into one per worker.
+fn held<T>(guard: LockResult<T>) -> T {
+    guard.unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The bounded hand-off queue between the acceptor and the worker pool.
 ///
 /// `open` tracks queued **and** in-service connections, so the
@@ -121,7 +130,7 @@ impl Gate {
 
     /// Admits a connection, or returns it back for shedding.
     fn try_push(&self, stream: TcpStream, config: &ThreadedConfig) -> Result<(), TcpStream> {
-        let mut state = self.queue.lock().expect("gate lock");
+        let mut state = held(self.queue.lock());
         if state.shutdown
             || state.pending.len() >= config.queue_depth
             || state.open >= config.max_connections
@@ -137,7 +146,7 @@ impl Gate {
 
     /// Blocks for the next connection; `None` once shut down and drained.
     fn pop(&self) -> Option<TcpStream> {
-        let mut state = self.queue.lock().expect("gate lock");
+        let mut state = held(self.queue.lock());
         loop {
             if let Some(stream) = state.pending.pop_front() {
                 return Some(stream);
@@ -145,17 +154,17 @@ impl Gate {
             if state.shutdown {
                 return None;
             }
-            state = self.not_empty.wait(state).expect("gate lock");
+            state = held(self.not_empty.wait(state));
         }
     }
 
     /// A worker finished with a connection.
     fn release(&self) {
-        self.queue.lock().expect("gate lock").open -= 1;
+        held(self.queue.lock()).open -= 1;
     }
 
     fn shutdown(&self) {
-        self.queue.lock().expect("gate lock").shutdown = true;
+        held(self.queue.lock()).shutdown = true;
         self.not_empty.notify_all();
     }
 }

@@ -55,4 +55,4 @@ echo "== repo benchmark smoke (own workspace: builds against this tree, --locked
 cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
 echo "CI: all green"
-echo "first-party Rust lines (scripts/loc.sh): $(scripts/loc.sh)"
+echo "first-party Rust lines (scripts/loc.sh): $(scripts/loc.sh), of which outside #[cfg(test)] (--src): $(scripts/loc.sh --src | awk 'END { print $1 }')"
