@@ -6,35 +6,41 @@
 //! growth and unbounded latency. [`BackpressureSink`] makes the admission
 //! decision explicit:
 //!
-//! * `deliver` pushes the message onto a **bounded** queue and blocks the
-//!   calling session worker until a drainer thread has (a) run the inner
-//!   sink — the Zmail ledger — and (b) made the accepted message durable
-//!   in the spool, **then** acks. The SMTP `250` therefore means "ledger
-//!   ran and the bytes survived a crash", never "we buffered it";
-//! * when the queue is full the message is shed immediately with
+//! * `deliver` `try_send`s the message into a **bounded** channel
+//!   (`sync_channel(queue_depth)`) together with the sending end of a
+//!   one-slot answer channel, and blocks the calling session worker on the
+//!   receiving end until a drainer thread has (a) run the inner sink — the
+//!   Zmail ledger — and (b) made the accepted message durable in the
+//!   spool, **then** answers. The SMTP `250` therefore means "ledger ran
+//!   and the bytes survived a crash", never "we buffered it";
+//! * when the channel is full the message is shed immediately with
 //!   [`SinkError::Overloaded`], which the session answers as a transient
 //!   SMTP `452` (`load.shed.queue_full`);
-//! * the drainer drains the queue in batches and issues **one** spool
+//! * the drainer takes what is queued in batches and issues **one** spool
 //!   sync per batch — the same group-commit trade the WAL engine makes
 //!   (`zmail_store::LedgerStore`), so the fsync cost is amortized across
 //!   every session currently waiting, which is exactly the bottleneck the
 //!   E21 offered-load sweep is designed to expose.
 //!
-//! Nobody waits on a dead thread. A panic inside the inner sink is caught
-//! and answered `452` for that message alone (its batch-mates still
-//! spool, sync and ack); if the drainer itself dies — a panicking storage
-//! backend — the sink stops admitting and every message queued or in
-//! hand is shed with `452`, where it used to park its session forever.
+//! Threads talk over channels and a hang-up is a 4xx; a lock guards only
+//! data whose every update is one store, and is taken through `held`. So
+//! nobody waits on a dead thread, by construction: a panic inside the
+//! inner sink is caught and answered `452` for that message alone (its
+//! batch-mates still spool, sync and ack); a drainer that dies — a
+//! panicking storage backend — drops its receiver and every answer sender
+//! it holds, so whoever is queued, in hand or submits later reads the
+//! hang-up as `452`; and [`BackpressureSink::shutdown`] is a `Stop`
+//! message queued behind everything already admitted.
 //!
 //! The queue/commit counters live under `load.queue.*` / `load.commit.*`
 //! and the shed counter under `load.shed.*` in the global `zmail-obs`
 //! registry; always-on copies are available via
 //! [`BackpressureSink::stats`].
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, LockResult, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 use zmail_smtp::{MailMessage, MailSink, SinkError};
@@ -87,64 +93,37 @@ struct AtomicStats {
     spooled_bytes: AtomicU64,
 }
 
-/// The one way this file takes a lock or comes back from a condvar wait:
-/// through poison. The queue and completion locks are never held across
-/// foreign code; the spool lock is held across [`Storage`] calls, and a
-/// backend that panics there takes the drainer — the spool's only writer
-/// — with it, so what a poisoned guard still protects is read-only. An
-/// `expect` here would turn that one panic into one per caller.
+/// The one way this file takes a lock: past poison. The drainer-handle
+/// lock guards one `Option::take`; the spool lock is held across
+/// [`Storage`] calls, and a backend that panics there takes the drainer —
+/// the spool's only writer — with it, so what a poisoned guard still
+/// protects is read-only. An `expect` here would turn that one panic into
+/// one per caller.
 fn held<T>(guard: LockResult<T>) -> T {
     guard.unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One message's rendezvous between the session worker and the drainer.
-struct Completion {
-    slot: Mutex<Option<Result<(), SinkError>>>,
-    done: Condvar,
-}
+/// Where the drainer sends one message's verdict: the sending end of a
+/// one-slot channel, so answering never makes the drainer wait for a
+/// submitter. Dropped unanswered, it hangs up on the submitter, who reads
+/// that as `452`.
+type Answer = SyncSender<Result<(), SinkError>>;
 
-impl Completion {
-    fn new() -> Arc<Self> {
-        Arc::new(Completion {
-            slot: Mutex::new(None),
-            done: Condvar::new(),
-        })
-    }
-
-    fn complete(&self, result: Result<(), SinkError>) {
-        *held(self.slot.lock()) = Some(result);
-        self.done.notify_one();
-    }
-
-    fn wait(&self) -> Result<(), SinkError> {
-        let mut slot = held(self.slot.lock());
-        loop {
-            if let Some(result) = slot.take() {
-                return result;
-            }
-            slot = held(self.done.wait(slot));
-        }
-    }
-}
-
-struct Job {
-    message: MailMessage,
-    enqueued: Instant,
-    completion: Arc<Completion>,
-}
-
-struct QueueState {
-    jobs: VecDeque<Job>,
-    stopped: bool,
+/// What travels from the session workers to the drainer.
+enum Handoff {
+    /// A message, when it was queued, and where its verdict goes.
+    Mail(MailMessage, Instant, Answer),
+    /// [`BackpressureSink::shutdown`]: finish what is ahead of this, exit.
+    Stop,
 }
 
 struct Shared<S> {
     inner: S,
     config: AdmissionConfig,
-    queue: Mutex<QueueState>,
-    not_empty: Condvar,
     spool: Mutex<Box<dyn Storage + Send>>,
     stats: AtomicStats,
+    /// Messages sent and not yet received: a channel has no `len`.
+    depth: AtomicI64,
     shed_ctr: zmail_obs::Counter,
     depth_gauge: zmail_obs::Gauge,
     wait_us: zmail_obs::Histogram,
@@ -159,6 +138,12 @@ impl<S> Shared<S> {
         self.shed_ctr.inc();
         SinkError::overloaded(why)
     }
+
+    /// Moves the queue depth by `delta` and publishes it.
+    fn queued(&self, delta: i64) {
+        let depth = self.depth.fetch_add(delta, Ordering::Relaxed) + delta;
+        self.depth_gauge.set(depth);
+    }
 }
 
 /// Name of the durable spool blob inside the storage backend.
@@ -168,6 +153,9 @@ pub const SPOOL_BLOB: &str = "admission.spool";
 /// durable spool in front of any inner sink. Clones share state.
 pub struct BackpressureSink<S> {
     shared: Arc<Shared<S>>,
+    /// Held by the sinks alone, so the drainer also reads a hang-up — and
+    /// exits — once the last of them is gone.
+    queue: SyncSender<Handoff>,
     drainer: Arc<Mutex<Option<JoinHandle<()>>>>,
 }
 
@@ -175,6 +163,7 @@ impl<S> Clone for BackpressureSink<S> {
     fn clone(&self) -> Self {
         BackpressureSink {
             shared: Arc::clone(&self.shared),
+            queue: self.queue.clone(),
             drainer: Arc::clone(&self.drainer),
         }
     }
@@ -200,16 +189,13 @@ impl<S: MailSink + Send + Sync + 'static> BackpressureSink<S> {
         assert!(config.queue_depth > 0, "queue_depth must be positive");
         assert!(config.batch > 0, "batch must be positive");
         let obs = zmail_obs::global();
+        let (queue, queued) = sync_channel(config.queue_depth);
         let shared = Arc::new(Shared {
             inner,
             config,
-            queue: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                stopped: false,
-            }),
-            not_empty: Condvar::new(),
             spool: Mutex::new(spool),
             stats: AtomicStats::default(),
+            depth: AtomicI64::new(0),
             shed_ctr: obs.counter("load.shed.queue_full"),
             depth_gauge: obs.gauge("load.queue.depth"),
             wait_us: obs.histogram("load.queue.wait_us"),
@@ -217,9 +203,10 @@ impl<S: MailSink + Send + Sync + 'static> BackpressureSink<S> {
             sync_us: obs.histogram("load.commit.sync_us"),
         });
         let drain_shared = Arc::clone(&shared);
-        let drainer = std::thread::spawn(move || drain_loop(&drain_shared));
+        let drainer = std::thread::spawn(move || drain_loop(&drain_shared, queued));
         BackpressureSink {
             shared,
+            queue,
             drainer: Arc::new(Mutex::new(Some(drainer))),
         }
     }
@@ -229,11 +216,9 @@ impl<S> BackpressureSink<S> {
     /// Stops admitting, drains everything already queued, joins the
     /// drainer. Idempotent; `deliver` afterwards sheds with `452`.
     pub fn shutdown(&self) {
-        {
-            let mut state = held(self.shared.queue.lock());
-            state.stopped = true;
-            self.shared.not_empty.notify_all();
-        }
+        // Waits its turn if the queue is full; an error means the drainer
+        // is already gone.
+        let _ = self.queue.send(Handoff::Stop);
         if let Some(handle) = held(self.drainer.lock()).take() {
             let _ = handle.join();
         }
@@ -269,126 +254,111 @@ impl<S: MailSink> MailSink for BackpressureSink<S> {
     }
 
     fn deliver(&self, message: MailMessage) -> Result<(), SinkError> {
-        let completion = {
-            let mut state = held(self.shared.queue.lock());
-            if state.stopped {
-                return Err(self.shared.shed("server shutting down"));
-            }
-            if state.jobs.len() >= self.shared.config.queue_depth {
-                return Err(self.shared.shed("admission queue full"));
-            }
-            let completion = Completion::new();
-            state.jobs.push_back(Job {
-                message,
-                enqueued: Instant::now(),
-                completion: Arc::clone(&completion),
-            });
-            self.shared.stats.admitted.fetch_add(1, Ordering::Relaxed);
-            self.shared.depth_gauge.set(state.jobs.len() as i64);
-            completion
-        };
-        self.shared.not_empty.notify_one();
-        completion.wait()
-    }
-}
-
-/// What the drainer holds between popping a batch and acknowledging it.
-struct Drainer<'a, S> {
-    shared: &'a Shared<S>,
-    /// The batch in hand: each job with the inner sink's verdict (`Ok`
-    /// until stage 1 has run).
-    batch: Vec<(Job, Result<(), SinkError>)>,
-}
-
-impl<S> Drop for Drainer<'_, S> {
-    /// However the drainer exits — `shutdown`, or a panic in the storage
-    /// backend — the sink stops admitting and every job still queued or
-    /// in hand is shed with `452`, so no submitter is left parked on a
-    /// completion nobody will fill. After a clean shutdown both are empty.
-    fn drop(&mut self) {
-        let shared = self.shared;
-        let mut state = held(shared.queue.lock());
-        state.stopped = true;
-        let queued = state.jobs.drain(..);
-        for job in queued.chain(self.batch.drain(..).map(|(job, _)| job)) {
-            job.completion
-                .complete(Err(shared.shed("admission drainer stopped")));
-        }
-    }
-}
-
-/// The drainer: pop a batch, run the ledger, one spool sync, then ack.
-fn drain_loop<S: MailSink>(shared: &Shared<S>) {
-    let mut drainer = Drainer {
-        shared,
-        batch: Vec::new(),
-    };
-    loop {
+        let shared = &*self.shared;
+        let (answer, verdict) = sync_channel(1);
+        match self
+            .queue
+            .try_send(Handoff::Mail(message, Instant::now(), answer))
         {
-            let mut state = held(shared.queue.lock());
-            while state.jobs.is_empty() && !state.stopped {
-                state = held(shared.not_empty.wait(state));
-            }
-            if state.jobs.is_empty() && state.stopped {
-                return;
-            }
-            let take = state.jobs.len().min(shared.config.batch);
-            let popped = state.jobs.drain(..take);
-            drainer.batch.extend(popped.map(|job| (job, Ok(()))));
-            shared.depth_gauge.set(state.jobs.len() as i64);
+            Ok(()) => {}
+            Err(TrySendError::Full(_)) => return Err(shared.shed("admission queue full")),
+            Err(TrySendError::Disconnected(_)) => return Err(shared.shed("server shutting down")),
         }
-        shared.batch_msgs.record(drainer.batch.len() as u64);
+        shared.stats.admitted.fetch_add(1, Ordering::Relaxed);
+        shared.queued(1);
+        // A drainer that stops with this message queued or in hand —
+        // `shutdown` got in first, or the storage backend panicked —
+        // drops the answer sender: the hang-up is the `452`.
+        verdict
+            .recv()
+            .unwrap_or_else(|_| Err(shared.shed("admission drainer stopped")))
+    }
+}
+
+/// The drainer: take a batch, run the ledger, one spool sync, then answer.
+fn drain_loop<S: MailSink>(shared: &Shared<S>, queued: Receiver<Handoff>) {
+    // Everything in hand lives in these two, which hold the answer
+    // senders. They are declared before the receiver is rebound so that on
+    // any exit, unwinding included, the receiver is dropped first: once
+    // one submitter has read a hang-up, no other can still be admitted.
+    let mut popped: Vec<(MailMessage, Instant, Answer)> = Vec::new();
+    let mut accepted: Vec<(String, Answer)> = Vec::new();
+    let queued = queued;
+    let mut stopping = false;
+    while !stopping {
+        // Block for one hand-off, then take what else is already queued.
+        // `Err`: every sink is gone, so nobody is waiting for anything.
+        let Ok(first) = queued.recv() else { return };
+        let ready = std::iter::once(first).chain(queued.try_iter());
+        for handoff in ready.take(shared.config.batch) {
+            match handoff {
+                Handoff::Mail(message, enqueued, answer) => {
+                    popped.push((message, enqueued, answer));
+                }
+                Handoff::Stop => {
+                    stopping = true;
+                    break;
+                }
+            }
+        }
+        if popped.is_empty() {
+            continue;
+        }
+        shared.queued(-(popped.len() as i64));
+        shared.batch_msgs.record(popped.len() as u64);
         shared.stats.batches.fetch_add(1, Ordering::Relaxed);
 
-        // Stage 1: run the inner sink (the ledger) per message. No lock
-        // is held here, so a panic in it poisons nothing: it is that
-        // message's `452`, and the rest of the batch carries on.
-        for (job, result) in &mut drainer.batch {
-            shared.wait_us.record_duration(job.enqueued.elapsed());
-            let message = job.message.clone();
-            *result = catch_unwind(AssertUnwindSafe(|| shared.inner.deliver(message)))
-                .unwrap_or_else(|_| Err(SinkError::overloaded("delivery failed, try again")));
+        // Stage 1: run the inner sink (the ledger) per message, by value;
+        // its spool form is serialized first, once. No lock is held here,
+        // so a panic in the sink poisons nothing: it is that message's
+        // `452`, and the rest of the batch carries on. A refusal has
+        // nothing to make durable and is answered at once.
+        for (message, enqueued, answer) in popped.drain(..) {
+            shared.wait_us.record_duration(enqueued.elapsed());
+            let wire = message.to_data();
+            match catch_unwind(AssertUnwindSafe(|| shared.inner.deliver(message)))
+                .unwrap_or_else(|_| Err(SinkError::overloaded("delivery failed, try again")))
+            {
+                Ok(()) => accepted.push((wire, answer)),
+                Err(refusal) => {
+                    shared.stats.bounced.fetch_add(1, Ordering::Relaxed);
+                    let _ = answer.send(Err(refusal));
+                }
+            }
         }
 
         // Stage 2: group-commit — append every accepted message to the
         // spool, then a single sync makes the whole batch durable.
-        {
+        if !accepted.is_empty() {
             let mut spool = held(shared.spool.lock());
             let mut appended = 0u64;
-            for (job, result) in &drainer.batch {
-                if result.is_ok() {
-                    let wire = job.message.to_data();
-                    let frame = format!("{}\n", wire.len());
-                    spool.append(SPOOL_BLOB, frame.as_bytes());
-                    spool.append(SPOOL_BLOB, wire.as_bytes());
-                    appended += (frame.len() + wire.len()) as u64;
-                }
+            for (wire, _) in &accepted {
+                let frame = format!("{}\n", wire.len());
+                spool.append(SPOOL_BLOB, frame.as_bytes());
+                spool.append(SPOOL_BLOB, wire.as_bytes());
+                appended += (frame.len() + wire.len()) as u64;
             }
-            if appended > 0 {
-                let sync_started = Instant::now();
-                spool.sync(SPOOL_BLOB);
-                shared.sync_us.record_duration(sync_started.elapsed());
-                shared
-                    .stats
-                    .spooled_bytes
-                    .fetch_add(appended, Ordering::Relaxed);
-            }
+            let sync_started = Instant::now();
+            spool.sync(SPOOL_BLOB);
+            shared.sync_us.record_duration(sync_started.elapsed());
+            shared
+                .stats
+                .spooled_bytes
+                .fetch_add(appended, Ordering::Relaxed);
         }
 
         // Stage 3: only now acknowledge — a 250 means "durable".
-        for (job, result) in drainer.batch.drain(..) {
-            match &result {
-                Ok(()) => shared.stats.delivered.fetch_add(1, Ordering::Relaxed),
-                Err(_) => shared.stats.bounced.fetch_add(1, Ordering::Relaxed),
-            };
-            job.completion.complete(result);
+        for (_, answer) in accepted.drain(..) {
+            shared.stats.delivered.fetch_add(1, Ordering::Relaxed);
+            let _ = answer.send(Ok(()));
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::sync::Condvar;
     use zmail_smtp::CollectSink;
     use zmail_store::MemStorage;
 
@@ -513,7 +483,7 @@ mod tests {
 
     /// Runs `f` on its own thread and fails, instead of hanging, if it
     /// has not returned within three seconds.
-    fn within_3s<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    pub(crate) fn within_3s<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || tx.send(f()));
         rx.recv_timeout(std::time::Duration::from_secs(3))
@@ -641,6 +611,53 @@ mod tests {
         assert_eq!(bp.inner().len(), 10);
         let err = bp.deliver(msg("late")).unwrap_err();
         assert!(matches!(err, SinkError::Overloaded(_)));
+    }
+
+    #[test]
+    fn a_job_queued_behind_shutdown_is_shed_not_parked() {
+        /// Holds every delivery until told to go on.
+        struct Held(Mutex<std::sync::mpsc::Receiver<()>>);
+        impl MailSink for Held {
+            fn deliver(&self, _m: MailMessage) -> Result<(), SinkError> {
+                self.0.lock().unwrap().recv().unwrap();
+                Ok(())
+            }
+        }
+        let (go_on, held) = std::sync::mpsc::channel();
+        let bp = BackpressureSink::start(
+            Held(Mutex::new(held)),
+            Box::new(MemStorage::new()),
+            AdmissionConfig::default(),
+        );
+        let submit = |subject: &'static str| {
+            let bp = bp.clone();
+            std::thread::spawn(move || bp.deliver(msg(subject)))
+        };
+        // The drainer is inside the inner sink with the first message
+        // when the `Stop` is queued — `shutdown`'s first half, done here
+        // so that the second message is certain to get in behind it.
+        let first = submit("in hand");
+        while bp.stats().batches < 1 {
+            std::thread::yield_now();
+        }
+        bp.queue.send(Handoff::Stop).unwrap();
+        let late = submit("behind the stop");
+        while bp.stats().admitted < 2 {
+            std::thread::yield_now();
+        }
+        go_on.send(()).unwrap();
+        let stopped = bp.clone();
+        let (first, late) = within_3s(move || {
+            stopped.shutdown();
+            (first.join().unwrap(), late.join().unwrap())
+        });
+        assert_eq!(first, Ok(()), "what was ahead of the stop still drains");
+        assert!(matches!(late, Err(SinkError::Overloaded(_))), "{late:?}");
+        let stats = bp.stats();
+        assert_eq!(
+            (stats.admitted, stats.delivered, stats.shed, stats.bounced),
+            (2, 1, 1, 0)
+        );
     }
 
     #[test]

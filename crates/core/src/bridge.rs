@@ -15,7 +15,11 @@
 //!
 //! The gateway models a *compliant backbone*: it holds every compliant
 //! ISP's ledger behind one mutex, so a single SMTP endpoint can accept
-//! mail for all of them (the way a test deployment would start).
+//! mail for all of them (the way a test deployment would start). A
+//! message takes that lock **once**: `RCPT` is answered from the
+//! immutable configuration, which lives outside it, and `deliver` checks
+//! the §4.1 guard for all of the message's paid recipients before it
+//! charges the first — a refused message mutates nothing.
 //!
 //! Its books are **volatile**: the gateway has no `zmail-store` to drain
 //! an ISP journal into, so it journals nothing, whatever
@@ -48,7 +52,6 @@ pub struct GatewayStats {
 }
 
 struct GatewayState {
-    config: ZmailConfig,
     isps: Vec<Isp>,
     mailboxes: Vec<Vec<MailMessage>>,
     stats: GatewayStats,
@@ -60,22 +63,12 @@ struct GatewayState {
     seq: u64,
 }
 
-impl GatewayState {
-    fn mailbox_index(&self, addr: UserAddr) -> usize {
-        addr.isp as usize * self.config.users_per_isp as usize + addr.user as usize
-    }
-
-    /// Whether `addr` names a mailbox of this deployment. Addresses come
-    /// off the wire, so every index into the ledgers is checked here.
-    fn hosts(&self, addr: UserAddr) -> bool {
-        addr.isp < self.config.isps && addr.user < self.config.users_per_isp
-    }
-}
-
 /// A Zmail-compliant SMTP mail sink (clone freely: clones share state).
 /// The ledgers live in memory only — see the module docs.
 #[derive(Clone)]
 pub struct ZmailGateway {
+    /// Never changes after `new`, so reading it needs no lock.
+    config: Arc<ZmailConfig>,
     inner: Arc<Mutex<GatewayState>>,
 }
 
@@ -103,8 +96,8 @@ impl ZmailGateway {
             .collect();
         let mailboxes = vec![Vec::new(); (config.isps * config.users_per_isp) as usize];
         ZmailGateway {
+            config: Arc::new(config),
             inner: Arc::new(Mutex::new(GatewayState {
-                config,
                 isps,
                 mailboxes,
                 stats: GatewayStats::default(),
@@ -117,11 +110,21 @@ impl ZmailGateway {
     /// The one place the gateway takes its lock. A panic under the lock
     /// (e.g. [`inbox`](Self::inbox) with an out-of-range address) poisons
     /// it; the read-only views look through the poison, while `deliver`
-    /// and `accept_recipient` check [`Mutex::is_poisoned`] once they hold
-    /// the guard and refuse — rather than every later call, and the
-    /// server worker running it, panicking in turn.
+    /// and `accept_recipient` check [`Mutex::is_poisoned`] and refuse —
+    /// rather than every later call, and the server worker running it,
+    /// panicking in turn.
     fn state(&self) -> MutexGuard<'_, GatewayState> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn mailbox_index(&self, addr: UserAddr) -> usize {
+        addr.isp as usize * self.config.users_per_isp as usize + addr.user as usize
+    }
+
+    /// Whether `addr` names a mailbox of this deployment. Addresses come
+    /// off the wire, so every index into the ledgers is checked here.
+    fn hosts(&self, addr: UserAddr) -> bool {
+        addr.isp < self.config.isps && addr.user < self.config.users_per_isp
     }
 
     /// Snapshot of a user's inbox.
@@ -130,8 +133,7 @@ impl ZmailGateway {
     ///
     /// Panics if the address is out of range.
     pub fn inbox(&self, addr: UserAddr) -> Vec<MailMessage> {
-        let state = self.state();
-        state.mailboxes[state.mailbox_index(addr)].clone()
+        self.state().mailboxes[self.mailbox_index(addr)].clone()
     }
 
     /// A user's current e-penny balance.
@@ -168,12 +170,9 @@ use rand::SeedableRng;
 
 impl MailSink for ZmailGateway {
     fn accept_recipient(&self, _from: &str, to: &str) -> bool {
-        let state = self.state();
-        if self.inner.is_poisoned() {
-            return false;
-        }
-        // We only host Zmail mailboxes.
-        parse_mailbox(to).is_some_and(|addr| state.hosts(addr))
+        // We only host Zmail mailboxes. No lock: `RCPT` reads the
+        // configuration alone.
+        !self.inner.is_poisoned() && parse_mailbox(to).is_some_and(|addr| self.hosts(addr))
     }
 
     fn deliver(&self, message: MailMessage) -> Result<(), SinkError> {
@@ -185,12 +184,13 @@ impl MailSink for ZmailGateway {
             .recipients()
             .iter()
             .filter_map(|r| parse_mailbox(r))
+            .filter(|&to| self.hosts(to))
             .collect();
         if recipients.is_empty() {
             return Err("no deliverable recipients".into());
         }
         match parse_mailbox(message.from()) {
-            Some(sender) if state.hosts(sender) && state.config.is_compliant(IspId(sender.isp)) => {
+            Some(sender) if self.hosts(sender) && self.config.is_compliant(IspId(sender.isp)) => {
                 // One lifecycle root per accepted submission, stamped
                 // with the logical submission clock.
                 let ts = state.seq;
@@ -201,18 +201,27 @@ impl MailSink for ZmailGateway {
                         .flight
                         .annotate(ctx, &format!("{} x{}", message.from(), recipients.len()));
                 }
-                // Compliant sender: run the ledger per recipient.
+                // Compliant sender: the §4.1 guard for every recipient the
+                // sender pays for, before the first is charged. A refused
+                // message mutates nothing — no recipient is delivered, and
+                // a retry pays once.
+                let paid = recipients
+                    .iter()
+                    .filter(|to| self.config.is_compliant(IspId(to.isp)))
+                    .count() as u32;
+                if let Err(refusal) = state.isps[sender.isp as usize].check_sends(sender.user, paid)
+                {
+                    state.stats.bounced += 1;
+                    if let Some(ctx) = root {
+                        state.flight.annotate(ctx, "bounced");
+                        state.flight.end_with(ts, ctx, SpanStatus::Dropped);
+                    }
+                    return Err(refusal.to_string().into());
+                }
                 for &to in &recipients {
                     let outcome = state.isps[sender.isp as usize]
                         .send_email(sender.user, to, MailKind::Personal)
-                        .map_err(|e| {
-                            state.stats.bounced += 1;
-                            if let Some(ctx) = root {
-                                state.flight.annotate(ctx, "bounced");
-                                state.flight.end_with(ts, ctx, SpanStatus::Dropped);
-                            }
-                            e.to_string()
-                        })?;
+                        .expect("the guard held for every paid recipient under this lock");
                     // The backbone delivers inter-ISP mail instantly.
                     if let SendOutcome::Outbound {
                         to: dest,
@@ -239,8 +248,7 @@ impl MailSink for ZmailGateway {
                         headers = headers.with_trace(d);
                     }
                     headers.stamp(&mut copy);
-                    let slot = state.mailbox_index(to);
-                    state.mailboxes[slot].push(copy);
+                    state.mailboxes[self.mailbox_index(to)].push(copy);
                     state.stats.delivered_paid += 1;
                     if let Some(d) = delivery {
                         state.flight.end(ts, d);
@@ -254,16 +262,14 @@ impl MailSink for ZmailGateway {
             _ => {
                 // Foreign, out-of-range or non-compliant sender: unpaid,
                 // policy applies.
-                let policy = state.config.non_compliant_policy;
-                match policy {
+                match self.config.non_compliant_policy {
                     NonCompliantPolicy::Discard => {
                         state.stats.dropped += recipients.len() as u64;
                         Err("mail from non-compliant senders is not accepted".into())
                     }
                     _ => {
                         for &to in &recipients {
-                            let slot = state.mailbox_index(to);
-                            state.mailboxes[slot].push(message.clone());
+                            state.mailboxes[self.mailbox_index(to)].push(message.clone());
                             state.stats.delivered_unpaid += 1;
                         }
                         Ok(())
@@ -412,6 +418,23 @@ mod tests {
     }
 
     #[test]
+    fn a_recipient_nobody_vetted_is_skipped_not_indexed() {
+        // Straight into `deliver`, as a relay that skipped `RCPT` would.
+        let gw = gateway();
+        let alice = ZmailGateway::address(UserAddr::new(0, 0));
+        let bob = UserAddr::new(1, 1);
+        let msg = MailMessage::builder(alice.as_str(), "u0@isp999.example")
+            .also_to(ZmailGateway::address(bob))
+            .body("one of two\r\n")
+            .build();
+        gw.deliver(msg).expect("the hosted recipient is served");
+        assert_eq!((gw.stats().delivered_paid, gw.inbox(bob).len()), (1, 1));
+        let nobody = MailMessage::builder(alice, "u7@isp0.example").build();
+        assert!(matches!(gw.deliver(nobody), Err(SinkError::Reject(_))));
+        assert!(!gw.inner.is_poisoned());
+    }
+
+    #[test]
     fn works_behind_real_tcp() {
         let gw = gateway();
         let mut server = zmail_smtp::ThreadedServer::start(
@@ -524,6 +547,75 @@ mod tests {
         assert_eq!(gw.stats().delivered_paid, 1);
         assert_eq!(gw.balance(UserAddr::new(1, 1)), EPennies(101));
         assert!(format!("{gw:?}").contains("delivered_paid: 1"));
+    }
+
+    #[test]
+    fn rcpt_is_answered_without_the_ledger_lock() {
+        let gw = gateway();
+        let _ledger = gw.state();
+        let other = gw.clone();
+        let answers = crate::backpressure::tests::within_3s(move || {
+            let bob = ZmailGateway::address(UserAddr::new(1, 1));
+            (
+                other.accept_recipient("anyone", &bob),
+                other.accept_recipient("anyone", "u99@isp9.example"),
+            )
+        });
+        assert_eq!(answers, (true, false));
+    }
+
+    #[test]
+    fn a_refused_message_has_not_half_happened() {
+        use crate::backpressure::{AdmissionConfig, BackpressureSink};
+        // Two e-pennies, or two sends left today, against four recipients.
+        let broke = ZmailConfig::builder(2, 5).initial_balance(EPennies(2));
+        let capped = ZmailConfig::builder(2, 5).limit(2);
+        for (config, why) in [(broke, "balance"), (capped, "limit")] {
+            let gw = ZmailGateway::new(config.build(), 34);
+            let sink = BackpressureSink::start(
+                gw.clone(),
+                Box::new(zmail_store::MemStorage::new()),
+                AdmissionConfig::default(),
+            );
+            let alice = UserAddr::new(0, 0);
+            let before = gw.balance(alice);
+            let to = |n: u32| {
+                let first = ZmailGateway::address(UserAddr::new(1, 1));
+                let mut msg = MailMessage::builder(ZmailGateway::address(alice), first);
+                for user in 2..=n {
+                    msg = msg.also_to(ZmailGateway::address(UserAddr::new(1, user)));
+                }
+                msg.body("all or nothing\r\n").build()
+            };
+            let err = sink.deliver(to(4)).unwrap_err();
+            assert!(
+                matches!(&err, SinkError::Reject(t) if t.contains(why)),
+                "{err:?}"
+            );
+            let bounced = GatewayStats {
+                bounced: 1,
+                ..GatewayStats::default()
+            };
+            assert_eq!((gw.stats(), gw.balance(alice)), (bounced, before), "{why}");
+            for user in 1..=4 {
+                assert!(
+                    gw.inbox(UserAddr::new(1, user)).is_empty(),
+                    "{why}: u{user}"
+                );
+            }
+            assert_eq!(
+                sink.spooled_bytes(),
+                0,
+                "{why}: nothing delivered, nothing spooled"
+            );
+            // So the retry that fits pays once, and the spool records it.
+            sink.deliver(to(2)).expect("two recipients fit");
+            sink.shutdown();
+            assert_eq!(gw.stats().delivered_paid, 2, "{why}");
+            assert_eq!(gw.balance(alice), EPennies(before.0 - 2), "{why}");
+            assert_eq!(gw.balance(UserAddr::new(1, 2)).0 - before.0, 1, "{why}");
+            assert!(sink.spooled_bytes() > 0, "{why}");
+        }
     }
 
     #[test]

@@ -538,20 +538,32 @@ impl Isp {
         }
     }
 
-    fn charge_sender(&mut self, sender: u32) -> Result<(), SendError> {
-        if let Err(refusal) = self.books.users[sender as usize].check_send() {
-            match refusal {
-                SendError::InsufficientBalance => {
-                    self.stats.bounced_balance += 1;
-                    CoreMetrics::get().reject_balance.inc();
-                }
-                SendError::DailyLimitExceeded => {
-                    self.stats.bounced_limit += 1;
-                    CoreMetrics::get().reject_limit.inc();
-                }
+    /// The §4.1 guard for `n` charges to `sender` at once, a refusal
+    /// counted as one bounce: what a driver that must refuse a
+    /// multi-recipient message whole checks before its first
+    /// [`Isp::send_email`].
+    ///
+    /// # Errors
+    ///
+    /// Returns which half of the guard refuses.
+    pub fn check_sends(&mut self, sender: u32, n: u32) -> Result<(), SendError> {
+        let verdict = self.books.users[sender as usize].check_sends(n);
+        match verdict {
+            Err(SendError::InsufficientBalance) => {
+                self.stats.bounced_balance += 1;
+                CoreMetrics::get().reject_balance.inc();
             }
-            return Err(refusal);
+            Err(SendError::DailyLimitExceeded) => {
+                self.stats.bounced_limit += 1;
+                CoreMetrics::get().reject_limit.inc();
+            }
+            Ok(()) => {}
         }
+        verdict
+    }
+
+    fn charge_sender(&mut self, sender: u32) -> Result<(), SendError> {
+        self.check_sends(sender, 1)?;
         self.commit(LedgerRecord::Charge {
             isp: self.id.0,
             user: sender,

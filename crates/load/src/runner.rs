@@ -18,8 +18,9 @@
 //! schedule accumulated is charged to every delayed message rather than
 //! silently dropped — the classic coordinated-omission correction. The
 //! samples land in the `load.latency_us` histogram of the run's private
-//! (always-enabled) `zmail-obs` registry, alongside `load.sent`,
-//! `load.shed.*`, and the other outcome counters.
+//! (always-enabled) `zmail-obs` registry as they are taken; `load.sent`,
+//! `load.shed.*` and the other outcome counters are filled after the
+//! join, from the same per-worker tallies the [`LoadReport`] fields are.
 
 use crate::arrival::{partition, schedule, ScheduledSend};
 use crate::spec::WorkloadSpec;
@@ -92,7 +93,9 @@ impl LoadReport {
     }
 }
 
-/// Per-worker tallies, merged into the [`LoadReport`] after the join.
+/// Per-worker tallies: every outcome is counted here, once, and nowhere
+/// else. After the join they are summed into the [`LoadReport`] and the
+/// `load.*` counters alike.
 #[derive(Debug, Default)]
 struct WorkerOutcome {
     attempted: u64,
@@ -123,31 +126,15 @@ pub fn run(spec: &WorkloadSpec, addr: SocketAddr) -> LoadReport {
     let cpw = spec.connections_per_worker.max(1);
 
     let registry = Registry::new();
+    // The one metric recorded live: samples do not sum like tallies.
     let latency = registry.histogram("load.latency_us");
-    let sent_ctr = registry.counter("load.sent");
-    let accepted_ctr = registry.counter("load.accepted");
-    let shed_452_ctr = registry.counter("load.shed.reply_452");
-    let shed_421_ctr = registry.counter("load.shed.reply_421");
-    let bounced_ctr = registry.counter("load.bounced_552");
-    let other_ctr = registry.counter("load.error.other_reply");
-    let no_reply_ctr = registry.counter("load.error.no_reply");
-    let reconnect_ctr = registry.counter("load.reconnects");
 
     let started = Instant::now();
     let outcomes: Vec<WorkerOutcome> = std::thread::scope(|scope| {
         let handles: Vec<_> = lanes
             .chunks(cpw)
             .map(|worker_lanes| {
-                let spec = spec.clone();
                 let latency = latency.clone();
-                let sent_ctr = sent_ctr.clone();
-                let accepted_ctr = accepted_ctr.clone();
-                let shed_452_ctr = shed_452_ctr.clone();
-                let shed_421_ctr = shed_421_ctr.clone();
-                let bounced_ctr = bounced_ctr.clone();
-                let other_ctr = other_ctr.clone();
-                let no_reply_ctr = no_reply_ctr.clone();
-                let reconnect_ctr = reconnect_ctr.clone();
                 scope.spawn(move || {
                     // Merge this worker's lanes back into time order,
                     // remembering which pooled connection each op uses.
@@ -173,63 +160,40 @@ pub fn run(spec: &WorkloadSpec, addr: SocketAddr) -> LoadReport {
                             std::thread::sleep(target - now);
                         }
                         outcome.attempted += 1;
-                        sent_ctr.inc();
 
-                        if pool[lane].is_none() {
-                            match TcpConnection::connect(addr)
+                        // Dial the lane if it has no session, then send:
+                        // a refused greeting and a refused message are
+                        // told apart by their reply alone.
+                        let sent = match &mut pool[lane] {
+                            Some(client) => Ok(client),
+                            closed => TcpConnection::connect(addr)
                                 .map_err(SmtpError::Io)
                                 .and_then(|conn| Client::connect(conn, "load.example"))
-                            {
-                                Ok(client) => {
-                                    if ever_connected[lane] {
-                                        outcome.reconnects += 1;
-                                        reconnect_ctr.inc();
-                                    }
+                                .map(|client| {
+                                    outcome.reconnects += u64::from(ever_connected[lane]);
                                     ever_connected[lane] = true;
-                                    pool[lane] = Some(client);
-                                }
-                                Err(e) => {
-                                    classify_failure(
-                                        &e,
-                                        &mut outcome,
-                                        &shed_452_ctr,
-                                        &shed_421_ctr,
-                                        &bounced_ctr,
-                                        &other_ctr,
-                                        &no_reply_ctr,
-                                    );
-                                    record_latency(&latency, started.elapsed(), op.at_us, &e);
-                                    continue;
-                                }
-                            }
+                                    closed.insert(client)
+                                }),
                         }
-
-                        let message = build_message(&spec, &op);
-                        let client = pool[lane].as_mut().expect("lane connected");
-                        match client.send(&message) {
+                        .and_then(|client| client.send(&build_message(spec, &op)));
+                        let fatal = match &sent {
                             Ok(()) => {
                                 outcome.accepted += 1;
-                                accepted_ctr.inc();
                                 outcome.acked_seqs.push(op.seq);
-                                let lat =
-                                    (started.elapsed().as_micros() as u64).saturating_sub(op.at_us);
-                                latency.record(lat.max(1));
+                                false
                             }
-                            Err(e) => {
-                                let fatal = classify_failure(
-                                    &e,
-                                    &mut outcome,
-                                    &shed_452_ctr,
-                                    &shed_421_ctr,
-                                    &bounced_ctr,
-                                    &other_ctr,
-                                    &no_reply_ctr,
-                                );
-                                record_latency(&latency, started.elapsed(), op.at_us, &e);
-                                if fatal {
-                                    pool[lane] = None; // reconnect next op
-                                }
-                            }
+                            Err(e) => outcome.count_failure(e),
+                        };
+                        // Coordinated-omission-safe sample for every
+                        // attempt that got a reply, measured from the
+                        // scheduled instant; no reply records nothing.
+                        if matches!(sent, Ok(()) | Err(SmtpError::UnexpectedReply(_))) {
+                            let lat =
+                                (started.elapsed().as_micros() as u64).saturating_sub(op.at_us);
+                            latency.record(lat.max(1));
+                        }
+                        if fatal {
+                            pool[lane] = None; // reconnect next op
                         }
                     }
                     for client in pool.into_iter().flatten() {
@@ -246,32 +210,44 @@ pub fn run(spec: &WorkloadSpec, addr: SocketAddr) -> LoadReport {
     });
     let elapsed = started.elapsed();
 
-    let mut merged = WorkerOutcome::default();
+    let mut total = WorkerOutcome::default();
     for o in outcomes {
-        merged.attempted += o.attempted;
-        merged.accepted += o.accepted;
-        merged.shed_452 += o.shed_452;
-        merged.shed_421 += o.shed_421;
-        merged.bounced_552 += o.bounced_552;
-        merged.other_reply += o.other_reply;
-        merged.no_reply += o.no_reply;
-        merged.reconnects += o.reconnects;
-        merged.acked_seqs.extend(o.acked_seqs);
+        total.attempted += o.attempted;
+        total.accepted += o.accepted;
+        total.shed_452 += o.shed_452;
+        total.shed_421 += o.shed_421;
+        total.bounced_552 += o.bounced_552;
+        total.other_reply += o.other_reply;
+        total.no_reply += o.no_reply;
+        total.reconnects += o.reconnects;
+        total.acked_seqs.extend(o.acked_seqs);
     }
-    merged.acked_seqs.sort_unstable();
+    total.acked_seqs.sort_unstable();
+    for (name, count) in [
+        ("load.sent", total.attempted),
+        ("load.accepted", total.accepted),
+        ("load.shed.reply_452", total.shed_452),
+        ("load.shed.reply_421", total.shed_421),
+        ("load.bounced_552", total.bounced_552),
+        ("load.error.other_reply", total.other_reply),
+        ("load.error.no_reply", total.no_reply),
+        ("load.reconnects", total.reconnects),
+    ] {
+        registry.counter(name).add(count);
+    }
 
     let metrics = registry.snapshot();
     LoadReport {
         name: spec.name.clone(),
         offered,
-        attempted: merged.attempted,
-        accepted: merged.accepted,
-        shed_452: merged.shed_452,
-        shed_421: merged.shed_421,
-        bounced_552: merged.bounced_552,
-        other_reply: merged.other_reply,
-        no_reply: merged.no_reply,
-        reconnects: merged.reconnects,
+        attempted: total.attempted,
+        accepted: total.accepted,
+        shed_452: total.shed_452,
+        shed_421: total.shed_421,
+        bounced_552: total.bounced_552,
+        other_reply: total.other_reply,
+        no_reply: total.no_reply,
+        reconnects: total.reconnects,
         horizon: Duration::from_millis(spec.duration_ms),
         elapsed,
         latency_us: metrics
@@ -280,7 +256,7 @@ pub fn run(spec: &WorkloadSpec, addr: SocketAddr) -> LoadReport {
             .cloned()
             .unwrap_or_default(),
         metrics,
-        acked_seqs: merged.acked_seqs,
+        acked_seqs: total.acked_seqs,
     }
 }
 
@@ -299,59 +275,25 @@ fn build_message(spec: &WorkloadSpec, op: &ScheduledSend) -> MailMessage {
         .build()
 }
 
-/// Tallies a failed attempt; returns whether the connection is unusable.
-fn classify_failure(
-    error: &SmtpError,
-    outcome: &mut WorkerOutcome,
-    shed_452: &zmail_obs::Counter,
-    shed_421: &zmail_obs::Counter,
-    bounced: &zmail_obs::Counter,
-    other: &zmail_obs::Counter,
-    no_reply: &zmail_obs::Counter,
-) -> bool {
-    match error {
-        SmtpError::UnexpectedReply(reply) => match reply.code {
-            ReplyCode::InsufficientStorage => {
-                outcome.shed_452 += 1;
-                shed_452.inc();
-                false
-            }
+impl WorkerOutcome {
+    /// Tallies a failed attempt; returns whether the connection is
+    /// unusable.
+    fn count_failure(&mut self, error: &SmtpError) -> bool {
+        let SmtpError::UnexpectedReply(reply) = error else {
+            self.no_reply += 1;
+            return true;
+        };
+        match reply.code {
+            ReplyCode::InsufficientStorage => self.shed_452 += 1,
+            // The server says goodbye after a 421; drop the session.
             ReplyCode::ServiceNotAvailable => {
-                // The server says goodbye after a 421; drop the session.
-                outcome.shed_421 += 1;
-                shed_421.inc();
-                true
+                self.shed_421 += 1;
+                return true;
             }
-            ReplyCode::ExceededAllocation => {
-                outcome.bounced_552 += 1;
-                bounced.inc();
-                false
-            }
-            _ => {
-                outcome.other_reply += 1;
-                other.inc();
-                false
-            }
-        },
-        _ => {
-            outcome.no_reply += 1;
-            no_reply.inc();
-            true
+            ReplyCode::ExceededAllocation => self.bounced_552 += 1,
+            _ => self.other_reply += 1,
         }
-    }
-}
-
-/// Coordinated-omission-safe sample for a failed attempt that still got
-/// a reply; attempts with no reply at all record nothing.
-fn record_latency(
-    latency: &zmail_obs::Histogram,
-    elapsed: Duration,
-    at_us: u64,
-    error: &SmtpError,
-) {
-    if matches!(error, SmtpError::UnexpectedReply(_)) {
-        let lat = (elapsed.as_micros() as u64).saturating_sub(at_us);
-        latency.record(lat.max(1));
+        false
     }
 }
 
@@ -398,6 +340,63 @@ mod tests {
             report.metrics.counters.get("load.accepted"),
             Some(&report.accepted)
         );
+    }
+
+    #[test]
+    fn a_shedding_server_is_counted_once_in_report_and_registry_alike() {
+        /// Accepts everything, slowly, so the one worker stays busy.
+        #[derive(Clone)]
+        struct StalledSink;
+        impl zmail_smtp::MailSink for StalledSink {
+            fn deliver(&self, _m: MailMessage) -> Result<(), zmail_smtp::SinkError> {
+                std::thread::sleep(Duration::from_millis(2));
+                Ok(())
+            }
+        }
+        // One worker and one queue slot against four connections: one is
+        // served, one waits its turn, the other two are shed with `421`
+        // at every attempt.
+        let config = ThreadedConfig {
+            workers: 1,
+            queue_depth: 1,
+            ..ThreadedConfig::default()
+        };
+        let spec = WorkloadSpec {
+            workers: 4,
+            connections_per_worker: 1,
+            ..quick_spec()
+        };
+        let mut server = ThreadedServer::start("mx.test", StalledSink, config).unwrap();
+        let addr = server.addr();
+        // Fails, instead of hanging, if a lane is parked for good.
+        let (done, report) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(run(&spec, addr));
+        });
+        let report = report
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the run ends");
+        server.stop();
+
+        assert!(report.shed_421 > 0 && report.accepted > 0, "{report:?}");
+        assert_eq!(report.replied(), report.offered);
+        assert_eq!(server.stats().shed_connections, report.shed_421);
+        let fields = [
+            ("load.sent", report.attempted),
+            ("load.accepted", report.accepted),
+            ("load.shed.reply_452", report.shed_452),
+            ("load.shed.reply_421", report.shed_421),
+            ("load.bounced_552", report.bounced_552),
+            ("load.error.other_reply", report.other_reply),
+            ("load.error.no_reply", report.no_reply),
+            ("load.reconnects", report.reconnects),
+        ];
+        let counters = &report.metrics.counters;
+        assert_eq!(counters.len(), fields.len(), "{counters:?}");
+        for (name, field) in fields {
+            assert_eq!(counters.get(name), Some(&field), "{name}");
+        }
+        assert_eq!(report.latency_us.count, report.replied());
     }
 
     #[test]

@@ -55,6 +55,16 @@ pub mod export;
 mod metrics;
 mod span;
 
+/// The one way this crate takes a lock: past poison. No foreign code runs
+/// under the registry's or a recorder's lock, and what they guard is
+/// telemetry: the worst a panic there can leave behind is a metric not
+/// registered or a span missing from the log. An `expect` would instead
+/// turn that one panic into one at every later registration, snapshot and
+/// span — some of them under the gateway's ledger lock.
+fn held<T>(guard: std::sync::LockResult<T>) -> T {
+    guard.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 pub use metrics::{
     global, Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, BUCKETS,
 };

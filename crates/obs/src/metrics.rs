@@ -15,6 +15,7 @@
 //!    two runs that perform the same recordings produce `==` snapshots,
 //!    which is what the determinism guard tests assert.
 
+use crate::held;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -303,7 +304,7 @@ impl HistogramSnapshot {
 }
 
 /// What a registry holds under one name.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Slot {
     Counter(Counter),
     Gauge(Gauge),
@@ -360,20 +361,30 @@ impl Registry {
         self.enabled.load(Ordering::Relaxed)
     }
 
+    /// The slot registered under `name`, made by `new` if there is none.
+    /// A clone, so a caller that finds the wrong kind panics with the
+    /// lock already released.
+    fn slot(&self, name: &str, new: impl FnOnce() -> Slot) -> Slot {
+        held(self.slots.lock())
+            .entry(name.to_string())
+            .or_insert_with(new)
+            .clone()
+    }
+
     /// Returns the counter registered under `name`, creating it if new.
     ///
     /// # Panics
     ///
     /// Panics if `name` is already registered as a different metric kind.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut slots = self.slots.lock().expect("registry lock");
-        match slots.entry(name.to_string()).or_insert_with(|| {
+        let new = || {
             Slot::Counter(Counter {
                 enabled: Arc::clone(&self.enabled),
                 value: Arc::new(AtomicU64::new(0)),
             })
-        }) {
-            Slot::Counter(c) => c.clone(),
+        };
+        match self.slot(name, new) {
+            Slot::Counter(c) => c,
             _ => panic!("metric {name:?} already registered with a different kind"),
         }
     }
@@ -384,14 +395,14 @@ impl Registry {
     ///
     /// Panics if `name` is already registered as a different metric kind.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut slots = self.slots.lock().expect("registry lock");
-        match slots.entry(name.to_string()).or_insert_with(|| {
+        let new = || {
             Slot::Gauge(Gauge {
                 enabled: Arc::clone(&self.enabled),
                 value: Arc::new(AtomicI64::new(0)),
             })
-        }) {
-            Slot::Gauge(g) => g.clone(),
+        };
+        match self.slot(name, new) {
+            Slot::Gauge(g) => g,
             _ => panic!("metric {name:?} already registered with a different kind"),
         }
     }
@@ -402,21 +413,21 @@ impl Registry {
     ///
     /// Panics if `name` is already registered as a different metric kind.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut slots = self.slots.lock().expect("registry lock");
-        match slots.entry(name.to_string()).or_insert_with(|| {
+        let new = || {
             Slot::Histogram(Histogram {
                 enabled: Arc::clone(&self.enabled),
                 core: Arc::new(HistogramCore::new()),
             })
-        }) {
-            Slot::Histogram(h) => h.clone(),
+        };
+        match self.slot(name, new) {
+            Slot::Histogram(h) => h,
             _ => panic!("metric {name:?} already registered with a different kind"),
         }
     }
 
     /// Captures the current value of every registered metric.
     pub fn snapshot(&self) -> Snapshot {
-        let slots = self.slots.lock().expect("registry lock");
+        let slots = held(self.slots.lock());
         let mut snap = Snapshot::default();
         for (name, slot) in slots.iter() {
             match slot {
@@ -436,7 +447,7 @@ impl Registry {
 
     /// Zeroes every registered metric (handles stay valid).
     pub fn reset(&self) {
-        let slots = self.slots.lock().expect("registry lock");
+        let slots = held(self.slots.lock());
         for slot in slots.values() {
             match slot {
                 Slot::Counter(c) => c.value.store(0, Ordering::Relaxed),
@@ -608,6 +619,37 @@ mod tests {
         let r = Registry::new();
         r.counter("x");
         r.gauge("x");
+    }
+
+    #[test]
+    fn one_panic_does_not_take_every_metric_with_it() {
+        let r = Registry::new();
+        r.counter("x").inc();
+        // The kind check fires with the lock already released...
+        let clash = r.clone();
+        std::thread::spawn(move || clash.gauge("x"))
+            .join()
+            .expect_err("a kind collision panics");
+        assert!(!r.slots.is_poisoned());
+        r.counter("x").inc();
+        assert_eq!(r.snapshot().counters["x"], 2);
+        // ...and a lock that some other panic did poison is looked through.
+        let poisoner = r.clone();
+        std::thread::spawn(move || {
+            let _guard = poisoner.slots.lock();
+            panic!("under the registry lock");
+        })
+        .join()
+        .expect_err("the poisoner panics");
+        assert!(r.slots.is_poisoned());
+        r.counter("x").inc();
+        r.gauge("g").set(4);
+        r.histogram("h").record(9);
+        let snap = r.snapshot();
+        assert_eq!((snap.counters["x"], snap.gauges["g"]), (3, 4));
+        assert_eq!(snap.histograms["h"].count, 1);
+        r.reset();
+        assert_eq!(r.snapshot().counters["x"], 0);
     }
 
     #[test]

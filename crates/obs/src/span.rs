@@ -38,6 +38,7 @@
 //! [`SpanStatus::Crashed`] so crashes truncate traces instead of leaking
 //! open spans.
 
+use crate::held;
 use crate::metrics::Registry;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -263,7 +264,7 @@ impl FlightRecorder {
             n > 0,
             "sample_every must be >= 1 (disable to record nothing)"
         );
-        self.inner.lock().expect("recorder lock").sample_every = n;
+        held(self.inner.lock()).sample_every = n;
     }
 
     /// Maximum retained finished spans.
@@ -285,7 +286,7 @@ impl FlightRecorder {
         if !self.is_enabled() {
             return None;
         }
-        let mut inner = self.inner.lock().expect("recorder lock");
+        let mut inner = held(self.inner.lock());
         let trace = TraceId(inner.next_trace);
         inner.next_trace += 1;
         if inner.sample_every > 1 && !mix(trace.0).is_multiple_of(inner.sample_every) {
@@ -316,7 +317,7 @@ impl FlightRecorder {
         if !self.is_enabled() {
             return None;
         }
-        let mut inner = self.inner.lock().expect("recorder lock");
+        let mut inner = held(self.inner.lock());
         let p = inner.open.get_mut(&parent.span.0)?;
         p.open_children += 1;
         let trace = p.trace;
@@ -364,7 +365,7 @@ impl FlightRecorder {
         if !self.is_enabled() {
             return;
         }
-        let mut inner = self.inner.lock().expect("recorder lock");
+        let mut inner = held(self.inner.lock());
         if let Some(open) = inner.open.get_mut(&ctx.span.0) {
             if !open.detail.is_empty() {
                 open.detail.push_str("; ");
@@ -389,7 +390,7 @@ impl FlightRecorder {
         if !self.is_enabled() {
             return;
         }
-        let mut inner = self.inner.lock().expect("recorder lock");
+        let mut inner = held(self.inner.lock());
         let Some(open) = inner.open.get_mut(&ctx.span.0) else {
             return;
         };
@@ -444,7 +445,7 @@ impl FlightRecorder {
         if !self.is_enabled() {
             return;
         }
-        let mut inner = self.inner.lock().expect("recorder lock");
+        let mut inner = held(self.inner.lock());
         // Seed with spans on the crashed node, then grow to the full
         // open-descendant closure.
         let mut doomed: std::collections::BTreeSet<u64> = inner
@@ -485,7 +486,7 @@ impl FlightRecorder {
         if !self.is_enabled() {
             return;
         }
-        let mut inner = self.inner.lock().expect("recorder lock");
+        let mut inner = held(self.inner.lock());
         let ids: Vec<u64> = inner.open.keys().rev().copied().collect();
         for id in ids {
             if inner.open.contains_key(&id) {
@@ -496,7 +497,7 @@ impl FlightRecorder {
 
     /// Number of finished spans currently retained.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("recorder lock").ring.len()
+        held(self.inner.lock()).ring.len()
     }
 
     /// Whether no finished spans are retained.
@@ -506,19 +507,19 @@ impl FlightRecorder {
 
     /// Number of spans currently open.
     pub fn open_spans(&self) -> usize {
-        self.inner.lock().expect("recorder lock").open.len()
+        held(self.inner.lock()).open.len()
     }
 
     /// Total traces minted so far (sampled or not).
     pub fn traces_minted(&self) -> u64 {
-        self.inner.lock().expect("recorder lock").next_trace
+        held(self.inner.lock()).next_trace
     }
 
     /// Copies out finished spans oldest-close-first and clears the ring.
     /// Open spans are untouched — call [`FlightRecorder::finalize`]
     /// first if the run is over.
     pub fn drain(&self) -> SpanLog {
-        let mut inner = self.inner.lock().expect("recorder lock");
+        let mut inner = held(self.inner.lock());
         let mut spans = Vec::with_capacity(inner.ring.len());
         spans.extend_from_slice(&inner.ring[inner.head..]);
         spans.extend_from_slice(&inner.ring[..inner.head]);
@@ -722,6 +723,36 @@ pub fn attribute(log: &SpanLog, registry: &Registry) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_recorder_poisoned_from_another_thread_still_answers() {
+        let r = FlightRecorder::new(8);
+        let root = r.begin_trace(1, "submit", "gateway", "").unwrap();
+        let poisoner = r.clone();
+        std::thread::spawn(move || {
+            let _guard = poisoner.inner.lock();
+            panic!("under the recorder lock");
+        })
+        .join()
+        .expect_err("the poisoner panics");
+        assert!(r.inner.is_poisoned());
+        // Every entry point looks through the poison, as the gateway —
+        // which calls these under its ledger lock — needs it to.
+        r.set_sampling(1);
+        r.annotate(root, "after the panic");
+        let child = r.child(2, root, "delivery", "isp1", "").unwrap();
+        r.end(3, child);
+        r.end_with(3, root, SpanStatus::Ok);
+        assert_eq!((r.open_spans(), r.len(), r.traces_minted()), (0, 2, 1));
+        let straggler = r.begin_trace(4, "submit", "gateway", "").unwrap();
+        r.close_node(5, "nowhere", SpanStatus::Dropped);
+        r.finalize(6);
+        let log = r.drain();
+        log.validate().expect("well-formed");
+        assert_eq!(log.spans.len(), 3);
+        assert_eq!(log.spans[2].span, straggler.span);
+        assert!(log.spans[0].detail.is_empty() && log.spans[1].detail == "after the panic");
+    }
 
     #[test]
     fn begin_child_end_records_a_nested_trace() {

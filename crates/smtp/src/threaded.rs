@@ -7,14 +7,19 @@
 //! every stage (`workers: 1` degenerates to serving sessions one at a
 //! time, in accept order):
 //!
-//! * an **acceptor** thread pulls connections off the listener and pushes
-//!   them onto a **bounded** hand-off queue;
-//! * a fixed **worker pool** pops connections and drives the ordinary
-//!   [`SmtpServer`] session state machine over them;
-//! * when the queue is full or the simultaneous-connection cap is reached
-//!   the acceptor *sheds* the connection with an immediate `421` (service
-//!   not available) instead of letting it wait unbounded — the client got
-//!   a well-formed SMTP answer, and the server's memory use stays flat;
+//! * an **acceptor** thread pulls connections off the listener and
+//!   `try_send`s them into a **bounded** channel
+//!   (`sync_channel(queue_depth)`);
+//! * a fixed **worker pool** receives connections from it and drives the
+//!   ordinary [`SmtpServer`] session state machine over them;
+//! * when the channel is full or the simultaneous-connection cap is
+//!   reached the acceptor *sheds* the connection with an immediate `421`
+//!   (service not available) instead of letting it wait unbounded — the
+//!   client got a well-formed SMTP answer, and the server's memory use
+//!   stays flat;
+//! * when the acceptor goes — [`ThreadedServer::stop`], or any other way —
+//!   its sender goes with it: the workers serve what is still queued, read
+//!   the hang-up and exit;
 //! * every accepted stream gets read/write timeouts, so a stalled or
 //!   vanished peer cannot pin a worker forever: on timeout the worker
 //!   sends a best-effort `421` and closes;
@@ -28,16 +33,20 @@
 //! (`load.shed.*`, `452` via [`crate::SinkError::Overloaded`]) — never
 //! silent queue growth. See `crates/load` and experiment E21 for the
 //! open-loop measurements this enables.
+//!
+//! The rule on this path: threads talk over channels and a hang-up is a
+//! 4xx; a lock guards only data whose every update is one store, and is
+//! taken through `held`.
 
 use crate::server::{MailSink, SmtpServer};
 use crate::transport::{bind_loopback, TcpConnection};
 use crate::SmtpError;
-use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, TrySendError};
+use std::sync::{Arc, LockResult, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -92,81 +101,12 @@ struct AtomicStats {
     accepted_messages: AtomicU64,
 }
 
-/// The one way this file takes the gate lock or comes back from a wait
-/// on it: through poison. No foreign code runs under the lock and every
-/// update is a single store, so a guard some panicking thread left behind
-/// still holds a consistent state — looking through it costs nothing,
+/// The one way this file takes the lock the workers share the receiving
+/// end through: past poison. It guards the receiver and nothing else, so a
+/// guard some panicking thread left behind protects nothing inconsistent,
 /// while an `expect` would turn one panic into one per worker.
 fn held<T>(guard: LockResult<T>) -> T {
     guard.unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The bounded hand-off queue between the acceptor and the worker pool.
-///
-/// `open` tracks queued **and** in-service connections, so the
-/// max-connection cap covers the whole pipeline, not just the queue.
-struct Gate {
-    queue: Mutex<GateState>,
-    not_empty: Condvar,
-}
-
-struct GateState {
-    pending: VecDeque<TcpStream>,
-    open: usize,
-    shutdown: bool,
-}
-
-impl Gate {
-    fn new() -> Self {
-        Gate {
-            queue: Mutex::new(GateState {
-                pending: VecDeque::new(),
-                open: 0,
-                shutdown: false,
-            }),
-            not_empty: Condvar::new(),
-        }
-    }
-
-    /// Admits a connection, or returns it back for shedding.
-    fn try_push(&self, stream: TcpStream, config: &ThreadedConfig) -> Result<(), TcpStream> {
-        let mut state = held(self.queue.lock());
-        if state.shutdown
-            || state.pending.len() >= config.queue_depth
-            || state.open >= config.max_connections
-        {
-            return Err(stream);
-        }
-        state.open += 1;
-        state.pending.push_back(stream);
-        drop(state);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Blocks for the next connection; `None` once shut down and drained.
-    fn pop(&self) -> Option<TcpStream> {
-        let mut state = held(self.queue.lock());
-        loop {
-            if let Some(stream) = state.pending.pop_front() {
-                return Some(stream);
-            }
-            if state.shutdown {
-                return None;
-            }
-            state = held(self.not_empty.wait(state));
-        }
-    }
-
-    /// A worker finished with a connection.
-    fn release(&self) {
-        held(self.queue.lock()).open -= 1;
-    }
-
-    fn shutdown(&self) {
-        held(self.queue.lock()).shutdown = true;
-        self.not_empty.notify_all();
-    }
 }
 
 /// A multi-threaded accept-loop SMTP server: bounded worker pool over the
@@ -203,7 +143,12 @@ impl ThreadedServer {
         let hostname = hostname.into();
         let shutdown = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(AtomicStats::default());
-        let gate = Arc::new(Gate::new());
+        let (queue, queued) = sync_channel::<TcpStream>(config.queue_depth);
+        let queued = Arc::new(Mutex::new(queued));
+        // Connections queued or in service, so the cap covers the whole
+        // pipeline. Only the acceptor adds — and takes its one back when it
+        // sheds — so it admits exactly up to the cap.
+        let open = Arc::new(AtomicUsize::new(0));
         let obs = zmail_obs::global();
         let accepted_ctr = obs.counter("server.accept.accepted");
         let shed_ctr = obs.counter("server.accept.shed");
@@ -212,60 +157,71 @@ impl ThreadedServer {
 
         let workers = (0..config.workers.max(1))
             .map(|_| {
-                let gate = Arc::clone(&gate);
+                let queued = Arc::clone(&queued);
+                let open = Arc::clone(&open);
                 let stats = Arc::clone(&stats);
                 let hostname = hostname.clone();
                 let sink = sink.clone();
                 let config = config.clone();
                 let timeout_ctr = timeout_ctr.clone();
                 let active_gauge = active_gauge.clone();
-                std::thread::spawn(move || {
-                    while let Some(stream) = gate.pop() {
-                        active_gauge.add(1);
-                        // A sink that panics costs its own session only:
-                        // the unwind drops that socket, and the worker
-                        // still releases the slot and pops the next one.
-                        let timed_out = catch_unwind(AssertUnwindSafe(|| {
-                            serve_stream(&hostname, &sink, &config, stream, &stats)
-                        }))
-                        .unwrap_or(false);
-                        if timed_out {
-                            stats.timed_out.fetch_add(1, Ordering::Relaxed);
-                            timeout_ctr.inc();
-                        }
-                        active_gauge.add(-1);
-                        gate.release();
+                std::thread::spawn(move || loop {
+                    // A statement of its own: the lock is released before
+                    // the session runs. `Err` is the hang-up — the acceptor
+                    // is gone and everything it queued has been served.
+                    let Ok(stream) = held(queued.lock()).recv() else {
+                        break;
+                    };
+                    active_gauge.add(1);
+                    // A sink that panics costs its own session only: the
+                    // unwind drops that socket, and the worker still gives
+                    // the slot back and receives the next one.
+                    let timed_out = catch_unwind(AssertUnwindSafe(|| {
+                        serve_stream(&hostname, &sink, &config, stream, &stats)
+                    }))
+                    .unwrap_or(false);
+                    if timed_out {
+                        stats.timed_out.fetch_add(1, Ordering::Relaxed);
+                        timeout_ctr.inc();
                     }
+                    active_gauge.add(-1);
+                    open.fetch_sub(1, Ordering::Relaxed);
                 })
             })
             .collect();
 
         let acceptor = {
-            let gate = Arc::clone(&gate);
             let stats = Arc::clone(&stats);
             let hostname = hostname.clone();
             let accept_shutdown = Arc::clone(&shutdown);
             let config = config.clone();
+            // The thread owns the only sender: however it ends, the
+            // workers read the hang-up once the channel is drained.
             std::thread::spawn(move || {
                 for stream in listener.incoming() {
                     if accept_shutdown.load(Ordering::SeqCst) {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
-                    match gate.try_push(stream, &config) {
+                    // Past the cap the pipeline is as full as a full queue.
+                    let sent = if open.fetch_add(1, Ordering::Relaxed) < config.max_connections {
+                        queue.try_send(stream)
+                    } else {
+                        Err(TrySendError::Full(stream))
+                    };
+                    match sent {
                         Ok(()) => {
                             stats.accepted_connections.fetch_add(1, Ordering::Relaxed);
                             accepted_ctr.inc();
                         }
-                        Err(stream) => {
+                        Err(TrySendError::Full(stream) | TrySendError::Disconnected(stream)) => {
+                            open.fetch_sub(1, Ordering::Relaxed);
                             stats.shed_connections.fetch_add(1, Ordering::Relaxed);
                             shed_ctr.inc();
                             shed_connection(stream, &hostname, &config);
                         }
                     }
                 }
-                // Unblock the workers once no more connections will come.
-                gate.shutdown();
             })
         };
 
@@ -496,6 +452,61 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.accepted_connections, 3);
         assert_eq!(stats.accepted_messages, 2);
+    }
+
+    #[test]
+    fn connections_queued_at_stop_are_served_before_the_workers_exit() {
+        /// Runs `f` on its own thread and fails, instead of hanging, if
+        /// it has not returned within three seconds.
+        fn within_3s<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || tx.send(f()));
+            rx.recv_timeout(Duration::from_secs(3))
+                .expect("a queued connection or a worker is parked for good")
+        }
+        let config = ThreadedConfig {
+            workers: 1,
+            ..tiny_config()
+        };
+        let sink = CollectSink::shared();
+        let mut server = ThreadedServer::start("mx.test", sink.clone(), config).unwrap();
+        let addr = server.addr();
+        let msg = MailMessage::builder("a@x", "b@y").body("hello\r\n").build();
+        let stats = within_3s(move || {
+            // The only worker is held by this session; two more queue up
+            // behind it, ungreeted.
+            let conn = TcpConnection::connect(addr).unwrap();
+            let mut serving = Client::connect(conn, "c.test").unwrap();
+            let queued = [(); 2].map(|()| {
+                let msg = msg.clone();
+                std::thread::spawn(move || {
+                    let conn = TcpConnection::connect(addr)?;
+                    let mut client = Client::connect(conn, "c.test")?;
+                    client.send(&msg)?;
+                    client.quit()
+                })
+            });
+            while server.stats().accepted_connections < 3 {
+                std::thread::yield_now();
+            }
+            let stopper = std::thread::spawn(move || {
+                server.stop();
+                server.stats()
+            });
+            // The port can be bound again once the acceptor has exited
+            // and closed its listener: from then on the workers are only
+            // draining.
+            while std::net::TcpListener::bind(addr).is_err() {
+                std::thread::yield_now();
+            }
+            serving.send(&msg).unwrap();
+            serving.quit().unwrap();
+            for client in queued {
+                client.join().unwrap().expect("queued before stop, served");
+            }
+            stopper.join().unwrap()
+        });
+        assert_eq!((sink.len(), stats.accepted_messages), (3, 3));
     }
 
     #[test]

@@ -75,9 +75,23 @@ impl UserBooks {
     ///
     /// Returns which half of the guard refuses the send.
     pub fn check_send(&self) -> Result<(), SendError> {
-        if self.balance < 1 {
+        self.check_sends(1)
+    }
+
+    /// The same guard for `n` emails at once, `balance ≥ n ∧ sent + n ≤
+    /// limit` — what a driver checks before the first charge of a message
+    /// it must refuse whole. Charging nobody is always allowed.
+    ///
+    /// # Errors
+    ///
+    /// Returns which half of the guard refuses the sends.
+    #[inline]
+    pub fn check_sends(&self, n: u32) -> Result<(), SendError> {
+        if n == 0 {
+            Ok(())
+        } else if self.balance < i64::from(n) {
             Err(SendError::InsufficientBalance)
-        } else if self.sent_today >= self.limit {
+        } else if u64::from(self.sent_today) + u64::from(n) > u64::from(self.limit) {
             Err(SendError::DailyLimitExceeded)
         } else {
             Ok(())

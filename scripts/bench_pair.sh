@@ -7,7 +7,8 @@
 # `--seed k --trace 0` for BENCHMARK.json's run_seconds, odd pairs parent
 # first, even pairs change first -- and print, per end-to-end metric, both
 # medians, both quartile pairs, the change/parent ratio of the medians,
-# and how many pairs the change won (ties count for neither). A gain
+# and how many pairs the change won (ties count for neither), after one
+# line per pair with every run's value (parent -> change). A gain
 # holds when the change wins at least nine tenths of the pairs and the
 # medians differ by more than the parent's own interquartile range; the
 # last column says which metrics are outside their BENCHMARK.json bound
@@ -52,7 +53,9 @@ for k in range(1, pairs + 1):
     for side in (("parent", "change") if k % 2 else ("change", "parent")):
         for name, value in run(side, k, seconds).items():
             values[side].setdefault(name, []).append(value)
-    print(f"  pair {k} done", file=sys.stderr)
+    print(f"  pair {k}: " + "; ".join(
+        f"{name} {values['parent'][name][-1]:.4f} -> {values['change'][name][-1]:.4f}"
+        for name in values["parent"]), flush=True)
 
 def quartiles(v):
     q1, _, q3 = statistics.quantiles(v, n=4) if len(v) > 1 else (v[0], v[0], v[0])

@@ -12,7 +12,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --release"
 cargo build --release
 
-echo "== cargo test (every suite, once; tests/docs.rs is the doc-link and doc-presence gate)"
+echo "== cargo test (every suite, once; tests/docs.rs is the doc-link and doc-presence gate, tests/lock_sites.rs the lock-discipline scan)"
 cargo test -q --workspace
 
 echo "== cargo doc (first-party crates, warnings are errors)"
@@ -56,3 +56,5 @@ cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.t
 
 echo "CI: all green"
 echo "first-party Rust lines (scripts/loc.sh): $(scripts/loc.sh), of which outside #[cfg(test)] (--src): $(scripts/loc.sh --src | awk 'END { print $1 }')"
+wire_path=(crates/smtp/src/threaded.rs crates/core/src/backpressure.rs crates/core/src/bridge.rs crates/load/src/runner.rs)
+echo "wire path outside #[cfg(test)] (scripts/loc.sh --src): $(scripts/loc.sh --src "${wire_path[@]}" | awk '{ printf "%s%s %s", sep, $1, $2; sep = ", " }')"
