@@ -7,9 +7,15 @@ use zmail_sim::SimDuration;
 use zmail_store::StoreConfig;
 
 /// Durable-books settings: when present on a [`ZmailConfig`], the system
-/// journals every ledger mutation into a `zmail-store` WAL (one group
-/// commit per simulation event) and `Crash` fault windows restart ISPs
-/// from the real recovery path instead of preserved memory.
+/// journals every ledger mutation into a `zmail-store` WAL and `Crash`
+/// fault windows restart ISPs from the real recovery path instead of
+/// preserved memory. Every event ends with a `commit_all`, so recovered
+/// books always land on an event boundary; how many syncs that costs is
+/// `store.batch_records`' to say. The default is 1: each record commits
+/// alone as it is appended, the event's `commit_all` finds nothing
+/// buffered, and a mail costs as many syncs as records (3.23 on the
+/// benchmark's `sim_world`). A batch at least as large as an event's
+/// records makes it one group commit per event and shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurabilityConfig {
     /// WAL/checkpoint tuning passed through to the ledger store.
@@ -366,9 +372,10 @@ impl ZmailConfigBuilder {
         self
     }
 
-    /// Enables durable books with default WAL/checkpoint tuning: every
-    /// ledger mutation is journaled and committed once per simulation
-    /// event, and `Crash` windows restart ISPs from the recovery path.
+    /// Enables durable books with default WAL/checkpoint tuning
+    /// (`batch_records: 1`): every ledger mutation is journaled and
+    /// committed on its own, so an event's books are durable by its end,
+    /// and `Crash` windows restart ISPs from the recovery path.
     pub fn durable(self) -> Self {
         self.durability(DurabilityConfig::default())
     }

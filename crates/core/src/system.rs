@@ -812,8 +812,11 @@ impl ZmailWorld {
     }
 
     /// Appends every record the ISPs and banks journalled during this
-    /// event to the durable store and group-commits — one commit per
-    /// event, so recovered books always land on an event boundary.
+    /// event to the durable store and flushes whatever is still buffered,
+    /// so recovered books always land on an event boundary. That is one
+    /// group commit per event only when `batch_records` covers the
+    /// event's records; at the default of 1 each append has already
+    /// committed alone and the `commit_all` here finds nothing to flush.
     fn persist_journals(&mut self, now: SimTime) {
         let Some(store) = self.store.as_mut() else {
             return;

@@ -423,11 +423,26 @@ mod checkpointed_sweep {
             .collect();
         let (mut store, _, _) = machine(disks, fuse, torn);
         run(&mut store);
-        let mut disks: Vec<_> = store.into_storages().into_iter().map(|k| k.disk).collect();
-        for disk in &mut disks {
-            disk.crash();
-        }
         let at = format!("kill at sync {fuse}, torn {torn:?}");
+        // The process ran on over dead disks: its books are the whole
+        // run's, its backends what the kill left — cut inside whichever
+        // of `commit_all`'s three waves the fuse fell in. The shard-wise
+        // audits must say of that state what the merged images say.
+        for s in 0..SHARDS {
+            store.shard_mut(s).storage_mut().disk.crash();
+        }
+        let (cut, cut_report) = store.simulate_recovery();
+        assert_eq!(
+            store.recovers_live_books(),
+            (cut == store.books(), cut_report),
+            "{at}"
+        );
+        assert_eq!(
+            store.epennies_found(),
+            store.books().epennies_found(),
+            "{at}"
+        );
+        let disks: Vec<_> = store.into_storages().into_iter().map(|k| k.disk).collect();
         let found = durable(&disks);
         let mut reference = bootstrap();
         for op in ops() {
@@ -445,10 +460,11 @@ mod checkpointed_sweep {
         assert_eq!(report.resolved_acked, found.owed_release_only, "{at}");
         assert_eq!(recovered.books(), reference, "{at}");
         assert_eq!(
-            recovered.books().epennies_found(),
+            recovered.epennies_found(),
             bootstrap().epennies_found(),
             "{at}"
         );
+        assert!(recovered.recovers_live_books().0, "{at}");
         // The resolution was itself journaled durably: a second power
         // cycle finds nothing in doubt and the same books.
         let mut disks: Vec<_> = recovered

@@ -38,6 +38,21 @@
 //!   prepare itself was torn, fully-reverted) — never a half-transfer,
 //!   so conservation drift is exactly 0. The engine never truncates a
 //!   WAL at checkpoint time, which is what makes the full scan sound.
+//!   The scan leans on the order the engine writes in — xids ascend, and
+//!   a shard releases its prepares in the order it made them — so the
+//!   open prepares of a log are a FIFO (a prepare pushes, its release
+//!   pops the front) and the applied xids a bitset; a log in any other
+//!   order is searched instead and means what it always meant, and an
+//!   absurd xid spills to an ordered set so memory follows the record
+//!   count.
+//! * Questions about the whole economy are answered shard by shard:
+//!   [`ShardedLedgerStore::epennies_found`] sums the supply and
+//!   [`ShardedLedgerStore::recovers_live_books`] compares what a restart
+//!   would rebuild with the live books without assembling a merged
+//!   image (at a million accounts, 24 MB built to be read once);
+//!   [`ShardedLedgerStore::books`] and
+//!   [`ShardedLedgerStore::simulate_recovery`] remain for callers that
+//!   want the image itself.
 //!
 //! With one shard the map is the identity, every record routes
 //! unchanged to shard 0, and the WAL bytes are identical to an
@@ -54,7 +69,8 @@ use crate::books::{BankBooks, Books, IspBooks, UserBooks};
 use crate::engine::{LedgerStore, RecoveryReport, StoreConfig};
 use crate::record::{LedgerRecord, XferKind, XferLeg};
 use crate::storage::Storage;
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::OnceLock;
 use std::time::Instant;
 use zmail_obs::{Counter, Histogram};
@@ -114,11 +130,11 @@ pub fn stable_bank_hash(bank: u32) -> u64 {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardMap {
     shards: u32,
-    /// `user_shard[isp][user]` — owning shard of a global account.
-    user_shard: Vec<Vec<u32>>,
-    /// `user_local[isp][user]` — the account's index inside the owning
-    /// shard's slice of that ISP.
-    user_local: Vec<Vec<u32>>,
+    /// `users[isp][user]` — the owning shard of a global account and the
+    /// account's index inside that shard's slice of the ISP, side by
+    /// side: routing a record needs both, and at a million accounts each
+    /// look-up is a cache miss.
+    users: Vec<Vec<(u32, u32)>>,
     /// `owned[shard][isp]` — global user indices the shard holds, in
     /// ascending order (the shard-local index space).
     owned: Vec<Vec<Vec<u32>>>,
@@ -134,20 +150,16 @@ impl ShardMap {
     pub fn new(shards: u32, template: &Books) -> ShardMap {
         let shards = shards.max(1);
         let isps = template.isps.len();
-        let mut user_shard = Vec::with_capacity(isps);
-        let mut user_local = Vec::with_capacity(isps);
+        let mut users = Vec::with_capacity(isps);
         let mut owned = vec![vec![Vec::new(); isps]; shards as usize];
         for (i, isp) in template.isps.iter().enumerate() {
-            let mut shard_of = Vec::with_capacity(isp.users.len());
-            let mut local_of = Vec::with_capacity(isp.users.len());
+            let mut placed = Vec::with_capacity(isp.users.len());
             for u in 0..isp.users.len() as u32 {
                 let s = (stable_account_hash(i as u32, u) % u64::from(shards)) as u32;
-                shard_of.push(s);
-                local_of.push(owned[s as usize][i].len() as u32);
+                placed.push((s, owned[s as usize][i].len() as u32));
                 owned[s as usize][i].push(u);
             }
-            user_shard.push(shard_of);
-            user_local.push(local_of);
+            users.push(placed);
         }
         let pool_shard = (0..isps as u32)
             .map(|i| (stable_pool_hash(i) % u64::from(shards)) as u32)
@@ -157,8 +169,7 @@ impl ShardMap {
             .collect();
         ShardMap {
             shards,
-            user_shard,
-            user_local,
+            users,
             owned,
             pool_shard,
             bank_shard,
@@ -170,14 +181,20 @@ impl ShardMap {
         self.shards
     }
 
+    /// Owning shard of a global user account, and the account's index
+    /// inside that shard's slice of the ISP.
+    pub fn locate(&self, isp: u32, user: u32) -> (u32, u32) {
+        self.users[isp as usize][user as usize]
+    }
+
     /// Owning shard of a global user account.
     pub fn user_shard(&self, isp: u32, user: u32) -> u32 {
-        self.user_shard[isp as usize][user as usize]
+        self.locate(isp, user).0
     }
 
     /// Shard-local index of a global user account.
     pub fn user_local(&self, isp: u32, user: u32) -> u32 {
-        self.user_local[isp as usize][user as usize]
+        self.locate(isp, user).1
     }
 
     /// Owner shard of an ISP's pool and credit array.
@@ -241,27 +258,25 @@ impl ShardMap {
     /// shard's books just to merge them).
     pub fn merge_refs(&self, parts: &[&Books]) -> Books {
         assert_eq!(parts.len(), self.shards as usize, "shard count mismatch");
-        let mut isps: Vec<IspBooks> = self
-            .user_shard
+        // Each shard's slice is read front to back (local indices ascend
+        // with global ones) and every global row is written once.
+        let isps = self
+            .users
             .iter()
             .enumerate()
             .map(|(i, users)| {
                 let owner = parts[self.pool_shard[i] as usize];
                 IspBooks {
-                    users: vec![UserBooks::default(); users.len()],
+                    users: users
+                        .iter()
+                        .map(|&(s, local)| parts[s as usize].isps[i].users[local as usize])
+                        .collect(),
                     avail: owner.isps[i].avail,
                     credit: owner.isps[i].credit.clone(),
                     nonces: owner.isps[i].nonces.clone(),
                 }
             })
             .collect();
-        for (s, part) in parts.iter().enumerate() {
-            for (i, globals) in self.owned[s].iter().enumerate() {
-                for (local, &global) in globals.iter().enumerate() {
-                    isps[i].users[global as usize] = part.isps[i].users[local];
-                }
-            }
-        }
         let banks = self
             .bank_shard
             .iter()
@@ -310,13 +325,87 @@ fn journals_transfers(shards: usize) -> bool {
     shards > 1
 }
 
+/// A growable set of small integers, one bit each.
+#[derive(Debug, Default)]
+struct BitSet {
+    words: Vec<u64>,
+}
+
+impl BitSet {
+    fn insert(&mut self, i: usize) {
+        if i / 64 >= self.words.len() {
+            self.words.resize(i / 64 + 1, 0);
+        }
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.words
+            .get(i / 64)
+            .is_some_and(|word| word >> (i % 64) & 1 == 1)
+    }
+
+    fn union_with(&mut self, other: &BitSet) {
+        if other.words.len() > self.words.len() {
+            self.words.resize(other.words.len(), 0);
+        }
+        for (word, theirs) in self.words.iter_mut().zip(&other.words) {
+            *word |= theirs;
+        }
+    }
+}
+
+/// The transfer ids one log applied. The engine hands xids out densely
+/// from 0, so a bit per xid is the whole set; an xid too large for the
+/// number of applies seen so far — which no log this engine wrote
+/// carries — goes to an ordered spill instead, so a CRC-valid log with
+/// an absurd xid costs memory by its record count, not by the xid.
+#[derive(Debug, Default)]
+struct XidSet {
+    dense: BitSet,
+    spill: BTreeSet<u64>,
+    inserts: u64,
+}
+
+impl XidSet {
+    /// Words the bitset may run ahead of the insert count: with the
+    /// `inserts` term this caps it at 8 bytes per apply — what a plain
+    /// list of the xids would cost — plus 8 KiB.
+    const SLACK_WORDS: u64 = 1024;
+
+    fn insert(&mut self, xid: u64) {
+        self.inserts += 1;
+        match usize::try_from(xid) {
+            Ok(bit) if xid / 64 <= self.inserts + Self::SLACK_WORDS => self.dense.insert(bit),
+            _ => {
+                self.spill.insert(xid);
+            }
+        }
+    }
+
+    fn contains(&self, xid: u64) -> bool {
+        usize::try_from(xid).is_ok_and(|bit| self.dense.contains(bit)) || self.spill.contains(&xid)
+    }
+
+    fn union_with(&mut self, other: XidSet) {
+        self.dense.union_with(&other.dense);
+        self.spill.extend(other.spill);
+    }
+}
+
 /// What one shard's full WAL scan says about two-phase transfers.
 #[derive(Debug, Default)]
 struct XferScan {
-    /// Unreleased prepares journaled here: xid → (dst shard, credit leg).
-    prepared: BTreeMap<u64, (u32, XferLeg)>,
+    /// Unreleased prepares journaled here, as `(xid, dst shard, credit
+    /// leg)`, ascending by xid and one per xid. The engine prepares in
+    /// ascending xid order and releases in the same order, so in a log
+    /// it wrote a prepare is a push at the back and a release a pop at
+    /// the front, and the queue never holds more than one flush's
+    /// prepares. Any other sequence of records falls back to a binary
+    /// search and means what it would in a map ordered by xid.
+    prepared: VecDeque<(u64, u32, XferLeg)>,
     /// Applies journaled here.
-    applied: BTreeSet<u64>,
+    applied: XidSet,
     /// Highest xid seen in any transfer record.
     max_xid: Option<u64>,
 }
@@ -329,7 +418,14 @@ impl XferScan {
             LedgerRecord::XferPrepare {
                 xid, dst, credit, ..
             } => {
-                self.prepared.insert(xid, (dst, credit));
+                let entry = (xid, dst, credit);
+                match self.prepared.back() {
+                    Some(&(newest, ..)) if xid <= newest => match self.position(xid) {
+                        Ok(at) => self.prepared[at] = entry,
+                        Err(at) => self.prepared.insert(at, entry),
+                    },
+                    _ => self.prepared.push_back(entry),
+                }
                 xid
             }
             LedgerRecord::XferApply { xid, .. } => {
@@ -337,12 +433,26 @@ impl XferScan {
                 xid
             }
             LedgerRecord::XferRelease { xid } => {
-                self.prepared.remove(&xid);
+                match self.prepared.front() {
+                    Some(&(oldest, ..)) if oldest == xid => {
+                        self.prepared.pop_front();
+                    }
+                    _ => {
+                        if let Ok(at) = self.position(xid) {
+                            self.prepared.remove(at);
+                        }
+                    }
+                }
                 xid
             }
             _ => return,
         };
         self.max_xid = Some(self.max_xid.map_or(xid, |m| m.max(xid)));
+    }
+
+    /// Where `xid` is, or would go, in `prepared`.
+    fn position(&self, xid: u64) -> Result<usize, usize> {
+        self.prepared.binary_search_by_key(&xid, |&(at, ..)| at)
     }
 }
 
@@ -350,23 +460,38 @@ impl XferScan {
 /// must finish.
 #[derive(Debug, Default)]
 struct InDoubt {
-    /// Unreleased prepares: xid → (source shard, dst shard, credit leg).
-    prepared: BTreeMap<u64, (usize, u32, XferLeg)>,
+    /// Unreleased prepares as `(xid, source shard, dst shard, credit
+    /// leg)`, ascending by xid and one per xid.
+    prepared: Vec<(u64, usize, u32, XferLeg)>,
     /// Applies journaled on any shard.
-    applied: BTreeSet<u64>,
+    applied: XidSet,
     /// One past the highest xid in any shard's log.
     next_xid: u64,
 }
 
 impl InDoubt {
+    /// Folds in one shard's scan; shards are absorbed in shard order.
     fn absorb(&mut self, shard: usize, scan: XferScan) {
-        for (xid, (dst, credit)) in scan.prepared {
-            self.prepared.insert(xid, (shard, dst, credit));
-        }
-        self.applied.extend(scan.applied);
+        self.prepared.extend(
+            scan.prepared
+                .into_iter()
+                .map(|(xid, dst, credit)| (xid, shard, dst, credit)),
+        );
+        self.applied.union_with(scan.applied);
         if let Some(max) = scan.max_xid {
-            self.next_xid = self.next_xid.max(max + 1);
+            self.next_xid = self.next_xid.max(max.saturating_add(1));
         }
+    }
+
+    /// Orders what the shards left open, once every shard is absorbed.
+    fn sealed(mut self) -> InDoubt {
+        // Only what no shard released is left to sort. An xid two shards
+        // both hold open (no log this engine wrote) is the higher
+        // shard's.
+        self.prepared
+            .sort_unstable_by_key(|&(xid, shard, ..)| (xid, Reverse(shard)));
+        self.prepared.dedup_by_key(|&mut (xid, ..)| xid);
+        self
     }
 
     /// Rolls every unreleased prepare forward, in ascending-xid order so
@@ -374,8 +499,8 @@ impl InDoubt {
     /// for each credit leg whose apply no shard journaled; the rest only
     /// need their release.
     fn resolve(&self, report: &mut ShardRecoveryReport, mut land: impl FnMut(u64, usize, XferLeg)) {
-        for (&xid, &(_, dst, credit)) in &self.prepared {
-            if self.applied.contains(&xid) {
+        for &(xid, _, dst, credit) in &self.prepared {
+            if self.applied.contains(xid) {
                 report.resolved_acked += 1;
             } else {
                 land(xid, dst as usize, credit);
@@ -384,6 +509,23 @@ impl InDoubt {
         }
     }
 }
+
+/// The account whose user state a leg moves — in whichever index space
+/// the leg is in — or `None` for a pool leg, which carries none and
+/// routes by its ISP alone.
+fn account_of(leg: &XferLeg) -> Option<(u32, u32)> {
+    match leg.kind {
+        XferKind::PoolBuy | XferKind::PoolSell => None,
+        XferKind::Charge
+        | XferKind::Deposit
+        | XferKind::CounterBuy
+        | XferKind::CounterSell
+        | XferKind::Grant => Some((leg.isp, leg.user)),
+    }
+}
+
+/// How many cross-shard transfers share one `shard.xfer_micros` sample.
+const XFER_TIMED_EVERY: u64 = 64;
 
 /// A cross-shard transfer whose apply has not been journaled yet: the
 /// batched outbox entry. The prepare (and its debit) is already in the
@@ -417,11 +559,11 @@ pub struct ShardedLedgerStore<S: Storage> {
     /// prepares have been group-committed, which batches what used to
     /// be a forced sync per transfer into one sync per shard per tick.
     pending_xfers: Vec<PendingXfer>,
-    /// Per-account aggregate of the pending credit legs — each leg
-    /// applied to zeroed [`UserBooks`] — kept in lockstep with
-    /// `pending_xfers` (updated on push, cleared on drain) so `user`
-    /// reads are a lookup, not a scan of an outbox that grows with the
-    /// whole tick.
+    /// Per-account aggregate of the pending credit legs that carry user
+    /// state (a pool leg carries none) — each leg applied to zeroed
+    /// [`UserBooks`] — kept in lockstep with `pending_xfers` (updated on
+    /// push, cleared on drain) so `user` reads are a lookup, not a scan
+    /// of an outbox that grows with the whole tick.
     pending_user_deltas: BTreeMap<(u32, u32), UserBooks>,
     /// Releases owed but not yet journaled: `(source shard, xid)` pairs
     /// whose destination apply has not been committed yet. A release
@@ -470,6 +612,7 @@ impl<S: Storage> ShardedLedgerStore<S> {
             stores.push(store);
             reports.push(report);
         }
+        let in_doubt = in_doubt.sealed();
         let mut sharded = ShardedLedgerStore {
             map,
             stores,
@@ -505,7 +648,7 @@ impl<S: Storage> ShardedLedgerStore<S> {
         if report.resolved_forward > 0 {
             self.commit_all();
         }
-        for (&xid, &(src, _, _)) in &found.prepared {
+        for &(xid, src, ..) in &found.prepared {
             self.stores[src].append(&LedgerRecord::XferRelease { xid });
         }
         if report.resolved_forward + report.resolved_acked > 0 {
@@ -537,23 +680,19 @@ impl<S: Storage> ShardedLedgerStore<S> {
         }
         match *rec {
             LedgerRecord::Charge { isp, user } => {
-                let s = self.map.user_shard(isp, user);
-                let user = self.map.user_local(isp, user);
+                let (s, user) = self.map.locate(isp, user);
                 self.stores[s as usize].append(&LedgerRecord::Charge { isp, user });
             }
             LedgerRecord::Deposit { isp, user } => {
-                let s = self.map.user_shard(isp, user);
-                let user = self.map.user_local(isp, user);
+                let (s, user) = self.map.locate(isp, user);
                 self.stores[s as usize].append(&LedgerRecord::Deposit { isp, user });
             }
             LedgerRecord::Grant { isp, user, amount } => {
-                let s = self.map.user_shard(isp, user);
-                let user = self.map.user_local(isp, user);
+                let (s, user) = self.map.locate(isp, user);
                 self.stores[s as usize].append(&LedgerRecord::Grant { isp, user, amount });
             }
             LedgerRecord::LimitSet { isp, user, limit } => {
-                let s = self.map.user_shard(isp, user);
-                let user = self.map.user_local(isp, user);
+                let (s, user) = self.map.locate(isp, user);
                 self.stores[s as usize].append(&LedgerRecord::LimitSet { isp, user, limit });
             }
             LedgerRecord::CreditDelta { isp, .. }
@@ -658,10 +797,13 @@ impl<S: Storage> ShardedLedgerStore<S> {
             }
             return;
         }
-        let timer = zmail_obs::global().is_enabled().then(Instant::now);
         m.cross_shard.inc();
         let xid = self.next_xid;
-        self.next_xid += 1;
+        self.next_xid = xid.checked_add(1).expect("transfer ids exhausted");
+        // Two clock reads cost more than the routing between them, so one
+        // transfer in `XFER_TIMED_EVERY` is timed; the counters are exact.
+        let timer = (xid.is_multiple_of(XFER_TIMED_EVERY) && zmail_obs::global().is_enabled())
+            .then(Instant::now);
         self.stores[src].append(&LedgerRecord::XferPrepare {
             xid,
             dst: dst as u32,
@@ -686,12 +828,12 @@ impl<S: Storage> ShardedLedgerStore<S> {
             credit_local: credit,
             credit_global,
         });
-        // A pool leg carries no user state: its `(isp, 0)` delta stays
-        // zero.
-        self.pending_user_deltas
-            .entry((credit_global.isp, credit_global.user))
-            .or_default()
-            .apply(&credit_global.record());
+        if let Some(account) = account_of(&credit_global) {
+            self.pending_user_deltas
+                .entry(account)
+                .or_default()
+                .apply(&credit_global.record());
+        }
         if let Some(start) = timer {
             m.xfer_micros.record_duration(start.elapsed());
         }
@@ -711,9 +853,14 @@ impl<S: Storage> ShardedLedgerStore<S> {
         }
         let pending = std::mem::take(&mut self.pending_xfers);
         self.pending_user_deltas.clear();
-        let sources: BTreeSet<usize> = pending.iter().map(|p| p.src).collect();
-        for src in sources {
-            self.stores[src].commit();
+        let mut sources = BitSet::default();
+        for p in &pending {
+            sources.insert(p.src);
+        }
+        for (src, store) in self.stores.iter_mut().enumerate() {
+            if sources.contains(src) {
+                store.commit();
+            }
         }
         for p in pending {
             self.stores[p.dst].append(&LedgerRecord::XferApply {
@@ -726,15 +873,10 @@ impl<S: Storage> ShardedLedgerStore<S> {
 
     /// Resolves a global-index leg to (owning shard, shard-local leg).
     fn localize(&self, leg: XferLeg) -> (usize, XferLeg) {
-        match leg.kind {
-            XferKind::PoolBuy | XferKind::PoolSell => (self.map.pool_shard(leg.isp) as usize, leg),
-            XferKind::Charge
-            | XferKind::Deposit
-            | XferKind::CounterBuy
-            | XferKind::CounterSell
-            | XferKind::Grant => {
-                let s = self.map.user_shard(leg.isp, leg.user);
-                let user = self.map.user_local(leg.isp, leg.user);
+        match account_of(&leg) {
+            None => (self.map.pool_shard(leg.isp) as usize, leg),
+            Some((isp, user)) => {
+                let (s, user) = self.map.locate(isp, user);
                 (s as usize, XferLeg { user, ..leg })
             }
         }
@@ -799,13 +941,37 @@ impl<S: Storage> ShardedLedgerStore<S> {
     /// Live books of one user account, read from its owning shard, with
     /// pending cross-shard credit legs for that account overlaid.
     pub fn user(&self, isp: u32, user: u32) -> UserBooks {
-        let s = self.map.user_shard(isp, user) as usize;
-        let local = self.map.user_local(isp, user) as usize;
-        let books = self.stores[s].books().isps[isp as usize].users[local];
+        let (s, local) = self.map.locate(isp, user);
+        let books = self.stores[s as usize].books().isps[isp as usize].users[local as usize];
         match self.pending_user_deltas.get(&(isp, user)) {
             Some(delta) => books.plus(delta),
             None => books,
         }
+    }
+
+    /// Every e-penny on the merged books — what
+    /// [`books`](Self::books)`().epennies_found()` would say — summed
+    /// shard by shard, pending credit legs included, without assembling
+    /// the merged image.
+    pub fn epennies_found(&self) -> i64 {
+        // The pending legs, folded onto one stand-in account and pool.
+        let mut owed = IspBooks {
+            users: vec![UserBooks::default()],
+            ..IspBooks::default()
+        };
+        for p in &self.pending_xfers {
+            let leg = XferLeg {
+                user: 0,
+                ..p.credit_global
+            };
+            owed.apply(&leg.record());
+        }
+        let journaled: i64 = self
+            .stores
+            .iter()
+            .map(|store| store.books().epennies_found())
+            .sum();
+        journaled + owed.avail + owed.users[0].balance
     }
 
     /// What a restart *right now* would reconstruct, without mutating
@@ -813,6 +979,34 @@ impl<S: Storage> ShardedLedgerStore<S> {
     /// resolution applied to the recovered images, merged back to
     /// global books. Pure over the backends' bytes.
     pub fn simulate_recovery(&self) -> (Books, ShardRecoveryReport) {
+        let (parts, report) = self.recover_parts();
+        (self.map.merge(&parts), report)
+    }
+
+    /// Whether a restart *right now* would rebuild the live books —
+    /// [`simulate_recovery`](Self::simulate_recovery)`().0 ==`
+    /// [`books`](Self::books)`()` — decided shard by shard, pending
+    /// credit legs overlaid on the live side as `books` overlays them,
+    /// without assembling either merged image.
+    pub fn recovers_live_books(&self) -> (bool, ShardRecoveryReport) {
+        let (parts, report) = self.recover_parts();
+        let exact = parts.iter().enumerate().all(|(s, recovered)| {
+            let live = self.stores[s].books();
+            if self.pending_xfers.iter().all(|p| p.dst != s) {
+                return recovered == live;
+            }
+            let mut live = live.clone();
+            for p in self.pending_xfers.iter().filter(|p| p.dst == s) {
+                live.apply(&p.credit_local.record());
+            }
+            *recovered == live
+        });
+        (exact, report)
+    }
+
+    /// Per-shard engine recovery with the in-doubt transfers resolved on
+    /// the recovered images, in shard order.
+    fn recover_parts(&self) -> (Vec<Books>, ShardRecoveryReport) {
         let mut parts = Vec::with_capacity(self.stores.len());
         let mut report = ShardRecoveryReport::default();
         let mut in_doubt = InDoubt::default();
@@ -826,8 +1020,10 @@ impl<S: Storage> ShardedLedgerStore<S> {
             parts.push(books);
             report.shards.push(shard_report);
         }
-        in_doubt.resolve(&mut report, |_, dst, leg| parts[dst].apply(&leg.record()));
-        (self.map.merge(&parts), report)
+        in_doubt
+            .sealed()
+            .resolve(&mut report, |_, dst, leg| parts[dst].apply(&leg.record()));
+        (parts, report)
     }
 
     /// The account-to-shard assignment.
@@ -1188,6 +1384,38 @@ mod tests {
     }
 
     #[test]
+    fn a_pending_pool_leg_leaves_the_user_overlay_alone() {
+        let (mut sharded, _) =
+            ShardedLedgerStore::open(storages(4), StoreConfig::default(), bootstrap(4, 6));
+        let (isp, user) = cross_shard_user(sharded.map(), 4, 6);
+        // A counter sale: the user's debit is journaled at once, the
+        // pool's credit waits in the outbox. It carries no user state, so
+        // it must not stand in for user 0 of the ISP in the overlay.
+        sharded.append(&LedgerRecord::UserSell {
+            isp,
+            user,
+            amount: 7,
+        });
+        assert_eq!(sharded.pending_xfers.len(), 1);
+        assert!(sharded.pending_user_deltas.is_empty());
+        let mut reference = bootstrap(4, 6);
+        reference.apply(&LedgerRecord::UserSell {
+            isp,
+            user,
+            amount: 7,
+        });
+        for u in 0..6 {
+            assert_eq!(
+                sharded.user(isp, u),
+                reference.isps[isp as usize].users[u as usize],
+                "user {u}"
+            );
+        }
+        assert_eq!(sharded.books(), reference);
+        assert_eq!(sharded.epennies_found(), reference.epennies_found());
+    }
+
+    #[test]
     fn cross_shard_transfers_share_group_commits_instead_of_forcing_syncs() {
         let config = StoreConfig {
             batch_records: 1_024,
@@ -1308,5 +1536,246 @@ mod tests {
             reopened.next_xid, first_gen,
             "xid allocator must resume past every durable transfer"
         );
+    }
+
+    /// The ordered-map in-doubt scan this file used before the FIFO and
+    /// the bitset, kept as the reference the new scan is tested against.
+    mod oracle {
+        use super::super::{LedgerRecord, ShardRecoveryReport, XferLeg};
+        use std::collections::{BTreeMap, BTreeSet};
+
+        #[derive(Default)]
+        pub struct XferScan {
+            pub prepared: BTreeMap<u64, (u32, XferLeg)>,
+            pub applied: BTreeSet<u64>,
+            pub max_xid: Option<u64>,
+        }
+
+        impl XferScan {
+            pub fn observe(&mut self, rec: &LedgerRecord) {
+                let xid = match *rec {
+                    LedgerRecord::XferPrepare {
+                        xid, dst, credit, ..
+                    } => {
+                        self.prepared.insert(xid, (dst, credit));
+                        xid
+                    }
+                    LedgerRecord::XferApply { xid, .. } => {
+                        self.applied.insert(xid);
+                        xid
+                    }
+                    LedgerRecord::XferRelease { xid } => {
+                        self.prepared.remove(&xid);
+                        xid
+                    }
+                    _ => return,
+                };
+                self.max_xid = Some(self.max_xid.map_or(xid, |m| m.max(xid)));
+            }
+        }
+
+        #[derive(Default)]
+        pub struct InDoubt {
+            pub prepared: BTreeMap<u64, (usize, u32, XferLeg)>,
+            pub applied: BTreeSet<u64>,
+            pub next_xid: u64,
+        }
+
+        impl InDoubt {
+            pub fn absorb(&mut self, shard: usize, scan: XferScan) {
+                for (xid, (dst, credit)) in scan.prepared {
+                    self.prepared.insert(xid, (shard, dst, credit));
+                }
+                self.applied.extend(scan.applied);
+                if let Some(max) = scan.max_xid {
+                    self.next_xid = self.next_xid.max(max.saturating_add(1));
+                }
+            }
+
+            pub fn resolve(
+                &self,
+                report: &mut ShardRecoveryReport,
+                mut land: impl FnMut(u64, usize, XferLeg),
+            ) {
+                for (&xid, &(_, dst, credit)) in &self.prepared {
+                    if self.applied.contains(&xid) {
+                        report.resolved_acked += 1;
+                    } else {
+                        land(xid, dst as usize, credit);
+                        report.resolved_forward += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// One transfer record of a generated log. The credit leg's amount
+    /// is the record's position, so two prepares of one xid differ.
+    fn xfer_record(kind: u32, xid: u64, position: usize) -> LedgerRecord {
+        let leg = |kind| XferLeg {
+            kind,
+            isp: 0,
+            user: 0,
+            amount: position as i64,
+        };
+        match kind {
+            0 => LedgerRecord::XferPrepare {
+                xid,
+                dst: (position % 4) as u32,
+                debit: leg(XferKind::Charge),
+                credit: leg(XferKind::Grant),
+            },
+            1 => LedgerRecord::XferApply {
+                xid,
+                leg: leg(XferKind::Grant),
+            },
+            2 => LedgerRecord::XferRelease { xid },
+            _ => LedgerRecord::Charge { isp: 0, user: 0 },
+        }
+    }
+
+    /// Where record `position` of a generated log carries its xid from:
+    /// mostly a small range (re-used, duplicated, out of order), with
+    /// the ascending run the engine writes and the far end of `u64` mixed
+    /// in.
+    fn xid_of(style: u32, small: u64, position: usize) -> u64 {
+        match style {
+            0..=5 => small,
+            6 | 7 => position as u64 / 3,
+            8 => u64::MAX - small,
+            _ => small << 40,
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any sequence of transfer records, spread over any shards,
+        /// means to the FIFO/bitset scan what it meant to the ordered-map
+        /// scan: the same unreleased prepares, the same applied set, the
+        /// same next xid, and the same resolution calls in the same
+        /// order.
+        #[test]
+        fn any_transfer_log_scans_as_the_ordered_maps_scanned_it(
+            log in proptest::collection::vec((0u32..4, 0u32..4, 0u32..10, 0u64..12), 0..120),
+        ) {
+            let mut scans: Vec<XferScan> = (0..4).map(|_| XferScan::default()).collect();
+            let mut reference: Vec<oracle::XferScan> =
+                (0..4).map(|_| oracle::XferScan::default()).collect();
+            let mut mentioned = BTreeSet::new();
+            for (position, &(shard, kind, style, small)) in log.iter().enumerate() {
+                let xid = xid_of(style, small, position);
+                mentioned.insert(xid);
+                let rec = xfer_record(kind, xid, position);
+                scans[shard as usize].observe(&rec);
+                reference[shard as usize].observe(&rec);
+            }
+            for (scan, oracle) in scans.iter().zip(&reference) {
+                let prepared: Vec<_> = scan.prepared.iter().copied().collect();
+                let expected: Vec<_> = oracle
+                    .prepared
+                    .iter()
+                    .map(|(&xid, &(dst, credit))| (xid, dst, credit))
+                    .collect();
+                prop_assert_eq!(prepared, expected);
+                prop_assert_eq!(scan.max_xid, oracle.max_xid);
+                for &xid in &mentioned {
+                    prop_assert_eq!(scan.applied.contains(xid), oracle.applied.contains(&xid));
+                }
+            }
+            let mut found = InDoubt::default();
+            for (shard, scan) in scans.into_iter().enumerate() {
+                found.absorb(shard, scan);
+            }
+            let found = found.sealed();
+            let mut expected = oracle::InDoubt::default();
+            for (shard, scan) in reference.into_iter().enumerate() {
+                expected.absorb(shard, scan);
+            }
+            let prepared: Vec<_> = expected
+                .prepared
+                .iter()
+                .map(|(&xid, &(src, dst, credit))| (xid, src, dst, credit))
+                .collect();
+            prop_assert_eq!(&found.prepared, &prepared);
+            prop_assert_eq!(found.next_xid, expected.next_xid);
+            for &xid in &mentioned {
+                prop_assert_eq!(found.applied.contains(xid), expected.applied.contains(&xid));
+            }
+            let (mut report, mut landed) = (ShardRecoveryReport::default(), Vec::new());
+            found.resolve(&mut report, |xid, dst, leg| landed.push((xid, dst, leg)));
+            let (mut oracle_report, mut oracle_landed) = (ShardRecoveryReport::default(), Vec::new());
+            expected.resolve(&mut oracle_report, |xid, dst, leg| oracle_landed.push((xid, dst, leg)));
+            prop_assert_eq!(landed, oracle_landed);
+            prop_assert_eq!(report, oracle_report);
+        }
+    }
+
+    #[test]
+    fn the_scan_of_a_log_the_engine_wrote_never_searches_and_stays_one_flush_deep() {
+        let (mut sharded, _) =
+            ShardedLedgerStore::open(storages(4), StoreConfig::default(), bootstrap(4, 64));
+        let mut deepest = 0;
+        for round in 0..5 {
+            for user in 0..64u32 {
+                sharded.append(&LedgerRecord::UserBuy {
+                    isp: (user + round) % 4,
+                    user,
+                    amount: 1,
+                });
+            }
+            deepest = deepest.max(sharded.pending_xfers.len());
+            sharded.commit_all();
+        }
+        assert!(deepest >= 32, "rounds must cross shards: {deepest}");
+        for s in 0..4 {
+            let mut scan = XferScan::default();
+            let mut high_water = 0;
+            let log = sharded.shard(s).storage().read(WAL);
+            for payload in crate::wal::scan(&log, 0).payloads {
+                let rec = LedgerRecord::decode(payload).expect("a record");
+                if let LedgerRecord::XferRelease { xid } = rec {
+                    assert_eq!(
+                        scan.prepared.front().map(|&(oldest, ..)| oldest),
+                        Some(xid),
+                        "shard {s}: a release that is not the oldest open prepare"
+                    );
+                }
+                scan.observe(&rec);
+                high_water = high_water.max(scan.prepared.len());
+            }
+            assert!(scan.prepared.is_empty());
+            assert!(scan.applied.spill.is_empty());
+            assert!(high_water <= deepest, "shard {s}: {high_water} > {deepest}");
+        }
+    }
+
+    #[test]
+    fn an_absurd_xid_costs_memory_by_the_record_count() {
+        let mut applied = XidSet::default();
+        for xid in [u64::MAX, 1 << 40, u64::MAX - 1, 3] {
+            applied.insert(xid);
+        }
+        for xid in [u64::MAX, 1 << 40, u64::MAX - 1, 3] {
+            assert!(applied.contains(xid), "{xid}");
+        }
+        assert!(!applied.contains(4) && !applied.contains(u64::MAX - 2));
+        assert_eq!(applied.spill.len(), 3);
+        assert_eq!(applied.dense.words.len(), 1);
+        // The dense half grows with the applies seen, never past them.
+        let mut dense = XidSet::default();
+        for xid in 0..100_000u64 {
+            dense.insert(xid * 4);
+        }
+        assert!(dense.spill.is_empty());
+        assert!(dense.dense.words.len() as u64 <= 100_000 + XidSet::SLACK_WORDS + 1);
+        let mut sources = BitSet::default();
+        for shard in [70, 3, 64, 3] {
+            sources.insert(shard);
+        }
+        let members: Vec<usize> = (0..200).filter(|&i| sources.contains(i)).collect();
+        assert_eq!(members, vec![3, 64, 70]);
     }
 }
