@@ -1,13 +1,14 @@
 //! Criterion micro-benchmarks for the protocol hot paths: send, receive,
-//! local delivery, user buy/sell, and a full system step.
+//! local delivery, user buy/sell, a full system step, and the event
+//! queue under it.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use zmail_core::isp::Isp;
 use zmail_core::msg::NetMsg;
 use zmail_core::{IspId, UserAddr, ZmailConfig, ZmailSystem};
 use zmail_econ::EPennies;
 use zmail_sim::workload::{MailKind, TrafficConfig, TrafficGenerator};
-use zmail_sim::{Sampler, SimDuration};
+use zmail_sim::{EventQueue, Sampler, SimDuration, SimTime};
 
 fn fresh_pair() -> (Isp, Isp) {
     let config = ZmailConfig::builder(2, 100)
@@ -95,5 +96,24 @@ fn bench_system(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_send_paths, bench_system);
+/// Steady state at a fixed depth: pop the earliest event, schedule one up
+/// to a second later; the payload is as large as `zmail-core`'s `Event`.
+fn bench_event_queue(c: &mut Criterion) {
+    let mut group = c.benchmark_group("event_queue");
+    for depth in [16u64, 1 << 10, 1 << 16] {
+        group.bench_function(BenchmarkId::new("schedule_pop", depth), |b| {
+            let mut rng = Sampler::new(depth);
+            let mut delay = || SimDuration::from_millis(rng.uniform_range(0, 1_000));
+            let mut queue = EventQueue::new();
+            (0..depth).for_each(|i| queue.schedule(SimTime::ZERO + delay(), [i; 18]));
+            b.iter(|| {
+                let (now, payload) = queue.pop().expect("the depth is constant");
+                queue.schedule(now + delay(), payload);
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_send_paths, bench_system, bench_event_queue);
 criterion_main!(benches);

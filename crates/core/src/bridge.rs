@@ -197,9 +197,8 @@ impl MailSink for ZmailGateway {
                 state.seq += 1;
                 let root = state.flight.begin_trace(ts, "submit", "gateway", "");
                 if let Some(ctx) = root {
-                    state
-                        .flight
-                        .annotate(ctx, &format!("{} x{}", message.from(), recipients.len()));
+                    let route = format_args!("{} x{}", message.from(), recipients.len());
+                    state.flight.annotate(ctx, route);
                 }
                 // Compliant sender: the §4.1 guard for every recipient the
                 // sender pays for, before the first is charged. A refused

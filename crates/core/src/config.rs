@@ -9,13 +9,14 @@ use zmail_store::StoreConfig;
 /// Durable-books settings: when present on a [`ZmailConfig`], the system
 /// journals every ledger mutation into a `zmail-store` WAL and `Crash`
 /// fault windows restart ISPs from the real recovery path instead of
-/// preserved memory. Every event ends with a `commit_all`, so recovered
-/// books always land on an event boundary; how many syncs that costs is
-/// `store.batch_records`' to say. The default is 1: each record commits
-/// alone as it is appended, the event's `commit_all` finds nothing
-/// buffered, and a mail costs as many syncs as records (3.23 on the
-/// benchmark's `sim_world`). A batch at least as large as an event's
-/// records makes it one group commit per event and shard.
+/// preserved memory. Every event ends with a `commit_all`, and by
+/// default that is the only commit: the event is the batch, one group
+/// commit per event and shard (1.62 syncs a mail on the benchmark's
+/// `sim_world`, checkpoint images included). A kill therefore lands on
+/// an event boundary; a torn write lands on a frame boundary inside the
+/// last event. An explicit `store.batch_records` commits earlier as
+/// well — at 1, every record alone, as direct `LedgerStore` users get
+/// from [`StoreConfig::default`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurabilityConfig {
     /// WAL/checkpoint tuning passed through to the ledger store.
@@ -29,7 +30,11 @@ pub struct DurabilityConfig {
 impl Default for DurabilityConfig {
     fn default() -> Self {
         DurabilityConfig {
-            store: StoreConfig::default(),
+            // Never full: the driver's `commit_all` ends the batch.
+            store: StoreConfig {
+                batch_records: usize::MAX,
+                ..StoreConfig::default()
+            },
             shards: 1,
         }
     }
@@ -372,10 +377,10 @@ impl ZmailConfigBuilder {
         self
     }
 
-    /// Enables durable books with default WAL/checkpoint tuning
-    /// (`batch_records: 1`): every ledger mutation is journaled and
-    /// committed on its own, so an event's books are durable by its end,
-    /// and `Crash` windows restart ISPs from the recovery path.
+    /// Enables durable books with default WAL/checkpoint tuning: every
+    /// ledger mutation is journaled, each event's records share one
+    /// group commit per shard, so an event's books are durable by its
+    /// end, and `Crash` windows restart ISPs from the recovery path.
     pub fn durable(self) -> Self {
         self.durability(DurabilityConfig::default())
     }

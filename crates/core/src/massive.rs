@@ -362,13 +362,11 @@ impl ParallelWorld for MassiveWorld {
         let ms = now.as_millis();
         let lifecycle = self.flight.begin_trace(ms, "submit", "massive", "");
         if let Some(ctx) = lifecycle {
-            self.flight.annotate(
-                ctx,
-                &format!(
-                    "{}:{}->{}:{}",
-                    send.from_isp, send.from_user, send.to_isp, send.to_user
-                ),
+            let route = format_args!(
+                "{}:{}->{}:{}",
+                send.from_isp, send.from_user, send.to_isp, send.to_user
             );
+            self.flight.annotate(ctx, route);
         }
         let from_shard = u64::from(self.store.map().user_shard(send.from_isp, send.from_user));
         let to_shard = u64::from(self.store.map().user_shard(send.to_isp, send.to_user));

@@ -20,6 +20,7 @@ use crate::multibank::{Federation, SettlementFlow};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 use zmail_crypto::{KeyPair, PrivateKey, PublicKey};
 use zmail_econ::EPennies;
 use zmail_fault::{
@@ -67,6 +68,10 @@ enum Event {
     CrashRestart(IspId),
 }
 
+/// Every `EventQueue` slot is this large: growing it is a decision.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Event>() == 144);
+
 /// Trace context carried on an in-flight email's `Deliver` event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct EmailTrace {
@@ -92,10 +97,21 @@ enum SendCause {
     Ack(Option<SpanCtx>),
 }
 
-/// The flight-recorder node name of an ISP — the one its `delivery`
-/// spans get from their destination [`Endpoint`].
-fn isp_node(isp: u32) -> String {
-    Endpoint::Isp(isp).to_string()
+/// A span's node name or detail, spelled out only for a recorder that is
+/// on and sampling the trace: the tests' `span_text_built` panics otherwise.
+struct Lazy<T>(T);
+
+impl<T: fmt::Display> fmt::Display for Lazy<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        tests::span_text_built();
+        self.0.fmt(f)
+    }
+}
+
+/// Outside the tests nobody watches span text being built.
+#[cfg(not(test))]
+mod tests {
+    pub(super) fn span_text_built() {}
 }
 
 /// A mailing list wired into the protocol (§5): posts fan out as paid
@@ -366,28 +382,27 @@ impl ZmailWorld {
         cause: SendCause,
     ) {
         let now = scheduler.now().as_millis();
+        let (sender_isp, origin) = (IspId(from.isp), Endpoint::Isp(from.isp));
         // The span standing for this send's whole lifecycle: a fresh
         // `submit` root, the resumed root of a previously buffered
         // send, or an `ack` child of the originating message.
         let lifecycle = match cause {
             SendCause::Fresh => {
-                let ctx = self
-                    .flight
-                    .begin_trace(now, "submit", isp_node(from.isp), "");
+                let ctx = self.flight.begin_trace(now, "submit", Lazy(origin), "");
                 if let Some(ctx) = ctx {
-                    self.flight.annotate(ctx, &format!("{from}->{to} {kind:?}"));
+                    let route = Lazy(format_args!("{from}->{to} {kind:?}"));
+                    self.flight.annotate(ctx, route);
                 }
                 ctx
             }
             SendCause::Resumed(ctx) => ctx,
             SendCause::Ack(root) => {
-                root.and_then(|r| self.flight.child(now, r, "ack", isp_node(from.isp), ""))
+                root.and_then(|r| self.flight.child(now, r, "ack", Lazy(origin), ""))
             }
         };
         if lifecycle.is_some() {
             self.apply_ctx = lifecycle;
         }
-        let (sender_isp, origin) = (IspId(from.isp), Endpoint::Isp(from.isp));
         if !self.config.is_compliant(sender_isp) {
             // Non-compliant ISPs run no ledger: mail goes out unpaid.
             let msg = NetMsg::Email(EmailMsg {
@@ -436,7 +451,7 @@ impl ZmailWorld {
                 // own pending buffer.
                 let queued = lifecycle.and_then(|root| {
                     self.flight
-                        .child(now, root, "queue", isp_node(sender_isp.0), "")
+                        .child(now, root, "queue", Lazy(origin), "")
                         .map(|q| (root, q))
                 });
                 self.queue_spans[sender_isp.index()].push_back(queued);
@@ -486,8 +501,8 @@ impl ZmailWorld {
                     now,
                     root,
                     "bank_rtt",
-                    isp_node(isp.0),
-                    format!("req={req}; {}", side.label()),
+                    Lazy(Endpoint::Isp(isp.0)),
+                    Lazy(format_args!("req={req}; {}", side.label())),
                 )
             });
             self.dispatch(scheduler, Endpoint::Isp(isp.0), Endpoint::Bank, msg, None);
@@ -611,7 +626,7 @@ impl ZmailWorld {
                 // no-op), parented under the send's lifecycle span.
                 let ctx = lifecycle.and_then(|root| {
                     self.flight
-                        .child(now.as_millis(), root, "delivery", to.to_string(), "")
+                        .child(now.as_millis(), root, "delivery", Lazy(to), "")
                         .map(|delivery| EmailTrace {
                             lifecycle: root,
                             delivery,
@@ -725,7 +740,11 @@ impl ZmailWorld {
                             // e-penny left the wire above.
                             _ => {}
                         }
-                        self.close(lifecycle, &format!("refused={cause}"), SpanStatus::Dropped);
+                        if let Some(ctx) = lifecycle {
+                            self.flight
+                                .annotate(ctx, Lazy(format_args!("refused={cause}")));
+                        }
+                        self.close(lifecycle, "", SpanStatus::Dropped);
                     }
                     _ => {
                         self.dropped(email.kind);
@@ -812,11 +831,10 @@ impl ZmailWorld {
     }
 
     /// Appends every record the ISPs and banks journalled during this
-    /// event to the durable store and flushes whatever is still buffered,
-    /// so recovered books always land on an event boundary. That is one
-    /// group commit per event only when `batch_records` covers the
-    /// event's records; at the default of 1 each append has already
-    /// committed alone and the `commit_all` here finds nothing to flush.
+    /// event to the durable store and commits them: under `.durable()`
+    /// one group commit per event and shard, so recovered books always
+    /// land on an event boundary (a smaller explicit `batch_records`
+    /// commits earlier as well, and finds less left to flush here).
     fn persist_journals(&mut self, now: SimTime) {
         let Some(store) = self.store.as_mut() else {
             return;
@@ -845,7 +863,7 @@ impl ZmailWorld {
                     parent,
                     "wal_commit",
                     "wal",
-                    format!("records={records}"),
+                    Lazy(format_args!("records={records}")),
                 ) {
                     self.flight.end(ms, w);
                 }
@@ -874,8 +892,9 @@ impl ZmailWorld {
         // `crashed` status rather than leaking. Stale entries left in
         // `queue_spans`/`bank_spans` are harmless — operations on closed
         // spans no-op, and children of closed parents are never minted.
+        let node = Lazy(Endpoint::Isp(isp.0));
         self.flight
-            .close_node(now.as_millis(), &isp_node(isp.0), SpanStatus::Crashed);
+            .close_node(now.as_millis(), node, SpanStatus::Crashed);
         let Some(store) = self.store.as_ref() else {
             return;
         };
@@ -1541,8 +1560,23 @@ impl std::fmt::Debug for ZmailSystem {
 mod tests {
     use super::*;
     use crate::config::{CheatMode, NonCompliantPolicy};
+    use std::cell::Cell;
     use zmail_sim::workload::{Campaign, Infection, TrafficConfig, TrafficGenerator};
     use zmail_sim::{Sampler, SimDuration};
+
+    thread_local! {
+        /// While set on a test's thread, spelling out any span text
+        /// ([`Lazy`]) panics.
+        static NO_SPAN_TEXT: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Called by every [`Lazy`] as it is formatted.
+    pub(super) fn span_text_built() {
+        assert!(
+            !NO_SPAN_TEXT.get(),
+            "span text built for a recorder that is off or not sampling the trace"
+        );
+    }
 
     fn traffic(isps: u32, users: u32, days: u64) -> TrafficConfig {
         TrafficConfig {
@@ -2380,5 +2414,320 @@ mod tests {
             0,
             "crashed status is confined to the crashed node"
         );
+    }
+
+    /// One deployment that passes every span site of the world: fresh,
+    /// local and list sends with acks, bank round trips (low balances),
+    /// sends queued behind a billing freeze, mail lost, duplicated and
+    /// refused under attestations, a group commit per event and a crash
+    /// restart in the middle of the freeze. `recorder` is attached as
+    /// given; `None` leaves the world's own switched-off one.
+    fn pass_every_span_site(recorder: Option<FlightRecorder>) -> ZmailSystem {
+        let crash = zmail_fault::Crash {
+            isp: 0,
+            at: SimTime::ZERO + SimDuration::from_mins(365),
+            restart_after: SimDuration::from_mins(15),
+        };
+        let config = ZmailConfig::builder(2, 10)
+            .billing_period(SimDuration::from_hours(6))
+            .snapshot_timeout(SimDuration::from_mins(30))
+            .bank_retry(Some(SimDuration::from_mins(1)))
+            .initial_balance(EPennies(20))
+            .avail_bounds(EPennies(100), EPennies(300), EPennies(150))
+            .attestations()
+            .lossy_network(0.02, 0.1)
+            .fault(Fault::Crash(crash))
+            .durable()
+            .build();
+        let mut t = traffic(2, 10, 1);
+        t.personal_per_user_day = 200.0;
+        let trace = TrafficGenerator::new(t).generate(&mut Sampler::new(9));
+        let mut system = ZmailSystem::new(config, 9);
+        if let Some(recorder) = recorder {
+            system.attach_flight_recorder(recorder);
+        }
+        let subscribers = (1..10).map(|u| UserAddr::new(1, u)).collect();
+        let list = system.register_mailing_list(UserAddr::new(0, 0), subscribers, 1.0);
+        system.schedule_list_post(SimTime::ZERO + SimDuration::from_hours(1), list);
+        system.run_trace(&trace);
+        system
+    }
+
+    #[test]
+    fn the_span_site_deployment_passes_every_span_site() {
+        let recorder = FlightRecorder::new(1 << 20);
+        let system = pass_every_span_site(Some(recorder.clone()));
+        recorder.finalize(system.now().as_millis());
+        let log = recorder.drain();
+        log.validate().expect("span log well-formed");
+        for phase in [
+            "submit",
+            "ack",
+            "queue",
+            "bank_rtt",
+            "delivery",
+            "wal_commit",
+        ] {
+            assert!(
+                log.spans.iter().any(|s| s.phase == phase),
+                "no {phase} span"
+            );
+        }
+        for note in [
+            "refused=",
+            "lost=network",
+            "local",
+            "bounced=",
+            "records=",
+            "->",
+        ] {
+            let noted = log.spans.iter().any(|s| s.detail.contains(note));
+            assert!(noted, "no span detail has {note:?}");
+        }
+        let crashed = |s: &&zmail_obs::SpanRecord| s.status == SpanStatus::Crashed;
+        assert!(log.spans.iter().filter(crashed).all(|s| s.node == "isp0"));
+        assert!(log.spans.iter().any(|s| crashed(&s)), "no span crashed");
+    }
+
+    /// The observability budget: with the recorder off, or on but not
+    /// sampling the trace, no call site may format a node name or a
+    /// detail — every one of them is a [`Lazy`], and a `Lazy` spelled out
+    /// on this thread panics.
+    #[test]
+    fn a_recorder_that_is_off_or_not_sampling_is_handed_no_span_text() {
+        let unsampling = FlightRecorder::new(64);
+        unsampling.set_sampling(u64::MAX);
+        NO_SPAN_TEXT.set(true);
+        let plain = pass_every_span_site(None);
+        let off = pass_every_span_site(Some(FlightRecorder::disabled(64)));
+        let unsampled = pass_every_span_site(Some(unsampling.clone()));
+        NO_SPAN_TEXT.set(false);
+        assert!(unsampling.traces_minted() > 1_000);
+        assert_eq!(unsampling.drain(), zmail_obs::SpanLog::default());
+        assert!(plain.report().refused_deliveries > 0 && plain.report().buffered_sends > 0);
+        assert_eq!(plain.report(), off.report());
+        assert_eq!(plain.report(), unsampled.report());
+    }
+
+    #[test]
+    #[should_panic(expected = "span text built")]
+    fn the_span_text_trap_is_live() {
+        NO_SPAN_TEXT.set(true);
+        pass_every_span_site(Some(FlightRecorder::new(64)));
+    }
+
+    /// Durability at event granularity: what `.durable()` promises, shown
+    /// one event at a time and then one sync at a time.
+    mod event_commits {
+        use super::*;
+        use crate::config::DurabilityConfig;
+        use zmail_fault::FaultyStorage;
+        use zmail_store::{wal, LedgerRecord, RecoveryReport, Storage, StoreConfig, WAL};
+
+        /// `.durable()`'s batching with images every 16 records, so a
+        /// small run writes several.
+        fn per_event() -> StoreConfig {
+            StoreConfig {
+                checkpoint_every: 16,
+                ..DurabilityConfig::default().store
+            }
+        }
+
+        /// A small deployment with bank traffic, its trace seeded and
+        /// not yet stepped.
+        fn deployment(store: StoreConfig) -> ZmailSystem {
+            let config = ZmailConfig::builder(2, 6)
+                .initial_balance(EPennies(20))
+                .avail_bounds(EPennies(100), EPennies(300), EPennies(150))
+                .durability(DurabilityConfig { store, shards: 1 })
+                .build();
+            let trace = TrafficGenerator::new(traffic(2, 6, 2)).generate(&mut Sampler::new(5));
+            let mut system = ZmailSystem::new(config, 5);
+            system.seed_trace(&trace);
+            system
+        }
+
+        /// What stepping [`deployment`] one event at a time saw.
+        struct Stepped {
+            bootstrap: Books,
+            /// Each event that journalled anything: its records.
+            events: Vec<Vec<LedgerRecord>>,
+            /// `(WAL length, live books)` before the first event and
+            /// after each of `events`.
+            boundaries: Vec<(u64, Books)>,
+            /// Every record with the offset its frame ends at.
+            log: Vec<(u64, LedgerRecord)>,
+            wal: Vec<u8>,
+            commits: u64,
+        }
+
+        fn step_by_event() -> Stepped {
+            let mut system = deployment(per_event());
+            let bootstrap = system.store().unwrap().books().clone();
+            let mut seen = Stepped {
+                boundaries: vec![(0, bootstrap.clone())],
+                bootstrap,
+                events: Vec::new(),
+                log: Vec::new(),
+                wal: Vec::new(),
+                commits: 0,
+            };
+            while system.sim.step() {
+                assert_eq!(system.verify_durable_books(), Some(true));
+                let store = system.store().unwrap();
+                assert_eq!(store.pending_records(), 0, "records left buffered");
+                assert!(store.commits() <= system.sim.processed());
+                let (from, len) = (seen.boundaries.last().unwrap().0, store.wal_len());
+                if len == from {
+                    continue;
+                }
+                let tail = store.storage().read_from(WAL, from);
+                let scan = wal::scan(&tail, 0);
+                assert_eq!((scan.valid_len, scan.torn), (len - from, false));
+                let ends = scan.offsets.iter().skip(1).chain([&scan.valid_len]);
+                let records: Vec<LedgerRecord> = scan
+                    .payloads
+                    .iter()
+                    .map(|payload| LedgerRecord::decode(payload).expect("a record"))
+                    .collect();
+                seen.log
+                    .extend(ends.map(|end| from + end).zip(records.iter().copied()));
+                seen.events.push(records);
+                seen.boundaries.push((len, store.books().clone()));
+            }
+            let store = system.store().unwrap();
+            assert_eq!(store.commits(), seen.events.len() as u64);
+            assert!(2 * store.records_appended() > 3 * store.commits());
+            assert!(store.next_checkpoint_seq() >= 4, "images must fall due");
+            seen.wal = store.storage().read(WAL);
+            seen.commits = store.commits();
+            seen
+        }
+
+        #[test]
+        fn every_event_ends_durable_in_at_most_one_commit() {
+            let seen = step_by_event();
+            // An explicit batch of 1 journals the same bytes, every
+            // record in a commit of its own.
+            let mut alone = deployment(StoreConfig {
+                batch_records: 1,
+                ..per_event()
+            });
+            alone.drain();
+            let store = alone.store().unwrap();
+            assert_eq!(store.storage().read(WAL), seen.wal);
+            assert_eq!(store.commits(), store.records_appended());
+            assert_eq!(store.records_appended(), seen.log.len() as u64);
+            assert!(seen.commits < store.commits());
+        }
+
+        /// A disk that dies at its `fuse`-th sync — in full, or `torn`
+        /// after that many bytes — and never syncs again.
+        #[derive(Debug)]
+        struct Fused {
+            disk: FaultyStorage<MemStorage>,
+            fuse: u64,
+            torn: Option<u64>,
+        }
+
+        impl Storage for Fused {
+            fn read(&self, name: &str) -> Vec<u8> {
+                self.disk.read(name)
+            }
+            fn read_from(&self, name: &str, offset: u64) -> Vec<u8> {
+                self.disk.read_from(name, offset)
+            }
+            fn write(&mut self, name: &str, bytes: &[u8]) {
+                self.disk.write(name, bytes)
+            }
+            fn append(&mut self, name: &str, bytes: &[u8]) {
+                self.disk.append(name, bytes)
+            }
+            fn sync(&mut self, name: &str) {
+                if self.fuse == 0 {
+                    return;
+                }
+                if let (1, Some(bytes)) = (self.fuse, self.torn) {
+                    self.disk.arm_partial_sync(bytes);
+                }
+                self.fuse -= 1;
+                self.disk.sync(name);
+            }
+            fn len(&self, name: &str) -> u64 {
+                self.disk.len(name)
+            }
+            fn truncate(&mut self, name: &str, len: u64) {
+                self.disk.truncate(name, len)
+            }
+        }
+
+        /// Journals `seen`'s run as the world does — an event's records,
+        /// then the commit — on a disk with `fuse` syncs to live, cuts
+        /// the power and restarts. Returns the recovery and how many
+        /// syncs the disk performed.
+        fn kill_at(seen: &Stepped, fuse: u64, torn: Option<u64>) -> (Books, RecoveryReport, u64) {
+            let disk = Fused {
+                disk: FaultyStorage::new(MemStorage::new()),
+                fuse,
+                torn,
+            };
+            let (mut store, _) = LedgerStore::open(disk, per_event(), seen.bootstrap.clone());
+            for records in &seen.events {
+                for record in records {
+                    store.append(record);
+                }
+                store.commit();
+            }
+            let mut killed = store.into_storage();
+            killed.disk.crash();
+            let (restarted, report) = LedgerStore::open(
+                killed.disk.into_durable(),
+                per_event(),
+                seen.bootstrap.clone(),
+            );
+            (restarted.books().clone(), report, fuse - killed.fuse)
+        }
+
+        #[test]
+        fn a_kill_lands_on_an_event_boundary_and_a_torn_write_on_a_frame_boundary() {
+            let seen = step_by_event();
+            let (books, report, syncs) = kill_at(&seen, u64::MAX, None);
+            assert_eq!((&books, report.wal_bytes), {
+                let (len, live) = seen.boundaries.last().unwrap();
+                (live, *len)
+            });
+            assert!(syncs > seen.commits, "image syncs are kill points too");
+            let (mut boundaries_hit, mut mid_event) = (std::collections::BTreeSet::new(), 0);
+            for fuse in 1..=syncs {
+                let (books, report, _) = kill_at(&seen, fuse, None);
+                assert!(!report.torn_tail, "kill at sync {fuse}");
+                let boundary = seen.boundaries.iter().find(|b| b.0 == report.wal_bytes);
+                let (_, live) = boundary.unwrap_or_else(|| {
+                    panic!(
+                        "kill at sync {fuse}: {} is inside an event",
+                        report.wal_bytes
+                    )
+                });
+                assert_eq!(&books, live, "kill at sync {fuse}");
+                boundaries_hit.insert(report.wal_bytes);
+
+                for torn in [1, 9, 23, 40] {
+                    let (books, report, _) = kill_at(&seen, fuse, Some(torn));
+                    let kept = seen.log.iter().take_while(|r| r.0 <= report.wal_bytes);
+                    let mut prefix = seen.bootstrap.clone();
+                    let mut end = 0;
+                    for (frame_end, record) in kept {
+                        prefix.apply(record);
+                        end = *frame_end;
+                    }
+                    let at = format!("sync {fuse} torn after {torn} bytes");
+                    assert_eq!(report.wal_bytes, end, "{at}: not a frame boundary");
+                    assert_eq!(books, prefix, "{at}");
+                    mid_event += u32::from(seen.boundaries.iter().all(|b| b.0 != end));
+                }
+            }
+            assert_eq!(boundaries_hit.len(), seen.boundaries.len() - 1);
+            assert!(mid_event > 0, "no torn write cut an event in two");
+        }
     }
 }

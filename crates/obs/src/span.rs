@@ -40,8 +40,8 @@
 
 use crate::held;
 use crate::metrics::Registry;
-use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -124,7 +124,7 @@ pub struct SpanRecord {
     /// `delivery`, `ack`, ...
     pub phase: &'static str,
     /// Where the span ran (`isp3`, `bank`, `wal`).
-    pub node: Cow<'static, str>,
+    pub node: String,
     /// Sim-clock start, milliseconds.
     pub start: u64,
     /// Sim-clock end, milliseconds (`>= start`).
@@ -147,7 +147,7 @@ struct OpenSpan {
     trace: TraceId,
     parent: Option<SpanId>,
     phase: &'static str,
-    node: Cow<'static, str>,
+    node: String,
     start: u64,
     detail: String,
     /// Children begun and not yet finished.
@@ -275,13 +275,15 @@ impl FlightRecorder {
     /// Mints the next trace id and, if the trace is sampled, opens its
     /// root span. Returns `None` when disabled or when sampling
     /// discards the trace (the id is still consumed, so ids are stable
-    /// across sampling rates).
+    /// across sampling rates). Here and in every method below, `node`
+    /// and text arguments are formatted only once a span is actually
+    /// written to: pass the cheap value, not a `String` made of it.
     pub fn begin_trace(
         &self,
         ts: u64,
         phase: &'static str,
-        node: impl Into<Cow<'static, str>>,
-        detail: impl Into<String>,
+        node: impl fmt::Display,
+        detail: impl fmt::Display,
     ) -> Option<SpanCtx> {
         if !self.is_enabled() {
             return None;
@@ -298,8 +300,8 @@ impl FlightRecorder {
             None,
             ts,
             phase,
-            node.into(),
-            detail.into(),
+            node.to_string(),
+            detail.to_string(),
         ))
     }
 
@@ -311,8 +313,8 @@ impl FlightRecorder {
         ts: u64,
         parent: SpanCtx,
         phase: &'static str,
-        node: impl Into<Cow<'static, str>>,
-        detail: impl Into<String>,
+        node: impl fmt::Display,
+        detail: impl fmt::Display,
     ) -> Option<SpanCtx> {
         if !self.is_enabled() {
             return None;
@@ -327,8 +329,8 @@ impl FlightRecorder {
             Some(parent.span),
             ts,
             phase,
-            node.into(),
-            detail.into(),
+            node.to_string(),
+            detail.to_string(),
         ))
     }
 
@@ -338,7 +340,7 @@ impl FlightRecorder {
         parent: Option<SpanId>,
         ts: u64,
         phase: &'static str,
-        node: Cow<'static, str>,
+        node: String,
         detail: String,
     ) -> SpanCtx {
         let span = SpanId(inner.next_span);
@@ -361,7 +363,7 @@ impl FlightRecorder {
 
     /// Appends `; extra` to an open span's detail. No-op if the span is
     /// already closed.
-    pub fn annotate(&self, ctx: SpanCtx, extra: &str) {
+    pub fn annotate(&self, ctx: SpanCtx, extra: impl fmt::Display) {
         if !self.is_enabled() {
             return;
         }
@@ -370,7 +372,7 @@ impl FlightRecorder {
             if !open.detail.is_empty() {
                 open.detail.push_str("; ");
             }
-            open.detail.push_str(extra);
+            let _ = write!(open.detail, "{extra}"); // a `String` takes it all
         }
     }
 
@@ -441,11 +443,15 @@ impl FlightRecorder {
     /// descendants** (on any node) with `status` at `ts`. Crash faults
     /// call this so traces are truncated rather than leaked; later
     /// closes of the truncated spans become no-ops.
-    pub fn close_node(&self, ts: u64, node: &str, status: SpanStatus) {
+    pub fn close_node(&self, ts: u64, node: impl fmt::Display, status: SpanStatus) {
         if !self.is_enabled() {
             return;
         }
         let mut inner = held(self.inner.lock());
+        if inner.open.is_empty() {
+            return;
+        }
+        let node = node.to_string();
         // Seed with spans on the crashed node, then grow to the full
         // open-descendant closure.
         let mut doomed: std::collections::BTreeSet<u64> = inner
@@ -631,9 +637,7 @@ impl SpanLog {
                     spans: spans.len(),
                     crashed: spans.iter().any(|s| s.status == SpanStatus::Crashed),
                     detail: root.map(|r| r.detail.clone()).unwrap_or_default(),
-                    node: root
-                        .map(|r| r.node.clone().into_owned())
-                        .unwrap_or_default(),
+                    node: root.map(|r| r.node.clone()).unwrap_or_default(),
                 }
             })
             .collect();
@@ -920,6 +924,38 @@ mod tests {
         assert_eq!(r.traces_minted(), 0);
         r.set_enabled(true);
         assert!(r.begin_trace(0, "submit", "isp0", "").is_some());
+    }
+
+    /// Node names and texts are converted only for a span that is
+    /// written to: a recorder that is off, a trace sampling discards, a
+    /// parent already closed and a node sweep with nothing open all
+    /// leave their arguments unbuilt.
+    #[test]
+    fn text_is_built_only_for_a_span_that_is_written_to() {
+        struct Unbuilt;
+        impl fmt::Display for Unbuilt {
+            fn fmt(&self, _: &mut fmt::Formatter<'_>) -> fmt::Result {
+                panic!("text built")
+            }
+        }
+        let r = FlightRecorder::new(8);
+        let root = r.begin_trace(0, "submit", "isp0", "").unwrap();
+        r.end(1, root);
+        assert!(r.child(1, root, "ack", Unbuilt, Unbuilt).is_none());
+        r.annotate(root, Unbuilt);
+        r.close_node(1, Unbuilt, SpanStatus::Crashed);
+        r.set_sampling(u64::MAX);
+        assert!(r.begin_trace(2, "submit", Unbuilt, Unbuilt).is_none());
+        let open = {
+            r.set_sampling(1);
+            r.begin_trace(3, "submit", "isp0", "").unwrap()
+        };
+        r.set_enabled(false);
+        assert!(r.begin_trace(4, "submit", Unbuilt, Unbuilt).is_none());
+        assert!(r.child(4, open, "ack", Unbuilt, Unbuilt).is_none());
+        r.annotate(open, Unbuilt);
+        r.close_node(4, Unbuilt, SpanStatus::Crashed);
+        assert_eq!((r.open_spans(), r.traces_minted()), (1, 3));
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub struct StoreConfig {
     /// Records per group commit: `append` auto-commits once this many
     /// are buffered. 1 means commit-per-record (every applied record is
     /// durable before the next); larger batches trade the loss window
-    /// for fewer syncs.
+    /// for fewer syncs, and `usize::MAX` leaves every commit to the caller.
     pub batch_records: usize,
     /// The least number of committed records between two automatic
     /// checkpoints — a floor on their spacing, not a period. The other
@@ -113,6 +113,7 @@ pub struct LedgerStore<S: Storage> {
     pending_records: usize,
     wal_len: u64,
     appended: u64,
+    commits: u64,
     ckpt_seq: u64,
     /// Records committed since the image recovery would start from.
     since_checkpoint: u64,
@@ -152,6 +153,7 @@ impl<S: Storage> LedgerStore<S> {
             pending_records: 0,
             wal_len: 0,
             appended: 0,
+            commits: 0,
             ckpt_seq: 0,
             since_checkpoint: 0,
             checkpointed_len: 0,
@@ -239,6 +241,7 @@ impl<S: Storage> LedgerStore<S> {
         self.storage.append(WAL, &self.pending);
         self.storage.sync(WAL);
         self.wal_len += self.pending.len() as u64;
+        self.commits += 1;
         self.since_checkpoint += self.pending_records as u64;
         self.tally
             .commit(self.pending_records as u64, self.pending.len() as u64);
@@ -294,6 +297,11 @@ impl<S: Storage> LedgerStore<S> {
     /// Total records appended through this handle.
     pub fn records_appended(&self) -> u64 {
         self.appended
+    }
+
+    /// Group commits (one WAL append+sync each) through this handle.
+    pub fn commits(&self) -> u64 {
+        self.commits
     }
 
     /// Records buffered but not yet committed.

@@ -82,9 +82,10 @@ pub(crate) struct Tally {
     appends: u64,
     commits: u64,
     wal_bytes: u64,
-    /// `store.batch_records` samples not yet published, as a run of
-    /// equal values: `(records per commit, commits)`.
-    batches: (u64, u64),
+    /// `store.batch_records` samples not yet published: `[n]` commits
+    /// of `n` records each, for the few records an event journals (a
+    /// larger batch is recorded as it commits).
+    batches: [u64; 8],
 }
 
 impl Tally {
@@ -109,13 +110,10 @@ impl Tally {
     pub(crate) fn commit(&mut self, records: u64, bytes: u64) {
         self.commits += 1;
         self.wal_bytes += bytes;
-        if self.batches.0 != records {
-            StoreMetrics::get()
-                .batch_records
-                .record_n(self.batches.0, self.batches.1);
-            self.batches = (records, 0);
+        match self.batches.get_mut(records as usize) {
+            Some(commits) => *commits += 1,
+            None => StoreMetrics::get().batch_records.record(records),
         }
-        self.batches.1 += 1;
     }
 
     /// Moves everything tallied so far into the registry (where, like
@@ -125,8 +123,9 @@ impl Tally {
         m.appends.add(std::mem::take(&mut self.appends));
         m.commits.add(std::mem::take(&mut self.commits));
         m.wal_bytes.add(std::mem::take(&mut self.wal_bytes));
-        let (records, commits) = std::mem::take(&mut self.batches);
-        m.batch_records.record_n(records, commits);
+        for (records, commits) in std::mem::take(&mut self.batches).into_iter().enumerate() {
+            m.batch_records.record_n(records as u64, commits);
+        }
     }
 }
 
