@@ -26,11 +26,9 @@
 //!    footprints — a lying footprint is caught, not trusted.
 //!
 //! Reports render human-readable (via [`fmt::Display`]) and
-//! machine-readable ([`AnalysisReport::to_json`]; the types also carry
-//! `serde` derives for when a real serializer is available — the
-//! vendored offline `serde` is a no-op stub, so the JSON writer is
-//! hand-rolled). The `speclint` binary in `zmail-bench` runs this over
-//! every bundled spec configuration and exits nonzero on any
+//! machine-readable ([`AnalysisReport::to_json`], a hand-written JSON
+//! writer). The `speclint` binary in `zmail-bench` runs this over every
+//! bundled spec configuration and exits nonzero on any
 //! [`Severity::Error`].
 //!
 //! # Lint catalogue
@@ -77,7 +75,6 @@
 use crate::explore::{explore, ExploreConfig, ExploreOutcome};
 use crate::process::{ActionMeta, Guard, Pid, SystemSpec};
 use crate::state::SystemState;
-use serde::Serialize;
 use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::fmt;
 use std::hash::Hash;
@@ -118,7 +115,7 @@ pub mod codes {
 
 /// How bad a diagnostic is. `Error` diagnostics fail the `speclint`
 /// gate; `Warn` and `Info` are advisory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// The spec is structurally unsound; exploration verdicts over it
     /// cannot be trusted.
@@ -142,7 +139,7 @@ impl fmt::Display for Severity {
 
 /// One analyzer finding: a stable code, a severity, the process/action
 /// context it refers to (when applicable), and a human-readable message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Stable lint code (`"AP001"`…); see [`codes`].
     pub code: &'static str,
@@ -174,7 +171,7 @@ impl fmt::Display for Diagnostic {
 /// A pair of same-process actions whose declared write footprints
 /// overlap — they cannot be reordered, and a partial-order reduction
 /// must treat them as dependent.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteWriteConflict {
     /// The owning process.
     pub pid: Pid,
@@ -211,7 +208,7 @@ impl Default for AnalyzeConfig {
 /// Everything the analyzer found, plus the derived independence
 /// relation. Obtain via [`analyze`] (structure + vacuity) or
 /// [`analyze_structure`] (no execution).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalysisReport {
     /// Number of processes in the spec.
     pub process_count: usize,
@@ -263,8 +260,7 @@ impl AnalysisReport {
 
     /// Renders the report as a JSON object.
     ///
-    /// Hand-rolled because the vendored offline `serde` stub cannot
-    /// serialize; the shape is stable: `process_count`, `action_count`,
+    /// The shape is stable: `process_count`, `action_count`,
     /// `footprint_covered`, `action_labels`, `diagnostics` (array of
     /// objects), `independent_pairs` (array of `[a, b]`),
     /// `write_write_conflicts`, `action_fires` (array or `null`),
@@ -808,7 +804,7 @@ where
 /// Why a model-level dependence is *consistent* with key-disjointness
 /// at the sim level: the ordering is carried by a mechanism other than
 /// shared state keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DependenceReason {
     /// Same-process control flow with no shared variables — AP
     /// processes execute one action at a time regardless of data.
@@ -844,7 +840,7 @@ impl fmt::Display for DependenceReason {
 
 /// A disjoint-but-dependent pair whose dependence the cross-check could
 /// attribute to a non-key mechanism — recorded, not flagged.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExplainedPair {
     /// Index of the first action (into [`SystemSpec::actions`]).
     pub a: usize,
@@ -856,7 +852,7 @@ pub struct ExplainedPair {
 
 /// One divergence between the verified independence relation and the
 /// executable world's footprint keys.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrosscheckFinding {
     /// `AP013` or `AP014`; see [`codes`].
     pub code: &'static str,
@@ -892,7 +888,7 @@ impl fmt::Display for CrosscheckFinding {
 /// Result of [`independence_crosscheck`]: how many mirrored pairs were
 /// compared, which dependencies the sim carries by other means, and any
 /// genuine divergence.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrosscheckReport {
     /// Actions with a sim-mirrored footprint (`Some` entries supplied).
     pub actions_mirrored: usize,

@@ -12,31 +12,43 @@
 //! of states is strong evidence for the invariants the paper asserts
 //! informally.
 //!
-//! # Parallel exploration
+//! # One walk at every thread count
 //!
-//! With [`ExploreConfig::threads`] > 1 the walk runs level-synchronously:
-//! each BFS frontier is split into chunks fed to per-worker
-//! `crossbeam::deque` queues (idle workers steal from the others), workers
-//! evaluate invariants and expand successors against a fingerprint-sharded
-//! `seen` set, and a sequential *control pass* then replays the per-state
-//! bookkeeping in exact frontier order. Because BFS discovery order within
-//! a level is the lexicographic `(parent rank, action index)` order, sorting
-//! each level's newly discovered states by that key reconstructs the precise
-//! queue the sequential walk would have built — so the report (visited and
-//! transition counts, violation list, counterexample) is **identical for
-//! every thread count**, including `threads = 1`, which takes a dedicated
-//! sequential fast path. The first violation reported is therefore always
-//! the minimum-depth one, tie-broken by lexicographic action sequence.
+//! The walk is level-synchronous. A BFS level — the frontier, in discovery
+//! order — is cut into *chunks*, contiguous ranges of frontier ranks. A
+//! worker claims a chunk by value, checks the invariant on each of its
+//! states in rank order, expands them, and returns the successors that are
+//! not yet in `seen`, de-duplicated within the chunk, in `(rank, action)`
+//! order. Between levels one thread merges the chunk outputs in chunk order
+//! with `if seen.insert(fp) { next.push(..) }`.
+//!
+//! BFS discovery order within a level *is* the lexicographic `(parent
+//! rank, action index)` order, and chunks are rank ranges, so concatenating
+//! chunk outputs in chunk order visits candidates in exactly that order and
+//! the merge keeps, of every state reached more than once, the copy (and
+//! the parent link) a plain queue-based BFS would have kept. `seen` and the
+//! parent map are therefore ordinary collections: read-only while a level
+//! is walked, written only by the merge. The report — visited and
+//! transition counts, per-action fire counts, violation list,
+//! counterexample — is **identical for every thread count and every
+//! chunking**, and the first violation reported is always the
+//! minimum-depth one, tie-broken by lexicographic action sequence.
+//!
+//! [`ExploreConfig::threads`] is the most threads a level may use. The
+//! calling thread always works; helper threads are spawned only for a level
+//! with enough ranks to repay a spawn, so a small state space, or the
+//! narrow first and last levels of a large one, run as one chunk on the
+//! caller. The trade against a shared concurrent `seen` set: a state
+//! reached from two *different* chunks of one level is built twice and both
+//! copies live until that level's merge drops the later one.
 
 use crate::process::SystemSpec;
 use crate::state::SystemState;
 use crate::ApError;
-use crossbeam::deque::{Steal, Stealer, Worker};
-use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{LockResult, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Limits and switches for [`explore`].
@@ -56,10 +68,11 @@ pub struct ExploreConfig {
     /// counterexample — the exact action sequence from the initial state.
     /// Costs one map entry per visited state.
     pub record_counterexample: bool,
-    /// Worker threads for the exploration: `1` (the default) explores
-    /// sequentially, `0` uses the machine's available parallelism, any
-    /// other value spawns that many workers. The report is identical for
-    /// every setting.
+    /// The most threads a BFS level may be shared among: `1` (the
+    /// default) keeps the walk on the calling thread, `0` means the
+    /// machine's available parallelism. The caller always works; helpers
+    /// are spawned only for levels wide enough to repay them. The report
+    /// is identical for every setting.
     pub threads: usize,
 }
 
@@ -179,42 +192,26 @@ where
     S: Clone + Hash + Send + Sync,
     M: Clone + Hash + Send + Sync,
 {
-    if config.resolved_threads() <= 1 {
-        explore_sequential(spec, initial, config, invariant, None)
-    } else {
-        explore_parallel(spec, initial, config, invariant, None)
-    }
+    explore_profiled(spec, initial, config, invariant).0
 }
 
 /// Execution-shape telemetry for one [`explore_profiled`] walk.
 ///
-/// Everything in here describes *how* the exploration ran — wall time,
-/// work distribution, memory shape — and nothing about *what* it found;
-/// verification results live exclusively in [`ExploreReport`], which is
-/// byte-identical whether or not profiling was requested and at every
-/// thread count. Fields that depend on scheduling (e.g. [`steals`]) are
-/// naturally nondeterministic; diff the report, not the profile.
-///
-/// [`steals`]: ExploreProfile::steals
+/// Everything in here describes *how* the exploration ran — wall time and
+/// level shape — and nothing about *what* it found; verification results
+/// live exclusively in [`ExploreReport`]. Diff the report, not the
+/// profile: `wall` is a clock reading.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExploreProfile {
-    /// Worker threads the walk actually used (after resolving `threads:
-    /// 0` to the machine's available parallelism).
+    /// The most threads a level could use (`threads: 0` resolved to the
+    /// machine's available parallelism). Levels below the helper
+    /// threshold run on the caller alone.
     pub threads: usize,
-    /// BFS frontier size per level: `level_sizes[d]` is the number of
-    /// distinct states at depth `d`. The sequential path counts states as
-    /// they are popped, so a walk cut short by a budget or violation
-    /// reports a partial final level.
+    /// `level_sizes[d]` is the number of ranks visited at depth `d`: the
+    /// whole level, except for the last level of a walk cut short by the
+    /// state budget or a violation, which counts up to the rank that
+    /// stopped it. The same at every thread count.
     pub level_sizes: Vec<usize>,
-    /// Successful steals from peer deques, summed over workers and
-    /// levels. Always `0` on the sequential path; scheduling-dependent
-    /// (nondeterministic) on the parallel path.
-    pub steals: u64,
-    /// Final occupancy of each fingerprint shard of the `seen` set. The
-    /// sequential path keeps one flat set but reports the same
-    /// fingerprint-masked grouping, so the distribution is comparable
-    /// across thread counts.
-    pub shard_occupancy: Vec<usize>,
     /// Distinct states visited, copied from the report for rate math.
     pub states_visited: usize,
     /// Wall-clock duration of the walk.
@@ -222,17 +219,6 @@ pub struct ExploreProfile {
 }
 
 impl ExploreProfile {
-    fn new(threads: usize) -> Self {
-        ExploreProfile {
-            threads,
-            level_sizes: Vec::new(),
-            steals: 0,
-            shard_occupancy: Vec::new(),
-            states_visited: 0,
-            wall: Duration::ZERO,
-        }
-    }
-
     /// Visited states per wall-clock second (`0.0` for an instant walk).
     pub fn states_per_sec(&self) -> f64 {
         let secs = self.wall.as_secs_f64();
@@ -242,27 +228,10 @@ impl ExploreProfile {
             0.0
         }
     }
-
-    /// Ratio of the fullest shard to the mean shard occupancy — `1.0` is
-    /// a perfectly even fingerprint spread, large values mean contention
-    /// on a hot shard. `0.0` when nothing was recorded.
-    pub fn shard_imbalance(&self) -> f64 {
-        let total: usize = self.shard_occupancy.iter().sum();
-        if total == 0 || self.shard_occupancy.is_empty() {
-            return 0.0;
-        }
-        let mean = total as f64 / self.shard_occupancy.len() as f64;
-        let max = *self.shard_occupancy.iter().max().expect("non-empty") as f64;
-        max / mean
-    }
 }
 
 /// Like [`explore`], but also returns an [`ExploreProfile`] describing
 /// the walk's execution shape.
-///
-/// The report half of the pair is byte-identical to what [`explore`]
-/// returns for the same inputs — profiling only observes the walk, it
-/// never steers it.
 pub fn explore_profiled<S, M>(
     spec: &SystemSpec<S, M>,
     initial: SystemState<S, M>,
@@ -273,17 +242,7 @@ where
     S: Clone + Hash + Send + Sync,
     M: Clone + Hash + Send + Sync,
 {
-    let threads = config.resolved_threads();
-    let mut profile = ExploreProfile::new(threads);
-    let started = Instant::now();
-    let report = if threads <= 1 {
-        explore_sequential(spec, initial, config, invariant, Some(&mut profile))
-    } else {
-        explore_parallel(spec, initial, config, invariant, Some(&mut profile))
-    };
-    profile.wall = started.elapsed();
-    profile.states_visited = report.states_visited;
-    (report, profile)
+    walk(spec, initial, config, invariant, HELPER_THRESHOLD)
 }
 
 /// Reconstructs the action-name path from the initial state to `fp` by
@@ -302,431 +261,253 @@ fn reconstruct_path<S, M>(
     path
 }
 
-// ---------------------------------------------------------------------
-// Sequential fast path (threads == 1)
-// ---------------------------------------------------------------------
+/// Fewest ranks in a level for which helper threads are spawned. Measured
+/// at `threads = 2` on the two-vCPU recording host: the 11,344-state Zmail
+/// configuration, whose widest level holds 1,915 ranks, takes 38 ms when
+/// levels from 512 or 1,024 ranks up are shared and 36 ms when none is; the
+/// 178,119-state one, with levels of up to 27,630 ranks, takes 1.16 s
+/// shared from 512, 2,048 or 4,096 ranks up and 1.28 s unshared. Spawning
+/// and joining a scoped thread costs 16 µs there, a handful of states'
+/// worth: what a narrow level cannot repay is a helper's start-up and the
+/// states two chunks both build.
+const HELPER_THRESHOLD: usize = 2048;
 
-fn explore_sequential<S, M>(
-    spec: &SystemSpec<S, M>,
-    initial: SystemState<S, M>,
-    config: ExploreConfig,
-    invariant: impl Fn(&SystemState<S, M>) -> Result<(), String>,
-    mut profile: Option<&mut ExploreProfile>,
-) -> ExploreReport
-where
-    S: Clone + Hash,
-    M: Clone + Hash,
-{
-    let mut seen: HashSet<u64> = HashSet::new();
-    // Fingerprints are computed once, on discovery, and carried through the
-    // queue so neither the dedup check nor the parent map re-hashes a state.
-    let mut queue: VecDeque<(SystemState<S, M>, u64, usize)> = VecDeque::new();
-    // fingerprint -> (parent fingerprint, action index taken from parent)
-    let mut parents: HashMap<u64, (u64, usize)> = HashMap::new();
-    let mut enabled: Vec<usize> = Vec::new();
-    let mut report = ExploreReport::new(spec.actions().len());
+/// Chunks cut per worker when a level is shared, so that a worker that
+/// loses its core for a while holds up one eighth of its share, not all of
+/// it.
+const CHUNKS_PER_WORKER: usize = 8;
 
-    let root_fp = initial.fingerprint();
-    seen.insert(root_fp);
-    queue.push_back((initial, root_fp, 0));
-
-    let report = 'walk: {
-        while let Some((state, state_fp, depth)) = queue.pop_front() {
-            report.states_visited += 1;
-            report.max_depth_reached = report.max_depth_reached.max(depth);
-            if let Some(p) = profile.as_deref_mut() {
-                if p.level_sizes.len() <= depth {
-                    p.level_sizes.resize(depth + 1, 0);
-                }
-                p.level_sizes[depth] += 1;
-            }
-
-            if let Err(message) = invariant(&state) {
-                if report.violations.is_empty() && config.record_counterexample {
-                    report.counterexample = Some(reconstruct_path(spec, &parents, state_fp));
-                }
-                report.violations.push(ApError::InvariantViolated {
-                    message,
-                    depth: Some(depth),
-                });
-                if config.stop_at_first_violation {
-                    report.outcome = ExploreOutcome::StoppedAtViolation;
-                    break 'walk report;
-                }
-            }
-
-            if report.states_visited >= config.max_states {
-                report.outcome = ExploreOutcome::StateBudgetReached;
-                break 'walk report;
-            }
-            if depth >= config.max_depth {
-                continue;
-            }
-
-            spec.enabled_into(&state, &mut enabled);
-            if enabled.is_empty() {
-                if config.deadlock_is_error {
-                    if report.violations.is_empty() && config.record_counterexample {
-                        report.counterexample = Some(reconstruct_path(spec, &parents, state_fp));
-                    }
-                    report
-                        .violations
-                        .push(ApError::Deadlock { depth: Some(depth) });
-                    if config.stop_at_first_violation {
-                        report.outcome = ExploreOutcome::StoppedAtViolation;
-                        break 'walk report;
-                    }
-                }
-                continue;
-            }
-            report.transitions += enabled.len();
-            for &index in &enabled {
-                report.action_fires[index] += 1;
-            }
-            // The last enabled action consumes the popped state instead of
-            // cloning it — one clone saved per expanded state.
-            let (head, last) = enabled.split_at(enabled.len() - 1);
-            for &index in head {
-                let mut next = state.clone();
-                spec.execute_unchecked(index, &mut next);
-                let next_fp = next.fingerprint();
-                if seen.insert(next_fp) {
-                    if config.record_counterexample {
-                        parents.insert(next_fp, (state_fp, index));
-                    }
-                    queue.push_back((next, next_fp, depth + 1));
-                }
-            }
-            let index = last[0];
-            let mut next = state;
-            spec.execute_unchecked(index, &mut next);
-            let next_fp = next.fingerprint();
-            if seen.insert(next_fp) {
-                if config.record_counterexample {
-                    parents.insert(next_fp, (state_fp, index));
-                }
-                queue.push_back((next, next_fp, depth + 1));
-            }
-        }
-        report
-    };
-    if let Some(p) = profile {
-        // Group the flat set by the same low-bits mask the parallel path
-        // shards on, so occupancy is comparable across thread counts.
-        let mut occupancy = vec![0usize; SEEN_SHARDS];
-        for &fp in &seen {
-            occupancy[(fp as usize) & (SEEN_SHARDS - 1)] += 1;
-        }
-        p.shard_occupancy = occupancy;
-    }
-    report
-}
-
-// ---------------------------------------------------------------------
-// Parallel level-synchronous path (threads >= 2)
-// ---------------------------------------------------------------------
-
-/// Shard count for the fingerprint-sharded sets; a power of two so the
-/// shard index is a mask of the fingerprint's low bits.
-const SEEN_SHARDS: usize = 64;
-
-/// A `u64`-keyed map sharded by the key's low bits, each shard behind its
-/// own mutex so concurrent readers/writers only contend within a shard.
-struct ShardedMap<V> {
-    shards: Vec<Mutex<HashMap<u64, V>>>,
-}
-
-impl<V> ShardedMap<V> {
-    fn new() -> Self {
-        ShardedMap {
-            shards: (0..SEEN_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
-    }
-
-    fn shard(&self, fp: u64) -> &Mutex<HashMap<u64, V>> {
-        &self.shards[(fp as usize) & (SEEN_SHARDS - 1)]
-    }
-
-    fn contains(&self, fp: u64) -> bool {
-        self.shard(fp).lock().contains_key(&fp)
-    }
-
-    fn insert(&self, fp: u64, value: V) {
-        self.shard(fp).lock().insert(fp, value);
-    }
-
-    fn get_cloned(&self, fp: u64) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.shard(fp).lock().get(&fp).cloned()
-    }
-}
-
-/// One frontier entry: a state plus its precomputed fingerprint.
+/// One frontier entry: a state and its fingerprint, computed once, on
+/// discovery.
 struct Frame<S, M> {
     fp: u64,
     state: SystemState<S, M>,
 }
 
-/// What a worker computed for one frontier rank; consumed by the control
-/// pass. Carrying the full enabled-index list (not just its length) lets
-/// the control pass replay per-action fire counts in exact frontier
-/// order, keeping `action_fires` byte-identical to the sequential walk.
-struct RankOut {
-    invariant_err: Option<String>,
-    enabled: Vec<usize>,
+/// A contiguous range of a level's ranks: owned by whichever worker the
+/// cursor hands it to, then replaced by what that worker found.
+enum Chunk<S, M> {
+    Todo(Vec<Frame<S, M>>),
+    Done(ChunkOut<S, M>),
 }
 
-/// A newly discovered state, keyed for deterministic ordering by its
-/// discovery position `(parent rank in frontier, action index)`.
-struct Candidate<S, M> {
-    key: (usize, usize),
-    parent_fp: u64,
-    state: SystemState<S, M>,
+/// What walking one chunk found, every list in rank order.
+struct ChunkOut<S, M> {
+    /// Ranks visited: the whole chunk, or up to the rank that stopped it.
+    visited: usize,
+    /// Fire counts of the ranks expanded, indexed like the report's.
+    fires: Vec<u64>,
+    /// Violations, each with the fingerprint of the state it was found in.
+    violations: Vec<(u64, ApError)>,
+    /// Successors neither in `seen` nor reached earlier in this chunk, as
+    /// `(state, parent fingerprint, action index)`.
+    successors: Vec<(Frame<S, M>, u64, usize)>,
 }
 
-fn explore_parallel<S, M>(
+/// Each chunk's lock is taken twice, by the one worker the cursor gave the
+/// chunk to, and holds a whole value at both times: poison from a
+/// panicking invariant protects nothing (the scope re-raises that panic).
+fn held<T>(guard: LockResult<T>) -> T {
+    guard.unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The walk behind [`explore`] and [`explore_profiled`]; a level of at
+/// least `helper_threshold` ranks is shared with helper threads.
+fn walk<S, M>(
     spec: &SystemSpec<S, M>,
     initial: SystemState<S, M>,
     config: ExploreConfig,
     invariant: impl Fn(&SystemState<S, M>) -> Result<(), String> + Sync,
-    mut profile: Option<&mut ExploreProfile>,
-) -> ExploreReport
+    helper_threshold: usize,
+) -> (ExploreReport, ExploreProfile)
 where
     S: Clone + Hash + Send + Sync,
     M: Clone + Hash + Send + Sync,
 {
+    let started = Instant::now();
     let threads = config.resolved_threads();
     let mut report = ExploreReport::new(spec.actions().len());
-    // Steal counting costs one relaxed add per *successful* steal — rare
-    // enough to record unconditionally; the counter is simply dropped when
-    // profiling was not requested.
-    let steal_count = AtomicU64::new(0);
+    let mut level_sizes = Vec::new();
 
-    // All fingerprints ever discovered (frontier members included). Workers
-    // read it concurrently during a level; the merge phase inserts the
-    // level's survivors.
-    let seen: ShardedMap<()> = ShardedMap::new();
-    // fingerprint -> (parent fingerprint, action index), for counterexample
-    // reconstruction. Written during merges, read when a violation needs a
-    // path.
-    let parents: ShardedMap<(u64, usize)> = ShardedMap::new();
-
+    // Every fingerprint discovered so far, the frontier's included, and
+    // fingerprint -> (parent fingerprint, action index taken from parent).
+    // Workers read `seen` during a level; only the merge writes either.
+    let mut seen: HashSet<u64> = HashSet::new();
+    let mut parents: HashMap<u64, (u64, usize)> = HashMap::new();
     let root_fp = initial.fingerprint();
-    seen.insert(root_fp, ());
-    let mut frontier: Vec<Frame<S, M>> = vec![Frame {
+    seen.insert(root_fp);
+    let mut frontier = vec![Frame {
         fp: root_fp,
         state: initial,
     }];
     let mut depth = 0usize;
 
-    let reconstruct = |fp: u64| -> Vec<String> {
-        let mut path = Vec::new();
-        let mut cursor = fp;
-        while let Some((parent_fp, action_index)) = parents.get_cloned(cursor) {
-            path.push(spec.actions()[action_index].name.clone());
-            cursor = parent_fp;
-        }
-        path.reverse();
-        path
-    };
-
     while !frontier.is_empty() {
-        if let Some(p) = profile.as_deref_mut() {
-            p.level_sizes.push(frontier.len());
-        }
-        let expand = depth < config.max_depth;
-        // Per-rank worker outputs; each slot is written by exactly one
-        // worker (ranks are partitioned across chunks).
-        let outs: Vec<OnceLock<RankOut>> = (0..frontier.len()).map(|_| OnceLock::new()).collect();
-        // Per-level discoveries, sharded like `seen`.
-        let candidates: ShardedMap<Candidate<S, M>> = ShardedMap::new();
+        report.max_depth_reached = depth;
+        // Ranks past the state budget are dropped unvisited. The rank that
+        // reaches it is visited but, like every rank at the depth bound,
+        // not expanded.
+        let budget = config
+            .max_states
+            .saturating_sub(report.states_visited)
+            .max(1);
+        frontier.truncate(budget);
+        let ranks = frontier.len();
+        let expand_below = if depth >= config.max_depth {
+            0
+        } else if ranks == budget {
+            ranks - 1
+        } else {
+            ranks
+        };
 
-        // Chunk the frontier across per-worker deques; idle workers steal.
-        let chunk = (frontier.len() / (threads * 8)).max(1);
-        let queues: Vec<Worker<(usize, usize)>> =
-            (0..threads).map(|_| Worker::new_fifo()).collect();
-        let stealers: Vec<Stealer<(usize, usize)>> = queues.iter().map(Worker::stealer).collect();
-        let mut start = 0usize;
-        let mut which = 0usize;
-        while start < frontier.len() {
-            let end = (start + chunk).min(frontier.len());
-            queues[which % threads].push((start, end));
-            which += 1;
-            start = end;
-        }
-
-        let frontier_ref = &frontier;
-        let outs_ref = &outs;
-        let candidates_ref = &candidates;
-        let seen_ref = &seen;
-        let invariant_ref = &invariant;
-        let steal_count_ref = &steal_count;
-
-        std::thread::scope(|scope| {
-            for (w, own) in queues.into_iter().enumerate() {
-                let stealers = &stealers;
-                scope.spawn(move || {
-                    let mut enabled: Vec<usize> = Vec::new();
-                    loop {
-                        // Own queue first, then round-robin steal attempts.
-                        let job = own.pop().or_else(|| {
-                            for offset in 1..stealers.len() {
-                                let victim = &stealers[(w + offset) % stealers.len()];
-                                loop {
-                                    match victim.steal() {
-                                        Steal::Success(job) => {
-                                            steal_count_ref.fetch_add(1, Ordering::Relaxed);
-                                            return Some(job);
-                                        }
-                                        Steal::Retry => continue,
-                                        Steal::Empty => break,
-                                    }
-                                }
-                            }
-                            None
-                        });
-                        let Some((lo, hi)) = job else { break };
-                        for rank in lo..hi {
-                            let frame = &frontier_ref[rank];
-                            let invariant_err = invariant_ref(&frame.state).err();
-                            if expand {
-                                spec.enabled_into(&frame.state, &mut enabled);
-                                for &action_index in &enabled {
-                                    let mut child = frame.state.clone();
-                                    spec.execute_unchecked(action_index, &mut child);
-                                    let child_fp = child.fingerprint();
-                                    if seen_ref.contains(child_fp) {
-                                        continue;
-                                    }
-                                    // First discoverer in BFS order wins:
-                                    // keep the minimum (rank, action) key.
-                                    let key = (rank, action_index);
-                                    let mut shard = candidates_ref.shard(child_fp).lock();
-                                    match shard.entry(child_fp) {
-                                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                                            if key < e.get().key {
-                                                let slot = e.get_mut();
-                                                slot.key = key;
-                                                slot.parent_fp = frame.fp;
-                                            }
-                                        }
-                                        std::collections::hash_map::Entry::Vacant(v) => {
-                                            v.insert(Candidate {
-                                                key,
-                                                parent_fp: frame.fp,
-                                                state: child,
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                            let _ = outs_ref[rank].set(RankOut {
-                                invariant_err,
-                                enabled: if expand { enabled.clone() } else { Vec::new() },
-                            });
+        let walk_chunk = |first_rank: usize, frames: Vec<Frame<S, M>>| {
+            let mut out = ChunkOut {
+                visited: 0,
+                fires: vec![0; spec.actions().len()],
+                violations: Vec::new(),
+                successors: Vec::with_capacity(frames.len()),
+            };
+            let mut enabled: Vec<usize> = Vec::new();
+            let mut fresh: HashSet<u64> = HashSet::with_capacity(frames.len());
+            for (rank, Frame { fp, state }) in (first_rank..).zip(frames) {
+                out.visited += 1;
+                if let Err(message) = invariant(&state) {
+                    let violation = ApError::InvariantViolated {
+                        message,
+                        depth: Some(depth),
+                    };
+                    out.violations.push((fp, violation));
+                    if config.stop_at_first_violation {
+                        break;
+                    }
+                }
+                if rank >= expand_below {
+                    continue;
+                }
+                spec.enabled_into(&state, &mut enabled);
+                let Some((&last, head)) = enabled.split_last() else {
+                    if config.deadlock_is_error {
+                        let violation = ApError::Deadlock { depth: Some(depth) };
+                        out.violations.push((fp, violation));
+                        if config.stop_at_first_violation {
+                            break;
                         }
                     }
-                });
+                    continue;
+                };
+                for &action in &enabled {
+                    out.fires[action] += 1;
+                }
+                let mut reach = |action: usize, mut next: SystemState<S, M>| {
+                    spec.execute_unchecked(action, &mut next);
+                    let next_fp = next.fingerprint();
+                    if !seen.contains(&next_fp) && fresh.insert(next_fp) {
+                        let frame = Frame {
+                            fp: next_fp,
+                            state: next,
+                        };
+                        out.successors.push((frame, fp, action));
+                    }
+                };
+                for &action in head {
+                    reach(action, state.clone());
+                }
+                // The last enabled action consumes its parent instead of
+                // cloning it — one clone saved per expanded state, which
+                // is why a worker owns its chunk.
+                reach(last, state);
             }
+            out
+        };
+
+        let workers = if ranks >= helper_threshold {
+            threads
+        } else {
+            1
+        };
+        let chunk_len = if workers == 1 {
+            ranks
+        } else {
+            (ranks / (workers * CHUNKS_PER_WORKER)).max(1)
+        };
+        let mut frames = frontier.into_iter();
+        let chunks: Vec<Mutex<Chunk<S, M>>> = std::iter::from_fn(|| {
+            let chunk: Vec<_> = frames.by_ref().take(chunk_len).collect();
+            (!chunk.is_empty()).then(|| Mutex::new(Chunk::Todo(chunk)))
+        })
+        .collect();
+        // Relaxed: the cursor only deals out indices; a chunk's contents
+        // travel through its lock and the scope's join.
+        let cursor = AtomicUsize::new(0);
+        let work = || loop {
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(chunk) = chunks.get(index) else {
+                break;
+            };
+            let frames = match &mut *held(chunk.lock()) {
+                Chunk::Todo(frames) => std::mem::take(frames),
+                Chunk::Done(_) => unreachable!("the cursor deals each chunk once"),
+            };
+            let out = walk_chunk(index * chunk_len, frames);
+            *held(chunk.lock()) = Chunk::Done(out);
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..workers.min(chunks.len()) {
+                scope.spawn(work);
+            }
+            work();
         });
 
-        // Control pass: replay the sequential per-state bookkeeping in
-        // frontier order using the precomputed results. Any early return
-        // here discards the level's speculative expansions, exactly like
-        // the sequential walk never reaching those queue entries.
-        for (rank, out_slot) in outs.iter().enumerate() {
-            let out = out_slot.get().expect("worker covered every rank");
-            report.states_visited += 1;
-            report.max_depth_reached = report.max_depth_reached.max(depth);
-
-            if let Some(message) = out.invariant_err.clone() {
+        // Merge, in chunk order — which is rank order, which is BFS order.
+        let visited_before = report.states_visited;
+        let mut next = Vec::new();
+        for chunk in chunks {
+            let Chunk::Done(out) = held(chunk.into_inner()) else {
+                unreachable!("the scope joins its workers after the last chunk");
+            };
+            report.states_visited += out.visited;
+            for (total, fired) in report.action_fires.iter_mut().zip(out.fires) {
+                *total += fired;
+            }
+            for (fp, violation) in out.violations {
                 if report.violations.is_empty() && config.record_counterexample {
-                    report.counterexample = Some(reconstruct(frontier[rank].fp));
+                    report.counterexample = Some(reconstruct_path(spec, &parents, fp));
                 }
-                report.violations.push(ApError::InvariantViolated {
-                    message,
-                    depth: Some(depth),
-                });
-                if config.stop_at_first_violation {
-                    report.outcome = ExploreOutcome::StoppedAtViolation;
-                    finish_parallel_profile(profile.take(), &seen, &steal_count);
-                    return report;
-                }
+                report.violations.push(violation);
             }
-
-            if report.states_visited >= config.max_states {
-                report.outcome = ExploreOutcome::StateBudgetReached;
-                finish_parallel_profile(profile.take(), &seen, &steal_count);
-                return report;
+            if config.stop_at_first_violation && !report.violations.is_empty() {
+                report.outcome = ExploreOutcome::StoppedAtViolation;
+                break;
             }
-            if !expand {
-                continue;
-            }
-            if out.enabled.is_empty() {
-                if config.deadlock_is_error {
-                    if report.violations.is_empty() && config.record_counterexample {
-                        report.counterexample = Some(reconstruct(frontier[rank].fp));
+            for (frame, parent_fp, action) in out.successors {
+                if seen.insert(frame.fp) {
+                    if config.record_counterexample {
+                        parents.insert(frame.fp, (parent_fp, action));
                     }
-                    report
-                        .violations
-                        .push(ApError::Deadlock { depth: Some(depth) });
-                    if config.stop_at_first_violation {
-                        report.outcome = ExploreOutcome::StoppedAtViolation;
-                        finish_parallel_profile(profile.take(), &seen, &steal_count);
-                        return report;
-                    }
+                    next.push(frame);
                 }
-                continue;
-            }
-            report.transitions += out.enabled.len();
-            for &index in &out.enabled {
-                report.action_fires[index] += 1;
             }
         }
-
-        // Merge: sort the level's discoveries into BFS order, publish them
-        // to `seen`/`parents`, and make them the next frontier.
-        let mut discovered: Vec<(u64, Candidate<S, M>)> = candidates
-            .shards
-            .into_iter()
-            .flat_map(|shard| shard.into_inner().into_iter())
-            .collect();
-        discovered.sort_by_key(|(_, c)| c.key);
-        frontier = discovered
-            .into_iter()
-            .map(|(fp, cand)| {
-                seen.insert(fp, ());
-                if config.record_counterexample {
-                    parents.insert(fp, (cand.parent_fp, cand.key.1));
-                }
-                Frame {
-                    fp,
-                    state: cand.state,
-                }
-            })
-            .collect();
+        level_sizes.push(report.states_visited - visited_before);
+        if report.outcome == ExploreOutcome::StoppedAtViolation {
+            break;
+        }
+        if report.states_visited >= config.max_states {
+            report.outcome = ExploreOutcome::StateBudgetReached;
+            break;
+        }
+        frontier = next;
         depth += 1;
     }
-    finish_parallel_profile(profile, &seen, &steal_count);
-    report
-}
-
-/// Copies the end-of-walk aggregates into `profile`, when one was
-/// requested: total successful steals and the final `seen`-shard
-/// occupancy distribution.
-fn finish_parallel_profile(
-    profile: Option<&mut ExploreProfile>,
-    seen: &ShardedMap<()>,
-    steal_count: &AtomicU64,
-) {
-    if let Some(p) = profile {
-        p.steals = steal_count.load(Ordering::Relaxed);
-        p.shard_occupancy = seen.shards.iter().map(|s| s.lock().len()).collect();
-    }
+    report.transitions = report.action_fires.iter().sum::<u64>() as usize;
+    let profile = ExploreProfile {
+        threads,
+        level_sizes,
+        states_visited: report.states_visited,
+        wall: started.elapsed(),
+    };
+    (report, profile)
 }
 
 /// A witness that a goal state is reachable.
@@ -781,6 +562,7 @@ where
 mod tests {
     use super::*;
     use crate::process::{Guard, Pid};
+    use proptest::prelude::*;
 
     #[derive(Clone, Debug, PartialEq, Eq, Hash)]
     struct Tok {
@@ -790,31 +572,7 @@ mod tests {
 
     /// Token ring of `n` processes; the token circulates forever.
     fn ring_spec(n: usize, max_count: u8) -> SystemSpec<Tok, ()> {
-        let mut spec = SystemSpec::<Tok, ()>::new();
-        let pids: Vec<Pid> = (0..n).map(|i| spec.add_process(format!("p{i}"))).collect();
-        for i in 0..n {
-            let next = pids[(i + 1) % n];
-            spec.add_action(
-                pids[i],
-                format!("pass{i}"),
-                Guard::local(move |s: &Tok| s.holding && s.count < max_count),
-                move |s, _, fx| {
-                    s.holding = false;
-                    s.count += 1;
-                    fx.send(next, ());
-                },
-            );
-            let from = pids[(i + n - 1) % n];
-            spec.add_action(
-                pids[i],
-                format!("take{i}"),
-                Guard::receive(from),
-                |s, _, _| {
-                    s.holding = true;
-                },
-            );
-        }
-        spec
+        random_ring(n, 1, max_count, false).0
     }
 
     fn ring_initial(n: usize) -> SystemState<Tok, ()> {
@@ -1037,6 +795,24 @@ mod tests {
     // Determinism across thread counts
     // -----------------------------------------------------------------
 
+    /// [`explore`] with the helper threshold at 1: every level of two or
+    /// more ranks is cut into chunks and shared among `config.threads`
+    /// workers. Under the production threshold specs this small would run
+    /// as one chunk at every thread count and these tests compare a walk
+    /// with itself.
+    fn explore_shared<S, M>(
+        spec: &SystemSpec<S, M>,
+        initial: SystemState<S, M>,
+        config: ExploreConfig,
+        invariant: impl Fn(&SystemState<S, M>) -> Result<(), String> + Sync,
+    ) -> ExploreReport
+    where
+        S: Clone + Hash + Send + Sync,
+        M: Clone + Hash + Send + Sync,
+    {
+        walk(spec, initial, config, invariant, 1).0
+    }
+
     /// The invariant used by the clean-ring equivalence checks.
     fn one_token(st: &SystemState<Tok, ()>) -> Result<(), String> {
         if tokens_in_system(st) == 1 {
@@ -1051,7 +827,7 @@ mod tests {
         let spec = ring_spec(4, 4);
         let sequential = explore(&spec, ring_initial(4), ExploreConfig::default(), one_token);
         for threads in [2, 3, 4, 8] {
-            let parallel = explore(
+            let parallel = explore_shared(
                 &spec,
                 ring_initial(4),
                 ExploreConfig::default().with_threads(threads),
@@ -1073,7 +849,7 @@ mod tests {
         };
         let sequential = explore(&spec, initial.clone(), ExploreConfig::default(), check);
         for threads in [2, 4] {
-            let parallel = explore(
+            let parallel = explore_shared(
                 &spec,
                 initial.clone(),
                 ExploreConfig::default().with_threads(threads),
@@ -1102,7 +878,8 @@ mod tests {
             },
         ] {
             let sequential = explore(&spec, ring_initial(4), config, |_| Ok(()));
-            let parallel = explore(&spec, ring_initial(4), config.with_threads(4), |_| Ok(()));
+            let parallel =
+                explore_shared(&spec, ring_initial(4), config.with_threads(4), |_| Ok(()));
             assert_eq!(parallel, sequential, "config = {config:?}");
         }
     }
@@ -1115,7 +892,7 @@ mod tests {
             ..ExploreConfig::default()
         };
         let sequential = explore(&spec, ring_initial(2), config, |_| Err("always".into()));
-        let parallel = explore(&spec, ring_initial(2), config.with_threads(3), |_| {
+        let parallel = explore_shared(&spec, ring_initial(2), config.with_threads(3), |_| {
             Err("always".into())
         });
         assert_eq!(parallel, sequential);
@@ -1124,7 +901,7 @@ mod tests {
     #[test]
     fn threads_zero_resolves_to_available_parallelism() {
         let spec = ring_spec(3, 3);
-        let auto = explore(
+        let auto = explore_shared(
             &spec,
             ring_initial(3),
             ExploreConfig::default().with_threads(0),
@@ -1161,7 +938,7 @@ mod tests {
         let spec = ring_spec(4, 4);
         let sequential = explore(&spec, ring_initial(4), ExploreConfig::default(), |_| Ok(()));
         for threads in [2, 4] {
-            let parallel = explore(
+            let parallel = explore_shared(
                 &spec,
                 ring_initial(4),
                 ExploreConfig::default().with_threads(threads),
@@ -1183,11 +960,12 @@ mod tests {
         let spec = ring_spec(4, 4);
         let plain = explore(&spec, ring_initial(4), ExploreConfig::default(), one_token);
         for threads in [1, 2, 4] {
-            let (report, profile) = explore_profiled(
+            let (report, profile) = walk(
                 &spec,
                 ring_initial(4),
                 ExploreConfig::default().with_threads(threads),
                 one_token,
+                1,
             );
             assert_eq!(report, plain, "profiling changed the report at {threads}");
             assert_eq!(profile.threads, threads);
@@ -1199,11 +977,12 @@ mod tests {
     fn profile_level_sizes_sum_to_visited_states() {
         let spec = ring_spec(3, 3);
         for threads in [1, 4] {
-            let (report, profile) = explore_profiled(
+            let (report, profile) = walk(
                 &spec,
                 ring_initial(3),
                 ExploreConfig::default().with_threads(threads),
                 |_| Ok(()),
+                1,
             );
             assert_eq!(
                 profile.level_sizes.iter().sum::<usize>(),
@@ -1226,56 +1005,209 @@ mod tests {
         let spec = ring_spec(4, 4);
         let (_, sequential) =
             explore_profiled(&spec, ring_initial(4), ExploreConfig::default(), one_token);
-        let (_, parallel) = explore_profiled(
+        let (_, parallel) = walk(
             &spec,
             ring_initial(4),
             ExploreConfig::default().with_threads(4),
             one_token,
+            1,
         );
         assert_eq!(parallel.level_sizes, sequential.level_sizes);
     }
 
     #[test]
-    fn profile_shard_occupancy_counts_every_seen_state() {
-        let spec = ring_spec(4, 4);
-        let (seq_report, sequential) =
-            explore_profiled(&spec, ring_initial(4), ExploreConfig::default(), one_token);
-        let (_, parallel) = explore_profiled(
-            &spec,
-            ring_initial(4),
-            ExploreConfig::default().with_threads(4),
-            one_token,
-        );
-        assert_eq!(sequential.shard_occupancy.len(), SEEN_SHARDS);
-        assert_eq!(sequential.steals, 0, "sequential path never steals");
-        // Exhausted walks see exactly the reachable states, so the shard
-        // distribution matches across thread counts.
-        assert_eq!(parallel.shard_occupancy, sequential.shard_occupancy);
-        assert_eq!(
-            sequential.shard_occupancy.iter().sum::<usize>(),
-            seq_report.states_visited
-        );
-        assert!(sequential.shard_imbalance() >= 1.0);
+    fn profile_level_sizes_count_visited_ranks_when_a_violation_stops_the_walk() {
+        let (spec, initial) = counters_spec(3, 3);
+        // Stops in the third rank of level 2, `(1, 0, 1)`.
+        let ends_hold = |st: &SystemState<u8, ()>| {
+            if *st.local(Pid(0)) >= 1 && *st.local(Pid(2)) >= 1 {
+                Err("both ends counted".to_string())
+            } else {
+                Ok(())
+            }
+        };
+        for threads in [1, 2, 4] {
+            let config = ExploreConfig::default().with_threads(threads);
+            let (report, profile) = walk(&spec, initial.clone(), config, ends_hold, 1);
+            assert_eq!(report.outcome, ExploreOutcome::StoppedAtViolation);
+            assert_eq!(profile.level_sizes, [1, 3, 3], "threads = {threads}");
+            assert_eq!(profile.states_visited, 7);
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // Wide levels: several chunks, and chunks that meet
+    // -----------------------------------------------------------------
+
+    /// `n` processes that each count to `max` on their own. Level `d` holds
+    /// every state whose counters sum to `d`, so levels are wide, and a
+    /// state with two non-zero counters is reached from two ranks of the
+    /// level before it — from two chunks under [`explore_shared`], which
+    /// cuts levels this narrow into one chunk per rank.
+    fn counters_spec(n: usize, max: u8) -> (SystemSpec<u8, ()>, SystemState<u8, ()>) {
+        let mut spec = SystemSpec::<u8, ()>::new();
+        for i in 0..n {
+            let pid = spec.add_process(format!("c{i}"));
+            spec.add_action(
+                pid,
+                format!("inc{i}"),
+                Guard::local(move |count: &u8| *count < max),
+                |count, _, _| *count += 1,
+            );
+        }
+        (spec, SystemState::new(vec![0; n], n))
     }
 
     #[test]
-    fn profile_filled_even_when_walk_stops_early() {
-        let spec = ring_spec(4, 20);
-        let config = ExploreConfig {
-            max_states: 50,
+    fn a_successor_reached_from_two_chunks_keeps_its_first_parent() {
+        let (spec, initial) = counters_spec(3, 2);
+        // `(1, 1, 0)` is reached by `inc1` from rank 0 of level 1 and by
+        // `inc0` from rank 1; a queue keeps the former.
+        let first_two_differ = |st: &SystemState<u8, ()>| {
+            if *st.local(Pid(0)) >= 1 && *st.local(Pid(1)) >= 1 {
+                Err("c0 and c1 both counted".to_string())
+            } else {
+                Ok(())
+            }
+        };
+        let collect_all = ExploreConfig {
+            stop_at_first_violation: false,
+            deadlock_is_error: true,
             ..ExploreConfig::default()
         };
-        for threads in [1, 4] {
-            let (report, profile) =
-                explore_profiled(&spec, ring_initial(4), config.with_threads(threads), |_| {
-                    Ok(())
-                });
-            assert_eq!(report.outcome, ExploreOutcome::StateBudgetReached);
-            assert_eq!(profile.shard_occupancy.len(), SEEN_SHARDS);
-            assert!(
-                profile.shard_occupancy.iter().sum::<usize>() >= report.states_visited,
-                "seen must cover at least the visited states (threads = {threads})"
+        for config in [ExploreConfig::default(), collect_all] {
+            let one_chunk = explore(&spec, initial.clone(), config, first_two_differ);
+            assert_eq!(
+                one_chunk.counterexample,
+                Some(vec!["inc0".to_string(), "inc1".to_string()])
             );
+            let clean = explore(&spec, initial.clone(), config, |_| Ok(()));
+            assert_eq!(clean.states_visited, 27);
+            for threads in [2, 3, 4] {
+                let config = config.with_threads(threads);
+                let shared = explore_shared(&spec, initial.clone(), config, first_two_differ);
+                assert_eq!(shared, one_chunk, "threads = {threads}");
+                let shared = explore_shared(&spec, initial.clone(), config, |_| Ok(()));
+                assert_eq!(shared, clean, "threads = {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn no_rank_past_the_state_budget_meets_the_invariant() {
+        let (spec, initial) = counters_spec(3, 3);
+        // Levels hold 1, 3, 6, 10, … ranks: a budget of 15 runs out five
+        // ranks into the fourth.
+        let config = ExploreConfig {
+            max_states: 15,
+            ..ExploreConfig::default()
+        };
+        let one_chunk = explore(&spec, initial.clone(), config, |_| Ok(()));
+        assert_eq!(one_chunk.states_visited, 15);
+        for threads in [1, 2, 4] {
+            let calls = AtomicUsize::new(0);
+            let counted = |_: &SystemState<u8, ()>| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            };
+            let config = config.with_threads(threads);
+            let (shared, profile) = walk(&spec, initial.clone(), config, counted, 1);
+            assert_eq!(shared, one_chunk, "threads = {threads}");
+            assert_eq!(calls.into_inner(), 15, "threads = {threads}");
+            assert_eq!(profile.level_sizes, [1, 3, 6, 5], "threads = {threads}");
+        }
+    }
+
+    /// Token ring of `n` processes of which the first `tokens` hold one,
+    /// each with a `max_count` pass budget. When `bug` is set, process 0's
+    /// first pass keeps the token while also sending it — a duplication
+    /// the invariant catches.
+    fn random_ring(
+        n: usize,
+        tokens: usize,
+        max_count: u8,
+        bug: bool,
+    ) -> (SystemSpec<Tok, ()>, SystemState<Tok, ()>) {
+        let mut spec = SystemSpec::<Tok, ()>::new();
+        let pids: Vec<Pid> = (0..n).map(|i| spec.add_process(format!("p{i}"))).collect();
+        for i in 0..n {
+            let next = pids[(i + 1) % n];
+            let duplicate_here = bug && i == 0;
+            spec.add_action(
+                pids[i],
+                format!("pass{i}"),
+                Guard::local(move |s: &Tok| s.holding && s.count < max_count),
+                move |s, _, fx| {
+                    if !(duplicate_here && s.count == 0) {
+                        s.holding = false;
+                    }
+                    s.count += 1;
+                    fx.send(next, ());
+                },
+            );
+            let from = pids[(i + n - 1) % n];
+            spec.add_action(
+                pids[i],
+                format!("take{i}"),
+                Guard::receive(from),
+                |s, _, _| s.holding = true,
+            );
+        }
+        let mut initial = ring_initial(n);
+        for pid in pids.into_iter().take(tokens) {
+            initial.local_mut(pid).holding = true;
+        }
+        (spec, initial)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Random small specs under random bounds: the whole report —
+        /// distinct states, transitions, violations, outcome,
+        /// counterexample — is the same shared among 2 or 4 workers as in
+        /// one chunk.
+        #[test]
+        fn shared_walk_matches_one_chunk(
+            n in 2usize..=4,
+            tokens in 1usize..=2,
+            max_count in 1u8..=3,
+            bug in any::<bool>(),
+            max_depth in 4usize..=12,
+            max_states in 50usize..=5_000,
+            stop_at_first in any::<bool>(),
+        ) {
+            let expected = tokens.min(n);
+            let (spec, initial) = random_ring(n, expected, max_count, bug);
+            let config = ExploreConfig {
+                max_states,
+                max_depth,
+                stop_at_first_violation: stop_at_first,
+                ..ExploreConfig::default()
+            };
+            let invariant = move |st: &SystemState<Tok, ()>| {
+                let found = tokens_in_system(st);
+                if found == expected {
+                    Ok(())
+                } else {
+                    Err(format!("{found} tokens in system, expected {expected}"))
+                }
+            };
+            let one_chunk = explore(&spec, initial.clone(), config, invariant);
+            for threads in [2usize, 4] {
+                let shared =
+                    explore_shared(&spec, initial.clone(), config.with_threads(threads), invariant);
+                prop_assert_eq!(
+                    &shared,
+                    &one_chunk,
+                    "report diverged at {} threads (n={}, tokens={}, max_count={}, bug={})",
+                    threads,
+                    n,
+                    tokens,
+                    max_count,
+                    bug
+                );
+            }
         }
     }
 

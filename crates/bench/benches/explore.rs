@@ -7,6 +7,12 @@
 //! state, guard re-evaluation inside `execute`, and a clone for every
 //! successor including the last). Throughput is reported in explored
 //! states per second.
+//!
+//! That space has 295 states and no level wide enough to be shared with a
+//! helper thread, so its `threads` rows all measure the one-chunk walk. The
+//! second group (`n = 3`, balance 2, limit 2: 178,119 states, levels of up
+//! to 27,630 ranks) is the bundled walk long enough to show what sharing a
+//! level costs or gains.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -81,6 +87,31 @@ fn bench_explore(c: &mut Criterion) {
                     spec_invariant(params),
                 )
                 .states_visited
+            })
+        });
+    }
+    group.finish();
+
+    let params = SpecParams {
+        isps: 3,
+        initial_balance: 2,
+        limit: 2,
+        ..SpecParams::default()
+    };
+    let (spec, initial) = build_spec(params);
+    let mut group = c.benchmark_group("explore_zmail_n3_bal2_limit2");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(178_119));
+    for threads in [1usize, 2] {
+        group.bench_function(BenchmarkId::new("threads", threads), |b| {
+            b.iter(|| {
+                let config = ExploreConfig {
+                    max_states: 1_000_000,
+                    threads,
+                    ..ExploreConfig::default()
+                };
+                let report = explore(&spec, initial.clone(), config, spec_invariant(params));
+                assert_eq!(report.states_visited, 178_119);
             })
         });
     }

@@ -144,19 +144,15 @@ impl Report {
 /// Records an explorer [`ExploreProfile`](zmail_ap::ExploreProfile) into
 /// the global registry under `prefix`, one exploration phase per call:
 ///
-/// * `<prefix>.states`, `<prefix>.steals`, `<prefix>.wall_us` — counters;
-/// * `<prefix>.levels`, `<prefix>.states_per_sec`,
-///   `<prefix>.shards_occupied`, `<prefix>.threads` — gauges;
-/// * `<prefix>.frontier` — histogram of per-level BFS frontier sizes;
-/// * `<prefix>.shard_occupancy` — histogram of seen-set shard sizes.
+/// * `<prefix>.states`, `<prefix>.wall_us` — counters;
+/// * `<prefix>.levels`, `<prefix>.states_per_sec`, `<prefix>.threads` —
+///   gauges;
+/// * `<prefix>.frontier` — histogram of per-level BFS frontier sizes.
 pub fn record_explore_profile(prefix: &str, profile: &zmail_ap::ExploreProfile) {
     let registry = zmail_obs::global();
     registry
         .counter(&format!("{prefix}.states"))
         .add(profile.states_visited as u64);
-    registry
-        .counter(&format!("{prefix}.steals"))
-        .add(profile.steals);
     registry
         .counter(&format!("{prefix}.wall_us"))
         .add(profile.wall.as_micros().min(u128::from(u64::MAX)) as u64);
@@ -169,17 +165,9 @@ pub fn record_explore_profile(prefix: &str, profile: &zmail_ap::ExploreProfile) 
     registry
         .gauge(&format!("{prefix}.threads"))
         .set(profile.threads as i64);
-    let occupied = profile.shard_occupancy.iter().filter(|&&n| n > 0).count();
-    registry
-        .gauge(&format!("{prefix}.shards_occupied"))
-        .set(occupied as i64);
     let frontier = registry.histogram(&format!("{prefix}.frontier"));
     for &size in &profile.level_sizes {
         frontier.record(size as u64);
-    }
-    let shards = registry.histogram(&format!("{prefix}.shard_occupancy"));
-    for &n in &profile.shard_occupancy {
-        shards.record(n as u64);
     }
 }
 
@@ -299,12 +287,10 @@ mod tests {
             snap.counters["test_profile.states"],
             profile.states_visited as u64
         );
-        assert_eq!(snap.counters["test_profile.steals"], 0);
         assert_eq!(
             snap.histograms["test_profile.frontier"].count,
             profile.level_sizes.len() as u64
         );
-        assert_eq!(snap.histograms["test_profile.shard_occupancy"].count, 64);
         assert_eq!(
             snap.gauges["test_profile.levels"],
             profile.level_sizes.len() as i64

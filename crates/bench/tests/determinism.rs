@@ -76,11 +76,10 @@ fn explore_report_unchanged_by_profiling_at_any_thread_count() {
 
             // The structural half of the profile is a property of the
             // state graph, not the schedule: running the same
-            // configuration again reproduces it exactly. (Steals and
-            // wall time are scheduling noise by design.)
+            // configuration again reproduces it exactly. (Wall time is
+            // a clock reading.)
             let (_, again) = check_with_profiled(params, 200_000, threads);
             assert_eq!(again.level_sizes, profile.level_sizes);
-            assert_eq!(again.shard_occupancy, profile.shard_occupancy);
         }
     }
 }

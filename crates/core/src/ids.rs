@@ -1,11 +1,10 @@
 //! Identifiers for the parties of the protocol.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use zmail_sim::workload::UserAddr;
 
 /// Index of an ISP (the paper's `i` in `isp[i]`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct IspId(pub u32);
 
 impl fmt::Display for IspId {

@@ -525,8 +525,9 @@ pub fn check(params: SpecParams, max_states: usize) -> ExploreReport {
     check_with(params, max_states, 1)
 }
 
-/// Like [`check`], but exploring on `threads` workers (`0` = all available
-/// cores). The report is identical for every thread count.
+/// Like [`check`], but sharing wide levels among up to `threads` threads
+/// (`0` = all available cores). The report is identical for every thread
+/// count.
 pub fn check_with(params: SpecParams, max_states: usize, threads: usize) -> ExploreReport {
     let (spec, initial) = build_spec(params);
     explore(
@@ -542,10 +543,8 @@ pub fn check_with(params: SpecParams, max_states: usize, threads: usize) -> Expl
 }
 
 /// Like [`check_with`], but also returns the explorer's execution
-/// profile — per-level frontier sizes, steal counts, seen-set shard
-/// occupancy, and states/second. The report half is byte-identical to
-/// [`check_with`] for the same inputs; only the profile varies with the
-/// schedule.
+/// profile — per-level frontier sizes, wall time and states/second. The
+/// report half is byte-identical to [`check_with`] for the same inputs.
 pub fn check_with_profiled(
     params: SpecParams,
     max_states: usize,

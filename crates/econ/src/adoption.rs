@@ -21,10 +21,8 @@
 //! The model produces the S-shaped adoption curve experiment E6 tabulates
 //! and reports the crossing times (10%, 50%, 90% compliant).
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the adoption dynamics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdoptionParams {
     /// Total number of ISPs in the market.
     pub isps: u32,
@@ -60,7 +58,7 @@ impl Default for AdoptionParams {
 }
 
 /// One day of model output.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdoptionPoint {
     /// Day index (0-based).
     pub day: u32,

@@ -12,10 +12,9 @@
 //! saturated with spam, which is what caps the legacy share below 100%.
 
 use crate::spammer::{CampaignEconomics, SendingRegime};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the spam market model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MarketParams {
     /// Legitimate messages per month (normalizing constant).
     pub legit_volume_per_month: f64,
@@ -70,7 +69,7 @@ impl MarketParams {
 }
 
 /// One month of market output.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MarketPoint {
     /// Month index (0-based).
     pub month: u32,

@@ -7,21 +7,16 @@
 //! Both are signed: the protocol itself never drives a balance negative
 //! (an invariant the tests check), but deltas and audit sums need sign.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
 /// An amount of e-pennies, the scrip in which email is paid for.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct EPennies(pub i64);
 
 /// An amount of real money, in U.S. pennies.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RealPennies(pub i64);
 
 macro_rules! impl_money_ops {
@@ -122,7 +117,7 @@ impl fmt::Display for RealPennies {
 ///
 /// The paper assumes one e-penny costs $0.01, i.e. a 1:1 rate with real
 /// pennies; the type keeps the rate explicit so experiments can sweep it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExchangeRate {
     /// Real pennies charged per e-penny bought (and paid per e-penny sold).
     pub real_per_epenny: i64,

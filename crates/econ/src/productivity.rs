@@ -8,10 +8,8 @@
 //! labor cost — so experiment E10 can report how the burden scales with the
 //! spam share and validate against the Gartner figure.
 
-use serde::{Deserialize, Serialize};
-
 /// Attention-cost model for spam handling.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProductivityModel {
     /// Legitimate messages received per employee per working day.
     pub legit_per_day: f64,

@@ -12,11 +12,10 @@
 //! expected profit, and the break-even response rate — the quantities
 //! experiment E1 tabulates.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which sending regime a campaign operates under.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SendingRegime {
     /// Plain SMTP: infrastructure cost only.
     Legacy,
@@ -51,7 +50,7 @@ impl fmt::Display for SendingRegime {
 /// assert!(zmail.profit < 0.0, "one cent per message kills it");
 /// assert!(campaign.cost_increase_factor(0.01) >= 100.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CampaignEconomics {
     /// Messages sent in the campaign.
     pub volume: u64,
@@ -76,7 +75,7 @@ impl Default for CampaignEconomics {
 }
 
 /// The computed outcome of a campaign under some regime.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CampaignOutcome {
     /// Marginal cost of one message in dollars.
     pub cost_per_msg: f64,

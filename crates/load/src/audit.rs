@@ -8,9 +8,15 @@
 //! bounced message appears in neither.
 
 use crate::runner::HEADER_LOAD_SEQ;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, LockResult, Mutex, PoisonError};
 use zmail_smtp::{MailMessage, MailSink, SinkError};
+
+/// The one way this file takes the record's lock: past poison. Every
+/// update under it is one `push`, so a guard a panicking thread left
+/// behind protects nothing inconsistent.
+fn held<T>(guard: LockResult<T>) -> T {
+    guard.unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A pass-through sink that records the `X-Load-Seq` of every message the
 /// inner sink accepted. Clones share the same record.
@@ -37,7 +43,7 @@ impl<S> SeqAuditSink<S> {
     /// All recorded seqs, sorted ascending (duplicates preserved, so a
     /// double delivery is visible as a repeated entry).
     pub fn seqs(&self) -> Vec<u64> {
-        let mut out = self.seen.lock().clone();
+        let mut out = held(self.seen.lock()).clone();
         out.sort_unstable();
         out
     }
@@ -54,7 +60,7 @@ impl<S: MailSink> MailSink for SeqAuditSink<S> {
             .and_then(|v| v.parse::<u64>().ok());
         self.inner.deliver(message)?;
         if let Some(seq) = seq {
-            self.seen.lock().push(seq);
+            held(self.seen.lock()).push(seq);
         }
         Ok(())
     }

@@ -6,11 +6,10 @@
 //! * [`Table`] — the aligned-column printer every `e*` experiment binary
 //!   uses, so harness output is uniform and diffable.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Streaming summary statistics over `f64` observations.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Summary {
     count: u64,
     mean: f64,
@@ -110,7 +109,7 @@ impl fmt::Display for Summary {
 /// assert_eq!(q.min(), 1.0);
 /// assert_eq!(q.max(), 5.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Quantiles {
     sorted: Vec<f64>,
 }

@@ -16,13 +16,12 @@
 
 use crate::clock::{SimDuration, SimTime};
 use crate::rng::Sampler;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A fully-qualified user address: user `user` of ISP `isp`.
 ///
 /// This mirrors the paper's "user s of isp\[i\]" addressing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UserAddr {
     /// The ISP index (the paper's `i` in `isp[i]`).
     pub isp: u32,
@@ -48,7 +47,7 @@ impl fmt::Display for UserAddr {
 /// The protocol itself is deliberately blind to this distinction — that is
 /// the paper's "no definition of spam required" property — but experiments
 /// need ground truth to measure delivery and cost outcomes per class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MailKind {
     /// One-to-one personal or business mail.
     Personal,
@@ -86,7 +85,7 @@ impl fmt::Display for MailKind {
 }
 
 /// One message-send intent produced by the workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SendEvent {
     /// When the sender hands the message to its ISP.
     pub at: SimTime,
@@ -99,7 +98,7 @@ pub struct SendEvent {
 }
 
 /// A spam campaign: a sender, a start time, a volume, and a rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Campaign {
     /// Which user runs the campaign.
     pub sender: UserAddr,
@@ -112,7 +111,7 @@ pub struct Campaign {
 }
 
 /// A zombie infection: a victim, an infection instant, and blast parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Infection {
     /// The compromised user.
     pub victim: UserAddr,
@@ -125,7 +124,7 @@ pub struct Infection {
 }
 
 /// Parameters of a synthetic email population.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficConfig {
     /// Number of ISPs (the paper's `n`).
     pub isps: u32,

@@ -13,8 +13,7 @@ use crate::metrics::SmtpMetrics;
 use crate::reply::{Reply, ReplyCode};
 use crate::transport::Connection;
 use crate::SmtpError;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, LockResult, Mutex, PoisonError};
 
 /// Why a sink refused a message, which decides the SMTP reply code.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,6 +113,13 @@ impl<S: MailSink + ?Sized> MailSink for Arc<S> {
     }
 }
 
+/// The one way this file takes [`CollectSink`]'s lock: past poison. Every
+/// update under it is one `push`, so a guard a panicking thread left
+/// behind protects nothing inconsistent.
+fn held<T>(guard: LockResult<T>) -> T {
+    guard.unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A sink that stores everything it receives; for tests and examples.
 #[derive(Debug, Clone, Default)]
 pub struct CollectSink {
@@ -128,23 +134,23 @@ impl CollectSink {
 
     /// Snapshot of everything delivered so far.
     pub fn messages(&self) -> Vec<MailMessage> {
-        self.inner.lock().clone()
+        held(self.inner.lock()).clone()
     }
 
     /// Number of delivered messages.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        held(self.inner.lock()).len()
     }
 
     /// Whether nothing has been delivered.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        held(self.inner.lock()).is_empty()
     }
 }
 
 impl MailSink for CollectSink {
     fn deliver(&self, message: MailMessage) -> Result<(), SinkError> {
-        self.inner.lock().push(message);
+        held(self.inner.lock()).push(message);
         Ok(())
     }
 }

@@ -6,10 +6,9 @@
 //! over real sockets — [`crate::ThreadedServer`] is the accept loop that
 //! serves them — for the end-to-end deployability experiment (E11).
 
-use bytes::{Buf, BytesMut};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use zmail_fault::{LineFaults, LineVerdict};
 use zmail_sim::Sampler;
 
@@ -43,8 +42,8 @@ pub struct MemoryTransport {
 impl MemoryTransport {
     /// Creates a connected pair of endpoints.
     pub fn pair() -> (MemoryTransport, MemoryTransport) {
-        let (a_tx, a_rx) = unbounded();
-        let (b_tx, b_rx) = unbounded();
+        let (a_tx, a_rx) = channel();
+        let (b_tx, b_rx) = channel();
         (
             MemoryTransport { tx: a_tx, rx: b_rx },
             MemoryTransport { tx: b_tx, rx: a_rx },
@@ -177,7 +176,7 @@ pub fn bind_loopback(attempts: u32) -> io::Result<TcpListener> {
 #[derive(Debug)]
 pub struct TcpConnection {
     stream: TcpStream,
-    buffer: BytesMut,
+    buffer: Vec<u8>,
 }
 
 impl TcpConnection {
@@ -190,7 +189,7 @@ impl TcpConnection {
         let _ = stream.set_nodelay(true);
         TcpConnection {
             stream,
-            buffer: BytesMut::with_capacity(8 * 1024),
+            buffer: Vec::with_capacity(8 * 1024),
         }
     }
 
@@ -207,7 +206,7 @@ impl TcpConnection {
     fn take_buffered_line(&mut self) -> Option<String> {
         let pos = self.buffer.windows(2).position(|w| w == b"\r\n")?;
         let line = String::from_utf8_lossy(&self.buffer[..pos]).into_owned();
-        self.buffer.advance(pos + 2);
+        self.buffer.drain(..pos + 2);
         Some(line)
     }
 }
