@@ -3,7 +3,9 @@
 //! workloads spend their journal time in: the CRC, the WAL frame scan,
 //! the checkpoint image codec and the journal append — plus the write
 //! side as a whole, a 200k-record fill with checkpoints on, which is
-//! where the checkpoint *policy* (not a kernel) shows.
+//! where the checkpoint *policy* (not a kernel) shows, and the read side
+//! as a whole, a checkpoint-free replay into cache-sized and DRAM-sized
+//! books.
 //!
 //! Uses only API that predates the PR-13 kernel rewrite, so the same
 //! file builds against a parent checkout for a before/after pair:
@@ -154,12 +156,41 @@ fn bench_checkpointed_fill(c: &mut Criterion) {
     group.finish();
 }
 
+/// Recovery's replay on its own: `simulate_recovery` of a 200k-record log
+/// with no checkpoint, so every record is folded over the bootstrap
+/// books — 10k accounts (240 KB of rows, cache-resident) against 1M
+/// (24 MB, so nearly every apply misses to DRAM). The run-batched walk
+/// overlaps those misses, so the 1M case is where it shows.
+fn bench_replay(c: &mut Criterion) {
+    const RECORDS: u32 = 200_000;
+    let mut group = c.benchmark_group("replay");
+    group.throughput(Throughput::Elements(u64::from(RECORDS)));
+    group.sample_size(10);
+    for accounts in [10_000u32, 1_000_000] {
+        let (mut store, _) =
+            LedgerStore::open(MemStorage::new(), never_checkpoint(256), books(accounts));
+        for i in 0..RECORDS {
+            store.append(&record(i, accounts));
+        }
+        store.commit();
+        group.bench_function(BenchmarkId::new("200k_records_accounts", accounts), |b| {
+            b.iter(|| {
+                let (books, report) = store.simulate_recovery();
+                assert_eq!(report.replayed_records, u64::from(RECORDS));
+                books
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_crc32,
     bench_scan,
     bench_checkpoint,
     bench_append,
-    bench_checkpointed_fill
+    bench_checkpointed_fill,
+    bench_replay
 );
 criterion_main!(benches);

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# bench_pair.sh <parent-checkout> <workload> [pairs=10]
+# bench_pair.sh [--json PATH] <parent-checkout> <workload> [pairs=10]
 #
 # How a perf PR shows its claim (choosing-metrics, "Measuring in a small
 # sandbox"): alternate the BENCHMARK.json command between a checkout of
@@ -15,19 +15,35 @@
 # in the wrong direction. Exits non-zero if any run failed or was
 # incorrect.
 #
+# With --json PATH the same run is also merged into PATH (created if
+# needed) under the workload's name: host parallelism, run seconds, both
+# checkouts, every pair's values per side in run order, and per
+# end-to-end metric what the table prints. Other workloads in PATH stay.
+#
 # Make the parent checkout with
 #   git clone /root/repo /root/scratch/parent && git -C /root/scratch/parent checkout <parent>
 # Both sides are built before the first timed run.
 set -euo pipefail
-parent=${1:?usage: scripts/bench_pair.sh <parent-checkout> <workload> [pairs=10]}
-workload=${2:?usage: scripts/bench_pair.sh <parent-checkout> <workload> [pairs=10]}
+usage="usage: scripts/bench_pair.sh [--json PATH] <parent-checkout> <workload> [pairs=10]"
+json=
+args=()
+while (($#)); do
+    case $1 in
+        --json) json=${2:?$usage}; shift 2 ;;
+        *) args+=("$1"); shift ;;
+    esac
+done
+set -- "${args[@]}"
+parent=${1:?$usage}
+workload=${2:?$usage}
 pairs=${3:-10}
 change=$(cd "$(dirname "$0")/.." && pwd)
 parent=$(cd "$parent" && pwd)
-exec python3 - "$parent" "$change" "$workload" "$pairs" <<'PY'
+exec python3 - "$parent" "$change" "$workload" "$pairs" "$json" <<'PY'
 import json, os, statistics, subprocess, sys
 
-parent, change, workload, pairs = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
+parent, change, workload, pairs, json_path = sys.argv[1:6]
+pairs = int(pairs)
 spec = json.load(open(os.path.join(change, "BENCHMARK.json")))
 seconds = str(spec["run_seconds"])
 sides = {"parent": parent, "change": change}
@@ -49,10 +65,15 @@ for side in sides:  # build (and warm the page cache) outside the timed pairs
 print(f"{workload}: {pairs} pairs x {seconds} s, {os.cpu_count()} hardware thread(s)\n"
       f"  parent {parent}\n  change {change}")
 values = {side: {} for side in sides}
+runs = []
 for k in range(1, pairs + 1):
-    for side in (("parent", "change") if k % 2 else ("change", "parent")):
-        for name, value in run(side, k, seconds).items():
+    order = ("parent", "change") if k % 2 else ("change", "parent")
+    pair = {"seed": k, "order": list(order)}
+    for side in order:
+        pair[side] = run(side, k, seconds)
+        for name, value in pair[side].items():
             values[side].setdefault(name, []).append(value)
+    runs.append(pair)
     print(f"  pair {k}: " + "; ".join(
         f"{name} {values['parent'][name][-1]:.4f} -> {values['change'][name][-1]:.4f}"
         for name in values["parent"]), flush=True)
@@ -63,6 +84,7 @@ def quartiles(v):
 
 print(f"\n  {'metric':<13}{'parent median [q1, q3]':>42}{'change median [q1, q3]':>42}"
       f"{'ratio':>8}{'wins':>7}  verdict")
+summary = {}
 for metric in spec["end_to_end"]:
     name, lower = metric["name"], metric["better"] == "lower"
     p, c = values["parent"].get(name), values["change"].get(name)
@@ -79,4 +101,29 @@ for metric in spec["end_to_end"]:
     print(f"  {name:<13}{pm:>16.4f} [{pq1:>11.4f},{pq3:>11.4f}]"
           f"{cm:>16.4f} [{cq1:>11.4f},{cq3:>11.4f}]"
           f"{cm / pm:>8.3f}{wins:>4}/{wins + losses:<2}  {verdict}")
+    summary[name] = {
+        "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
+        "parent": {"median": pm, "q1": pq1, "q3": pq3},
+        "change": {"median": cm, "q1": cq1, "q3": cq3},
+        "ratio": cm / pm, "wins": wins, "losses": losses, "verdict": verdict,
+    }
+
+if json_path:
+    def checkout(path):
+        head = subprocess.run(["git", "-C", path, "rev-parse", "HEAD"],
+                              capture_output=True, text=True).stdout.strip()
+        dirty = subprocess.run(["git", "-C", path, "status", "--porcelain"],
+                               capture_output=True, text=True).stdout.strip() != ""
+        return {"path": path, "head": head, "uncommitted_changes": dirty}
+    record = json.load(open(json_path)) if os.path.exists(json_path) else {}
+    record[workload] = {
+        "host_parallelism": os.cpu_count(),
+        "run_seconds": spec["run_seconds"],
+        "checkouts": {side: checkout(path) for side, path in sides.items()},
+        "pairs": runs,
+        "end_to_end": summary,
+    }
+    with open(json_path, "w") as out:
+        json.dump(record, out, indent=2, sort_keys=True)
+        out.write("\n")
 PY
