@@ -9,8 +9,10 @@ use zmail_core::{IspId, UserAddr, ZmailConfig, ZmailSystem};
 use zmail_econ::EPennies;
 use zmail_sim::workload::{MailKind, TrafficConfig, TrafficGenerator};
 use zmail_sim::{EventQueue, Sampler, SimDuration, SimTime};
+use zmail_store::Books;
 
-fn fresh_pair() -> (Isp, Isp) {
+/// Two ISPs of 100 users each, and their books.
+fn fresh_pair() -> (Isp, Isp, Books) {
     let config = ZmailConfig::builder(2, 100)
         .limit(u32::MAX)
         .initial_balance(EPennies(i64::MAX / 4))
@@ -19,51 +21,57 @@ fn fresh_pair() -> (Isp, Isp) {
     (
         Isp::new(IspId(0), &config, *bank.public(), 1),
         Isp::new(IspId(1), &config, *bank.public(), 2),
+        config.initial_books(),
     )
 }
 
 fn bench_send_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("isp");
     group.bench_function("send_remote_paid", |b| {
-        let (mut isp, _) = fresh_pair();
+        let (mut isp, _, mut books) = fresh_pair();
         let mut user = 0u32;
         b.iter(|| {
             user = (user + 1) % 100;
-            isp.send_email(user, UserAddr::new(1, user), MailKind::Personal)
+            isp.send_email(&mut books, user, UserAddr::new(1, user), MailKind::Personal)
                 .unwrap()
         });
     });
     group.bench_function("send_local", |b| {
-        let (mut isp, _) = fresh_pair();
+        let (mut isp, _, mut books) = fresh_pair();
         let mut user = 0u32;
         b.iter(|| {
             user = (user + 1) % 99;
-            isp.send_email(user, UserAddr::new(0, user + 1), MailKind::Personal)
-                .unwrap()
+            isp.send_email(
+                &mut books,
+                user,
+                UserAddr::new(0, user + 1),
+                MailKind::Personal,
+            )
+            .unwrap()
         });
     });
     group.bench_function("send_receive_roundtrip", |b| {
-        let (mut sender, mut receiver) = fresh_pair();
+        let (mut sender, mut receiver, mut books) = fresh_pair();
         let mut user = 0u32;
         b.iter(|| {
             user = (user + 1) % 100;
             let outcome = sender
-                .send_email(user, UserAddr::new(1, user), MailKind::Personal)
+                .send_email(&mut books, user, UserAddr::new(1, user), MailKind::Personal)
                 .unwrap();
             if let zmail_core::SendOutcome::Outbound {
                 msg: NetMsg::Email(email),
                 ..
             } = outcome
             {
-                receiver.receive_email(IspId(0), &email);
+                receiver.receive_email(&mut books, IspId(0), &email);
             }
         });
     });
     group.bench_function("user_buy_sell", |b| {
-        let (mut isp, _) = fresh_pair();
+        let (isp, _, mut books) = fresh_pair();
         b.iter(|| {
-            isp.user_buy(0, EPennies(10));
-            isp.user_sell(0, EPennies(10));
+            isp.user_buy(&mut books, 0, EPennies(10));
+            isp.user_sell(&mut books, 0, EPennies(10));
         });
     });
     group.finish();

@@ -49,16 +49,17 @@ fn run_with_banks(banks: u32, cheat_isp: Option<u32>, seed: u64) -> RoundSummary
         ..TrafficConfig::default()
     };
     let trace = TrafficGenerator::new(traffic).generate(&mut Sampler::new(seed));
+    let mut books = config.initial_books();
     let mut delivered = 0u64;
     for event in &trace {
-        let outcome =
-            isps[event.from.isp as usize].send_email(event.from.user, event.to, MailKind::Personal);
+        let sender = &mut isps[event.from.isp as usize];
+        let outcome = sender.send_email(&mut books, event.from.user, event.to, MailKind::Personal);
         match outcome {
             Ok(SendOutcome::Outbound {
                 to,
                 msg: NetMsg::Email(email),
             }) => {
-                isps[to.index()].receive_email(IspId(event.from.isp), &email);
+                isps[to.index()].receive_email(&mut books, IspId(event.from.isp), &email);
                 delivered += 1;
             }
             Ok(SendOutcome::DeliveredLocally) => delivered += 1,
@@ -76,7 +77,7 @@ fn run_with_banks(banks: u32, cheat_isp: Option<u32>, seed: u64) -> RoundSummary
         };
         let isp = &mut isps[target.index()];
         assert!(isp.handle_snapshot_request(&envelope).unwrap());
-        let (reply, _) = isp.finish_snapshot();
+        let (reply, _) = isp.finish_snapshot(&mut books);
         let NetMsg::SnapshotReply { from, envelope } = reply else {
             panic!("expected reply");
         };

@@ -157,7 +157,7 @@ impl Storage for Metered {
 }
 
 /// What the population sweep needs of an engine, plain or sharded.
-trait Ledger {
+trait Engine {
     fn append(&mut self, rec: &LedgerRecord);
     fn commit(&mut self);
     /// Whether a restart now would rebuild the live books, and the
@@ -167,7 +167,7 @@ trait Ledger {
     fn bytes_written(&self) -> (u64, u64);
 }
 
-impl Ledger for LedgerStore<Metered> {
+impl Engine for LedgerStore<Metered> {
     fn append(&mut self, rec: &LedgerRecord) {
         LedgerStore::append(self, rec)
     }
@@ -183,7 +183,7 @@ impl Ledger for LedgerStore<Metered> {
     }
 }
 
-impl Ledger for ShardedLedgerStore<Metered> {
+impl Engine for ShardedLedgerStore<Metered> {
     fn append(&mut self, rec: &LedgerRecord) {
         ShardedLedgerStore::append(self, rec)
     }
@@ -237,7 +237,7 @@ fn sweep_row(
     engine_label: &str,
     accounts: u32,
     records: u64,
-    engine: &mut dyn Ledger,
+    engine: &mut dyn Engine,
 ) -> (bool, f64) {
     let mut sampler = Sampler::new(16);
     let stream: Vec<LedgerRecord> = (0..records)
@@ -387,7 +387,7 @@ fn main() {
         let storages = (0..4).map(|_| Metered::default()).collect();
         let (mut sharded, _) =
             ShardedLedgerStore::open(storages, sweep_config, population(accounts));
-        let engines: [(&str, &mut dyn Ledger); 2] =
+        let engines: [(&str, &mut dyn Engine); 2] =
             [("plain", &mut plain), ("4 shards", &mut sharded)];
         for (label, engine) in engines {
             let (exact, amplification) =

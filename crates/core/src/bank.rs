@@ -8,7 +8,9 @@
 //! against replay by nonces, exactly as in the specification. `buy` and
 //! `sell` are one handler, [`Bank::handle_exchange`], in which only the
 //! ledger line (and the reply words it decides) depends on the
-//! [`Exchange`] side.
+//! [`Exchange`] side. Like the ISP, the bank keeps only protocol state:
+//! its [`BankBooks`](zmail_store::BankBooks) live in the deployment's
+//! books, lent to each call as a [`Ledger`].
 
 use crate::config::ZmailConfig;
 use crate::ids::IspId;
@@ -19,8 +21,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use zmail_crypto::{
     open_with_private, seal_with_private, CryptoError, KeyPair, Nnc, PublicKey, ReplayGuard,
 };
-use zmail_econ::{EPennies, ExchangeRate, RealPennies};
-use zmail_store::{BankBooks, LedgerRecord};
+use zmail_econ::{EPennies, ExchangeRate};
+use zmail_store::{Ledger, LedgerRecord};
 
 /// Counters the experiments read.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -70,9 +72,6 @@ pub struct Bank {
     compliant: Vec<bool>,
     /// Which ISPs this bank serves (all of them for the central bank).
     served: Vec<bool>,
-    /// The durable ledgers: per-ISP real-money accounts and outstanding
-    /// issue. Changed only by [`Bank::commit`].
-    books: BankBooks,
     exchange: ExchangeRate,
     seq: u64,
     nnc: Nnc,
@@ -83,7 +82,8 @@ pub struct Bank {
     rng: SmallRng,
     stats: BankStats,
     /// This bank's slot in the federation (0 for the central bank) —
-    /// the index its journal records carry.
+    /// which books in the ledger are its, and the index its records
+    /// carry.
     index: u32,
     /// Serve retransmitted exchanges from a cache instead of dropping
     /// them ([`ZmailConfig::idempotent_bank_ids`]).
@@ -92,27 +92,25 @@ pub struct Bank {
     /// served — flagged `replayed` for the auditor. Empty unless
     /// idempotent ids are on.
     reply_cache: BTreeMap<u64, NetMsg>,
-    journal_enabled: bool,
-    journal: Vec<LedgerRecord>,
 }
 
 impl Bank {
     /// Creates the central bank for a deployment, generating its keypair.
     pub fn new(config: &ZmailConfig, seed: u64) -> Self {
         let served = vec![true; config.isps as usize];
-        Self::regional(config, seed, served)
+        Self::regional(config, seed, 0, served)
     }
 
     /// Creates a *regional* bank serving only the masked ISPs — the §5
-    /// extension to "a set of distributed banks". A regional bank runs
-    /// buy/sell and snapshot gathering for its own ISPs; cross-region
-    /// consistency is reconciled by
-    /// [`Federation`](crate::multibank::Federation).
+    /// extension to "a set of distributed banks" — from slot `index` of
+    /// its federation. A regional bank runs buy/sell and snapshot
+    /// gathering for its own ISPs; cross-region consistency is reconciled
+    /// by [`Federation`](crate::multibank::Federation).
     ///
     /// # Panics
     ///
     /// Panics if the mask length disagrees with the configuration.
-    pub fn regional(config: &ZmailConfig, seed: u64, served: Vec<bool>) -> Self {
+    pub fn regional(config: &ZmailConfig, seed: u64, index: u32, served: Vec<bool>) -> Self {
         config.validate();
         assert_eq!(
             served.len(),
@@ -126,10 +124,6 @@ impl Bank {
             keypair,
             compliant: config.compliant.clone(),
             served,
-            books: BankBooks {
-                accounts: vec![config.initial_bank_account.0; n],
-                issued: 0,
-            },
             exchange: config.exchange_rate,
             seq: 0,
             nnc: Nnc::new(seed ^ 0x0B4A_4B0B, u64::MAX),
@@ -138,39 +132,10 @@ impl Bank {
             replay: ReplayGuard::new(),
             rng,
             stats: BankStats::default(),
-            index: 0,
+            index,
             idempotent: config.idempotent_bank_ids,
             reply_cache: BTreeMap::new(),
-            journal_enabled: config.durability.is_some(),
-            journal: Vec::new(),
         }
-    }
-
-    /// Sets the slot this bank occupies in its federation; journal
-    /// records carry it so recovery can address the right books.
-    pub(crate) fn set_index(&mut self, index: u32) {
-        self.index = index;
-    }
-
-    /// The one way the durable ledgers change; see
-    /// [`Isp::commit`](crate::isp::Isp).
-    fn commit(&mut self, rec: LedgerRecord) {
-        self.books.apply(&rec);
-        if self.journal_enabled {
-            self.journal.push(rec);
-        }
-    }
-
-    /// Takes every ledger record journalled since the last drain; the
-    /// harness appends them to the durable store.
-    pub fn drain_journal(&mut self) -> Vec<LedgerRecord> {
-        std::mem::take(&mut self.journal)
-    }
-
-    /// This bank's durable books: its accounts and issuance in the
-    /// store's format, what bootstraps a ledger store.
-    pub fn books(&self) -> &BankBooks {
-        &self.books
     }
 
     /// Whether this bank serves `isp`.
@@ -181,17 +146,6 @@ impl Bank {
     /// The bank's public key (`B_b`), distributed to every ISP.
     pub fn public_key(&self) -> PublicKey {
         *self.keypair.public()
-    }
-
-    /// Real-money account of `isp` at the bank.
-    pub fn account(&self, isp: IspId) -> RealPennies {
-        RealPennies(self.books.accounts[isp.index()])
-    }
-
-    /// E-pennies currently outstanding (issued − retired); the anchor of
-    /// the conservation audit.
-    pub fn issued(&self) -> i64 {
-        self.books.issued
     }
 
     /// Counters accumulated so far.
@@ -226,6 +180,7 @@ impl Bank {
     /// (and, with idempotent ids, no cached reply exists for it).
     pub fn handle_exchange(
         &mut self,
+        ledger: &mut dyn Ledger,
         side: Exchange,
         from: IspId,
         envelope: &zmail_crypto::SealedEnvelope,
@@ -242,10 +197,11 @@ impl Bank {
         }
         let (bank, isp) = (self.index, from.0);
         let real = self.exchange.to_real(EPennies(value));
+        let account = ledger.books().banks[bank as usize].accounts[from.index()];
         let (accepted, audit) = match side {
-            Exchange::Buy if value > 0 && self.account(from) >= real => {
+            Exchange::Buy if value > 0 && account >= real.0 => {
                 self.stats.buys_granted += 1;
-                self.commit(LedgerRecord::BankBuy {
+                ledger.commit(LedgerRecord::BankBuy {
                     bank,
                     isp,
                     value,
@@ -259,7 +215,7 @@ impl Bank {
             }
             Exchange::Sell => {
                 self.stats.sells += 1;
-                self.commit(LedgerRecord::BankSell {
+                ledger.commit(LedgerRecord::BankSell {
                     bank,
                     isp,
                     value,
@@ -401,19 +357,21 @@ impl Bank {
 mod tests {
     use super::*;
     use crate::isp::Isp;
+    use zmail_econ::RealPennies;
     use zmail_sim::workload::{MailKind, UserAddr};
+    use zmail_store::Books;
 
     fn config(n: u32) -> ZmailConfig {
         ZmailConfig::builder(n, 3).build()
     }
 
-    fn setup(n: u32) -> (Bank, Vec<Isp>) {
+    fn setup(n: u32) -> (Bank, Vec<Isp>, Books) {
         let cfg = config(n);
         let bank = Bank::new(&cfg, 55);
         let isps = (0..n)
             .map(|i| Isp::new(IspId(i), &cfg, bank.public_key(), 200 + u64::from(i)))
             .collect();
-        (bank, isps)
+        (bank, isps, cfg.initial_books())
     }
 
     /// `Exchange::BOTH × {fresh, idempotent}`, each cell walking one
@@ -434,24 +392,27 @@ mod tests {
                     .build();
                 let mut bank = Bank::new(&cfg, 7);
                 let mut isp = Isp::new(IspId(0), &cfg, bank.public_key(), 8);
-                let account = bank.account(IspId(0));
+                let mut books = cfg.initial_books();
+                let issued = |books: &Books| books.banks[0].issued;
+                let account = |books: &Books| RealPennies(books.banks[0].accounts[0]);
+                let initial_account = account(&books);
                 let sign = side.sign();
                 let one_of_side = [u64::from(sign > 0), u64::from(sign < 0)];
 
                 // The request: only the side whose edge the pool crossed
                 // fires, once, for the distance to the midpoint (150).
                 assert!(isp.retry_exchange(side).is_none(), "nothing yet");
-                assert!(isp.maybe_exchange(other).is_none());
+                assert!(isp.maybe_exchange(&books, other).is_none());
                 let Some(NetMsg::Exchange {
                     side: asked,
                     envelope: request,
                     audit: value,
-                }) = isp.maybe_exchange(side)
+                }) = isp.maybe_exchange(&books, side)
                 else {
                     panic!("expected a request");
                 };
                 assert_eq!((asked, value), (side, sign * (150 - initial)));
-                assert!(isp.maybe_exchange(side).is_none(), "one at a time");
+                assert!(isp.maybe_exchange(&books, side).is_none(), "one at a time");
                 assert!(isp.exchange_outstanding());
                 assert_eq!(isp.exchange_request_id(other), None);
                 let id = isp.exchange_request_id(side).expect("outstanding");
@@ -465,7 +426,9 @@ mod tests {
                 let intruder = KeyPair::generate(&mut rng);
                 let forged =
                     seal_with_private(intruder.private(), &encode_value_nonce(1, id), &mut rng);
-                assert!(isp.handle_exchange_reply(side, &forged).is_err());
+                assert!(isp
+                    .handle_exchange_reply(&mut books, side, &forged)
+                    .is_err());
                 assert_eq!(isp.exchange_request_id(side), Some(id));
 
                 // Served: the bank's ledger moves by `value`, the reply
@@ -475,18 +438,20 @@ mod tests {
                     envelope: lost,
                     audit,
                     replayed: false,
-                } = bank.handle_exchange(side, IspId(0), &request).unwrap()
+                } = bank
+                    .handle_exchange(&mut books, side, IspId(0), &request)
+                    .unwrap()
                 else {
                     panic!("expected a first-hand reply");
                 };
                 assert_eq!((answered, audit), (side, value));
-                assert_eq!(bank.issued(), sign * value);
-                assert_eq!(bank.account(IspId(0)), account - RealPennies(sign * value));
+                assert_eq!(issued(&books), sign * value);
+                assert_eq!(account(&books), initial_account - RealPennies(sign * value));
                 assert_eq!([bank.stats().buys_granted, bank.stats().sells], one_of_side);
 
                 // The same request again: dropped by the replay guard,
                 // or answered from the cache — never served twice.
-                match bank.handle_exchange(side, IspId(0), &request) {
+                match bank.handle_exchange(&mut books, side, IspId(0), &request) {
                     Err(e) if !idempotent => {
                         assert_eq!(e, CryptoError::ReplayDetected);
                         assert_eq!(bank.stats().replays_dropped, 1);
@@ -501,7 +466,7 @@ mod tests {
                     }
                     other => panic!("{other:?}"),
                 }
-                assert_eq!(bank.issued(), sign * value, "not served twice");
+                assert_eq!(issued(&books), sign * value, "not served twice");
 
                 // Lost reply → retry: same value, under a fresh nonce
                 // (served again: the duplicate E15 prices) or the same
@@ -526,31 +491,36 @@ mod tests {
                     envelope: second,
                     replayed,
                     ..
-                } = bank.handle_exchange(side, IspId(0), &retry).unwrap()
+                } = bank
+                    .handle_exchange(&mut books, side, IspId(0), &retry)
+                    .unwrap()
                 else {
                     panic!("expected a reply");
                 };
                 assert_eq!(replayed, idempotent);
                 let times = if idempotent { 1 } else { 2 };
-                assert_eq!(bank.issued(), times * sign * value);
+                assert_eq!(issued(&books), times * sign * value);
 
                 // The "lost" reply turns up after all, ahead of the
                 // second: stale against a rotated nonce, matching
                 // against a kept one. Exactly one of the two is applied;
                 // the pool lands on the midpoint once.
-                let first = isp.handle_exchange_reply(side, &lost).unwrap();
+                let first = isp.handle_exchange_reply(&mut books, side, &lost).unwrap();
                 assert_eq!(isp.exchange_outstanding(), !idempotent);
-                let then = isp.handle_exchange_reply(side, &second).unwrap();
+                let then = isp
+                    .handle_exchange_reply(&mut books, side, &second)
+                    .unwrap();
                 assert_eq!((first, then), (idempotent, !idempotent));
-                assert_eq!(isp.avail(), EPennies(150));
+                assert_eq!(isp.view(&books).avail(), EPennies(150));
                 assert!(!isp.exchange_outstanding());
                 assert_eq!(isp.stats().stale_replies, 1);
                 // A replay of either reply is ignored too.
-                assert!(!isp.handle_exchange_reply(side, &second).unwrap());
-                assert!(!isp.handle_exchange_reply(side, &lost).unwrap());
-                assert_eq!(isp.avail(), EPennies(150));
+                for reply in [&second, &lost] {
+                    assert!(!isp.handle_exchange_reply(&mut books, side, reply).unwrap());
+                }
+                assert_eq!(isp.view(&books).avail(), EPennies(150));
                 assert_eq!(isp.stats().stale_replies, 3);
-                assert!(isp.maybe_exchange(side).is_none(), "pool in band");
+                assert!(isp.maybe_exchange(&books, side).is_none(), "pool in band");
             }
         }
     }
@@ -563,27 +533,38 @@ mod tests {
         cfg.initial_bank_account = RealPennies(5); // can't afford 50 500
         let mut bank = Bank::new(&cfg, 3);
         let mut isp = Isp::new(IspId(0), &cfg, bank.public_key(), 4);
-        let Some(NetMsg::Exchange { envelope, .. }) = isp.maybe_exchange(Exchange::Buy) else {
+        let mut books = cfg.initial_books();
+        let Some(NetMsg::Exchange { envelope, .. }) = isp.maybe_exchange(&books, Exchange::Buy)
+        else {
             panic!("expected buy");
         };
         let NetMsg::ExchangeReply {
             envelope, audit, ..
         } = bank
-            .handle_exchange(Exchange::Buy, IspId(0), &envelope)
+            .handle_exchange(&mut books, Exchange::Buy, IspId(0), &envelope)
             .unwrap()
         else {
             panic!("expected reply");
         };
         assert_eq!(audit, 0);
-        assert_eq!(bank.issued(), 0);
-        isp.handle_exchange_reply(Exchange::Buy, &envelope).unwrap();
-        assert_eq!(isp.avail(), EPennies(0), "rejected buy adds nothing");
+        assert_eq!(books.banks[0].issued, 0);
+        isp.handle_exchange_reply(&mut books, Exchange::Buy, &envelope)
+            .unwrap();
+        assert_eq!(
+            isp.view(&books).avail(),
+            EPennies(0),
+            "rejected buy adds nothing"
+        );
         assert_eq!(bank.stats().buys_rejected, 1);
         // The ISP may try again (the exchange was closed).
-        assert!(isp.maybe_exchange(Exchange::Buy).is_some());
+        assert!(isp.maybe_exchange(&books, Exchange::Buy).is_some());
     }
 
-    fn run_snapshot_round(bank: &mut Bank, isps: &mut [Isp]) -> ConsistencyReport {
+    fn run_snapshot_round(
+        bank: &mut Bank,
+        isps: &mut [Isp],
+        books: &mut Books,
+    ) -> ConsistencyReport {
         let requests = bank.start_snapshot();
         let mut report = None;
         for (target, msg) in requests {
@@ -592,7 +573,7 @@ mod tests {
             };
             let isp = &mut isps[target.index()];
             assert!(isp.handle_snapshot_request(&envelope).unwrap());
-            let (reply, _) = isp.finish_snapshot();
+            let (reply, _) = isp.finish_snapshot(books);
             let NetMsg::SnapshotReply { from, envelope } = reply else {
                 panic!("expected reply");
             };
@@ -604,10 +585,10 @@ mod tests {
     }
 
     /// Delivers one paid message from `a` to `b` end to end.
-    fn exchange_mail(isps: &mut [Isp], a: u32, b: u32) {
+    fn exchange_mail(isps: &mut [Isp], books: &mut Books, a: u32, b: u32) {
         let to = UserAddr::new(b, 0);
         let outcome = isps[a as usize]
-            .send_email(0, to, MailKind::Personal)
+            .send_email(books, 0, to, MailKind::Personal)
             .unwrap();
         let crate::isp::SendOutcome::Outbound {
             msg: NetMsg::Email(email),
@@ -616,17 +597,16 @@ mod tests {
         else {
             panic!("expected outbound");
         };
-        isps[b as usize].receive_email(IspId(a), &email);
+        isps[b as usize].receive_email(books, IspId(a), &email);
     }
 
     #[test]
     fn honest_round_is_clean() {
-        let (mut bank, mut isps) = setup(3);
-        exchange_mail(&mut isps, 0, 1);
-        exchange_mail(&mut isps, 1, 2);
-        exchange_mail(&mut isps, 2, 0);
-        exchange_mail(&mut isps, 0, 2);
-        let report = run_snapshot_round(&mut bank, &mut isps);
+        let (mut bank, mut isps, mut books) = setup(3);
+        for (a, b) in [(0, 1), (1, 2), (2, 0), (0, 2)] {
+            exchange_mail(&mut isps, &mut books, a, b);
+        }
+        let report = run_snapshot_round(&mut bank, &mut isps, &mut books);
         assert!(report.is_clean(), "suspects: {:?}", report.suspects);
         assert_eq!(report.round, 0);
         assert_eq!(bank.stats().snapshot_rounds, 1);
@@ -634,12 +614,12 @@ mod tests {
 
     #[test]
     fn second_round_uses_fresh_sequence() {
-        let (mut bank, mut isps) = setup(2);
-        exchange_mail(&mut isps, 0, 1);
-        let first = run_snapshot_round(&mut bank, &mut isps);
+        let (mut bank, mut isps, mut books) = setup(2);
+        exchange_mail(&mut isps, &mut books, 0, 1);
+        let first = run_snapshot_round(&mut bank, &mut isps, &mut books);
         assert!(first.is_clean());
-        exchange_mail(&mut isps, 1, 0);
-        let second = run_snapshot_round(&mut bank, &mut isps);
+        exchange_mail(&mut isps, &mut books, 1, 0);
+        let second = run_snapshot_round(&mut bank, &mut isps, &mut books);
         assert!(second.is_clean());
         assert_eq!(second.round, 1);
     }
@@ -656,9 +636,10 @@ mod tests {
         let mut isps: Vec<Isp> = (0..3)
             .map(|i| Isp::new(IspId(i), &cfg, bank.public_key(), 300 + u64::from(i)))
             .collect();
-        exchange_mail(&mut isps, 1, 0); // cheater hides this send
-        exchange_mail(&mut isps, 0, 2); // honest pair
-        let report = run_snapshot_round(&mut bank, &mut isps);
+        let mut books = cfg.initial_books();
+        exchange_mail(&mut isps, &mut books, 1, 0); // cheater hides this send
+        exchange_mail(&mut isps, &mut books, 0, 2); // honest pair
+        let report = run_snapshot_round(&mut bank, &mut isps, &mut books);
         assert!(!report.is_clean());
         assert!(report.implicates(IspId(1)));
         assert!(!report.implicates(IspId(2)));
@@ -671,13 +652,13 @@ mod tests {
         // If an email is still in flight when credits are gathered, the
         // pair cannot cancel — this is exactly why the paper freezes
         // senders for the quiescence window.
-        let (mut bank, mut isps) = setup(2);
+        let (mut bank, mut isps, mut books) = setup(2);
         let outcome = isps[0]
-            .send_email(0, UserAddr::new(1, 0), MailKind::Personal)
+            .send_email(&mut books, 0, UserAddr::new(1, 0), MailKind::Personal)
             .unwrap();
         // Deliberately do NOT deliver the message.
         let _ = outcome;
-        let report = run_snapshot_round(&mut bank, &mut isps);
+        let report = run_snapshot_round(&mut bank, &mut isps, &mut books);
         assert!(!report.is_clean(), "in-flight mail must break the sums");
         assert_eq!(report.suspects[0].2, 1);
     }
@@ -693,9 +674,9 @@ mod tests {
 
     #[test]
     fn unsolicited_reply_is_ignored() {
-        let (mut bank, mut isps) = setup(2);
+        let (mut bank, mut isps, mut books) = setup(2);
         // No round in progress: a stray reply changes nothing.
-        let (reply, _) = isps[0].finish_snapshot();
+        let (reply, _) = isps[0].finish_snapshot(&mut books);
         let NetMsg::SnapshotReply { from, envelope } = reply else {
             panic!("expected reply");
         };
@@ -706,7 +687,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "already in progress")]
     fn overlapping_rounds_panic() {
-        let (mut bank, _) = setup(2);
+        let (mut bank, ..) = setup(2);
         bank.start_snapshot();
         bank.start_snapshot();
     }

@@ -21,11 +21,12 @@
 //! the §4.1 guard for all of the message's paid recipients before it
 //! charges the first — a refused message mutates nothing.
 //!
-//! Its books are **volatile**: the gateway has no `zmail-store` to drain
-//! an ISP journal into, so it journals nothing, whatever
+//! Its books are **volatile**: they are plain [`Books`], the
+//! [`Ledger`](zmail_store::Ledger) its ISPs commit through under the lock, whatever
 //! [`ZmailConfig::durability`] says. Behind a
 //! [`BackpressureSink`](crate::BackpressureSink) the *mail* is durable
-//! before `250` (the spool); the balances are not.
+//! before `250` (the spool); the balances are not — a `LedgerStore` in
+//! their place is the same one copy, journaled.
 
 use crate::config::{NonCompliantPolicy, ZmailConfig};
 use crate::ids::{mailbox, parse_mailbox, IspId};
@@ -37,6 +38,7 @@ use zmail_econ::EPennies;
 use zmail_obs::{FlightRecorder, SpanStatus};
 use zmail_sim::workload::{MailKind, UserAddr};
 use zmail_smtp::{MailMessage, MailSink, SinkError, ZmailHeaders};
+use zmail_store::Books;
 
 /// Counters exposed by the gateway.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,6 +55,8 @@ pub struct GatewayStats {
 
 struct GatewayState {
     isps: Vec<Isp>,
+    /// Every ISP's books, lent to its process on each call.
+    books: Books,
     mailboxes: Vec<Vec<MailMessage>>,
     stats: GatewayStats,
     /// Causal flight recorder (disabled by default). Submissions are
@@ -84,11 +88,8 @@ impl std::fmt::Debug for ZmailGateway {
 
 impl ZmailGateway {
     /// Builds the gateway with fresh ledgers for every compliant ISP.
-    pub fn new(mut config: ZmailConfig, seed: u64) -> Self {
+    pub fn new(config: ZmailConfig, seed: u64) -> Self {
         config.validate();
-        // An `Isp` built under a durable configuration journals every
-        // mutation for its driver to drain; nothing here ever would.
-        config.durability = None;
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         let bank = KeyPair::generate(&mut rng);
         let isps: Vec<Isp> = (0..config.isps)
@@ -96,14 +97,15 @@ impl ZmailGateway {
             .collect();
         let mailboxes = vec![Vec::new(); (config.isps * config.users_per_isp) as usize];
         ZmailGateway {
-            config: Arc::new(config),
             inner: Arc::new(Mutex::new(GatewayState {
                 isps,
+                books: config.initial_books(),
                 mailboxes,
                 stats: GatewayStats::default(),
                 flight: FlightRecorder::disabled(1),
                 seq: 0,
             })),
+            config: Arc::new(config),
         }
     }
 
@@ -143,7 +145,7 @@ impl ZmailGateway {
     /// Panics if the address is out of range.
     pub fn balance(&self, addr: UserAddr) -> EPennies {
         let state = self.state();
-        EPennies(state.isps[addr.isp as usize].user(addr.user).balance)
+        EPennies(state.books.isps[addr.isp as usize].users[addr.user as usize].balance)
     }
 
     /// Gateway counters.
@@ -176,7 +178,8 @@ impl MailSink for ZmailGateway {
     }
 
     fn deliver(&self, message: MailMessage) -> Result<(), SinkError> {
-        let mut state = self.state();
+        let mut guard = self.state();
+        let state = &mut *guard;
         if self.inner.is_poisoned() {
             return Err(SinkError::overloaded("gateway ledger unavailable"));
         }
@@ -208,8 +211,8 @@ impl MailSink for ZmailGateway {
                     .iter()
                     .filter(|to| self.config.is_compliant(IspId(to.isp)))
                     .count() as u32;
-                if let Err(refusal) = state.isps[sender.isp as usize].check_sends(sender.user, paid)
-                {
+                let origin = &mut state.isps[sender.isp as usize];
+                if let Err(refusal) = origin.check_sends(&state.books, sender.user, paid) {
                     state.stats.bounced += 1;
                     if let Some(ctx) = root {
                         state.flight.annotate(ctx, "bounced");
@@ -219,7 +222,7 @@ impl MailSink for ZmailGateway {
                 }
                 for &to in &recipients {
                     let outcome = state.isps[sender.isp as usize]
-                        .send_email(sender.user, to, MailKind::Personal)
+                        .send_email(&mut state.books, sender.user, to, MailKind::Personal)
                         .expect("the guard held for every paid recipient under this lock");
                     // The backbone delivers inter-ISP mail instantly.
                     if let SendOutcome::Outbound {
@@ -227,7 +230,8 @@ impl MailSink for ZmailGateway {
                         msg: NetMsg::Email(email),
                     } = outcome
                     {
-                        state.isps[dest.index()].receive_email(IspId(sender.isp), &email);
+                        let receiver = &mut state.isps[dest.index()];
+                        receiver.receive_email(&mut state.books, IspId(sender.isp), &email);
                     }
                     let delivery = root.and_then(|ctx| {
                         state
@@ -509,20 +513,28 @@ mod tests {
 
     #[test]
     fn a_durable_config_does_not_fill_journals_nobody_drains() {
-        let gw = ZmailGateway::new(ZmailConfig::builder(2, 3).durable().build(), 31);
+        // There is no journal to fill: a durable configuration leaves the
+        // gateway on the same one copy of its books as a volatile one.
         let alice = UserAddr::new(0, 0);
         let bob = UserAddr::new(1, 1);
-        for _ in 0..20 {
-            let msg =
-                MailMessage::builder(ZmailGateway::address(alice), ZmailGateway::address(bob))
-                    .body("journal me\r\n")
-                    .build();
-            gw.deliver(msg).unwrap();
-        }
-        assert_eq!(gw.balance(bob), EPennies(120));
-        for isp in &mut gw.state().isps {
-            assert!(isp.drain_journal().is_empty(), "{} journals", isp.id());
-        }
+        let books = |config: ZmailConfig| {
+            let gw = ZmailGateway::new(config, 31);
+            for _ in 0..20 {
+                let msg =
+                    MailMessage::builder(ZmailGateway::address(alice), ZmailGateway::address(bob))
+                        .body("journal me\r\n")
+                        .build();
+                gw.deliver(msg).unwrap();
+            }
+            assert_eq!(gw.balance(bob), EPennies(120));
+            let books = gw.state().books.clone();
+            books
+        };
+        let volatile = books(ZmailConfig::builder(2, 3).build());
+        assert_eq!(
+            books(ZmailConfig::builder(2, 3).durable().build()),
+            volatile
+        );
     }
 
     #[test]

@@ -4,26 +4,26 @@ use crate::ids::IspId;
 use zmail_econ::{EPennies, ExchangeRate, RealPennies};
 use zmail_fault::{ChannelFault, Fault, FaultPlan, MsgClass};
 use zmail_sim::SimDuration;
-use zmail_store::StoreConfig;
+use zmail_store::{BankBooks, Books, IspBooks, StoreConfig, UserBooks};
 
-/// Durable-books settings: when present on a [`ZmailConfig`], the system
-/// journals every ledger mutation into a `zmail-store` WAL and `Crash`
-/// fault windows restart ISPs from the real recovery path instead of
-/// preserved memory. Every event ends with a `commit_all`, and by
-/// default that is the only commit: the event is the batch, one group
-/// commit per event and shard (1.62 syncs a mail on the benchmark's
-/// `sim_world`, checkpoint images included). A kill therefore lands on
-/// an event boundary; a torn write lands on a frame boundary inside the
-/// last event. An explicit `store.batch_records` commits earlier as
-/// well — at 1, every record alone, as direct `LedgerStore` users get
-/// from [`StoreConfig::default`].
+/// The population-scale ledger's settings ([`MassiveConfig`]'s): WAL
+/// tuning and the shard count. The driver's `commit_all` ends every tick,
+/// and by default that is the only commit: the default `store` never
+/// fills a batch — the tuning [`ZmailConfigBuilder::durable`] gives the
+/// one-shard protocol world too, one group commit per event there (1.62
+/// syncs a mail on the benchmark's `sim_world`), so a kill lands on an
+/// event boundary and a torn write on a frame boundary inside the last
+/// event. An explicit `batch_records` commits earlier as well — at 1,
+/// every record alone, as [`StoreConfig::default`] gives direct
+/// `LedgerStore` users.
+///
+/// [`MassiveConfig`]: crate::MassiveConfig
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurabilityConfig {
-    /// WAL/checkpoint tuning passed through to the ledger store.
+    /// WAL/checkpoint tuning passed through to every shard's engine.
     pub store: StoreConfig,
     /// Ledger shards: accounts are hashed across this many independent
-    /// WAL engines (see `zmail_store::shard`). 1 keeps the seed
-    /// behaviour — a single store with byte-identical WAL contents.
+    /// WAL engines (see `zmail_store::shard`).
     pub shards: u32,
 }
 
@@ -164,10 +164,12 @@ pub struct ZmailConfig {
     /// Number of regional banks (1 = the paper's central bank; more
     /// engages the §5 federation with round-robin ISP assignment).
     pub banks: u32,
-    /// When set, ledger mutations are journaled to a `zmail-store` WAL
-    /// and crash windows restart ISPs from recovery (`None` keeps the
-    /// seed behaviour: in-memory books, warm restarts).
-    pub durability: Option<DurabilityConfig>,
+    /// When set, the deployment's books live in a one-shard `zmail-store`
+    /// [`LedgerStore`](zmail_store::LedgerStore) with this tuning, so
+    /// every ledger mutation is journaled, and crash windows restart ISPs
+    /// from recovery (`None` keeps the seed behaviour: in-memory books,
+    /// warm restarts).
+    pub durability: Option<StoreConfig>,
     /// When true, every paid cross-ISP email carries a signed payment
     /// [`Attestation`](zmail_crypto::Attestation) (the SMTP mapping's
     /// `X-Zmail-Sig`), receivers verify signature, field binding, and
@@ -262,14 +264,40 @@ impl ZmailConfig {
             !self.initial_balance.is_negative() && !self.initial_avail.is_negative(),
             "negative initial holdings"
         );
-        if let Some(durability) = &self.durability {
-            assert!(durability.shards >= 1, "need at least one ledger shard");
-        }
         assert!(
             self.attest_weakness.is_none() || self.attestations,
             "attest_weakness requires attestations"
         );
         self.faults.validate(self.isps);
+    }
+
+    /// The deployment's books at time zero — every ISP's users, pool and
+    /// credit row, and one bank ledger per configured bank. The one place
+    /// they are built: the protocol world, the SMTP gateway and every
+    /// standalone [`Isp`](crate::isp::Isp) or [`Bank`](crate::bank::Bank)
+    /// start from them.
+    pub fn initial_books(&self) -> Books {
+        let user = UserBooks {
+            account: self.initial_account.0,
+            balance: self.initial_balance.0,
+            sent_today: 0,
+            limit: self.default_limit,
+        };
+        let n = self.isps as usize;
+        let isp = IspBooks {
+            users: vec![user; self.users_per_isp as usize],
+            avail: self.initial_avail.0,
+            credit: vec![0; n],
+            nonces: Vec::new(),
+        };
+        let bank = BankBooks {
+            accounts: vec![self.initial_bank_account.0; n],
+            issued: 0,
+        };
+        Books {
+            isps: vec![isp; n],
+            banks: vec![bank; self.banks as usize],
+        }
     }
 }
 
@@ -379,30 +407,15 @@ impl ZmailConfigBuilder {
 
     /// Enables durable books with default WAL/checkpoint tuning: every
     /// ledger mutation is journaled, each event's records share one
-    /// group commit per shard, so an event's books are durable by its
-    /// end, and `Crash` windows restart ISPs from the recovery path.
+    /// group commit, so an event's books are durable by its end, and
+    /// `Crash` windows restart ISPs from the recovery path.
     pub fn durable(self) -> Self {
-        self.durability(DurabilityConfig::default())
+        self.durability(DurabilityConfig::default().store)
     }
 
     /// Enables durable books with explicit tuning.
-    pub fn durability(mut self, durability: DurabilityConfig) -> Self {
-        self.config.durability = Some(durability);
-        self
-    }
-
-    /// Enables durable books sharded across `shards` independent WAL
-    /// engines (default tuning otherwise). Cross-shard value movement
-    /// uses the two-phase transfer protocol; the merged books stay
-    /// identical to a 1-shard run.
-    ///
-    /// # Panics
-    ///
-    /// Panics at `build` if `shards` is zero.
-    pub fn sharded(mut self, shards: u32) -> Self {
-        let mut durability = self.config.durability.unwrap_or_default();
-        durability.shards = shards;
-        self.config.durability = Some(durability);
+    pub fn durability(mut self, store: StoreConfig) -> Self {
+        self.config.durability = Some(store);
         self
     }
 

@@ -10,12 +10,12 @@
 //!    the system tests: a delivery moves exactly one e-penny from sender
 //!    to receiver and changes nothing else.
 
-use crate::bank::Bank;
 use crate::config::ZmailConfig;
 use crate::ids::IspId;
-use crate::isp::Isp;
+use crate::multibank::Federation;
 use std::error::Error;
 use std::fmt;
+use zmail_store::Books;
 
 /// A violated invariant.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,81 +104,48 @@ impl From<i64> for FlightLedger {
     }
 }
 
-/// Runs the full audit over a deployment with a central bank.
+/// Runs the full audit over a deployment's books: the central bank is a
+/// one-member `federation` (§5 distributed banks), issuance sums across
+/// its members, and each ISP's account lives at its home bank.
 ///
 /// # Errors
 ///
 /// Returns the first violated invariant.
 pub fn audit(
     config: &ZmailConfig,
-    isps: &[Isp],
-    bank: &Bank,
-    flight: impl Into<FlightLedger>,
-) -> Result<(), AuditError> {
-    audit_with(config, isps, bank.issued(), |id| bank.account(id), flight)
-}
-
-/// Runs the full audit over a federated deployment (§5 distributed
-/// banks): issuance sums across regions; each ISP's account lives at its
-/// home bank.
-///
-/// # Errors
-///
-/// Returns the first violated invariant.
-pub fn audit_federated(
-    config: &ZmailConfig,
-    isps: &[Isp],
-    federation: &crate::multibank::Federation,
-    flight: impl Into<FlightLedger>,
-) -> Result<(), AuditError> {
-    audit_with(
-        config,
-        isps,
-        federation.total_issued(),
-        |id| federation.account_of(id),
-        flight,
-    )
-}
-
-fn audit_with(
-    config: &ZmailConfig,
-    isps: &[Isp],
-    issued_total: i64,
-    account_of: impl Fn(IspId) -> zmail_econ::RealPennies,
+    books: &Books,
+    federation: &Federation,
     flight: impl Into<FlightLedger>,
 ) -> Result<(), AuditError> {
     let flight = flight.into();
     let mut found = flight.in_flight;
-    for isp in isps {
-        let id = isp.id();
+    for (id, isp) in (0..config.isps).map(IspId).zip(&books.isps) {
         if !config.is_compliant(id) {
             continue; // non-compliant ISPs hold no protocol e-pennies
         }
-        for user in 0..config.users_per_isp {
-            let balance = isp.user(user).balance;
-            if balance < 0 {
+        for (user, u) in (0..).zip(&isp.users) {
+            if u.balance < 0 {
                 return Err(AuditError::NegativeBalance {
                     isp: id,
                     user,
-                    amount: balance,
+                    amount: u.balance,
                 });
             }
         }
-        let pool = isp.avail().amount();
-        if pool < 0 {
+        if isp.avail < 0 {
             return Err(AuditError::NegativePool {
                 isp: id,
-                amount: pool,
+                amount: isp.avail,
             });
         }
-        let account = account_of(id).amount();
+        let account = books.banks[federation.home_bank(id)].accounts[id.index()];
         if account < 0 {
             return Err(AuditError::NegativeBankAccount {
                 isp: id,
                 amount: account,
             });
         }
-        found += isp.total_user_balances().amount() + pool;
+        found += isp.users.iter().map(|u| u.balance).sum::<i64>() + isp.avail;
     }
     // The bank starts having implicitly issued every pool and balance that
     // existed at time zero (bootstrap grant), so compare deltas.
@@ -190,6 +157,7 @@ fn audit_with(
                 + i64::from(config.users_per_isp) * config.initial_balance.amount()
         })
         .sum();
+    let issued_total: i64 = books.banks.iter().map(|b| b.issued).sum();
     // Lost pennies left the system (sender debited, nobody credited);
     // duplicated pennies entered it (one debit, two credits).
     let issued = issued_total + bootstrap - flight.lost + flight.duplicated - flight.stranded;
@@ -202,58 +170,61 @@ fn audit_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isp::Isp;
     use zmail_econ::EPennies;
+    use zmail_sim::workload::UserAddr;
+    use zmail_sim::MailKind;
 
-    fn setup(n: u32) -> (ZmailConfig, Vec<Isp>, Bank) {
+    fn setup(n: u32) -> (ZmailConfig, Vec<Isp>, Federation, Books) {
         let config = ZmailConfig::builder(n, 3).build();
-        let bank = Bank::new(&config, 9);
+        let bank = Federation::new(&config, 1, 9);
         let isps = (0..n)
-            .map(|i| Isp::new(IspId(i), &config, bank.public_key(), 50 + u64::from(i)))
+            .map(|i| {
+                Isp::new(
+                    IspId(i),
+                    &config,
+                    bank.public_key_for(IspId(i)),
+                    50 + u64::from(i),
+                )
+            })
             .collect();
-        (config, isps, bank)
+        let books = config.initial_books();
+        (config, isps, bank, books)
     }
 
     #[test]
     fn fresh_system_audits_clean() {
-        let (config, isps, bank) = setup(3);
-        audit(&config, &isps, &bank, 0).unwrap();
+        let (config, _, bank, books) = setup(3);
+        audit(&config, &books, &bank, 0).unwrap();
     }
 
     #[test]
     fn local_transfer_preserves_conservation() {
-        let (config, mut isps, bank) = setup(2);
+        let (config, mut isps, bank, mut books) = setup(2);
         isps[0]
-            .send_email(
-                0,
-                zmail_sim::workload::UserAddr::new(0, 1),
-                zmail_sim::MailKind::Personal,
-            )
+            .send_email(&mut books, 0, UserAddr::new(0, 1), MailKind::Personal)
             .unwrap();
-        audit(&config, &isps, &bank, 0).unwrap();
+        audit(&config, &books, &bank, 0).unwrap();
     }
 
     #[test]
     fn in_flight_penny_must_be_counted() {
-        let (config, mut isps, bank) = setup(2);
+        let (config, mut isps, bank, mut books) = setup(2);
         isps[0]
-            .send_email(
-                0,
-                zmail_sim::workload::UserAddr::new(1, 0),
-                zmail_sim::MailKind::Personal,
-            )
+            .send_email(&mut books, 0, UserAddr::new(1, 0), MailKind::Personal)
             .unwrap();
         // Message undelivered: without the in-flight count the books are
         // short by one.
-        let err = audit(&config, &isps, &bank, 0).unwrap_err();
+        let err = audit(&config, &books, &bank, 0).unwrap_err();
         assert!(matches!(err, AuditError::ConservationBroken { .. }));
-        audit(&config, &isps, &bank, 1).unwrap();
+        audit(&config, &books, &bank, 1).unwrap();
     }
 
     #[test]
     fn unbacked_grant_breaks_conservation() {
-        let (config, mut isps, bank) = setup(2);
-        isps[0].grant_balance(0, EPennies(7)); // counterfeit e-pennies
-        let err = audit(&config, &isps, &bank, 0).unwrap_err();
+        let (config, isps, bank, mut books) = setup(2);
+        isps[0].grant_balance(&mut books, 0, EPennies(7)); // counterfeit e-pennies
+        let err = audit(&config, &books, &bank, 0).unwrap_err();
         match err {
             AuditError::ConservationBroken { issued, found } => {
                 assert_eq!(found - issued, 7);

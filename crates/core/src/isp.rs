@@ -1,15 +1,18 @@
 //! The compliant ISP process (§4.1–4.3 of the paper).
 //!
-//! [`Isp`] is a pure state machine: every method either mutates local
+//! [`Isp`] is a pure state machine: every method either changes the
 //! ledgers or returns a [`NetMsg`] for the caller to put on the wire, so
 //! the same implementation runs under the discrete-event harness
 //! ([`crate::system`]), under unit tests, and behind the SMTP bridge.
 //!
-//! The durable ledgers are one [`IspBooks`], and every change to them is
-//! a [`LedgerRecord`]: a mutation site checks the paper's guard, then
-//! `commit`s the record, which applies it through
-//! [`IspBooks::apply`] — the same function WAL replay runs — and, with
-//! durability on, journals it. They mirror the paper's variables exactly:
+//! The ISP keeps only protocol state. Its durable ledgers are its
+//! [`IspBooks`] inside the deployment's [`Books`], owned by whoever drives
+//! it and lent to each call as a [`Ledger`]; every change to them is a
+//! [`LedgerRecord`]: a mutation site checks the paper's guard against
+//! [`Ledger::books`], then hands the record to [`Ledger::commit`], which
+//! applies it through [`IspBooks::apply`] — the same function WAL replay
+//! runs — and, for a durable ledger, journals it. There is one copy of
+//! the books. They mirror the paper's variables exactly:
 //!
 //! * per-user `account` (real pennies), `balance` (e-pennies), `sent`
 //!   (today's paid sends) and `limit` (the anti-zombie daily cap);
@@ -35,12 +38,13 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::fmt;
+use std::ops::Deref;
 use zmail_crypto::{
     open_with_public, seal_for_public, Attestation, CryptoError, Nnc, Nonce, PrivateKey, PublicKey,
 };
 use zmail_econ::EPennies;
 use zmail_sim::workload::{MailKind, UserAddr};
-use zmail_store::{IspBooks, LedgerRecord, UserBooks};
+use zmail_store::{Books, IspBooks, Ledger, LedgerRecord, UserBooks};
 
 pub use zmail_store::SendError;
 
@@ -171,13 +175,14 @@ struct PendingSend {
 /// use rand::SeedableRng;
 ///
 /// let config = ZmailConfig::builder(2, 4).build();
+/// let mut books = config.initial_books();
 /// let bank = KeyPair::generate(&mut rand::rngs::SmallRng::seed_from_u64(1));
 /// let mut isp = Isp::new(IspId(0), &config, *bank.public(), 7);
 /// // User 0 mails user 2 of the peer ISP: one e-penny leaves with it.
-/// let outcome = isp.send_email(0, UserAddr::new(1, 2), MailKind::Personal)?;
+/// let outcome = isp.send_email(&mut books, 0, UserAddr::new(1, 2), MailKind::Personal)?;
 /// assert!(matches!(outcome, SendOutcome::Outbound { .. }));
-/// assert_eq!(isp.user(0).balance, 99);
-/// assert_eq!(isp.credit(IspId(1)), 1);
+/// assert_eq!(isp.view(&books).user(0).balance, 99);
+/// assert_eq!(isp.view(&books).credit(IspId(1)), 1);
 /// # Ok::<(), zmail_core::SendError>(())
 /// ```
 #[derive(Debug)]
@@ -186,11 +191,6 @@ pub struct Isp {
     compliant: Vec<bool>,
     cheat: CheatMode,
     policy: NonCompliantPolicy,
-    /// The durable ledgers: users, pool, per-peer credit and the
-    /// accepted attestation nonces (checkpointed, so a crash/restart
-    /// cannot be farmed for double refunds). Changed only by
-    /// [`Isp::commit`].
-    books: IspBooks,
     minavail: EPennies,
     maxavail: EPennies,
     cansend: bool,
@@ -203,8 +203,6 @@ pub struct Isp {
     rng: SmallRng,
     stats: IspStats,
     idempotent: bool,
-    journal_enabled: bool,
-    journal: Vec<LedgerRecord>,
     /// This ISP's attestation signing key, installed by the harness when
     /// `ZmailConfig::attestations` is on. `None` = legacy unsigned mode.
     attest_key: Option<PrivateKey>,
@@ -223,132 +221,23 @@ pub struct Isp {
     attest_weakness: Option<AttestWeakness>,
 }
 
-impl Isp {
-    /// Creates the ISP process from the shared configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range for the configuration.
-    pub fn new(id: IspId, config: &ZmailConfig, bank_key: PublicKey, seed: u64) -> Self {
-        config.validate();
-        assert!(id.0 < config.isps, "isp id out of range");
-        let user = UserBooks {
-            account: config.initial_account.0,
-            balance: config.initial_balance.0,
-            sent_today: 0,
-            limit: config.default_limit,
-        };
-        Isp {
-            id,
-            compliant: config.compliant.clone(),
-            cheat: config.cheat_modes[id.index()],
-            policy: config.non_compliant_policy,
-            books: IspBooks {
-                users: vec![user; config.users_per_isp as usize],
-                avail: config.initial_avail.0,
-                credit: vec![0; config.isps as usize],
-                nonces: Vec::new(),
-            },
-            minavail: config.minavail,
-            maxavail: config.maxavail,
-            cansend: true,
-            pending: VecDeque::new(),
-            outstanding: [Outstanding::default(); 2],
-            nnc: Nnc::new(seed ^ 0xA11C_E5ED, u64::from(id.0)),
-            bank_key,
-            seq: 0,
-            rng: SmallRng::seed_from_u64(
-                seed.wrapping_mul(0x9E37_79B9).wrapping_add(u64::from(id.0)),
-            ),
-            stats: IspStats::default(),
-            idempotent: config.idempotent_bank_ids,
-            journal_enabled: config.durability.is_some(),
-            journal: Vec::new(),
-            attest_key: None,
-            peer_keys: Vec::new(),
-            attest_seq: 0,
-            refund_ctx: None,
-            attest_on: config.attestations,
-            attest_weakness: config.attest_weakness,
-        }
-    }
+/// An [`Isp`] read together with its books: what [`Isp::view`] and
+/// [`ZmailSystem::isp`](crate::ZmailSystem::isp) hand out. Dereferences
+/// to the process for its protocol state.
+#[derive(Debug, Clone, Copy)]
+pub struct IspView<'a> {
+    isp: &'a Isp,
+    books: &'a IspBooks,
+}
 
-    /// The one way the durable ledgers change: applies `rec` to the
-    /// books and, with durability on, journals it.
-    fn commit(&mut self, rec: LedgerRecord) {
-        self.books.apply(&rec);
-        if self.journal_enabled {
-            self.journal.push(rec);
-        }
-    }
-
-    /// Takes every ledger record journaled since the last drain, in
-    /// mutation order. Empty unless the configuration enables
-    /// durability.
-    pub fn drain_journal(&mut self) -> Vec<LedgerRecord> {
-        std::mem::take(&mut self.journal)
-    }
-
-    /// The durable books this ISP would checkpoint: exactly the state
-    /// `zmail-store` recovery reconstructs after a crash.
-    pub fn books(&self) -> &IspBooks {
-        &self.books
-    }
-
-    /// Installs recovered books, replacing the durable ledgers. Volatile
-    /// session state (nonces, pending sends, freeze flags) is untouched:
-    /// the retransmission protocol rebuilds it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the books describe a different deployment shape.
-    pub fn restore_books(&mut self, books: &IspBooks) {
-        let live = &self.books;
-        assert_eq!(books.users.len(), live.users.len(), "user count mismatch");
-        assert_eq!(books.credit.len(), live.credit.len(), "peer count mismatch");
-        self.books = books.clone();
-    }
-
-    /// This ISP's id.
-    pub fn id(&self) -> IspId {
-        self.id
-    }
-
-    /// Whether sends are currently frozen for a snapshot.
-    pub fn is_frozen(&self) -> bool {
-        !self.cansend
-    }
-
-    /// The user ledger, for assertions and experiments.
+impl<'a> IspView<'a> {
+    /// One user's ledger.
     ///
     /// # Panics
     ///
     /// Panics if `user` is out of range.
-    pub fn user(&self, user: u32) -> &UserBooks {
+    pub fn user(&self, user: u32) -> &'a UserBooks {
         &self.books.users[user as usize]
-    }
-
-    /// Sets one user's daily limit (the user-specified value of §5).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `user` is out of range.
-    pub fn set_limit(&mut self, user: u32, limit: u32) {
-        self.commit(LedgerRecord::LimitSet {
-            isp: self.id.0,
-            user,
-            limit,
-        });
-    }
-
-    /// Grants a user e-pennies directly (test/experiment setup shortcut;
-    /// production top-ups go through [`Isp::user_buy`]).
-    pub fn grant_balance(&mut self, user: u32, amount: EPennies) {
-        self.commit(LedgerRecord::Grant {
-            isp: self.id.0,
-            user,
-            amount: amount.0,
-        });
     }
 
     /// The ISP's e-penny pool.
@@ -364,6 +253,106 @@ impl Isp {
     /// Sum of all user balances (for conservation audits).
     pub fn total_user_balances(&self) -> EPennies {
         EPennies(self.books.users.iter().map(|u| u.balance).sum())
+    }
+
+    /// The process's counters, borrowed for as long as the view's
+    /// (`Deref` could lend them only as long as the view itself).
+    pub fn stats(&self) -> &'a IspStats {
+        self.isp.stats()
+    }
+}
+
+impl Deref for IspView<'_> {
+    type Target = Isp;
+
+    fn deref(&self) -> &Isp {
+        self.isp
+    }
+}
+
+impl Isp {
+    /// Creates the ISP process from the shared configuration. Its books
+    /// are not here: they start as [`ZmailConfig::initial_books`] in
+    /// whatever [`Ledger`] the driver lends to each call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range for the configuration.
+    pub fn new(id: IspId, config: &ZmailConfig, bank_key: PublicKey, seed: u64) -> Self {
+        config.validate();
+        assert!(id.0 < config.isps, "isp id out of range");
+        Isp {
+            id,
+            compliant: config.compliant.clone(),
+            cheat: config.cheat_modes[id.index()],
+            policy: config.non_compliant_policy,
+            minavail: config.minavail,
+            maxavail: config.maxavail,
+            cansend: true,
+            pending: VecDeque::new(),
+            outstanding: [Outstanding::default(); 2],
+            nnc: Nnc::new(seed ^ 0xA11C_E5ED, u64::from(id.0)),
+            bank_key,
+            seq: 0,
+            rng: SmallRng::seed_from_u64(
+                seed.wrapping_mul(0x9E37_79B9).wrapping_add(u64::from(id.0)),
+            ),
+            stats: IspStats::default(),
+            idempotent: config.idempotent_bank_ids,
+            attest_key: None,
+            peer_keys: Vec::new(),
+            attest_seq: 0,
+            refund_ctx: None,
+            attest_on: config.attestations,
+            attest_weakness: config.attest_weakness,
+        }
+    }
+
+    /// This ISP's share of the lent books.
+    fn books<'l>(&self, ledger: &'l dyn Ledger) -> &'l IspBooks {
+        &ledger.books().isps[self.id.index()]
+    }
+
+    /// This process read together with its books out of `books`: the
+    /// view experiments and assertions inspect.
+    pub fn view<'a>(&'a self, books: &'a Books) -> IspView<'a> {
+        IspView {
+            isp: self,
+            books: &books.isps[self.id.index()],
+        }
+    }
+
+    /// This ISP's id.
+    pub fn id(&self) -> IspId {
+        self.id
+    }
+
+    /// Whether sends are currently frozen for a snapshot.
+    pub fn is_frozen(&self) -> bool {
+        !self.cansend
+    }
+
+    /// Sets one user's daily limit (the user-specified value of §5).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `user` is out of range.
+    pub fn set_limit(&self, ledger: &mut dyn Ledger, user: u32, limit: u32) {
+        ledger.commit(LedgerRecord::LimitSet {
+            isp: self.id.0,
+            user,
+            limit,
+        });
+    }
+
+    /// Grants a user e-pennies directly (test/experiment setup shortcut;
+    /// production top-ups go through [`Isp::user_buy`]).
+    pub fn grant_balance(&self, ledger: &mut dyn Ledger, user: u32, amount: EPennies) {
+        ledger.commit(LedgerRecord::Grant {
+            isp: self.id.0,
+            user,
+            amount: amount.0,
+        });
     }
 
     /// Counters accumulated so far.
@@ -412,9 +401,10 @@ impl Isp {
     /// the origin ISP's key, field binding, and nonce freshness, in that
     /// order (each skipped only under the matching configured
     /// [`AttestWeakness`]). On success the nonce is recorded — durably,
-    /// via the journal — so it can never be accepted twice.
+    /// when the ledger is — so it can never be accepted twice.
     fn verify_attestation(
-        &mut self,
+        &self,
+        ledger: &mut dyn Ledger,
         from_isp: IspId,
         email: &EmailMsg,
     ) -> Result<(), RefusalCause> {
@@ -441,8 +431,8 @@ impl Isp {
             }
         }
         let nonce = att.nonce;
-        if self.books.nonces.binary_search(&nonce).is_err() {
-            self.commit(LedgerRecord::NonceSeen {
+        if self.books(ledger).nonces.binary_search(&nonce).is_err() {
+            ledger.commit(LedgerRecord::NonceSeen {
                 isp: self.id.0,
                 nonce,
             });
@@ -475,12 +465,13 @@ impl Isp {
     /// Panics if `sender` or `to` reference out-of-range users.
     pub fn send_email(
         &mut self,
+        ledger: &mut dyn Ledger,
         sender: u32,
         to: UserAddr,
         kind: MailKind,
     ) -> Result<SendOutcome, SendError> {
         assert!(
-            (sender as usize) < self.books.users.len(),
+            (sender as usize) < self.books(ledger).users.len(),
             "sender out of range"
         );
         // Whatever this send turns out to be, it consumes any armed §5
@@ -496,8 +487,8 @@ impl Isp {
         let dest = IspId(to.isp);
         if dest == self.id {
             // Local delivery: debit and credit inside this ISP.
-            self.charge_sender(sender)?;
-            self.commit(LedgerRecord::Deposit {
+            self.charge_sender(ledger, sender)?;
+            ledger.commit(LedgerRecord::Deposit {
                 isp: self.id.0,
                 user: to.user,
             });
@@ -506,8 +497,8 @@ impl Isp {
             return Ok(SendOutcome::DeliveredLocally);
         }
         if self.compliant[dest.index()] {
-            self.charge_sender(sender)?;
-            self.book_credit(dest);
+            self.charge_sender(ledger, sender)?;
+            self.book_credit(ledger, dest);
             self.stats.sent_paid += 1;
             CoreMetrics::get().transfers_remote.inc();
             let attestation = self.attest(sender, to, refund_of);
@@ -546,8 +537,13 @@ impl Isp {
     /// # Errors
     ///
     /// Returns which half of the guard refuses.
-    pub fn check_sends(&mut self, sender: u32, n: u32) -> Result<(), SendError> {
-        let verdict = self.books.users[sender as usize].check_sends(n);
+    pub fn check_sends(
+        &mut self,
+        ledger: &dyn Ledger,
+        sender: u32,
+        n: u32,
+    ) -> Result<(), SendError> {
+        let verdict = self.books(ledger).users[sender as usize].check_sends(n);
         match verdict {
             Err(SendError::InsufficientBalance) => {
                 self.stats.bounced_balance += 1;
@@ -562,9 +558,9 @@ impl Isp {
         verdict
     }
 
-    fn charge_sender(&mut self, sender: u32) -> Result<(), SendError> {
-        self.check_sends(sender, 1)?;
-        self.commit(LedgerRecord::Charge {
+    fn charge_sender(&mut self, ledger: &mut dyn Ledger, sender: u32) -> Result<(), SendError> {
+        self.check_sends(ledger, sender, 1)?;
+        ledger.commit(LedgerRecord::Charge {
             isp: self.id.0,
             user: sender,
         });
@@ -572,7 +568,7 @@ impl Isp {
     }
 
     /// Applies the configured cheat when booking an outbound credit.
-    fn book_credit(&mut self, dest: IspId) {
+    fn book_credit(&mut self, ledger: &mut dyn Ledger, dest: IspId) {
         let delta = match self.cheat {
             CheatMode::Honest => 1,
             CheatMode::UnderReportSends { fraction } => {
@@ -591,7 +587,7 @@ impl Isp {
             }
         };
         if delta != 0 {
-            self.commit(LedgerRecord::CreditDelta {
+            ledger.commit(LedgerRecord::CreditDelta {
                 isp: self.id.0,
                 peer: dest.0,
                 delta,
@@ -605,24 +601,29 @@ impl Isp {
     ///
     /// Panics if the message is addressed to another ISP or an unknown
     /// user.
-    pub fn receive_email(&mut self, from_isp: IspId, email: &EmailMsg) -> Delivery {
+    pub fn receive_email(
+        &mut self,
+        ledger: &mut dyn Ledger,
+        from_isp: IspId,
+        email: &EmailMsg,
+    ) -> Delivery {
         assert_eq!(email.to.isp, self.id.0, "misrouted email");
         assert!(
-            (email.to.user as usize) < self.books.users.len(),
+            (email.to.user as usize) < self.books(ledger).users.len(),
             "unknown recipient"
         );
         if self.compliant[from_isp.index()] && email.paid {
             if self.attest_on {
-                if let Err(cause) = self.verify_attestation(from_isp, email) {
+                if let Err(cause) = self.verify_attestation(ledger, from_isp, email) {
                     self.stats.refused_attestations += 1;
                     return Delivery::Refused(cause);
                 }
             }
-            self.commit(LedgerRecord::Deposit {
+            ledger.commit(LedgerRecord::Deposit {
                 isp: self.id.0,
                 user: email.to.user,
             });
-            self.commit(LedgerRecord::CreditDelta {
+            ledger.commit(LedgerRecord::CreditDelta {
                 isp: self.id.0,
                 peer: from_isp.0,
                 delta: -1,
@@ -673,11 +674,12 @@ impl Isp {
     /// # Panics
     ///
     /// Panics if `t` is out of range or `x` is negative.
-    pub fn user_buy(&mut self, t: u32, x: EPennies) -> bool {
+    pub fn user_buy(&self, ledger: &mut dyn Ledger, t: u32, x: EPennies) -> bool {
         assert!(!x.is_negative(), "cannot buy a negative amount");
         // 1:1 at the ISP counter: `x` e-pennies cost `x` real pennies.
-        if self.books.users[t as usize].account >= x.0 && self.books.avail >= x.0 {
-            self.commit(LedgerRecord::UserBuy {
+        let books = self.books(ledger);
+        if books.users[t as usize].account >= x.0 && books.avail >= x.0 {
+            ledger.commit(LedgerRecord::UserBuy {
                 isp: self.id.0,
                 user: t,
                 amount: x.0,
@@ -693,10 +695,10 @@ impl Isp {
     /// # Panics
     ///
     /// Panics if `t` is out of range or `x` is negative.
-    pub fn user_sell(&mut self, t: u32, x: EPennies) -> bool {
+    pub fn user_sell(&self, ledger: &mut dyn Ledger, t: u32, x: EPennies) -> bool {
         assert!(!x.is_negative(), "cannot sell a negative amount");
-        if self.books.users[t as usize].balance >= x.0 {
-            self.commit(LedgerRecord::UserSell {
+        if self.books(ledger).users[t as usize].balance >= x.0 {
+            ledger.commit(LedgerRecord::UserSell {
                 isp: self.id.0,
                 user: t,
                 amount: x.0,
@@ -709,9 +711,15 @@ impl Isp {
 
     /// Tops up `t`'s balance if it fell below the configured threshold.
     /// Returns whether a purchase happened.
-    pub fn auto_topup(&mut self, t: u32, below: EPennies, amount: EPennies) -> bool {
-        if self.books.users[t as usize].balance < below.0 {
-            self.user_buy(t, amount)
+    pub fn auto_topup(
+        &self,
+        ledger: &mut dyn Ledger,
+        t: u32,
+        below: EPennies,
+        amount: EPennies,
+    ) -> bool {
+        if self.books(ledger).users[t as usize].balance < below.0 {
+            self.user_buy(ledger, t, amount)
         } else {
             false
         }
@@ -729,8 +737,8 @@ impl Isp {
     /// for a buy, over-full for a sell) and no such exchange is
     /// outstanding, produces the sealed request moving it back to the
     /// midpoint target.
-    pub fn maybe_exchange(&mut self, side: Exchange) -> Option<NetMsg> {
-        let avail = self.books.avail;
+    pub fn maybe_exchange(&mut self, ledger: &dyn Ledger, side: Exchange) -> Option<NetMsg> {
+        let avail = self.books(ledger).avail;
         let out_of_band = match side {
             Exchange::Buy => avail < self.minavail.amount(),
             Exchange::Sell => avail > self.maxavail.amount(),
@@ -824,6 +832,7 @@ impl Isp {
     /// active forgery rather than a replay.
     pub fn handle_exchange_reply(
         &mut self,
+        ledger: &mut dyn Ledger,
         side: Exchange,
         envelope: &zmail_crypto::SealedEnvelope,
     ) -> Result<bool, CryptoError> {
@@ -841,12 +850,12 @@ impl Isp {
             Exchange::Buy => {
                 CoreMetrics::get().bank_buy_roundtrips.inc();
                 if accepted != 0 {
-                    self.commit(LedgerRecord::PoolBuy { isp, amount: value });
+                    ledger.commit(LedgerRecord::PoolBuy { isp, amount: value });
                 }
             }
             Exchange::Sell => {
                 CoreMetrics::get().bank_sell_roundtrips.inc();
-                self.commit(LedgerRecord::PoolSell { isp, amount: value });
+                ledger.commit(LedgerRecord::PoolSell { isp, amount: value });
             }
         }
         Ok(true)
@@ -884,16 +893,16 @@ impl Isp {
     /// resets the credit ledger for the new billing period, bumps the
     /// sequence number, lifts the freeze, and returns the buffered send
     /// intents for the caller to resubmit (in arrival order).
-    pub fn finish_snapshot(&mut self) -> (NetMsg, Vec<(u32, UserAddr, MailKind)>) {
+    pub fn finish_snapshot(
+        &mut self,
+        ledger: &mut dyn Ledger,
+    ) -> (NetMsg, Vec<(u32, UserAddr, MailKind)>) {
+        let credit = encode_credit(&self.books(ledger).credit);
         let reply = NetMsg::SnapshotReply {
             from: self.id,
-            envelope: seal_for_public(
-                &self.bank_key,
-                &encode_credit(&self.books.credit),
-                &mut self.rng,
-            ),
+            envelope: seal_for_public(&self.bank_key, &credit, &mut self.rng),
         };
-        self.commit(LedgerRecord::SnapshotMarker { isp: self.id.0 });
+        ledger.commit(LedgerRecord::SnapshotMarker { isp: self.id.0 });
         self.cansend = true;
         self.seq += 1;
         let drained = self
@@ -909,8 +918,8 @@ impl Isp {
     // ------------------------------------------------------------------
 
     /// Resets every user's `sent` counter (the paper's end-of-day action).
-    pub fn reset_daily(&mut self) {
-        self.commit(LedgerRecord::DailyReset { isp: self.id.0 });
+    pub fn reset_daily(&self, ledger: &mut dyn Ledger) {
+        ledger.commit(LedgerRecord::DailyReset { isp: self.id.0 });
     }
 }
 
@@ -920,13 +929,22 @@ mod tests {
     use rand::rngs::SmallRng;
     use zmail_crypto::KeyPair;
 
-    fn fixture(isps: u32) -> (Vec<Isp>, KeyPair) {
+    /// `isps` ISPs of four users each over fresh books.
+    fn fixture(isps: u32) -> (Vec<Isp>, Books, KeyPair) {
         let config = ZmailConfig::builder(isps, 4).build();
         let bank = KeyPair::generate(&mut SmallRng::seed_from_u64(1));
         let nodes = (0..isps)
             .map(|i| Isp::new(IspId(i), &config, *bank.public(), 100 + u64::from(i)))
             .collect();
-        (nodes, bank)
+        (nodes, config.initial_books(), bank)
+    }
+
+    /// ISP `id` of `config` over fresh books, keyed to a bank drawn from
+    /// seed `bank`.
+    fn single(config: &ZmailConfig, id: u32, bank: u64, seed: u64) -> (Isp, Books) {
+        let bank = KeyPair::generate(&mut SmallRng::seed_from_u64(bank));
+        let isp = Isp::new(IspId(id), config, *bank.public(), seed);
+        (isp, config.initial_books())
     }
 
     fn addr(isp: u32, user: u32) -> UserAddr {
@@ -935,23 +953,26 @@ mod tests {
 
     #[test]
     fn local_send_transfers_one_epenny() {
-        let (mut isps, _) = fixture(1);
+        let (mut isps, mut books, _) = fixture(1);
         let isp = &mut isps[0];
-        let before_sender = isp.user(0).balance;
-        let before_receiver = isp.user(1).balance;
-        let outcome = isp.send_email(0, addr(0, 1), MailKind::Personal).unwrap();
+        let before_sender = isp.view(&books).user(0).balance;
+        let before_receiver = isp.view(&books).user(1).balance;
+        let outcome = isp
+            .send_email(&mut books, 0, addr(0, 1), MailKind::Personal)
+            .unwrap();
         assert_eq!(outcome, SendOutcome::DeliveredLocally);
-        assert_eq!(isp.user(0).balance, before_sender - 1);
-        assert_eq!(isp.user(1).balance, before_receiver + 1);
-        assert_eq!(isp.user(0).sent_today, 1);
-        assert_eq!(isp.credit(IspId(0)), 0, "local mail books no credit");
+        let view = isp.view(&books);
+        assert_eq!(view.user(0).balance, before_sender - 1);
+        assert_eq!(view.user(1).balance, before_receiver + 1);
+        assert_eq!(view.user(0).sent_today, 1);
+        assert_eq!(view.credit(IspId(0)), 0, "local mail books no credit");
     }
 
     #[test]
     fn remote_send_debits_and_books_credit() {
-        let (mut isps, _) = fixture(2);
+        let (mut isps, mut books, _) = fixture(2);
         let outcome = isps[0]
-            .send_email(0, addr(1, 2), MailKind::Personal)
+            .send_email(&mut books, 0, addr(1, 2), MailKind::Personal)
             .unwrap();
         match outcome {
             SendOutcome::Outbound {
@@ -965,28 +986,31 @@ mod tests {
             }
             other => panic!("unexpected outcome {other:?}"),
         }
-        assert_eq!(isps[0].credit(IspId(1)), 1);
-        assert_eq!(isps[0].user(0).balance, 99);
+        assert_eq!(isps[0].view(&books).credit(IspId(1)), 1);
+        assert_eq!(isps[0].view(&books).user(0).balance, 99);
     }
 
     #[test]
     fn receive_credits_recipient_and_decrements_credit() {
-        let (mut isps, _) = fixture(2);
+        let (mut isps, mut books, _) = fixture(2);
         let SendOutcome::Outbound {
             msg: NetMsg::Email(email),
             ..
         } = isps[0]
-            .send_email(0, addr(1, 2), MailKind::Personal)
+            .send_email(&mut books, 0, addr(1, 2), MailKind::Personal)
             .unwrap()
         else {
             panic!("expected outbound");
         };
-        let delivery = isps[1].receive_email(IspId(0), &email);
+        let delivery = isps[1].receive_email(&mut books, IspId(0), &email);
         assert_eq!(delivery, Delivery::Delivered);
-        assert_eq!(isps[1].user(2).balance, 101);
-        assert_eq!(isps[1].credit(IspId(0)), -1);
+        assert_eq!(isps[1].view(&books).user(2).balance, 101);
+        assert_eq!(isps[1].view(&books).credit(IspId(0)), -1);
         // Antisymmetry after quiescence.
-        assert_eq!(isps[0].credit(IspId(1)) + isps[1].credit(IspId(0)), 0);
+        assert_eq!(
+            isps[0].view(&books).credit(IspId(1)) + isps[1].view(&books).credit(IspId(0)),
+            0
+        );
     }
 
     #[test]
@@ -994,10 +1018,9 @@ mod tests {
         let config = ZmailConfig::builder(2, 2)
             .initial_balance(EPennies::ZERO)
             .build();
-        let bank = KeyPair::generate(&mut SmallRng::seed_from_u64(2));
-        let mut isp = Isp::new(IspId(0), &config, *bank.public(), 7);
+        let (mut isp, mut books) = single(&config, 0, 2, 7);
         let err = isp
-            .send_email(0, addr(1, 0), MailKind::Personal)
+            .send_email(&mut books, 0, addr(1, 0), MailKind::Personal)
             .unwrap_err();
         assert_eq!(err, SendError::InsufficientBalance);
         assert_eq!(isp.stats().bounced_balance, 1);
@@ -1006,18 +1029,20 @@ mod tests {
     #[test]
     fn daily_limit_bounces_then_resets() {
         let config = ZmailConfig::builder(2, 2).limit(2).build();
-        let bank = KeyPair::generate(&mut SmallRng::seed_from_u64(3));
-        let mut isp = Isp::new(IspId(0), &config, *bank.public(), 8);
+        let (mut isp, mut books) = single(&config, 0, 3, 8);
         for _ in 0..2 {
-            isp.send_email(0, addr(1, 0), MailKind::Personal).unwrap();
+            isp.send_email(&mut books, 0, addr(1, 0), MailKind::Personal)
+                .unwrap();
         }
         let err = isp
-            .send_email(0, addr(1, 0), MailKind::Personal)
+            .send_email(&mut books, 0, addr(1, 0), MailKind::Personal)
             .unwrap_err();
         assert_eq!(err, SendError::DailyLimitExceeded);
         assert_eq!(isp.stats().bounced_limit, 1);
-        isp.reset_daily();
-        assert!(isp.send_email(0, addr(1, 0), MailKind::Personal).is_ok());
+        isp.reset_daily(&mut books);
+        assert!(isp
+            .send_email(&mut books, 0, addr(1, 0), MailKind::Personal)
+            .is_ok());
     }
 
     #[test]
@@ -1027,11 +1052,12 @@ mod tests {
             .limit(1)
             .initial_balance(EPennies::ZERO)
             .build();
-        let bank = KeyPair::generate(&mut SmallRng::seed_from_u64(4));
-        let mut isp = Isp::new(IspId(0), &config, *bank.public(), 9);
+        let (mut isp, mut books) = single(&config, 0, 4, 9);
         // No balance, limit 1 — yet many unpaid sends all succeed.
         for _ in 0..5 {
-            let outcome = isp.send_email(0, addr(1, 0), MailKind::Personal).unwrap();
+            let outcome = isp
+                .send_email(&mut books, 0, addr(1, 0), MailKind::Personal)
+                .unwrap();
             let SendOutcome::Outbound {
                 msg: NetMsg::Email(email),
                 ..
@@ -1042,7 +1068,11 @@ mod tests {
             assert!(!email.paid);
         }
         assert_eq!(isp.stats().sent_unpaid, 5);
-        assert_eq!(isp.user(0).sent_today, 0, "unpaid sends don't count");
+        assert_eq!(
+            isp.view(&books).user(0).sent_today,
+            0,
+            "unpaid sends don't count"
+        );
     }
 
     #[test]
@@ -1055,8 +1085,7 @@ mod tests {
                 .non_compliant(&[0])
                 .non_compliant_policy(policy)
                 .build();
-            let bank = KeyPair::generate(&mut SmallRng::seed_from_u64(5));
-            let mut isp = Isp::new(IspId(1), &config, *bank.public(), 10);
+            let (mut isp, mut books) = single(&config, 1, 5, 10);
             let email = EmailMsg {
                 from: addr(0, 0),
                 to: addr(1, 1),
@@ -1064,11 +1093,11 @@ mod tests {
                 paid: false,
                 attestation: None,
             };
-            let balance_before = isp.user(1).balance;
-            let delivery = isp.receive_email(IspId(0), &email);
+            let balance_before = isp.view(&books).user(1).balance;
+            let delivery = isp.receive_email(&mut books, IspId(0), &email);
             assert_eq!(delivery == Delivery::Delivered, expect_delivered);
             assert_eq!(
-                isp.user(1).balance,
+                isp.view(&books).user(1).balance,
                 balance_before,
                 "unpaid mail pays nothing"
             );
@@ -1084,8 +1113,7 @@ mod tests {
                 false_negative: 0.0,
             })
             .build();
-        let bank = KeyPair::generate(&mut SmallRng::seed_from_u64(6));
-        let mut isp = Isp::new(IspId(1), &config, *bank.public(), 11);
+        let (mut isp, mut books) = single(&config, 1, 6, 11);
         let spam = EmailMsg {
             from: addr(0, 0),
             to: addr(1, 0),
@@ -1097,42 +1125,54 @@ mod tests {
             kind: MailKind::Personal,
             ..spam.clone()
         };
-        assert_eq!(isp.receive_email(IspId(0), &spam), Delivery::FilteredOut);
-        assert_eq!(isp.receive_email(IspId(0), &ham), Delivery::Delivered);
+        assert_eq!(
+            isp.receive_email(&mut books, IspId(0), &spam),
+            Delivery::FilteredOut
+        );
+        assert_eq!(
+            isp.receive_email(&mut books, IspId(0), &ham),
+            Delivery::Delivered
+        );
     }
 
     #[test]
     fn user_buy_and_sell_move_all_three_ledgers() {
-        let (mut isps, _) = fixture(1);
-        let isp = &mut isps[0];
-        let pool0 = isp.avail();
-        assert!(isp.user_buy(0, EPennies(50)));
-        assert_eq!(isp.user(0).balance, 150);
-        assert_eq!(isp.user(0).account, 950);
-        assert_eq!(isp.avail(), pool0 - EPennies(50));
-        assert!(isp.user_sell(0, EPennies(150)));
-        assert_eq!(isp.user(0).balance, 0);
-        assert_eq!(isp.user(0).account, 1_100);
-        assert_eq!(isp.avail(), pool0 + EPennies(100));
+        let (isps, mut books, _) = fixture(1);
+        let isp = &isps[0];
+        let pool0 = isp.view(&books).avail();
+        assert!(isp.user_buy(&mut books, 0, EPennies(50)));
+        assert_eq!(isp.view(&books).user(0).balance, 150);
+        assert_eq!(isp.view(&books).user(0).account, 950);
+        assert_eq!(isp.view(&books).avail(), pool0 - EPennies(50));
+        assert!(isp.user_sell(&mut books, 0, EPennies(150)));
+        assert_eq!(isp.view(&books).user(0).balance, 0);
+        assert_eq!(isp.view(&books).user(0).account, 1_100);
+        assert_eq!(isp.view(&books).avail(), pool0 + EPennies(100));
     }
 
     #[test]
     fn user_buy_refused_without_funds_or_pool() {
-        let (mut isps, _) = fixture(1);
-        let isp = &mut isps[0];
-        assert!(!isp.user_buy(0, EPennies(100_000)), "pool too small");
-        assert!(!isp.user_sell(0, EPennies(101)), "balance too small");
+        let (isps, mut books, _) = fixture(1);
+        let isp = &isps[0];
+        assert!(
+            !isp.user_buy(&mut books, 0, EPennies(100_000)),
+            "pool too small"
+        );
+        assert!(
+            !isp.user_sell(&mut books, 0, EPennies(101)),
+            "balance too small"
+        );
     }
 
     #[test]
     fn auto_topup_only_below_threshold() {
-        let (mut isps, _) = fixture(1);
-        let isp = &mut isps[0];
-        assert!(!isp.auto_topup(0, EPennies(50), EPennies(10)));
+        let (isps, mut books, _) = fixture(1);
+        let isp = &isps[0];
+        assert!(!isp.auto_topup(&mut books, 0, EPennies(50), EPennies(10)));
         // Drain the balance below 50.
-        assert!(isp.user_sell(0, EPennies(60)));
-        assert!(isp.auto_topup(0, EPennies(50), EPennies(10)));
-        assert_eq!(isp.user(0).balance, 50);
+        assert!(isp.user_sell(&mut books, 0, EPennies(60)));
+        assert!(isp.auto_topup(&mut books, 0, EPennies(50), EPennies(10)));
+        assert_eq!(isp.view(&books).user(0).balance, 50);
     }
 
     // The §4.3 exchange is tested against the real bank, both sides in
@@ -1140,7 +1180,7 @@ mod tests {
 
     #[test]
     fn snapshot_freezes_buffers_and_flushes() {
-        let (mut isps, bank) = fixture(2);
+        let (mut isps, mut books, bank) = fixture(2);
         let mut rng = SmallRng::seed_from_u64(20);
         let request =
             zmail_crypto::seal_with_private(bank.private(), &encode_value_nonce(0, 999), &mut rng);
@@ -1148,13 +1188,13 @@ mod tests {
         assert!(isps[0].is_frozen());
         // Sends during the freeze are buffered, not charged.
         let outcome = isps[0]
-            .send_email(0, addr(1, 0), MailKind::Personal)
+            .send_email(&mut books, 0, addr(1, 0), MailKind::Personal)
             .unwrap();
         assert_eq!(outcome, SendOutcome::Buffered);
-        assert_eq!(isps[0].user(0).balance, 100, "no debit yet");
+        assert_eq!(isps[0].view(&books).user(0).balance, 100, "no debit yet");
         assert_eq!(isps[0].pending_sends(), 1);
         // Replayed request (same seq... now stale after finish) first:
-        let (reply, drained) = isps[0].finish_snapshot();
+        let (reply, drained) = isps[0].finish_snapshot(&mut books);
         assert!(matches!(reply, NetMsg::SnapshotReply { from, .. } if from == IspId(0)));
         assert_eq!(drained.len(), 1);
         assert!(!isps[0].is_frozen());
@@ -1165,22 +1205,26 @@ mod tests {
 
     #[test]
     fn snapshot_reply_carries_credit_and_resets_it() {
-        let (mut isps, bank) = fixture(2);
+        let (mut isps, mut books, bank) = fixture(2);
         isps[0]
-            .send_email(0, addr(1, 0), MailKind::Personal)
+            .send_email(&mut books, 0, addr(1, 0), MailKind::Personal)
             .unwrap();
         isps[0]
-            .send_email(1, addr(1, 1), MailKind::Personal)
+            .send_email(&mut books, 1, addr(1, 1), MailKind::Personal)
             .unwrap();
-        assert_eq!(isps[0].credit(IspId(1)), 2);
-        let (reply, _) = isps[0].finish_snapshot();
+        assert_eq!(isps[0].view(&books).credit(IspId(1)), 2);
+        let (reply, _) = isps[0].finish_snapshot(&mut books);
         let NetMsg::SnapshotReply { envelope, .. } = reply else {
             panic!("expected snapshot reply");
         };
         let plain = zmail_crypto::open_with_private(bank.private(), &envelope).unwrap();
         let credit = crate::msg::decode_credit(&plain).unwrap();
         assert_eq!(credit, vec![0, 2]);
-        assert_eq!(isps[0].credit(IspId(1)), 0, "new billing period");
+        assert_eq!(
+            isps[0].view(&books).credit(IspId(1)),
+            0,
+            "new billing period"
+        );
     }
 
     #[test]
@@ -1188,11 +1232,11 @@ mod tests {
         let config = ZmailConfig::builder(2, 2)
             .cheat(0, CheatMode::UnderReportSends { fraction: 1.0 })
             .build();
-        let bank = KeyPair::generate(&mut SmallRng::seed_from_u64(21));
-        let mut isp = Isp::new(IspId(0), &config, *bank.public(), 22);
-        isp.send_email(0, addr(1, 0), MailKind::Personal).unwrap();
-        assert_eq!(isp.credit(IspId(1)), 0, "cheat hides the send");
-        assert_eq!(isp.user(0).balance, 99, "user still charged");
+        let (mut isp, mut books) = single(&config, 0, 21, 22);
+        isp.send_email(&mut books, 0, addr(1, 0), MailKind::Personal)
+            .unwrap();
+        assert_eq!(isp.view(&books).credit(IspId(1)), 0, "cheat hides the send");
+        assert_eq!(isp.view(&books).user(0).balance, 99, "user still charged");
     }
 
     #[test]
@@ -1200,15 +1244,15 @@ mod tests {
         let config = ZmailConfig::builder(2, 2)
             .cheat(0, CheatMode::InflateSends { fraction: 1.0 })
             .build();
-        let bank = KeyPair::generate(&mut SmallRng::seed_from_u64(23));
-        let mut isp = Isp::new(IspId(0), &config, *bank.public(), 24);
-        isp.send_email(0, addr(1, 0), MailKind::Personal).unwrap();
-        assert_eq!(isp.credit(IspId(1)), 2);
+        let (mut isp, mut books) = single(&config, 0, 23, 24);
+        isp.send_email(&mut books, 0, addr(1, 0), MailKind::Personal)
+            .unwrap();
+        assert_eq!(isp.view(&books).credit(IspId(1)), 2);
     }
 
     #[test]
     fn total_user_balances_sums() {
-        let (isps, _) = fixture(1);
-        assert_eq!(isps[0].total_user_balances(), EPennies(400));
+        let (isps, books, _) = fixture(1);
+        assert_eq!(isps[0].view(&books).total_user_balances(), EPennies(400));
     }
 }

@@ -89,7 +89,7 @@ pub use config::{
 };
 pub use ids::IspId;
 pub use invariants::AuditError;
-pub use isp::{Delivery, Isp, RefusalCause, SendError, SendOutcome};
+pub use isp::{Delivery, Isp, IspView, RefusalCause, SendError, SendOutcome};
 pub use mailinglist::{ListConfig, ListServer, PostReport};
 pub use massive::{
     run_massive, run_massive_checked, run_massive_traced, MassiveConfig, MassiveEvent,

@@ -22,6 +22,7 @@ use crate::config::ZmailConfig;
 use crate::ids::IspId;
 use crate::msg::{Exchange, NetMsg};
 use zmail_crypto::{CryptoError, PublicKey};
+use zmail_store::Ledger;
 
 /// One net inter-bank settlement flow: `(from_bank, to_bank, e_pennies)`,
 /// positive meaning `from_bank`'s region owes `to_bank`'s.
@@ -101,15 +102,12 @@ impl Federation {
         );
         let bank_count = assignment.iter().max().map_or(0, |&b| b + 1);
         assert!(bank_count >= 1, "assignment references no bank");
-        let mut banks: Vec<Bank> = (0..bank_count)
+        let banks: Vec<Bank> = (0..bank_count)
             .map(|b| {
                 let served: Vec<bool> = assignment.iter().map(|&home| home == b).collect();
-                Bank::regional(config, seed ^ ((b as u64 + 1) << 24), served)
+                Bank::regional(config, seed ^ ((b as u64 + 1) << 24), b as u32, served)
             })
             .collect();
-        for (b, bank) in banks.iter_mut().enumerate() {
-            bank.set_index(b as u32);
-        }
         Federation {
             pending_regional: vec![None; banks.len()],
             banks,
@@ -143,32 +141,6 @@ impl Federation {
         &self.banks[index]
     }
 
-    /// E-pennies outstanding across the whole federation.
-    pub fn total_issued(&self) -> i64 {
-        self.banks.iter().map(Bank::issued).sum()
-    }
-
-    /// Every member bank's durable books, in federation order — the
-    /// bank half of a ledger-store bootstrap.
-    pub fn bank_books(&self) -> Vec<zmail_store::BankBooks> {
-        self.banks.iter().map(|b| b.books().clone()).collect()
-    }
-
-    /// Takes the ledger records every member bank journalled since the
-    /// last drain, in federation order.
-    pub fn drain_journals(&mut self) -> Vec<zmail_store::LedgerRecord> {
-        let mut records = Vec::new();
-        for bank in &mut self.banks {
-            records.append(&mut bank.drain_journal());
-        }
-        records
-    }
-
-    /// `isp`'s real-money account, held at its home bank.
-    pub fn account_of(&self, isp: IspId) -> zmail_econ::RealPennies {
-        self.banks[self.home_bank(isp)].account(isp)
-    }
-
     /// Whether any regional round (or the federated reconciliation) is
     /// still in progress.
     pub fn snapshot_in_progress(&self) -> bool {
@@ -183,12 +155,13 @@ impl Federation {
     /// Propagates the bank's crypto/replay errors.
     pub fn handle_exchange(
         &mut self,
+        ledger: &mut dyn Ledger,
         side: Exchange,
         from: IspId,
         envelope: &zmail_crypto::SealedEnvelope,
     ) -> Result<NetMsg, CryptoError> {
         let home = self.home_bank(from);
-        self.banks[home].handle_exchange(side, from, envelope)
+        self.banks[home].handle_exchange(ledger, side, from, envelope)
     }
 
     /// Starts a federated snapshot: every regional bank requests its own
@@ -318,9 +291,10 @@ mod tests {
     use super::*;
     use crate::isp::{Isp, SendOutcome};
     use zmail_sim::workload::{MailKind, UserAddr};
+    use zmail_store::Books;
 
-    fn setup(n: u32, banks: u32) -> (Federation, Vec<Isp>) {
-        let config = ZmailConfig::builder(n, 3).build();
+    fn setup(n: u32, banks: u32) -> (Federation, Vec<Isp>, Books) {
+        let config = ZmailConfig::builder(n, 3).banks(banks).build();
         let federation = Federation::new(&config, banks, 91);
         let isps = (0..n)
             .map(|i| {
@@ -332,12 +306,12 @@ mod tests {
                 )
             })
             .collect();
-        (federation, isps)
+        (federation, isps, config.initial_books())
     }
 
-    fn exchange_mail(isps: &mut [Isp], a: u32, b: u32) {
+    fn exchange_mail(isps: &mut [Isp], books: &mut Books, a: u32, b: u32) {
         let outcome = isps[a as usize]
-            .send_email(0, UserAddr::new(b, 0), MailKind::Personal)
+            .send_email(books, 0, UserAddr::new(b, 0), MailKind::Personal)
             .unwrap();
         let SendOutcome::Outbound {
             msg: NetMsg::Email(email),
@@ -346,10 +320,14 @@ mod tests {
         else {
             panic!("expected outbound");
         };
-        isps[b as usize].receive_email(IspId(a), &email);
+        isps[b as usize].receive_email(books, IspId(a), &email);
     }
 
-    fn run_federated_round(federation: &mut Federation, isps: &mut [Isp]) -> FederatedRound {
+    fn run_federated_round(
+        federation: &mut Federation,
+        isps: &mut [Isp],
+        books: &mut Books,
+    ) -> FederatedRound {
         let requests = federation.start_snapshot();
         let mut outcome = None;
         for (target, msg) in requests {
@@ -358,7 +336,7 @@ mod tests {
             };
             let isp = &mut isps[target.index()];
             assert!(isp.handle_snapshot_request(&envelope).unwrap());
-            let (reply, _) = isp.finish_snapshot();
+            let (reply, _) = isp.finish_snapshot(books);
             let NetMsg::SnapshotReply { from, envelope } = reply else {
                 panic!("expected reply");
             };
@@ -371,7 +349,7 @@ mod tests {
 
     #[test]
     fn round_robin_assignment() {
-        let (federation, _) = setup(5, 2);
+        let (federation, ..) = setup(5, 2);
         assert_eq!(federation.bank_count(), 2);
         assert_eq!(federation.home_bank(IspId(0)), 0);
         assert_eq!(federation.home_bank(IspId(1)), 1);
@@ -382,15 +360,13 @@ mod tests {
 
     #[test]
     fn honest_cross_region_round_is_clean_and_settles() {
-        let (mut federation, mut isps) = setup(4, 2);
-        // isp0 (bank0) sends 3 to isp1 (bank1); isp1 sends 1 back.
-        exchange_mail(&mut isps, 0, 1);
-        exchange_mail(&mut isps, 0, 1);
-        exchange_mail(&mut isps, 0, 1);
-        exchange_mail(&mut isps, 1, 0);
-        // And an intra-region exchange (isp0 -> isp2, both bank0).
-        exchange_mail(&mut isps, 0, 2);
-        let round = run_federated_round(&mut federation, &mut isps);
+        let (mut federation, mut isps, mut books) = setup(4, 2);
+        // isp0 (bank0) sends 3 to isp1 (bank1); isp1 sends 1 back; and an
+        // intra-region exchange (isp0 -> isp2, both bank0).
+        for (a, b) in [(0, 1), (0, 1), (0, 1), (1, 0), (0, 2)] {
+            exchange_mail(&mut isps, &mut books, a, b);
+        }
+        let round = run_federated_round(&mut federation, &mut isps, &mut books);
         assert!(round.consistency.is_clean(), "{:?}", round.consistency);
         // Region0 sent 3 cross-region, received 1: net flow 0 -> 1 is 2.
         assert_eq!(round.settlements.len(), 2);
@@ -401,10 +377,10 @@ mod tests {
 
     #[test]
     fn balanced_cross_traffic_needs_no_settlement() {
-        let (mut federation, mut isps) = setup(2, 2);
-        exchange_mail(&mut isps, 0, 1);
-        exchange_mail(&mut isps, 1, 0);
-        let round = run_federated_round(&mut federation, &mut isps);
+        let (mut federation, mut isps, mut books) = setup(2, 2);
+        exchange_mail(&mut isps, &mut books, 0, 1);
+        exchange_mail(&mut isps, &mut books, 1, 0);
+        let round = run_federated_round(&mut federation, &mut isps, &mut books);
         assert!(round.consistency.is_clean());
         assert!(round.settlements.is_empty(), "{:?}", round.settlements);
     }
@@ -412,6 +388,7 @@ mod tests {
     #[test]
     fn cross_region_cheater_is_caught_by_federation() {
         let config = ZmailConfig::builder(4, 3)
+            .banks(2)
             .cheat(
                 1,
                 crate::config::CheatMode::UnderReportSends { fraction: 1.0 },
@@ -428,10 +405,11 @@ mod tests {
                 )
             })
             .collect();
+        let mut books = config.initial_books();
         // Cheater isp1 (bank1) hides a send to isp0 (bank0): a pair no
         // single regional bank could verify alone.
-        exchange_mail(&mut isps, 1, 0);
-        let round = run_federated_round(&mut federation, &mut isps);
+        exchange_mail(&mut isps, &mut books, 1, 0);
+        let round = run_federated_round(&mut federation, &mut isps, &mut books);
         assert!(!round.consistency.is_clean());
         assert!(round.consistency.implicates(IspId(1)));
     }
@@ -440,6 +418,7 @@ mod tests {
     fn exchanges_route_to_home_bank() {
         for (side, initial) in [(Exchange::Buy, 10), (Exchange::Sell, 500)] {
             let config = ZmailConfig::builder(2, 2)
+                .banks(2)
                 .avail_bounds(
                     zmail_econ::EPennies(100),
                     zmail_econ::EPennies(200),
@@ -447,29 +426,31 @@ mod tests {
                 )
                 .build();
             let mut federation = Federation::new(&config, 2, 93);
+            let mut books = config.initial_books();
             let mut isp1 = Isp::new(IspId(1), &config, federation.public_key_for(IspId(1)), 7);
             let Some(NetMsg::Exchange {
                 envelope, audit, ..
-            }) = isp1.maybe_exchange(side)
+            }) = isp1.maybe_exchange(&books, side)
             else {
                 panic!("expected {side:?}");
             };
-            let account_before = federation.bank(1).account(IspId(1));
+            let account_before = books.banks[1].accounts[1];
             let reply = federation
-                .handle_exchange(side, IspId(1), &envelope)
+                .handle_exchange(&mut books, side, IspId(1), &envelope)
                 .unwrap();
-            assert_eq!(federation.bank(1).issued(), side.sign() * audit);
-            assert_eq!(federation.bank(0).issued(), 0, "wrong bank untouched");
+            assert_eq!(books.banks[1].issued, side.sign() * audit);
+            assert_eq!(books.banks[0].issued, 0, "wrong bank untouched");
             assert_eq!(
-                federation.bank(1).account(IspId(1)),
-                account_before - zmail_econ::RealPennies(side.sign() * audit)
+                books.banks[1].accounts[1],
+                account_before - side.sign() * audit
             );
             let NetMsg::ExchangeReply { envelope, .. } = reply else {
                 panic!("expected reply");
             };
-            isp1.handle_exchange_reply(side, &envelope).unwrap();
+            isp1.handle_exchange_reply(&mut books, side, &envelope)
+                .unwrap();
             assert_eq!(
-                isp1.avail(),
+                isp1.view(&books).avail(),
                 zmail_econ::EPennies(initial + side.sign() * audit)
             );
         }
@@ -478,7 +459,7 @@ mod tests {
     #[test]
     fn reply_sealed_for_wrong_bank_is_rejected() {
         // An ISP keyed to bank0 cannot complete an exchange with bank1.
-        let (mut federation, _) = setup(2, 2);
+        let (mut federation, _, mut books) = setup(2, 2);
         // Build an ISP keyed to bank0 whose pool is drained so a buy
         // triggers immediately.
         let drained = ZmailConfig::builder(2, 3)
@@ -489,23 +470,25 @@ mod tests {
             )
             .build();
         let mut isp = Isp::new(IspId(0), &drained, federation.public_key_for(IspId(0)), 9);
-        let Some(NetMsg::Exchange { envelope, .. }) = isp.maybe_exchange(Exchange::Buy) else {
+        let Some(NetMsg::Exchange { envelope, .. }) =
+            isp.maybe_exchange(&drained.initial_books(), Exchange::Buy)
+        else {
             panic!("expected buy");
         };
         // Deliver to the wrong bank: its private key cannot open it.
-        let err = federation.banks[1].handle_exchange(Exchange::Buy, IspId(0), &envelope);
+        let err =
+            federation.banks[1].handle_exchange(&mut books, Exchange::Buy, IspId(0), &envelope);
         assert!(err.is_err(), "wrong bank must fail to open the envelope");
     }
 
     #[test]
     fn three_banks_three_way_settlement_nets_zero() {
-        let (mut federation, mut isps) = setup(6, 3);
-        // Circular flow: region0 -> region1 -> region2 -> region0.
-        exchange_mail(&mut isps, 0, 1); // banks 0 -> 1
-        exchange_mail(&mut isps, 0, 1);
-        exchange_mail(&mut isps, 1, 2); // banks 1 -> 2
-        exchange_mail(&mut isps, 2, 0); // banks 2 -> 0
-        let round = run_federated_round(&mut federation, &mut isps);
+        let (mut federation, mut isps, mut books) = setup(6, 3);
+        // Circular flow: region0 -> region1 (twice) -> region2 -> region0.
+        for (a, b) in [(0, 1), (0, 1), (1, 2), (2, 0)] {
+            exchange_mail(&mut isps, &mut books, a, b);
+        }
+        let round = run_federated_round(&mut federation, &mut isps, &mut books);
         assert!(round.consistency.is_clean());
         assert_eq!(round.net_flow(), 0);
         assert!(round.settlements.contains(&(0, 1, 2)));
@@ -521,7 +504,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "already in progress")]
     fn overlapping_federated_rounds_panic() {
-        let (mut federation, _) = setup(2, 2);
+        let (mut federation, ..) = setup(2, 2);
         federation.start_snapshot();
         federation.start_snapshot();
     }

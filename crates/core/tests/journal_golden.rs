@@ -1,13 +1,14 @@
 //! The ISP-level journal stream is frozen: one seeded durable
 //! [`ZmailSystem`] run that makes the ISPs and the bank emit every
-//! record kind they can must leave byte-for-byte the per-shard WALs and
-//! the `RunReport` digest it left at the commit before `Isp` and `Bank`
+//! record kind they can must leave byte-for-byte the WAL and the
+//! `RunReport` digest it left at the commit before `Isp` and `Bank`
 //! began mutating their books *through* those records (PR 14). The
 //! constants below were computed by running this file at that parent
 //! commit in a throwaway clone (the recipe
 //! `crates/store/tests/format_golden.rs` documents), not by this code —
 //! so a mutation site that journals a different record, a different
-//! field, or in a different order fails here.
+//! field, or in a different order fails here. The WAL's CRC was pinned
+//! again once since, for the one reordering [`WAL_CRC`] describes.
 
 use std::collections::HashSet;
 use std::mem::discriminant;
@@ -35,7 +36,29 @@ fn trace() -> Vec<SendEvent> {
         .collect()
 }
 
-fn run(shards: u32) -> ZmailSystem {
+/// The three mutations no protocol message causes, made between the
+/// two halves of the trace, as the records they commit.
+const BETWEEN_EVENTS: [LedgerRecord; 3] = [
+    LedgerRecord::LimitSet {
+        isp: 1,
+        user: 4,
+        limit: 7,
+    },
+    LedgerRecord::Grant {
+        isp: 2,
+        user: 5,
+        amount: 3,
+    },
+    LedgerRecord::UserSell {
+        isp: 0,
+        user: 3,
+        amount: 2,
+    },
+];
+
+/// The seeded run, and how many records its WAL held when the three
+/// mutations were made.
+fn run() -> (ZmailSystem, usize) {
     // Balances of 12 against a top-up threshold of 10 make the two
     // senders per ISP buy at the counter within a few sends; a pool that
     // starts above `maxavail` sells to the bank on the first send and the
@@ -45,7 +68,7 @@ fn run(shards: u32) -> ZmailSystem {
         .avail_bounds(EPennies(200), EPennies(400), EPennies(450))
         .billing_period(SimDuration::from_hours(20))
         .attestations()
-        .sharded(shards)
+        .durable()
         .build();
     let mut system = ZmailSystem::new(config, 14);
     let distributor = UserAddr::new(0, 2);
@@ -57,48 +80,48 @@ fn run(shards: u32) -> ZmailSystem {
     let trace = trace();
     let (first, second) = trace.split_at(60);
     system.run_trace(first);
-    // The three mutations no protocol message causes; the next event's
-    // group commit journals them.
-    system.isp_mut(IspId(1)).set_limit(4, 7);
-    system.isp_mut(IspId(2)).grant_balance(5, EPennies(3));
-    assert!(system.isp_mut(IspId(0)).user_sell(3, EPennies(2)));
+    let store = system.store().expect("durable run");
+    assert_eq!(store.pending_records(), 0, "every event ends committed");
+    let mark = store.records_appended() as usize;
+    // The three mutations go straight into the store, in call order;
+    // the next event's group commit makes them durable.
+    let (isp, ledger) = system.isp_mut(IspId(1));
+    isp.set_limit(ledger, 4, 7);
+    let (isp, ledger) = system.isp_mut(IspId(2));
+    isp.grant_balance(ledger, 5, EPennies(3));
+    let (isp, ledger) = system.isp_mut(IspId(0));
+    assert!(isp.user_sell(ledger, 3, EPennies(2)));
+    assert_eq!(system.store().unwrap().pending_records(), 3);
     system.run_trace(second);
-    system
+    (system, mark)
 }
 
-/// Length and CRC-32 of every shard's WAL, in shard order.
-fn wal_fingerprints(system: &ZmailSystem) -> Vec<(usize, u32)> {
-    let store = system.sharded_store().expect("durable run");
-    (0..store.shard_count())
-        .map(|s| {
-            let bytes = store.shard(s).storage().read(WAL);
-            (bytes.len(), wal::crc32(&bytes))
-        })
+/// Every record of the WAL, in order.
+fn records(system: &ZmailSystem) -> Vec<LedgerRecord> {
+    let bytes = system.store().expect("durable run").storage().read(WAL);
+    wal::scan(&bytes, 0)
+        .payloads
+        .iter()
+        .map(|p| LedgerRecord::decode(p).expect("valid record"))
         .collect()
 }
 
 const DIGEST: u64 = 14_631_930_577_585_122_575;
-const WAL_1_SHARD: [(usize, u32); 1] = [(14208, 1747932987)];
-const WAL_4_SHARDS: [(usize, u32); 4] = [
-    (4188, 2446162304),
-    (6296, 936840915),
-    (1071, 1567356540),
-    (3094, 3945926143),
-];
+/// Length and CRC-32 of the WAL. The length is the parent commit's; the
+/// CRC moved once, when the three between-event records stopped waiting
+/// in per-ISP journals to be drained ISP by ISP at the next event's end
+/// and started landing in the store in call order, ahead of that event's
+/// own records — the only difference between the two decoded logs.
+const WAL_LEN: usize = 14208;
+const WAL_CRC: u32 = 2_117_391_760;
 
 #[test]
 fn one_shard_journal_is_byte_identical_and_covers_every_isp_and_bank_record() {
-    let system = run(1);
-    // With one shard the router forwards records unchanged, so the WAL
-    // is the ISP/bank journal stream itself.
+    let (system, _) = run();
     let bytes = system.store().expect("durable run").storage().read(WAL);
     // Fourteen distinct kinds are all fourteen: `UserCounter*` and `Xfer*`
     // exist only between shards.
-    let kinds: HashSet<_> = wal::scan(&bytes, 0)
-        .payloads
-        .iter()
-        .map(|p| discriminant(&LedgerRecord::decode(p).expect("valid record")))
-        .collect();
+    let kinds: HashSet<_> = records(&system).iter().map(discriminant).collect();
     assert_eq!(
         kinds.len(),
         14,
@@ -108,15 +131,18 @@ fn one_shard_journal_is_byte_identical_and_covers_every_isp_and_bank_record() {
         system.report().delivered(MailKind::Ack) > 0,
         "acks refunded"
     );
-    assert_eq!(wal_fingerprints(&system), WAL_1_SHARD);
+    assert_eq!((bytes.len(), wal::crc32(&bytes)), (WAL_LEN, WAL_CRC));
     assert_eq!(system.report().digest_checksum, DIGEST);
     assert_eq!(system.verify_durable_books(), Some(true));
 }
 
 #[test]
-fn four_shard_journals_are_byte_identical() {
-    let system = run(4);
-    assert_eq!(wal_fingerprints(&system), WAL_4_SHARDS);
-    assert_eq!(system.report().digest_checksum, DIGEST);
-    assert_eq!(system.verify_durable_books(), Some(true));
+fn mutations_between_events_land_in_call_order_ahead_of_the_next_event() {
+    let (system, mark) = run();
+    let log = records(&system);
+    assert_eq!(log[mark..mark + 3], BETWEEN_EVENTS);
+    // The next event's own records follow at once, and its first is no
+    // out-of-event mutation: these three were all there was in between.
+    assert!(log.len() > mark + 3);
+    assert!(!BETWEEN_EVENTS.contains(&log[mark + 3]));
 }

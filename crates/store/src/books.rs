@@ -11,12 +11,12 @@
 //!
 //! A ledger mutation is a [`LedgerRecord`], and [`IspBooks::apply`]
 //! (with [`BankBooks::apply`] for the bank's two) is its only
-//! implementation: the live `zmail-core` ISP commits every change
-//! through it, replay folds it over a checkpoint via [`Books::apply`],
-//! and the sharded store's outbox overlay uses its per-user half. The
-//! binary encoding (`encode`/`decode`) is the checkpoint payload format:
-//! fixed little-endian, no padding, so equal books encode to equal
-//! bytes and recovery comparisons can be exact.
+//! implementation: the live `zmail-core` ISP and bank commit every change
+//! through a [`Ledger`] that runs it, replay folds it over a checkpoint
+//! via [`Books::apply`], and the sharded store's outbox overlay uses its
+//! per-user half. The binary encoding (`encode`/`decode`) is the
+//! checkpoint payload format: fixed little-endian, no padding, so equal
+//! books encode to equal bytes and recovery comparisons can be exact.
 
 use crate::record::LedgerRecord;
 use std::fmt;
@@ -376,6 +376,28 @@ impl Books {
             .iter()
             .map(|isp| isp.avail + isp.users.iter().map(|u| u.balance).sum::<i64>())
             .sum()
+    }
+}
+
+/// The one owner of a deployment's books, lent to the protocol processes
+/// on each call: plain [`Books`], or a [`LedgerStore`](crate::LedgerStore)
+/// that also journals every commit.
+pub trait Ledger {
+    /// The books as the records committed so far left them.
+    fn books(&self) -> &Books;
+
+    /// Applies `rec` to the books (and journals it, if durable).
+    fn commit(&mut self, rec: LedgerRecord);
+}
+
+/// A commit is an [`apply`](Books::apply) and nothing more.
+impl Ledger for Books {
+    fn books(&self) -> &Books {
+        self
+    }
+
+    fn commit(&mut self, rec: LedgerRecord) {
+        self.apply(&rec);
     }
 }
 

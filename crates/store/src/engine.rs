@@ -56,7 +56,7 @@
 //! CRC and decode. The records, their order, and where a damaged frame
 //! ends the walk are the same either way.
 
-use crate::books::Books;
+use crate::books::{Books, Ledger};
 use crate::checkpoint::{self, Checkpoint, VerifiedSlot, SLOTS};
 use crate::metrics::{StoreMetrics, Tally};
 use crate::record::LedgerRecord;
@@ -357,6 +357,18 @@ impl<S: Storage> LedgerStore<S> {
     /// Consumes the store, returning the backend.
     pub fn into_storage(self) -> S {
         self.storage
+    }
+}
+
+/// A commit is an [`append`](LedgerStore::append): journaled, applied, and
+/// group-committed once the batch is full.
+impl<S: Storage> Ledger for LedgerStore<S> {
+    fn books(&self) -> &Books {
+        &self.books
+    }
+
+    fn commit(&mut self, rec: LedgerRecord) {
+        self.append(&rec);
     }
 }
 

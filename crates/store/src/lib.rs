@@ -10,7 +10,8 @@
 //! * [`LedgerRecord`] — one typed entry per book mutation, with a fixed
 //!   little-endian wire form.
 //! * [`Books`] — the durable state itself, plus [`Books::apply`], the
-//!   single replay function checkpoints and recovery fold over.
+//!   single replay function checkpoints and recovery fold over; the
+//!   [`Ledger`] trait lends it, or a [`LedgerStore`], to the protocol.
 //! * [`wal`] — length+CRC framing and the tail scan: a torn or corrupt
 //!   suffix is detected and truncated, never silently applied.
 //! * [`Checkpoint`] — alternating-slot full-state images bounding
@@ -63,7 +64,7 @@ pub mod shard;
 pub mod storage;
 pub mod wal;
 
-pub use books::{BankBooks, Books, IspBooks, SendError, UserBooks};
+pub use books::{BankBooks, Books, IspBooks, Ledger, SendError, UserBooks};
 pub use checkpoint::Checkpoint;
 pub use engine::{LedgerStore, RecoveryReport, StoreConfig, WAL};
 pub use metrics::StoreMetrics;

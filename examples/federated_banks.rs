@@ -7,25 +7,28 @@ use zmail::core::isp::{Isp, SendOutcome};
 use zmail::core::multibank::Federation;
 use zmail::core::{CheatMode, IspId, NetMsg, UserAddr, ZmailConfig};
 use zmail::sim::{MailKind, Table};
+use zmail::store::Books;
 
-fn send(isps: &mut [Isp], from_isp: u32, to: UserAddr) {
+fn send(isps: &mut [Isp], books: &mut Books, from_isp: u32, to: UserAddr) {
     let outcome = isps[from_isp as usize]
-        .send_email(0, to, MailKind::Personal)
+        .send_email(books, 0, to, MailKind::Personal)
         .expect("funded sender");
     if let SendOutcome::Outbound {
         to: dest,
         msg: NetMsg::Email(email),
     } = outcome
     {
-        isps[dest.index()].receive_email(IspId(from_isp), &email);
+        isps[dest.index()].receive_email(books, IspId(from_isp), &email);
     }
 }
 
 fn main() {
     // Six ISPs, three regional banks (round-robin homes), one cheater.
     let config = ZmailConfig::builder(6, 4)
+        .banks(3)
         .cheat(4, CheatMode::UnderReportSends { fraction: 1.0 })
         .build();
+    let mut books = config.initial_books();
     let mut federation = Federation::new(&config, 3, 2026);
     let mut isps: Vec<Isp> = (0..6)
         .map(|i| {
@@ -44,13 +47,13 @@ fn main() {
 
     // Cross-region traffic, including the cheater hiding a send.
     for _ in 0..5 {
-        send(&mut isps, 0, UserAddr::new(1, 1)); // bank0 region -> bank1
+        send(&mut isps, &mut books, 0, UserAddr::new(1, 1)); // bank0 region -> bank1
     }
     for _ in 0..2 {
-        send(&mut isps, 1, UserAddr::new(2, 0)); // bank1 -> bank2
+        send(&mut isps, &mut books, 1, UserAddr::new(2, 0)); // bank1 -> bank2
     }
-    send(&mut isps, 2, UserAddr::new(0, 3)); // bank2 -> bank0
-    send(&mut isps, 4, UserAddr::new(0, 0)); // CHEATER (bank1) -> bank0
+    send(&mut isps, &mut books, 2, UserAddr::new(0, 3)); // bank2 -> bank0
+    send(&mut isps, &mut books, 4, UserAddr::new(0, 0)); // CHEATER (bank1) -> bank0
 
     // The federated snapshot round.
     let requests = federation.start_snapshot();
@@ -67,7 +70,7 @@ fn main() {
         assert!(isp
             .handle_snapshot_request(&envelope)
             .expect("fresh request"));
-        let (reply, _) = isp.finish_snapshot();
+        let (reply, _) = isp.finish_snapshot(&mut books);
         let NetMsg::SnapshotReply { from, envelope } = reply else {
             unreachable!()
         };

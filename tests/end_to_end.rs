@@ -279,7 +279,8 @@ fn grants_show_up_in_audit_as_counterfeit() {
     // through the experiment back door.
     let config = ZmailConfig::builder(2, 5).build();
     let mut system = ZmailSystem::new(config, 8);
-    system.isp_mut(IspId(0)).grant_balance(0, EPennies(13));
+    let (isp, ledger) = system.isp_mut(IspId(0));
+    isp.grant_balance(ledger, 0, EPennies(13));
     let err = system.audit().unwrap_err();
     assert!(err.to_string().contains("conservation broken"));
 }

@@ -208,6 +208,7 @@ proptest! {
             Isp::new(IspId(0), &config, *bank.public(), seed),
             Isp::new(IspId(1), &config, *bank.public(), seed + 1),
         ];
+        let mut books = config.initial_books();
         // In-flight emails per direction, FIFO.
         let mut wires: [std::collections::VecDeque<zmail::core::EmailMsg>; 2] =
             [Default::default(), Default::default()];
@@ -220,7 +221,7 @@ proptest! {
                     let sender_isp = usize::from(op);
                     let to = UserAddr::new(1 - op as u32, b);
                     if let Ok(SendOutcome::Outbound { msg: NetMsg::Email(email), .. }) =
-                        isps[sender_isp].send_email(a, to, MailKind::Personal)
+                        isps[sender_isp].send_email(&mut books, a, to, MailKind::Personal)
                     {
                         wires[sender_isp].push_back(email);
                     }
@@ -229,7 +230,7 @@ proptest! {
                 2 | 3 => {
                     let direction = usize::from(op - 2);
                     if let Some(email) = wires[direction].pop_front() {
-                        isps[1 - direction].receive_email(IspId(direction as u32), &email);
+                        isps[1 - direction].receive_email(&mut books, IspId(direction as u32), &email);
                     }
                 }
                 // a user trades with their ISP
@@ -237,16 +238,16 @@ proptest! {
                     let isp = (a % 2) as usize;
                     let user = b;
                     if a % 4 < 2 {
-                        isps[isp].user_buy(user, EPennies(i64::from(b) + 1));
+                        isps[isp].user_buy(&mut books, user, EPennies(i64::from(b) + 1));
                     } else {
-                        isps[isp].user_sell(user, EPennies(i64::from(b) + 1));
+                        isps[isp].user_sell(&mut books, user, EPennies(i64::from(b) + 1));
                     }
                 }
             }
         }
 
         // Non-negative ledgers throughout (spot-check final state).
-        for isp in &isps {
+        for isp in isps.iter().map(|i| i.view(&books)) {
             for u in 0..3u32 {
                 prop_assert!(isp.user(u).balance >= 0);
                 prop_assert!(isp.user(u).account >= 0);
@@ -255,17 +256,19 @@ proptest! {
         }
         // Conservation: user balances + in-flight = initial (pool trades
         // move value between balance and avail, so include both sides).
-        let balances: i64 = isps.iter().map(|i| i.total_user_balances().amount()).sum();
+        let views = || isps.iter().map(|i| i.view(&books));
+        let balances: i64 = views().map(|i| i.total_user_balances().amount()).sum();
         let in_flight = (wires[0].len() + wires[1].len()) as i64;
-        let pool_delta: i64 = isps.iter().map(|i| i.avail().amount() - 5_000).sum();
+        let pool_delta: i64 = views().map(|i| i.avail().amount() - 5_000).sum();
         prop_assert_eq!(balances + in_flight + pool_delta, initial_total);
         // Credit antisymmetry at quiescence: drain both wires first.
         for direction in 0..2usize {
             while let Some(email) = wires[direction].pop_front() {
-                isps[1 - direction].receive_email(IspId(direction as u32), &email);
+                isps[1 - direction].receive_email(&mut books, IspId(direction as u32), &email);
             }
         }
-        prop_assert_eq!(isps[0].credit(IspId(1)) + isps[1].credit(IspId(0)), 0);
+        let credit = |i: usize, peer: u32| isps[i].view(&books).credit(IspId(peer));
+        prop_assert_eq!(credit(0, 1) + credit(1, 0), 0);
     }
 
     // ---------------------------------------------------------------
@@ -295,14 +298,16 @@ proptest! {
                 )
             })
             .collect();
+        let mut books = config.initial_books();
         for &(from, to) in &sends {
             if from == to {
                 continue;
             }
-            if let Ok(SendOutcome::Outbound { msg: NetMsg::Email(email), .. }) =
-                isps[from as usize].send_email(0, UserAddr::new(to, 1), MailKind::Personal)
+            if let Ok(SendOutcome::Outbound { msg: NetMsg::Email(email), .. }) = isps
+                [from as usize]
+                .send_email(&mut books, 0, UserAddr::new(to, 1), MailKind::Personal)
             {
-                isps[to as usize].receive_email(IspId(from), &email);
+                isps[to as usize].receive_email(&mut books, IspId(from), &email);
             }
         }
         // Run one federated round to completion.
@@ -312,7 +317,7 @@ proptest! {
             let NetMsg::SnapshotRequest { envelope } = msg else { unreachable!() };
             let isp = &mut isps[target.index()];
             prop_assert!(isp.handle_snapshot_request(&envelope).unwrap());
-            let (reply, _) = isp.finish_snapshot();
+            let (reply, _) = isp.finish_snapshot(&mut books);
             let NetMsg::SnapshotReply { from, envelope } = reply else { unreachable!() };
             if let Some(r) = federation.handle_snapshot_reply(from, &envelope).unwrap() {
                 round = Some(r);

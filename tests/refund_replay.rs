@@ -11,7 +11,7 @@
 //!    mutations (the `shard_properties` discipline);
 //! 2. **ISP** — a replayed ack is `Refused(ReplayedNonce)` before a
 //!    crash, and *still* refused by a freshly constructed ISP process
-//!    restored from the recovered books — while an unrelated fresh
+//!    running on the recovered books — while an unrelated fresh
 //!    nonce is honoured, proving the refusal is per-nonce, not a wedge;
 //! 3. **scenario** — the full harness under a replay-farming adversary
 //!    *plus* a crash window on the refund-granting ISP: recovery never
@@ -51,8 +51,9 @@ struct Bench {
     origin_pair: KeyPair,
     receiver_pair: KeyPair,
     receiver: Isp,
-    /// The receiver ISP's "disk": one store for the whole bench
-    /// lifetime, surviving every crash_restart like a real volume.
+    /// The books both ISPs run on, in a store over the receiver ISP's
+    /// "disk": one backend for the whole bench lifetime, surviving every
+    /// crash_restart like a real volume.
     store: LedgerStore<MemStorage>,
 }
 
@@ -68,15 +69,7 @@ impl Bench {
             *receiver_pair.private(),
             vec![*origin_pair.public(), *receiver_pair.public()],
         );
-        let bootstrap = Books {
-            isps: (0..ISPS)
-                .map(|i| Isp::new(IspId(i), &config, bank, seed).books().clone())
-                .collect(),
-            banks: vec![BankBooks {
-                accounts: vec![1_000_000; ISPS as usize],
-                issued: 0,
-            }],
-        };
+        let bootstrap = config.initial_books();
         let (store, _) = LedgerStore::open(MemStorage::new(), StoreConfig::default(), bootstrap);
         Bench {
             config,
@@ -109,20 +102,17 @@ impl Bench {
         }
     }
 
-    /// Crash ISP 1: journal its records into a durable store, recover,
-    /// and replace the process with a freshly constructed one restored
-    /// from the recovered books — the exact harness restart path.
+    /// Crash ISP 1: commit what it journaled, recover, and replace the
+    /// process with a freshly constructed one running on the books the
+    /// reopened store recovers — the exact harness restart path.
     fn crash_restart(&mut self, seed: u64) {
         let mut rng = small_rng(seed ^ 0xB007);
-        for rec in self.receiver.drain_journal() {
-            self.store.append(&rec);
-        }
         self.store.commit();
         let (recovered, report) = self.store.simulate_recovery();
         assert!(!report.torn_tail, "clean shutdown must not report a tear");
         assert_eq!(
             &recovered.isps[1],
-            self.receiver.books(),
+            &self.store.books().isps[1],
             "recovery lost part of the receiver's books (nonce set included)"
         );
         let bank = *KeyPair::generate(&mut rng).public();
@@ -131,9 +121,11 @@ impl Bench {
             *self.receiver_pair.private(),
             vec![*self.origin_pair.public(), *self.receiver_pair.public()],
         );
-        restarted.restore_books(&recovered.isps[1]);
-        // The restarted process inherits the journal duty; carry over
-        // nothing else — volatile state is rebuilt by the protocol.
+        let disk = self.store.storage().clone();
+        let bootstrap = self.config.initial_books();
+        (self.store, _) = LedgerStore::open(disk, StoreConfig::default(), bootstrap);
+        // The restarted process carries over nothing but the recovered
+        // books — volatile state is rebuilt by the protocol.
         self.receiver = restarted;
     }
 }
@@ -149,24 +141,33 @@ fn replayed_refund_is_refused_once_per_nonce_across_restart() {
     let ack = bench.ack(0xC0FFEE);
 
     assert_eq!(
-        bench.receiver.receive_email(IspId(0), &ack),
+        bench
+            .receiver
+            .receive_email(&mut bench.store, IspId(0), &ack),
         Delivery::Delivered,
         "first presentation of a valid refund claim is honoured"
     );
     assert_eq!(
-        bench.receiver.receive_email(IspId(0), &ack),
+        bench
+            .receiver
+            .receive_email(&mut bench.store, IspId(0), &ack),
         Delivery::Refused(RefusalCause::ReplayedNonce),
         "second presentation is refused while the process is up"
     );
 
     bench.crash_restart(7);
     assert_eq!(
-        bench.receiver.receive_email(IspId(0), &ack),
+        bench
+            .receiver
+            .receive_email(&mut bench.store, IspId(0), &ack),
         Delivery::Refused(RefusalCause::ReplayedNonce),
         "the nonce set must survive crash recovery — a restart is not a refund reset"
     );
+    let fresh = bench.ack(0xDECAF);
     assert_eq!(
-        bench.receiver.receive_email(IspId(0), &bench.ack(0xDECAF)),
+        bench
+            .receiver
+            .receive_email(&mut bench.store, IspId(0), &fresh),
         Delivery::Delivered,
         "a fresh nonce is still honoured after restart: refusal is per-nonce"
     );
@@ -187,7 +188,10 @@ fn refunds_stay_single_use_across_many_restarts() {
             if round < i % 4 {
                 continue;
             }
-            let verdict = bench.receiver.receive_email(IspId(0), &bench.ack(nonce));
+            let ack = bench.ack(nonce);
+            let verdict = bench
+                .receiver
+                .receive_email(&mut bench.store, IspId(0), &ack);
             if round == i % 4 {
                 assert_eq!(
                     verdict,
@@ -210,7 +214,7 @@ fn refunds_stay_single_use_across_many_restarts() {
         nonces.len() as u32,
         "every distinct nonce is honoured exactly once"
     );
-    let books = bench.receiver.books();
+    let books = &bench.store.books().isps[1];
     let mut expect = nonces.clone();
     expect.sort_unstable();
     assert_eq!(
