@@ -13,8 +13,7 @@
 
 use zmail_bench::Report;
 use zmail_core::isp::{Isp, SendOutcome};
-use zmail_core::multibank::Federation;
-use zmail_core::{CheatMode, IspId, NetMsg, ZmailConfig};
+use zmail_core::{CheatMode, Federation, IspId, NetMsg, ZmailConfig};
 use zmail_sim::workload::{TrafficConfig, TrafficGenerator};
 use zmail_sim::{MailKind, Sampler, SimDuration, Table};
 
@@ -22,12 +21,12 @@ use zmail_sim::{MailKind, Sampler, SimDuration, Table};
 /// federated round.
 fn run_with_banks(banks: u32, cheat_isp: Option<u32>, seed: u64) -> RoundSummary {
     let n = 12u32;
-    let mut builder = ZmailConfig::builder(n, 10).limit(10_000);
+    let mut builder = ZmailConfig::builder(n, 10).banks(banks).limit(10_000);
     if let Some(c) = cheat_isp {
         builder = builder.cheat(c, CheatMode::UnderReportSends { fraction: 1.0 });
     }
     let config = builder.build();
-    let mut federation = Federation::new(&config, banks, seed);
+    let mut federation = Federation::new(&config, seed);
     let mut isps: Vec<Isp> = (0..n)
         .map(|i| {
             Isp::new(
@@ -89,8 +88,8 @@ fn run_with_banks(banks: u32, cheat_isp: Option<u32>, seed: u64) -> RoundSummary
     RoundSummary {
         delivered,
         per_bank_load,
-        suspects: round.consistency.suspects.len(),
-        cheater_caught: cheat_isp.is_some_and(|c| round.consistency.implicates(IspId(c))),
+        suspects: round.suspects.len(),
+        cheater_caught: cheat_isp.is_some_and(|c| round.implicates(IspId(c))),
         cross_region_settlements: round.settlements.len() / 2,
         net_flow: round.net_flow(),
         largest_settlement: round
@@ -202,7 +201,12 @@ fn main() {
     ]);
     harness.row_owned(vec![
         "settlement events".into(),
-        report.settlements.len().to_string(),
+        report
+            .consistency_reports
+            .iter()
+            .filter(|(_, r)| !r.settlements.is_empty())
+            .count()
+            .to_string(),
     ]);
     harness.row_owned(vec![
         "federated audit".into(),

@@ -76,7 +76,7 @@ fn run(loss: f64, retry: Option<SimDuration>, idempotent: bool, seed: u64) -> Ou
     Outcome {
         lost: report.bank_messages_lost,
         retries,
-        cached_replies: system.bank().stats().idempotent_replays,
+        cached_replies: system.federation().bank(0).stats().idempotent_replays,
         wedged_isps: wedged,
         pools_recovered: recovered,
         stranded: system.pennies_stranded(),

@@ -56,7 +56,7 @@ fn main() {
     let mut system = ZmailSystem::new(config, 17);
     let report = system.run_trace(&trace);
     system.audit().expect("conservation");
-    let bank = system.bank().stats().clone();
+    let bank = system.federation().bank(0).stats().clone();
     // Settlement operations: every bank exchange plus one snapshot
     // reply handled per compliant ISP per round.
     let zmail_settlement_ops =

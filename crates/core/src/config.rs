@@ -274,8 +274,8 @@ impl ZmailConfig {
     /// The deployment's books at time zero — every ISP's users, pool and
     /// credit row, and one bank ledger per configured bank. The one place
     /// they are built: the protocol world, the SMTP gateway and every
-    /// standalone [`Isp`](crate::isp::Isp) or [`Bank`](crate::bank::Bank)
-    /// start from them.
+    /// standalone [`Isp`](crate::isp::Isp) or
+    /// [`Federation`](crate::bank::Federation) start from them.
     pub fn initial_books(&self) -> Books {
         let user = UserBooks {
             account: self.initial_account.0,

@@ -10,9 +10,9 @@
 //!    the system tests: a delivery moves exactly one e-penny from sender
 //!    to receiver and changes nothing else.
 
+use crate::bank::Federation;
 use crate::config::ZmailConfig;
 use crate::ids::IspId;
-use crate::multibank::Federation;
 use std::error::Error;
 use std::fmt;
 use zmail_store::Books;
@@ -177,7 +177,7 @@ mod tests {
 
     fn setup(n: u32) -> (ZmailConfig, Vec<Isp>, Federation, Books) {
         let config = ZmailConfig::builder(n, 3).build();
-        let bank = Federation::new(&config, 1, 9);
+        let bank = Federation::new(&config, 9);
         let isps = (0..n)
             .map(|i| {
                 Isp::new(

@@ -15,8 +15,10 @@
 //! * [`isp`] — the compliant ISP process: per-user `balance`, `account`,
 //!   `sent`, `limit`; the per-peer `credit` ledger; buy/sell exchanges with
 //!   the bank; snapshot freeze/flush (§4.1–4.3);
-//! * [`bank`] — the bank process: ISP accounts, e-penny issuance, credit
-//!   snapshot gathering and pairwise consistency verification (§4.3–4.4);
+//! * [`bank`] — the bank tier: a federation of one or more banks (the
+//!   central bank is a federation of one) running buy/sell exchanges,
+//!   credit snapshot gathering, pairwise consistency verification and
+//!   inter-bank settlement (§4.3–4.4, §5);
 //! * [`system`] — a discrete-event harness wiring `n` ISPs, the bank, a
 //!   latency-modelled network, and a workload trace into a runnable world
 //!   with full metrics;
@@ -75,14 +77,13 @@ pub mod mailinglist;
 pub mod massive;
 pub mod metrics;
 pub mod msg;
-pub mod multibank;
 pub mod spec;
 pub mod spec_bank;
 pub mod system;
 pub mod zombie;
 
 pub use backpressure::{AdmissionConfig, AdmissionStats, BackpressureSink};
-pub use bank::{Bank, ConsistencyReport};
+pub use bank::{Bank, ConsistencyReport, Federation};
 pub use config::{
     AttestWeakness, CheatMode, DurabilityConfig, NonCompliantPolicy, ZmailConfig,
     ZmailConfigBuilder,
@@ -96,7 +97,6 @@ pub use massive::{
     MassiveReport, MassiveWorld,
 };
 pub use msg::{EmailMsg, Exchange, NetMsg};
-pub use multibank::{FederatedRound, Federation};
 pub use system::{RecoveryEvent, RunReport, ZmailSystem};
 pub use zombie::{ZombieAnalysis, ZombieIncident};
 

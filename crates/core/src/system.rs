@@ -9,14 +9,13 @@
 //! quiescence freeze), and accumulates a [`RunReport`].
 
 use crate::adversary::AdversaryEngine;
-use crate::bank::{Bank, ConsistencyReport};
+use crate::bank::{ConsistencyReport, Federation};
 use crate::config::ZmailConfig;
 use crate::ids::IspId;
 use crate::invariants::{self, AuditError, FlightLedger};
 use crate::isp::{Delivery, Isp, IspView, RefusalCause, SendError, SendOutcome};
 use crate::metrics::CoreMetrics;
 use crate::msg::{Digest, EmailMsg, Exchange, NetMsg};
-use crate::multibank::{Federation, SettlementFlow};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, VecDeque};
@@ -183,11 +182,10 @@ pub struct RunReport {
     pub snapshot_messages_lost: u64,
     /// Daily-limit warnings, in order (the §5 zombie defence signal).
     pub limit_warnings: Vec<LimitWarning>,
-    /// Completed consistency checks, in order.
+    /// Completed consistency checks, in order, each with its inter-bank
+    /// settlements (nonempty only when `banks > 1` and cross-region flow
+    /// was unequal).
     pub consistency_reports: Vec<(SimTime, ConsistencyReport)>,
-    /// Inter-bank settlements from each completed federated round
-    /// (nonempty only when `banks > 1` and cross-region flow was unequal).
-    pub settlements: Vec<(SimTime, Vec<SettlementFlow>)>,
     /// Total messages put on the inter-party network.
     pub network_messages: u64,
     /// Paid deliveries refused by attestation verification (missing,
@@ -847,12 +845,7 @@ impl ZmailWorld {
                     CoreMetrics::get().snapshot_rounds.inc();
                     self.report
                         .consistency_reports
-                        .push((scheduler.now(), round.consistency));
-                    if !round.settlements.is_empty() {
-                        self.report
-                            .settlements
-                            .push((scheduler.now(), round.settlements));
-                    }
+                        .push((scheduler.now(), round));
                 }
             }
             (node, msg) => {
@@ -1181,7 +1174,7 @@ impl ZmailSystem {
     /// from `seed`.
     pub fn new(config: ZmailConfig, seed: u64) -> Self {
         config.validate();
-        let banks = Federation::new(&config, config.banks, seed);
+        let banks = Federation::new(&config, seed);
         let mut isps: Vec<Isp> = (0..config.isps)
             .map(|i| {
                 Isp::new(
@@ -1396,11 +1389,6 @@ impl ZmailSystem {
     pub fn isp_mut(&mut self, id: IspId) -> (&mut Isp, &mut dyn Ledger) {
         let world = self.world_mut();
         (&mut world.isps[id.index()], &mut world.books)
-    }
-
-    /// The (first) bank process — the central bank when `banks == 1`.
-    pub fn bank(&self) -> &Bank {
-        self.world().banks.bank(0)
     }
 
     /// The bank federation (a single-member federation in the central
@@ -2060,10 +2048,12 @@ mod tests {
             );
         }
         // Cross-region traffic was imbalanced enough to settle something.
-        assert!(!report.settlements.is_empty());
-        for (_, settlement) in &report.settlements {
-            let net: i64 = settlement.iter().map(|&(_, _, v)| v).sum();
-            assert_eq!(net, 0, "settlement must net to zero");
+        assert!(report
+            .consistency_reports
+            .iter()
+            .any(|(_, round)| !round.settlements.is_empty()));
+        for (_, round) in &report.consistency_reports {
+            assert_eq!(round.net_flow(), 0, "settlement must net to zero");
         }
         system.audit().expect("federated conservation");
         assert_eq!(system.federation().bank_count(), 3);

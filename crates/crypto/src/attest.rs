@@ -244,7 +244,7 @@ mod tests {
     }
 
     #[test]
-    fn sign_then_verify_round_trips() {
+    fn signing_then_verifying_round_trips() {
         let kp = KeyPair::generate(&mut SmallRng::seed_from_u64(1));
         let att = sample(&kp);
         assert_eq!(att.verify(kp.public()), Ok(()));

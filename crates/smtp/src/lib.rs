@@ -65,9 +65,11 @@ pub use command::Command;
 pub use message::MailMessage;
 pub use relay::RelaySink;
 pub use reply::{Reply, ReplyCode};
-pub use server::{CollectSink, MailSink, SinkError, SmtpServer};
+pub use server::{CollectSink, MailSink, SinkError, SmtpServer, MAX_DATA_BYTES};
 pub use threaded::{ThreadedConfig, ThreadedServer, ThreadedStats};
-pub use transport::{bind_loopback, Connection, FaultyConnection, MemoryTransport, TcpConnection};
+pub use transport::{
+    bind_loopback, Connection, FaultyConnection, MemoryTransport, TcpConnection, MAX_LINE_BYTES,
+};
 pub use zheaders::{
     canonical_digest, extract_ack_signature, extract_signature, stamp_ack_signature,
     stamp_signature, strip_signatures, ZmailHeaders, HEADER_ACK_SIG, HEADER_ACK_TO, HEADER_KIND,

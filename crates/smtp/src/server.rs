@@ -13,7 +13,14 @@ use crate::metrics::SmtpMetrics;
 use crate::reply::{Reply, ReplyCode};
 use crate::transport::Connection;
 use crate::SmtpError;
+use std::io;
 use std::sync::{Arc, LockResult, Mutex, PoisonError};
+
+/// The largest `DATA` payload a session buffers, dot-stuffing and line
+/// ends included (Postfix's default `message_size_limit`). A bigger
+/// message is read on to its terminating dot, dropped, and answered with
+/// `552`; the session goes on.
+pub const MAX_DATA_BYTES: usize = 10_240_000;
 
 /// Why a sink refused a message, which decides the SMTP reply code.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -184,7 +191,6 @@ impl State {
 pub struct SmtpServer<S> {
     hostname: String,
     sink: S,
-    max_data_bytes: Option<usize>,
 }
 
 impl<S: MailSink> SmtpServer<S> {
@@ -193,15 +199,7 @@ impl<S: MailSink> SmtpServer<S> {
         SmtpServer {
             hostname: hostname.into(),
             sink,
-            max_data_bytes: None,
         }
-    }
-
-    /// Caps the accepted `DATA` payload; larger messages are answered with
-    /// `552` after the terminating dot (the RFC 821 storage-exceeded code).
-    pub fn with_max_size(mut self, max_data_bytes: usize) -> Self {
-        self.max_data_bytes = Some(max_data_bytes);
-        self
     }
 
     /// Runs one full session over `conn` until `QUIT` or EOF.
@@ -211,9 +209,25 @@ impl<S: MailSink> SmtpServer<S> {
     /// # Errors
     ///
     /// Returns transport errors; protocol errors are answered in-band with
-    /// 4xx/5xx replies and do not abort the session.
+    /// 4xx/5xx replies and do not abort the session. A line longer than
+    /// the transport buffers (an [`io::ErrorKind::InvalidData`] from
+    /// `recv_line`, as [`TcpConnection`](crate::TcpConnection) reports
+    /// one) is answered with `500` and ends the session (RFC 5321
+    /// §4.5.3.1).
     pub fn serve<C: Connection>(&self, mut conn: C) -> Result<usize, SmtpError> {
         let mut accepted = 0usize;
+        match self.session(&mut conn, &mut accepted) {
+            Err(SmtpError::Io(e)) if e.kind() == io::ErrorKind::InvalidData => {
+                let reply = Reply::new(ReplyCode::SyntaxError, "line too long");
+                conn.send_line(&reply.to_string())?;
+            }
+            ended => ended?,
+        }
+        Ok(accepted)
+    }
+
+    /// The session dialogue, counting accepted messages into `accepted`.
+    fn session<C: Connection>(&self, conn: &mut C, accepted: &mut usize) -> Result<(), SmtpError> {
         let mut state = State::Start;
         let mut sender = String::new();
         let mut recipients: Vec<String> = Vec::new();
@@ -226,7 +240,7 @@ impl<S: MailSink> SmtpServer<S> {
 
         loop {
             let Some(line) = conn.recv_line()? else {
-                return Ok(accepted); // client went away
+                return Ok(()); // client went away
             };
             let metrics = SmtpMetrics::get();
             let parse_started = SmtpMetrics::timer();
@@ -252,7 +266,7 @@ impl<S: MailSink> SmtpServer<S> {
                         &Reply::new(ReplyCode::Closing, format!("{} closing", self.hostname))
                             .to_string(),
                     )?;
-                    return Ok(accepted);
+                    return Ok(());
                 }
                 (Command::Vrfy(_), _) => {
                     Reply::new(ReplyCode::CannotVrfy, "cannot vrfy, will accept mail")
@@ -291,19 +305,17 @@ impl<S: MailSink> SmtpServer<S> {
                             .to_string(),
                     )?;
                     let frame_started = SmtpMetrics::timer();
-                    let payload = read_data(&mut conn)?;
-                    let payload_bytes = payload.len();
-                    let too_large = self.max_data_bytes.is_some_and(|cap| payload.len() > cap);
-                    let outcome = if too_large {
-                        Err(SinkError::reject("message exceeds size limit"))
-                    } else {
-                        MailMessage::from_data(
+                    let payload = read_data(conn)?;
+                    let payload_bytes = payload.as_ref().map_or(0, String::len);
+                    let outcome = match payload {
+                        None => Err(SinkError::reject("message exceeds size limit")),
+                        Some(payload) => MailMessage::from_data(
                             sender.clone(),
                             std::mem::take(&mut recipients),
                             &payload,
                         )
                         .map_err(|_| SinkError::reject("message malformed"))
-                        .and_then(|msg| self.sink.deliver(msg))
+                        .and_then(|msg| self.sink.deliver(msg)),
                     };
                     if let Some(started) = frame_started {
                         metrics.frame_us.record_duration(started.elapsed());
@@ -313,7 +325,7 @@ impl<S: MailSink> SmtpServer<S> {
                     state = State::Idle;
                     match outcome {
                         Ok(()) => {
-                            accepted += 1;
+                            *accepted += 1;
                             metrics.messages.inc();
                             metrics.data_bytes.add(payload_bytes as u64);
                             Reply::new(ReplyCode::Ok, "message accepted")
@@ -339,9 +351,10 @@ impl<S: MailSink> SmtpServer<S> {
 }
 
 /// Reads the dot-terminated `DATA` payload, keeping dot-stuffing intact for
-/// [`MailMessage::from_data`] to undo.
-fn read_data<C: Connection>(conn: &mut C) -> Result<String, SmtpError> {
-    let mut payload = String::new();
+/// [`MailMessage::from_data`] to undo. `None` if it outgrew
+/// [`MAX_DATA_BYTES`]: from there on the lines are read and dropped.
+fn read_data<C: Connection>(conn: &mut C) -> Result<Option<String>, SmtpError> {
+    let mut payload = Some(String::new());
     loop {
         let Some(line) = conn.recv_line()? else {
             return Err(SmtpError::ConnectionClosed);
@@ -349,8 +362,13 @@ fn read_data<C: Connection>(conn: &mut C) -> Result<String, SmtpError> {
         if line == "." {
             return Ok(payload);
         }
-        payload.push_str(&line);
-        payload.push_str("\r\n");
+        payload = payload
+            .filter(|payload| payload.len() + line.len() + 2 <= MAX_DATA_BYTES)
+            .map(|mut payload| {
+                payload.push_str(&line);
+                payload.push_str("\r\n");
+                payload
+            });
     }
 }
 
@@ -582,39 +600,43 @@ mod tests {
     }
 
     #[test]
-    fn oversized_message_gets_552_but_session_survives() {
+    fn a_message_one_byte_past_the_cap_gets_552_and_the_session_goes_on() {
         let sink = CollectSink::shared();
-        let (mut client, t) =
-            crate::testutil::spawn_server_with(sink.clone(), |server| server.with_max_size(64));
+        let (mut client, t) = crate::testutil::spawn_server(sink.clone());
         client.recv_line().unwrap();
-        let send = |c: &mut MemoryTransport, line: &str| {
-            c.send_line(line).unwrap();
-            c.recv_line().unwrap().unwrap()
+        client.send_line("HELO c").unwrap();
+        client.recv_line().unwrap();
+        let mut submit = |body: &[String]| {
+            for line in ["MAIL FROM:<a@x>", "RCPT TO:<b@y>", "DATA"] {
+                client.send_line(line).unwrap();
+                client.recv_line().unwrap();
+            }
+            client.send_line("").unwrap();
+            for line in body {
+                client.send_line(line).unwrap();
+            }
+            client.send_line(".").unwrap();
+            client.recv_line().unwrap().unwrap()
         };
-        send(&mut client, "HELO c");
-        send(&mut client, "MAIL FROM:<a@x>");
-        send(&mut client, "RCPT TO:<b@y>");
-        assert!(send(&mut client, "DATA").starts_with("354"));
-        client.send_line("").unwrap();
-        for _ in 0..10 {
-            client.send_line("0123456789abcdef").unwrap(); // ~180 bytes total
-        }
-        client.send_line(".").unwrap();
-        let reply = client.recv_line().unwrap().unwrap();
-        assert!(reply.starts_with("552"), "{reply}");
-        assert!(reply.contains("size"));
-        // A small message still goes through afterwards.
-        send(&mut client, "MAIL FROM:<a@x>");
-        send(&mut client, "RCPT TO:<b@y>");
-        assert!(send(&mut client, "DATA").starts_with("354"));
-        for line in ["", "tiny", "."] {
-            client.send_line(line).unwrap();
-        }
-        assert!(client.recv_line().unwrap().unwrap().starts_with("250"));
-        send(&mut client, "QUIT");
+        // The blank line, 10,239 lines of 1,000 bytes with their CRLF,
+        // and a last line of `last` bytes: MAX_DATA_BYTES - 996 + `last`.
+        let payload = |last: usize| -> Vec<String> {
+            let mut body = vec!["x".repeat(998); (MAX_DATA_BYTES - 1_000) / 1_000];
+            body.push("x".repeat(last));
+            body
+        };
+        assert!(submit(&payload(996)).starts_with("250"), "at the cap");
+        let over = submit(&payload(997));
+        assert!(over.starts_with("552"), "{over}");
+        assert!(over.contains("size"));
+        assert!(submit(&["tiny".to_string()]).starts_with("250"));
+        client.send_line("QUIT").unwrap();
+        client.recv_line().unwrap();
         drop(client);
-        assert_eq!(t.join().unwrap(), 1);
-        assert_eq!(sink.len(), 1);
+        assert_eq!(t.join().unwrap(), 2);
+        let messages = sink.messages();
+        assert_eq!(messages[0].body().len(), MAX_DATA_BYTES - 2);
+        assert_eq!(messages[1].body(), "tiny\r\n");
     }
 
     #[test]

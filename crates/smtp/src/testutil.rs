@@ -16,21 +16,8 @@ use std::thread::JoinHandle;
 /// number of messages the session accepted. The session must end cleanly
 /// (`QUIT` or client drop); a transport error panics the server thread.
 pub fn spawn_server<S: MailSink + Send + 'static>(sink: S) -> (MemoryTransport, JoinHandle<usize>) {
-    spawn_server_with(sink, |server| server)
-}
-
-/// Like [`spawn_server`], but lets the caller reconfigure the server
-/// (e.g. [`SmtpServer::with_max_size`]) before it starts serving.
-pub fn spawn_server_with<S, F>(sink: S, configure: F) -> (MemoryTransport, JoinHandle<usize>)
-where
-    S: MailSink + Send + 'static,
-    F: FnOnce(SmtpServer<S>) -> SmtpServer<S> + Send + 'static,
-{
     let (client_conn, server_conn) = MemoryTransport::pair();
-    let handle = std::thread::spawn(move || {
-        configure(SmtpServer::new("mx.test", sink))
-            .serve(server_conn)
-            .unwrap()
-    });
+    let handle =
+        std::thread::spawn(move || SmtpServer::new("mx.test", sink).serve(server_conn).unwrap());
     (client_conn, handle)
 }

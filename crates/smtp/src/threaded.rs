@@ -455,6 +455,39 @@ mod tests {
     }
 
     #[test]
+    fn a_line_that_never_ends_gets_500_and_the_worker_serves_on() {
+        use crate::transport::{Connection, MAX_LINE_BYTES};
+        let config = ThreadedConfig {
+            workers: 1,
+            ..tiny_config()
+        };
+        let sink = CollectSink::shared();
+        let mut server = ThreadedServer::start("mx.test", sink.clone(), config).unwrap();
+        // A client-side read timeout, so a server that keeps buffering
+        // fails the test instead of hanging it.
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(3)))
+            .unwrap();
+        let mut conn = TcpConnection::new(stream.try_clone().unwrap());
+        assert!(conn.recv_line().unwrap().unwrap().starts_with("220"));
+        // One byte past the bound and no line end, on an open connection.
+        stream.write_all(&[b'x'; MAX_LINE_BYTES + 1]).unwrap();
+        let reply = conn.recv_line().unwrap().unwrap();
+        assert!(reply.starts_with("500"), "{reply}");
+        assert_eq!(conn.recv_line().unwrap(), None, "the session is closed");
+        // The only worker serves the next connection.
+        let next = TcpConnection::connect(server.addr()).unwrap();
+        let mut client = Client::connect(next, "c.test").unwrap();
+        let message = MailMessage::builder("a@x", "b@y").body("after\r\n").build();
+        client.send(&message).unwrap();
+        client.quit().unwrap();
+        server.stop();
+        assert_eq!(sink.len(), 1);
+        assert_eq!(server.stats().accepted_connections, 2);
+    }
+
+    #[test]
     fn connections_queued_at_stop_are_served_before_the_workers_exit() {
         /// Runs `f` on its own thread and fails, instead of hanging, if
         /// it has not returned within three seconds.

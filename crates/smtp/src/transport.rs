@@ -172,6 +172,13 @@ pub fn bind_loopback(attempts: u32) -> io::Result<TcpListener> {
     Err(last.unwrap_or_else(|| io::Error::new(io::ErrorKind::AddrInUse, "bind failed")))
 }
 
+/// The most a [`TcpConnection`] buffers of one line, CRLF included: RFC
+/// 5321 §4.5.3.1.6's text-line limit (the longest line this repository
+/// sends is under 200). A longer line is an [`io::ErrorKind::InvalidData`]
+/// error from `recv_line`, which [`SmtpServer`](crate::SmtpServer)
+/// answers with `500` before it closes the session.
+pub const MAX_LINE_BYTES: usize = 1000;
+
 /// A line-framed connection over a real TCP stream.
 #[derive(Debug)]
 pub struct TcpConnection {
@@ -201,14 +208,6 @@ impl TcpConnection {
     pub fn connect(addr: SocketAddr) -> io::Result<Self> {
         Ok(Self::new(TcpStream::connect(addr)?))
     }
-
-    /// Looks for a complete CRLF-terminated line in the buffer.
-    fn take_buffered_line(&mut self) -> Option<String> {
-        let pos = self.buffer.windows(2).position(|w| w == b"\r\n")?;
-        let line = String::from_utf8_lossy(&self.buffer[..pos]).into_owned();
-        self.buffer.drain(..pos + 2);
-        Some(line)
-    }
 }
 
 impl Connection for TcpConnection {
@@ -220,7 +219,13 @@ impl Connection for TcpConnection {
 
     fn recv_line(&mut self) -> io::Result<Option<String>> {
         loop {
-            if let Some(line) = self.take_buffered_line() {
+            let end = self.buffer.windows(2).position(|w| w == b"\r\n");
+            if end.map_or(self.buffer.len(), |pos| pos + 2) > MAX_LINE_BYTES {
+                return Err(io::Error::new(io::ErrorKind::InvalidData, "line too long"));
+            }
+            if let Some(pos) = end {
+                let line = String::from_utf8_lossy(&self.buffer[..pos]).into_owned();
+                self.buffer.drain(..pos + 2);
                 return Ok(Some(line));
             }
             let mut chunk = [0u8; 4096];

@@ -4,8 +4,7 @@
 //! Run with: `cargo run --example federated_banks`
 
 use zmail::core::isp::{Isp, SendOutcome};
-use zmail::core::multibank::Federation;
-use zmail::core::{CheatMode, IspId, NetMsg, UserAddr, ZmailConfig};
+use zmail::core::{CheatMode, Federation, IspId, NetMsg, UserAddr, ZmailConfig};
 use zmail::sim::{MailKind, Table};
 use zmail::store::Books;
 
@@ -29,7 +28,7 @@ fn main() {
         .cheat(4, CheatMode::UnderReportSends { fraction: 1.0 })
         .build();
     let mut books = config.initial_books();
-    let mut federation = Federation::new(&config, 3, 2026);
+    let mut federation = Federation::new(&config, 2026);
     let mut isps: Vec<Isp> = (0..6)
         .map(|i| {
             Isp::new(
@@ -84,7 +83,7 @@ fn main() {
     let round = round.expect("round completes");
 
     println!("\nconsistency suspects:");
-    for (a, b, sum) in &round.consistency.suspects {
+    for (a, b, sum) in &round.suspects {
         println!("  ({a}, {b}) off by {sum}  <- the hidden send");
     }
     let mut table = Table::new(&["from bank", "to bank", "net e¢ owed"]);
@@ -93,5 +92,5 @@ fn main() {
     }
     println!("\ninter-bank settlement:\n{table}");
     println!("federation net flow: {} (always zero)", round.net_flow());
-    assert!(round.consistency.implicates(IspId(4)));
+    assert!(round.implicates(IspId(4)));
 }

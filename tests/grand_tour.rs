@@ -113,8 +113,8 @@ fn everything_composes() {
     );
 
     // Inter-bank settlements were recorded and each nets to zero.
-    for (_, settlement) in &report.settlements {
-        assert_eq!(settlement.iter().map(|&(_, _, v)| v).sum::<i64>(), 0);
+    for (_, round) in &report.consistency_reports {
+        assert_eq!(round.net_flow(), 0);
     }
 
     // The whole thing still balances to the e-penny.

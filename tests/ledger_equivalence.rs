@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
-use zmail::core::{Bank, EmailMsg, Exchange, Isp, IspId, NetMsg, SendOutcome, ZmailConfig};
+use zmail::core::{EmailMsg, Exchange, Federation, Isp, IspId, NetMsg, SendOutcome, ZmailConfig};
 use zmail::crypto::KeyPair;
 use zmail::econ::EPennies;
 use zmail::sim::{MailKind, UserAddr};
@@ -38,7 +38,7 @@ fn config() -> ZmailConfig {
 struct Deployment<L: Ledger> {
     ledger: L,
     isps: [Isp; 2],
-    bank: Bank,
+    bank: Federation,
     /// Paid mail in flight toward each ISP, FIFO.
     wires: [VecDeque<EmailMsg>; 2],
     /// Snapshot requests delivered and not yet finished, per ISP.
@@ -47,13 +47,18 @@ struct Deployment<L: Ledger> {
 
 impl<L: Ledger> Deployment<L> {
     fn new(config: &ZmailConfig, ledger: L) -> Self {
-        let bank = Bank::new(config, 3);
+        let bank = Federation::new(config, 3);
         let keys: Vec<KeyPair> = (0..2)
             .map(|i| KeyPair::generate(&mut SmallRng::seed_from_u64(40 + i)))
             .collect();
         let publics: Vec<_> = keys.iter().map(|k| *k.public()).collect();
         let isps = [0, 1].map(|i| {
-            let mut isp = Isp::new(IspId(i), config, bank.public_key(), 7 + u64::from(i));
+            let mut isp = Isp::new(
+                IspId(i),
+                config,
+                bank.public_key_for(IspId(i)),
+                7 + u64::from(i),
+            );
             isp.install_attestation_keys(*keys[i as usize].private(), publics.clone());
             isp
         });

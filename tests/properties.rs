@@ -282,12 +282,11 @@ proptest! {
         sends in proptest::collection::vec((0u32..6, 0u32..6), 1..80),
     ) {
         use zmail::core::isp::{Isp, SendOutcome};
-        use zmail::core::multibank::Federation;
-        use zmail::core::{IspId, NetMsg, ZmailConfig};
+        use zmail::core::{Federation, IspId, NetMsg, ZmailConfig};
         use zmail::sim::MailKind;
 
-        let config = ZmailConfig::builder(6, 2).limit(1_000).build();
-        let mut federation = Federation::new(&config, banks, seed);
+        let config = ZmailConfig::builder(6, 2).banks(banks).limit(1_000).build();
+        let mut federation = Federation::new(&config, seed);
         let mut isps: Vec<Isp> = (0..6)
             .map(|i| {
                 Isp::new(
@@ -325,7 +324,7 @@ proptest! {
         }
         let round = round.expect("round completes");
         // Honest traffic: never a suspect; settlement antisymmetric.
-        prop_assert!(round.consistency.is_clean());
+        prop_assert!(round.is_clean());
         prop_assert_eq!(round.net_flow(), 0);
         for &(a, b, v) in &round.settlements {
             prop_assert!(round.settlements.contains(&(b, a, -v)));
