@@ -54,7 +54,7 @@
 //!
 //! [`independence_crosscheck`] closes the loop between the *verified
 //! model* and the *executable world*: the AP independence relation
-//! derived here is compared against the `ParallelWorld` footprint keys
+//! derived here is compared against the `zmail_sim::World` footprint keys
 //! of the sim events that mirror each spec action (supplied by the
 //! caller, e.g. `zmail_core::spec::sim_mirror_footprints`). Two kinds
 //! of divergence exist:
@@ -1023,7 +1023,7 @@ impl fmt::Display for CrosscheckReport {
 /// Compares the AP independence relation in `report` against sim-level
 /// footprint disjointness for the spec-mirrored events.
 ///
-/// `sim_keys[i]` is the `ParallelWorld` footprint key set of the sim
+/// `sim_keys[i]` is the `zmail_sim::World` footprint key set of the sim
 /// event mirroring action `i` of `spec`, or `None` when the action has
 /// no executable mirror (it is then skipped). Produces `AP013` errors
 /// for same-process, variable-sharing pairs whose mirrors claim

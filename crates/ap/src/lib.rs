@@ -33,7 +33,7 @@
 //!   intended and "verifies" vacuously; the analyzer catches that before
 //!   the verdict is trusted. [`independence_crosscheck()`] goes one step
 //!   further and diffs the derived independence relation against the
-//!   executable harness's `ParallelWorld` footprint keys for the
+//!   executable harness's `zmail_sim::World` footprint keys for the
 //!   spec-mirrored events, so the verified model and the running world
 //!   cannot silently drift apart.
 //!

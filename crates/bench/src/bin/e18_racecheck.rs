@@ -12,9 +12,9 @@
 //!    unchecked at matched thread counts and reports the events/s
 //!    penalty.
 //! 2. **What does the full harness gain?** `ZmailWorld` — every ISP,
-//!    the bank, latency-modelled delivery, billing — now implements
-//!    `ParallelWorld` with footprints developed under the checker. The
-//!    second table drives a multi-day deployment through
+//!    the bank, latency-modelled delivery, billing — implements the
+//!    `zmail_sim::World` contract with footprints developed under the
+//!    checker. The second table drives a multi-day deployment through
 //!    `run_trace_parallel` at 1/2/4/8 threads, asserting byte-identical
 //!    reports while measuring events/s, plus one armed run so the
 //!    `racecheck.*` counters land in the obs registry.

@@ -10,7 +10,7 @@
 //!
 //! For the protocol configurations the lint additionally runs
 //! [`zmail_ap::independence_crosscheck`]: the model's independence
-//! relation is diffed against the `ParallelWorld` footprint keys of the
+//! relation is diffed against the `zmail_sim::World` footprint keys of the
 //! harness events mirroring each spec action
 //! ([`zmail_core::spec::sim_mirror_footprints`]), and an unexplained
 //! divergence (`AP013`) fails the gate just like a structural error.
@@ -290,7 +290,7 @@ fn main() -> ExitCode {
         || crosschecks.iter().any(|(_, _, c)| c.has_errors());
     experiment.finish(
         !any_error,
-        "all bundled specs lint clean of errors and the model's independence relation agrees with the harness's ParallelWorld footprints; the surviving warnings are the documented intentional ones (the invariant-only `error_detected` variable, the provably-dead retry under a reliable network)",
+        "all bundled specs lint clean of errors and the model's independence relation agrees with the harness's World footprints; the surviving warnings are the documented intentional ones (the invariant-only `error_detected` variable, the provably-dead retry under a reliable network)",
     );
     if any_error {
         ExitCode::FAILURE

@@ -26,7 +26,7 @@
 //!
 //! # Parallel-within-tick
 //!
-//! [`MassiveWorld`] implements [`ParallelWorld`]: an event's footprint
+//! [`MassiveWorld`] implements [`World`]: an event's footprint
 //! is the pair of shards its sender and receiver live on, its stage
 //! phase does the per-message digest work (modelling the §4 evidence
 //! sealing — the embarrassingly parallel part), and its apply phase
@@ -37,8 +37,8 @@
 
 use crate::config::DurabilityConfig;
 use zmail_obs::{FlightRecorder, SpanStatus};
-use zmail_sim::racecheck::{AccessRecorder, CheckedWorld, RacecheckReport, RecordedWorld};
-use zmail_sim::{ParallelWorld, Scheduler, SimDuration, SimTime, Simulation, World};
+use zmail_sim::racecheck::{AccessRecorder, CheckedWorld, RacecheckReport};
+use zmail_sim::{Scheduler, SimDuration, SimTime, Simulation, World};
 use zmail_store::{
     BankBooks, Books, IspBooks, MemStorage, SendError, ShardedLedgerStore, UserBooks, XferKind,
     XferLeg,
@@ -167,10 +167,6 @@ pub struct MassiveWorld {
     config: MassiveConfig,
     store: ShardedLedgerStore<MemStorage>,
     report: MassiveReport,
-    /// Footprint-racecheck access recorder: disabled (a no-op) in
-    /// production runs, swapped for an armed one by
-    /// [`RecordedWorld::recorded_apply`].
-    recorder: AccessRecorder,
     /// Causal flight recorder (disabled by default): each send mints a
     /// lifecycle root closed in the same apply — this world has no
     /// multi-hop protocol, so a trace is a single annotated span. All
@@ -198,7 +194,6 @@ impl MassiveWorld {
             config,
             store,
             report: MassiveReport::default(),
-            recorder: AccessRecorder::disabled(),
             flight: FlightRecorder::disabled(1),
         }
     }
@@ -275,27 +270,6 @@ impl MassiveWorld {
     }
 }
 
-impl World for MassiveWorld {
-    type Event = MassiveEvent;
-
-    fn handle(
-        &mut self,
-        now: SimTime,
-        event: MassiveEvent,
-        scheduler: &mut Scheduler<'_, MassiveEvent>,
-    ) {
-        let effect = self.stage(now, &event);
-        self.apply(now, event, effect, scheduler);
-    }
-
-    fn event_label(event: &MassiveEvent) -> &'static str {
-        match event {
-            MassiveEvent::Send(_) => "send",
-            MassiveEvent::TickCommit => "tick_commit",
-        }
-    }
-}
-
 /// Events of the population-scale world.
 #[derive(Debug, Clone, Copy)]
 pub enum MassiveEvent {
@@ -306,7 +280,8 @@ pub enum MassiveEvent {
     TickCommit,
 }
 
-impl ParallelWorld for MassiveWorld {
+impl World for MassiveWorld {
+    type Event = MassiveEvent;
     type Effect = u64;
 
     fn footprint(&self, event: &MassiveEvent, keys: &mut Vec<u64>) {
@@ -324,7 +299,16 @@ impl ParallelWorld for MassiveWorld {
         }
     }
 
-    fn stage(&self, _now: SimTime, event: &MassiveEvent) -> u64 {
+    fn event_label(event: &MassiveEvent) -> &'static str {
+        match event {
+            MassiveEvent::Send(_) => "send",
+            MassiveEvent::TickCommit => "tick_commit",
+        }
+    }
+
+    fn stage(&self, _now: SimTime, event: &MassiveEvent, _rec: &mut AccessRecorder) -> u64 {
+        // Stage digests are pure compute over the event and the seed —
+        // no mutable shared state is read, so nothing is recorded.
         let MassiveEvent::Send(send) = event else {
             return 0;
         };
@@ -346,14 +330,14 @@ impl ParallelWorld for MassiveWorld {
         now: SimTime,
         event: MassiveEvent,
         effect: u64,
-        _scheduler: &mut Scheduler<'_, MassiveEvent>,
+        scheduler: &mut Scheduler<'_, MassiveEvent>,
     ) {
         self.report.events += 1;
         let send = match event {
             MassiveEvent::Send(send) => send,
             MassiveEvent::TickCommit => {
                 for shard in 0..self.store.shard_count() as u64 {
-                    self.recorder.write(CLASS_SHARD, shard);
+                    scheduler.write(CLASS_SHARD, shard);
                 }
                 self.store.commit_all();
                 return;
@@ -370,7 +354,7 @@ impl ParallelWorld for MassiveWorld {
         }
         let from_shard = u64::from(self.store.map().user_shard(send.from_isp, send.from_user));
         let to_shard = u64::from(self.store.map().user_shard(send.to_isp, send.to_user));
-        self.recorder.read(CLASS_SHARD, from_shard);
+        scheduler.read(CLASS_SHARD, from_shard);
         let sender = self.store.user(send.from_isp, send.from_user);
         if let Err(refusal) = sender.check_send() {
             let note = match refusal {
@@ -394,8 +378,8 @@ impl ParallelWorld for MassiveWorld {
         } else {
             self.report.cross_shard += 1;
         }
-        self.recorder.write(CLASS_SHARD, from_shard);
-        self.recorder.write(CLASS_SHARD, to_shard);
+        scheduler.write(CLASS_SHARD, from_shard);
+        scheduler.write(CLASS_SHARD, to_shard);
         self.store.transfer(
             XferLeg {
                 kind: XferKind::Charge,
@@ -418,34 +402,13 @@ impl ParallelWorld for MassiveWorld {
     }
 }
 
-impl RecordedWorld for MassiveWorld {
-    fn recorded_stage(&self, now: SimTime, event: &MassiveEvent, _rec: &mut AccessRecorder) -> u64 {
-        // Stage digests are pure compute over the event and the seed —
-        // no mutable shared state is read, so nothing is recorded.
-        self.stage(now, event)
-    }
-
-    fn recorded_apply(
-        &mut self,
-        now: SimTime,
-        event: MassiveEvent,
-        effect: u64,
-        scheduler: &mut Scheduler<'_, MassiveEvent>,
-        rec: &mut AccessRecorder,
-    ) {
-        std::mem::swap(&mut self.recorder, rec);
-        self.apply(now, event, effect, scheduler);
-        std::mem::swap(&mut self.recorder, rec);
-    }
-}
-
 /// Schedules the full `ticks × sends_per_tick` workload of `config`
 /// (plus the per-tick commit barrier) over `world` — the bare
 /// [`MassiveWorld`] or a wrapper of it — and drives the tick-parallel
 /// engine with `threads` workers (0 = all cores, 1 = serial).
 fn drive<W>(world: W, config: &MassiveConfig, threads: usize) -> W
 where
-    W: ParallelWorld<Event = MassiveEvent> + Sync,
+    W: World<Event = MassiveEvent> + Sync,
 {
     let mut sim = Simulation::new(world);
     for tick in 0..config.ticks {

@@ -426,7 +426,7 @@ pub fn build_spec(
     (spec, state)
 }
 
-/// Maps a spec action name to the [`ParallelWorld`] footprint keys of
+/// Maps a spec action name to the [`World`] footprint keys of
 /// the `ZmailWorld` event that mirrors it in the executable harness —
 /// the executable half of [`zmail_ap::independence_crosscheck`].
 ///
@@ -442,7 +442,7 @@ pub fn build_spec(
 /// Returns `None` for names that mirror no harness event, so unknown
 /// actions are skipped by the cross-check rather than mis-mapped.
 ///
-/// [`ParallelWorld`]: zmail_sim::ParallelWorld
+/// [`World`]: zmail_sim::World
 pub fn sim_mirror_keys(name: &str) -> Option<Vec<u64>> {
     use crate::system::{isp_key, BANK_KEY};
     if name == "bank request" || name.starts_with("bank recv reply") {
@@ -733,7 +733,7 @@ mod tests {
     #[test]
     fn independence_crosscheck_is_clean_on_bundled_configs() {
         // The verified model's independence relation and the harness's
-        // ParallelWorld footprints must tell the same story: every
+        // World footprints must tell the same story: every
         // model-level dependence is either key overlap at the sim level
         // or carried by the scheduler (channel FIFO / serialized apply),
         // and no proven-independent pair collides on a key.

@@ -27,9 +27,9 @@ use zmail_fault::{
     PairLedger, Verdict,
 };
 use zmail_obs::{FlightRecorder, SpanCtx, SpanStatus};
-use zmail_sim::racecheck::{AccessRecorder, CheckedWorld, RacecheckReport, RecordedWorld};
+use zmail_sim::racecheck::{AccessRecorder, CheckedWorld, RacecheckReport};
 use zmail_sim::workload::{MailKind, SendEvent, UserAddr};
-use zmail_sim::{ParallelWorld, Scheduler, SimDuration, SimTime, Simulation, World};
+use zmail_sim::{Scheduler, SimDuration, SimTime, Simulation, World};
 use zmail_store::{Books, Ledger, LedgerRecord, LedgerStore, MemStorage};
 
 /// Events driving the world.
@@ -279,11 +279,6 @@ struct ZmailWorld {
     faults: FaultInjector,
     lists: Vec<RegisteredList>,
     report: RunReport,
-    /// Access recorder for the footprint race checker. Disabled (a
-    /// no-op) in production runs; [`RecordedWorld::recorded_apply`]
-    /// swaps an armed one in so every instrumented mutation site below
-    /// reports the key it touches.
-    recorder: AccessRecorder,
     /// Causal flight recorder (disabled by default — see
     /// [`ZmailSystem::attach_flight_recorder`]). Every call into it
     /// happens on the serial apply path, so span ids, sampling
@@ -443,7 +438,7 @@ impl ZmailWorld {
         // ISP (ledger debit, buffer, auto-topup, buy/sell pump). A
         // local delivery credits the same ISP; cross-ISP credits happen
         // in the receiver's own Deliver event.
-        self.recorder.write(CLASS_ISP, isp_key(sender_isp.0));
+        scheduler.write(CLASS_ISP, isp_key(sender_isp.0));
         let outcome =
             self.isps[sender_isp.index()].send_email(&mut self.books, from.user, to, kind);
         match outcome {
@@ -715,7 +710,7 @@ impl ZmailWorld {
                     self.close(lifecycle, "", SpanStatus::Ok);
                     return;
                 }
-                self.recorder.write(CLASS_ISP, isp_key(j.0));
+                scheduler.write(CLASS_ISP, isp_key(j.0));
                 match self.isps[j.index()].receive_email(&mut self.books, origin, &email) {
                     Delivery::Delivered => {
                         // A counterfeit that *landed* shifted value: the
@@ -786,7 +781,7 @@ impl ZmailWorld {
                     replayed,
                 },
             ) => {
-                self.recorder.write(CLASS_ISP, isp_key(j));
+                scheduler.write(CLASS_ISP, isp_key(j));
                 let isp = &mut self.isps[j as usize];
                 match isp.handle_exchange_reply(&mut self.books, side, &envelope) {
                     // Reply accepted: the round trip is over.
@@ -812,7 +807,7 @@ impl ZmailWorld {
                 }
             }
             (Endpoint::Isp(j), NetMsg::SnapshotRequest { envelope }) => {
-                self.recorder.write(CLASS_ISP, isp_key(j));
+                scheduler.write(CLASS_ISP, isp_key(j));
                 if self.isps[j as usize]
                     .handle_snapshot_request(&envelope)
                     .unwrap_or(false)
@@ -825,7 +820,7 @@ impl ZmailWorld {
                 let Endpoint::Isp(g) = from else {
                     panic!("{} must come from an ISP", side.label());
                 };
-                self.recorder.write(CLASS_BANK, BANK_KEY);
+                scheduler.write(CLASS_BANK, BANK_KEY);
                 let served = self
                     .banks
                     .handle_exchange(&mut self.books, side, IspId(g), &envelope);
@@ -840,7 +835,7 @@ impl ZmailWorld {
                     envelope,
                 },
             ) => {
-                self.recorder.write(CLASS_BANK, BANK_KEY);
+                scheduler.write(CLASS_BANK, BANK_KEY);
                 if let Ok(Some(round)) = self.banks.handle_snapshot_reply(isp, &envelope) {
                     CoreMetrics::get().snapshot_rounds.inc();
                     self.report
@@ -901,7 +896,8 @@ impl ZmailWorld {
     /// nonces, freeze flags, buffered sends) stays as-is — the protocol's
     /// own retransmission machinery rebuilds it, exactly as after a warm
     /// restart.
-    fn crash_restart(&mut self, now: SimTime, isp: IspId) {
+    fn crash_restart(&mut self, scheduler: &mut Scheduler<'_, Event>, isp: IspId) {
+        let now = scheduler.now();
         // Truncate every span open on the crashed node: they close with
         // `crashed` status rather than leaking. Stale entries left in
         // `queue_spans`/`bank_spans` are harmless — operations on closed
@@ -912,7 +908,7 @@ impl ZmailWorld {
         let WorldBooks::Durable(store) = &self.books else {
             return;
         };
-        self.recorder.write(CLASS_ISP, isp_key(isp.0));
+        scheduler.write(CLASS_ISP, isp_key(isp.0));
         let (recovered, recovery) = store.simulate_recovery();
         let diverged = recovered.isps[isp.index()] != store.books().isps[isp.index()];
         self.report.recoveries.push(RecoveryEvent {
@@ -928,36 +924,6 @@ impl ZmailWorld {
 impl World for ZmailWorld {
     type Event = Event;
 
-    fn handle(&mut self, now: SimTime, event: Event, scheduler: &mut Scheduler<'_, Event>) {
-        // Serial path = stage + apply, so the staged digest fold (and
-        // hence the whole `RunReport`) is byte-identical to the
-        // tick-parallel path at any thread count.
-        let effect = self.stage(now, &event);
-        self.apply(now, event, effect, scheduler);
-    }
-
-    fn event_label(event: &Event) -> &'static str {
-        match event {
-            Event::Workload(_) => "workload",
-            // Deliveries are the parallel-staged digest events; split
-            // the label by traffic class so telemetry and racecheck
-            // findings name the actual wire protocol involved.
-            Event::Deliver { msg, .. } => match msg_class(msg) {
-                MsgClass::Email => "deliver_email",
-                MsgClass::Bank => "deliver_bank",
-                MsgClass::Snapshot => "deliver_snapshot",
-            },
-            Event::DayEnd => "day_end",
-            Event::BillingKickoff => "billing_kickoff",
-            Event::SnapshotTimeout(_) => "snapshot_timeout",
-            Event::ListPost(_) => "list_post",
-            Event::BankRetry(_) => "bank_retry",
-            Event::CrashRestart(_) => "crash_restart",
-        }
-    }
-}
-
-impl ParallelWorld for ZmailWorld {
     /// The staged per-event digest: [`NetMsg::digest`] for deliveries,
     /// [`trace_digest`] for workload sends, zero for periodic events.
     type Effect = u64;
@@ -1009,7 +975,32 @@ impl ParallelWorld for ZmailWorld {
         }
     }
 
-    fn stage(&self, _now: SimTime, event: &Event) -> u64 {
+    fn event_label(event: &Event) -> &'static str {
+        match event {
+            Event::Workload(_) => "workload",
+            // Deliveries are the parallel-staged digest events; split
+            // the label by traffic class so telemetry and racecheck
+            // findings name the actual wire protocol involved.
+            Event::Deliver { msg, .. } => match msg_class(msg) {
+                MsgClass::Email => "deliver_email",
+                MsgClass::Bank => "deliver_bank",
+                MsgClass::Snapshot => "deliver_snapshot",
+            },
+            Event::DayEnd => "day_end",
+            Event::BillingKickoff => "billing_kickoff",
+            Event::SnapshotTimeout(_) => "snapshot_timeout",
+            Event::ListPost(_) => "list_post",
+            Event::BankRetry(_) => "bank_retry",
+            Event::CrashRestart(_) => "crash_restart",
+        }
+    }
+
+    fn stage(&self, _now: SimTime, event: &Event, _rec: &mut AccessRecorder) -> u64 {
+        // Stage phases read only immutable run inputs (the workload
+        // trace, the message being delivered) — nothing in the mutable
+        // footprint domain — so there is nothing to record. SIM001 holds
+        // vacuously, which is exactly what makes every batch selection
+        // safe for this world.
         match event {
             Event::Workload(index) => trace_digest(&self.trace[*index]),
             Event::Deliver { msg, .. } => msg.digest(),
@@ -1039,7 +1030,7 @@ impl ParallelWorld for ZmailWorld {
             }
             Event::DayEnd => {
                 for i in 0..self.config.isps {
-                    self.recorder.write(CLASS_ISP, isp_key(i));
+                    scheduler.write(CLASS_ISP, isp_key(i));
                 }
                 for isp in &self.isps {
                     isp.reset_daily(&mut self.books);
@@ -1050,9 +1041,9 @@ impl ParallelWorld for ZmailWorld {
                 }
             }
             Event::BillingKickoff => {
-                self.recorder.read(CLASS_BANK, BANK_KEY);
+                scheduler.read(CLASS_BANK, BANK_KEY);
                 if !self.banks.snapshot_in_progress() {
-                    self.recorder.write(CLASS_BANK, BANK_KEY);
+                    scheduler.write(CLASS_BANK, BANK_KEY);
                     let requests = self.banks.start_snapshot();
                     for (isp, msg) in requests {
                         self.dispatch(scheduler, Endpoint::Bank, Endpoint::Isp(isp.0), msg, None);
@@ -1064,7 +1055,7 @@ impl ParallelWorld for ZmailWorld {
                 }
             }
             Event::SnapshotTimeout(isp) => {
-                self.recorder.write(CLASS_ISP, isp_key(isp.0));
+                scheduler.write(CLASS_ISP, isp_key(isp.0));
                 let (reply, drained) = self.isps[isp.index()].finish_snapshot(&mut self.books);
                 self.dispatch(scheduler, Endpoint::Isp(isp.0), Endpoint::Bank, reply, None);
                 for (sender, to, kind) in drained {
@@ -1089,12 +1080,12 @@ impl ParallelWorld for ZmailWorld {
                 // The retry probe reads the ISP's outstanding-exchange
                 // state; issuing a retransmission mutates it (fresh
                 // nonce or idempotent resend bookkeeping).
-                self.recorder.read(CLASS_ISP, isp_key(isp.0));
+                scheduler.read(CLASS_ISP, isp_key(isp.0));
                 for side in Exchange::BOTH {
                     let Some(msg) = self.isps[isp.index()].retry_exchange(side) else {
                         continue;
                     };
-                    self.recorder.write(CLASS_ISP, isp_key(isp.0));
+                    scheduler.write(CLASS_ISP, isp_key(isp.0));
                     if let Some(c) = self.bank_spans[isp.index()][side.index()] {
                         self.flight.annotate(c, "retry");
                     }
@@ -1114,37 +1105,11 @@ impl ParallelWorld for ZmailWorld {
                 }
             }
             Event::CrashRestart(isp) => {
-                self.crash_restart(now, isp);
+                self.crash_restart(scheduler, isp);
             }
         }
         self.group_commit(now);
         self.flush_lifecycle_closes(now);
-    }
-}
-
-impl RecordedWorld for ZmailWorld {
-    fn recorded_stage(&self, now: SimTime, event: &Event, _rec: &mut AccessRecorder) -> u64 {
-        // Stage phases read only immutable run inputs (the workload
-        // trace, the message being delivered) — nothing in the mutable
-        // footprint domain — so there is nothing to record. SIM001
-        // holds vacuously, which is exactly what makes every batch
-        // selection safe for this world.
-        self.stage(now, event)
-    }
-
-    fn recorded_apply(
-        &mut self,
-        now: SimTime,
-        event: Event,
-        effect: u64,
-        scheduler: &mut Scheduler<'_, Event>,
-        rec: &mut AccessRecorder,
-    ) {
-        // Swap the armed recorder in so every instrumented mutation
-        // site above reports through it, then hand it back.
-        std::mem::swap(&mut self.recorder, rec);
-        self.apply(now, event, effect, scheduler);
-        std::mem::swap(&mut self.recorder, rec);
     }
 }
 
@@ -1238,7 +1203,6 @@ impl ZmailSystem {
             faults,
             lists: Vec::new(),
             report: RunReport::default(),
-            recorder: AccessRecorder::disabled(),
             flight: FlightRecorder::disabled(1),
             apply_ctx: None,
             pending_close: Vec::new(),
@@ -1323,7 +1287,7 @@ impl ZmailSystem {
 
     /// Arms the footprint race detector: every subsequent event is run
     /// through the checked path, recording actual key accesses and
-    /// diffing them against the declared [`ParallelWorld::footprint`]s.
+    /// diffing them against the declared [`World::footprint`]s.
     /// Findings accumulate in [`ZmailSystem::racecheck_report`].
     pub fn enable_racecheck(&mut self) {
         self.sim.world_mut().arm();

@@ -15,8 +15,8 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use zmail_core::{DurabilityConfig, MassiveConfig, MassiveEvent, MassiveWorld};
-use zmail_sim::racecheck::{run_checked, AccessRecorder, RecordedWorld, SimCode};
-use zmail_sim::{ParallelWorld, Scheduler, SimDuration, SimTime, World};
+use zmail_sim::racecheck::{run_checked, AccessRecorder, SimCode};
+use zmail_sim::{Scheduler, SimDuration, SimTime, World};
 
 const ISPS: u32 = 3;
 const USERS: u32 = 16;
@@ -80,21 +80,6 @@ struct DroppedFootprint(MassiveWorld);
 
 impl World for DroppedFootprint {
     type Event = MassiveEvent;
-    fn handle(
-        &mut self,
-        now: SimTime,
-        event: MassiveEvent,
-        scheduler: &mut Scheduler<'_, MassiveEvent>,
-    ) {
-        let effect = self.stage(now, &event);
-        self.apply(now, event, effect, scheduler);
-    }
-    fn event_label(event: &MassiveEvent) -> &'static str {
-        MassiveWorld::event_label(event)
-    }
-}
-
-impl ParallelWorld for DroppedFootprint {
     type Effect = u64;
     fn footprint(&self, event: &MassiveEvent, keys: &mut Vec<u64>) {
         match event {
@@ -102,8 +87,11 @@ impl ParallelWorld for DroppedFootprint {
             MassiveEvent::TickCommit => self.0.footprint(event, keys),
         }
     }
-    fn stage(&self, now: SimTime, event: &MassiveEvent) -> u64 {
-        self.0.stage(now, event)
+    fn event_label(event: &MassiveEvent) -> &'static str {
+        MassiveWorld::event_label(event)
+    }
+    fn stage(&self, now: SimTime, event: &MassiveEvent, rec: &mut AccessRecorder) -> u64 {
+        self.0.stage(now, event, rec)
     }
     fn apply(
         &mut self,
@@ -113,22 +101,6 @@ impl ParallelWorld for DroppedFootprint {
         scheduler: &mut Scheduler<'_, MassiveEvent>,
     ) {
         self.0.apply(now, event, effect, scheduler);
-    }
-}
-
-impl RecordedWorld for DroppedFootprint {
-    fn recorded_stage(&self, now: SimTime, event: &MassiveEvent, rec: &mut AccessRecorder) -> u64 {
-        self.0.recorded_stage(now, event, rec)
-    }
-    fn recorded_apply(
-        &mut self,
-        now: SimTime,
-        event: MassiveEvent,
-        effect: u64,
-        scheduler: &mut Scheduler<'_, MassiveEvent>,
-        rec: &mut AccessRecorder,
-    ) {
-        self.0.recorded_apply(now, event, effect, scheduler, rec);
     }
 }
 

@@ -1,5 +1,6 @@
-//! The simulation driver: a [`World`] handles events, a [`Scheduler`] lets
-//! it plant future ones, and [`Simulation`] runs the loop.
+//! The simulation driver: a [`World`] stages and applies events, a
+//! [`Scheduler`] lets an apply plant future ones, and [`Simulation`] runs
+//! the loop.
 //!
 //! The engine is deliberately small — the Zmail system model in
 //! `zmail-core` supplies all domain behaviour through its `World`
@@ -7,19 +8,33 @@
 
 use crate::clock::{SimDuration, SimTime};
 use crate::event::EventQueue;
+use crate::racecheck::{AccessLog, AccessRecorder};
 use crate::telemetry::SimTelemetry;
 
-/// Interface the engine offers to event handlers for scheduling new events.
+/// What the engine hands an event's apply phase: the clock, the tick,
+/// the queue to plant new events on, and the apply-phase access
+/// recorder.
 #[derive(Debug)]
 pub struct Scheduler<'a, E> {
     now: SimTime,
+    tick: u64,
     queue: &'a mut EventQueue<E>,
+    recorder: AccessRecorder,
 }
 
 impl<'a, E> Scheduler<'a, E> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// The engine tick this event runs in, numbered from 1. A tick is
+    /// what one [`Simulation::step_tick`] pops: every event at the
+    /// earliest pending time that is already queued. An event scheduled
+    /// for the current instant during a tick runs in the next one, and
+    /// [`Simulation::step`] numbers its events the same way.
+    pub fn tick(&self) -> u64 {
+        self.tick
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -36,45 +51,55 @@ impl<'a, E> Scheduler<'a, E> {
     pub fn after(&mut self, delay: SimDuration, event: E) {
         self.queue.schedule(self.now + delay, event);
     }
+
+    /// Records that this apply read `key` in resource family `class`. A
+    /// no-op unless a [`CheckedWorld`](crate::CheckedWorld) armed the
+    /// recorder.
+    #[inline]
+    pub fn read(&mut self, class: &'static str, key: u64) {
+        self.recorder.read(class, key);
+    }
+
+    /// Records that this apply wrote `key` in resource family `class`;
+    /// a no-op unless armed, like [`Scheduler::read`].
+    #[inline]
+    pub fn write(&mut self, class: &'static str, key: u64) {
+        self.recorder.write(class, key);
+    }
+
+    /// Runs `apply` with the recorder armed and returns what it
+    /// recorded.
+    pub(crate) fn recording(&mut self, apply: impl FnOnce(&mut Self)) -> AccessLog {
+        let outer = std::mem::replace(&mut self.recorder, AccessRecorder::armed());
+        apply(self);
+        std::mem::replace(&mut self.recorder, outer).into_log()
+    }
 }
 
-/// A simulated world: domain state plus an event handler.
+/// A simulated world: domain state plus an event handler split into a
+/// read-only *stage* phase and a serial *apply* phase.
+///
+/// [`Simulation::step`] runs the two back to back. [`Simulation::step_tick`]
+/// stages footprint-independent events of one tick on worker threads and
+/// applies every event serially in FIFO order, so results are identical
+/// at any thread count.
+///
+/// The contract: [`World::footprint`] must name (as opaque `u64` keys)
+/// every piece of state the event's stage phase reads *and* its apply
+/// phase writes. Within one tick the engine greedily selects a
+/// prefix-independent set — an event joins the parallel group only if its
+/// footprint is disjoint from the footprints of **all** events before it
+/// in FIFO order — so a parallel stage observes exactly the pre-tick
+/// state it would have observed serially. Conflicting events stage
+/// inline during the apply pass. Both phases report the keys they touch,
+/// through their [`AccessRecorder`] and [`Scheduler::read`] /
+/// [`Scheduler::write`]; recording is a no-op unless a
+/// [`CheckedWorld`](crate::CheckedWorld) arms it, and never changes
+/// behaviour.
 pub trait World {
     /// The event type driving this world.
     type Event;
 
-    /// Handles one event at its scheduled time, possibly planting more.
-    fn handle(
-        &mut self,
-        now: SimTime,
-        event: Self::Event,
-        scheduler: &mut Scheduler<'_, Self::Event>,
-    );
-
-    /// Short static label for an event, used by telemetry to bucket
-    /// per-event-type latency histograms. The default
-    /// lumps everything under one label; worlds with an event enum
-    /// should override it.
-    fn event_label(_event: &Self::Event) -> &'static str {
-        "event"
-    }
-}
-
-/// A [`World`] whose event handling splits into a read-only *stage*
-/// phase and a serial *apply* phase, enabling parallel-within-tick
-/// execution that stays byte-identical to the serial order.
-///
-/// The contract: [`ParallelWorld::footprint`] must name (as opaque
-/// `u64` keys) every piece of state the event's stage phase reads *and*
-/// its apply phase writes. Within one tick the engine greedily selects
-/// a prefix-independent set — an event joins the parallel group only if
-/// its footprint is disjoint from the footprints of **all** events
-/// before it in FIFO order — so a parallel stage observes exactly the
-/// pre-tick state it would have observed serially. Conflicting events
-/// simply stage inline during the apply pass. Apply always runs
-/// serially in FIFO order, so results are identical at any thread
-/// count; the thread pool only accelerates staging.
-pub trait ParallelWorld: World {
     /// What `stage` computes for `apply` to consume. `Send` so worker
     /// threads can hand effects back.
     type Effect: Send;
@@ -84,12 +109,22 @@ pub trait ParallelWorld: World {
     /// key is unsound.
     fn footprint(&self, event: &Self::Event, keys: &mut Vec<u64>);
 
+    /// Short static label for an event, used by telemetry to bucket
+    /// per-event-type latency histograms. The default
+    /// lumps everything under one label; worlds with an event enum
+    /// should override it.
+    fn event_label(_event: &Self::Event) -> &'static str {
+        "event"
+    }
+
     /// The parallelizable part: compute everything derivable from
-    /// immutable world state (digests, signature checks, routing).
-    fn stage(&self, now: SimTime, event: &Self::Event) -> Self::Effect;
+    /// immutable world state (digests, signature checks, routing),
+    /// recording the footprint-domain keys it reads or writes in `rec`.
+    fn stage(&self, now: SimTime, event: &Self::Event, rec: &mut AccessRecorder) -> Self::Effect;
 
     /// The serial part: mutate the world with the staged effect,
-    /// possibly planting new events.
+    /// possibly planting new events and recording accesses through
+    /// `scheduler`.
     fn apply(
         &mut self,
         now: SimTime,
@@ -105,6 +140,12 @@ pub struct Simulation<W: World> {
     world: W,
     queue: EventQueue<W::Event>,
     now: SimTime,
+    /// The current tick's number ([`Scheduler::tick`]); 0 before the
+    /// first.
+    tick: u64,
+    /// The queue's next sequence number when the current tick began:
+    /// an event at the tick's time scheduled later belongs to the next.
+    tick_seq: u64,
     processed: u64,
     telemetry: Option<SimTelemetry>,
 }
@@ -116,6 +157,8 @@ impl<W: World> Simulation<W> {
             world,
             queue: EventQueue::new(),
             now: SimTime::ZERO,
+            tick: 0,
+            tick_seq: 0,
             processed: 0,
             telemetry: None,
         }
@@ -158,33 +201,56 @@ impl<W: World> Simulation<W> {
         self.world
     }
 
-    /// Processes one event; returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        match self.queue.pop() {
-            Some((time, event)) => {
-                debug_assert!(time >= self.now);
-                self.now = time;
-                // Read the label and start the timer before `handle`
-                // borrows the world and queue.
-                let label_and_start = self.telemetry.as_ref().map(|tel| {
-                    let label = W::event_label(&event);
-                    (label, tel.is_profiling().then(std::time::Instant::now))
-                });
-                let mut scheduler = Scheduler {
-                    now: time,
-                    queue: &mut self.queue,
-                };
-                self.world.handle(time, event, &mut scheduler);
-                self.processed += 1;
-                if let (Some(tel), Some((label, started))) =
-                    (self.telemetry.as_mut(), label_and_start)
-                {
-                    tel.on_event_end(label, started, self.queue.len());
-                }
-                true
-            }
-            None => false,
+    /// Opens tick `self.tick + 1` at `time`.
+    fn start_tick(&mut self, time: SimTime) {
+        debug_assert!(time >= self.now);
+        self.now = time;
+        self.tick += 1;
+        self.tick_seq = self.queue.next_seq();
+    }
+
+    /// The per-event body of both loops: stages `event` unless a worker
+    /// already did, applies it, counts it, and reports it to telemetry.
+    #[inline]
+    fn run_event(&mut self, event: W::Event, staged: Option<W::Effect>) {
+        let time = self.now;
+        // Read the label and start the timer before `apply` consumes
+        // the event.
+        let label_and_start = self.telemetry.as_ref().map(|tel| {
+            let label = W::event_label(&event);
+            (label, tel.is_profiling().then(std::time::Instant::now))
+        });
+        let effect = staged.unwrap_or_else(|| {
+            self.world
+                .stage(time, &event, &mut AccessRecorder::disabled())
+        });
+        let mut scheduler = Scheduler {
+            now: time,
+            tick: self.tick,
+            queue: &mut self.queue,
+            recorder: AccessRecorder::disabled(),
+        };
+        self.world.apply(time, event, effect, &mut scheduler);
+        self.processed += 1;
+        if let (Some(tel), Some((label, started))) = (self.telemetry.as_mut(), label_and_start) {
+            tel.on_event_end(label, started, self.queue.len());
         }
+    }
+
+    /// Processes one event; returns `false` when the queue is empty.
+    ///
+    /// The event opens a new tick when its time differs from the current
+    /// tick's or it was scheduled after the tick's first pop, so serial
+    /// runs number ticks exactly as [`Simulation::step_tick`] does.
+    pub fn step(&mut self) -> bool {
+        let Some((time, seq, event)) = self.queue.pop_seq() else {
+            return false;
+        };
+        if time != self.now || seq >= self.tick_seq {
+            self.start_tick(time);
+        }
+        self.run_event(event, None);
+        true
     }
 
     /// Processes one whole tick (every event at the earliest pending
@@ -197,14 +263,13 @@ impl<W: World> Simulation<W> {
     /// and parallel runs perform the identical event sequence.
     pub fn step_tick(&mut self, threads: usize) -> bool
     where
-        W: ParallelWorld + Sync,
+        W: Sync,
         W::Event: Send + Sync,
     {
         let Some((time, events)) = self.queue.pop_tick() else {
             return false;
         };
-        debug_assert!(time >= self.now);
-        self.now = time;
+        self.start_tick(time);
         let mut effects: Vec<Option<W::Effect>> = Vec::new();
         effects.resize_with(events.len(), || None);
         let mut staged_parallel = 0usize;
@@ -247,9 +312,10 @@ impl<W: World> Simulation<W> {
                         .map(|ids| {
                             scope.spawn(move || {
                                 let started = timing.then(std::time::Instant::now);
+                                let mut rec = AccessRecorder::disabled();
                                 let batch: Vec<(usize, W::Effect)> = ids
                                     .iter()
-                                    .map(|&i| (i, world.stage(time, &events[i])))
+                                    .map(|&i| (i, world.stage(time, &events[i], &mut rec)))
                                     .collect();
                                 let micros = started.map_or(0, |s| s.elapsed().as_micros() as u64);
                                 (batch, micros)
@@ -281,24 +347,8 @@ impl<W: World> Simulation<W> {
                 tel.on_tick(effects.len(), staged_parallel);
                 std::time::Instant::now()
             });
-        for (i, event) in events.into_iter().enumerate() {
-            let effect = effects[i]
-                .take()
-                .unwrap_or_else(|| self.world.stage(time, &event));
-            let label_and_start = self.telemetry.as_ref().map(|tel| {
-                let label = W::event_label(&event);
-                (label, tel.is_profiling().then(std::time::Instant::now))
-            });
-            let mut scheduler = Scheduler {
-                now: time,
-                queue: &mut self.queue,
-            };
-            self.world.apply(time, event, effect, &mut scheduler);
-            self.processed += 1;
-            if let (Some(tel), Some((label, started))) = (self.telemetry.as_mut(), label_and_start)
-            {
-                tel.on_event_end(label, started, self.queue.len());
-            }
+        for (event, effect) in events.into_iter().zip(effects) {
+            self.run_event(event, effect);
         }
         if let (Some(tel), Some(started)) = (&self.telemetry, apply_started) {
             tel.on_apply_pass(started.elapsed().as_micros() as u64);
@@ -310,7 +360,7 @@ impl<W: World> Simulation<W> {
     /// means all available cores. Returns events handled.
     pub fn run_parallel_to_completion(&mut self, threads: usize) -> u64
     where
-        W: ParallelWorld + Sync,
+        W: Sync,
         W::Event: Send + Sync,
     {
         let threads = if threads == 0 {
@@ -362,12 +412,25 @@ impl<W: World> Simulation<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::SimTelemetry;
+    use zmail_obs::Registry;
 
-    /// A world that rings a bell every `period` until `limit` rings.
+    /// A world that rings a bell every `period` until `limit` rings,
+    /// noting each ring's time and tick.
     struct BellTower {
         rings: Vec<SimTime>,
+        ticks: Vec<u64>,
         period: SimDuration,
         limit: usize,
+    }
+
+    fn tower(period: SimDuration, limit: usize) -> BellTower {
+        BellTower {
+            rings: Vec::new(),
+            ticks: Vec::new(),
+            period,
+            limit,
+        }
     }
 
     #[derive(Debug)]
@@ -375,8 +438,18 @@ mod tests {
 
     impl World for BellTower {
         type Event = Ring;
-        fn handle(&mut self, now: SimTime, _event: Ring, scheduler: &mut Scheduler<'_, Ring>) {
+        type Effect = ();
+        fn footprint(&self, _event: &Ring, _keys: &mut Vec<u64>) {}
+        fn stage(&self, _now: SimTime, _event: &Ring, _rec: &mut AccessRecorder) {}
+        fn apply(
+            &mut self,
+            now: SimTime,
+            _event: Ring,
+            _: (),
+            scheduler: &mut Scheduler<'_, Ring>,
+        ) {
             self.rings.push(now);
+            self.ticks.push(scheduler.tick());
             if self.rings.len() < self.limit {
                 scheduler.after(self.period, Ring);
             }
@@ -385,11 +458,7 @@ mod tests {
 
     #[test]
     fn periodic_events_fire_on_schedule() {
-        let mut sim = Simulation::new(BellTower {
-            rings: Vec::new(),
-            period: SimDuration::from_mins(10),
-            limit: 4,
-        });
+        let mut sim = Simulation::new(tower(SimDuration::from_mins(10), 4));
         sim.schedule(SimTime::ZERO, Ring);
         let handled = sim.run_to_completion();
         assert_eq!(handled, 4);
@@ -397,15 +466,12 @@ mod tests {
             .map(|i| SimTime::ZERO + SimDuration::from_mins(10).mul(i))
             .collect();
         assert_eq!(sim.world().rings, expected);
+        assert_eq!(sim.world().ticks, [1, 2, 3, 4]);
     }
 
     #[test]
     fn run_until_respects_horizon_inclusive() {
-        let mut sim = Simulation::new(BellTower {
-            rings: Vec::new(),
-            period: SimDuration::from_mins(10),
-            limit: 100,
-        });
+        let mut sim = Simulation::new(tower(SimDuration::from_mins(10), 100));
         sim.schedule(SimTime::ZERO, Ring);
         let handled = sim.run_until(SimTime::ZERO + SimDuration::from_mins(30));
         // Rings at 0, 10, 20, 30 inclusive.
@@ -418,14 +484,30 @@ mod tests {
 
     #[test]
     fn clock_advances_to_horizon_when_queue_drains() {
-        let mut sim = Simulation::new(BellTower {
-            rings: Vec::new(),
-            period: SimDuration::from_mins(1),
-            limit: 1,
-        });
+        let mut sim = Simulation::new(tower(SimDuration::from_mins(1), 1));
         sim.schedule(SimTime::ZERO, Ring);
         sim.run_until(SimTime::ZERO + SimDuration::from_hours(1));
         assert_eq!(sim.now(), SimTime::ZERO + SimDuration::from_hours(1));
+    }
+
+    #[test]
+    fn serial_steps_number_ticks_like_step_tick() {
+        // Two rings at t=0, each ringing again at the same instant: the
+        // second rings are scheduled during the first tick, so they run
+        // in the next one.
+        let ticks = |threads: Option<usize>| {
+            let mut sim = Simulation::new(tower(SimDuration::ZERO, 4));
+            sim.schedule(SimTime::ZERO, Ring);
+            sim.schedule(SimTime::ZERO, Ring);
+            match threads {
+                None => sim.run_to_completion(),
+                Some(threads) => sim.run_parallel_to_completion(threads),
+            };
+            sim.into_world().ticks
+        };
+        assert_eq!(ticks(None), [1, 1, 2, 2, 3]);
+        assert_eq!(ticks(Some(1)), ticks(None));
+        assert_eq!(ticks(Some(2)), ticks(None));
     }
 
     #[test]
@@ -434,7 +516,16 @@ mod tests {
         struct Rewinder;
         impl World for Rewinder {
             type Event = u8;
-            fn handle(&mut self, _now: SimTime, event: u8, scheduler: &mut Scheduler<'_, u8>) {
+            type Effect = ();
+            fn footprint(&self, _event: &u8, _keys: &mut Vec<u64>) {}
+            fn stage(&self, _now: SimTime, _event: &u8, _rec: &mut AccessRecorder) {}
+            fn apply(
+                &mut self,
+                _now: SimTime,
+                event: u8,
+                _: (),
+                scheduler: &mut Scheduler<'_, u8>,
+            ) {
                 if event == 1 {
                     // Try to schedule before `now` (which is 10s here).
                     scheduler.at(SimTime::ZERO, 2);
@@ -448,15 +539,8 @@ mod tests {
 
     #[test]
     fn telemetry_counts_and_times_events() {
-        use crate::telemetry::SimTelemetry;
-        use zmail_obs::Registry;
-
         let registry = Registry::new();
-        let mut sim = Simulation::new(BellTower {
-            rings: Vec::new(),
-            period: SimDuration::from_secs(2),
-            limit: 3,
-        });
+        let mut sim = Simulation::new(tower(SimDuration::from_secs(2), 3));
         sim.attach_telemetry(SimTelemetry::new(&registry));
         sim.schedule(SimTime::ZERO, Ring);
         sim.run_to_completion();
@@ -487,18 +571,11 @@ mod tests {
 
     impl World for Cells {
         type Event = Bump;
-        fn handle(&mut self, now: SimTime, event: Bump, scheduler: &mut Scheduler<'_, Bump>) {
-            let effect = self.stage(now, &event);
-            self.apply(now, event, effect, scheduler);
-        }
-    }
-
-    impl ParallelWorld for Cells {
         type Effect = u64;
         fn footprint(&self, event: &Bump, keys: &mut Vec<u64>) {
             keys.push(event.cell as u64);
         }
-        fn stage(&self, _now: SimTime, event: &Bump) -> u64 {
+        fn stage(&self, _now: SimTime, event: &Bump, _rec: &mut AccessRecorder) -> u64 {
             // Reads the cell it will write: any missed conflict would
             // surface as a wrong value, not just a reordering.
             self.cells[event.cell]
@@ -527,13 +604,14 @@ mod tests {
         }
     }
 
-    fn cells_run(threads: usize) -> (Vec<u64>, Vec<(u64, u64)>, u64) {
+    /// Five cells, six hops, and deliberate conflicts: 12 events over
+    /// the 5 cells at t=0.
+    fn cells_sim() -> Simulation<Cells> {
         let mut sim = Simulation::new(Cells {
             cells: vec![1; 5],
             hops: 6,
             log: Vec::new(),
         });
-        // Deliberate conflicts: 12 events over 5 cells per tick.
         for i in 0..12u64 {
             sim.schedule(
                 SimTime::ZERO,
@@ -544,61 +622,58 @@ mod tests {
                 },
             );
         }
-        let handled = sim.run_parallel_to_completion(threads);
-        let world = sim.into_world();
-        (world.cells, world.log, handled)
+        sim
     }
 
     #[test]
     fn parallel_ticks_are_byte_identical_at_any_thread_count() {
         // Serial reference through the plain step() path.
-        let mut sim = Simulation::new(Cells {
-            cells: vec![1; 5],
-            hops: 6,
-            log: Vec::new(),
-        });
-        for i in 0..12u64 {
-            sim.schedule(
-                SimTime::ZERO,
-                Bump {
-                    cell: (i % 5) as usize,
-                    salt: i,
-                    hop: 0,
-                },
-            );
-        }
+        let mut sim = cells_sim();
         let serial_handled = sim.run_to_completion();
         let reference = sim.into_world();
         for threads in [1, 2, 4, 8, 0] {
-            let (cells, log, handled) = cells_run(threads);
+            let mut sim = cells_sim();
+            let handled = sim.run_parallel_to_completion(threads);
+            let world = sim.into_world();
             assert_eq!(handled, serial_handled, "threads={threads}");
-            assert_eq!(cells, reference.cells, "threads={threads}");
-            assert_eq!(log, reference.log, "threads={threads}");
+            assert_eq!(world.cells, reference.cells, "threads={threads}");
+            assert_eq!(world.log, reference.log, "threads={threads}");
         }
     }
 
     #[test]
-    fn tick_profiler_records_batches_and_heat() {
-        use crate::telemetry::SimTelemetry;
-        use zmail_obs::Registry;
+    fn step_and_step_tick_report_events_alike() {
+        // (sim.events, every sim.handle_us.<label> count, final
+        // sim.queue_depth) after a run; `None` runs the serial loop.
+        let telemetry = |threads: Option<usize>| {
+            let registry = Registry::new();
+            let mut sim = cells_sim();
+            sim.attach_telemetry(SimTelemetry::new(&registry));
+            match threads {
+                None => sim.run_to_completion(),
+                Some(threads) => sim.run_parallel_to_completion(threads),
+            };
+            let snap = registry.snapshot();
+            let handled: Vec<(String, u64)> = snap
+                .histograms
+                .iter()
+                .filter(|(name, _)| name.starts_with("sim.handle_us."))
+                .map(|(name, h)| (name.clone(), h.count))
+                .collect();
+            let depth = snap.gauges["sim.queue_depth"];
+            (snap.counters["sim.events"], handled, depth)
+        };
+        let serial = telemetry(None);
+        assert_eq!(serial, (84, vec![("sim.handle_us.event".into(), 84)], 0));
+        assert_eq!(telemetry(Some(1)), serial);
+        assert_eq!(telemetry(Some(4)), serial);
+    }
 
+    #[test]
+    fn tick_profiler_records_batches_and_heat() {
         let registry = Registry::new();
-        let mut sim = Simulation::new(Cells {
-            cells: vec![1; 5],
-            hops: 6,
-            log: Vec::new(),
-        });
+        let mut sim = cells_sim();
         sim.attach_telemetry(SimTelemetry::new(&registry));
-        for i in 0..12u64 {
-            sim.schedule(
-                SimTime::ZERO,
-                Bump {
-                    cell: (i % 5) as usize,
-                    salt: i,
-                    hop: 0,
-                },
-            );
-        }
         let handled = sim.run_parallel_to_completion(4);
         let snap = registry.snapshot();
         // Every event either staged in parallel or inline.
@@ -653,11 +728,7 @@ mod tests {
 
     #[test]
     fn processed_counter_accumulates() {
-        let mut sim = Simulation::new(BellTower {
-            rings: Vec::new(),
-            period: SimDuration::from_secs(1),
-            limit: 3,
-        });
+        let mut sim = Simulation::new(tower(SimDuration::from_secs(1), 3));
         sim.schedule(SimTime::ZERO, Ring);
         assert!(sim.step());
         assert_eq!(sim.processed(), 1);

@@ -60,12 +60,23 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, FIFO among ties.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse((time, _, slot)) = self.heap.pop()?;
+        self.pop_seq().map(|(time, _, event)| (time, event))
+    }
+
+    /// [`EventQueue::pop`] plus the event's sequence number: how many
+    /// events were scheduled before it.
+    pub(crate) fn pop_seq(&mut self) -> Option<(SimTime, u64, E)> {
+        let Reverse((time, seq, slot)) = self.heap.pop()?;
         self.free.push(slot);
         let event = self.slab[slot as usize]
             .take()
             .expect("a key's slot is full");
-        Some((time, event))
+        Some((time, seq, event))
+    }
+
+    /// The sequence number the next scheduled event will get.
+    pub(crate) fn next_seq(&self) -> u64 {
+        self.seq
     }
 
     /// The time of the earliest pending event.

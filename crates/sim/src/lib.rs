@@ -9,8 +9,10 @@
 //!   calendar units the protocol cares about (the paper resets `sent`
 //!   daily and reconciles credit monthly);
 //! * [`event`] — a deterministic event queue with stable FIFO tie-breaking;
-//! * [`engine`] — a minimal simulation driver over a user-defined world;
-//! * [`racecheck`] — a footprint race detector for the [`ParallelWorld`]
+//! * [`engine`] — a minimal simulation driver over one [`World`] trait:
+//!   each event is a read-only stage plus a serial apply, run back to back
+//!   or tick-parallel;
+//! * [`racecheck`] — a footprint race detector for the [`World`]
 //!   contract: [`CheckedWorld`] records actual per-event key accesses and
 //!   diffs them against declared footprints, emitting stable findings
 //!   SIM001–SIM006;
@@ -56,11 +58,9 @@ pub mod telemetry;
 pub mod workload;
 
 pub use clock::{SimDuration, SimTime};
-pub use engine::{ParallelWorld, Scheduler, Simulation, World};
+pub use engine::{Scheduler, Simulation, World};
 pub use event::EventQueue;
-pub use racecheck::{
-    AccessLog, AccessRecorder, CheckedWorld, Finding, RacecheckReport, RecordedWorld, SimCode,
-};
+pub use racecheck::{AccessLog, AccessRecorder, CheckedWorld, Finding, RacecheckReport, SimCode};
 pub use rng::Sampler;
 pub use shrink::{ddmin, DdminOutcome};
 pub use stats::{Quantiles, Summary, Table};

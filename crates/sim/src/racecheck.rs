@@ -1,14 +1,14 @@
-//! Footprint race detector for the [`ParallelWorld`] contract.
+//! Footprint race detector for the [`World`] contract.
 //!
-//! PR 6's parallel-within-tick engine rests on an *unchecked promise*:
-//! [`ParallelWorld::footprint`] must name every state key an event's
-//! `stage` phase reads and its `apply` phase writes. One under-declared
-//! key and the "byte-identical at any thread count" guarantee silently
-//! becomes a data race. This module is the analyzer that catches every
-//! lie: a [`CheckedWorld`] adapter wraps any instrumented world, records
-//! the *actual* key accesses of every `stage`/`apply` through an
-//! [`AccessRecorder`] handle, and diffs them against the declared
-//! footprints — emitting deterministic, stably-coded findings
+//! The parallel-within-tick engine rests on an *unchecked promise*:
+//! [`World::footprint`] must name every state key an event's `stage`
+//! phase reads and its `apply` phase writes. One under-declared key and
+//! the "byte-identical at any thread count" guarantee silently becomes a
+//! data race. This module is the analyzer that catches every lie: a
+//! [`CheckedWorld`] adapter wraps any world, arms the recorders its
+//! `stage` and `apply` already report to (an [`AccessRecorder`] and the
+//! [`Scheduler`]), and diffs the *actual* key accesses against the
+//! declared footprints — emitting deterministic, stably-coded findings
 //! SIM001–SIM006.
 //!
 //! # The finding catalog
@@ -39,13 +39,16 @@
 //!
 //! Findings are deterministic across thread counts: stages record into
 //! private logs returned as effects, and all checking happens in the
-//! serial FIFO apply pass.
+//! serial FIFO apply pass. The per-tick state (the batch replay, earlier
+//! writes) follows the engine's ticks ([`Scheduler::tick`]), so an event
+//! scheduled for the current instant is checked in the tick it really
+//! stages in.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::OnceLock;
 
 use crate::clock::SimTime;
-use crate::engine::{ParallelWorld, Scheduler, Simulation, World};
+use crate::engine::{Scheduler, Simulation, World};
 use crate::shrink::ddmin;
 use zmail_obs::Counter;
 
@@ -122,11 +125,13 @@ pub struct AccessLog {
     pub writes: Vec<(&'static str, u64)>,
 }
 
-/// The handle an instrumented world records its accesses through.
+/// The handle a world's phases record their accesses through: `stage`
+/// gets one as an argument, and `apply` records through the
+/// [`Scheduler`], which carries one.
 ///
-/// Production worlds embed a *disabled* recorder (recording is a no-op)
-/// and swap an armed one in via [`RecordedWorld::recorded_apply`], so
-/// the instrumentation costs one branch per access when unchecked.
+/// The engine hands out *disabled* recorders (recording is a no-op);
+/// only a [`CheckedWorld`] arms them, so the instrumentation costs one
+/// branch per access when unchecked.
 #[derive(Debug, Default)]
 pub struct AccessRecorder {
     enabled: bool,
@@ -145,11 +150,6 @@ impl AccessRecorder {
     /// A recorder that ignores accesses (the production default).
     pub fn disabled() -> Self {
         AccessRecorder::default()
-    }
-
-    /// Whether this recorder captures anything.
-    pub fn is_armed(&self) -> bool {
-        self.enabled
     }
 
     /// Records a read of `key` in resource family `class`.
@@ -172,32 +172,6 @@ impl AccessRecorder {
     pub fn into_log(self) -> AccessLog {
         self.log
     }
-}
-
-/// A [`ParallelWorld`] whose phases can report their actual key accesses
-/// to an [`AccessRecorder`], making the world checkable by
-/// [`CheckedWorld`].
-///
-/// Implementations must behave identically whether the recorder is
-/// armed or disabled — recording is observation, never behaviour.
-pub trait RecordedWorld: ParallelWorld {
-    /// [`ParallelWorld::stage`] plus access recording.
-    fn recorded_stage(
-        &self,
-        now: SimTime,
-        event: &Self::Event,
-        rec: &mut AccessRecorder,
-    ) -> Self::Effect;
-
-    /// [`ParallelWorld::apply`] plus access recording.
-    fn recorded_apply(
-        &mut self,
-        now: SimTime,
-        event: Self::Event,
-        effect: Self::Effect,
-        scheduler: &mut Scheduler<'_, Self::Event>,
-        rec: &mut AccessRecorder,
-    );
 }
 
 /// One deduplicated racecheck finding. Identity is
@@ -342,8 +316,9 @@ struct CheckState {
     events_checked: u64,
     /// Deduplicated findings keyed by `(code, label, class, key)`.
     findings: BTreeMap<(SimCode, &'static str, &'static str, u64), Finding>,
-    /// Current tick, if one is open.
-    tick: Option<SimTime>,
+    /// The engine tick ([`Scheduler::tick`]) the per-tick sets below
+    /// belong to; 0 before the first, as the engine numbers from 1.
+    tick: u64,
     /// Keys claimed by declared footprints so far this tick (the
     /// engine's greedy prefix-independence, replayed).
     claimed: HashSet<u64>,
@@ -409,21 +384,21 @@ impl CheckState {
     }
 }
 
-/// Adapter that wraps a [`RecordedWorld`] and checks the footprint
-/// contract on every event. Implements both [`World`] and
-/// [`ParallelWorld`], so it drops into [`Simulation`] in place of the
-/// inner world on either the serial or the tick-parallel path.
+/// Adapter that wraps a [`World`] and checks the footprint contract on
+/// every event. It is a [`World`] itself, so it drops into [`Simulation`]
+/// in place of the inner world on either the serial or the tick-parallel
+/// path.
 ///
 /// Created disarmed: behaviour and overhead match the bare world (one
 /// branch per event). [`CheckedWorld::arm`] switches checking on.
 #[derive(Debug)]
-pub struct CheckedWorld<W: RecordedWorld> {
+pub struct CheckedWorld<W: World> {
     inner: W,
     armed: bool,
     check: CheckState,
 }
 
-impl<W: RecordedWorld> CheckedWorld<W> {
+impl<W: World> CheckedWorld<W> {
     /// Wraps `inner` with checking **off**.
     pub fn new(inner: W) -> Self {
         CheckedWorld {
@@ -501,18 +476,43 @@ impl<W: RecordedWorld> CheckedWorld<W> {
             findings,
         }
     }
+}
 
-    fn checked_apply(
+impl<W: World> World for CheckedWorld<W> {
+    type Event = W::Event;
+    type Effect = (W::Effect, AccessLog);
+
+    fn footprint(&self, event: &Self::Event, keys: &mut Vec<u64>) {
+        self.inner.footprint(event, keys);
+    }
+
+    fn event_label(event: &Self::Event) -> &'static str {
+        W::event_label(event)
+    }
+
+    fn stage(&self, now: SimTime, event: &Self::Event, _rec: &mut AccessRecorder) -> Self::Effect {
+        let mut rec = AccessRecorder {
+            enabled: self.armed,
+            log: AccessLog::default(),
+        };
+        let effect = self.inner.stage(now, event, &mut rec);
+        (effect, rec.into_log())
+    }
+
+    fn apply(
         &mut self,
         now: SimTime,
-        event: W::Event,
-        effect: W::Effect,
-        stage_log: AccessLog,
-        scheduler: &mut Scheduler<'_, W::Event>,
+        event: Self::Event,
+        (effect, stage_log): Self::Effect,
+        scheduler: &mut Scheduler<'_, Self::Event>,
     ) {
+        if !self.armed {
+            self.inner.apply(now, event, effect, scheduler);
+            return;
+        }
         let label = W::event_label(&event);
-        if self.check.tick != Some(now) {
-            self.check.tick = Some(now);
+        if self.check.tick != scheduler.tick() {
+            self.check.tick = scheduler.tick();
             self.check.claimed.clear();
             self.check.tick_writes.clear();
             self.check.batch_stage.clear();
@@ -588,11 +588,8 @@ impl<W: RecordedWorld> CheckedWorld<W> {
             self.check.note_class(now, label, class, key);
         }
 
-        // Run the real apply under an armed recorder.
-        let mut rec = AccessRecorder::armed();
-        self.inner
-            .recorded_apply(now, event, effect, scheduler, &mut rec);
-        let apply_log = rec.into_log();
+        // Run the real apply with the scheduler's recorder armed.
+        let apply_log = scheduler.recording(|s| self.inner.apply(now, event, effect, s));
 
         // SIM002: apply writes outside the declared footprint.
         for &(class, key) in &apply_log.writes {
@@ -638,59 +635,6 @@ impl<W: RecordedWorld> CheckedWorld<W> {
     }
 }
 
-impl<W: RecordedWorld> World for CheckedWorld<W> {
-    type Event = W::Event;
-
-    fn handle(
-        &mut self,
-        now: SimTime,
-        event: Self::Event,
-        scheduler: &mut Scheduler<'_, Self::Event>,
-    ) {
-        let effect = ParallelWorld::stage(self, now, &event);
-        ParallelWorld::apply(self, now, event, effect, scheduler);
-    }
-
-    fn event_label(event: &Self::Event) -> &'static str {
-        W::event_label(event)
-    }
-}
-
-impl<W: RecordedWorld> ParallelWorld for CheckedWorld<W> {
-    type Effect = (W::Effect, AccessLog);
-
-    fn footprint(&self, event: &Self::Event, keys: &mut Vec<u64>) {
-        self.inner.footprint(event, keys);
-    }
-
-    fn stage(&self, now: SimTime, event: &Self::Event) -> Self::Effect {
-        let mut rec = if self.armed {
-            AccessRecorder::armed()
-        } else {
-            AccessRecorder::disabled()
-        };
-        let effect = self.inner.recorded_stage(now, event, &mut rec);
-        (effect, rec.into_log())
-    }
-
-    fn apply(
-        &mut self,
-        now: SimTime,
-        event: Self::Event,
-        effect: Self::Effect,
-        scheduler: &mut Scheduler<'_, Self::Event>,
-    ) {
-        let (effect, stage_log) = effect;
-        if !self.armed {
-            let mut rec = AccessRecorder::disabled();
-            self.inner
-                .recorded_apply(now, event, effect, scheduler, &mut rec);
-            return;
-        }
-        self.checked_apply(now, event, effect, stage_log, scheduler);
-    }
-}
-
 /// Runs `schedule` through an armed [`CheckedWorld`] on the
 /// tick-parallel path and returns the world plus the report.
 /// `threads` follows [`Simulation::run_parallel_to_completion`]
@@ -701,7 +645,7 @@ pub fn run_checked<W>(
     threads: usize,
 ) -> (W, RacecheckReport)
 where
-    W: RecordedWorld + Sync,
+    W: World + Sync,
     W::Event: Clone + Send + Sync,
 {
     let mut sim = Simulation::new(CheckedWorld::armed(world));
@@ -733,7 +677,7 @@ pub fn shrink_schedule<W, F>(
     code: SimCode,
 ) -> ScheduleShrink<W::Event>
 where
-    W: RecordedWorld + Sync,
+    W: World + Sync,
     W::Event: Clone + Send + Sync,
     F: FnMut() -> W,
 {
@@ -763,43 +707,20 @@ mod tests {
 
     impl World for Honest {
         type Event = Bump;
-        fn handle(&mut self, now: SimTime, e: Bump, s: &mut Scheduler<'_, Bump>) {
-            let eff = self.stage(now, &e);
-            self.apply(now, e, eff, s);
-        }
-        fn event_label(_e: &Bump) -> &'static str {
-            "bump"
-        }
-    }
-
-    impl ParallelWorld for Honest {
         type Effect = u64;
         fn footprint(&self, e: &Bump, keys: &mut Vec<u64>) {
             keys.push(e.0 as u64);
         }
-        fn stage(&self, _now: SimTime, e: &Bump) -> u64 {
+        fn event_label(_e: &Bump) -> &'static str {
+            "bump"
+        }
+        fn stage(&self, _now: SimTime, e: &Bump, rec: &mut AccessRecorder) -> u64 {
+            rec.read("cell", e.0 as u64);
             self.cells[e.0].wrapping_add(1)
         }
-        fn apply(&mut self, _n: SimTime, e: Bump, eff: u64, _s: &mut Scheduler<'_, Bump>) {
+        fn apply(&mut self, _n: SimTime, e: Bump, eff: u64, s: &mut Scheduler<'_, Bump>) {
+            s.write("cell", e.0 as u64);
             self.cells[e.0] = eff;
-        }
-    }
-
-    impl RecordedWorld for Honest {
-        fn recorded_stage(&self, now: SimTime, e: &Bump, rec: &mut AccessRecorder) -> u64 {
-            rec.read("cell", e.0 as u64);
-            self.stage(now, e)
-        }
-        fn recorded_apply(
-            &mut self,
-            now: SimTime,
-            e: Bump,
-            eff: u64,
-            s: &mut Scheduler<'_, Bump>,
-            rec: &mut AccessRecorder,
-        ) {
-            rec.write("cell", e.0 as u64);
-            self.apply(now, e, eff, s);
         }
     }
 
@@ -839,7 +760,7 @@ mod tests {
     }
 
     #[test]
-    fn serial_handle_path_checks_too() {
+    fn serial_step_path_checks_too() {
         let mut sim = Simulation::new(CheckedWorld::armed(Honest { cells: vec![0; 3] }));
         for (at, e) in bumps() {
             sim.schedule(at, e);

@@ -1,5 +1,6 @@
 //! Negative-test suite for the footprint race detector: six deliberately
-//! broken worlds, one per SIM code. Each test proves three things:
+//! broken worlds, one per SIM code, plus a seventh that hides its SIM003
+//! in a tick of same-instant events. Each test proves three things:
 //!
 //! 1. the checker reports *exactly* that finding class (no more, no less);
 //! 2. the report is deterministic across thread counts — stages record
@@ -8,9 +9,9 @@
 //!    subsequence — removing any remaining event loses the finding.
 
 use zmail_sim::racecheck::{
-    run_checked, shrink_schedule, AccessRecorder, RacecheckReport, RecordedWorld, SimCode,
+    run_checked, shrink_schedule, AccessRecorder, RacecheckReport, SimCode,
 };
-use zmail_sim::{ParallelWorld, Scheduler, SimDuration, SimTime, World};
+use zmail_sim::{Scheduler, SimDuration, SimTime, World};
 
 /// Which footprint-contract lie this toy world tells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,6 +29,10 @@ enum Lie {
     /// SIM006: even cells record key `cell/2` under class `rows`, odd
     /// cells record the same key under class `pools`.
     Mixup,
+    /// SIM003 at one instant: each op schedules a child op on its own
+    /// cell with delay 0, and only children stage-write a shared scratch
+    /// key. The engine stages the children as a tick of their own.
+    Echo,
 }
 
 /// A bank of cells whose footprint honesty depends on `lie`. The
@@ -63,20 +68,11 @@ impl Toy {
 #[derive(Debug, Clone, Copy)]
 struct Op {
     cell: usize,
+    child: bool,
 }
 
 impl World for Toy {
     type Event = Op;
-    fn handle(&mut self, now: SimTime, e: Op, s: &mut Scheduler<'_, Op>) {
-        let eff = self.stage(now, &e);
-        self.apply(now, e, eff, s);
-    }
-    fn event_label(_e: &Op) -> &'static str {
-        "op"
-    }
-}
-
-impl ParallelWorld for Toy {
     type Effect = u64;
 
     fn footprint(&self, e: &Op, keys: &mut Vec<u64>) {
@@ -90,36 +86,18 @@ impl ParallelWorld for Toy {
         }
     }
 
-    fn stage(&self, _now: SimTime, e: &Op) -> u64 {
-        match self.lie {
-            // The lie is real: stage genuinely depends on the neighbor.
-            Lie::LeakyStage => self.cells[e.cell].wrapping_add(self.cells[self.neighbor(e.cell)]),
-            _ => self.cells[e.cell].wrapping_add(1),
-        }
+    fn event_label(_e: &Op) -> &'static str {
+        "op"
     }
 
-    fn apply(&mut self, _now: SimTime, e: Op, eff: u64, _s: &mut Scheduler<'_, Op>) {
-        match self.lie {
-            Lie::WideWriter => {
-                let n = self.neighbor(e.cell);
-                self.cells[e.cell] = eff;
-                self.cells[n] = self.cells[n].wrapping_add(1);
-            }
-            Lie::NosyApply => {
-                let peeked = self.cells[self.neighbor(e.cell)];
-                self.cells[e.cell] = eff.wrapping_add(peeked & 1);
-            }
-            _ => self.cells[e.cell] = eff,
-        }
-    }
-}
-
-impl RecordedWorld for Toy {
-    fn recorded_stage(&self, now: SimTime, e: &Op, rec: &mut AccessRecorder) -> u64 {
+    fn stage(&self, _now: SimTime, e: &Op, rec: &mut AccessRecorder) -> u64 {
         match self.lie {
             Lie::LeakyStage => {
+                // The lie is real: stage genuinely depends on the neighbor.
+                let n = self.neighbor(e.cell);
                 rec.read("cell", e.cell as u64);
-                rec.read("cell", self.neighbor(e.cell) as u64);
+                rec.read("cell", n as u64);
+                return self.cells[e.cell].wrapping_add(self.cells[n]);
             }
             Lie::ScratchShare => {
                 rec.read("cell", e.cell as u64);
@@ -127,33 +105,47 @@ impl RecordedWorld for Toy {
                 // a real world; here only the recording matters.
                 rec.write("scratch", 999);
             }
+            Lie::Echo if e.child => {
+                rec.read("cell", e.cell as u64);
+                rec.write("scratch", 999);
+            }
             Lie::Mixup => rec.read(Toy::class_for(e.cell), (e.cell / 2) as u64),
             _ => rec.read("cell", e.cell as u64),
         }
-        self.stage(now, e)
+        self.cells[e.cell].wrapping_add(1)
     }
 
-    fn recorded_apply(
-        &mut self,
-        now: SimTime,
-        e: Op,
-        eff: u64,
-        s: &mut Scheduler<'_, Op>,
-        rec: &mut AccessRecorder,
-    ) {
+    fn apply(&mut self, _now: SimTime, e: Op, eff: u64, s: &mut Scheduler<'_, Op>) {
         match self.lie {
             Lie::WideWriter => {
-                rec.write("cell", e.cell as u64);
-                rec.write("cell", self.neighbor(e.cell) as u64);
+                let n = self.neighbor(e.cell);
+                s.write("cell", e.cell as u64);
+                s.write("cell", n as u64);
+                self.cells[e.cell] = eff;
+                self.cells[n] = self.cells[n].wrapping_add(1);
             }
             Lie::NosyApply => {
-                rec.read("cell", self.neighbor(e.cell) as u64);
-                rec.write("cell", e.cell as u64);
+                let n = self.neighbor(e.cell);
+                s.read("cell", n as u64);
+                s.write("cell", e.cell as u64);
+                self.cells[e.cell] = eff.wrapping_add(self.cells[n] & 1);
             }
-            Lie::Mixup => rec.write(Toy::class_for(e.cell), (e.cell / 2) as u64),
-            _ => rec.write("cell", e.cell as u64),
+            Lie::Mixup => {
+                s.write(Toy::class_for(e.cell), (e.cell / 2) as u64);
+                self.cells[e.cell] = eff;
+            }
+            _ => {
+                s.write("cell", e.cell as u64);
+                self.cells[e.cell] = eff;
+                if self.lie == Lie::Echo && !e.child {
+                    let child = Op {
+                        cell: e.cell,
+                        child: true,
+                    };
+                    s.after(SimDuration::ZERO, child);
+                }
+            }
         }
-        self.apply(now, e, eff, s);
     }
 }
 
@@ -164,7 +156,7 @@ fn schedule() -> Vec<(SimTime, Op)> {
     for tick in 0..3u64 {
         let at = SimTime::ZERO + SimDuration::from_secs(tick);
         for cell in [0usize, 2, 4, 1, 6] {
-            events.push((at, Op { cell }));
+            events.push((at, Op { cell, child: false }));
         }
     }
     events
@@ -255,6 +247,17 @@ fn sim006_key_class_collision() {
     assert!(!report.is_clean());
     // Needs one event from each class family over the same key.
     shrink_to_minimal(Lie::Mixup, SimCode::KeyClassCollision, 2);
+}
+
+#[test]
+fn sim003_batch_stage_overlap_in_a_same_instant_tick() {
+    let report = check_deterministic(Lie::Echo);
+    assert_eq!(report.codes(), vec![SimCode::BatchStageOverlap]);
+    assert!(!report.is_clean());
+    // Two parents at one instant: their children, scheduled during the
+    // parents' tick, make up the next tick at the same time and are
+    // co-selected there.
+    shrink_to_minimal(Lie::Echo, SimCode::BatchStageOverlap, 2);
 }
 
 #[test]

@@ -400,7 +400,7 @@ impl Scenario {
 
     /// Like [`Scenario::run_parallel`], but with the footprint race
     /// detector armed: every event's actual key accesses are recorded
-    /// and diffed against the declared [`zmail_sim::ParallelWorld`]
+    /// and diffed against the declared [`zmail_sim::World`]
     /// footprints. Returns the outcome plus the detector's findings.
     pub fn run_racechecked(&self, threads: usize) -> (Outcome, RacecheckReport) {
         let (mut system, trace) = self.build();

@@ -1,4 +1,4 @@
-//! CI gate for the full-protocol harness's `ParallelWorld` contract:
+//! CI gate for the full-protocol harness's `World` contract:
 //! over the 10 frozen fault-scenario seeds, the tick-parallel path must
 //! produce byte-identical outcomes at every thread count, and the
 //! footprint race detector must find nothing to complain about — the
