@@ -15,11 +15,12 @@
 //!   recovered image is compared against the live books, and a
 //!   deliberately torn WAL tail must be detected, never applied.
 //! * **Checkpoint cost vs. population** (ROADMAP item 7's curve): the
-//!   same 200k-record log over 10k → 1M accounts, on the plain engine
-//!   and on 4 shards. An image is written only once the log has
-//!   outgrown it, so checkpoint bytes never exceed WAL bytes (write
-//!   amplification ≤ 2 — the run fails otherwise) and recovery cost
-//!   follows the size of the books, not the length of the log.
+//!   same 200k-record log over 10k → 1M accounts, on one shard (the
+//!   "plain" rows: the WAL one engine writes) and on 4 shards. An image
+//!   is written only once the log has outgrown it, so checkpoint bytes
+//!   never exceed WAL bytes (write amplification ≤ 2 — the run fails
+//!   otherwise) and recovery cost follows the size of the books, not the
+//!   length of the log.
 //!
 //! Run with `--smoke` for a seconds-scale CI gate over the same code
 //! paths.
@@ -29,8 +30,8 @@ use zmail_bench::Report;
 use zmail_sim::Sampler;
 use zmail_sim::Table;
 use zmail_store::{
-    BankBooks, Books, FileStorage, IspBooks, LedgerRecord, LedgerStore, MemStorage,
-    ShardedLedgerStore, Storage, StoreConfig, UserBooks,
+    BankBooks, Books, FileStorage, IspBooks, LedgerRecord, MemStorage, ShardedLedgerStore, Storage,
+    StoreConfig, UserBooks,
 };
 
 const ISPS: u32 = 3;
@@ -92,15 +93,15 @@ fn record(i: u64) -> LedgerRecord {
     }
 }
 
-/// Appends `n` records through a fresh store over `storage`, returning
-/// (elapsed seconds, WAL bytes written, final store).
-fn fill<S: Storage>(storage: S, config: StoreConfig, n: u64) -> (f64, u64, LedgerStore<S>) {
-    let (mut store, _) = LedgerStore::open(storage, config, bootstrap());
+/// Appends `n` records through a fresh one-shard store over `storage`,
+/// returning (elapsed seconds, WAL bytes written, final store).
+fn fill<S: Storage>(storage: S, config: StoreConfig, n: u64) -> (f64, u64, ShardedLedgerStore<S>) {
+    let (mut store, _) = ShardedLedgerStore::open(vec![storage], config, bootstrap());
     let start = Instant::now();
     for i in 0..n {
         store.append(&record(i));
     }
-    store.commit();
+    store.commit_all();
     let elapsed = start.elapsed().as_secs_f64();
     (elapsed, store.wal_len(), store)
 }
@@ -156,52 +157,6 @@ impl Storage for Metered {
     }
 }
 
-/// What the population sweep needs of an engine, plain or sharded.
-trait Engine {
-    fn append(&mut self, rec: &LedgerRecord);
-    fn commit(&mut self);
-    /// Whether a restart now would rebuild the live books, and the
-    /// records it would replay.
-    fn recovers_exactly(&self) -> (bool, u64);
-    /// (WAL bytes, checkpoint bytes) written so far.
-    fn bytes_written(&self) -> (u64, u64);
-}
-
-impl Engine for LedgerStore<Metered> {
-    fn append(&mut self, rec: &LedgerRecord) {
-        LedgerStore::append(self, rec)
-    }
-    fn commit(&mut self) {
-        LedgerStore::commit(self)
-    }
-    fn recovers_exactly(&self) -> (bool, u64) {
-        let (books, report) = self.simulate_recovery();
-        (&books == self.books(), report.replayed_records)
-    }
-    fn bytes_written(&self) -> (u64, u64) {
-        (self.wal_len(), self.storage().checkpoint_bytes)
-    }
-}
-
-impl Engine for ShardedLedgerStore<Metered> {
-    fn append(&mut self, rec: &LedgerRecord) {
-        ShardedLedgerStore::append(self, rec)
-    }
-    fn commit(&mut self) {
-        self.commit_all()
-    }
-    fn recovers_exactly(&self) -> (bool, u64) {
-        let (exact, report) = self.recovers_live_books();
-        (exact, report.replayed_records())
-    }
-    fn bytes_written(&self) -> (u64, u64) {
-        let checkpoint_bytes = (0..self.shard_count())
-            .map(|s| self.shard(s).storage().checkpoint_bytes)
-            .sum();
-        (self.wal_len(), checkpoint_bytes)
-    }
-}
-
 const SWEEP_ISPS: u32 = 10;
 
 /// `accounts` funded accounts over [`SWEEP_ISPS`] ISPs.
@@ -227,17 +182,17 @@ fn population(accounts: u32) -> Books {
     }
 }
 
-/// One row of the population sweep: fills `engine` with `records`
+/// One row of the population sweep: fills `store` with `records`
 /// seeded charges and deposits on uniformly drawn accounts, recovers
-/// and compares with the live books (the `recovery` column times both;
-/// the sharded engine compares shard by shard), and returns (recovered
-/// == live, checkpoint bytes ÷ WAL bytes).
+/// and compares with the live books shard by shard (the `recovery`
+/// column times both), and returns (recovered == live, checkpoint bytes
+/// ÷ WAL bytes).
 fn sweep_row(
     table: &mut Table,
     engine_label: &str,
     accounts: u32,
     records: u64,
-    engine: &mut dyn Engine,
+    store: &mut ShardedLedgerStore<Metered>,
 ) -> (bool, f64) {
     let mut sampler = Sampler::new(16);
     let stream: Vec<LedgerRecord> = (0..records)
@@ -253,14 +208,18 @@ fn sweep_row(
         .collect();
     let start = Instant::now();
     for rec in &stream {
-        engine.append(rec);
+        store.append(rec);
     }
-    engine.commit();
+    store.commit_all();
     let fill = start.elapsed().as_secs_f64();
-    let (wal_bytes, checkpoint_bytes) = engine.bytes_written();
+    let wal_bytes = store.wal_len();
+    let checkpoint_bytes: u64 = (0..store.shard_count())
+        .map(|s| store.shard(s).storage().checkpoint_bytes)
+        .sum();
     let start = Instant::now();
-    let (exact, replayed) = engine.recovers_exactly();
+    let (exact, report) = store.recovers_live_books();
     let recovery = start.elapsed().as_secs_f64();
+    let replayed = report.replayed_records();
     let amplification = checkpoint_bytes as f64 / wal_bytes as f64;
     table.row_owned(vec![
         engine_label.to_string(),
@@ -296,8 +255,7 @@ fn main() {
     for batch in [1usize, 8, 64, 512] {
         throughput_row(&mut throughput, "mem", batch, mem_n, || {
             let (elapsed, bytes, store) = fill(MemStorage::new(), no_ckpt(batch), mem_n);
-            let (recovered, _) = store.simulate_recovery();
-            all_recoveries_exact &= &recovered == store.books();
+            all_recoveries_exact &= store.recovers_live_books().0;
             (elapsed, bytes)
         });
     }
@@ -305,8 +263,7 @@ fn main() {
         throughput_row(&mut throughput, "file", batch, file_n, || {
             let dir = tmp.join(format!("batch{batch}"));
             let (elapsed, bytes, store) = fill(FileStorage::new(&dir), no_ckpt(batch), file_n);
-            let (recovered, _) = store.simulate_recovery();
-            all_recoveries_exact &= &recovered == store.books();
+            all_recoveries_exact &= store.recovers_live_books().0;
             (elapsed, bytes)
         });
     }
@@ -342,16 +299,17 @@ fn main() {
             let start = Instant::now();
             let (recovered, report) = store.simulate_recovery();
             let elapsed = start.elapsed().as_secs_f64();
-            all_recoveries_exact &= &recovered == store.books();
+            all_recoveries_exact &= recovered == store.books();
+            let replayed = report.replayed_records();
             recovery.row_owned(vec![
                 n.to_string(),
                 label.to_string(),
                 report
-                    .checkpoint_seq
+                    .checkpoint_seq()
                     .map_or_else(|| "-".into(), |s| s.to_string()),
-                report.replayed_records.to_string(),
+                replayed.to_string(),
                 format!("{:.1}µs", elapsed * 1e6),
-                format!("{:.0}", report.replayed_records as f64 / elapsed.max(1e-9)),
+                format!("{:.0}", replayed as f64 / elapsed.max(1e-9)),
             ]);
         }
     }
@@ -382,16 +340,12 @@ fn main() {
     ]);
     let mut worst_amplification = 0f64;
     for &accounts in populations {
-        let (mut plain, _) =
-            LedgerStore::open(Metered::default(), sweep_config, population(accounts));
-        let storages = (0..4).map(|_| Metered::default()).collect();
-        let (mut sharded, _) =
-            ShardedLedgerStore::open(storages, sweep_config, population(accounts));
-        let engines: [(&str, &mut dyn Engine); 2] =
-            [("plain", &mut plain), ("4 shards", &mut sharded)];
-        for (label, engine) in engines {
+        for (label, shards) in [("plain", 1), ("4 shards", 4)] {
+            let storages = (0..shards).map(|_| Metered::default()).collect();
+            let (mut store, _) =
+                ShardedLedgerStore::open(storages, sweep_config, population(accounts));
             let (exact, amplification) =
-                sweep_row(&mut sweep, label, accounts, sweep_records, engine);
+                sweep_row(&mut sweep, label, accounts, sweep_records, &mut store);
             all_recoveries_exact &= exact;
             worst_amplification = worst_amplification.max(amplification);
         }
@@ -415,12 +369,13 @@ fn main() {
 
     // --- Torn-tail handling: the crash that must not corrupt ----------
     let (_, _, mut store) = fill(MemStorage::new(), no_ckpt(1), 100);
-    let before_tear = store.books().clone();
+    let before_tear = store.books();
     store.append(&record(100));
-    store.commit();
+    store.commit_all();
     let torn_len = store.wal_len() - 3; // shear the final frame mid-payload
-    store.storage_mut().truncate("wal", torn_len);
+    store.shard_mut(0).storage_mut().truncate("wal", torn_len);
     let (recovered, report) = store.simulate_recovery();
+    let report = report.shards[0];
     let torn_detected = report.torn_tail && report.truncated_bytes > 0;
     let torn_safe = recovered == before_tear;
     println!(

@@ -17,8 +17,8 @@
 //!   [`SinkError::Overloaded`], which the session answers as a transient
 //!   SMTP `452` (`load.shed.queue_full`);
 //! * the drainer takes what is queued in batches and issues **one** spool
-//!   sync per batch — the same group-commit trade the WAL engine makes
-//!   (`zmail_store::LedgerStore`), so the fsync cost is amortized across
+//!   sync per batch — the same group-commit trade the ledger store makes
+//!   (`zmail_store::ShardedLedgerStore`), so the fsync cost is amortized across
 //!   every session currently waiting, which is exactly the bottleneck the
 //!   E21 offered-load sweep is designed to expose.
 //!

@@ -186,7 +186,7 @@ impl Bank {
         }
         let (bank, isp) = (self.index, from.0);
         let real = self.exchange.to_real(EPennies(value));
-        let account = ledger.books().banks[bank as usize].accounts[from.index()];
+        let account = ledger.bank(bank).accounts[from.index()];
         let (accepted, audit) = match side {
             Exchange::Buy if value > 0 && account >= real.0 => {
                 self.stats.buys_granted += 1;

@@ -25,8 +25,9 @@
 //! [`Ledger`](zmail_store::Ledger) its ISPs commit through under the lock, whatever
 //! [`ZmailConfig::durability`] says. Behind a
 //! [`BackpressureSink`](crate::BackpressureSink) the *mail* is durable
-//! before `250` (the spool); the balances are not — a `LedgerStore` in
-//! their place is the same one copy, journaled.
+//! before `250` (the spool); the balances are not — the one durable
+//! `Ledger`, a [`ShardedLedgerStore`](zmail_store::ShardedLedgerStore),
+//! in their place is the same one copy, journaled: a choice of type.
 
 use crate::config::{NonCompliantPolicy, ZmailConfig};
 use crate::ids::{mailbox, parse_mailbox, IspId};

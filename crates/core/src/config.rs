@@ -7,15 +7,16 @@ use zmail_sim::SimDuration;
 use zmail_store::{BankBooks, Books, IspBooks, StoreConfig, UserBooks};
 
 /// The population-scale ledger's settings ([`MassiveConfig`]'s): WAL
-/// tuning and the shard count. The driver's `commit_all` ends every tick,
-/// and by default that is the only commit: the default `store` never
-/// fills a batch — the tuning [`ZmailConfigBuilder::durable`] gives the
-/// one-shard protocol world too, one group commit per event there (1.62
-/// syncs a mail on the benchmark's `sim_world`), so a kill lands on an
-/// event boundary and a torn write on a frame boundary inside the last
-/// event. An explicit `batch_records` commits earlier as well — at 1,
-/// every record alone, as [`StoreConfig::default`] gives direct
-/// `LedgerStore` users.
+/// tuning and the shard count of its
+/// [`ShardedLedgerStore`](zmail_store::ShardedLedgerStore). The driver's
+/// `commit_all` ends every tick, and by default that is the only commit:
+/// the default `store` never fills a batch — the tuning
+/// [`ZmailConfigBuilder::durable`] gives the protocol world's one-shard
+/// store too, one group commit per event there (1.62 syncs a mail on the
+/// benchmark's `sim_world`), so a kill lands on an event boundary and a
+/// torn write on a frame boundary inside the last event. An explicit
+/// `batch_records` commits earlier as well — at 1, every record alone, as
+/// [`StoreConfig::default`] does.
 ///
 /// [`MassiveConfig`]: crate::MassiveConfig
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,8 +165,8 @@ pub struct ZmailConfig {
     /// Number of regional banks (1 = the paper's central bank; more
     /// engages the §5 federation with round-robin ISP assignment).
     pub banks: u32,
-    /// When set, the deployment's books live in a one-shard `zmail-store`
-    /// [`LedgerStore`](zmail_store::LedgerStore) with this tuning, so
+    /// When set, the deployment's books live in a one-shard
+    /// [`ShardedLedgerStore`](zmail_store::ShardedLedgerStore) with this tuning, so
     /// every ledger mutation is journaled, and crash windows restart ISPs
     /// from recovery (`None` keeps the seed behaviour: in-memory books,
     /// warm restarts).

@@ -15,7 +15,7 @@ use crate::config::ZmailConfig;
 use crate::ids::IspId;
 use std::error::Error;
 use std::fmt;
-use zmail_store::Books;
+use zmail_store::Ledger;
 
 /// A violated invariant.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,48 +104,52 @@ impl From<i64> for FlightLedger {
     }
 }
 
-/// Runs the full audit over a deployment's books: the central bank is a
-/// one-member `federation` (§5 distributed banks), issuance sums across
-/// its members, and each ISP's account lives at its home bank.
+/// Runs the full audit over a deployment's ledger, row by row: the
+/// central bank is a one-member `federation` (§5 distributed banks),
+/// issuance sums across its members, and each ISP's account lives at its
+/// home bank.
 ///
 /// # Errors
 ///
 /// Returns the first violated invariant.
 pub fn audit(
     config: &ZmailConfig,
-    books: &Books,
+    ledger: &dyn Ledger,
     federation: &Federation,
     flight: impl Into<FlightLedger>,
 ) -> Result<(), AuditError> {
     let flight = flight.into();
     let mut found = flight.in_flight;
-    for (id, isp) in (0..config.isps).map(IspId).zip(&books.isps) {
+    for id in (0..config.isps).map(IspId) {
         if !config.is_compliant(id) {
             continue; // non-compliant ISPs hold no protocol e-pennies
         }
-        for (user, u) in (0..).zip(&isp.users) {
-            if u.balance < 0 {
+        for user in 0..config.users_per_isp {
+            let balance = ledger.user(id.0, user).balance;
+            if balance < 0 {
                 return Err(AuditError::NegativeBalance {
                     isp: id,
                     user,
-                    amount: u.balance,
+                    amount: balance,
                 });
             }
+            found += balance;
         }
-        if isp.avail < 0 {
+        let avail = ledger.pool(id.0).avail;
+        if avail < 0 {
             return Err(AuditError::NegativePool {
                 isp: id,
-                amount: isp.avail,
+                amount: avail,
             });
         }
-        let account = books.banks[federation.home_bank(id)].accounts[id.index()];
+        let account = ledger.bank(federation.home_bank(id) as u32).accounts[id.index()];
         if account < 0 {
             return Err(AuditError::NegativeBankAccount {
                 isp: id,
                 amount: account,
             });
         }
-        found += isp.users.iter().map(|u| u.balance).sum::<i64>() + isp.avail;
+        found += avail;
     }
     // The bank starts having implicitly issued every pool and balance that
     // existed at time zero (bootstrap grant), so compare deltas.
@@ -157,7 +161,9 @@ pub fn audit(
                 + i64::from(config.users_per_isp) * config.initial_balance.amount()
         })
         .sum();
-    let issued_total: i64 = books.banks.iter().map(|b| b.issued).sum();
+    let issued_total: i64 = (0..federation.bank_count() as u32)
+        .map(|b| ledger.bank(b).issued)
+        .sum();
     // Lost pennies left the system (sender debited, nobody credited);
     // duplicated pennies entered it (one debit, two credits).
     let issued = issued_total + bootstrap - flight.lost + flight.duplicated - flight.stranded;
@@ -174,6 +180,7 @@ mod tests {
     use zmail_econ::EPennies;
     use zmail_sim::workload::UserAddr;
     use zmail_sim::MailKind;
+    use zmail_store::Books;
 
     fn setup(n: u32) -> (ZmailConfig, Vec<Isp>, Federation, Books) {
         let config = ZmailConfig::builder(n, 3).build();

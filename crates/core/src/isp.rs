@@ -5,14 +5,15 @@
 //! the same implementation runs under the discrete-event harness
 //! ([`crate::system`]), under unit tests, and behind the SMTP bridge.
 //!
-//! The ISP keeps only protocol state. Its durable ledgers are its
-//! [`IspBooks`] inside the deployment's [`Books`], owned by whoever drives
-//! it and lent to each call as a [`Ledger`]; every change to them is a
-//! [`LedgerRecord`]: a mutation site checks the paper's guard against
-//! [`Ledger::books`], then hands the record to [`Ledger::commit`], which
-//! applies it through [`IspBooks::apply`] — the same function WAL replay
-//! runs — and, for a durable ledger, journals it. There is one copy of
-//! the books. They mirror the paper's variables exactly:
+//! The ISP keeps only protocol state. Its durable ledgers are its rows of
+//! the deployment's books, owned by whoever drives it and lent to each
+//! call as a [`Ledger`]; every change to them is a [`LedgerRecord`]: a
+//! mutation site checks the paper's guard against the rows it reads —
+//! [`Ledger::user`] and [`Ledger::pool`] — then hands the record to
+//! [`Ledger::commit`], which applies it through
+//! [`IspBooks::apply`](zmail_store::IspBooks::apply) — the same function
+//! WAL replay runs — and, for a durable ledger, journals it. There is one
+//! copy of the books. They mirror the paper's variables exactly:
 //!
 //! * per-user `account` (real pennies), `balance` (e-pennies), `sent`
 //!   (today's paid sends) and `limit` (the anti-zombie daily cap);
@@ -44,7 +45,7 @@ use zmail_crypto::{
 };
 use zmail_econ::EPennies;
 use zmail_sim::workload::{MailKind, UserAddr};
-use zmail_store::{Books, IspBooks, Ledger, LedgerRecord, UserBooks};
+use zmail_store::{Ledger, LedgerRecord, UserBooks};
 
 pub use zmail_store::SendError;
 
@@ -188,6 +189,8 @@ struct PendingSend {
 #[derive(Debug)]
 pub struct Isp {
     id: IspId,
+    /// How many users the ISP serves: its user rows are `0..users`.
+    users: u32,
     compliant: Vec<bool>,
     cheat: CheatMode,
     policy: NonCompliantPolicy,
@@ -221,13 +224,13 @@ pub struct Isp {
     attest_weakness: Option<AttestWeakness>,
 }
 
-/// An [`Isp`] read together with its books: what [`Isp::view`] and
-/// [`ZmailSystem::isp`](crate::ZmailSystem::isp) hand out. Dereferences
-/// to the process for its protocol state.
-#[derive(Debug, Clone, Copy)]
+/// An [`Isp`] read together with its rows of a [`Ledger`]: what
+/// [`Isp::view`] and [`ZmailSystem::isp`](crate::ZmailSystem::isp) hand
+/// out. Dereferences to the process for its protocol state.
+#[derive(Clone, Copy)]
 pub struct IspView<'a> {
     isp: &'a Isp,
-    books: &'a IspBooks,
+    ledger: &'a dyn Ledger,
 }
 
 impl<'a> IspView<'a> {
@@ -236,23 +239,23 @@ impl<'a> IspView<'a> {
     /// # Panics
     ///
     /// Panics if `user` is out of range.
-    pub fn user(&self, user: u32) -> &'a UserBooks {
-        &self.books.users[user as usize]
+    pub fn user(&self, user: u32) -> UserBooks {
+        self.ledger.user(self.isp.id.0, user)
     }
 
     /// The ISP's e-penny pool.
     pub fn avail(&self) -> EPennies {
-        EPennies(self.books.avail)
+        EPennies(self.ledger.pool(self.isp.id.0).avail)
     }
 
     /// The credit ledger entry for `peer`.
     pub fn credit(&self, peer: IspId) -> i64 {
-        self.books.credit[peer.index()]
+        self.ledger.pool(self.isp.id.0).credit[peer.index()]
     }
 
     /// Sum of all user balances (for conservation audits).
     pub fn total_user_balances(&self) -> EPennies {
-        EPennies(self.books.users.iter().map(|u| u.balance).sum())
+        EPennies((0..self.isp.users).map(|u| self.user(u).balance).sum())
     }
 
     /// The process's counters, borrowed for as long as the view's
@@ -283,6 +286,7 @@ impl Isp {
         assert!(id.0 < config.isps, "isp id out of range");
         Isp {
             id,
+            users: config.users_per_isp,
             compliant: config.compliant.clone(),
             cheat: config.cheat_modes[id.index()],
             policy: config.non_compliant_policy,
@@ -308,18 +312,10 @@ impl Isp {
         }
     }
 
-    /// This ISP's share of the lent books.
-    fn books<'l>(&self, ledger: &'l dyn Ledger) -> &'l IspBooks {
-        &ledger.books().isps[self.id.index()]
-    }
-
-    /// This process read together with its books out of `books`: the
-    /// view experiments and assertions inspect.
-    pub fn view<'a>(&'a self, books: &'a Books) -> IspView<'a> {
-        IspView {
-            isp: self,
-            books: &books.isps[self.id.index()],
-        }
+    /// This process read together with its rows of `ledger`: the view
+    /// experiments and assertions inspect.
+    pub fn view<'a>(&'a self, ledger: &'a dyn Ledger) -> IspView<'a> {
+        IspView { isp: self, ledger }
     }
 
     /// This ISP's id.
@@ -431,7 +427,7 @@ impl Isp {
             }
         }
         let nonce = att.nonce;
-        if self.books(ledger).nonces.binary_search(&nonce).is_err() {
+        if ledger.pool(self.id.0).nonces.binary_search(&nonce).is_err() {
             ledger.commit(LedgerRecord::NonceSeen {
                 isp: self.id.0,
                 nonce,
@@ -470,10 +466,7 @@ impl Isp {
         to: UserAddr,
         kind: MailKind,
     ) -> Result<SendOutcome, SendError> {
-        assert!(
-            (sender as usize) < self.books(ledger).users.len(),
-            "sender out of range"
-        );
+        assert!(sender < self.users, "sender out of range");
         // Whatever this send turns out to be, it consumes any armed §5
         // refund binding: a buffered or refused ack must not leak its
         // refund pointer onto an unrelated later send.
@@ -543,7 +536,7 @@ impl Isp {
         sender: u32,
         n: u32,
     ) -> Result<(), SendError> {
-        let verdict = self.books(ledger).users[sender as usize].check_sends(n);
+        let verdict = ledger.user(self.id.0, sender).check_sends(n);
         match verdict {
             Err(SendError::InsufficientBalance) => {
                 self.stats.bounced_balance += 1;
@@ -608,10 +601,7 @@ impl Isp {
         email: &EmailMsg,
     ) -> Delivery {
         assert_eq!(email.to.isp, self.id.0, "misrouted email");
-        assert!(
-            (email.to.user as usize) < self.books(ledger).users.len(),
-            "unknown recipient"
-        );
+        assert!(email.to.user < self.users, "unknown recipient");
         if self.compliant[from_isp.index()] && email.paid {
             if self.attest_on {
                 if let Err(cause) = self.verify_attestation(ledger, from_isp, email) {
@@ -677,8 +667,7 @@ impl Isp {
     pub fn user_buy(&self, ledger: &mut dyn Ledger, t: u32, x: EPennies) -> bool {
         assert!(!x.is_negative(), "cannot buy a negative amount");
         // 1:1 at the ISP counter: `x` e-pennies cost `x` real pennies.
-        let books = self.books(ledger);
-        if books.users[t as usize].account >= x.0 && books.avail >= x.0 {
+        if ledger.user(self.id.0, t).account >= x.0 && ledger.pool(self.id.0).avail >= x.0 {
             ledger.commit(LedgerRecord::UserBuy {
                 isp: self.id.0,
                 user: t,
@@ -697,7 +686,7 @@ impl Isp {
     /// Panics if `t` is out of range or `x` is negative.
     pub fn user_sell(&self, ledger: &mut dyn Ledger, t: u32, x: EPennies) -> bool {
         assert!(!x.is_negative(), "cannot sell a negative amount");
-        if self.books(ledger).users[t as usize].balance >= x.0 {
+        if ledger.user(self.id.0, t).balance >= x.0 {
             ledger.commit(LedgerRecord::UserSell {
                 isp: self.id.0,
                 user: t,
@@ -718,7 +707,7 @@ impl Isp {
         below: EPennies,
         amount: EPennies,
     ) -> bool {
-        if self.books(ledger).users[t as usize].balance < below.0 {
+        if ledger.user(self.id.0, t).balance < below.0 {
             self.user_buy(ledger, t, amount)
         } else {
             false
@@ -738,7 +727,7 @@ impl Isp {
     /// outstanding, produces the sealed request moving it back to the
     /// midpoint target.
     pub fn maybe_exchange(&mut self, ledger: &dyn Ledger, side: Exchange) -> Option<NetMsg> {
-        let avail = self.books(ledger).avail;
+        let avail = ledger.pool(self.id.0).avail;
         let out_of_band = match side {
             Exchange::Buy => avail < self.minavail.amount(),
             Exchange::Sell => avail > self.maxavail.amount(),
@@ -897,7 +886,7 @@ impl Isp {
         &mut self,
         ledger: &mut dyn Ledger,
     ) -> (NetMsg, Vec<(u32, UserAddr, MailKind)>) {
-        let credit = encode_credit(&self.books(ledger).credit);
+        let credit = encode_credit(ledger.pool(self.id.0).credit);
         let reply = NetMsg::SnapshotReply {
             from: self.id,
             envelope: seal_for_public(&self.bank_key, &credit, &mut self.rng),
@@ -928,6 +917,7 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use zmail_crypto::KeyPair;
+    use zmail_store::Books;
 
     /// `isps` ISPs of four users each over fresh books.
     fn fixture(isps: u32) -> (Vec<Isp>, Books, KeyPair) {

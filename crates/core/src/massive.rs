@@ -18,11 +18,13 @@
 //! `hash(isp, user) % N` owns a user's balance row, holds it in its own
 //! WAL with group commit, and checkpoints it on its own cadence. Each
 //! ISP's pool and each bank's books likewise get a single owner shard.
-//! A send whose sender and receiver live on the same shard journals the
-//! usual charge/deposit pair; a cross-shard send runs the two-phase
-//! transfer (prepare on the sender's shard, apply on the receiver's,
-//! release closing the outbox entry), so the zero-sum audit balances
-//! penny-for-penny at any shard count and across crashes.
+//! Every send is one `transfer` call: the store journals a same-shard
+//! send as the usual charge/deposit pair and runs a cross-shard one as
+//! the two-phase transfer (prepare on the sender's shard, apply on the
+//! receiver's, release closing the outbox entry), so the zero-sum audit
+//! balances penny-for-penny at any shard count and across crashes. The
+//! world reads a sender's row through [`Ledger::user`], as the protocol
+//! world's ISPs do.
 //!
 //! # Parallel-within-tick
 //!
@@ -40,8 +42,8 @@ use zmail_obs::{FlightRecorder, SpanStatus};
 use zmail_sim::racecheck::{AccessRecorder, CheckedWorld, RacecheckReport};
 use zmail_sim::{Scheduler, SimDuration, SimTime, Simulation, World};
 use zmail_store::{
-    BankBooks, Books, IspBooks, MemStorage, SendError, ShardedLedgerStore, UserBooks, XferKind,
-    XferLeg,
+    BankBooks, Books, IspBooks, Ledger, MemStorage, SendError, ShardedLedgerStore, UserBooks,
+    XferKind, XferLeg,
 };
 
 /// Racecheck access class of the sharded ledger engines.

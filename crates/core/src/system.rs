@@ -30,7 +30,7 @@ use zmail_obs::{FlightRecorder, SpanCtx, SpanStatus};
 use zmail_sim::racecheck::{AccessRecorder, CheckedWorld, RacecheckReport};
 use zmail_sim::workload::{MailKind, SendEvent, UserAddr};
 use zmail_sim::{Scheduler, SimDuration, SimTime, Simulation, World};
-use zmail_store::{Books, Ledger, LedgerRecord, LedgerStore, MemStorage};
+use zmail_store::{Books, Ledger, MemStorage, ShardedLedgerStore};
 
 /// Events driving the world.
 #[derive(Debug)]
@@ -226,27 +226,27 @@ impl RunReport {
 }
 
 /// The one copy of a world's books: plain [`Books`], or — when
-/// [`ZmailConfig::durability`] is set — the one-shard [`LedgerStore`]
-/// that journals every commit. In-memory backed, so durable runs stay
-/// deterministic and side-effect-free.
+/// [`ZmailConfig::durability`] is set — a one-shard
+/// [`ShardedLedgerStore`] that journals every commit. In-memory backed,
+/// so durable runs stay deterministic and side-effect-free.
 #[allow(clippy::large_enum_variant)] // one per world, never moved: a box would only add a hop
 enum WorldBooks {
     Volatile(Books),
-    Durable(LedgerStore<MemStorage>),
+    Durable(ShardedLedgerStore<MemStorage>),
 }
 
-impl Ledger for WorldBooks {
-    fn books(&self) -> &Books {
+impl WorldBooks {
+    fn ledger(&self) -> &dyn Ledger {
         match self {
             WorldBooks::Volatile(books) => books,
-            WorldBooks::Durable(store) => store.books(),
+            WorldBooks::Durable(store) => store,
         }
     }
 
-    fn commit(&mut self, rec: LedgerRecord) {
+    fn ledger_mut(&mut self) -> &mut dyn Ledger {
         match self {
-            WorldBooks::Volatile(books) => books.apply(&rec),
-            WorldBooks::Durable(store) => store.append(&rec),
+            WorldBooks::Volatile(books) => books,
+            WorldBooks::Durable(store) => store,
         }
     }
 }
@@ -440,7 +440,7 @@ impl ZmailWorld {
         // in the receiver's own Deliver event.
         scheduler.write(CLASS_ISP, isp_key(sender_isp.0));
         let outcome =
-            self.isps[sender_isp.index()].send_email(&mut self.books, from.user, to, kind);
+            self.isps[sender_isp.index()].send_email(self.books.ledger_mut(), from.user, to, kind);
         match outcome {
             Ok(SendOutcome::DeliveredLocally) => {
                 self.delivered(kind, true);
@@ -492,7 +492,12 @@ impl ZmailWorld {
         // Behavioural knob: users top up when running low.
         if let Some(threshold) = self.config.auto_topup_below {
             let amount = self.config.topup_amount;
-            self.isps[sender_isp.index()].auto_topup(&mut self.books, from.user, threshold, amount);
+            self.isps[sender_isp.index()].auto_topup(
+                self.books.ledger_mut(),
+                from.user,
+                threshold,
+                amount,
+            );
         }
         self.pump_bank_exchanges(scheduler, sender_isp, lifecycle);
     }
@@ -510,7 +515,7 @@ impl ZmailWorld {
     ) {
         let now = scheduler.now().as_millis();
         for side in Exchange::BOTH {
-            let Some(msg) = self.isps[isp.index()].maybe_exchange(&self.books, side) else {
+            let Some(msg) = self.isps[isp.index()].maybe_exchange(self.books.ledger(), side) else {
                 continue;
             };
             self.bank_spans[isp.index()][side.index()] = lifecycle.and_then(|root| {
@@ -711,7 +716,7 @@ impl ZmailWorld {
                     return;
                 }
                 scheduler.write(CLASS_ISP, isp_key(j.0));
-                match self.isps[j.index()].receive_email(&mut self.books, origin, &email) {
+                match self.isps[j.index()].receive_email(self.books.ledger_mut(), origin, &email) {
                     Delivery::Delivered => {
                         // A counterfeit that *landed* shifted value: the
                         // receiver credited a payment the sender never
@@ -783,7 +788,7 @@ impl ZmailWorld {
             ) => {
                 scheduler.write(CLASS_ISP, isp_key(j));
                 let isp = &mut self.isps[j as usize];
-                match isp.handle_exchange_reply(&mut self.books, side, &envelope) {
+                match isp.handle_exchange_reply(self.books.ledger_mut(), side, &envelope) {
                     // Reply accepted: the round trip is over.
                     Ok(true) => {
                         if let Some(c) = self.bank_spans[j as usize][side.index()].take() {
@@ -821,9 +826,9 @@ impl ZmailWorld {
                     panic!("{} must come from an ISP", side.label());
                 };
                 scheduler.write(CLASS_BANK, BANK_KEY);
-                let served = self
-                    .banks
-                    .handle_exchange(&mut self.books, side, IspId(g), &envelope);
+                let served =
+                    self.banks
+                        .handle_exchange(self.books.ledger_mut(), side, IspId(g), &envelope);
                 if let Ok(reply) = served {
                     self.dispatch(scheduler, Endpoint::Bank, from, reply, None);
                 }
@@ -858,7 +863,7 @@ impl ZmailWorld {
             return;
         };
         let records = store.pending_records();
-        store.commit();
+        store.commit_all();
         // The group-commit attributes to whichever traced send this
         // event worked on behalf of. Zero sim-duration by design: the
         // sim clock does not advance inside an event; the wall cost of
@@ -914,8 +919,8 @@ impl ZmailWorld {
         self.report.recoveries.push(RecoveryEvent {
             at: now,
             isp,
-            checkpoint_seq: recovery.checkpoint_seq,
-            replayed: recovery.replayed_records,
+            checkpoint_seq: recovery.checkpoint_seq(),
+            replayed: recovery.replayed_records(),
             diverged,
         });
     }
@@ -1033,7 +1038,7 @@ impl World for ZmailWorld {
                     scheduler.write(CLASS_ISP, isp_key(i));
                 }
                 for isp in &self.isps {
-                    isp.reset_daily(&mut self.books);
+                    isp.reset_daily(self.books.ledger_mut());
                 }
                 let next = now.next_day_boundary();
                 if next <= self.horizon {
@@ -1056,7 +1061,8 @@ impl World for ZmailWorld {
             }
             Event::SnapshotTimeout(isp) => {
                 scheduler.write(CLASS_ISP, isp_key(isp.0));
-                let (reply, drained) = self.isps[isp.index()].finish_snapshot(&mut self.books);
+                let (reply, drained) =
+                    self.isps[isp.index()].finish_snapshot(self.books.ledger_mut());
                 self.dispatch(scheduler, Endpoint::Isp(isp.0), Endpoint::Bank, reply, None);
                 for (sender, to, kind) in drained {
                     // The ISP's pending buffer is FIFO and `queue_spans`
@@ -1186,7 +1192,8 @@ impl ZmailSystem {
                         crash_restarts.push((crash.at + crash.restart_after, IspId(crash.isp)));
                     }
                 }
-                WorldBooks::Durable(LedgerStore::open(MemStorage::new(), store, books).0)
+                let disk = vec![MemStorage::new()];
+                WorldBooks::Durable(ShardedLedgerStore::open(disk, store, books).0)
             }
         };
         let isp_count = config.isps as usize;
@@ -1339,7 +1346,7 @@ impl ZmailSystem {
     /// Panics if the id is out of range.
     pub fn isp(&self, id: IspId) -> IspView<'_> {
         let world = self.world();
-        world.isps[id.index()].view(world.books.books())
+        world.isps[id.index()].view(world.books.ledger())
     }
 
     /// One ISP process and the deployment's ledger, for experiment setup
@@ -1352,7 +1359,7 @@ impl ZmailSystem {
     /// Panics if the id is out of range.
     pub fn isp_mut(&mut self, id: IspId) -> (&mut Isp, &mut dyn Ledger) {
         let world = self.world_mut();
-        (&mut world.isps[id.index()], &mut world.books)
+        (&mut world.isps[id.index()], world.books.ledger_mut())
     }
 
     /// The bank federation (a single-member federation in the central
@@ -1384,7 +1391,7 @@ impl ZmailSystem {
         let world = self.world();
         invariants::audit(
             &world.config,
-            world.books.books(),
+            world.books.ledger(),
             &world.banks,
             world.ledger,
         )
@@ -1460,7 +1467,7 @@ impl ZmailSystem {
     /// with
     /// [`ZmailConfigBuilder::durable`](crate::config::ZmailConfigBuilder::durable)
     /// (or an explicit durability configuration).
-    pub fn store(&self) -> Option<&LedgerStore<MemStorage>> {
+    pub fn store(&self) -> Option<&ShardedLedgerStore<MemStorage>> {
         match &self.world().books {
             WorldBooks::Volatile(_) => None,
             WorldBooks::Durable(store) => Some(store),
@@ -1472,8 +1479,7 @@ impl ZmailSystem {
     /// books are byte-for-byte the live ones. `None` when durability is
     /// off, `Some(true)` when recovery reproduces the deployment's state.
     pub fn verify_durable_books(&self) -> Option<bool> {
-        let store = self.store()?;
-        Some(store.simulate_recovery().0 == *store.books())
+        Some(self.store()?.recovers_live_books().0)
     }
 
     /// Deterministic tallies of every fault the `zmail-fault` injector
@@ -2489,7 +2495,7 @@ mod tests {
 
         fn step_by_event() -> Stepped {
             let mut system = deployment(per_event());
-            let bootstrap = system.store().unwrap().books().clone();
+            let bootstrap = system.store().unwrap().books();
             let mut seen = Stepped {
                 boundaries: vec![(0, bootstrap.clone())],
                 bootstrap,
@@ -2500,7 +2506,7 @@ mod tests {
             };
             while system.sim.step() {
                 assert_eq!(system.verify_durable_books(), Some(true));
-                let store = system.store().unwrap();
+                let store = system.store().unwrap().shard(0);
                 assert_eq!(store.pending_records(), 0, "records left buffered");
                 assert!(store.commits() <= system.sim.processed());
                 let (from, len) = (seen.boundaries.last().unwrap().0, store.wal_len());
@@ -2521,7 +2527,7 @@ mod tests {
                 seen.events.push(records);
                 seen.boundaries.push((len, store.books().clone()));
             }
-            let store = system.store().unwrap();
+            let store = system.store().unwrap().shard(0);
             assert_eq!(store.commits(), seen.events.len() as u64);
             assert!(2 * store.records_appended() > 3 * store.commits());
             assert!(store.next_checkpoint_seq() >= 4, "images must fall due");
@@ -2540,7 +2546,7 @@ mod tests {
                 ..per_event()
             });
             alone.drain();
-            let store = alone.store().unwrap();
+            let store = alone.store().unwrap().shard(0);
             assert_eq!(store.storage().read(WAL), seen.wal);
             assert_eq!(store.commits(), store.records_appended());
             assert_eq!(store.records_appended(), seen.log.len() as u64);
@@ -2597,21 +2603,22 @@ mod tests {
                 fuse,
                 torn,
             };
-            let (mut store, _) = LedgerStore::open(disk, per_event(), seen.bootstrap.clone());
+            let (mut store, _) =
+                ShardedLedgerStore::open(vec![disk], per_event(), seen.bootstrap.clone());
             for records in &seen.events {
                 for record in records {
                     store.append(record);
                 }
-                store.commit();
+                store.commit_all();
             }
-            let mut killed = store.into_storage();
+            let mut killed = store.into_storages().pop().expect("one shard");
             killed.disk.crash();
-            let (restarted, report) = LedgerStore::open(
-                killed.disk.into_durable(),
+            let (restarted, report) = ShardedLedgerStore::open(
+                vec![killed.disk.into_durable()],
                 per_event(),
                 seen.bootstrap.clone(),
             );
-            (restarted.books().clone(), report, fuse - killed.fuse)
+            (restarted.books(), report.shards[0], fuse - killed.fuse)
         }
 
         #[test]

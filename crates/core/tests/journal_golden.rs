@@ -98,7 +98,12 @@ fn run() -> (ZmailSystem, usize) {
 
 /// Every record of the WAL, in order.
 fn records(system: &ZmailSystem) -> Vec<LedgerRecord> {
-    let bytes = system.store().expect("durable run").storage().read(WAL);
+    let bytes = system
+        .store()
+        .expect("durable run")
+        .shard(0)
+        .storage()
+        .read(WAL);
     wal::scan(&bytes, 0)
         .payloads
         .iter()
@@ -118,7 +123,12 @@ const WAL_CRC: u32 = 2_117_391_760;
 #[test]
 fn one_shard_journal_is_byte_identical_and_covers_every_isp_and_bank_record() {
     let (system, _) = run();
-    let bytes = system.store().expect("durable run").storage().read(WAL);
+    let bytes = system
+        .store()
+        .expect("durable run")
+        .shard(0)
+        .storage()
+        .read(WAL);
     // Fourteen distinct kinds are all fourteen: `UserCounter*` and `Xfer*`
     // exist only between shards.
     let kinds: HashSet<_> = records(&system).iter().map(discriminant).collect();

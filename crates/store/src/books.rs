@@ -14,7 +14,9 @@
 //! implementation: the live `zmail-core` ISP and bank commit every change
 //! through a [`Ledger`] that runs it, replay folds it over a checkpoint
 //! via [`Books::apply`], and the sharded store's outbox overlay uses its
-//! per-user half. The binary encoding (`encode`/`decode`) is the
+//! per-user half. A [`Ledger`] is read by row — [`Ledger::user`],
+//! [`Ledger::pool`], [`Ledger::bank`] — never as whole books, so a row
+//! reads the same whatever holds it. The binary encoding (`encode`/`decode`) is the
 //! checkpoint payload format: fixed little-endian, no padding, so equal
 //! books encode to equal bytes and recovery comparisons can be exact.
 
@@ -167,19 +169,41 @@ impl IspBooks {
     /// Panics if the record indexes a user or peer outside these books,
     /// or is bank- or shard-scoped.
     pub fn apply(&mut self, rec: &LedgerRecord) {
+        assert!(self.try_apply(rec), "record outside the books: {rec:?}");
+    }
+
+    /// [`IspBooks::apply`], unless the record names a user or peer these
+    /// books do not hold: then nothing changes and the answer is `false`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the record is bank- or shard-scoped.
+    #[must_use]
+    fn try_apply(&mut self, rec: &LedgerRecord) -> bool {
         match *rec {
             LedgerRecord::Charge { user, .. }
             | LedgerRecord::Deposit { user, .. }
             | LedgerRecord::Grant { user, .. }
             | LedgerRecord::LimitSet { user, .. }
             | LedgerRecord::UserCounterBuy { user, .. }
-            | LedgerRecord::UserCounterSell { user, .. } => self.users[user as usize].apply(rec),
+            | LedgerRecord::UserCounterSell { user, .. } => {
+                let Some(row) = self.users.get_mut(user as usize) else {
+                    return false;
+                };
+                row.apply(rec);
+            }
             LedgerRecord::UserBuy { user, amount, .. } => {
-                self.users[user as usize].apply(rec);
+                let Some(row) = self.users.get_mut(user as usize) else {
+                    return false;
+                };
+                row.apply(rec);
                 self.avail -= amount;
             }
             LedgerRecord::UserSell { user, amount, .. } => {
-                self.users[user as usize].apply(rec);
+                let Some(row) = self.users.get_mut(user as usize) else {
+                    return false;
+                };
+                row.apply(rec);
                 self.avail += amount;
             }
             LedgerRecord::DailyReset { .. } => {
@@ -187,7 +211,12 @@ impl IspBooks {
                     u.sent_today = 0;
                 }
             }
-            LedgerRecord::CreditDelta { peer, delta, .. } => self.credit[peer as usize] += delta,
+            LedgerRecord::CreditDelta { peer, delta, .. } => {
+                let Some(credit) = self.credit.get_mut(peer as usize) else {
+                    return false;
+                };
+                *credit += delta;
+            }
             LedgerRecord::SnapshotMarker { .. } => self.credit.fill(0),
             LedgerRecord::PoolBuy { amount, .. } => self.avail += amount,
             LedgerRecord::PoolSell { amount, .. } => self.avail -= amount,
@@ -202,6 +231,22 @@ impl IspBooks {
             | LedgerRecord::XferApply { .. }
             | LedgerRecord::XferRelease { .. } => panic!("not an ISP-scoped record: {rec:?}"),
         }
+        true
+    }
+
+    /// Everything but the users, as [`Ledger::pool`] reads it.
+    pub fn pool(&self) -> PoolRow<'_> {
+        PoolRow {
+            avail: self.avail,
+            credit: &self.credit,
+            nonces: &self.nonces,
+        }
+    }
+
+    /// Whether `other` has these books' shape: as many users, credit
+    /// counters.
+    fn same_shape(&self, other: &IspBooks) -> bool {
+        self.users.len() == other.users.len() && self.credit.len() == other.credit.len()
     }
 }
 
@@ -212,21 +257,28 @@ impl BankBooks {
     ///
     /// Panics on any other record, or an ISP index outside these books.
     pub fn apply(&mut self, rec: &LedgerRecord) {
-        match *rec {
+        assert!(self.try_apply(rec), "record outside the books: {rec:?}");
+    }
+
+    /// [`BankBooks::apply`], unless the record names an ISP account these
+    /// books do not hold: then nothing changes and the answer is `false`.
+    #[must_use]
+    fn try_apply(&mut self, rec: &LedgerRecord) -> bool {
+        let (isp, account, issued) = match *rec {
             LedgerRecord::BankBuy {
                 isp, value, cost, ..
-            } => {
-                self.accounts[isp as usize] -= cost;
-                self.issued += value;
-            }
+            } => (isp, -cost, value),
             LedgerRecord::BankSell {
                 isp, value, credit, ..
-            } => {
-                self.accounts[isp as usize] += credit;
-                self.issued -= value;
-            }
+            } => (isp, credit, -value),
             _ => panic!("not a bank-scoped record: {rec:?}"),
-        }
+        };
+        let Some(row) = self.accounts.get_mut(isp as usize) else {
+            return false;
+        };
+        *row += account;
+        self.issued += issued;
+        true
     }
 }
 
@@ -237,10 +289,20 @@ impl Books {
     /// # Panics
     ///
     /// Panics if the record indexes an ISP, user, peer, or bank outside
-    /// these books — the journal and the checkpoint must describe the
-    /// same deployment, so an out-of-range index is corruption the WAL
-    /// checksums should have caught, not a condition to paper over.
+    /// these books. Recovery replays through `Books::try_apply` instead:
+    /// a log ends at the first record that does not fit the books,
+    /// checksum or not.
     pub fn apply(&mut self, rec: &LedgerRecord) {
+        assert!(self.try_apply(rec), "record outside the books: {rec:?}");
+    }
+
+    /// [`Books::apply`], unless the record names a row these books do not
+    /// hold — an ISP, user, peer, bank or bank account, or for a transfer
+    /// record the leg it applies here: then nothing changes and the
+    /// answer is `false`. Every record changes one row, so it is applied
+    /// whole or not at all.
+    #[must_use]
+    pub(crate) fn try_apply(&mut self, rec: &LedgerRecord) -> bool {
         match *rec {
             LedgerRecord::Charge { isp, .. }
             | LedgerRecord::Deposit { isp, .. }
@@ -255,17 +317,37 @@ impl Books {
             | LedgerRecord::Grant { isp, .. }
             | LedgerRecord::UserCounterBuy { isp, .. }
             | LedgerRecord::UserCounterSell { isp, .. }
-            | LedgerRecord::NonceSeen { isp, .. } => self.isps[isp as usize].apply(rec),
-            LedgerRecord::BankBuy { bank, .. } | LedgerRecord::BankSell { bank, .. } => {
-                self.banks[bank as usize].apply(rec)
-            }
+            | LedgerRecord::NonceSeen { isp, .. } => self
+                .isps
+                .get_mut(isp as usize)
+                .is_some_and(|books| books.try_apply(rec)),
+            LedgerRecord::BankBuy { bank, .. } | LedgerRecord::BankSell { bank, .. } => self
+                .banks
+                .get_mut(bank as usize)
+                .is_some_and(|books| books.try_apply(rec)),
             // The prepare carries both legs but only the debit touches
             // this shard's books; the credit lands on the destination via
             // its own XferApply record.
-            LedgerRecord::XferPrepare { debit, .. } => self.apply(&debit.record()),
-            LedgerRecord::XferApply { leg, .. } => self.apply(&leg.record()),
-            LedgerRecord::XferRelease { .. } => {}
+            LedgerRecord::XferPrepare { debit: leg, .. } | LedgerRecord::XferApply { leg, .. } => {
+                self.try_apply(&leg.record())
+            }
+            LedgerRecord::XferRelease { .. } => true,
         }
+    }
+
+    /// Whether `other` holds the same rows: as many ISPs, users, credit
+    /// counters, banks and bank accounts. A checkpoint image of another
+    /// shape is not an image of these books.
+    pub(crate) fn same_shape(&self, other: &Books) -> bool {
+        self.isps.len() == other.isps.len()
+            && self
+                .isps
+                .iter()
+                .zip(&other.isps)
+                .all(|(a, b)| a.same_shape(b))
+            && self.banks.len() == other.banks.len()
+            && (self.banks.iter().zip(&other.banks))
+                .all(|(a, b)| a.accounts.len() == b.accounts.len())
     }
 
     /// The checkpoint payload: fixed little-endian, field order exactly
@@ -379,21 +461,56 @@ impl Books {
     }
 }
 
+/// An ISP's pool row as a [`Ledger`] reads it: the pool, the per-peer
+/// credit column and the accepted nonces — everything of an [`IspBooks`]
+/// but its users.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PoolRow<'a> {
+    /// The ISP's e-penny pool.
+    pub avail: i64,
+    /// Per-peer credit counters (§4.4), indexed by ISP id.
+    pub credit: &'a [i64],
+    /// Accepted attestation nonces, sorted ascending.
+    pub nonces: &'a [u64],
+}
+
 /// The one owner of a deployment's books, lent to the protocol processes
-/// on each call: plain [`Books`], or a [`LedgerStore`](crate::LedgerStore)
-/// that also journals every commit.
+/// on each call: plain [`Books`], or a
+/// [`ShardedLedgerStore`](crate::ShardedLedgerStore) that also journals
+/// every commit.
+///
+/// A process reads rows — a user, an ISP's pool row, a bank — and never
+/// the whole books, so a row means the same at any shard count: a store
+/// answers each from the shard that owns it, plus whatever its outbox
+/// still owes that row.
 pub trait Ledger {
-    /// The books as the records committed so far left them.
-    fn books(&self) -> &Books;
+    /// One user's row. Like every row read, panics if the row is outside
+    /// the books.
+    fn user(&self, isp: u32, user: u32) -> UserBooks;
+
+    /// ISP `isp`'s pool row.
+    fn pool(&self, isp: u32) -> PoolRow<'_>;
+
+    /// Bank `bank`'s books.
+    fn bank(&self, bank: u32) -> &BankBooks;
 
     /// Applies `rec` to the books (and journals it, if durable).
     fn commit(&mut self, rec: LedgerRecord);
 }
 
-/// A commit is an [`apply`](Books::apply) and nothing more.
+/// A commit is an [`apply`](Books::apply) and nothing more: the volatile
+/// ledger, and the reference every store is held to.
 impl Ledger for Books {
-    fn books(&self) -> &Books {
-        self
+    fn user(&self, isp: u32, user: u32) -> UserBooks {
+        self.isps[isp as usize].users[user as usize]
+    }
+
+    fn pool(&self, isp: u32) -> PoolRow<'_> {
+        self.isps[isp as usize].pool()
+    }
+
+    fn bank(&self, bank: u32) -> &BankBooks {
+        &self.banks[bank as usize]
     }
 
     fn commit(&mut self, rec: LedgerRecord) {

@@ -43,7 +43,11 @@
 //! passes its checksum, reads the WAL from that checkpoint's
 //! `wal_offset` on ([`Storage::read_from`] — the covered prefix is
 //! neither copied nor walked), replays it, and truncates anything the
-//! frame scan rejects. The whole path is a pure function of the
+//! frame scan rejects. A checksum is not trusted alone: a slot whose
+//! books have another shape than the bootstrap's is as corrupt as one
+//! that does not decode, and the log ends at the first record that names
+//! a row the books do not hold, as at a payload that is not a record —
+//! so replay never indexes outside the books. The whole path is a pure function of the
 //! backend's bytes — no clocks, no randomness — so a fixed plan+seed
 //! recovers byte-identically every run.
 //!
@@ -56,10 +60,10 @@
 //! CRC and decode. The records, their order, and where a damaged frame
 //! ends the walk are the same either way.
 
-use crate::books::{Books, Ledger};
+use crate::books::Books;
 use crate::checkpoint::{self, Checkpoint, VerifiedSlot, SLOTS};
 use crate::metrics::{StoreMetrics, Tally};
-use crate::record::LedgerRecord;
+use crate::record::{LedgerRecord, XferLeg};
 use crate::storage::Storage;
 use crate::wal;
 use std::cmp::Reverse;
@@ -138,8 +142,14 @@ pub struct LedgerStore<S: Storage> {
     tally: Tally,
 }
 
-/// Visitor handed every record of a shard's valid log, in log order.
-pub(crate) type Observer<'a> = &'a mut dyn FnMut(&LedgerRecord);
+/// What a multi-shard recovery hands each shard's pass: whether a
+/// prepare's credit leg can land on its destination shard — a check a
+/// prepare must pass beyond fitting the shard's own books — and a visitor
+/// shown every record of the shard's valid log, in log order.
+pub(crate) struct Observer<'a> {
+    pub(crate) lands: &'a dyn Fn(u32, XferLeg) -> bool,
+    pub(crate) visit: &'a mut dyn FnMut(&LedgerRecord),
+}
 
 impl<S: Storage> LedgerStore<S> {
     /// Opens a store, running recovery against whatever the backend
@@ -360,23 +370,12 @@ impl<S: Storage> LedgerStore<S> {
     }
 }
 
-/// A commit is an [`append`](LedgerStore::append): journaled, applied, and
-/// group-committed once the batch is full.
-impl<S: Storage> Ledger for LedgerStore<S> {
-    fn books(&self) -> &Books {
-        &self.books
-    }
-
-    fn commit(&mut self, rec: LedgerRecord) {
-        self.append(&rec);
-    }
-}
-
 /// The newest checkpoint the backend holds, and how many present slots
 /// were rejected. Every present slot has its CRC, magic and length
 /// verified; the books payload is decoded newest slot first, and only
-/// until one decodes.
-fn load_checkpoint<S: Storage>(storage: &S) -> (Option<Checkpoint>, u32) {
+/// until one decodes to books of `initial`'s shape — an image of other
+/// books is as corrupt as one that does not decode.
+fn load_checkpoint<S: Storage>(storage: &S, initial: &Books) -> (Option<Checkpoint>, u32) {
     let images = SLOTS.map(|slot| storage.read(slot));
     let mut corrupt_slots = 0;
     let mut verified = Vec::with_capacity(SLOTS.len());
@@ -389,8 +388,8 @@ fn load_checkpoint<S: Storage>(storage: &S) -> (Option<Checkpoint>, u32) {
     verified.sort_by_key(|slot| Reverse(slot.seq));
     for slot in verified {
         match slot.decode() {
-            Some(ckpt) => return (Some(ckpt), corrupt_slots),
-            None => corrupt_slots += 1,
+            Some(ckpt) if ckpt.books.same_shape(initial) => return (Some(ckpt), corrupt_slots),
+            _ => corrupt_slots += 1,
         }
     }
     (None, corrupt_slots)
@@ -408,22 +407,23 @@ fn load_checkpoint<S: Storage>(storage: &S) -> (Option<Checkpoint>, u32) {
 /// accounts, quiet decile of 150 recoveries, 8 alternations): 13.7–22.9
 /// ms a record at a time, 11.6–17.0 ms in runs of 64, 11.8–16.6 in runs
 /// of 16 and 11.7–12.9 in runs of 256 — the sizes cannot be told apart,
-/// and 64 records (4 KiB) sit on the stack.
+/// and 64 records with their offsets fit on the stack.
 const BATCH: usize = 64;
 
 /// Hands `visit` every record framed in `bytes` from offset `from` on
-/// and returns the offset of the first frame the WAL scan rejects or
-/// whose checksum-valid payload is not a record (the end of `bytes` if
-/// there is none): nothing from there on can be trusted.
+/// and returns the offset of the first frame the WAL scan rejects, or
+/// whose checksum-valid payload is not a record, or whose record `visit`
+/// refuses (the end of `bytes` if there is none): nothing from there on
+/// can be trusted.
 ///
 /// Records reach `visit` in log order, in runs of up to [`BATCH`]: a run
 /// is decoded whole before its first record is visited, and ends early
 /// only where the walk does, so nothing past a rejected frame is visited.
-fn walk(bytes: &[u8], from: u64, mut visit: impl FnMut(&LedgerRecord)) -> u64 {
+fn walk(bytes: &[u8], from: u64, mut visit: impl FnMut(&LedgerRecord) -> bool) -> u64 {
     let mut frames = wal::Frames::new(bytes, from);
     // On the stack, not the heap: even one small allocation per recovery
     // moves where glibc trims the heap between the benchmark's rounds.
-    let mut run = [LedgerRecord::XferRelease { xid: 0 }; BATCH];
+    let mut run = [(0, LedgerRecord::XferRelease { xid: 0 }); BATCH];
     loop {
         let mut len = 0;
         let end = loop {
@@ -433,13 +433,15 @@ fn walk(bytes: &[u8], from: u64, mut visit: impl FnMut(&LedgerRecord)) -> u64 {
             let Some(rec) = LedgerRecord::decode(payload) else {
                 break Some(offset);
             };
-            run[len] = rec;
+            run[len] = (offset, rec);
             len += 1;
             if len == BATCH {
                 break None;
             }
         };
-        run[..len].iter().for_each(&mut visit);
+        if let Some(&(refused, _)) = run[..len].iter().find(|(_, rec)| !visit(rec)) {
+            return refused;
+        }
         if let Some(end) = end {
             return end;
         }
@@ -465,12 +467,18 @@ struct Recovered {
 /// whole valid log, so for it the WAL is read from 0 and the frames
 /// before the checkpoint are walked first, each frame still checksummed
 /// and decoded once.
+///
+/// The replay ends at the first record that does not fit the books
+/// ([`Books::try_apply`]) or, with an observer, fails its check; the
+/// observer's own walk of the old log, which applies nothing, ends only
+/// at the latter.
 fn recover<S: Storage>(
     storage: &S,
     initial: &Books,
     mut observe: Option<Observer<'_>>,
 ) -> Recovered {
-    let (best, corrupt_slots) = load_checkpoint(storage);
+    let (best, corrupt_slots) = load_checkpoint(storage, initial);
+    let lands = observe.as_ref().map(|o| o.lands);
     let (mut books, replayed_from, checkpoint_seq, next_seq) = match best {
         Some(ckpt) => (ckpt.books, ckpt.wal_offset, Some(ckpt.seq), ckpt.seq + 1),
         None => (initial.clone(), 0, None, 0),
@@ -483,8 +491,10 @@ fn recover<S: Storage>(
     };
     let wal_bytes = storage.read_from(WAL, base);
     let from = (replayed_from - base).min(wal_bytes.len() as u64);
-    let observed = match observe.as_deref_mut() {
-        Some(observe) => walk(&wal_bytes[..from as usize], 0, observe),
+    let observed = match observe.as_mut() {
+        Some(observe) => walk(&wal_bytes[..from as usize], 0, |rec| {
+            show_if_fits(observe, rec)
+        }),
         None => from,
     };
     // The observer joins the replay only if its own walk arrived where
@@ -496,16 +506,21 @@ fn recover<S: Storage>(
     };
     let mut replayed = 0u64;
     let valid_len = walk(&wal_bytes, from, |rec| {
-        books.apply(rec);
-        replayed += 1;
-        if let Some(observe) = joined.as_deref_mut() {
-            observe(rec);
+        if !lands.is_none_or(|lands| admits(lands, rec)) || !books.try_apply(rec) {
+            return false;
         }
+        replayed += 1;
+        if let Some(observe) = joined.as_mut() {
+            (observe.visit)(rec);
+        }
+        true
     });
-    if let Some(observe) = observe {
+    if let Some(mut observe) = observe {
         // Damage in the old log: the observer goes on alone from where
         // it stopped, within what the replay found valid.
-        walk(&wal_bytes[..valid_len as usize], observed, observe);
+        walk(&wal_bytes[..valid_len as usize], observed, |rec| {
+            show_if_fits(&mut observe, rec)
+        });
     }
     let report = RecoveryReport {
         checkpoint_seq,
@@ -521,6 +536,24 @@ fn recover<S: Storage>(
         next_seq,
         replayed_from,
     }
+}
+
+/// Whether `rec` passes an observer's check: a prepare's credit leg must
+/// be able to land.
+fn admits(lands: &dyn Fn(u32, XferLeg) -> bool, rec: &LedgerRecord) -> bool {
+    match *rec {
+        LedgerRecord::XferPrepare { dst, credit, .. } => lands(dst, credit),
+        _ => true,
+    }
+}
+
+/// Whether `rec` passes the observer's check; if so it is shown it.
+fn show_if_fits(observe: &mut Observer<'_>, rec: &LedgerRecord) -> bool {
+    let fits = admits(observe.lands, rec);
+    if fits {
+        (observe.visit)(rec);
+    }
+    fits
 }
 
 #[cfg(test)]
@@ -795,7 +828,10 @@ mod tests {
     /// What an observer of `simulate_recovery_observed` is shown.
     fn observed(store: &LedgerStore<MemStorage>) -> (Vec<LedgerRecord>, RecoveryReport) {
         let mut seen = Vec::new();
-        let (_, report) = store.simulate_recovery_observed(Some(&mut |rec| seen.push(*rec)));
+        let (_, report) = store.simulate_recovery_observed(Some(Observer {
+            lands: &|_, _| true,
+            visit: &mut |rec| seen.push(*rec),
+        }));
         (seen, report)
     }
 
@@ -988,8 +1024,18 @@ mod tests {
                 log.len()
             };
             let bytes = &log[..end];
+            let in_runs = walked(
+                |b, f, v| {
+                    walk(b, f, |rec| {
+                        v(rec);
+                        true
+                    })
+                },
+                bytes,
+                from,
+            );
             prop_assert_eq!(
-                walked(|b, f, v| walk(b, f, v), bytes, from),
+                in_runs,
                 walked(|b, f, v| walk_one_at_a_time(b, f, v), bytes, from)
             );
         }
@@ -1088,7 +1134,7 @@ mod tests {
         storage: &MemStorage,
         initial: &Books,
     ) -> (Books, RecoveryReport, Vec<LedgerRecord>) {
-        let (best, corrupt_slots) = load_checkpoint(storage);
+        let (best, corrupt_slots) = load_checkpoint(storage, initial);
         let (mut books, wal_offset, checkpoint_seq) = match best {
             Some(ckpt) => (ckpt.books, ckpt.wal_offset, Some(ckpt.seq)),
             None => (initial.clone(), 0, None),
@@ -1163,7 +1209,8 @@ mod tests {
             let victim = usize::from(salt) % shards;
             let mut log = sharded.shard(victim).storage().read(WAL);
             let offsets = wal::scan(&log, 0).offsets;
-            let replay_from = load_checkpoint(sharded.shard(victim).storage())
+            let victim_store = sharded.shard(victim);
+            let replay_from = load_checkpoint(victim_store.storage(), &victim_store.initial)
                 .0
                 .map_or(0, |ckpt| ckpt.wal_offset);
             let base = if from_image {
@@ -1186,7 +1233,10 @@ mod tests {
                 let (books, report, seen) = recovered_one_at_a_time(store.storage(), &store.initial);
                 prop_assert_eq!(store.simulate_recovery(), (books.clone(), report));
                 let mut shown = Vec::new();
-                let observed = store.simulate_recovery_observed(Some(&mut |rec| shown.push(*rec)));
+                let observed = store.simulate_recovery_observed(Some(Observer {
+                    lands: &|_, _| true,
+                    visit: &mut |rec| shown.push(*rec),
+                }));
                 prop_assert_eq!(observed, (books.clone(), report));
                 prop_assert_eq!(&shown, &seen);
                 shown.clear();
@@ -1194,7 +1244,7 @@ mod tests {
                     store.storage().clone(),
                     config,
                     store.initial.clone(),
-                    Some(&mut |rec| shown.push(*rec)),
+                    Some(Observer { lands: &|_, _| true, visit: &mut |rec| shown.push(*rec) }),
                 );
                 prop_assert_eq!(open_report, report);
                 prop_assert_eq!(opened.books(), &books);

@@ -10,17 +10,22 @@
 //! * [`LedgerRecord`] — one typed entry per book mutation, with a fixed
 //!   little-endian wire form.
 //! * [`Books`] — the durable state itself, plus [`Books::apply`], the
-//!   single replay function checkpoints and recovery fold over; the
-//!   [`Ledger`] trait lends it, or a [`LedgerStore`], to the protocol.
+//!   single replay function checkpoints and recovery fold over.
+//! * [`Ledger`] — what the protocol is lent: row reads (a user, an ISP's
+//!   pool row, a bank) and `commit`. [`Books`] is the volatile ledger and
+//!   [`ShardedLedgerStore`] the durable one, at any shard count.
 //! * [`wal`] — length+CRC framing and the tail scan: a torn or corrupt
-//!   suffix is detected and truncated, never silently applied.
+//!   suffix is detected and truncated, never silently applied, and so is
+//!   a checksummed record that names a row the books do not hold.
 //! * [`Checkpoint`] — alternating-slot full-state images bounding
 //!   replay; a crash mid-checkpoint can only lose the slot being
 //!   written.
-//! * [`LedgerStore`] — the engine: group-commit batching
-//!   ([`StoreConfig::batch_records`]), auto-checkpointing, and
-//!   [`LedgerStore::simulate_recovery`], the pure what-would-a-restart-
-//!   see pass the fault harness audits against live state.
+//! * [`ShardedLedgerStore`] — the store: accounts hashed over N
+//!   [`LedgerStore`] engines (group commit per
+//!   [`StoreConfig::batch_records`], auto-checkpointing), two-phase
+//!   cross-shard transfers, and [`ShardedLedgerStore::simulate_recovery`],
+//!   the pure what-would-a-restart-see pass the fault harness audits
+//!   against live state. One shard writes the bytes one engine would.
 //! * [`Storage`] — the pluggable backend: [`MemStorage`] keeps the
 //!   simulator deterministic, [`FileStorage`] backs the bench bins, and
 //!   `zmail-fault`'s `FaultyStorage` wraps either to model torn writes
@@ -33,7 +38,7 @@
 //! the `store.*` namespace.
 //!
 //! ```rust
-//! use zmail_store::{Books, IspBooks, LedgerRecord, LedgerStore, MemStorage, StoreConfig};
+//! use zmail_store::{Books, IspBooks, Ledger, LedgerRecord, MemStorage, ShardedLedgerStore, StoreConfig};
 //!
 //! let bootstrap = Books {
 //!     isps: vec![IspBooks {
@@ -44,12 +49,14 @@
 //!     }],
 //!     banks: Vec::new(),
 //! };
-//! let (mut store, _) = LedgerStore::open(MemStorage::new(), StoreConfig::default(), bootstrap);
-//! store.append(&LedgerRecord::PoolBuy { isp: 0, amount: 500 });
-//! store.commit();
+//! let disk = vec![MemStorage::new()];
+//! let (mut store, _) = ShardedLedgerStore::open(disk, StoreConfig::default(), bootstrap);
+//! store.commit(LedgerRecord::PoolBuy { isp: 0, amount: 500 });
+//! store.commit_all();
+//! assert_eq!(store.pool(0).avail, 5_500);
 //! let (recovered, report) = store.simulate_recovery();
-//! assert_eq!(&recovered, store.books());
-//! assert_eq!(report.replayed_records, 1);
+//! assert_eq!(recovered, store.books());
+//! assert_eq!(report.replayed_records(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -64,7 +71,7 @@ pub mod shard;
 pub mod storage;
 pub mod wal;
 
-pub use books::{BankBooks, Books, IspBooks, Ledger, SendError, UserBooks};
+pub use books::{BankBooks, Books, IspBooks, Ledger, PoolRow, SendError, UserBooks};
 pub use checkpoint::Checkpoint;
 pub use engine::{LedgerStore, RecoveryReport, StoreConfig, WAL};
 pub use metrics::StoreMetrics;

@@ -29,8 +29,13 @@
 //!   invariant: no ordering of per-shard crashes can surface a credit
 //!   without its debit, or a released prepare whose credit was lost.
 //!   Until its apply is flushed, a pending credit leg is overlaid on
-//!   [`ShardedLedgerStore::books`] / [`ShardedLedgerStore::user`]
-//!   reads, so the live view stays exactly conserved between ticks.
+//!   [`ShardedLedgerStore::books`] and on the [`Ledger`] row reads — a
+//!   user leg on [`Ledger::user`], a pool leg on [`Ledger::pool`] — so
+//!   the live view stays exactly conserved between ticks.
+//! * The store is the durable [`Ledger`], at any shard count: a commit
+//!   is an [`append`](ShardedLedgerStore::append), a row is read from the
+//!   shard that owns it, and the per-shard [`LedgerStore`] engines are
+//!   reached through [`ShardedLedgerStore::shard`].
 //! * Recovery scans every shard's full WAL for unreleased prepares and
 //!   **rolls them forward**: if the destination never journaled the
 //!   apply, it is appended now; either way the release is. A crash
@@ -65,8 +70,8 @@
 //! Telemetry lands in the global `zmail-obs` registry under `shard.*`
 //! ([`ShardMetrics`]).
 
-use crate::books::{BankBooks, Books, IspBooks, UserBooks};
-use crate::engine::{LedgerStore, RecoveryReport, StoreConfig};
+use crate::books::{BankBooks, Books, IspBooks, Ledger, PoolRow, UserBooks};
+use crate::engine::{LedgerStore, Observer, RecoveryReport, StoreConfig};
 use crate::record::{LedgerRecord, XferKind, XferLeg};
 use crate::storage::Storage;
 use std::cmp::Reverse;
@@ -205,6 +210,18 @@ impl ShardMap {
     /// Owner shard of a bank's books.
     pub fn bank_shard(&self, bank: u32) -> u32 {
         self.bank_shard[bank as usize]
+    }
+
+    /// Whether a prepare's credit leg can land: its destination shard
+    /// `dst` exists and holds the row the leg names, in that shard's
+    /// index space.
+    pub(crate) fn lands(&self, dst: u32, credit: XferLeg) -> bool {
+        let Some(isps) = self.owned.get(dst as usize) else {
+            return false;
+        };
+        isps.get(credit.isp as usize).is_some_and(|users| {
+            account_of(&credit).is_none_or(|(_, user)| (user as usize) < users.len())
+        })
     }
 
     /// Splits global books into the N per-shard slices.
@@ -541,8 +558,8 @@ struct PendingXfer {
     /// bytes the deferred `XferApply` will journal.
     credit_local: XferLeg,
     /// The same credit leg in *global* index space, overlaid on
-    /// [`ShardedLedgerStore::books`] / [`ShardedLedgerStore::user`]
-    /// reads until the apply lands.
+    /// [`ShardedLedgerStore::books`] and the [`Ledger`] row reads until
+    /// the apply lands.
     credit_global: XferLeg,
 }
 
@@ -565,6 +582,10 @@ pub struct ShardedLedgerStore<S: Storage> {
     /// push, cleared on drain) so `user` reads are a lookup, not a scan
     /// of an outbox that grows with the whole tick.
     pending_user_deltas: BTreeMap<(u32, u32), UserBooks>,
+    /// What the pending pool legs owe each ISP's pool — a counter sale
+    /// whose user and pool live apart credits the pool from the outbox —
+    /// so a pool row reads as [`books`](Self::books) reads it.
+    pending_pool_deltas: BTreeMap<u32, i64>,
     /// Releases owed but not yet journaled: `(source shard, xid)` pairs
     /// whose destination apply has not been committed yet. A release
     /// must never be durable before its apply — a durable release with
@@ -601,13 +622,13 @@ impl<S: Storage> ShardedLedgerStore<S> {
         let shards = storages.len();
         for (s, (storage, part)) in storages.into_iter().zip(parts).enumerate() {
             let mut scan = XferScan::default();
-            let mut observe = |rec: &LedgerRecord| scan.observe(rec);
-            let (store, report) = LedgerStore::open_observed(
-                storage,
-                config,
-                part,
-                journals_transfers(shards).then_some(&mut observe),
-            );
+            let mut visit = |rec: &LedgerRecord| scan.observe(rec);
+            let lands = |dst, credit| map.lands(dst, credit);
+            let observer = journals_transfers(shards).then_some(Observer {
+                lands: &lands,
+                visit: &mut visit,
+            });
+            let (store, report) = LedgerStore::open_observed(storage, config, part, observer);
             in_doubt.absorb(s, scan);
             stores.push(store);
             reports.push(report);
@@ -619,6 +640,7 @@ impl<S: Storage> ShardedLedgerStore<S> {
             next_xid: in_doubt.next_xid,
             pending_xfers: Vec::new(),
             pending_user_deltas: BTreeMap::new(),
+            pending_pool_deltas: BTreeMap::new(),
             pending_releases: Vec::new(),
         };
         let mut report = ShardRecoveryReport {
@@ -828,11 +850,19 @@ impl<S: Storage> ShardedLedgerStore<S> {
             credit_local: credit,
             credit_global,
         });
-        if let Some(account) = account_of(&credit_global) {
-            self.pending_user_deltas
+        match account_of(&credit_global) {
+            Some(account) => self
+                .pending_user_deltas
                 .entry(account)
                 .or_default()
-                .apply(&credit_global.record());
+                .apply(&credit_global.record()),
+            None => {
+                let owed = self.pending_pool_deltas.entry(credit_global.isp);
+                match credit_global.kind {
+                    XferKind::PoolSell => *owed.or_default() -= credit_global.amount,
+                    _ => *owed.or_default() += credit_global.amount,
+                }
+            }
         }
         if let Some(start) = timer {
             m.xfer_micros.record_duration(start.elapsed());
@@ -853,6 +883,7 @@ impl<S: Storage> ShardedLedgerStore<S> {
         }
         let pending = std::mem::take(&mut self.pending_xfers);
         self.pending_user_deltas.clear();
+        self.pending_pool_deltas.clear();
         let mut sources = BitSet::default();
         for p in &pending {
             sources.insert(p.src);
@@ -938,40 +969,18 @@ impl<S: Storage> ShardedLedgerStore<S> {
         books
     }
 
-    /// Live books of one user account, read from its owning shard, with
-    /// pending cross-shard credit legs for that account overlaid.
-    pub fn user(&self, isp: u32, user: u32) -> UserBooks {
-        let (s, local) = self.map.locate(isp, user);
-        let books = self.stores[s as usize].books().isps[isp as usize].users[local as usize];
-        match self.pending_user_deltas.get(&(isp, user)) {
-            Some(delta) => books.plus(delta),
-            None => books,
-        }
-    }
-
     /// Every e-penny on the merged books — what
     /// [`books`](Self::books)`().epennies_found()` would say — summed
     /// shard by shard, pending credit legs included, without assembling
     /// the merged image.
     pub fn epennies_found(&self) -> i64 {
-        // The pending legs, folded onto one stand-in account and pool.
-        let mut owed = IspBooks {
-            users: vec![UserBooks::default()],
-            ..IspBooks::default()
-        };
-        for p in &self.pending_xfers {
-            let leg = XferLeg {
-                user: 0,
-                ..p.credit_global
-            };
-            owed.apply(&leg.record());
-        }
         let journaled: i64 = self
             .stores
             .iter()
             .map(|store| store.books().epennies_found())
             .sum();
-        journaled + owed.avail + owed.users[0].balance
+        let owed_users: i64 = self.pending_user_deltas.values().map(|d| d.balance).sum();
+        journaled + owed_users + self.pending_pool_deltas.values().sum::<i64>()
     }
 
     /// What a restart *right now* would reconstruct, without mutating
@@ -1012,10 +1021,13 @@ impl<S: Storage> ShardedLedgerStore<S> {
         let mut in_doubt = InDoubt::default();
         for (s, store) in self.stores.iter().enumerate() {
             let mut scan = XferScan::default();
-            let mut observe = |rec: &LedgerRecord| scan.observe(rec);
-            let (books, shard_report) = store.simulate_recovery_observed(
-                journals_transfers(self.stores.len()).then_some(&mut observe),
-            );
+            let mut visit = |rec: &LedgerRecord| scan.observe(rec);
+            let lands = |dst, credit| self.map.lands(dst, credit);
+            let observer = journals_transfers(self.stores.len()).then_some(Observer {
+                lands: &lands,
+                visit: &mut visit,
+            });
+            let (books, shard_report) = store.simulate_recovery_observed(observer);
             in_doubt.absorb(s, scan);
             parts.push(books);
             report.shards.push(shard_report);
@@ -1051,6 +1063,11 @@ impl<S: Storage> ShardedLedgerStore<S> {
         self.stores.iter().map(|s| s.records_appended()).sum()
     }
 
+    /// Records buffered but not yet committed, across shards.
+    pub fn pending_records(&self) -> usize {
+        self.stores.iter().map(|s| s.pending_records()).sum()
+    }
+
     /// Total valid WAL bytes across shards.
     pub fn wal_len(&self) -> u64 {
         self.stores.iter().map(|s| s.wal_len()).sum()
@@ -1059,6 +1076,40 @@ impl<S: Storage> ShardedLedgerStore<S> {
     /// Consumes the store, returning the backends in shard order.
     pub fn into_storages(self) -> Vec<S> {
         self.stores.into_iter().map(|s| s.into_storage()).collect()
+    }
+}
+
+/// The durable ledger: a commit is an [`append`](ShardedLedgerStore::append),
+/// and a row is read from the shard that owns it with what the outbox
+/// still owes it added on — the row [`books`](ShardedLedgerStore::books)
+/// holds, without the merge.
+impl<S: Storage> Ledger for ShardedLedgerStore<S> {
+    fn user(&self, isp: u32, user: u32) -> UserBooks {
+        let (s, local) = self.map.locate(isp, user);
+        let books = self.stores[s as usize].books().isps[isp as usize].users[local as usize];
+        match self.pending_user_deltas.get(&(isp, user)) {
+            Some(delta) => books.plus(delta),
+            None => books,
+        }
+    }
+
+    fn pool(&self, isp: u32) -> PoolRow<'_> {
+        let owner = &self.stores[self.map.pool_shard(isp) as usize];
+        let mut row = owner.books().isps[isp as usize].pool();
+        if let Some(owed) = self.pending_pool_deltas.get(&isp) {
+            row.avail += owed;
+        }
+        row
+    }
+
+    fn bank(&self, bank: u32) -> &BankBooks {
+        &self.stores[self.map.bank_shard(bank) as usize]
+            .books()
+            .banks[bank as usize]
+    }
+
+    fn commit(&mut self, rec: LedgerRecord) {
+        self.append(&rec);
     }
 }
 

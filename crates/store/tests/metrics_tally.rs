@@ -35,7 +35,7 @@ fn tallies_are_exact_at_checkpoints_and_drop_and_lag_less_than_a_batch() {
         batch_records: 1,
         checkpoint_every: u64::MAX,
     };
-    let (mut store, _) = LedgerStore::open(MemStorage::new(), config, books);
+    let (mut store, _) = LedgerStore::open(MemStorage::new(), config, books.clone());
     let record = LedgerRecord::Deposit { isp: 0, user: 1 };
     for appended in 1..=200u64 {
         store.append(&record);
@@ -53,7 +53,7 @@ fn tallies_are_exact_at_checkpoints_and_drop_and_lag_less_than_a_batch() {
         batch_records: 8,
         ..config
     };
-    let (mut store, _) = LedgerStore::open(store.into_storage(), config, Books::default());
+    let (mut store, _) = LedgerStore::open(store.into_storage(), config, books);
     for _ in 0..20 {
         store.append(&record);
     }

@@ -6,8 +6,9 @@
 use proptest::prelude::*;
 use zmail_store::checkpoint::SLOTS;
 use zmail_store::{
-    wal, BankBooks, Books, IspBooks, LedgerRecord, LedgerStore, MemStorage, ShardMap,
-    ShardedLedgerStore, Storage, StoreConfig, UserBooks, XferKind, XferLeg, WAL,
+    wal, BankBooks, Books, Checkpoint, IspBooks, Ledger, LedgerRecord, LedgerStore, MemStorage,
+    ShardMap, ShardRecoveryReport, ShardedLedgerStore, Storage, StoreConfig, UserBooks, XferKind,
+    XferLeg, WAL,
 };
 
 const ISPS: u32 = 3;
@@ -247,6 +248,62 @@ proptest! {
         prop_assert!(batch > 1 || exact as usize == ops.len());
     }
 
+    /// The row reads are the merged image's rows: with cross-shard
+    /// transfers pending in the outbox — user legs, and the pool legs a
+    /// counter sale leaves owed — and after any flush, every user row,
+    /// pool row and bank a [`Ledger`] reads equals the one `books()`
+    /// holds, after every record.
+    #[test]
+    fn row_reads_match_the_merged_books_with_transfers_pending(
+        ops in proptest::collection::vec((0u32..13, 0u32..8, 0u32..8, -1000i64..1000, 0u32..4), 0..40),
+        shards in 1u32..5,
+    ) {
+        let mut sharded = open_sharded(shards);
+        for &(k, a, b, amt, then) in &ops {
+            sharded.append(&record_from(k, a, b, amt));
+            if then == 0 {
+                sharded.commit_all();
+            }
+            let books = sharded.books();
+            for (i, isp) in (0..).zip(&books.isps) {
+                for (u, row) in (0..).zip(&isp.users) {
+                    prop_assert_eq!(sharded.user(i, u), *row, "user {} of ISP {}", u, i);
+                }
+                prop_assert_eq!(sharded.pool(i), isp.pool(), "pool of ISP {}", i);
+            }
+            for (b, bank) in (0..).zip(&books.banks) {
+                prop_assert_eq!(sharded.bank(b), bank);
+            }
+        }
+    }
+
+    /// Any checksummed log, whatever rows, shards and banks its records
+    /// name, at one shard and at two: `open` does not panic — a record
+    /// that does not fit ends its log — and a reopen over what it left
+    /// recovers the books it opened to, with nothing left to cut.
+    #[test]
+    fn any_checksummed_log_opens_and_reopens_to_the_same_books(
+        log in proptest::collection::vec(
+            ((0usize..2, 0u32..19, 0u32..6), (0u32..8, 0u32..4, 0u64..6, -50i64..50)),
+            0..60,
+        ),
+        two in any::<bool>(),
+    ) {
+        let shards = if two { 2 } else { 1 };
+        let mut records = vec![Vec::new(); shards];
+        for &((shard, kind, isp), (user, other, xid, amount)) in &log {
+            records[shard % shards].push(stray_record(kind, isp, user, other, xid, amount));
+        }
+        let backends = records.iter().map(|log| backend_with(log)).collect();
+        let (store, _) = ShardedLedgerStore::open(backends, StoreConfig::default(), bootstrap());
+        let live = store.books();
+        prop_assert!(store.recovers_live_books().0);
+        let (again, report) =
+            ShardedLedgerStore::open(store.into_storages(), StoreConfig::default(), bootstrap());
+        prop_assert_eq!(again.books(), live);
+        prop_assert_eq!(report.torn_tails(), 0);
+    }
+
     /// A cold reopen over the surviving backends equals the live books:
     /// the on-disk representation alone carries the whole state,
     /// including outbox entries for cross-shard transfers.
@@ -338,6 +395,204 @@ fn backend_with(records: &[LedgerRecord]) -> MemStorage {
     backend.append(WAL, &log);
     backend.sync(WAL);
     backend
+}
+
+/// A record of any kind whose indices are drawn past the bounds of
+/// [`bootstrap`] as often as inside them: ISPs 0–5 of 3, users 0–7 of 4
+/// (fewer on a shard), peers, banks and destination shards 0–3.
+fn stray_record(kind: u32, isp: u32, user: u32, other: u32, xid: u64, amount: i64) -> LedgerRecord {
+    let leg = |kind| XferLeg {
+        kind,
+        isp,
+        user,
+        amount,
+    };
+    let pool_or_user = if other.is_multiple_of(2) {
+        XferKind::PoolBuy
+    } else {
+        XferKind::Deposit
+    };
+    match kind {
+        0 => LedgerRecord::Charge { isp, user },
+        1 => LedgerRecord::Deposit { isp, user },
+        2 => LedgerRecord::CreditDelta {
+            isp,
+            peer: other,
+            delta: amount,
+        },
+        3 => LedgerRecord::UserBuy { isp, user, amount },
+        4 => LedgerRecord::UserSell { isp, user, amount },
+        5 => LedgerRecord::PoolBuy { isp, amount },
+        6 => LedgerRecord::PoolSell { isp, amount },
+        7 => LedgerRecord::BankBuy {
+            bank: other,
+            isp,
+            value: amount,
+            cost: amount,
+        },
+        8 => LedgerRecord::BankSell {
+            bank: other,
+            isp,
+            value: amount,
+            credit: amount,
+        },
+        9 => LedgerRecord::SnapshotMarker { isp },
+        10 => LedgerRecord::DailyReset { isp },
+        11 => LedgerRecord::LimitSet {
+            isp,
+            user,
+            limit: other,
+        },
+        12 => LedgerRecord::Grant { isp, user, amount },
+        13 => LedgerRecord::UserCounterBuy { isp, user, amount },
+        14 => LedgerRecord::UserCounterSell { isp, user, amount },
+        15 => LedgerRecord::XferPrepare {
+            xid,
+            dst: other,
+            debit: leg(XferKind::Charge),
+            credit: leg(pool_or_user),
+        },
+        16 => LedgerRecord::XferApply {
+            xid,
+            leg: leg(pool_or_user),
+        },
+        17 => LedgerRecord::XferRelease { xid },
+        _ => LedgerRecord::NonceSeen { isp, nonce: xid },
+    }
+}
+
+/// Opens one-shard books over a log of `records` and says what recovery
+/// kept: the report and the WAL bytes left behind.
+fn open_one(records: &[LedgerRecord]) -> (ShardedLedgerStore<MemStorage>, ShardRecoveryReport) {
+    ShardedLedgerStore::open(
+        vec![backend_with(records)],
+        StoreConfig::default(),
+        bootstrap(),
+    )
+}
+
+/// Checksum-valid frames that name a row the books do not hold — an ISP
+/// past the last, a user past an ISP's last — end the valid log where
+/// they start, as an undecodable frame does: a torn tail, cut on open,
+/// where replay used to index past the books and panic.
+#[test]
+fn a_record_naming_a_row_outside_the_books_ends_the_log() {
+    let good = LedgerRecord::Deposit { isp: 1, user: 2 };
+    let kept = backend_with(&[good]).len(WAL);
+    for stray in [
+        LedgerRecord::Charge { isp: 7, user: 0 },
+        LedgerRecord::Charge { isp: 0, user: 99 },
+    ] {
+        let whole = backend_with(&[good, stray, good]).len(WAL);
+        let (store, report) = open_one(&[good, stray, good]);
+        let shard = report.shards[0];
+        assert!(shard.torn_tail, "{stray:?}");
+        assert_eq!(
+            (
+                shard.replayed_records,
+                shard.truncated_bytes,
+                shard.wal_bytes
+            ),
+            (1, whole - kept, kept),
+            "{stray:?}"
+        );
+        assert_eq!(store.shard(0).storage().len(WAL), kept, "{stray:?}");
+        let mut expected = bootstrap();
+        expected.apply(&good);
+        assert_eq!(store.books(), expected, "{stray:?}");
+    }
+}
+
+/// A prepare whose destination is no shard of the deployment, or whose
+/// credit leg names a user its destination does not hold, ends its
+/// shard's log: recovery used to try to land the credit there and panic.
+#[test]
+fn a_prepare_the_deployment_cannot_land_ends_the_log() {
+    let charge = XferLeg {
+        kind: XferKind::Charge,
+        isp: 0,
+        user: 0,
+        amount: 0,
+    };
+    for (dst, user) in [(9, 0), (1, 99)] {
+        let prepare = LedgerRecord::XferPrepare {
+            xid: 0,
+            dst,
+            debit: charge,
+            credit: XferLeg { user, ..grant(5) },
+        };
+        let (store, report) = ShardedLedgerStore::open(
+            vec![backend_with(&[prepare]), MemStorage::new()],
+            StoreConfig::default(),
+            bootstrap(),
+        );
+        assert!(report.shards[0].torn_tail, "dst {dst}, user {user}");
+        assert_eq!(report.shards[0].replayed_records, 0);
+        assert_eq!(report.resolved_forward + report.resolved_acked, 0);
+        assert_eq!(store.books(), bootstrap());
+    }
+}
+
+/// The same prepare in the log a checkpoint covers: replay starts past
+/// it, so only the in-doubt scan reads it, and the scan stops there
+/// instead of trying to land its credit. Nothing is cut: the frame is
+/// older than the image.
+#[test]
+fn a_prepare_the_deployment_cannot_land_under_an_image_is_not_resolved() {
+    let prepare = LedgerRecord::XferPrepare {
+        xid: 0,
+        dst: 9,
+        debit: grant(0),
+        credit: grant(5),
+    };
+    let mut covered = backend_with(&[prepare]);
+    let image = Checkpoint {
+        seq: 0,
+        wal_offset: covered.len(WAL),
+        books: ShardMap::new(2, &bootstrap()).split(&bootstrap())[0].clone(),
+    };
+    covered.write(SLOTS[0], &image.encode());
+    let (store, report) = ShardedLedgerStore::open(
+        vec![covered, MemStorage::new()],
+        StoreConfig::default(),
+        bootstrap(),
+    );
+    assert_eq!(report.shards[0].checkpoint_seq, Some(0));
+    assert!(!report.shards[0].torn_tail);
+    assert_eq!(report.resolved_forward + report.resolved_acked, 0);
+    assert_eq!(store.books(), bootstrap());
+}
+
+/// A checkpoint image whose books have another shape than the bootstrap
+/// — here one user where ISP 0 has four — is a corrupt slot: recovery
+/// falls back to the older slot (or the bootstrap) and counts it, where
+/// it used to adopt it and panic on the next record for user 3.
+#[test]
+fn an_image_of_other_books_is_a_corrupt_slot() {
+    let mut other = bootstrap();
+    other.isps[0].users.truncate(1);
+    let image = |seq, books| {
+        Checkpoint {
+            seq,
+            wal_offset: 0,
+            books,
+        }
+        .encode()
+    };
+    let mut alone = MemStorage::new();
+    alone.write(SLOTS[0], &image(0, other.clone()));
+    let mut behind_a_good_one = MemStorage::new();
+    behind_a_good_one.write(SLOTS[0], &image(0, bootstrap()));
+    behind_a_good_one.write(SLOTS[1], &image(1, other));
+    for (backend, adopted) in [(alone, None), (behind_a_good_one, Some(0))] {
+        let (mut store, report) =
+            ShardedLedgerStore::open(vec![backend], StoreConfig::default(), bootstrap());
+        let shard = report.shards[0];
+        assert_eq!((shard.checkpoint_seq, shard.corrupt_slots), (adopted, 1));
+        store.append(&LedgerRecord::Charge { isp: 0, user: 3 });
+        store.commit_all();
+        assert_eq!(store.user(0, 3).balance, 99);
+    }
 }
 
 fn grant(amount: i64) -> XferLeg {

@@ -3,13 +3,15 @@
 //! sends, receives, counter buys, sells and top-ups, §4.3 exchanges,
 //! snapshot requests and finishes, daily resets, `set_limit`,
 //! `grant_balance` — leave the same books whether they commit to plain
-//! `Books` or to a `LedgerStore` that journals every record, and the
-//! store recovers exactly the books it holds after every operation.
+//! `Books` or to a `ShardedLedgerStore` of 1, 2 or 4 shards that
+//! journals every record, and each store recovers exactly the books it
+//! holds after every operation.
 //!
-//! Each sequence runs twice over identically seeded processes, once per
-//! ledger, in lockstep: the processes read their guards from the books
-//! they were lent, so any difference between the two ledgers' books
-//! would steer the two runs apart.
+//! Each sequence runs over identically seeded processes, once per
+//! ledger, in lockstep: the processes read their guards from the rows of
+//! the ledger they were lent — through the outbox overlay, with
+//! cross-shard credits still owed — so any difference between the
+//! ledgers' rows would steer the runs apart.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -19,7 +21,7 @@ use zmail::core::{EmailMsg, Exchange, Federation, Isp, IspId, NetMsg, SendOutcom
 use zmail::crypto::KeyPair;
 use zmail::econ::EPennies;
 use zmail::sim::{MailKind, UserAddr};
-use zmail::store::{Ledger, LedgerStore, MemStorage, StoreConfig};
+use zmail::store::{Ledger, MemStorage, ShardedLedgerStore, StoreConfig};
 
 const USERS: u32 = 3;
 
@@ -167,15 +169,24 @@ proptest! {
             checkpoint_every: 4,
         };
         let bootstrap = config.initial_books();
-        let (durable, _) = LedgerStore::open(MemStorage::new(), store, bootstrap.clone());
+        let mut durable: Vec<_> = [1, 2, 4]
+            .into_iter()
+            .map(|shards| {
+                let disks = (0..shards).map(|_| MemStorage::new()).collect();
+                let (ledger, _) = ShardedLedgerStore::open(disks, store, bootstrap.clone());
+                Deployment::new(&config, ledger)
+            })
+            .collect();
         let mut volatile = Deployment::new(&config, bootstrap);
-        let mut durable = Deployment::new(&config, durable);
         for (i, &op) in ops.iter().enumerate() {
             volatile.step(op);
-            durable.step(op);
-            let store = &durable.ledger;
-            prop_assert_eq!(&volatile.ledger, store.books(), "op {} {:?}", i, op);
-            prop_assert_eq!(&store.simulate_recovery().0, store.books(), "op {} {:?}", i, op);
+            for durable in &mut durable {
+                durable.step(op);
+                let store = &durable.ledger;
+                let shards = store.shard_count();
+                prop_assert_eq!(&volatile.ledger, &store.books(), "{} shards, op {} {:?}", shards, i, op);
+                prop_assert!(store.recovers_live_books().0, "{} shards, op {} {:?}", shards, i, op);
+            }
         }
     }
 }

@@ -7,9 +7,12 @@
 //! bytes pass through hold no condvar, no hand-written queue and exactly
 //! the two `catch_unwind`s (session, inner sink).
 //!
-//! The last scan keeps a neighbouring promise: what std does, std does. No
+//! Two more scans keep neighbouring promises. What std does, std does: no
 //! first-party source names one of the `vendored/` stand-ins that have no
-//! caller left, so deleting them is a change to manifests only.
+//! caller left, so deleting them is a change to manifests only. And the
+//! store has one front end: outside `crates/store/`, production code holds
+//! durable books as a `ShardedLedgerStore` and never names the per-shard
+//! `LedgerStore` engine inside it.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -87,8 +90,48 @@ fn no_lock_or_condvar_wait_is_unwrapped_outside_tests() {
     );
 }
 
+/// Whether `code` names the per-shard engine, `LedgerStore`, other than
+/// as the tail of `ShardedLedgerStore`.
+fn names_the_engine(code: &str) -> bool {
+    code.match_indices("LedgerStore")
+        .any(|(at, _)| !code[..at].ends_with("Sharded"))
+}
+
+#[test]
+fn no_driver_names_the_per_shard_engine() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("src"), &mut files);
+    for krate in fs::read_dir(root.join("crates")).unwrap() {
+        let krate = krate.unwrap().path();
+        if !krate.ends_with("store") {
+            rust_files(&krate.join("src"), &mut files);
+        }
+    }
+    assert!(
+        files.len() > 80,
+        "only {} files found: scan broken",
+        files.len()
+    );
+    let offenders: Vec<_> = files
+        .iter()
+        .filter(|path| names_the_engine(&production_code(path)))
+        .collect();
+    assert!(
+        offenders.is_empty(),
+        "hold a `ShardedLedgerStore` and reach a shard through `shard(i)`: {offenders:?}"
+    );
+}
+
 #[test]
 fn the_scan_sees_what_it_is_looking_for() {
+    assert!(names_the_engine(
+        "usezmail_store::{Books,Ledger,LedgerStore,MemStorage};"
+    ));
+    assert!(names_the_engine("Durable(LedgerStore<MemStorage>),"));
+    assert!(!names_the_engine(
+        "Durable(ShardedLedgerStore<MemStorage>),"
+    ));
     assert!(unwraps_call("letg=self.m.lock().unwrap();", ".lock("));
     assert!(unwraps_call("s=cv.wait(s).expect(\"poisoned\");", ".wait("));
     assert!(unwraps_call(

@@ -26,8 +26,8 @@ use zmail::fault_scenarios::Scenario;
 use zmail::sim::{MailKind, SimDuration, SimTime, UserAddr};
 use zmail::store::engine::WAL;
 use zmail::store::{
-    BankBooks, Books, IspBooks, LedgerRecord, LedgerStore, MemStorage, Storage, StoreConfig,
-    UserBooks,
+    BankBooks, Books, IspBooks, Ledger, LedgerRecord, MemStorage, ShardedLedgerStore, Storage,
+    StoreConfig, UserBooks,
 };
 
 const ISPS: u32 = 2;
@@ -51,10 +51,10 @@ struct Bench {
     origin_pair: KeyPair,
     receiver_pair: KeyPair,
     receiver: Isp,
-    /// The books both ISPs run on, in a store over the receiver ISP's
-    /// "disk": one backend for the whole bench lifetime, surviving every
-    /// crash_restart like a real volume.
-    store: LedgerStore<MemStorage>,
+    /// The books both ISPs run on, in a one-shard store over the
+    /// receiver ISP's "disk": one backend for the whole bench lifetime,
+    /// surviving every crash_restart like a real volume.
+    store: ShardedLedgerStore<MemStorage>,
 }
 
 impl Bench {
@@ -70,7 +70,7 @@ impl Bench {
             vec![*origin_pair.public(), *receiver_pair.public()],
         );
         let bootstrap = config.initial_books();
-        let (store, _) = LedgerStore::open(MemStorage::new(), StoreConfig::default(), bootstrap);
+        let store = open(MemStorage::new(), StoreConfig::default(), bootstrap);
         Bench {
             config,
             origin_pair,
@@ -107,9 +107,13 @@ impl Bench {
     /// reopened store recovers — the exact harness restart path.
     fn crash_restart(&mut self, seed: u64) {
         let mut rng = small_rng(seed ^ 0xB007);
-        self.store.commit();
+        self.store.commit_all();
         let (recovered, report) = self.store.simulate_recovery();
-        assert!(!report.torn_tail, "clean shutdown must not report a tear");
+        assert_eq!(
+            report.torn_tails(),
+            0,
+            "clean shutdown must not report a tear"
+        );
         assert_eq!(
             &recovered.isps[1],
             &self.store.books().isps[1],
@@ -121,9 +125,9 @@ impl Bench {
             *self.receiver_pair.private(),
             vec![*self.origin_pair.public(), *self.receiver_pair.public()],
         );
-        let disk = self.store.storage().clone();
+        let disk = self.store.shard(0).storage().clone();
         let bootstrap = self.config.initial_books();
-        (self.store, _) = LedgerStore::open(disk, StoreConfig::default(), bootstrap);
+        self.store = open(disk, StoreConfig::default(), bootstrap);
         // The restarted process carries over nothing but the recovered
         // books — volatile state is rebuilt by the protocol.
         self.receiver = restarted;
@@ -214,16 +218,21 @@ fn refunds_stay_single_use_across_many_restarts() {
         nonces.len() as u32,
         "every distinct nonce is honoured exactly once"
     );
-    let books = &bench.store.books().isps[1];
+    let pool = bench.store.pool(1);
     let mut expect = nonces.clone();
     expect.sort_unstable();
     assert_eq!(
-        books.nonces, expect,
+        pool.nonces, expect,
         "the durable set holds exactly the honoured nonces, sorted and deduped"
     );
 }
 
 // -------------------------------------------------------------- store
+
+/// A one-shard store over `disk`: the WAL one engine would write.
+fn open(disk: MemStorage, config: StoreConfig, bootstrap: Books) -> ShardedLedgerStore<MemStorage> {
+    ShardedLedgerStore::open(vec![disk], config, bootstrap).0
+}
 
 fn bootstrap_books() -> Books {
     Books {
@@ -295,8 +304,7 @@ proptest! {
         let records: Vec<LedgerRecord> =
             ops.iter().map(|&(k, a, b, amt)| nonce_record(k, a, b, amt)).collect();
         let states = nonce_states(&records);
-        let (mut store, _) =
-            LedgerStore::open(MemStorage::new(), StoreConfig::default(), bootstrap_books());
+        let mut store = open(MemStorage::new(), StoreConfig::default(), bootstrap_books());
         for (i, rec) in records.iter().enumerate() {
             store.append(rec);
             let (recovered, _) = store.simulate_recovery();
@@ -328,21 +336,21 @@ proptest! {
             ops.iter().map(|&(k, a, b, amt)| nonce_record(k, a, b, amt)).collect();
         let states = nonce_states(&records);
         let cfg = StoreConfig { batch_records: 1, checkpoint_every: 1 << 30 };
-        let (mut store, _) = LedgerStore::open(MemStorage::new(), cfg, bootstrap_books());
+        let mut store = open(MemStorage::new(), cfg, bootstrap_books());
         for rec in &records {
             store.append(rec);
         }
-        let full = store.storage().read(WAL);
+        let full = store.shard(0).storage().read(WAL);
         for cut in 0..=full.len() {
             let mut torn = MemStorage::new();
             torn.append(WAL, &full[..cut]);
-            let (recovered, report) = LedgerStore::open(torn, cfg, bootstrap_books());
-            let k = report.replayed_records as usize;
+            let (recovered, report) = ShardedLedgerStore::open(vec![torn], cfg, bootstrap_books());
+            let k = report.replayed_records() as usize;
             prop_assert!(k <= records.len());
             for isp in 0..ISPS as usize {
                 prop_assert_eq!(
-                    &recovered.books().isps[isp].nonces,
-                    &states[k].isps[isp].nonces,
+                    recovered.pool(isp as u32).nonces,
+                    &states[k].isps[isp].nonces[..],
                     "cut {}: isp {} nonce set is not the honest prefix fold", cut, isp
                 );
             }
