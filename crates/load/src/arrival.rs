@@ -20,7 +20,7 @@
 //!   what actually exposes queue limits.
 
 use crate::spec::{ArrivalKind, WorkloadSpec};
-use zmail_sim::Sampler;
+use zmail_sim::{Sampler, Zipf};
 
 /// One scheduled submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,6 +55,8 @@ pub fn schedule(spec: &WorkloadSpec) -> Vec<ScheduledSend> {
     let mut times = sampler.derive(STREAM_TIMES);
     let mut senders = sampler.derive(STREAM_SENDERS);
     let mut recipients = sampler.derive(STREAM_RECIPIENTS);
+    let sender_law = Zipf::new(spec.senders as usize, spec.zipf_s);
+    let recipient_law = Zipf::new(spec.recipients as usize, spec.zipf_s);
 
     let horizon_us = spec.duration_ms * 1_000;
     let mut out = Vec::new();
@@ -70,8 +72,8 @@ pub fn schedule(spec: &WorkloadSpec) -> Vec<ScheduledSend> {
         out.push(ScheduledSend {
             at_us: t_us as u64,
             seq: out.len() as u64,
-            sender: senders.zipf(spec.senders as usize, spec.zipf_s) as u32,
-            recipient: recipients.zipf(spec.recipients as usize, spec.zipf_s) as u32,
+            sender: sender_law.sample(&mut senders) as u32,
+            recipient: recipient_law.sample(&mut recipients) as u32,
         });
     }
     out

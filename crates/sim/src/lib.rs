@@ -61,7 +61,7 @@ pub use clock::{SimDuration, SimTime};
 pub use engine::{Scheduler, Simulation, World};
 pub use event::EventQueue;
 pub use racecheck::{AccessLog, AccessRecorder, CheckedWorld, Finding, RacecheckReport, SimCode};
-pub use rng::Sampler;
+pub use rng::{Sampler, Zipf};
 pub use shrink::{ddmin, DdminOutcome};
 pub use stats::{Quantiles, Summary, Table};
 pub use telemetry::SimTelemetry;

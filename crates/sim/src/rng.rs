@@ -123,36 +123,15 @@ impl Sampler {
         (mu + sigma * self.gaussian()).exp()
     }
 
-    /// Zipf-distributed rank in `[0, n)` with exponent `s`, by rejection
-    /// sampling against the continuous envelope (Devroye).
+    /// Zipf-distributed rank in `[0, n)` with exponent `s`: one draw from
+    /// [`Zipf::new`]`(n, s)`. A caller drawing many ranks from one law
+    /// builds the [`Zipf`] once instead.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0` or `s <= 0`.
     pub fn zipf(&mut self, n: usize, s: f64) -> usize {
-        assert!(n > 0, "zipf needs a nonempty domain");
-        assert!(s > 0.0, "zipf exponent must be positive");
-        if n == 1 {
-            return 0;
-        }
-        // For s != 1 use the inverse-CDF of the continuous bounding Pareto;
-        // accept/reject to match the discrete law.
-        let nf = n as f64;
-        loop {
-            let u = self.uniform();
-            let x = if (s - 1.0).abs() < 1e-9 {
-                nf.powf(u)
-            } else {
-                let t = 1.0 - s;
-                ((nf.powf(t) - 1.0) * u + 1.0).powf(1.0 / t)
-            };
-            let k = x.floor().max(1.0).min(nf) as usize;
-            // Acceptance ratio: discrete pmf over continuous envelope.
-            let ratio = (k as f64 / x).powf(s);
-            if self.uniform() < ratio {
-                return k - 1;
-            }
-        }
+        Zipf::new(n, s).sample(self)
     }
 
     /// Shuffles a slice in place (Fisher–Yates).
@@ -176,6 +155,85 @@ impl Sampler {
     /// Direct access to the underlying RNG for callers needing raw bits.
     pub fn rng(&mut self) -> &mut SmallRng {
         &mut self.rng
+    }
+}
+
+/// A Zipf law over the ranks `[0, n)` with exponent `s`, drawn by
+/// rejection against the continuous bounding Pareto (Devroye,
+/// *Non-Uniform Random Variate Generation*, 1986, §II.3): draw `x` from
+/// the envelope by inverting its CDF, take `k = ⌊x⌋`, and accept rank
+/// `k − 1` if a second uniform falls under `(k/x)^s`, the discrete pmf
+/// over the envelope. The envelope's constants depend only on `(n, s)`,
+/// so they are computed here once rather than at every draw.
+///
+/// A draw is also **squeezed**: it accepts without computing `(k/x)^s`
+/// when the second uniform falls under `1 − max(s, 1)/x − slack`. That
+/// reaches the exact test's decision, never another one. `k > x − 1`
+/// (clamping `⌊x⌋` into `[1, n]` only ever raises it, as the envelope
+/// stays below `n + 1`), so `(k/x)^s ≥ (1 − 1/x)^s`, which is at least
+/// `1 − s/x` for `s ≥ 1` (Bernoulli's inequality) and at least `1 − 1/x`
+/// for `s < 1`; `slack`, `64 (s + 1)` machine epsilons, covers the
+/// rounding of `k/x` (amplified `s`-fold by the power), of `powf` itself
+/// and of the squeeze's own three operations with room to spare. So a
+/// uniform under the squeeze is under the computed ratio too, every draw
+/// returns the rank the exact test returns, and both uniforms are drawn
+/// either way — the stream a sampler leaves behind is the same.
+#[derive(Debug, Clone, Copy)]
+pub struct Zipf {
+    nf: f64,
+    s: f64,
+    /// `s` within `1e-9` of 1: the envelope is `x = n^u`.
+    unit: bool,
+    /// `n^(1 − s) − 1`, the envelope CDF's span.
+    span: f64,
+    /// `1 / (1 − s)`, the envelope CDF's inverse exponent.
+    inv: f64,
+    /// `max(s, 1)`, the squeeze's reach.
+    reach: f64,
+    /// The squeeze's margin for rounding.
+    slack: f64,
+}
+
+impl Zipf {
+    /// The law over `[0, n)` with exponent `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or `s <= 0`.
+    pub fn new(n: usize, s: f64) -> Zipf {
+        assert!(n > 0, "zipf needs a nonempty domain");
+        assert!(s > 0.0, "zipf exponent must be positive");
+        let nf = n as f64;
+        let t = 1.0 - s;
+        Zipf {
+            nf,
+            s,
+            unit: (s - 1.0).abs() < 1e-9,
+            span: nf.powf(t) - 1.0,
+            inv: 1.0 / t,
+            reach: s.max(1.0),
+            slack: 64.0 * (s + 1.0) * f64::EPSILON,
+        }
+    }
+
+    /// One rank from `sampler`. A one-rank law draws nothing.
+    pub fn sample(&self, sampler: &mut Sampler) -> usize {
+        if self.nf == 1.0 {
+            return 0;
+        }
+        loop {
+            let u = sampler.uniform();
+            let x = if self.unit {
+                self.nf.powf(u)
+            } else {
+                (self.span * u + 1.0).powf(self.inv)
+            };
+            let k = x.floor().max(1.0).min(self.nf);
+            let v = sampler.uniform();
+            if v < 1.0 - (self.reach / x + self.slack) || v < (k / x).powf(self.s) {
+                return k as usize - 1;
+            }
+        }
     }
 }
 
@@ -262,6 +320,75 @@ mod tests {
         assert!(counts[0] > counts[10] * 3);
         // Every sample is in range (indexing would have panicked otherwise).
         assert_eq!(counts.iter().map(|&c| u64::from(c)).sum::<u64>(), n);
+    }
+
+    /// The draw `Zipf` replaced, kept verbatim as the reference: the
+    /// envelope recomputed at every attempt and no squeeze.
+    fn zipf_reference(sampler: &mut Sampler, n: usize, s: f64) -> usize {
+        assert!(n > 0, "zipf needs a nonempty domain");
+        assert!(s > 0.0, "zipf exponent must be positive");
+        if n == 1 {
+            return 0;
+        }
+        let nf = n as f64;
+        loop {
+            let u = sampler.uniform();
+            let x = if (s - 1.0).abs() < 1e-9 {
+                nf.powf(u)
+            } else {
+                let t = 1.0 - s;
+                ((nf.powf(t) - 1.0) * u + 1.0).powf(1.0 / t)
+            };
+            let k = x.floor().max(1.0).min(nf) as usize;
+            let ratio = (k as f64 / x).powf(s);
+            if sampler.uniform() < ratio {
+                return k - 1;
+            }
+        }
+    }
+
+    /// A million draws per `(n, s)` from one seed: the precomputed,
+    /// squeezed law returns the reference's rank at every draw, and
+    /// leaves the stream where the reference leaves it.
+    fn zipf_matches_the_reference(s: f64) {
+        for (i, n) in [1usize, 2, 200, 1_600, 1_000_000].into_iter().enumerate() {
+            let seed = 0x5eed + i as u64 + (s * 1e3) as u64;
+            let (mut ours, mut reference) = (Sampler::new(seed), Sampler::new(seed));
+            let law = Zipf::new(n, s);
+            for draw in 0..1_000_000 {
+                let rank = law.sample(&mut ours);
+                assert_eq!(
+                    rank,
+                    zipf_reference(&mut reference, n, s),
+                    "n={n} s={s} draw {draw}"
+                );
+                assert!(rank < n);
+            }
+            let next = ours.uniform().to_bits();
+            assert_eq!(next, reference.uniform().to_bits(), "n={n} s={s}");
+            if n == 1 {
+                assert_eq!(next, Sampler::new(seed).uniform().to_bits(), "drew at n=1");
+            }
+        }
+    }
+
+    #[test]
+    fn zipf_matches_the_reference_below_one() {
+        zipf_matches_the_reference(0.3);
+        zipf_matches_the_reference(0.8);
+    }
+
+    #[test]
+    fn zipf_matches_the_reference_near_one() {
+        zipf_matches_the_reference(1.0);
+        zipf_matches_the_reference(1.05);
+    }
+
+    #[test]
+    fn zipf_matches_the_reference_above_one() {
+        zipf_matches_the_reference(2.0);
+        zipf_matches_the_reference(8.0);
+        zipf_matches_the_reference(40.0);
     }
 
     #[test]

@@ -103,26 +103,48 @@ impl UserBooks {
     /// Applies the user's share of one record. Records that carry no
     /// user state (pool, credit, bank, nonce) leave it untouched, so a
     /// transfer leg of any kind can be folded into a per-user delta.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sum overflows its field.
     pub fn apply(&mut self, rec: &LedgerRecord) {
+        assert!(
+            self.try_apply(rec),
+            "record does not fit the books: {rec:?}"
+        );
+    }
+
+    /// [`UserBooks::apply`], unless a sum would overflow its field: then
+    /// nothing changes and the answer is `false`.
+    #[must_use]
+    fn try_apply(&mut self, rec: &LedgerRecord) -> bool {
+        self.applied(rec).map(|row| *self = row).is_some()
+    }
+
+    /// These books with `rec` applied, or `None` if a sum overflows.
+    fn applied(mut self, rec: &LedgerRecord) -> Option<UserBooks> {
         match *rec {
             LedgerRecord::Charge { .. } => {
-                self.balance -= 1;
-                self.sent_today += 1;
+                self.balance = self.balance.checked_sub(1)?;
+                self.sent_today = self.sent_today.checked_add(1)?;
             }
-            LedgerRecord::Deposit { .. } => self.balance += 1,
-            LedgerRecord::Grant { amount, .. } => self.balance += amount,
+            LedgerRecord::Deposit { .. } => self.balance = self.balance.checked_add(1)?,
+            LedgerRecord::Grant { amount, .. } => {
+                self.balance = self.balance.checked_add(amount)?
+            }
             LedgerRecord::UserBuy { amount, .. } | LedgerRecord::UserCounterBuy { amount, .. } => {
-                self.account -= amount;
-                self.balance += amount;
+                self.account = self.account.checked_sub(amount)?;
+                self.balance = self.balance.checked_add(amount)?;
             }
             LedgerRecord::UserSell { amount, .. }
             | LedgerRecord::UserCounterSell { amount, .. } => {
-                self.balance -= amount;
-                self.account += amount;
+                self.balance = self.balance.checked_sub(amount)?;
+                self.account = self.account.checked_add(amount)?;
             }
             LedgerRecord::LimitSet { limit, .. } => self.limit = limit,
             _ => {}
         }
+        Some(self)
     }
 
     /// These books with `delta` — records applied to zeroed
@@ -167,13 +189,17 @@ impl IspBooks {
     /// # Panics
     ///
     /// Panics if the record indexes a user or peer outside these books,
-    /// or is bank- or shard-scoped.
+    /// would overflow a sum, or is bank- or shard-scoped.
     pub fn apply(&mut self, rec: &LedgerRecord) {
-        assert!(self.try_apply(rec), "record outside the books: {rec:?}");
+        assert!(
+            self.try_apply(rec),
+            "record does not fit the books: {rec:?}"
+        );
     }
 
     /// [`IspBooks::apply`], unless the record names a user or peer these
-    /// books do not hold: then nothing changes and the answer is `false`.
+    /// books do not hold, or a sum would overflow its field: then nothing
+    /// changes and the answer is `false`.
     ///
     /// # Panics
     ///
@@ -186,44 +212,41 @@ impl IspBooks {
             | LedgerRecord::Grant { user, .. }
             | LedgerRecord::LimitSet { user, .. }
             | LedgerRecord::UserCounterBuy { user, .. }
-            | LedgerRecord::UserCounterSell { user, .. } => {
-                let Some(row) = self.users.get_mut(user as usize) else {
-                    return false;
-                };
-                row.apply(rec);
-            }
+            | LedgerRecord::UserCounterSell { user, .. } => self
+                .users
+                .get_mut(user as usize)
+                .is_some_and(|row| row.try_apply(rec)),
             LedgerRecord::UserBuy { user, amount, .. } => {
-                let Some(row) = self.users.get_mut(user as usize) else {
-                    return false;
-                };
-                row.apply(rec);
-                self.avail -= amount;
+                self.try_apply_with_pool(user, rec, |a| a.checked_sub(amount))
             }
             LedgerRecord::UserSell { user, amount, .. } => {
-                let Some(row) = self.users.get_mut(user as usize) else {
-                    return false;
-                };
-                row.apply(rec);
-                self.avail += amount;
+                self.try_apply_with_pool(user, rec, |a| a.checked_add(amount))
             }
             LedgerRecord::DailyReset { .. } => {
                 for u in &mut self.users {
                     u.sent_today = 0;
                 }
+                true
             }
-            LedgerRecord::CreditDelta { peer, delta, .. } => {
-                let Some(credit) = self.credit.get_mut(peer as usize) else {
-                    return false;
-                };
-                *credit += delta;
+            LedgerRecord::CreditDelta { peer, delta, .. } => self
+                .credit
+                .get_mut(peer as usize)
+                .is_some_and(|credit| settle(credit, |c| c.checked_add(delta))),
+            LedgerRecord::SnapshotMarker { .. } => {
+                self.credit.fill(0);
+                true
             }
-            LedgerRecord::SnapshotMarker { .. } => self.credit.fill(0),
-            LedgerRecord::PoolBuy { amount, .. } => self.avail += amount,
-            LedgerRecord::PoolSell { amount, .. } => self.avail -= amount,
+            LedgerRecord::PoolBuy { amount, .. } => {
+                settle(&mut self.avail, |a| a.checked_add(amount))
+            }
+            LedgerRecord::PoolSell { amount, .. } => {
+                settle(&mut self.avail, |a| a.checked_sub(amount))
+            }
             LedgerRecord::NonceSeen { nonce, .. } => {
                 if let Err(at) = self.nonces.binary_search(&nonce) {
                     self.nonces.insert(at, nonce);
                 }
+                true
             }
             LedgerRecord::BankBuy { .. }
             | LedgerRecord::BankSell { .. }
@@ -231,7 +254,24 @@ impl IspBooks {
             | LedgerRecord::XferApply { .. }
             | LedgerRecord::XferRelease { .. } => panic!("not an ISP-scoped record: {rec:?}"),
         }
-        true
+    }
+
+    /// A user-and-pool record: `rec` on user `user`'s row and `avail`
+    /// replaced by `pool(avail)`, both or neither.
+    fn try_apply_with_pool(
+        &mut self,
+        user: u32,
+        rec: &LedgerRecord,
+        pool: impl FnOnce(i64) -> Option<i64>,
+    ) -> bool {
+        let Some(avail) = pool(self.avail) else {
+            return false;
+        };
+        let applied = (self.users.get_mut(user as usize)).is_some_and(|row| row.try_apply(rec));
+        if applied {
+            self.avail = avail;
+        }
+        applied
     }
 
     /// Everything but the users, as [`Ledger::pool`] reads it.
@@ -255,31 +295,49 @@ impl BankBooks {
     ///
     /// # Panics
     ///
-    /// Panics on any other record, or an ISP index outside these books.
+    /// Panics on any other record, an ISP index outside these books, or
+    /// a sum that would overflow.
     pub fn apply(&mut self, rec: &LedgerRecord) {
-        assert!(self.try_apply(rec), "record outside the books: {rec:?}");
+        assert!(
+            self.try_apply(rec),
+            "record does not fit the books: {rec:?}"
+        );
     }
 
     /// [`BankBooks::apply`], unless the record names an ISP account these
-    /// books do not hold: then nothing changes and the answer is `false`.
+    /// books do not hold, or a sum would overflow its field: then nothing
+    /// changes and the answer is `false`.
     #[must_use]
     fn try_apply(&mut self, rec: &LedgerRecord) -> bool {
+        // Widened, so a negated `i64::MIN` is a value like any other.
         let (isp, account, issued) = match *rec {
             LedgerRecord::BankBuy {
                 isp, value, cost, ..
-            } => (isp, -cost, value),
+            } => (isp, -i128::from(cost), i128::from(value)),
             LedgerRecord::BankSell {
                 isp, value, credit, ..
-            } => (isp, credit, -value),
+            } => (isp, i128::from(credit), -i128::from(value)),
             _ => panic!("not a bank-scoped record: {rec:?}"),
         };
         let Some(row) = self.accounts.get_mut(isp as usize) else {
             return false;
         };
-        *row += account;
-        self.issued += issued;
+        let (Ok(account), Ok(issued)) = (
+            i64::try_from(i128::from(*row) + account),
+            i64::try_from(i128::from(self.issued) + issued),
+        ) else {
+            return false;
+        };
+        *row = account;
+        self.issued = issued;
         true
     }
+}
+
+/// Replaces `slot` with `sum(slot)` unless that overflows: whether it
+/// did not.
+fn settle(slot: &mut i64, sum: impl FnOnce(i64) -> Option<i64>) -> bool {
+    sum(*slot).map(|sum| *slot = sum).is_some()
 }
 
 impl Books {
@@ -289,18 +347,22 @@ impl Books {
     /// # Panics
     ///
     /// Panics if the record indexes an ISP, user, peer, or bank outside
-    /// these books. Recovery replays through `Books::try_apply` instead:
-    /// a log ends at the first record that does not fit the books,
-    /// checksum or not.
+    /// these books, or would overflow a sum. Recovery replays through
+    /// `Books::try_apply` instead: a log ends at the first record that
+    /// does not fit the books, checksum or not.
     pub fn apply(&mut self, rec: &LedgerRecord) {
-        assert!(self.try_apply(rec), "record outside the books: {rec:?}");
+        assert!(
+            self.try_apply(rec),
+            "record does not fit the books: {rec:?}"
+        );
     }
 
     /// [`Books::apply`], unless the record names a row these books do not
     /// hold — an ISP, user, peer, bank or bank account, or for a transfer
-    /// record the leg it applies here: then nothing changes and the
-    /// answer is `false`. Every record changes one row, so it is applied
-    /// whole or not at all.
+    /// record the leg it applies here — or would take a sum in that row
+    /// past its type's range: then nothing changes and the answer is
+    /// `false`. Every record changes one row, so it is applied whole or
+    /// not at all.
     #[must_use]
     pub(crate) fn try_apply(&mut self, rec: &LedgerRecord) -> bool {
         match *rec {

@@ -219,15 +219,33 @@ impl<S: Storage> LedgerStore<S> {
 
     /// Journals one record and applies it to the engine's books.
     /// Auto-commits when the batch reaches `config.batch_records`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the record does not fit the books ([`Books::apply`]).
     pub fn append(&mut self, rec: &LedgerRecord) {
+        assert!(
+            self.try_append(rec),
+            "record does not fit the books: {rec:?}"
+        );
+    }
+
+    /// [`append`](Self::append), unless the record does not fit the
+    /// books: then nothing is journaled or changed and the answer is
+    /// `false`.
+    #[must_use]
+    pub(crate) fn try_append(&mut self, rec: &LedgerRecord) -> bool {
+        if !self.books.try_apply(rec) {
+            return false;
+        }
         wal::encode_frame_with(&mut self.pending, |payload| rec.encode_into(payload));
-        self.books.apply(rec);
         self.appended += 1;
         self.pending_records += 1;
         self.tally.append();
         if self.pending_records >= self.config.batch_records.max(1) {
             self.commit();
         }
+        true
     }
 
     /// Flushes the buffered batch with one backend append+sync (the

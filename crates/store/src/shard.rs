@@ -514,13 +514,19 @@ impl InDoubt {
     /// Rolls every unreleased prepare forward, in ascending-xid order so
     /// resolution is deterministic: `land(xid, dst, credit)` is called
     /// for each credit leg whose apply no shard journaled; the rest only
-    /// need their release.
-    fn resolve(&self, report: &mut ShardRecoveryReport, mut land: impl FnMut(u64, usize, XferLeg)) {
+    /// need their release. A leg `land` refuses — its row holds a sum the
+    /// credit would overflow, which no log the engine wrote leads to — is
+    /// counted nowhere, and its prepare is released all the same, so the
+    /// debit stands alone and a reopen resolves nothing twice.
+    fn resolve(
+        &self,
+        report: &mut ShardRecoveryReport,
+        mut land: impl FnMut(u64, usize, XferLeg) -> bool,
+    ) {
         for &(xid, _, dst, credit) in &self.prepared {
             if self.applied.contains(xid) {
                 report.resolved_acked += 1;
-            } else {
-                land(xid, dst as usize, credit);
+            } else if land(xid, dst as usize, credit) {
                 report.resolved_forward += 1;
             }
         }
@@ -665,7 +671,7 @@ impl<S: Storage> ShardedLedgerStore<S> {
         // mid-resolution can never leave a released prepare whose apply
         // was lost.
         found.resolve(report, |xid, dst, leg| {
-            self.stores[dst].append(&LedgerRecord::XferApply { xid, leg });
+            self.stores[dst].try_append(&LedgerRecord::XferApply { xid, leg })
         });
         if report.resolved_forward > 0 {
             self.commit_all();
@@ -673,7 +679,7 @@ impl<S: Storage> ShardedLedgerStore<S> {
         for &(xid, src, ..) in &found.prepared {
             self.stores[src].append(&LedgerRecord::XferRelease { xid });
         }
-        if report.resolved_forward + report.resolved_acked > 0 {
+        if !found.prepared.is_empty() {
             self.commit_all();
         }
     }
@@ -1032,9 +1038,9 @@ impl<S: Storage> ShardedLedgerStore<S> {
             parts.push(books);
             report.shards.push(shard_report);
         }
-        in_doubt
-            .sealed()
-            .resolve(&mut report, |_, dst, leg| parts[dst].apply(&leg.record()));
+        in_doubt.sealed().resolve(&mut report, |_, dst, leg| {
+            parts[dst].try_apply(&leg.record())
+        });
         (parts, report)
     }
 
@@ -1756,7 +1762,10 @@ mod tests {
                 prop_assert_eq!(found.applied.contains(xid), expected.applied.contains(&xid));
             }
             let (mut report, mut landed) = (ShardRecoveryReport::default(), Vec::new());
-            found.resolve(&mut report, |xid, dst, leg| landed.push((xid, dst, leg)));
+            found.resolve(&mut report, |xid, dst, leg| {
+                landed.push((xid, dst, leg));
+                true
+            });
             let (mut oracle_report, mut oracle_landed) = (ShardRecoveryReport::default(), Vec::new());
             expected.resolve(&mut oracle_report, |xid, dst, leg| oracle_landed.push((xid, dst, leg)));
             prop_assert_eq!(landed, oracle_landed);

@@ -278,20 +278,28 @@ proptest! {
     }
 
     /// Any checksummed log, whatever rows, shards and banks its records
-    /// name, at one shard and at two: `open` does not panic — a record
-    /// that does not fit ends its log — and a reopen over what it left
+    /// name and whatever their amounts, at one shard and at two: `open`
+    /// does not panic — a record that does not fit ends its log — and a
+    /// reopen over what it left
     /// recovers the books it opened to, with nothing left to cut.
     #[test]
     fn any_checksummed_log_opens_and_reopens_to_the_same_books(
         log in proptest::collection::vec(
-            ((0usize..2, 0u32..19, 0u32..6), (0u32..8, 0u32..4, 0u64..6, -50i64..50)),
+            ((0usize..2, 0u32..19, 0u32..6), (0u32..8, 0u32..4, 0u64..6, -50i64..50, 0u8..4)),
             0..60,
         ),
         two in any::<bool>(),
     ) {
         let shards = if two { 2 } else { 1 };
         let mut records = vec![Vec::new(); shards];
-        for &((shard, kind, isp), (user, other, xid, amount)) in &log {
+        for &((shard, kind, isp), (user, other, xid, small, range)) in &log {
+            // Half the amounts small, half within 50 of either end of
+            // the range, where a sum in any row overflows.
+            let amount = match range {
+                0 => i64::MAX - small.abs(),
+                1 => i64::MIN + small.abs(),
+                _ => small,
+            };
             records[shard % shards].push(stray_record(kind, isp, user, other, xid, amount));
         }
         let backends = records.iter().map(|log| backend_with(log)).collect();
@@ -501,6 +509,143 @@ fn a_record_naming_a_row_outside_the_books_ends_the_log() {
         expected.apply(&good);
         assert_eq!(store.books(), expected, "{stray:?}");
     }
+}
+
+/// Checksum-valid frames whose amounts would take a sum past its type's
+/// range — a grant of `i64::MAX` on a positive balance, a buy of
+/// `i64::MIN` against a positive account, a pool buy past `i64::MAX`, a
+/// bank sale of `i64::MIN` — end the valid log where they start, as a
+/// row outside the books does: replay used to wrap them into minted
+/// e-pennies in release builds and panic in debug ones.
+#[test]
+fn a_record_whose_amount_overflows_a_row_ends_the_log() {
+    let good = LedgerRecord::Deposit { isp: 1, user: 2 };
+    let kept = backend_with(&[good]).len(WAL);
+    for stray in [
+        LedgerRecord::Grant {
+            isp: 1,
+            user: 2,
+            amount: i64::MAX,
+        },
+        LedgerRecord::UserBuy {
+            isp: 0,
+            user: 1,
+            amount: i64::MIN,
+        },
+        LedgerRecord::PoolBuy {
+            isp: 2,
+            amount: i64::MAX,
+        },
+        LedgerRecord::BankSell {
+            bank: 0,
+            isp: 1,
+            value: i64::MIN,
+            credit: 0,
+        },
+    ] {
+        let whole = backend_with(&[good, stray, good]).len(WAL);
+        let (store, report) = open_one(&[good, stray, good]);
+        let shard = report.shards[0];
+        assert!(shard.torn_tail, "{stray:?}");
+        assert_eq!(
+            (
+                shard.replayed_records,
+                shard.truncated_bytes,
+                shard.wal_bytes
+            ),
+            (1, whole - kept, kept),
+            "{stray:?}"
+        );
+        let mut expected = bootstrap();
+        expected.apply(&good);
+        assert_eq!(store.books(), expected, "{stray:?}");
+    }
+}
+
+/// A `Charge` replayed onto an image whose row has sent `u32::MAX` mails
+/// today ends the log there: the image's books stand, and the charge and
+/// what follows it are cut.
+#[test]
+fn a_charge_past_a_full_day_counter_ends_the_log() {
+    let charge = LedgerRecord::Charge { isp: 0, user: 3 };
+    let mut image = bootstrap();
+    image.isps[0].users[3].sent_today = u32::MAX;
+    let mut backend = backend_with(&[charge, LedgerRecord::Deposit { isp: 0, user: 0 }]);
+    let whole = backend.len(WAL);
+    let checkpoint = Checkpoint {
+        seq: 0,
+        wal_offset: 0,
+        books: image.clone(),
+    };
+    backend.write(SLOTS[0], &checkpoint.encode());
+    let (store, report) =
+        ShardedLedgerStore::open(vec![backend], StoreConfig::default(), bootstrap());
+    let shard = report.shards[0];
+    assert_eq!(shard.checkpoint_seq, Some(0));
+    assert!(shard.torn_tail);
+    assert_eq!(
+        (
+            shard.replayed_records,
+            shard.truncated_bytes,
+            shard.wal_bytes
+        ),
+        (0, whole, 0)
+    );
+    assert_eq!(store.books(), image);
+}
+
+/// An unreleased prepare whose credit would overflow its row on the
+/// destination — a pool buy of `i64::MAX` — is released unlanded when
+/// recovery rolls it forward: `open` does not panic, the debit stands
+/// alone, nothing counts as resolved, the release is durable before
+/// `open` returns, and a reopen finds nothing in doubt and the same
+/// books.
+#[test]
+fn an_in_doubt_credit_that_would_overflow_is_released_unlanded() {
+    let dst = ShardMap::new(2, &bootstrap()).pool_shard(0);
+    let prepare = LedgerRecord::XferPrepare {
+        xid: 0,
+        dst,
+        debit: XferLeg {
+            kind: XferKind::Charge,
+            isp: 0,
+            user: 0,
+            amount: 0,
+        },
+        credit: XferLeg {
+            kind: XferKind::PoolBuy,
+            isp: 0,
+            user: 0,
+            amount: i64::MAX,
+        },
+    };
+    let src = 1 - dst as usize;
+    let mut backends = vec![MemStorage::new(), MemStorage::new()];
+    backends[src] = backend_with(&[prepare]);
+    let logged = backends[src].len(WAL);
+    // One batch for everything: only an explicit commit makes a record
+    // durable.
+    let config = StoreConfig {
+        batch_records: usize::MAX,
+        ..StoreConfig::default()
+    };
+    let (store, report) = ShardedLedgerStore::open(backends, config, bootstrap());
+    let release = backend_with(&[LedgerRecord::XferRelease { xid: 0 }]).len(WAL);
+    assert_eq!(
+        store.shard(src).storage().len(WAL),
+        logged + release,
+        "the release is durable"
+    );
+    assert_eq!(report.torn_tails(), 0);
+    assert_eq!((report.resolved_forward, report.resolved_acked), (0, 0));
+    assert_eq!(store.pool(0).avail, 5_000);
+    assert_eq!(store.epennies_found(), bootstrap().epennies_found() - 1);
+    assert!(store.recovers_live_books().0);
+    let live = store.books();
+    let (again, report) = ShardedLedgerStore::open(store.into_storages(), config, bootstrap());
+    assert_eq!((report.resolved_forward, report.resolved_acked), (0, 0));
+    assert_eq!(report.torn_tails(), 0);
+    assert_eq!(again.books(), live);
 }
 
 /// A prepare whose destination is no shard of the deployment, or whose
