@@ -52,6 +52,10 @@ pub struct BankStats {
     pub buys_rejected: u64,
     /// Sell requests processed.
     pub sells: u64,
+    /// Requests of either side refused before any record: a value that
+    /// is not positive, or whose price or record would overflow. No
+    /// honest ISP sends one.
+    pub refused: u64,
     /// Replayed buy/sell requests dropped.
     pub replays_dropped: u64,
     /// Retransmissions answered from the reply cache instead of being
@@ -185,10 +189,29 @@ impl Bank {
             return Err(CryptoError::ReplayDetected);
         }
         let (bank, isp) = (self.index, from.0);
-        let real = self.exchange.to_real(EPennies(value));
-        let account = ledger.bank(bank).accounts[from.index()];
-        let (accepted, audit) = match side {
-            Exchange::Buy if value > 0 && account >= real.0 => {
+        let books = ledger.bank(bank);
+        let account = books.accounts[from.index()];
+        // The price, unless the request is refused: it is answered like a
+        // rejected buy, and no record is made that could mint or not fit.
+        let real = self
+            .exchange
+            .checked_to_real(EPennies(value))
+            .filter(|real| {
+                value > 0
+                    && match side {
+                        Exchange::Buy => books.issued.checked_add(value).is_some(),
+                        Exchange::Sell => {
+                            books.issued.checked_sub(value).is_some()
+                                && account.checked_add(real.0).is_some()
+                        }
+                    }
+            });
+        let (accepted, audit) = match (side, real) {
+            (_, None) => {
+                self.stats.refused += 1;
+                (false, 0)
+            }
+            (Exchange::Buy, Some(real)) if account >= real.0 => {
                 self.stats.buys_granted += 1;
                 ledger.commit(LedgerRecord::BankBuy {
                     bank,
@@ -198,11 +221,11 @@ impl Bank {
                 });
                 (true, value)
             }
-            Exchange::Buy => {
+            (Exchange::Buy, Some(_)) => {
                 self.stats.buys_rejected += 1;
                 (false, 0)
             }
-            Exchange::Sell => {
+            (Exchange::Sell, Some(real)) => {
                 self.stats.sells += 1;
                 ledger.commit(LedgerRecord::BankSell {
                     bank,
@@ -733,6 +756,66 @@ mod tests {
         assert_eq!(bank.stats().buys_rejected, 1);
         // The ISP may try again (the exchange was closed).
         assert!(isp.maybe_exchange(&books, Exchange::Buy).is_some());
+    }
+
+    /// Sends one sealed `side` of `value` to a fresh bank at `rate` real
+    /// pennies per e-penny, and checks it was refused: answered as a
+    /// rejected buy is, counted, and not a record made.
+    fn assert_refused(side: Exchange, value: i64, rate: i64) {
+        let mut cfg = ZmailConfig::builder(1, 2).build();
+        cfg.exchange_rate = ExchangeRate::new(rate);
+        let mut bank = Bank::new(&cfg, 7, 0);
+        let mut books = cfg.initial_books();
+        let before = books.clone();
+        let mut rng = SmallRng::seed_from_u64(8);
+        let plain = encode_value_nonce(value, 42);
+        let request = zmail_crypto::seal_for_public(&bank.public_key(), &plain, &mut rng);
+        let Ok(NetMsg::ExchangeReply {
+            side: answered,
+            envelope,
+            audit,
+            replayed: false,
+        }) = bank.handle_exchange(&mut books, side, IspId(0), &request)
+        else {
+            panic!("{side:?} {value}: expected a first-hand reply");
+        };
+        let reply = zmail_crypto::open_with_public(&bank.public_key(), &envelope).unwrap();
+        assert_eq!(
+            decode_value_nonce(&reply),
+            Some((0, 42)),
+            "{side:?} {value}"
+        );
+        assert_eq!((answered, audit), (side, 0), "{side:?} {value}");
+        assert_eq!(books, before, "{side:?} {value}: nothing minted");
+        let refused = BankStats {
+            refused: 1,
+            ..BankStats::default()
+        };
+        assert_eq!(*bank.stats(), refused, "{side:?} {value}");
+    }
+
+    #[test]
+    fn a_negative_sell_mints_nothing() {
+        assert_refused(Exchange::Sell, -5, 1);
+    }
+
+    #[test]
+    fn a_sell_whose_credit_overflows_the_account_is_refused_not_a_panic() {
+        assert_refused(Exchange::Sell, i64::MAX, 1);
+    }
+
+    #[test]
+    fn a_sell_of_i64_min_is_refused_not_a_panic() {
+        assert_refused(Exchange::Sell, i64::MIN, 1);
+    }
+
+    #[test]
+    fn a_buy_whose_price_overflows_is_refused_not_wrapped() {
+        // At 3 real pennies each, the price would wrap to -(2^63 - 1),
+        // which any account covers.
+        assert_refused(Exchange::Buy, i64::MAX / 3 + 1, 3);
+        assert_refused(Exchange::Buy, 0, 1);
+        assert_refused(Exchange::Buy, -5, 1);
     }
 
     #[test]

@@ -8,10 +8,17 @@
 //! * the sender address is parsed back to a Zmail user; the ISP's ledger
 //!   runs the §4.1 guards; a refused send surfaces as an ordinary `552`
 //!   bounce;
-//! * accepted mail is stamped with `X-Zmail-Payment: 1` and delivered to
-//!   the recipient's mailbox;
+//! * accepted mail is paid for, stamped with `X-Zmail-Payment: 1`, and
+//!   handed to the mailbox attached with
+//!   [`attach_mailbox`](ZmailGateway::attach_mailbox), one copy per
+//!   recipient;
 //! * mail from addresses outside the deployment (a non-compliant world)
-//!   is delivered unpaid, subject to the configured policy.
+//!   is handed on unpaid, subject to the configured policy.
+//!
+//! Like an SMTP server that has answered `250` (RFC 5321 §6.1), the
+//! gateway hands accepted mail on and **keeps none of it**: it holds
+//! counts and balances, not mail. With no mailbox attached it makes no
+//! copy at all.
 //!
 //! The gateway models a *compliant backbone*: it holds every compliant
 //! ISP's ledger behind one mutex, so a single SMTP endpoint can accept
@@ -19,7 +26,9 @@
 //! message takes that lock **once**: `RCPT` is answered from the
 //! immutable configuration, which lives outside it, and `deliver` checks
 //! the §4.1 guard for all of the message's paid recipients before it
-//! charges the first — a refused message mutates nothing.
+//! charges the first — a refused message mutates nothing and hands
+//! nothing on. Copies are made and handed to the mailbox after the lock
+//! is released.
 //!
 //! Its books are **volatile**: they are plain [`Books`], the
 //! [`Ledger`](zmail_store::Ledger) its ISPs commit through under the lock, whatever
@@ -54,11 +63,15 @@ pub struct GatewayStats {
     pub dropped: u64,
 }
 
+/// Where accepted mail goes: one call per recipient copy.
+type Mailbox = Arc<dyn Fn(UserAddr, MailMessage) + Send + Sync>;
+
 struct GatewayState {
     isps: Vec<Isp>,
     /// Every ISP's books, lent to its process on each call.
     books: Books,
-    mailboxes: Vec<Vec<MailMessage>>,
+    /// Attached mailbox (none by default: then no copy is made).
+    mailbox: Option<Mailbox>,
     stats: GatewayStats,
     /// Causal flight recorder (disabled by default). Submissions are
     /// stamped with a logical sequence number, not wall time, so the
@@ -67,6 +80,10 @@ struct GatewayState {
     /// Logical submission clock feeding span timestamps.
     seq: u64,
 }
+
+/// What an accepted message owes the mailbox once the ledger lock is
+/// released: each recipient, and the stamp a paid copy carries.
+type Handoff = (Mailbox, Vec<(UserAddr, Option<ZmailHeaders>)>);
 
 /// A Zmail-compliant SMTP mail sink (clone freely: clones share state).
 /// The ledgers live in memory only — see the module docs.
@@ -96,12 +113,11 @@ impl ZmailGateway {
         let isps: Vec<Isp> = (0..config.isps)
             .map(|i| Isp::new(IspId(i), &config, *bank.public(), seed ^ u64::from(i)))
             .collect();
-        let mailboxes = vec![Vec::new(); (config.isps * config.users_per_isp) as usize];
         ZmailGateway {
             inner: Arc::new(Mutex::new(GatewayState {
                 isps,
                 books: config.initial_books(),
-                mailboxes,
+                mailbox: None,
                 stats: GatewayStats::default(),
                 flight: FlightRecorder::disabled(1),
                 seq: 0,
@@ -110,18 +126,13 @@ impl ZmailGateway {
         }
     }
 
-    /// The one place the gateway takes its lock. A panic under the lock
-    /// (e.g. [`inbox`](Self::inbox) with an out-of-range address) poisons
-    /// it; the read-only views look through the poison, while `deliver`
-    /// and `accept_recipient` check [`Mutex::is_poisoned`] and refuse —
-    /// rather than every later call, and the server worker running it,
-    /// panicking in turn.
+    /// The one place the gateway takes its lock. Should anything panic
+    /// under it, the lock is poisoned; the read-only views look through
+    /// the poison, while `deliver` and `accept_recipient` check
+    /// [`Mutex::is_poisoned`] and refuse — rather than every later call,
+    /// and the server worker running it, panicking in turn.
     fn state(&self) -> MutexGuard<'_, GatewayState> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn mailbox_index(&self, addr: UserAddr) -> usize {
-        addr.isp as usize * self.config.users_per_isp as usize + addr.user as usize
     }
 
     /// Whether `addr` names a mailbox of this deployment. Addresses come
@@ -130,21 +141,14 @@ impl ZmailGateway {
         addr.isp < self.config.isps && addr.user < self.config.users_per_isp
     }
 
-    /// Snapshot of a user's inbox.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the address is out of range.
-    pub fn inbox(&self, addr: UserAddr) -> Vec<MailMessage> {
-        self.state().mailboxes[self.mailbox_index(addr)].clone()
-    }
-
     /// A user's current e-penny balance.
     ///
     /// # Panics
     ///
-    /// Panics if the address is out of range.
+    /// Panics if the address is out of range — before the lock is taken,
+    /// so the gateway keeps serving.
     pub fn balance(&self, addr: UserAddr) -> EPennies {
+        assert!(self.hosts(addr), "{addr:?} is not hosted here");
         let state = self.state();
         EPennies(state.books.isps[addr.isp as usize].users[addr.user as usize].balance)
     }
@@ -167,18 +171,21 @@ impl ZmailGateway {
     pub fn attach_flight_recorder(&self, recorder: FlightRecorder) {
         self.state().flight = recorder;
     }
-}
 
-use rand::SeedableRng;
-
-impl MailSink for ZmailGateway {
-    fn accept_recipient(&self, _from: &str, to: &str) -> bool {
-        // We only host Zmail mailboxes. No lock: `RCPT` reads the
-        // configuration alone.
-        !self.inner.is_poisoned() && parse_mailbox(to).is_some_and(|addr| self.hosts(addr))
+    /// Installs the mailbox accepted mail is handed to: one stamped copy
+    /// per deliverable recipient, in recipient order, before `deliver`
+    /// returns. It is called after the ledger lock is released, so it
+    /// may call back into the gateway, and a slow or panicking mailbox
+    /// neither holds nor poisons the lock. It cannot refuse: the message
+    /// is already paid for (a refusal after the commit would half-happen
+    /// it). Replaces any earlier mailbox; with none, no copy is made.
+    pub fn attach_mailbox(&self, mailbox: impl Fn(UserAddr, MailMessage) + Send + Sync + 'static) {
+        self.state().mailbox = Some(Arc::new(mailbox));
     }
 
-    fn deliver(&self, message: MailMessage) -> Result<(), SinkError> {
+    /// Runs the ledger's side of `deliver` under the lock: what the
+    /// mailbox is owed, if one is attached.
+    fn settle(&self, message: &MailMessage) -> Result<Option<Handoff>, SinkError> {
         let mut guard = self.state();
         let state = &mut *guard;
         if self.inner.is_poisoned() {
@@ -193,6 +200,10 @@ impl MailSink for ZmailGateway {
         if recipients.is_empty() {
             return Err("no deliverable recipients".into());
         }
+        let mut handoff = state
+            .mailbox
+            .clone()
+            .map(|mailbox| (mailbox, Vec::with_capacity(recipients.len())));
         match parse_mailbox(message.from()) {
             Some(sender) if self.hosts(sender) && self.config.is_compliant(IspId(sender.isp)) => {
                 // One lifecycle root per accepted submission, stamped
@@ -234,25 +245,22 @@ impl MailSink for ZmailGateway {
                         let receiver = &mut state.isps[dest.index()];
                         receiver.receive_email(&mut state.books, IspId(sender.isp), &email);
                     }
+                    // Delivered copies carry the hop's span context so
+                    // downstream software can link back to the trace.
                     let delivery = root.and_then(|ctx| {
                         state
                             .flight
                             .child(ts, ctx, "delivery", format!("isp{}", to.isp), "")
                     });
-                    let mut copy = message.clone();
-                    let mut headers = ZmailHeaders {
-                        payment: Some(1),
-                        is_ack: false,
-                        ack_to: None,
-                        trace: None,
-                    };
-                    // Delivered copies carry the hop's span context so
-                    // downstream software can link back to the trace.
-                    if let Some(d) = delivery {
-                        headers = headers.with_trace(d);
+                    if let Some((_, copies)) = &mut handoff {
+                        let stamp = ZmailHeaders {
+                            payment: Some(1),
+                            is_ack: false,
+                            ack_to: None,
+                            trace: delivery,
+                        };
+                        copies.push((to, Some(stamp)));
                     }
-                    headers.stamp(&mut copy);
-                    state.mailboxes[self.mailbox_index(to)].push(copy);
                     state.stats.delivered_paid += 1;
                     if let Some(d) = delivery {
                         state.flight.end(ts, d);
@@ -261,7 +269,7 @@ impl MailSink for ZmailGateway {
                 if let Some(ctx) = root {
                     state.flight.end(ts, ctx);
                 }
-                Ok(())
+                Ok(handoff)
             }
             _ => {
                 // Foreign, out-of-range or non-compliant sender: unpaid,
@@ -272,11 +280,11 @@ impl MailSink for ZmailGateway {
                         Err("mail from non-compliant senders is not accepted".into())
                     }
                     _ => {
-                        for &to in &recipients {
-                            state.mailboxes[self.mailbox_index(to)].push(message.clone());
-                            state.stats.delivered_unpaid += 1;
+                        state.stats.delivered_unpaid += recipients.len() as u64;
+                        if let Some((_, copies)) = &mut handoff {
+                            copies.extend(recipients.iter().map(|&to| (to, None)));
                         }
-                        Ok(())
+                        Ok(handoff)
                     }
                 }
             }
@@ -284,33 +292,71 @@ impl MailSink for ZmailGateway {
     }
 }
 
+use rand::SeedableRng;
+
+impl MailSink for ZmailGateway {
+    fn accept_recipient(&self, _from: &str, to: &str) -> bool {
+        // We only host Zmail mailboxes. No lock: `RCPT` reads the
+        // configuration alone.
+        !self.inner.is_poisoned() && parse_mailbox(to).is_some_and(|addr| self.hosts(addr))
+    }
+
+    fn deliver(&self, message: MailMessage) -> Result<(), SinkError> {
+        // The ledger lock is released before the first copy is made.
+        if let Some((mailbox, copies)) = self.settle(&message)? {
+            for (to, stamp) in copies {
+                let mut copy = message.clone();
+                if let Some(headers) = stamp {
+                    headers.stamp(&mut copy);
+                }
+                mailbox(to, copy);
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zmail_smtp::{Client, CollectSink, MemoryTransport, SmtpServer};
+    use std::sync::mpsc;
+    use zmail_smtp::{Client, CollectSink, MemoryTransport, SmtpError, SmtpServer};
 
     fn gateway() -> ZmailGateway {
         ZmailGateway::new(ZmailConfig::builder(2, 3).build(), 31)
     }
 
-    fn submit(gateway: &ZmailGateway, from: &str, to: &str) -> Result<(), zmail_smtp::SmtpError> {
+    /// Attaches a mailbox that keeps every copy it is handed, in order.
+    fn mailbox(gateway: &ZmailGateway) -> mpsc::Receiver<(UserAddr, MailMessage)> {
+        let (tx, rx) = mpsc::channel();
+        gateway.attach_mailbox(move |to, mail| tx.send((to, mail)).expect("the test holds rx"));
+        rx
+    }
+
+    /// Sends `messages` in one SMTP session, one after another.
+    fn session(gateway: &ZmailGateway, messages: &[MailMessage]) -> Vec<Result<(), SmtpError>> {
         let (client_conn, server_conn) = MemoryTransport::pair();
         let server = SmtpServer::new("zmail.example", gateway.clone());
         let handle = std::thread::spawn(move || server.serve(server_conn));
+        let mut client = Client::connect(client_conn, "client.example").expect("greeting");
+        let results = messages.iter().map(|msg| client.send(msg)).collect();
+        client.quit().expect("quit");
+        handle.join().expect("server thread").expect("session");
+        results
+    }
+
+    fn submit(gateway: &ZmailGateway, from: &str, to: &str) -> Result<(), SmtpError> {
         let msg = MailMessage::builder(from, to)
             .header("Subject", "over smtp")
             .body("hello\r\n")
             .build();
-        let mut client = Client::connect(client_conn, "client.example")?;
-        let result = client.send(&msg);
-        client.quit()?;
-        handle.join().expect("server thread").expect("session");
-        result
+        session(gateway, &[msg]).remove(0)
     }
 
     #[test]
     fn paid_delivery_moves_an_epenny_over_smtp() {
         let gw = gateway();
+        let inbox = mailbox(&gw);
         let alice = UserAddr::new(0, 0);
         let bob = UserAddr::new(1, 1);
         submit(
@@ -321,9 +367,10 @@ mod tests {
         .unwrap();
         assert_eq!(gw.balance(alice), EPennies(99));
         assert_eq!(gw.balance(bob), EPennies(101));
-        let inbox = gw.inbox(bob);
-        assert_eq!(inbox.len(), 1);
-        assert_eq!(inbox[0].header("X-Zmail-Payment"), Some("1"));
+        let copies: Vec<_> = inbox.try_iter().collect();
+        assert_eq!(copies.len(), 1);
+        assert_eq!(copies[0].0, bob);
+        assert_eq!(copies[0].1.header("X-Zmail-Payment"), Some("1"));
         assert_eq!(gw.stats().delivered_paid, 1);
     }
 
@@ -333,6 +380,7 @@ mod tests {
         let gw = gateway();
         let recorder = FlightRecorder::new(256);
         gw.attach_flight_recorder(recorder.clone());
+        let inbox = mailbox(&gw);
         let alice = UserAddr::new(0, 0);
         let bob = UserAddr::new(1, 1);
         submit(
@@ -345,8 +393,9 @@ mod tests {
         let log = recorder.drain();
         log.validate().expect("gateway span log well-formed");
         // The delivered copy's X-Zmail-Trace names a span in the log.
-        let inbox = gw.inbox(bob);
-        let headers = ZmailHeaders::extract(&inbox[0]);
+        let (to, copy) = inbox.try_recv().expect("one copy");
+        assert_eq!(to, bob);
+        let headers = ZmailHeaders::extract(&copy);
         let ctx = headers.trace.expect("trace header present");
         let span = log
             .spans
@@ -382,6 +431,7 @@ mod tests {
     #[test]
     fn foreign_sender_is_unpaid_but_delivered() {
         let gw = gateway();
+        let inbox = mailbox(&gw);
         let bob = UserAddr::new(0, 1);
         submit(&gw, "stranger@outside.org", &ZmailGateway::address(bob)).unwrap();
         assert_eq!(
@@ -389,7 +439,10 @@ mod tests {
             EPennies(100),
             "no windfall without payment"
         );
-        assert_eq!(gw.inbox(bob).len(), 1);
+        assert_eq!(
+            inbox.try_iter().map(|(to, _)| to).collect::<Vec<_>>(),
+            [bob]
+        );
         assert_eq!(gw.stats().delivered_unpaid, 1);
     }
 
@@ -425,6 +478,7 @@ mod tests {
     fn a_recipient_nobody_vetted_is_skipped_not_indexed() {
         // Straight into `deliver`, as a relay that skipped `RCPT` would.
         let gw = gateway();
+        let inbox = mailbox(&gw);
         let alice = ZmailGateway::address(UserAddr::new(0, 0));
         let bob = UserAddr::new(1, 1);
         let msg = MailMessage::builder(alice.as_str(), "u0@isp999.example")
@@ -432,7 +486,11 @@ mod tests {
             .body("one of two\r\n")
             .build();
         gw.deliver(msg).expect("the hosted recipient is served");
-        assert_eq!((gw.stats().delivered_paid, gw.inbox(bob).len()), (1, 1));
+        assert_eq!(gw.stats().delivered_paid, 1);
+        assert_eq!(
+            inbox.try_iter().map(|(to, _)| to).collect::<Vec<_>>(),
+            [bob]
+        );
         let nobody = MailMessage::builder(alice, "u7@isp0.example").build();
         assert!(matches!(gw.deliver(nobody), Err(SinkError::Reject(_))));
         assert!(!gw.inner.is_poisoned());
@@ -544,11 +602,14 @@ mod tests {
         let alice = ZmailGateway::address(UserAddr::new(0, 0));
         let bob = ZmailGateway::address(UserAddr::new(1, 1));
         submit(&gw, &alice, &bob).unwrap();
-        // The documented out-of-range `inbox` panic fires under the lock.
+        // Something panics under the ledger lock.
         let poisoner = gw.clone();
-        std::thread::spawn(move || poisoner.inbox(UserAddr::new(9, 9)))
-            .join()
-            .expect_err("out-of-range inbox panics");
+        std::thread::spawn(move || {
+            let _ledger = poisoner.state();
+            panic!("a bug under the ledger lock");
+        })
+        .join()
+        .expect_err("the thread panicked");
 
         let msg = MailMessage::builder(alice.as_str(), bob.as_str())
             .body("after the panic\r\n")
@@ -584,6 +645,7 @@ mod tests {
         let capped = ZmailConfig::builder(2, 5).limit(2);
         for (config, why) in [(broke, "balance"), (capped, "limit")] {
             let gw = ZmailGateway::new(config.build(), 34);
+            let inbox = mailbox(&gw);
             let sink = BackpressureSink::start(
                 gw.clone(),
                 Box::new(zmail_store::MemStorage::new()),
@@ -609,12 +671,7 @@ mod tests {
                 ..GatewayStats::default()
             };
             assert_eq!((gw.stats(), gw.balance(alice)), (bounced, before), "{why}");
-            for user in 1..=4 {
-                assert!(
-                    gw.inbox(UserAddr::new(1, user)).is_empty(),
-                    "{why}: u{user}"
-                );
-            }
+            assert_eq!(inbox.try_iter().count(), 0, "{why}: nothing handed on");
             assert_eq!(
                 sink.spooled_bytes(),
                 0,
@@ -622,12 +679,173 @@ mod tests {
             );
             // So the retry that fits pays once, and the spool records it.
             sink.deliver(to(2)).expect("two recipients fit");
+            let handed: Vec<_> = inbox.try_iter().map(|(to, _)| to).collect();
+            assert_eq!(handed, [UserAddr::new(1, 1), UserAddr::new(1, 2)], "{why}");
             sink.shutdown();
             assert_eq!(gw.stats().delivered_paid, 2, "{why}");
             assert_eq!(gw.balance(alice), EPennies(before.0 - 2), "{why}");
             assert_eq!(gw.balance(UserAddr::new(1, 2)).0 - before.0, 1, "{why}");
             assert!(sink.spooled_bytes() > 0, "{why}");
         }
+    }
+
+    #[test]
+    fn an_out_of_range_balance_panics_without_wedging_the_gateway() {
+        let gw = gateway();
+        let probe = gw.clone();
+        std::thread::spawn(move || probe.balance(UserAddr::new(9, 9)))
+            .join()
+            .expect_err("the documented panic");
+        // Had it panicked under the lock, this would be a 452 and every
+        // later `RCPT` a refusal.
+        let (alice, bob) = (UserAddr::new(0, 0), UserAddr::new(1, 1));
+        let (from, to) = (ZmailGateway::address(alice), ZmailGateway::address(bob));
+        let msg = MailMessage::builder(from.as_str(), to.as_str())
+            .body("still served\r\n")
+            .build();
+        assert_eq!(gw.deliver(msg), Ok(()));
+        assert!(gw.accept_recipient(&from, &to));
+        assert_eq!(
+            (gw.balance(alice), gw.balance(bob)),
+            (EPennies(99), EPennies(101))
+        );
+    }
+
+    #[test]
+    fn a_mailbox_gets_one_copy_per_recipient_in_submission_order() {
+        let gw = gateway();
+        let recorder = FlightRecorder::new(256);
+        gw.attach_flight_recorder(recorder.clone());
+        let inbox = mailbox(&gw);
+        let addr = |isp, user| ZmailGateway::address(UserAddr::new(isp, user));
+        let mail = |from: String, to: &[String], subject: &str| {
+            let mut msg = MailMessage::builder(from, to[0].as_str());
+            for rcpt in &to[1..] {
+                msg = msg.also_to(rcpt.as_str());
+            }
+            msg.header("Subject", subject).body("copy me\r\n").build()
+        };
+        let results = session(
+            &gw,
+            &[
+                mail(addr(0, 0), &[addr(1, 0), addr(0, 2), addr(1, 1)], "m0"),
+                mail(
+                    "stranger@outside.org".into(),
+                    &[addr(1, 2), addr(0, 1)],
+                    "m1",
+                ),
+                mail(addr(1, 2), &[addr(0, 0)], "m2"),
+            ],
+        );
+        assert!(results.iter().all(Result::is_ok), "{results:?}");
+        recorder.finalize(1);
+        let log = recorder.drain();
+
+        let copies: Vec<(UserAddr, MailMessage)> = inbox.try_iter().collect();
+        let order: Vec<(UserAddr, &str)> = copies
+            .iter()
+            .map(|(to, copy)| (*to, copy.header("Subject").expect("subject")))
+            .collect();
+        let u = UserAddr::new;
+        let expected = [
+            (u(1, 0), "m0"),
+            (u(0, 2), "m0"),
+            (u(1, 1), "m0"),
+            (u(1, 2), "m1"),
+            (u(0, 1), "m1"),
+            (u(0, 0), "m2"),
+        ];
+        assert_eq!(order, expected);
+        let stats = gw.stats();
+        assert_eq!((stats.delivered_paid, stats.delivered_unpaid), (4, 2));
+        for (to, copy) in &copies {
+            let headers = ZmailHeaders::extract(copy);
+            if copy.header("Subject") == Some("m1") {
+                assert_eq!((headers.payment, headers.trace), (None, None), "{to:?}");
+                continue;
+            }
+            assert_eq!(headers.payment, Some(1), "{to:?}");
+            let ctx = headers.trace.expect("paid copies carry a trace");
+            let span = log
+                .spans
+                .iter()
+                .find(|s| s.trace == ctx.trace && s.span == ctx.span)
+                .expect("the trace header links to a recorded span");
+            assert_eq!(span.phase, "delivery");
+            assert_eq!(span.node, format!("isp{}", to.isp));
+        }
+    }
+
+    #[test]
+    fn the_mailbox_is_called_outside_the_ledger_lock() {
+        let gw = gateway();
+        let (tx, seen) = mpsc::channel();
+        let reader = gw.clone();
+        // The mailbox reads the ledger: under the lock this would deadlock.
+        gw.attach_mailbox(move |to, _| tx.send(reader.balance(to)).expect("the test holds rx"));
+        let msg = MailMessage::builder(
+            ZmailGateway::address(UserAddr::new(0, 0)),
+            ZmailGateway::address(UserAddr::new(1, 1)),
+        )
+        .body("read my balance\r\n")
+        .build();
+        let submitter = gw.clone();
+        crate::backpressure::tests::within_3s(move || submitter.deliver(msg)).expect("a 250");
+        // The copy is handed on after its deposit is booked.
+        assert_eq!(seen.try_iter().collect::<Vec<_>>(), [EPennies(101)]);
+    }
+
+    #[test]
+    fn a_gateway_without_a_mailbox_books_what_one_with_a_mailbox_books() {
+        let run = |attach: bool| {
+            let gw = ZmailGateway::new(
+                ZmailConfig::builder(2, 3)
+                    .initial_balance(EPennies(3))
+                    .build(),
+                35,
+            );
+            let inbox = attach.then(|| mailbox(&gw));
+            let (alice, bob) = (UserAddr::new(0, 0), UserAddr::new(1, 1));
+            let paid = || {
+                MailMessage::builder(ZmailGateway::address(alice), ZmailGateway::address(bob))
+                    .also_to(ZmailGateway::address(UserAddr::new(0, 2)))
+                    .body("paid\r\n")
+                    .build()
+            };
+            let foreign = MailMessage::builder("stranger@outside.org", ZmailGateway::address(bob))
+                .body("unpaid\r\n")
+                .build();
+            // Two paid recipients fit the balance of 3 once; the second
+            // message bounces whole.
+            let answers = [
+                gw.deliver(paid()).is_ok(),
+                gw.deliver(foreign).is_ok(),
+                gw.deliver(paid()).is_ok(),
+            ];
+            let balances: Vec<EPennies> = (0..2)
+                .flat_map(|isp| (0..3).map(move |user| UserAddr::new(isp, user)))
+                .map(|addr| gw.balance(addr))
+                .collect();
+            let handed = inbox.map_or(0, |rx| rx.try_iter().count());
+            (answers, gw.stats(), balances, handed)
+        };
+        let (answers, stats, balances, handed) = run(false);
+        assert_eq!(answers, [true, true, false]);
+        assert_eq!(
+            stats,
+            GatewayStats {
+                delivered_paid: 2,
+                delivered_unpaid: 1,
+                bounced: 1,
+                dropped: 0,
+            }
+        );
+        assert_eq!(
+            balances.iter().map(|b| b.0).collect::<Vec<_>>(),
+            [1, 3, 4, 3, 4, 3]
+        );
+        assert_eq!(handed, 0);
+        assert_eq!(run(true), (answers, stats, balances, 3));
     }
 
     #[test]

@@ -96,8 +96,10 @@ fn run(idempotent: bool, banks: u32) -> Outcome {
                     sells,
                     replays_dropped,
                     idempotent_replays,
+                    refused,
                     snapshot_rounds: _,
                 } = *federation.bank(b).stats();
+                assert_eq!(refused, 0, "honest ISPs ask for nothing refusable");
                 [
                     buys_granted,
                     buys_rejected,

@@ -141,8 +141,20 @@ impl ExchangeRate {
     }
 
     /// Real cost of buying `e` e-pennies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cost does not fit an `i64`; see
+    /// [`checked_to_real`](Self::checked_to_real).
     pub fn to_real(self, e: EPennies) -> RealPennies {
-        RealPennies(e.0 * self.real_per_epenny)
+        self.checked_to_real(e)
+            .expect("the real cost does not fit an i64")
+    }
+
+    /// Real cost of buying `e` e-pennies, or `None` if it does not fit an
+    /// `i64`.
+    pub fn checked_to_real(self, e: EPennies) -> Option<RealPennies> {
+        e.0.checked_mul(self.real_per_epenny).map(RealPennies)
     }
 
     /// E-pennies purchasable with `r` real pennies (truncating).

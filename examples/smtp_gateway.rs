@@ -1,14 +1,22 @@
 //! Zmail over unmodified SMTP (§1.3): a real TCP mail server on loopback,
-//! a real SMTP client, and the e-penny ledger moving underneath.
+//! a real SMTP client, and the e-penny ledger moving underneath. The
+//! gateway keeps no mail: it hands each accepted copy to the mailbox
+//! attached here.
 //!
 //! Run with: `cargo run --example smtp_gateway`
 
+use std::sync::mpsc;
 use zmail::core::bridge::ZmailGateway;
 use zmail::core::{UserAddr, ZmailConfig};
 use zmail::smtp::{Client, MailMessage, TcpConnection, ThreadedConfig, ThreadedServer};
 
 fn main() {
     let gateway = ZmailGateway::new(ZmailConfig::builder(2, 4).build(), 1);
+    let (mailbox, delivered) = mpsc::channel();
+    gateway.attach_mailbox(move |to, mail| {
+        // The receiving end outlives the server.
+        mailbox.send((to, mail)).expect("mailbox open");
+    });
     let mut server = ThreadedServer::start(
         "mx.zmail.example",
         gateway.clone(),
@@ -53,7 +61,8 @@ fn main() {
         ZmailGateway::address(bob),
         gateway.balance(bob),
     );
-    for (i, mail) in gateway.inbox(bob).iter().enumerate() {
+    let inbox = delivered.try_iter().filter(|(to, _)| *to == bob);
+    for (i, (_, mail)) in inbox.enumerate() {
         println!(
             "inbox[{}]: from {:<28} subject {:<8} X-Zmail-Payment: {}",
             i,

@@ -30,6 +30,9 @@ cargo run --release -q -p zmail-bench --bin speclint -- --independence-json > /d
 echo "== obs smoke (metrics/tracing/exporters end to end)"
 cargo run --release -q -p zmail-obs --bin obs_smoke > /dev/null
 
+echo "== SMTP gateway example (real TCP, a mailbox attached: the one place accepted mail is handed on end to end)"
+cargo run --release -q --example smtp_gateway > /dev/null
+
 echo "== durability (E16 smoke: every recovery exact, checkpoint bytes <= WAL bytes at every population; exits non-zero otherwise)"
 cargo run --release -q -p zmail-bench --bin e16_durability -- --smoke > /dev/null
 

@@ -52,6 +52,8 @@ fn self_dealing_recycles_pennies_but_reaches_no_victims() {
 #[test]
 fn forged_payment_stamp_is_neutralized_at_the_gateway() {
     let gateway = ZmailGateway::new(ZmailConfig::builder(2, 3).build(), 91);
+    let (tx, inbox) = std::sync::mpsc::channel();
+    gateway.attach_mailbox(move |to, mail| tx.send((to, mail)).expect("the test holds rx"));
     let mut server =
         ThreadedServer::start("zmail.example", gateway.clone(), ThreadedConfig::default()).unwrap();
     let conn = TcpConnection::connect(server.addr()).unwrap();
@@ -70,7 +72,10 @@ fn forged_payment_stamp_is_neutralized_at_the_gateway() {
     assert_eq!(gateway.stats().delivered_unpaid, 1);
     // The forged stamp survives only as an inert header on unpaid mail —
     // the ledger, not the header, is authoritative.
-    assert_eq!(gateway.inbox(victim).len(), 1);
+    let copies: Vec<_> = inbox.try_iter().collect();
+    assert_eq!(copies.len(), 1);
+    assert_eq!(copies[0].0, victim);
+    assert_eq!(copies[0].1.header("X-Zmail-Payment"), Some("1000000"));
 }
 
 /// Requesting acknowledgments on ordinary spam does not get the spammer

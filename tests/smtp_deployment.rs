@@ -1,11 +1,19 @@
 //! Deployability over unmodified SMTP (§1.3): concurrent clients against a
 //! real TCP mail server fronting the Zmail gateway.
 
+use std::sync::mpsc;
 use std::thread;
 use zmail::core::bridge::ZmailGateway;
 use zmail::core::{UserAddr, ZmailConfig};
 use zmail::econ::EPennies;
 use zmail::smtp::{Client, MailMessage, RelaySink, TcpConnection, ThreadedConfig, ThreadedServer};
+
+/// Attaches a mailbox to `gateway` that keeps every copy it is handed.
+fn mailbox(gateway: &ZmailGateway) -> mpsc::Receiver<(UserAddr, MailMessage)> {
+    let (tx, rx) = mpsc::channel();
+    gateway.attach_mailbox(move |to, mail| tx.send((to, mail)).expect("the test holds rx"));
+    rx
+}
 
 #[test]
 fn concurrent_clients_over_tcp_keep_the_ledger_consistent() {
@@ -14,6 +22,7 @@ fn concurrent_clients_over_tcp_keep_the_ledger_consistent() {
         ZmailConfig::builder(2, users_per_isp).limit(1_000).build(),
         2024,
     );
+    let inbox = mailbox(&gateway);
     let mut server =
         ThreadedServer::start("zmail.example", gateway.clone(), ThreadedConfig::default()).unwrap();
     let addr = server.addr();
@@ -56,11 +65,12 @@ fn concurrent_clients_over_tcp_keep_the_ledger_consistent() {
     assert_eq!(sender_total, 8 * 100 - 40);
     assert_eq!(receiver_total, 8 * 100 + 40);
 
-    // Inboxes received the stamped copies.
-    let delivered: usize = (0..users_per_isp)
-        .map(|u| gateway.inbox(UserAddr::new(1, u)).len())
-        .sum();
-    assert_eq!(delivered, 40);
+    // The mailbox received the stamped copies, all for ISP 1.
+    let copies: Vec<_> = inbox.try_iter().collect();
+    assert_eq!(copies.len(), 40);
+    assert!(copies
+        .iter()
+        .all(|(to, copy)| to.isp == 1 && copy.header("X-Zmail-Payment") == Some("1")));
 }
 
 #[test]
@@ -71,6 +81,7 @@ fn bounce_and_foreign_mail_coexist_on_one_server() {
             .build(),
         7,
     );
+    let inbox = mailbox(&gateway);
     // One worker: the pool degenerates to one session at a time.
     let sequential = ThreadedConfig {
         workers: 1,
@@ -105,7 +116,7 @@ fn bounce_and_foreign_mail_coexist_on_one_server() {
     server.stop();
 
     assert_eq!(gateway.balance(bob), EPennies(2)); // 1 initial + 1 paid
-    assert_eq!(gateway.inbox(bob).len(), 2);
+    assert_eq!(inbox.try_iter().filter(|(to, _)| *to == bob).count(), 2);
     let stats = gateway.stats();
     assert_eq!(stats.delivered_paid, 1);
     assert_eq!(stats.delivered_unpaid, 1);
@@ -118,6 +129,7 @@ fn zmail_works_behind_a_noncompliant_relay() {
     // never heard of Zmail carries it without modification. Chain:
     // client -> plain relay -> Zmail gateway.
     let gateway = ZmailGateway::new(ZmailConfig::builder(2, 4).build(), 77);
+    let inbox = mailbox(&gateway);
     let mut terminal =
         ThreadedServer::start("zmail.example", gateway.clone(), ThreadedConfig::default()).unwrap();
     let mut relay = ThreadedServer::start(
@@ -143,10 +155,12 @@ fn zmail_works_behind_a_noncompliant_relay() {
     // The ledger still moved: the *gateway* charged and credited.
     assert_eq!(gateway.balance(alice), EPennies(99));
     assert_eq!(gateway.balance(bob), EPennies(101));
-    let inbox = gateway.inbox(bob);
-    assert_eq!(inbox.len(), 1);
-    assert_eq!(inbox[0].header("X-Zmail-Payment"), Some("1"));
-    assert_eq!(inbox[0].header("Subject"), Some("via a dumb relay"));
+    let copies: Vec<_> = inbox.try_iter().collect();
+    assert_eq!(copies.len(), 1);
+    let (to, copy) = &copies[0];
+    assert_eq!(*to, bob);
+    assert_eq!(copy.header("X-Zmail-Payment"), Some("1"));
+    assert_eq!(copy.header("Subject"), Some("via a dumb relay"));
 }
 
 #[test]
