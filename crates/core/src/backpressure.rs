@@ -558,7 +558,8 @@ pub(crate) mod tests {
 
     #[test]
     fn a_dead_drainer_sheds_instead_of_parking_its_submitters() {
-        /// A storage backend whose device fails on the first sync.
+        /// A storage backend whose device fails on the first sync (and
+        /// whose provided `release` frees nothing).
         struct FailingDisk(MemStorage);
         impl Storage for FailingDisk {
             fn read(&self, name: &str) -> Vec<u8> {

@@ -659,7 +659,8 @@ impl Isp {
     /// User `t` buys `x` e-pennies with real money from the ISP pool.
     ///
     /// Returns `true` when the purchase happened (the paper's guard:
-    /// sufficient account and pool, both positive).
+    /// sufficient account and pool, both positive). A purchase the
+    /// balance cannot hold is refused too, before any record.
     ///
     /// # Panics
     ///
@@ -667,7 +668,11 @@ impl Isp {
     pub fn user_buy(&self, ledger: &mut dyn Ledger, t: u32, x: EPennies) -> bool {
         assert!(!x.is_negative(), "cannot buy a negative amount");
         // 1:1 at the ISP counter: `x` e-pennies cost `x` real pennies.
-        if ledger.user(self.id.0, t).account >= x.0 && ledger.pool(self.id.0).avail >= x.0 {
+        let user = ledger.user(self.id.0, t);
+        if user.account >= x.0
+            && user.balance.checked_add(x.0).is_some()
+            && ledger.pool(self.id.0).avail >= x.0
+        {
             ledger.commit(LedgerRecord::UserBuy {
                 isp: self.id.0,
                 user: t,
@@ -679,14 +684,21 @@ impl Isp {
         }
     }
 
-    /// User `t` sells `x` e-pennies back for real money.
+    /// User `t` sells `x` e-pennies back for real money. Returns `true`
+    /// when the sale happened: the balance holds `x`, and the account and
+    /// the pool can take it without overflowing (a refusal records
+    /// nothing).
     ///
     /// # Panics
     ///
     /// Panics if `t` is out of range or `x` is negative.
     pub fn user_sell(&self, ledger: &mut dyn Ledger, t: u32, x: EPennies) -> bool {
         assert!(!x.is_negative(), "cannot sell a negative amount");
-        if ledger.user(self.id.0, t).balance >= x.0 {
+        let user = ledger.user(self.id.0, t);
+        if user.balance >= x.0
+            && user.account.checked_add(x.0).is_some()
+            && ledger.pool(self.id.0).avail.checked_add(x.0).is_some()
+        {
             ledger.commit(LedgerRecord::UserSell {
                 isp: self.id.0,
                 user: t,
@@ -1151,6 +1163,33 @@ mod tests {
         assert!(
             !isp.user_sell(&mut books, 0, EPennies(101)),
             "balance too small"
+        );
+    }
+
+    /// Sets a row of fresh one-ISP books with `set`, then checks that
+    /// `trade` is refused and records nothing: a counter trade whose
+    /// record would overflow a row is not left to `Books::apply` to
+    /// panic on.
+    fn assert_trade_refused(set: fn(&mut Books), trade: fn(&Isp, &mut Books) -> bool) {
+        let (isps, mut books, _) = fixture(1);
+        set(&mut books);
+        let before = books.clone();
+        assert!(!trade(&isps[0], &mut books), "the trade went through");
+        assert_eq!(books, before, "a refused trade recorded something");
+    }
+
+    #[test]
+    fn a_sell_that_would_overflow_the_account_or_pool_is_refused_not_a_panic() {
+        let sell = |isp: &Isp, books: &mut Books| isp.user_sell(books, 0, EPennies(100));
+        assert_trade_refused(|b| b.isps[0].users[0].account = i64::MAX - 10, sell);
+        assert_trade_refused(|b| b.isps[0].avail = i64::MAX - 10, sell);
+    }
+
+    #[test]
+    fn a_buy_that_would_overflow_the_balance_is_refused_not_a_panic() {
+        assert_trade_refused(
+            |b| b.isps[0].users[0].balance = i64::MAX - 10,
+            |isp, books| isp.user_buy(books, 0, EPennies(50)),
         );
     }
 

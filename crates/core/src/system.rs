@@ -2554,7 +2554,8 @@ mod tests {
         }
 
         /// A disk that dies at its `fuse`-th sync — in full, or `torn`
-        /// after that many bytes — and never syncs again.
+        /// after that many bytes — and never syncs again. It keeps the
+        /// provided `release`, which frees nothing.
         #[derive(Debug)]
         struct Fused {
             disk: FaultyStorage<MemStorage>,

@@ -46,7 +46,9 @@ pub struct StorageFaultCounters {
 }
 
 /// A [`Storage`] wrapper with a durable/volatile split and caller-driven
-/// crash, torn-write, and corruption faults.
+/// crash, torn-write, and corruption faults. It keeps the provided
+/// [`Storage::release`], which frees nothing, so its crash model never
+/// meets a released log.
 #[derive(Debug)]
 pub struct FaultyStorage<S: Storage> {
     durable: S,

@@ -278,7 +278,8 @@ mod checkpointed_sweep {
     /// A shard's disk on a machine with a fuse: the `fuse`-th sync
     /// anywhere on the machine is the last thing it does (in full, or
     /// `torn` after that many bytes); every later sync never happens, so
-    /// `crash` leaves exactly what was durable at the kill.
+    /// `crash` leaves exactly what was durable at the kill. It keeps the
+    /// provided `release`, which frees nothing.
     #[derive(Debug)]
     struct Killable {
         disk: FaultyStorage<MemStorage>,

@@ -221,7 +221,8 @@ fn fault_free_wrapper_is_transparent() {
     assert_eq!(&faulty_backend, plain.storage());
 }
 
-/// A backend that leaves `read_from` to the trait's provided method.
+/// A backend that leaves `read_from` to the trait's provided method (and
+/// `release`, which frees nothing).
 struct SixMethods(MemStorage);
 
 impl Storage for SixMethods {

@@ -16,10 +16,15 @@
 //! ```
 //!
 //! `wal_offset` is the WAL length at the moment the image was taken:
-//! replay — and, without an observer, the read — starts there. Leaving
-//! the prefix in place instead of truncating the WAL at checkpoint time
-//! keeps the two writes independent — there is no window where a crash
-//! between "truncate WAL" and "write slot" could lose records.
+//! replay — and, without an observer, the read — starts there. The WAL
+//! is never truncated at checkpoint time. An engine without an observer
+//! *releases* the prefix ([`crate::Storage::release`]) once the new
+//! image is synced, and only behind the *older* image's `wal_offset`:
+//! a crash mid-write of the next image destroys at most one slot, and
+//! whichever survives still has its tail. So no crash window opens
+//! between "cut the log" and "write the slot", and a slot whose offset
+//! is before the released one is unusable (see [`crate::engine`],
+//! "# Recovery").
 //!
 //! This module is the *format*. When an image is written is the
 //! engine's decision ([`crate::engine`], "When a checkpoint is due"),

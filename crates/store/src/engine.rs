@@ -51,6 +51,22 @@
 //! backend's bytes — no clocks, no randomness — so a fixed plan+seed
 //! recovers byte-identically every run.
 //!
+//! Without an observer that path reads nothing before the older image's
+//! `wal_offset`, so an engine opened without one lets go of that prefix:
+//! once an image is synced, [`Storage::release`] is called before the
+//! *other* slot's offset. A torn write of the next image destroys at
+//! most the slot it writes, and the slot that survives still has its
+//! tail; the log held is one image's distance plus what the backend
+//! frees at a time ([`MemStorage`](crate::MemStorage): a 1 MiB segment).
+//! A slot whose offset is before [`Storage::released`] is unusable, and
+//! if no usable slot is left after a release — media corruption of a
+//! synced image on top of a torn write, which no crash alone produces —
+//! recovery refuses with a panic naming the released offset. It never
+//! replays the rest of a log onto the bootstrap books, and never
+//! truncates it. An engine opened with an observer (a multi-shard
+//! store's in-doubt transfer scan) reads its whole log, so it releases
+//! nothing.
+//!
 //! Replay folds the log in runs: the walk decodes up to `BATCH` (64)
 //! frames into an array on the stack before it applies any of them. Each apply
 //! is a read-modify-write of one account row, and over books larger than
@@ -104,7 +120,8 @@ impl Default for StoreConfig {
 pub struct RecoveryReport {
     /// Sequence of the checkpoint recovered from, if any slot was valid.
     pub checkpoint_seq: Option<u64>,
-    /// Checkpoint slots present but rejected by checksum/format.
+    /// Checkpoint slots present but rejected by checksum/format, or
+    /// because the log they start from was released.
     pub corrupt_slots: u32,
     /// WAL records replayed on top of the checkpoint.
     pub replayed_records: u64,
@@ -139,6 +156,10 @@ pub struct LedgerStore<S: Storage> {
     /// credit and accounts are fixed-length, nonces insert-only — so a
     /// length once measured stays a floor.
     slot_floor: u64,
+    /// Whether an image releases the log behind the older one: only when
+    /// this engine's recovery reads no further back than an image, that
+    /// is, when it was opened without an observer (see "# Recovery").
+    releases: bool,
     tally: Tally,
 }
 
@@ -157,6 +178,12 @@ impl<S: Storage> LedgerStore<S> {
     /// no checkpoint exists yet (a fresh backend replays the entire WAL
     /// on top of it). A torn WAL tail is truncated in the backend so
     /// subsequent appends extend the valid prefix.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before it truncates anything, if the backend released a
+    /// prefix of the WAL and neither slot holds a usable image (see the
+    /// [module docs](self), "# Recovery").
     pub fn open(storage: S, config: StoreConfig, initial: Books) -> (Self, RecoveryReport) {
         Self::open_observed(storage, config, initial, None)
     }
@@ -184,6 +211,7 @@ impl<S: Storage> LedgerStore<S> {
             since_checkpoint: 0,
             checkpointed_len: 0,
             slot_floor: 0,
+            releases: observe.is_none(),
             tally: Tally::default(),
         };
         let Recovered {
@@ -309,11 +337,22 @@ impl<S: Storage> LedgerStore<S> {
         self.pending_records = 0;
     }
 
+    /// Writes and syncs the next image, then — on an engine that
+    /// releases — lets go of the log behind the *other* slot's image,
+    /// whose offset is `checkpointed_len` until this one replaces it. So
+    /// whichever slot a torn next write leaves, its tail is still held.
     fn write_checkpoint(&mut self) {
         let slot = checkpoint::slot_for(self.ckpt_seq);
         let bytes = checkpoint::encode_slot(self.ckpt_seq, self.wal_len, &self.books);
         self.storage.write(slot, &bytes);
         self.storage.sync(slot);
+        if self.releases {
+            let held = self.storage.released(WAL);
+            self.storage.release(WAL, self.checkpointed_len);
+            StoreMetrics::get()
+                .wal_released_bytes
+                .add(self.storage.released(WAL) - held);
+        }
         self.ckpt_seq += 1;
         self.since_checkpoint = 0;
         self.checkpointed_len = self.wal_len;
@@ -328,6 +367,10 @@ impl<S: Storage> LedgerStore<S> {
     /// without mutating anything: what a restart *right now* would
     /// reconstruct. Uncommitted (buffered) records are invisible to it,
     /// exactly as they would be to a crash.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`open`](Self::open) would.
     pub fn simulate_recovery(&self) -> (Books, RecoveryReport) {
         self.simulate_recovery_observed(None)
     }
@@ -392,15 +435,18 @@ impl<S: Storage> LedgerStore<S> {
 /// were rejected. Every present slot has its CRC, magic and length
 /// verified; the books payload is decoded newest slot first, and only
 /// until one decodes to books of `initial`'s shape — an image of other
-/// books is as corrupt as one that does not decode.
+/// books is as corrupt as one that does not decode, and one whose
+/// `wal_offset` is before the log's [`Storage::released`] offset is as
+/// unusable: the log it would replay from is gone.
 fn load_checkpoint<S: Storage>(storage: &S, initial: &Books) -> (Option<Checkpoint>, u32) {
     let images = SLOTS.map(|slot| storage.read(slot));
+    let released = storage.released(WAL);
     let mut corrupt_slots = 0;
     let mut verified = Vec::with_capacity(SLOTS.len());
     for bytes in images.iter().filter(|bytes| !bytes.is_empty()) {
         match VerifiedSlot::of(bytes) {
-            Some(slot) => verified.push(slot),
-            None => corrupt_slots += 1,
+            Some(slot) if slot.wal_offset >= released => verified.push(slot),
+            _ => corrupt_slots += 1,
         }
     }
     verified.sort_by_key(|slot| Reverse(slot.seq));
@@ -490,12 +536,24 @@ struct Recovered {
 /// ([`Books::try_apply`]) or, with an observer, fails its check; the
 /// observer's own walk of the old log, which applies nothing, ends only
 /// at the latter.
+///
+/// # Panics
+///
+/// Panics if the log was released and no usable image is left to
+/// replay its rest onto: the bootstrap books plus a log with a hole are
+/// not the books.
 fn recover<S: Storage>(
     storage: &S,
     initial: &Books,
     mut observe: Option<Observer<'_>>,
 ) -> Recovered {
     let (best, corrupt_slots) = load_checkpoint(storage, initial);
+    let released = storage.released(WAL);
+    assert!(
+        best.is_some() || released == 0,
+        "no usable checkpoint image covers the WAL released before offset {released}: \
+         refusing to replay the rest onto the bootstrap books"
+    );
     let lands = observe.as_ref().map(|o| o.lands);
     let (mut books, replayed_from, checkpoint_seq, next_seq) = match best {
         Some(ckpt) => (ckpt.books, ckpt.wal_offset, Some(ckpt.seq), ckpt.seq + 1),
@@ -580,7 +638,7 @@ mod tests {
     use crate::books::{BankBooks, IspBooks, UserBooks};
     use crate::record::{XferKind, XferLeg};
     use crate::shard::ShardedLedgerStore;
-    use crate::storage::MemStorage;
+    use crate::storage::{MemStorage, SEGMENT};
     use proptest::prelude::*;
 
     fn bootstrap() -> Books {
@@ -606,24 +664,26 @@ mod tests {
         }
     }
 
+    fn record(i: usize) -> LedgerRecord {
+        match i % 3 {
+            0 => LedgerRecord::Charge {
+                isp: 0,
+                user: (i % 2) as u32,
+            },
+            1 => LedgerRecord::Deposit {
+                isp: 0,
+                user: ((i + 1) % 2) as u32,
+            },
+            _ => LedgerRecord::CreditDelta {
+                isp: 0,
+                peer: 0,
+                delta: 1,
+            },
+        }
+    }
+
     fn records(n: usize) -> Vec<LedgerRecord> {
-        (0..n)
-            .map(|i| match i % 3 {
-                0 => LedgerRecord::Charge {
-                    isp: 0,
-                    user: (i % 2) as u32,
-                },
-                1 => LedgerRecord::Deposit {
-                    isp: 0,
-                    user: ((i + 1) % 2) as u32,
-                },
-                _ => LedgerRecord::CreditDelta {
-                    isp: 0,
-                    peer: 0,
-                    delta: 1,
-                },
-            })
-            .collect()
+        (0..n).map(record).collect()
     }
 
     #[test]
@@ -775,6 +835,156 @@ mod tests {
             "full-log replay from bootstrap"
         );
         assert_eq!(recovered.books(), &live);
+    }
+
+    /// The older image's `wal_offset`: 0 while either slot is empty.
+    fn older_offset(storage: &MemStorage) -> u64 {
+        SLOTS
+            .iter()
+            .map(|slot| Checkpoint::decode(&storage.read(slot)).map_or(0, |c| c.wal_offset))
+            .min()
+            .expect("two slots")
+    }
+
+    /// The records [`released_log`] appends, and its config: group
+    /// commits of 64, an image every 1024 records (the books are small).
+    const RELEASING: StoreConfig = StoreConfig {
+        batch_records: 64,
+        checkpoint_every: 1024,
+    };
+
+    /// A one-engine store filled until its first image at or past
+    /// `2 * SEGMENT`: the older image is then past the first segment and
+    /// the newest past the second — then `tail` records more, committed.
+    /// At every image, recovery equals live, and the log held reaches
+    /// back to the older image and at most one segment more.
+    fn released_log(tail: usize) -> LedgerStore<MemStorage> {
+        let (mut store, _) = LedgerStore::open(MemStorage::new(), RELEASING, bootstrap());
+        let mut stream = (0..).map(record);
+        let mut images = 0;
+        while store.checkpointed_len < 2 * SEGMENT as u64 {
+            store.append(&stream.next().expect("endless"));
+            if store.next_checkpoint_seq() == images {
+                continue;
+            }
+            images = store.next_checkpoint_seq();
+            let storage = store.storage();
+            assert_eq!(
+                store.simulate_recovery().0,
+                *store.books(),
+                "image {images}"
+            );
+            let held = storage.len(WAL) - storage.released(WAL);
+            assert!(
+                held <= storage.len(WAL) - older_offset(storage) + SEGMENT as u64,
+                "image {images}: {held} bytes held"
+            );
+        }
+        for rec in stream.take(tail) {
+            store.append(&rec);
+        }
+        store.commit();
+        store
+    }
+
+    /// (a) A one-engine log stays within one image's distance and a
+    /// segment, recovery equals live at every image, and something was
+    /// released.
+    #[test]
+    fn a_one_engine_log_is_held_only_back_to_the_older_image() {
+        let store = released_log(100);
+        let storage = store.storage();
+        assert!(storage.len(WAL) > 2 * SEGMENT as u64);
+        assert_eq!(storage.released(WAL), SEGMENT as u64);
+        assert_eq!(store.simulate_recovery().0, *store.books());
+        let (reopened, report) = LedgerStore::open(storage.clone(), RELEASING, bootstrap());
+        assert_eq!(reopened.books(), store.books());
+        assert_eq!(report.corrupt_slots, 0);
+    }
+
+    /// Flips a byte in the middle of slot `slot`.
+    fn spoil(storage: &mut MemStorage, slot: &str) {
+        let mut bytes = storage.read(slot);
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
+        storage.write(slot, &bytes);
+    }
+
+    /// (b) With the log released, garbage in the newest slot falls back
+    /// to the older one exactly: its tail is still held.
+    #[test]
+    fn after_a_release_a_spoiled_newest_slot_falls_back_to_the_older_one() {
+        let store = released_log(100);
+        let live = store.books().clone();
+        let newest = SLOTS[((store.next_checkpoint_seq() - 1) % 2) as usize];
+        let older_seq = store.next_checkpoint_seq() - 2;
+        let mut disk = store.into_storage();
+        let older = older_offset(&disk);
+        assert!(disk.released(WAL) > 0);
+        spoil(&mut disk, newest);
+        let (recovered, report) = LedgerStore::open(disk, RELEASING, bootstrap());
+        assert_eq!(report.corrupt_slots, 1);
+        assert_eq!(report.checkpoint_seq, Some(older_seq));
+        assert_eq!(recovered.books(), &live);
+        assert!(!report.torn_tail);
+        let wal = recovered.storage().read_from(WAL, older);
+        assert_eq!(
+            report.replayed_records,
+            wal::scan(&wal, 0).offsets.len() as u64
+        );
+    }
+
+    /// (c) With the log released, two spoiled slots refuse: a panic
+    /// naming the released offset, before any replay or truncation.
+    #[test]
+    fn after_a_release_two_spoiled_slots_refuse_to_recover() {
+        let mut disk = released_log(100).into_storage();
+        let released = disk.released(WAL);
+        assert!(released > 0);
+        for slot in SLOTS {
+            spoil(&mut disk, slot);
+        }
+        let refusal = |run: &dyn Fn()| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                .expect_err("recovery must refuse");
+            err.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        let opened = refusal(&|| drop(LedgerStore::open(disk.clone(), RELEASING, bootstrap())));
+        let (mut store, _) = LedgerStore::open(MemStorage::new(), RELEASING, bootstrap());
+        *store.storage_mut() = disk;
+        let simulated = refusal(&|| drop(store.simulate_recovery()));
+        for message in [opened, simulated] {
+            assert!(
+                message.contains("refusing") && message.contains(&released.to_string()),
+                "{message}"
+            );
+        }
+    }
+
+    /// (d) A 4-shard store, whose recovery reads every shard's whole log
+    /// for in-doubt transfers, releases nothing however long its logs.
+    #[test]
+    fn a_four_shard_store_releases_nothing() {
+        let storages = (0..4).map(|_| MemStorage::new()).collect();
+        let (mut sharded, _) = ShardedLedgerStore::open(storages, RELEASING, deployment());
+        // One account's charges and deposits all land on its shard.
+        for i in 0..2 * SEGMENT / 16 {
+            sharded.append(&if i % 2 == 0 {
+                LedgerRecord::Charge { isp: 1, user: 3 }
+            } else {
+                LedgerRecord::Deposit { isp: 1, user: 3 }
+            });
+        }
+        sharded.commit_all();
+        let busy = (0..4)
+            .max_by_key(|&s| sharded.shard(s).wal_len())
+            .expect("four shards");
+        assert!(sharded.shard(busy).wal_len() > 2 * SEGMENT as u64);
+        assert!(sharded.shard(busy).next_checkpoint_seq() >= 3);
+        for s in 0..4 {
+            assert_eq!(sharded.shard(s).storage().released(WAL), 0, "shard {s}");
+        }
+        assert!(sharded.recovers_live_books().0);
     }
 
     /// A slot image whose header, length and CRC are all valid around

@@ -33,6 +33,10 @@ pub struct StoreMetrics {
     pub checkpoints: Counter,
     /// Bytes per checkpoint image (`store.checkpoint_bytes`).
     pub checkpoint_bytes: Histogram,
+    /// WAL bytes the backend freed behind the older image
+    /// (`store.wal_released_bytes`): [`crate::Storage::released`]'s
+    /// growth at each image, 0 on a backend that frees nothing.
+    pub wal_released_bytes: Counter,
     /// Recovery passes executed (`store.recoveries`).
     pub recoveries: Counter,
     /// WAL records replayed per recovery (`store.replayed_records`).
@@ -58,6 +62,7 @@ impl StoreMetrics {
                 commit_micros: r.histogram("store.commit_micros"),
                 checkpoints: r.counter("store.checkpoints"),
                 checkpoint_bytes: r.histogram("store.checkpoint_bytes"),
+                wal_released_bytes: r.counter("store.wal_released_bytes"),
                 recoveries: r.counter("store.recoveries"),
                 replayed_records: r.histogram("store.replayed_records"),
                 torn_tails: r.counter("store.torn_tails"),

@@ -1346,7 +1346,8 @@ mod tests {
         assert_eq!(reopened.books().epennies_found(), total);
     }
 
-    /// Storage wrapper counting syncs, to pin the batched-outbox win.
+    /// Storage wrapper counting syncs, to pin the batched-outbox win. It
+    /// keeps the provided `release`, which frees nothing.
     #[derive(Debug)]
     struct CountingStorage {
         inner: MemStorage,

@@ -8,17 +8,26 @@
 //! models torn writes and lost un-synced bytes
 //! (`zmail_fault::FaultyStorage`).
 //!
-//! A seventh, [`Storage::read_from`], is the first minus a prefix: the
-//! blob from an offset on. It is a *provided* method — `read`, then
-//! slice — so a backend that implements only the six keeps working;
-//! [`MemStorage`], [`FileStorage`] and `FaultyStorage` override it so
-//! that recovery, which replays the log from its newest checkpoint's
-//! offset, copies only the bytes it replays.
+//! Three more are *provided*, so a backend that implements only the six
+//! keeps working:
+//!
+//! * [`Storage::read_from`] is the first minus a prefix: the blob from
+//!   an offset on — `read`, then slice. [`MemStorage`], [`FileStorage`]
+//!   and `FaultyStorage` override it so that recovery, which replays the
+//!   log from its newest checkpoint's offset, copies only the bytes it
+//!   replays.
+//! * [`Storage::release`] is a promise that a blob's bytes before an
+//!   offset will never be read again, and [`Storage::released`] the
+//!   first offset still held. The defaults keep every byte (`released`
+//!   is 0); [`MemStorage`] overrides both to free whole segments. The
+//!   engine releases its WAL behind the *older* checkpoint image, which
+//!   no recovery it can run reads past.
 //!
 //! [`MemStorage`] holds a blob as fixed-size segments, not one vector:
 //! an append-only log then never reallocates what it already holds, and
 //! a process's peak memory does not depend on whether the allocator
-//! happened to find room to grow the log in place.
+//! happened to find room to grow the log in place. A released segment
+//! is dropped whole; offsets, lengths and later appends do not move.
 //!
 //! # Semantics the engine relies on
 //!
@@ -31,6 +40,10 @@
 //!   the last un-synced batch* — the torn write) but never synced bytes.
 //! * [`Storage::truncate`] to a length at or beyond the current one is a
 //!   no-op; recovery uses it to drop a torn tail.
+//! * Released bytes are gone: reading from an offset before
+//!   [`Storage::released`], or truncating to one, is a caller bug and
+//!   panics in a backend that frees them. [`Storage::write`] replaces the
+//!   whole blob, and with it the release.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -71,6 +84,21 @@ pub trait Storage {
 
     /// Cuts `name` down to `len` bytes; a no-op if it is already shorter.
     fn truncate(&mut self, name: &str, len: u64);
+
+    /// Promises that the bytes of `name` before offset `before` will
+    /// never be read again, so a backend may free them. What it frees is
+    /// [`released`](Storage::released); offsets and [`len`](Storage::len)
+    /// do not move. The default frees nothing.
+    fn release(&mut self, _name: &str, _before: u64) {}
+
+    /// The first offset of `name` still held: every byte from here on
+    /// reads back, none before it does. 0 unless the backend freed a
+    /// prefix after a [`release`](Storage::release); never more than
+    /// was released or than [`len`](Storage::len), and it only grows
+    /// until the blob is [`write`](Storage::write)n whole.
+    fn released(&self, _name: &str) -> u64 {
+        0
+    }
 }
 
 /// `bytes` from `offset` on; empty at or past the end.
@@ -81,27 +109,40 @@ fn suffix(bytes: &[u8], offset: u64) -> &[u8] {
         .unwrap_or_default()
 }
 
-/// Bytes per segment of a [`MemStorage`] blob.
-const SEGMENT: usize = 1 << 20;
+/// Bytes per segment of a [`MemStorage`] blob: also what a release
+/// frees at a time.
+pub(crate) const SEGMENT: usize = 1 << 20;
 
 /// One [`MemStorage`] blob: its bytes in order, cut into vectors of
-/// `SEGMENT` bytes (the last may be shorter; none is empty, so equal
-/// contents are equal values). A log that grows by appends therefore
-/// never moves what it already holds. One contiguous vector doubles its
-/// way up, holding the old and the new allocation at once at every step
-/// unless the allocator can extend it in place; that depends on what
-/// else sits in the heap, so a process's peak memory would differ from
-/// one run to the next by a whole log length.
+/// `SEGMENT` bytes, less the first `freed` segments, which a release
+/// dropped (the last held one may be shorter; none is empty, so equal
+/// contents released at equal offsets are equal values). A log that
+/// grows by appends therefore never moves what it already holds. One
+/// contiguous vector doubles its way up, holding the old and the new
+/// allocation at once at every step unless the allocator can extend it
+/// in place; that depends on what else sits in the heap, so a process's
+/// peak memory would differ from one run to the next by a whole log
+/// length.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Blob {
+    /// Segments `freed..`, in order.
     segments: Vec<Vec<u8>>,
+    /// Leading segments released: counted in every offset, held nowhere.
+    freed: usize,
 }
 
 impl Blob {
     fn len(&self) -> usize {
-        self.segments
-            .last()
-            .map_or(0, |last| (self.segments.len() - 1) * SEGMENT + last.len())
+        self.released()
+            + self
+                .segments
+                .last()
+                .map_or(0, |last| (self.segments.len() - 1) * SEGMENT + last.len())
+    }
+
+    /// The first offset still held.
+    fn released(&self) -> usize {
+        self.freed * SEGMENT
     }
 
     fn append(&mut self, mut bytes: &[u8]) {
@@ -110,7 +151,7 @@ impl Blob {
                 // The first segment grows as any vector does, so a small
                 // blob costs what it holds; one that filled a segment
                 // will fill the next.
-                let full = if self.segments.is_empty() { 0 } else { SEGMENT };
+                let full = if self.len() == 0 { 0 } else { SEGMENT };
                 self.segments.push(Vec::with_capacity(full));
             }
             let last = self.segments.last_mut().expect("just ensured");
@@ -120,20 +161,44 @@ impl Blob {
         }
     }
 
+    /// # Panics
+    ///
+    /// Panics if `len` is before the released offset.
     fn truncate(&mut self, len: usize) {
         if len < self.len() {
-            self.segments.truncate(len.div_ceil(SEGMENT));
+            assert!(
+                len >= self.released(),
+                "truncating to {len}, before the released offset {}",
+                self.released()
+            );
+            self.segments.truncate(len.div_ceil(SEGMENT) - self.freed);
             if let Some(last) = self.segments.last_mut() {
                 last.truncate(len - (len - 1) / SEGMENT * SEGMENT);
             }
         }
     }
 
+    /// Frees every whole segment before `before`.
+    fn release(&mut self, before: usize) {
+        let whole = (before.min(self.len()) / SEGMENT).saturating_sub(self.freed);
+        self.segments.drain(..whole);
+        self.freed += whole;
+    }
+
     /// The bytes from `offset` on, contiguous; empty at or past the end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offset` is before the released offset.
     fn read_from(&self, offset: usize) -> Vec<u8> {
         let offset = offset.min(self.len());
+        assert!(
+            offset >= self.released(),
+            "reading from {offset}, before the released offset {}",
+            self.released()
+        );
         let mut bytes = Vec::with_capacity(self.len() - offset);
-        let (first, within) = (offset / SEGMENT, offset % SEGMENT);
+        let (first, within) = (offset / SEGMENT - self.freed, offset % SEGMENT);
         for (i, segment) in self.segments.iter().enumerate().skip(first) {
             bytes.extend_from_slice(&segment[if i == first { within } else { 0 }..]);
         }
@@ -144,6 +209,11 @@ impl Blob {
 /// Deterministic in-memory backend for simulation: a `BTreeMap` of
 /// segmented byte strings, so iteration order and recovered bytes are a
 /// pure function of the operations applied.
+///
+/// It overrides [`Storage::release`] to free whole segments, so a log
+/// the engine releases behind its older image holds that image's tail
+/// and at most one segment more. Reading or truncating before
+/// [`Storage::released`] panics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemStorage {
     blobs: BTreeMap<String, Blob>,
@@ -184,7 +254,7 @@ impl Storage for MemStorage {
 
     fn write(&mut self, name: &str, bytes: &[u8]) {
         self.change(name, |blob| {
-            blob.truncate(0);
+            *blob = Blob::default();
             blob.append(bytes);
         });
     }
@@ -204,6 +274,18 @@ impl Storage for MemStorage {
             blob.truncate(usize::try_from(len).unwrap_or(usize::MAX));
         }
     }
+
+    /// Frees every whole segment before `before`: `released` is
+    /// `before` rounded down to a segment, and no more than `len`.
+    fn release(&mut self, name: &str, before: u64) {
+        if let Some(blob) = self.blobs.get_mut(name) {
+            blob.release(usize::try_from(before).unwrap_or(usize::MAX));
+        }
+    }
+
+    fn released(&self, name: &str) -> u64 {
+        self.blobs.get(name).map_or(0, |b| b.released() as u64)
+    }
 }
 
 /// File-backed storage rooted at a directory, for the bench bins.
@@ -211,7 +293,8 @@ impl Storage for MemStorage {
 /// Each blob is one flat file under the root. Handles are opened per
 /// operation — the engine batches appends into group commits, so the
 /// open cost is paid once per commit, not once per record. `sync` maps
-/// to `File::sync_all`.
+/// to `File::sync_all`. It keeps the provided [`Storage::release`],
+/// which frees nothing: a file's prefix stays on disk.
 #[derive(Debug)]
 pub struct FileStorage {
     root: PathBuf,
@@ -292,6 +375,7 @@ impl Storage for FileStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn mem_storage_round_trips() {
@@ -408,6 +492,115 @@ mod tests {
         }
         s.write("wal", &model[..1]);
         assert_eq!(s.read("wal"), model[..1]);
+    }
+
+    /// One step of [`releases_free_a_prefix_and_move_nothing`]: an
+    /// append of `n` bytes, a truncate to the given share (per mille) of
+    /// the way from the released offset to the end, or a release before
+    /// the given share of the way to a segment past the end.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Append(usize),
+        Truncate(u64),
+        Release(u64),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0usize..SEGMENT + SEGMENT / 2).prop_map(Op::Append),
+            (0usize..40).prop_map(Op::Append),
+            (0u64..1001).prop_map(Op::Truncate),
+            (0u64..1001).prop_map(Op::Release),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Against one byte vector: a release changes no length and no
+        /// byte from the released offset on, appends after it land at
+        /// the model's offsets, and the released offset is whole
+        /// segments, at most what was asked and never falls.
+        #[test]
+        fn releases_free_a_prefix_and_move_nothing(
+            ops in proptest::collection::vec(op(), 1..14),
+            probe in 0u64..1001,
+        ) {
+            let byte = |i: usize| (i % 253) as u8;
+            let mut s = MemStorage::new();
+            let mut model: Vec<u8> = Vec::new();
+            let mut asked = 0u64;
+            for op in ops {
+                let (len, released) = (model.len() as u64, s.released("wal"));
+                match op {
+                    Op::Append(n) => {
+                        let bytes: Vec<u8> = (model.len()..model.len() + n).map(byte).collect();
+                        s.append("wal", &bytes);
+                        model.extend_from_slice(&bytes);
+                        prop_assert_eq!(s.released("wal"), released);
+                    }
+                    Op::Truncate(share) => {
+                        let to = released + (len - released) * share / 1000;
+                        s.truncate("wal", to);
+                        model.truncate(to as usize);
+                        prop_assert_eq!(s.released("wal"), released);
+                    }
+                    Op::Release(share) => {
+                        let before = (len + SEGMENT as u64) * share / 1000;
+                        asked = asked.max(before);
+                        s.release("wal", before);
+                        let whole = before.min(len) / SEGMENT as u64 * SEGMENT as u64;
+                        prop_assert_eq!(s.released("wal"), released.max(whole));
+                        prop_assert_eq!(s.len("wal"), len, "a release moves no length");
+                    }
+                }
+                let (len, released) = (model.len() as u64, s.released("wal"));
+                prop_assert_eq!(s.len("wal"), len);
+                prop_assert_eq!(released % SEGMENT as u64, 0);
+                prop_assert!(released <= asked.min(len));
+                let inside = released + (len - released) * probe / 1000;
+                for at in [released, inside, len.saturating_sub(1).max(released), len, len + 5] {
+                    prop_assert_eq!(
+                        s.read_from("wal", at),
+                        &model[at.min(len) as usize..],
+                        "offset {} of {}, released {}", at, len, released
+                    );
+                }
+            }
+        }
+    }
+
+    /// Released bytes are gone: reading or truncating before the
+    /// released offset panics, and a whole-blob write starts over.
+    #[test]
+    fn released_bytes_cannot_be_read_or_truncated_into() {
+        let mut s = MemStorage::new();
+        s.append("wal", &vec![7; 2 * SEGMENT + 10]);
+        s.release("wal", SEGMENT as u64 + 3);
+        assert_eq!(s.released("wal"), SEGMENT as u64);
+        s.release("wal", 5); // never falls
+        assert_eq!(s.released("wal"), SEGMENT as u64);
+        let fails = |f: &dyn Fn(&mut MemStorage)| {
+            let mut s = s.clone();
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut s))).is_err()
+        };
+        assert!(fails(&|s| drop(s.read("wal"))));
+        assert!(fails(&|s| drop(s.read_from("wal", SEGMENT as u64 - 1))));
+        assert!(fails(&|s| s.truncate("wal", SEGMENT as u64 - 1)));
+        assert!(!fails(&|s| drop(s.read_from("wal", SEGMENT as u64))));
+        assert!(!fails(&|s| s.truncate("wal", SEGMENT as u64)));
+        // Truncated to the released offset, the blob holds nothing and
+        // still grows from there.
+        s.truncate("wal", SEGMENT as u64);
+        s.append("wal", b"next");
+        assert_eq!(s.len("wal"), SEGMENT as u64 + 4);
+        assert_eq!(s.read_from("wal", SEGMENT as u64), b"next");
+        s.write("wal", b"fresh");
+        assert_eq!((s.released("wal"), s.read("wal")), (0, b"fresh".to_vec()));
+        // Absent blobs release nothing and are not created.
+        s.release("spool", 1 << 30);
+        assert_eq!(s.released("spool"), 0);
+        assert_eq!(s.names(), ["wal"]);
     }
 
     #[test]

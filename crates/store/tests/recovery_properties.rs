@@ -253,8 +253,9 @@ proptest! {
 }
 
 /// A backend that implements only the six required [`Storage`] methods
-/// (so the engine recovers through the provided `read_from`) and counts
-/// the checkpoint bytes written through it.
+/// (so the engine recovers through the provided `read_from`, and its
+/// `release` frees nothing) and counts the checkpoint bytes written
+/// through it.
 #[derive(Debug, Default)]
 struct SixMethodStorage {
     inner: MemStorage,

@@ -33,7 +33,7 @@ cargo run --release -q -p zmail-obs --bin obs_smoke > /dev/null
 echo "== SMTP gateway example (real TCP, a mailbox attached: the one place accepted mail is handed on end to end)"
 cargo run --release -q --example smtp_gateway > /dev/null
 
-echo "== durability (E16 smoke: every recovery exact, checkpoint bytes <= WAL bytes at every population; exits non-zero otherwise)"
+echo "== durability (E16 smoke: every recovery exact, checkpoint bytes <= WAL bytes at every population, a plain engine holds no more log than its older image's tail plus a segment; exits non-zero otherwise)"
 cargo run --release -q -p zmail-bench --bin e16_durability -- --smoke > /dev/null
 
 echo "== sharding (E17 smoke)"
