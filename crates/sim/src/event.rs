@@ -4,21 +4,36 @@
 //! insertion order (FIFO), so two runs with the same inputs dequeue events
 //! identically — a requirement for reproducible experiments.
 //!
-//! The heap holds 24-byte `(time, seq, slot)` keys over a slab of
-//! payloads, so a sift moves a key, never an event (`zmail-core` asserts
-//! its `Event`'s 144 bytes). A popped slot goes on a free list for the
-//! next `schedule`: the slab is as long as the queue's peak depth.
+//! Keys are 24-byte `(time, seq, slot)` triples over a slab of payloads,
+//! so the queue moves a key, never an event (`zmail-core` asserts its
+//! `Event`'s 144 bytes). A popped slot goes on a free list for the next
+//! `schedule`: the slab is as long as the queue's peak depth.
+//!
+//! The keys live in two places, after the ladder queue's observation
+//! (Tang, Goh & Thng, ACM TOMACS 2005) that work which arrives in order
+//! need not be sorted again. A key whose time is at or after the time of
+//! the last key in the sorted *run* is appended to it — `seq` only
+//! grows, so the run stays sorted by `(time, seq)` — and any other key
+//! goes to a binary heap. A pop takes the smaller of the run's front and
+//! the heap's top. Every key is unique, so that is the same total order
+//! one heap gives, and a caller that schedules in time order (a trace
+//! loaded up front) pops in O(1).
 
 use crate::clock::SimTime;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
+
+/// `(time, seq, slot)`: `seq` is unique, so a comparison never reaches
+/// `slot` and the payload needs no `Ord`.
+type Key = (SimTime, u64, u32);
 
 /// A time-ordered queue of future events.
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// `seq` is unique, so the comparison never reaches `slot` and the
-    /// payload needs no `Ord`.
-    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    /// Keys scheduled in order, ascending by `(time, seq)`.
+    run: VecDeque<Key>,
+    /// Keys scheduled earlier in time than the run's last key was.
+    heap: BinaryHeap<Reverse<Key>>,
     /// Payloads by slot; `None` exactly at the slots in `free`.
     slab: Vec<Option<E>>,
     free: Vec<u32>,
@@ -35,6 +50,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
+            run: VecDeque::new(),
             heap: BinaryHeap::new(),
             slab: Vec::new(),
             free: Vec::new(),
@@ -54,7 +70,11 @@ impl<E> EventQueue<E> {
                 u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
             }
         };
-        self.heap.push(Reverse((time, self.seq, slot)));
+        let key = (time, self.seq, slot);
+        match self.run.back() {
+            Some(&(last, _, _)) if time < last => self.heap.push(Reverse(key)),
+            _ => self.run.push_back(key),
+        }
         self.seq += 1;
     }
 
@@ -66,7 +86,15 @@ impl<E> EventQueue<E> {
     /// [`EventQueue::pop`] plus the event's sequence number: how many
     /// events were scheduled before it.
     pub(crate) fn pop_seq(&mut self) -> Option<(SimTime, u64, E)> {
-        let Reverse((time, seq, slot)) = self.heap.pop()?;
+        let from_run = match (self.run.front(), self.heap.peek()) {
+            (Some(run), Some(Reverse(heap))) => run < heap,
+            (run, _) => run.is_some(),
+        };
+        let (time, seq, slot) = if from_run {
+            self.run.pop_front()
+        } else {
+            self.heap.pop().map(|Reverse(key)| key)
+        }?;
         self.free.push(slot);
         let event = self.slab[slot as usize]
             .take()
@@ -81,7 +109,12 @@ impl<E> EventQueue<E> {
 
     /// The time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((t, _, _))| *t)
+        let run = self.run.front().map(|&(t, _, _)| t);
+        let heap = self.heap.peek().map(|Reverse((t, _, _))| *t);
+        match (run, heap) {
+            (Some(run), Some(heap)) => Some(run.min(heap)),
+            (run, heap) => run.or(heap),
+        }
     }
 
     /// Removes *every* event scheduled at the earliest pending time —
@@ -99,12 +132,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.run.len() + self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.run.is_empty() && self.heap.is_empty()
     }
 }
 
@@ -278,6 +311,87 @@ mod model {
                 prop_assert_eq!(Some(popped), model.pop());
             }
             prop_assert_eq!(cloned.pop_tick(), cloned_model.pop_tick());
+        }
+    }
+}
+
+#[cfg(test)]
+mod heap_model {
+    use super::*;
+    use crate::clock::SimDuration;
+    use proptest::prelude::*;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// One key at a time from a small range: ties and keys behind
+        /// the run's last one are common.
+        Schedule(u64),
+        /// Keys at `from`, `from + step`, …: what the run is for.
+        Burst {
+            from: u64,
+            step: u64,
+            count: usize,
+        },
+        Pop,
+        PopTick,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (0u8..10, 0u64..8, 0u64..3, 1usize..12).prop_map(|(kind, from, step, count)| match kind {
+            0..=3 => Op::Schedule(from),
+            4..=5 => Op::Burst { from, step, count },
+            6..=8 => Op::Pop,
+            _ => Op::PopTick,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Run plus heap against one binary heap of `(time, serial)`
+        /// keys, where the payload is the serial: every pop answers
+        /// the same `(time, payload)`, and `peek_time`, `len` and
+        /// `is_empty` agree after every op.
+        #[test]
+        fn run_and_heap_pop_what_one_heap_pops(ops in proptest::collection::vec(op(), 0..150)) {
+            let at = |secs| SimTime::ZERO + SimDuration::from_secs(secs);
+            let mut queue = EventQueue::new();
+            let mut model: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
+            let mut serial = 0u64;
+            let mut schedule = |queue: &mut EventQueue<u64>,
+                                model: &mut BinaryHeap<Reverse<(SimTime, u64)>>,
+                                secs| {
+                queue.schedule(at(secs), serial);
+                model.push(Reverse((at(secs), serial)));
+                serial += 1;
+            };
+            for op in ops {
+                match op {
+                    Op::Schedule(secs) => schedule(&mut queue, &mut model, secs),
+                    Op::Burst { from, step, count } => {
+                        for i in 0..count as u64 {
+                            schedule(&mut queue, &mut model, from + i * step);
+                        }
+                    }
+                    Op::Pop => {
+                        let expected = model.pop().map(|Reverse(key)| key);
+                        prop_assert_eq!(queue.pop(), expected);
+                    }
+                    Op::PopTick => {
+                        let expected = model.peek().map(|&Reverse((time, _))| time).map(|time| {
+                            let mut tick = Vec::new();
+                            while model.peek().is_some_and(|Reverse((t, _))| *t == time) {
+                                tick.push(model.pop().expect("peeked").0 .1);
+                            }
+                            (time, tick)
+                        });
+                        prop_assert_eq!(queue.pop_tick(), expected);
+                    }
+                }
+                prop_assert_eq!(queue.peek_time(), model.peek().map(|Reverse((t, _))| *t));
+                prop_assert_eq!(queue.len(), model.len());
+                prop_assert_eq!(queue.is_empty(), model.is_empty());
+            }
         }
     }
 }

@@ -75,7 +75,8 @@ use crate::engine::{LedgerStore, Observer, RecoveryReport, StoreConfig};
 use crate::record::{LedgerRecord, XferKind, XferLeg};
 use crate::storage::Storage;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 use std::time::Instant;
 use zmail_obs::{Counter, Histogram};
@@ -550,6 +551,31 @@ fn account_of(leg: &XferLeg) -> Option<(u32, u32)> {
 /// How many cross-shard transfers share one `shard.xfer_micros` sample.
 const XFER_TIMED_EVERY: u64 = 64;
 
+/// The outbox overlay's hasher. It packs an `(isp, user)` key into one
+/// word and multiplies it by an odd constant, a bijection, so no two
+/// accounts share a hash; the rotation brings the product's well-mixed
+/// high bits down to where the table takes its bucket index. It is
+/// fixed rather than seeded: the overlay iterates the same way in every
+/// process, and its keys are the deployment's own indices.
+#[derive(Default)]
+struct AccountHasher(u64);
+
+impl Hasher for AccountHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(byte);
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.0 = (self.0 << 32) | u64::from(word);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(26)
+    }
+}
+
 /// A cross-shard transfer whose apply has not been journaled yet: the
 /// batched outbox entry. The prepare (and its debit) is already in the
 /// source shard's WAL buffer; the credit exists only here until
@@ -586,8 +612,11 @@ pub struct ShardedLedgerStore<S: Storage> {
     /// state (a pool leg carries none) — each leg applied to zeroed
     /// [`UserBooks`] — kept in lockstep with `pending_xfers` (updated on
     /// push, cleared on drain) so `user` reads are a lookup, not a scan
-    /// of an outbox that grows with the whole tick.
-    pending_user_deltas: BTreeMap<(u32, u32), UserBooks>,
+    /// of an outbox that grows with the whole tick. A read cache, hashed
+    /// because every cross-shard send probes it twice (its sender's row
+    /// read and its credit); `clear` at the flush keeps the table, so
+    /// only the first ticks grow it.
+    pending_user_deltas: HashMap<(u32, u32), UserBooks, BuildHasherDefault<AccountHasher>>,
     /// What the pending pool legs owe each ISP's pool — a counter sale
     /// whose user and pool live apart credits the pool from the outbox —
     /// so a pool row reads as [`books`](Self::books) reads it.
@@ -645,7 +674,7 @@ impl<S: Storage> ShardedLedgerStore<S> {
             stores,
             next_xid: in_doubt.next_xid,
             pending_xfers: Vec::new(),
-            pending_user_deltas: BTreeMap::new(),
+            pending_user_deltas: HashMap::default(),
             pending_pool_deltas: BTreeMap::new(),
             pending_releases: Vec::new(),
         };

@@ -295,6 +295,12 @@ impl Storage for MemStorage {
 /// open cost is paid once per commit, not once per record. `sync` maps
 /// to `File::sync_all`. It keeps the provided [`Storage::release`],
 /// which frees nothing: a file's prefix stays on disk.
+///
+/// A blob that does not exist reads empty, has length 0, and syncs and
+/// truncates as a no-op. Any other I/O error panics with the blob's
+/// name: the trait is infallible, and a backend that answered an `EIO`
+/// as "no log" or skipped a sync it could not open for would let the
+/// engine acknowledge what is not durable.
 #[derive(Debug)]
 pub struct FileStorage {
     root: PathBuf,
@@ -321,52 +327,76 @@ impl FileStorage {
     fn path(&self, name: &str) -> PathBuf {
         self.root.join(name)
     }
+
+    /// `result`'s value.
+    ///
+    /// # Panics
+    ///
+    /// On an error, naming the blob, the operation and the error.
+    fn or_refuse<T>(name: &str, op: &str, result: std::io::Result<T>) -> T {
+        result.unwrap_or_else(|e| panic!("FileStorage {op} of blob `{name}`: {e}"))
+    }
+
+    /// `result`'s value, or `None` if the blob does not exist.
+    ///
+    /// # Panics
+    ///
+    /// On any other error, as [`or_refuse`](Self::or_refuse) does.
+    fn unless_absent<T>(name: &str, op: &str, result: std::io::Result<T>) -> Option<T> {
+        match result {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            result => Some(Self::or_refuse(name, op, result)),
+        }
+    }
 }
 
 impl Storage for FileStorage {
     fn read(&self, name: &str) -> Vec<u8> {
-        fs::read(self.path(name)).unwrap_or_default()
+        Self::unless_absent(name, "read", fs::read(self.path(name))).unwrap_or_default()
     }
 
     fn read_from(&self, name: &str, offset: u64) -> Vec<u8> {
-        // Seeking past the end is legal and reads as empty.
+        // An offset past the end reads as empty; the seek is clamped to
+        // the end because one past `i64::MAX` is `EINVAL`, not empty.
         let tail = || -> std::io::Result<Vec<u8>> {
             let mut file = fs::File::open(self.path(name))?;
-            file.seek(SeekFrom::Start(offset))?;
+            file.seek(SeekFrom::Start(offset.min(file.metadata()?.len())))?;
             let mut tail = Vec::new();
             file.read_to_end(&mut tail)?;
             Ok(tail)
         };
-        tail().unwrap_or_default()
+        Self::unless_absent(name, "read", tail()).unwrap_or_default()
     }
 
     fn write(&mut self, name: &str, bytes: &[u8]) {
-        fs::write(self.path(name), bytes).expect("FileStorage write");
+        Self::or_refuse(name, "write", fs::write(self.path(name), bytes));
     }
 
     fn append(&mut self, name: &str, bytes: &[u8]) {
-        let mut file = fs::OpenOptions::new()
+        let open = fs::OpenOptions::new()
             .create(true)
             .append(true)
-            .open(self.path(name))
-            .expect("FileStorage open for append");
-        file.write_all(bytes).expect("FileStorage append");
+            .open(self.path(name));
+        let mut file = Self::or_refuse(name, "append", open);
+        Self::or_refuse(name, "append", file.write_all(bytes));
     }
 
     fn sync(&mut self, name: &str) {
-        if let Ok(file) = fs::OpenOptions::new().write(true).open(self.path(name)) {
-            file.sync_all().expect("FileStorage sync");
+        let open = fs::OpenOptions::new().write(true).open(self.path(name));
+        if let Some(file) = Self::unless_absent(name, "sync", open) {
+            Self::or_refuse(name, "sync", file.sync_all());
         }
     }
 
     fn len(&self, name: &str) -> u64 {
-        fs::metadata(self.path(name)).map_or(0, |m| m.len())
+        Self::unless_absent(name, "len", fs::metadata(self.path(name))).map_or(0, |m| m.len())
     }
 
     fn truncate(&mut self, name: &str, len: u64) {
-        if let Ok(file) = fs::OpenOptions::new().write(true).open(self.path(name)) {
-            if file.metadata().map_or(0, |m| m.len()) > len {
-                file.set_len(len).expect("FileStorage truncate");
+        let open = fs::OpenOptions::new().write(true).open(self.path(name));
+        if let Some(file) = Self::unless_absent(name, "truncate", open) {
+            if Self::or_refuse(name, "truncate", file.metadata()).len() > len {
+                Self::or_refuse(name, "truncate", file.set_len(len));
             }
         }
     }
@@ -621,6 +651,46 @@ mod tests {
         assert_eq!(s.read("wal"), b"hello");
         s.write("ckpt.a", b"snap");
         assert_eq!(s.read("ckpt.a"), b"snap");
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A blob that is missing reads empty and syncs as a no-op; one that
+    /// cannot be read or opened — here a directory where blob `wal`
+    /// would be — is refused by a panic that names it, never answered
+    /// as an empty log or a done sync.
+    #[test]
+    fn file_storage_refuses_io_errors_but_not_absence() {
+        let root = std::env::temp_dir().join(format!(
+            "zmail-store-refuse-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = fs::remove_dir_all(&root);
+        let mut s = FileStorage::new(&root);
+        assert!(s.read("wal").is_empty());
+        assert!(s.read_from("wal", 3).is_empty());
+        assert_eq!(s.len("wal"), 0);
+        s.sync("wal");
+        s.truncate("wal", 0);
+        assert!(!root.join("wal").exists(), "looking never creates");
+
+        fs::create_dir(root.join("wal")).unwrap();
+        let refusal = |op: &dyn Fn(&mut FileStorage)| {
+            let mut s = FileStorage::new(&root);
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| op(&mut s)))
+                .expect_err("an unreadable blob must not read as empty or sync as done");
+            panic
+                .downcast_ref::<String>()
+                .cloned()
+                .expect("a formatted panic message")
+        };
+        for message in [
+            refusal(&|s| drop(s.read("wal"))),
+            refusal(&|s| drop(s.read_from("wal", 0))),
+            refusal(&|s| s.sync("wal")),
+        ] {
+            assert!(message.contains("`wal`"), "{message}");
+        }
         fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -749,7 +749,7 @@ fn grant(amount: i64) -> XferLeg {
     }
 }
 
-/// ROADMAP 4b: the in-doubt scan indexes a bitset by xid and keeps its
+/// The in-doubt scan indexes a bitset by xid and keeps its
 /// open prepares in arrival order, so a log no engine wrote — checksums
 /// valid, xids absurd or descending — must still recover, to the same
 /// books the record sequence always meant, in memory the record count
@@ -802,4 +802,78 @@ fn absurd_and_descending_xids_recover_without_panic() {
         ShardedLedgerStore::open(store.into_storages(), StoreConfig::default(), bootstrap());
     assert_eq!(second.resolved_forward + second.resolved_acked, 0);
     assert_eq!(again.shard(1).books().isps[0].users[0].balance, granted);
+}
+
+/// The outbox overlay keys a pending credit by its whole account. In one
+/// tick on 4 shards, user `u` of ISPs 0 and 1 — the same user index —
+/// each receive cross-shard sends, three of them into ISP 0's row: row
+/// reads, the merged books and the e-penny count must see each credit
+/// once and on its own account, before the flush and after it.
+#[test]
+fn pending_credits_land_on_their_own_accounts() {
+    let mut store = open_sharded(4);
+    let map = store.map().clone();
+    let senders_apart = |u: u32| {
+        let pick = |isp| {
+            (0..ISPS)
+                .flat_map(|i| (0..USERS).map(move |s| (i, s)))
+                .find(|&(i, s)| (s != u || i > 1) && map.user_shard(i, s) != map.user_shard(isp, u))
+        };
+        pick(0).zip(pick(1))
+    };
+    let (u, (to_0, to_1)) = (0..USERS)
+        .find_map(|u| senders_apart(u).map(|senders| (u, senders)))
+        .expect("four shards part some account from each recipient");
+    let send = |store: &mut ShardedLedgerStore<MemStorage>, (isp, user), to: u32| {
+        let leg = |kind, isp, user| XferLeg {
+            kind,
+            isp,
+            user,
+            amount: 0,
+        };
+        store.transfer(
+            leg(XferKind::Charge, isp, user),
+            leg(XferKind::Deposit, to, u),
+        );
+    };
+    let epennies = store.epennies_found();
+    for _ in 0..3 {
+        send(&mut store, to_0, 0);
+    }
+    send(&mut store, to_1, 1);
+    // The credits wait in the outbox: the owning shards' rows lack them.
+    for isp in [0, 1] {
+        let (shard, local) = map.locate(isp, u);
+        let row = store.shard(shard as usize).books().isps[isp as usize].users[local as usize];
+        assert_eq!(
+            row.balance, 100,
+            "ISP {isp}'s row is read through the overlay"
+        );
+    }
+
+    let mut expected = bootstrap();
+    for (sender, to, times) in [(to_0, 0, 3), (to_1, 1, 1)] {
+        expected.isps[sender.0 as usize].users[sender.1 as usize].balance -= times;
+        expected.isps[sender.0 as usize].users[sender.1 as usize].sent_today += times as u32;
+        expected.isps[to as usize].users[u as usize].balance += times;
+    }
+    for flushed in [false, true] {
+        if flushed {
+            store.commit_all();
+        }
+        assert_eq!(store.books(), expected, "flushed: {flushed}");
+        for (i, isp) in (0..).zip(&expected.isps) {
+            for (user, row) in (0..).zip(&isp.users) {
+                assert_eq!(
+                    store.user(i, user),
+                    *row,
+                    "user {user} of ISP {i}, flushed: {flushed}"
+                );
+            }
+        }
+        assert_eq!(store.user(0, u).balance, 103);
+        assert_eq!(store.user(1, u).balance, 101);
+        assert_eq!(store.epennies_found(), epennies, "flushed: {flushed}");
+    }
+    assert!(store.recovers_live_books().0);
 }

@@ -57,6 +57,9 @@ cargo run --release -q -p zmail-bench --bin e21_open_loop -- --smoke > /dev/null
 echo "== repo benchmark smoke (own workspace: builds against this tree, --locked pins the dependency graph)"
 cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
+echo "== perf records (scripts/bench_diff.sh reads every committed BENCH_*.json; a malformed one fails)"
+scripts/bench_diff.sh > /dev/null
+
 echo "CI: all green"
 echo "first-party Rust lines (scripts/loc.sh): $(scripts/loc.sh); source outside #[cfg(test)] items, then integration tests and benches (--src): $(scripts/loc.sh --src | awk '$2 == "total" { s = $1 } $2 == "tests" { t = $1 } END { print s ", " t }')"
 wire_path=(crates/smtp/src/threaded.rs crates/core/src/backpressure.rs crates/core/src/bridge.rs crates/load/src/runner.rs)
