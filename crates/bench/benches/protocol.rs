@@ -105,7 +105,9 @@ fn bench_system(c: &mut Criterion) {
 }
 
 /// Steady state at a fixed depth: pop the earliest event, schedule one up
-/// to a second later; the payload is as large as `zmail-core`'s `Event`.
+/// to a second later (`schedule_pop`, out of order: the queue's heap) or
+/// exactly `depth` ms later (`schedule_pop_in_order`: its sorted run);
+/// the payload is as large as `zmail-core`'s `Event`.
 fn bench_event_queue(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue");
     for depth in [16u64, 1 << 10, 1 << 16] {
@@ -117,6 +119,17 @@ fn bench_event_queue(c: &mut Criterion) {
             b.iter(|| {
                 let (now, payload) = queue.pop().expect("the depth is constant");
                 queue.schedule(now + delay(), payload);
+            });
+        });
+        // Every key at or after the last one: the whole queue is the
+        // in-order run, and the heap stays empty.
+        group.bench_function(BenchmarkId::new("schedule_pop_in_order", depth), |b| {
+            let step = SimDuration::from_millis(depth);
+            let mut queue = EventQueue::new();
+            (0..depth).for_each(|i| queue.schedule(SimTime::from_millis(i), [i; 18]));
+            b.iter(|| {
+                let (now, payload) = queue.pop().expect("the depth is constant");
+                queue.schedule(now + step, payload);
             });
         });
     }

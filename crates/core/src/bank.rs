@@ -52,9 +52,9 @@ pub struct BankStats {
     pub buys_rejected: u64,
     /// Sell requests processed.
     pub sells: u64,
-    /// Requests of either side refused before any record: a value that
-    /// is not positive, or whose price or record would overflow. No
-    /// honest ISP sends one.
+    /// Requests of either side refused with no record made: a value that
+    /// is not positive, a price past the range, or a record that does not
+    /// fit the books. No honest ISP sends one.
     pub refused: u64,
     /// Replayed buy/sell requests dropped.
     pub replays_dropped: u64,
@@ -189,51 +189,44 @@ impl Bank {
             return Err(CryptoError::ReplayDetected);
         }
         let (bank, isp) = (self.index, from.0);
-        let books = ledger.bank(bank);
-        let account = books.accounts[from.index()];
+        let account = ledger.bank(bank).accounts[from.index()];
         // The price, unless the request is refused: it is answered like a
-        // rejected buy, and no record is made that could mint or not fit.
-        let real = self
-            .exchange
-            .checked_to_real(EPennies(value))
-            .filter(|real| {
-                value > 0
-                    && match side {
-                        Exchange::Buy => books.issued.checked_add(value).is_some(),
-                        Exchange::Sell => {
-                            books.issued.checked_sub(value).is_some()
-                                && account.checked_add(real.0).is_some()
-                        }
-                    }
-            });
+        // rejected buy, and no record is made that could mint.
+        let real = (self.exchange.checked_to_real(EPennies(value))).filter(|_| value > 0);
         let (accepted, audit) = match (side, real) {
-            (_, None) => {
-                self.stats.refused += 1;
+            (Exchange::Buy, Some(real)) if account < real.0 => {
+                self.stats.buys_rejected += 1;
                 (false, 0)
             }
-            (Exchange::Buy, Some(real)) if account >= real.0 => {
-                self.stats.buys_granted += 1;
-                ledger.commit(LedgerRecord::BankBuy {
+            // Each guard below commits its record if it fits the books.
+            (Exchange::Buy, Some(real))
+                if (ledger.try_commit(LedgerRecord::BankBuy {
                     bank,
                     isp,
                     value,
                     cost: real.0,
-                });
+                }))
+                .is_ok() =>
+            {
+                self.stats.buys_granted += 1;
                 (true, value)
             }
-            (Exchange::Buy, Some(_)) => {
-                self.stats.buys_rejected += 1;
-                (false, 0)
-            }
-            (Exchange::Sell, Some(real)) => {
-                self.stats.sells += 1;
-                ledger.commit(LedgerRecord::BankSell {
+            (Exchange::Sell, Some(real))
+                if (ledger.try_commit(LedgerRecord::BankSell {
                     bank,
                     isp,
                     value,
                     credit: real.0,
-                });
+                }))
+                .is_ok() =>
+            {
+                self.stats.sells += 1;
                 (false, value)
+            }
+            // Not positive, priced past the range, or not fitting the books.
+            _ => {
+                self.stats.refused += 1;
+                (false, 0)
             }
         };
         let reply_plain = encode_value_nonce(i64::from(accepted), nonce);

@@ -6,8 +6,8 @@
 //! Zmail-compliant mail exchanger with **zero protocol changes**:
 //!
 //! * the sender address is parsed back to a Zmail user; the ISP's ledger
-//!   runs the §4.1 guards; a refused send surfaces as an ordinary `552`
-//!   bounce;
+//!   runs the §4.1 guards, and every paid recipient's balance must hold
+//!   its copies; a refused send surfaces as an ordinary `552` bounce;
 //! * accepted mail is paid for, stamped with `X-Zmail-Payment: 1`, and
 //!   handed to the mailbox attached with
 //!   [`attach_mailbox`](ZmailGateway::attach_mailbox), one copy per
@@ -25,9 +25,9 @@
 //! mail for all of them (the way a test deployment would start). A
 //! message takes that lock **once**: `RCPT` is answered from the
 //! immutable configuration, which lives outside it, and `deliver` checks
-//! the §4.1 guard for all of the message's paid recipients before it
-//! charges the first — a refused message mutates nothing and hands
-//! nothing on. Copies are made and handed to the mailbox after the lock
+//! the §4.1 guard for all of the message's paid recipients, and that each
+//! recipient's balance can hold what it is paid, before it charges the
+//! first — a refused message mutates nothing and hands nothing on. Copies are made and handed to the mailbox after the lock
 //! is released.
 //!
 //! Its books are **volatile**: they are plain [`Books`], the
@@ -216,15 +216,22 @@ impl ZmailGateway {
                     state.flight.annotate(ctx, route);
                 }
                 // Compliant sender: the §4.1 guard for every recipient the
-                // sender pays for, before the first is charged. A refused
-                // message mutates nothing — no recipient is delivered, and
-                // a retry pays once.
-                let paid = recipients
-                    .iter()
-                    .filter(|to| self.config.is_compliant(IspId(to.isp)))
-                    .count() as u32;
+                // sender pays for, and room in each of their balances for
+                // every copy it is paid, before the first is charged. A
+                // refused message mutates nothing — no recipient is
+                // delivered, and a retry pays once.
+                let pays = |to: &&UserAddr| self.config.is_compliant(IspId(to.isp));
+                let paid = recipients.iter().filter(pays).count() as u32;
                 let origin = &mut state.isps[sender.isp as usize];
-                if let Err(refusal) = origin.check_sends(&state.books, sender.user, paid) {
+                let verdict =
+                    (origin.check_sends(&state.books, sender.user, paid)).and_then(|()| {
+                        recipients.iter().filter(pays).try_for_each(|to| {
+                            let copies = recipients.iter().filter(|&other| other == to).count();
+                            let row = state.books.isps[to.isp as usize].users[to.user as usize];
+                            row.check_receives(copies as u32)
+                        })
+                    });
+                if let Err(refusal) = verdict {
                     state.stats.bounced += 1;
                     if let Some(ctx) = root {
                         state.flight.annotate(ctx, "bounced");
@@ -687,6 +694,67 @@ mod tests {
             assert_eq!(gw.balance(UserAddr::new(1, 2)).0 - before.0, 1, "{why}");
             assert!(sink.spooled_bytes() > 0, "{why}");
         }
+    }
+
+    /// A paid copy into a row whose balance is `i64::MAX` does not fit
+    /// the books. Whether the row is at another ISP, at the sender's, or
+    /// one of three recipients, the message is bounced whole with a `552`
+    /// before the sender is charged, and the gateway keeps serving — no
+    /// panic under the ledger lock, so no later message is a `452`.
+    #[test]
+    fn a_full_recipient_row_bounces_the_message_and_leaves_the_gateway_serving() {
+        let config = ZmailConfig::builder(2, 3).initial_balance(EPennies(i64::MAX));
+        let gw = ZmailGateway::new(config.build(), 35);
+        let inbox = mailbox(&gw);
+        // Two rows with room; every other row is full.
+        let roomy = [UserAddr::new(0, 2), UserAddr::new(1, 2)];
+        for to in roomy {
+            gw.state().books.isps[to.isp as usize].users[to.user as usize].balance = 0;
+        }
+        let alice = UserAddr::new(0, 0);
+        let message = |recipients: &[UserAddr]| {
+            let mut msg = MailMessage::builder(
+                ZmailGateway::address(alice),
+                ZmailGateway::address(recipients[0]),
+            );
+            for &to in &recipients[1..] {
+                msg = msg.also_to(ZmailGateway::address(to));
+            }
+            msg.body("one e-penny each\r\n").build()
+        };
+        let cases: [&[UserAddr]; 3] = [
+            &[UserAddr::new(1, 0)],
+            &[UserAddr::new(0, 1)],
+            &[roomy[0], UserAddr::new(1, 1), roomy[1]],
+        ];
+        for (bounces, recipients) in (1..).zip(cases) {
+            let books = gw.state().books.clone();
+            let delivered = gw.stats().delivered_paid;
+            let err = session(&gw, &[message(recipients)]).remove(0).unwrap_err();
+            let zmail_smtp::SmtpError::UnexpectedReply(reply) = err else {
+                panic!("{recipients:?}: expected a reply error, got {err:?}");
+            };
+            assert_eq!(
+                reply.code,
+                zmail_smtp::ReplyCode::ExceededAllocation,
+                "{recipients:?}"
+            );
+            assert_eq!(gw.state().books, books, "{recipients:?}: books moved");
+            assert_eq!(gw.stats().delivered_paid, delivered, "{recipients:?}");
+            assert_eq!(gw.stats().bounced, bounces, "{recipients:?}");
+            assert_eq!(inbox.try_iter().count(), 0, "{recipients:?}: handed on");
+            assert!(gw.accept_recipient("", &ZmailGateway::address(roomy[1])));
+        }
+        session(&gw, &[message(&roomy)])
+            .remove(0)
+            .expect("both rows have room");
+        assert_eq!(gw.stats().delivered_paid, 2);
+        assert_eq!(gw.balance(alice), EPennies(i64::MAX - 2));
+        assert_eq!(roomy.map(|to| gw.balance(to)), [EPennies(1); 2]);
+        assert_eq!(
+            inbox.try_iter().map(|(to, _)| to).collect::<Vec<_>>(),
+            roomy
+        );
     }
 
     #[test]

@@ -23,9 +23,9 @@ pub enum AuditError {
     /// The conservation equation does not balance.
     ConservationBroken {
         /// E-pennies the bank believes are outstanding.
-        issued: i64,
+        issued: i128,
         /// E-pennies actually found in balances, pools, and flight.
-        found: i64,
+        found: i128,
     },
     /// A user balance is negative.
     NegativeBalance {
@@ -107,7 +107,8 @@ impl From<i64> for FlightLedger {
 /// Runs the full audit over a deployment's ledger, row by row: the
 /// central bank is a one-member `federation` (§5 distributed banks),
 /// issuance sums across its members, and each ISP's account lives at its
-/// home bank.
+/// home bank. The sums are widened: every row fits an `i64`, their total
+/// need not.
 ///
 /// # Errors
 ///
@@ -119,7 +120,7 @@ pub fn audit(
     flight: impl Into<FlightLedger>,
 ) -> Result<(), AuditError> {
     let flight = flight.into();
-    let mut found = flight.in_flight;
+    let mut found = i128::from(flight.in_flight);
     for id in (0..config.isps).map(IspId) {
         if !config.is_compliant(id) {
             continue; // non-compliant ISPs hold no protocol e-pennies
@@ -133,7 +134,7 @@ pub fn audit(
                     amount: balance,
                 });
             }
-            found += balance;
+            found += i128::from(balance);
         }
         let avail = ledger.pool(id.0).avail;
         if avail < 0 {
@@ -149,24 +150,25 @@ pub fn audit(
                 amount: account,
             });
         }
-        found += avail;
+        found += i128::from(avail);
     }
     // The bank starts having implicitly issued every pool and balance that
     // existed at time zero (bootstrap grant), so compare deltas.
-    let bootstrap: i64 = config
+    let bootstrap: i128 = config
         .compliant_isps()
         .iter()
         .map(|_| {
-            config.initial_avail.amount()
-                + i64::from(config.users_per_isp) * config.initial_balance.amount()
+            i128::from(config.initial_avail.amount())
+                + i128::from(config.users_per_isp) * i128::from(config.initial_balance.amount())
         })
         .sum();
-    let issued_total: i64 = (0..federation.bank_count() as u32)
-        .map(|b| ledger.bank(b).issued)
+    let issued_total: i128 = (0..federation.bank_count() as u32)
+        .map(|b| i128::from(ledger.bank(b).issued))
         .sum();
     // Lost pennies left the system (sender debited, nobody credited);
     // duplicated pennies entered it (one debit, two credits).
-    let issued = issued_total + bootstrap - flight.lost + flight.duplicated - flight.stranded;
+    let issued = issued_total + bootstrap - i128::from(flight.lost) + i128::from(flight.duplicated)
+        - i128::from(flight.stranded);
     if issued != found {
         return Err(AuditError::ConservationBroken { issued, found });
     }

@@ -10,10 +10,10 @@
 //! call as a [`Ledger`]; every change to them is a [`LedgerRecord`]: a
 //! mutation site checks the paper's guard against the rows it reads —
 //! [`Ledger::user`] and [`Ledger::pool`] — then hands the record to
-//! [`Ledger::commit`], which applies it through
-//! [`IspBooks::apply`](zmail_store::IspBooks::apply) — the same function
-//! WAL replay runs — and, for a durable ledger, journals it. There is one
-//! copy of the books. They mirror the paper's variables exactly:
+//! [`Ledger::try_commit`], which applies it only if WAL replay would (the
+//! same function, refusing a sum past its range) and, for a durable
+//! ledger, journals it. There is one copy of the books. They mirror the
+//! paper's variables exactly:
 //!
 //! * per-user `account` (real pennies), `balance` (e-pennies), `sent`
 //!   (today's paid sends) and `limit` (the anti-zombie daily cap);
@@ -66,7 +66,8 @@ pub enum SendOutcome {
     Buffered,
 }
 
-/// Why an attestation-checking receiver refused a paid message.
+/// Why a receiver refused a paid message: its attestation check, or its
+/// books.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RefusalCause {
     /// Paid mail arrived without any attestation — the signature was
@@ -81,6 +82,9 @@ pub enum RefusalCause {
     /// The attestation's nonce was already accepted once: a replay
     /// (refund-farming when the message is an ack).
     ReplayedNonce,
+    /// The payment does not fit the recipient's books: its balance
+    /// cannot hold one more e-penny.
+    Unfit,
 }
 
 impl fmt::Display for RefusalCause {
@@ -90,6 +94,7 @@ impl fmt::Display for RefusalCause {
             RefusalCause::BadSignature => write!(f, "bad signature"),
             RefusalCause::FieldMismatch => write!(f, "field mismatch"),
             RefusalCause::ReplayedNonce => write!(f, "replayed nonce"),
+            RefusalCause::Unfit => write!(f, "unfit"),
         }
     }
 }
@@ -103,8 +108,9 @@ pub enum Delivery {
     DiscardedByPolicy,
     /// Dropped by the policy's spam filter.
     FilteredOut,
-    /// Refused by attestation verification: no credit moved, the message
-    /// never reached a mailbox, and the cause attributes the attack.
+    /// Refused by attestation verification or the recipient's books: no
+    /// credit moved, the message never reached a mailbox, and the cause
+    /// says why.
     Refused(RefusalCause),
 }
 
@@ -452,9 +458,9 @@ impl Isp {
     ///
     /// # Errors
     ///
-    /// Returns [`SendError`] when the sender's balance or daily limit
-    /// refuses a paid send. Unpaid sends to non-compliant ISPs are never
-    /// refused.
+    /// Returns [`SendError`] when the sender's balance or daily limit, or a
+    /// local recipient's balance, refuses a paid send. Unpaid sends to
+    /// non-compliant ISPs are never refused.
     ///
     /// # Panics
     ///
@@ -480,6 +486,7 @@ impl Isp {
         let dest = IspId(to.isp);
         if dest == self.id {
             // Local delivery: debit and credit inside this ISP.
+            ledger.user(self.id.0, to.user).check_receives(1)?;
             self.charge_sender(ledger, sender)?;
             ledger.commit(LedgerRecord::Deposit {
                 isp: self.id.0,
@@ -546,7 +553,7 @@ impl Isp {
                 self.stats.bounced_limit += 1;
                 CoreMetrics::get().reject_limit.inc();
             }
-            Ok(()) => {}
+            Err(SendError::RecipientFull) | Ok(()) => {}
         }
         verdict
     }
@@ -609,10 +616,13 @@ impl Isp {
                     return Delivery::Refused(cause);
                 }
             }
-            ledger.commit(LedgerRecord::Deposit {
+            let deposit = LedgerRecord::Deposit {
                 isp: self.id.0,
                 user: email.to.user,
-            });
+            };
+            if ledger.try_commit(deposit).is_err() {
+                return Delivery::Refused(RefusalCause::Unfit);
+            }
             ledger.commit(LedgerRecord::CreditDelta {
                 isp: self.id.0,
                 peer: from_isp.0,
@@ -658,9 +668,9 @@ impl Isp {
 
     /// User `t` buys `x` e-pennies with real money from the ISP pool.
     ///
-    /// Returns `true` when the purchase happened (the paper's guard:
-    /// sufficient account and pool, both positive). A purchase the
-    /// balance cannot hold is refused too, before any record.
+    /// Returns `true` when the purchase happened: the paper's guard holds
+    /// (the account and the pool hold `x`) and the purchase fits the
+    /// books. A refusal records nothing.
     ///
     /// # Panics
     ///
@@ -668,46 +678,34 @@ impl Isp {
     pub fn user_buy(&self, ledger: &mut dyn Ledger, t: u32, x: EPennies) -> bool {
         assert!(!x.is_negative(), "cannot buy a negative amount");
         // 1:1 at the ISP counter: `x` e-pennies cost `x` real pennies.
-        let user = ledger.user(self.id.0, t);
-        if user.account >= x.0
-            && user.balance.checked_add(x.0).is_some()
-            && ledger.pool(self.id.0).avail >= x.0
-        {
-            ledger.commit(LedgerRecord::UserBuy {
-                isp: self.id.0,
+        let (isp, amount) = (self.id.0, x.0);
+        ledger.user(isp, t).account >= amount
+            && ledger.pool(isp).avail >= amount
+            && (ledger.try_commit(LedgerRecord::UserBuy {
+                isp,
                 user: t,
-                amount: x.0,
-            });
-            true
-        } else {
-            false
-        }
+                amount,
+            }))
+            .is_ok()
     }
 
     /// User `t` sells `x` e-pennies back for real money. Returns `true`
-    /// when the sale happened: the balance holds `x`, and the account and
-    /// the pool can take it without overflowing (a refusal records
-    /// nothing).
+    /// when the sale happened: the balance holds `x` and the sale fits the
+    /// books. A refusal records nothing.
     ///
     /// # Panics
     ///
     /// Panics if `t` is out of range or `x` is negative.
     pub fn user_sell(&self, ledger: &mut dyn Ledger, t: u32, x: EPennies) -> bool {
         assert!(!x.is_negative(), "cannot sell a negative amount");
-        let user = ledger.user(self.id.0, t);
-        if user.balance >= x.0
-            && user.account.checked_add(x.0).is_some()
-            && ledger.pool(self.id.0).avail.checked_add(x.0).is_some()
-        {
-            ledger.commit(LedgerRecord::UserSell {
-                isp: self.id.0,
+        let (isp, amount) = (self.id.0, x.0);
+        ledger.user(isp, t).balance >= amount
+            && (ledger.try_commit(LedgerRecord::UserSell {
+                isp,
                 user: t,
-                amount: x.0,
-            });
-            true
-        } else {
-            false
-        }
+                amount,
+            }))
+            .is_ok()
     }
 
     /// Tops up `t`'s balance if it fell below the configured threshold.

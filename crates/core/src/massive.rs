@@ -368,6 +368,7 @@ impl World for MassiveWorld {
                     self.report.bounced_limit += 1;
                     "bounced=limit"
                 }
+                SendError::RecipientFull => unreachable!("`check_send` reads the sender's row"),
             };
             if let Some(ctx) = lifecycle {
                 self.flight.annotate(ctx, note);

@@ -190,7 +190,8 @@ pub struct RunReport {
     pub network_messages: u64,
     /// Paid deliveries refused by attestation verification (missing,
     /// forged, mis-bound, or replayed signatures) — nonzero only under
-    /// adversary clauses or attestation-aware duplication faults.
+    /// adversary clauses or attestation-aware duplication faults — or by
+    /// a recipient whose balance cannot hold the e-penny.
     pub refused_deliveries: u64,
     /// Crash-recoveries performed from the durable store, in order
     /// (empty unless durability is configured and a `Crash` fired).
@@ -488,6 +489,13 @@ impl ZmailWorld {
                 });
                 self.close(lifecycle, "bounced=limit", SpanStatus::Dropped);
             }
+            // A local recipient whose balance cannot hold the e-penny:
+            // refused before the sender was charged, so nothing moved.
+            Err(SendError::RecipientFull) => {
+                self.report.refused_deliveries += 1;
+                self.dropped(kind);
+                self.close(lifecycle, "refused=unfit", SpanStatus::Dropped);
+            }
         }
         // Behavioural knob: users top up when running low.
         if let Some(threshold) = self.config.auto_topup_below {
@@ -745,17 +753,20 @@ impl ZmailWorld {
                             // destroys the duplicate claim counted at the
                             // tap; the original settled the pair.
                             (Some(AttackClass::ReplayAck), _) => self.ledger.lost += 1,
-                            // A *real* payment — its signature stripped, or
-                            // the network's duplicate of one caught by the
-                            // nonce set. The debited e-penny is destroyed
-                            // (cancelling any duplication credit in the
-                            // conservation equation), and the §4.4 pair-sum
-                            // prediction shifts by +1: debited, never
-                            // credited here — for a duplicate, cancelling
-                            // the injector's predicted −1.
+                            // A *real* payment — its signature stripped, the
+                            // network's duplicate of one caught by the nonce
+                            // set, or one the recipient's books cannot hold.
+                            // The debited e-penny is destroyed (cancelling
+                            // any duplication credit in the conservation
+                            // equation), and the §4.4 pair-sum prediction
+                            // shifts by +1: debited, never credited here —
+                            // for a duplicate, cancelling the injector's
+                            // predicted −1.
                             (
                                 None | Some(AttackClass::Strip),
-                                RefusalCause::MissingAttestation | RefusalCause::ReplayedNonce,
+                                RefusalCause::MissingAttestation
+                                | RefusalCause::ReplayedNonce
+                                | RefusalCause::Unfit,
                             ) => {
                                 self.ledger.lost += 1;
                                 self.drift(origin, j, 1);

@@ -9,12 +9,14 @@
 //! rebuilt by the protocol's own retransmission machinery, while the
 //! books come back from the store.
 //!
-//! A ledger mutation is a [`LedgerRecord`], and [`IspBooks::apply`]
-//! (with [`BankBooks::apply`] for the bank's two) is its only
-//! implementation: the live `zmail-core` ISP and bank commit every change
-//! through a [`Ledger`] that runs it, replay folds it over a checkpoint
-//! via [`Books::apply`], and the sharded store's outbox overlay uses its
-//! per-user half. A [`Ledger`] is read by row — [`Ledger::user`],
+//! A ledger mutation is a [`LedgerRecord`], and `Books::try_apply` is its
+//! only implementation, with one refusal rule: a record that names a row
+//! the books do not hold, or would take a sum in that row past its type's
+//! range, changes nothing. Replay folds it over a checkpoint and ends the
+//! log at the first record it refuses; the live `zmail-core` ISP and bank
+//! commit every change through [`Ledger::try_commit`], which runs it and
+//! refuses what replay would, so a live record is committed only if
+//! replay would apply it. A [`Ledger`] is read by row — [`Ledger::user`],
 //! [`Ledger::pool`], [`Ledger::bank`] — never as whole books, so a row
 //! reads the same whatever holds it. The binary encoding (`encode`/`decode`) is the
 //! checkpoint payload format: fixed little-endian, no padding, so equal
@@ -100,29 +102,29 @@ impl UserBooks {
         }
     }
 
-    /// Applies the user's share of one record. Records that carry no
-    /// user state (pool, credit, bank, nonce) leave it untouched, so a
-    /// transfer leg of any kind can be folded into a per-user delta.
+    /// The receiving side of the same rule for `n` paid emails at once,
+    /// `balance + n` within range — what replay checks of `n`
+    /// `Deposit`s. A driver that charges a sender before it credits the
+    /// recipient checks it first, so a refusal comes before the first
+    /// record.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a sum overflows its field.
-    pub fn apply(&mut self, rec: &LedgerRecord) {
-        assert!(
-            self.try_apply(rec),
-            "record does not fit the books: {rec:?}"
-        );
+    /// Returns [`SendError::RecipientFull`] if the balance cannot hold
+    /// `n` more e-pennies.
+    #[inline]
+    pub fn check_receives(&self, n: u32) -> Result<(), SendError> {
+        match self.balance.checked_add(i64::from(n)) {
+            Some(_) => Ok(()),
+            None => Err(SendError::RecipientFull),
+        }
     }
 
-    /// [`UserBooks::apply`], unless a sum would overflow its field: then
-    /// nothing changes and the answer is `false`.
-    #[must_use]
-    fn try_apply(&mut self, rec: &LedgerRecord) -> bool {
-        self.applied(rec).map(|row| *self = row).is_some()
-    }
-
-    /// These books with `rec` applied, or `None` if a sum overflows.
-    fn applied(mut self, rec: &LedgerRecord) -> Option<UserBooks> {
+    /// These books with `rec` applied, or `None` if a sum would leave its
+    /// field's range. Records that carry no user state (pool, credit,
+    /// bank, nonce) leave them untouched.
+    #[inline]
+    pub(crate) fn applied(mut self, rec: &LedgerRecord) -> Option<UserBooks> {
         match *rec {
             LedgerRecord::Charge { .. } => {
                 self.balance = self.balance.checked_sub(1)?;
@@ -147,14 +149,63 @@ impl UserBooks {
         Some(self)
     }
 
-    /// These books with `delta` — records applied to zeroed
-    /// [`UserBooks`] — added on: how the sharded store overlays credit
-    /// legs its outbox has not journaled yet.
-    pub fn plus(mut self, delta: &UserBooks) -> UserBooks {
-        self.account += delta.account;
-        self.balance += delta.balance;
-        self.sent_today += delta.sent_today;
+    /// These books — a sum of the credit legs the sharded store's outbox
+    /// owes one row, begun from zeroed [`UserBooks`] — with `leg`'s moves
+    /// added on, wrapping. An owed sum is only ever added to a row whose
+    /// true total fits — [`Ledger::try_commit`] checks a leg against its
+    /// row before owing it, and the flush's `XferApply` checks it again —
+    /// and a wrapping sum is exact wherever the true one fits: a credit of
+    /// `i64::MIN` is owed like any other.
+    pub(crate) fn owe(mut self, leg: &LedgerRecord) -> UserBooks {
+        let (account, balance, sent) = user_moves(leg);
+        self.account = self.account.wrapping_add(account as i64);
+        self.balance = self.balance.wrapping_add(balance as i64);
+        self.sent_today = self.sent_today.wrapping_add(sent);
         self
+    }
+
+    /// These books with `delta` — the credit legs the sharded store's
+    /// outbox owes this row, summed — added on, wrapping for the same
+    /// reason: how the store overlays legs it has not journaled yet.
+    pub fn plus(mut self, delta: &UserBooks) -> UserBooks {
+        self.account = self.account.wrapping_add(delta.account);
+        self.balance = self.balance.wrapping_add(delta.balance);
+        self.sent_today = self.sent_today.wrapping_add(delta.sent_today);
+        self
+    }
+}
+
+/// The pool `avail` with `rec`'s move on it, or `None` if that leaves its
+/// range: a pool buy or a user's sale adds to the pool, a pool sale or a
+/// user's buy takes from it, and any other record leaves it as it is.
+pub(crate) fn pool_applied(avail: i64, rec: &LedgerRecord) -> Option<i64> {
+    match *rec {
+        LedgerRecord::PoolBuy { amount, .. } | LedgerRecord::UserSell { amount, .. } => {
+            avail.checked_add(amount)
+        }
+        LedgerRecord::PoolSell { amount, .. } | LedgerRecord::UserBuy { amount, .. } => {
+            avail.checked_sub(amount)
+        }
+        _ => Some(avail),
+    }
+}
+
+/// What `rec` moves on a user row — account, balance, sends today — as
+/// [`UserBooks::applied`] moves them, widened, so a negated `i64::MIN` is
+/// a value like any other. A record that carries no user state, or
+/// overwrites one (`LimitSet`), moves nothing.
+fn user_moves(rec: &LedgerRecord) -> (i128, i128, u32) {
+    match *rec {
+        LedgerRecord::Charge { .. } => (0, -1, 1),
+        LedgerRecord::Deposit { .. } => (0, 1, 0),
+        LedgerRecord::Grant { amount, .. } => (0, amount.into(), 0),
+        LedgerRecord::UserBuy { amount, .. } | LedgerRecord::UserCounterBuy { amount, .. } => {
+            (-i128::from(amount), amount.into(), 0)
+        }
+        LedgerRecord::UserSell { amount, .. } | LedgerRecord::UserCounterSell { amount, .. } => {
+            (amount.into(), -i128::from(amount), 0)
+        }
+        _ => (0, 0, 0),
     }
 }
 
@@ -166,6 +217,9 @@ pub enum SendError {
     /// `sent[s] >= limit[s]` — the anti-zombie cap. The paper sends the
     /// user a warning to check for viruses; the harness records it.
     DailyLimitExceeded,
+    /// The recipient's balance cannot hold one more e-penny: the credit
+    /// would not fit the books ([`UserBooks::check_receives`]).
+    RecipientFull,
 }
 
 impl fmt::Display for SendError {
@@ -173,6 +227,7 @@ impl fmt::Display for SendError {
         match self {
             SendError::InsufficientBalance => write!(f, "insufficient e-penny balance"),
             SendError::DailyLimitExceeded => write!(f, "daily send limit exceeded"),
+            SendError::RecipientFull => write!(f, "recipient balance full"),
         }
     }
 }
@@ -180,26 +235,10 @@ impl fmt::Display for SendError {
 impl std::error::Error for SendError {}
 
 impl IspBooks {
-    /// Applies one ISP-scoped record: the only implementation of a
-    /// ledger mutation. The live ISP commits through it, WAL replay
-    /// reaches it through [`Books::apply`], and the sharded store's read
-    /// overlay uses its per-user half ([`UserBooks::apply`]). The
-    /// record's `isp` field is routing, already consumed by the caller.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the record indexes a user or peer outside these books,
-    /// would overflow a sum, or is bank- or shard-scoped.
-    pub fn apply(&mut self, rec: &LedgerRecord) {
-        assert!(
-            self.try_apply(rec),
-            "record does not fit the books: {rec:?}"
-        );
-    }
-
-    /// [`IspBooks::apply`], unless the record names a user or peer these
-    /// books do not hold, or a sum would overflow its field: then nothing
-    /// changes and the answer is `false`.
+    /// Applies one ISP-scoped record, unless it names a user or peer these
+    /// books do not hold, or a sum would leave its field's range: then
+    /// nothing changes and the answer is `false`. The record's `isp` field
+    /// is routing, already consumed by the caller.
     ///
     /// # Panics
     ///
@@ -215,12 +254,17 @@ impl IspBooks {
             | LedgerRecord::UserCounterSell { user, .. } => self
                 .users
                 .get_mut(user as usize)
-                .is_some_and(|row| row.try_apply(rec)),
-            LedgerRecord::UserBuy { user, amount, .. } => {
-                self.try_apply_with_pool(user, rec, |a| a.checked_sub(amount))
-            }
-            LedgerRecord::UserSell { user, amount, .. } => {
-                self.try_apply_with_pool(user, rec, |a| a.checked_add(amount))
+                .is_some_and(|row| settle(row, |row| row.applied(rec))),
+            LedgerRecord::UserBuy { user, .. } | LedgerRecord::UserSell { user, .. } => {
+                let Some(avail) = pool_applied(self.avail, rec) else {
+                    return false;
+                };
+                let applied = (self.users.get_mut(user as usize))
+                    .is_some_and(|row| settle(row, |row| row.applied(rec)));
+                if applied {
+                    self.avail = avail;
+                }
+                applied
             }
             LedgerRecord::DailyReset { .. } => {
                 for u in &mut self.users {
@@ -236,11 +280,8 @@ impl IspBooks {
                 self.credit.fill(0);
                 true
             }
-            LedgerRecord::PoolBuy { amount, .. } => {
-                settle(&mut self.avail, |a| a.checked_add(amount))
-            }
-            LedgerRecord::PoolSell { amount, .. } => {
-                settle(&mut self.avail, |a| a.checked_sub(amount))
+            LedgerRecord::PoolBuy { .. } | LedgerRecord::PoolSell { .. } => {
+                settle(&mut self.avail, |a| pool_applied(a, rec))
             }
             LedgerRecord::NonceSeen { nonce, .. } => {
                 if let Err(at) = self.nonces.binary_search(&nonce) {
@@ -254,24 +295,6 @@ impl IspBooks {
             | LedgerRecord::XferApply { .. }
             | LedgerRecord::XferRelease { .. } => panic!("not an ISP-scoped record: {rec:?}"),
         }
-    }
-
-    /// A user-and-pool record: `rec` on user `user`'s row and `avail`
-    /// replaced by `pool(avail)`, both or neither.
-    fn try_apply_with_pool(
-        &mut self,
-        user: u32,
-        rec: &LedgerRecord,
-        pool: impl FnOnce(i64) -> Option<i64>,
-    ) -> bool {
-        let Some(avail) = pool(self.avail) else {
-            return false;
-        };
-        let applied = (self.users.get_mut(user as usize)).is_some_and(|row| row.try_apply(rec));
-        if applied {
-            self.avail = avail;
-        }
-        applied
     }
 
     /// Everything but the users, as [`Ledger::pool`] reads it.
@@ -291,65 +314,58 @@ impl IspBooks {
 }
 
 impl BankBooks {
-    /// Applies one bank-scoped record (§4.3); see [`IspBooks::apply`].
+    /// What one bank-scoped record (§4.3) makes of these books: the ISP
+    /// account it names with its new balance, and the new outstanding
+    /// issue — or `None` if the record names an account these books do
+    /// not hold, or a sum would leave its range.
     ///
     /// # Panics
     ///
-    /// Panics on any other record, an ISP index outside these books, or
-    /// a sum that would overflow.
-    pub fn apply(&mut self, rec: &LedgerRecord) {
-        assert!(
-            self.try_apply(rec),
-            "record does not fit the books: {rec:?}"
-        );
-    }
-
-    /// [`BankBooks::apply`], unless the record names an ISP account these
-    /// books do not hold, or a sum would overflow its field: then nothing
-    /// changes and the answer is `false`.
-    #[must_use]
-    fn try_apply(&mut self, rec: &LedgerRecord) -> bool {
+    /// Panics on any record but `BankBuy` and `BankSell`.
+    fn applied(&self, rec: &LedgerRecord) -> Option<(usize, i64, i64)> {
         // Widened, so a negated `i64::MIN` is a value like any other.
         let (isp, account, issued) = match *rec {
             LedgerRecord::BankBuy {
                 isp, value, cost, ..
-            } => (isp, -i128::from(cost), i128::from(value)),
+            } => (isp as usize, -i128::from(cost), i128::from(value)),
             LedgerRecord::BankSell {
                 isp, value, credit, ..
-            } => (isp, i128::from(credit), -i128::from(value)),
+            } => (isp as usize, i128::from(credit), -i128::from(value)),
             _ => panic!("not a bank-scoped record: {rec:?}"),
         };
-        let Some(row) = self.accounts.get_mut(isp as usize) else {
+        let row = *self.accounts.get(isp)?;
+        let account = i64::try_from(i128::from(row) + account).ok()?;
+        let issued = i64::try_from(i128::from(self.issued) + issued).ok()?;
+        Some((isp, account, issued))
+    }
+
+    /// Applies one bank-scoped record, unless [`applied`](Self::applied)
+    /// refuses it: then nothing changes and the answer is `false`.
+    #[must_use]
+    fn try_apply(&mut self, rec: &LedgerRecord) -> bool {
+        let Some((isp, account, issued)) = self.applied(rec) else {
             return false;
         };
-        let (Ok(account), Ok(issued)) = (
-            i64::try_from(i128::from(*row) + account),
-            i64::try_from(i128::from(self.issued) + issued),
-        ) else {
-            return false;
-        };
-        *row = account;
+        self.accounts[isp] = account;
         self.issued = issued;
         true
     }
 }
 
-/// Replaces `slot` with `sum(slot)` unless that overflows: whether it
-/// did not.
-fn settle(slot: &mut i64, sum: impl FnOnce(i64) -> Option<i64>) -> bool {
+/// Replaces `slot` with `sum(slot)` unless that is `None`: whether it
+/// was not.
+fn settle<T: Copy>(slot: &mut T, sum: impl FnOnce(T) -> Option<T>) -> bool {
     sum(*slot).map(|sum| *slot = sum).is_some()
 }
 
 impl Books {
-    /// Applies one record by routing it to the books it names:
-    /// [`IspBooks::apply`] or [`BankBooks::apply`].
+    /// Applies one record by routing it to the books it names.
     ///
     /// # Panics
     ///
-    /// Panics if the record indexes an ISP, user, peer, or bank outside
-    /// these books, or would overflow a sum. Recovery replays through
-    /// `Books::try_apply` instead: a log ends at the first record that
-    /// does not fit the books, checksum or not.
+    /// Panics if the record does not fit the books (`Books::try_apply`).
+    /// Recovery replays through `try_apply` instead: a log ends at the
+    /// first record that does not fit the books, checksum or not.
     pub fn apply(&mut self, rec: &LedgerRecord) {
         assert!(
             self.try_apply(rec),
@@ -361,8 +377,9 @@ impl Books {
     /// hold — an ISP, user, peer, bank or bank account, or for a transfer
     /// record the leg it applies here — or would take a sum in that row
     /// past its type's range: then nothing changes and the answer is
-    /// `false`. Every record changes one row, so it is applied whole or
-    /// not at all.
+    /// `false`. This is the one refusal rule: replay ends a log where it
+    /// refuses, and [`Ledger::try_commit`] refuses what it refuses. Every
+    /// record changes one row, so it is applied whole or not at all.
     #[must_use]
     pub(crate) fn try_apply(&mut self, rec: &LedgerRecord) -> bool {
         match *rec {
@@ -545,6 +562,11 @@ pub struct PoolRow<'a> {
 /// the whole books, so a row means the same at any shard count: a store
 /// answers each from the shard that owns it, plus whatever its outbox
 /// still owes that row.
+///
+/// It changes the books only through [`try_commit`](Ledger::try_commit),
+/// which commits a record only if replay would apply it, so a caller
+/// states the paper's guard and leaves the ranges of the books' fields to
+/// the books.
 pub trait Ledger {
     /// One user's row. Like every row read, panics if the row is outside
     /// the books.
@@ -556,12 +578,45 @@ pub trait Ledger {
     /// Bank `bank`'s books.
     fn bank(&self, bank: u32) -> &BankBooks;
 
-    /// Applies `rec` to the books (and journals it, if durable).
-    fn commit(&mut self, rec: LedgerRecord);
+    /// Applies `rec` to the books and, if durable, journals it — unless
+    /// replay would refuse it (`Books::try_apply`: a row the books do not
+    /// hold, or a sum past its field's range). Then no row changes and no
+    /// byte is journaled.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Refused`] for a record that does not fit the books.
+    fn try_commit(&mut self, rec: LedgerRecord) -> Result<(), Refused>;
+
+    /// [`try_commit`](Ledger::try_commit), for a record whose fit its
+    /// caller has already established.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the record does not fit the books.
+    fn commit(&mut self, rec: LedgerRecord) {
+        if self.try_commit(rec).is_err() {
+            panic!("record does not fit the books: {rec:?}");
+        }
+    }
 }
 
-/// A commit is an [`apply`](Books::apply) and nothing more: the volatile
-/// ledger, and the reference every store is held to.
+/// A record a [`Ledger`] did not commit because replay would not apply
+/// it: it names a row the books do not hold, or would take a sum in one
+/// past its type's range. Nothing changed and nothing was journaled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Refused;
+
+impl fmt::Display for Refused {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "record does not fit the books")
+    }
+}
+
+impl std::error::Error for Refused {}
+
+/// A commit is a `try_apply` and nothing more: the volatile ledger, and
+/// the reference every store is held to.
 impl Ledger for Books {
     fn user(&self, isp: u32, user: u32) -> UserBooks {
         self.isps[isp as usize].users[user as usize]
@@ -575,8 +630,12 @@ impl Ledger for Books {
         &self.banks[bank as usize]
     }
 
-    fn commit(&mut self, rec: LedgerRecord) {
-        self.apply(&rec);
+    fn try_commit(&mut self, rec: LedgerRecord) -> Result<(), Refused> {
+        if self.try_apply(&rec) {
+            Ok(())
+        } else {
+            Err(Refused)
+        }
     }
 }
 
@@ -765,10 +824,13 @@ mod tests {
         };
         for rec in &records {
             let before = alone.clone();
-            match rec {
-                LedgerRecord::BankBuy { .. } | LedgerRecord::BankSell { .. } => alone.1.apply(rec),
-                _ => alone.0.apply(rec),
-            }
+            let applied = match rec {
+                LedgerRecord::BankBuy { .. } | LedgerRecord::BankSell { .. } => {
+                    alone.1.try_apply(rec)
+                }
+                _ => alone.0.try_apply(rec),
+            };
+            assert!(applied, "{rec:?} did not fit");
             routed.apply(rec);
             assert_ne!(alone, before, "{rec:?} changed nothing");
             assert_eq!((&routed.isps[0], &routed.banks[0]), (&alone.0, &alone.1));

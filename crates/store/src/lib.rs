@@ -9,11 +9,15 @@
 //!
 //! * [`LedgerRecord`] — one typed entry per book mutation, with a fixed
 //!   little-endian wire form.
-//! * [`Books`] — the durable state itself, plus [`Books::apply`], the
-//!   single replay function checkpoints and recovery fold over.
+//! * [`Books`] — the durable state itself, plus `Books::try_apply`, the
+//!   single replay function checkpoints and recovery fold over, and its
+//!   one refusal rule: a record that names a row the books do not hold,
+//!   or would take a sum past its range, does not fit.
 //! * [`Ledger`] — what the protocol is lent: row reads (a user, an ISP's
-//!   pool row, a bank) and `commit`. [`Books`] is the volatile ledger and
-//!   [`ShardedLedgerStore`] the durable one, at any shard count.
+//!   pool row, a bank) and [`Ledger::try_commit`], which commits a record
+//!   only if replay would apply it and otherwise answers [`Refused`].
+//!   [`Books`] is the volatile ledger and [`ShardedLedgerStore`] the
+//!   durable one, at any shard count.
 //! * [`wal`] — length+CRC framing and the tail scan: a torn or corrupt
 //!   suffix is detected and truncated, never silently applied, and so is
 //!   a checksummed record that names a row the books do not hold.
@@ -71,7 +75,7 @@ pub mod shard;
 pub mod storage;
 pub mod wal;
 
-pub use books::{BankBooks, Books, IspBooks, Ledger, PoolRow, SendError, UserBooks};
+pub use books::{BankBooks, Books, IspBooks, Ledger, PoolRow, Refused, SendError, UserBooks};
 pub use checkpoint::Checkpoint;
 pub use engine::{LedgerStore, RecoveryReport, StoreConfig, WAL};
 pub use metrics::StoreMetrics;

@@ -33,9 +33,10 @@
 //!   user leg on [`Ledger::user`], a pool leg on [`Ledger::pool`] — so
 //!   the live view stays exactly conserved between ticks.
 //! * The store is the durable [`Ledger`], at any shard count: a commit
-//!   is an [`append`](ShardedLedgerStore::append), a row is read from the
-//!   shard that owns it, and the per-shard [`LedgerStore`] engines are
-//!   reached through [`ShardedLedgerStore::shard`].
+//!   is routed to the shard that owns its row and journaled only if it
+//!   fits ([`Ledger::try_commit`]), a row is read from the shard that
+//!   owns it, and the per-shard [`LedgerStore`] engines are reached
+//!   through [`ShardedLedgerStore::shard`].
 //! * Recovery scans every shard's full WAL for unreleased prepares and
 //!   **rolls them forward**: if the destination never journaled the
 //!   apply, it is appended now; either way the release is. A crash
@@ -70,7 +71,7 @@
 //! Telemetry lands in the global `zmail-obs` registry under `shard.*`
 //! ([`ShardMetrics`]).
 
-use crate::books::{BankBooks, Books, IspBooks, Ledger, PoolRow, UserBooks};
+use crate::books::{pool_applied, BankBooks, Books, IspBooks, Ledger, PoolRow, Refused, UserBooks};
 use crate::engine::{LedgerStore, Observer, RecoveryReport, StoreConfig};
 use crate::record::{LedgerRecord, XferKind, XferLeg};
 use crate::storage::Storage;
@@ -191,6 +192,12 @@ impl ShardMap {
     /// inside that shard's slice of the ISP.
     pub fn locate(&self, isp: u32, user: u32) -> (u32, u32) {
         self.users[isp as usize][user as usize]
+    }
+
+    /// [`locate`](Self::locate), or `None` for an account outside the
+    /// books.
+    fn try_locate(&self, isp: u32, user: u32) -> Option<(u32, u32)> {
+        self.users.get(isp as usize)?.get(user as usize).copied()
     }
 
     /// Owning shard of a global user account.
@@ -713,111 +720,52 @@ impl<S: Storage> ShardedLedgerStore<S> {
         }
     }
 
-    /// Routes one global-index record to its shard(s). Single-account
-    /// records are rewritten into the owning shard's local index space;
-    /// a counter buy/sell whose user and pool live on different shards
-    /// becomes a two-phase transfer.
+    /// [`Ledger::commit`]: routes one global-index record to its shard(s)
+    /// — see [`try_commit`](Ledger::try_commit).
     ///
     /// # Panics
     ///
-    /// Panics on the internal transfer variants (`UserCounter*`,
-    /// `Xfer*`) — those are emitted by the engine, never routed into it.
+    /// Panics if the record does not fit the books, and on the internal
+    /// transfer variants (`UserCounter*`, `Xfer*`) — those are emitted by
+    /// the engine, never routed into it.
     pub fn append(&mut self, rec: &LedgerRecord) {
-        // Pending credit legs are pure additions, so they commute with
-        // every delta record and may stay deferred across them. These
-        // three *overwrite* state instead; flush first so the journal
-        // order matches the order the books saw.
-        if matches!(
-            *rec,
-            LedgerRecord::DailyReset { .. }
-                | LedgerRecord::SnapshotMarker { .. }
-                | LedgerRecord::LimitSet { .. }
-        ) {
-            self.flush_pending_applies();
+        self.commit(*rec);
+    }
+
+    /// Whether `rec` touches a row the outbox still owes a credit leg: a
+    /// user row with a pending user leg, or a pool row with a pending
+    /// pool leg.
+    fn owes(&self, rec: &LedgerRecord) -> bool {
+        if self.pending_xfers.is_empty() {
+            return false;
         }
-        match *rec {
-            LedgerRecord::Charge { isp, user } => {
-                let (s, user) = self.map.locate(isp, user);
-                self.stores[s as usize].append(&LedgerRecord::Charge { isp, user });
+        let (account, pool) = match *rec {
+            LedgerRecord::Charge { isp, user }
+            | LedgerRecord::Deposit { isp, user }
+            | LedgerRecord::Grant { isp, user, .. } => (Some((isp, user)), None),
+            LedgerRecord::UserBuy { isp, user, .. } | LedgerRecord::UserSell { isp, user, .. } => {
+                (Some((isp, user)), Some(isp))
             }
-            LedgerRecord::Deposit { isp, user } => {
-                let (s, user) = self.map.locate(isp, user);
-                self.stores[s as usize].append(&LedgerRecord::Deposit { isp, user });
+            LedgerRecord::PoolBuy { isp, .. } | LedgerRecord::PoolSell { isp, .. } => {
+                (None, Some(isp))
             }
-            LedgerRecord::Grant { isp, user, amount } => {
-                let (s, user) = self.map.locate(isp, user);
-                self.stores[s as usize].append(&LedgerRecord::Grant { isp, user, amount });
-            }
-            LedgerRecord::LimitSet { isp, user, limit } => {
-                let (s, user) = self.map.locate(isp, user);
-                self.stores[s as usize].append(&LedgerRecord::LimitSet { isp, user, limit });
-            }
-            LedgerRecord::CreditDelta { isp, .. }
-            | LedgerRecord::SnapshotMarker { isp }
-            | LedgerRecord::NonceSeen { isp, .. }
-            | LedgerRecord::PoolBuy { isp, .. }
-            | LedgerRecord::PoolSell { isp, .. } => {
-                self.stores[self.map.pool_shard(isp) as usize].append(rec);
-            }
-            LedgerRecord::BankBuy { bank, .. } | LedgerRecord::BankSell { bank, .. } => {
-                self.stores[self.map.bank_shard(bank) as usize].append(rec);
-            }
-            LedgerRecord::DailyReset { isp } => {
-                // Every shard holding users of this ISP resets its slice;
-                // a user-less ISP still journals the marker on its pool
-                // owner so the record never silently disappears.
-                let mut any = false;
-                for s in 0..self.stores.len() {
-                    if !self.map.owned[s][isp as usize].is_empty() {
-                        self.stores[s].append(rec);
-                        any = true;
-                    }
-                }
-                if !any {
-                    self.stores[self.map.pool_shard(isp) as usize].append(rec);
-                }
-            }
-            LedgerRecord::UserBuy { isp, user, amount } => {
-                // Pool pays out (debit), user account buys in (credit).
-                self.transfer(
-                    XferLeg {
-                        kind: XferKind::PoolSell,
-                        isp,
-                        user: 0,
-                        amount,
-                    },
-                    XferLeg {
-                        kind: XferKind::CounterBuy,
-                        isp,
-                        user,
-                        amount,
-                    },
-                );
-            }
-            LedgerRecord::UserSell { isp, user, amount } => {
-                self.transfer(
-                    XferLeg {
-                        kind: XferKind::CounterSell,
-                        isp,
-                        user,
-                        amount,
-                    },
-                    XferLeg {
-                        kind: XferKind::PoolBuy,
-                        isp,
-                        user: 0,
-                        amount,
-                    },
-                );
-            }
-            LedgerRecord::UserCounterBuy { .. }
-            | LedgerRecord::UserCounterSell { .. }
-            | LedgerRecord::XferPrepare { .. }
-            | LedgerRecord::XferApply { .. }
-            | LedgerRecord::XferRelease { .. } => {
-                panic!("internal shard record cannot be routed: {rec:?}")
-            }
-        }
+            _ => (None, None),
+        };
+        account.is_some_and(|account| self.pending_user_deltas.contains_key(&account))
+            || pool.is_some_and(|isp| self.pending_pool_deltas.contains_key(&isp))
+    }
+
+    /// Journals `rec(local)` on the shard that holds account `(isp,
+    /// user)` as its `local`-th user, if the books hold that account and
+    /// the record fits its row.
+    fn try_append_user(
+        &mut self,
+        isp: u32,
+        user: u32,
+        rec: impl FnOnce(u32) -> LedgerRecord,
+    ) -> bool {
+        (self.map.try_locate(isp, user))
+            .is_some_and(|(s, local)| self.stores[s as usize].try_append(&rec(local)))
     }
 
     /// Moves value between two book locations, given as legs in
@@ -886,11 +834,10 @@ impl<S: Storage> ShardedLedgerStore<S> {
             credit_global,
         });
         match account_of(&credit_global) {
-            Some(account) => self
-                .pending_user_deltas
-                .entry(account)
-                .or_default()
-                .apply(&credit_global.record()),
+            Some(account) => {
+                let owed = self.pending_user_deltas.entry(account).or_default();
+                *owed = owed.owe(&credit_global.record());
+            }
             None => {
                 let owed = self.pending_pool_deltas.entry(credit_global.isp);
                 match credit_global.kind {
@@ -1114,10 +1061,10 @@ impl<S: Storage> ShardedLedgerStore<S> {
     }
 }
 
-/// The durable ledger: a commit is an [`append`](ShardedLedgerStore::append),
-/// and a row is read from the shard that owns it with what the outbox
-/// still owes it added on — the row [`books`](ShardedLedgerStore::books)
-/// holds, without the merge.
+/// The durable ledger: a commit is routed to the shard that owns its row
+/// and journaled there, and a row is read from that shard with what the
+/// outbox still owes it added on — the row
+/// [`books`](ShardedLedgerStore::books) holds, without the merge.
 impl<S: Storage> Ledger for ShardedLedgerStore<S> {
     fn user(&self, isp: u32, user: u32) -> UserBooks {
         let (s, local) = self.map.locate(isp, user);
@@ -1143,8 +1090,129 @@ impl<S: Storage> Ledger for ShardedLedgerStore<S> {
             .banks[bank as usize]
     }
 
-    fn commit(&mut self, rec: LedgerRecord) {
-        self.append(&rec);
+    /// Routes one global-index record to its shard(s) and journals it
+    /// there, if replay would apply it to [`books`](Self::books).
+    /// Single-account records are rewritten into the owning shard's local
+    /// index space and go straight to that engine, which applies a record
+    /// only if it fits and journals only what it applied. A counter
+    /// buy/sell checks both of its rows first and, when its user and pool
+    /// live on different shards, becomes a two-phase transfer.
+    ///
+    /// Pending credit legs are additions, so they commute with a record
+    /// that lands on another row and stay deferred across it. A record
+    /// that *overwrites* state (`DailyReset`, `SnapshotMarker`,
+    /// `LimitSet`), or that lands on a row the outbox still owes a credit,
+    /// flushes the outbox first: the journal order is then the order the
+    /// books saw, and the row is checked as [`Ledger::user`] and
+    /// [`Ledger::pool`] read it, with no credit left to land after it that
+    /// could overflow.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the internal transfer variants (`UserCounter*`, `Xfer*`)
+    /// — those are emitted by the engine, never routed into it.
+    fn try_commit(&mut self, rec: LedgerRecord) -> Result<(), Refused> {
+        let overwrites = matches!(
+            rec,
+            LedgerRecord::DailyReset { .. }
+                | LedgerRecord::SnapshotMarker { .. }
+                | LedgerRecord::LimitSet { .. }
+        );
+        if overwrites || self.owes(&rec) {
+            self.flush_pending_applies();
+        }
+        let fits = match rec {
+            LedgerRecord::Charge { isp, user } => {
+                self.try_append_user(isp, user, |user| LedgerRecord::Charge { isp, user })
+            }
+            LedgerRecord::Deposit { isp, user } => {
+                self.try_append_user(isp, user, |user| LedgerRecord::Deposit { isp, user })
+            }
+            LedgerRecord::Grant { isp, user, amount } => {
+                self.try_append_user(isp, user, |user| LedgerRecord::Grant { isp, user, amount })
+            }
+            LedgerRecord::LimitSet { isp, user, limit } => {
+                self.try_append_user(isp, user, |user| LedgerRecord::LimitSet {
+                    isp,
+                    user,
+                    limit,
+                })
+            }
+            LedgerRecord::CreditDelta { isp, .. }
+            | LedgerRecord::SnapshotMarker { isp }
+            | LedgerRecord::NonceSeen { isp, .. }
+            | LedgerRecord::PoolBuy { isp, .. }
+            | LedgerRecord::PoolSell { isp, .. } => (self.map.pool_shard.get(isp as usize))
+                .is_some_and(|&s| self.stores[s as usize].try_append(&rec)),
+            LedgerRecord::BankBuy { bank, .. } | LedgerRecord::BankSell { bank, .. } => {
+                (self.map.bank_shard.get(bank as usize))
+                    .is_some_and(|&s| self.stores[s as usize].try_append(&rec))
+            }
+            LedgerRecord::DailyReset { isp } => {
+                let Some(&pool) = self.map.pool_shard.get(isp as usize) else {
+                    return Err(Refused);
+                };
+                // Every shard holding users of this ISP resets its slice;
+                // a user-less ISP still journals the marker on its pool
+                // owner so the record never silently disappears.
+                let mut any = false;
+                for s in 0..self.stores.len() {
+                    if !self.map.owned[s][isp as usize].is_empty() {
+                        self.stores[s].append(&rec);
+                        any = true;
+                    }
+                }
+                if !any {
+                    self.stores[pool as usize].append(&rec);
+                }
+                true
+            }
+            LedgerRecord::UserBuy { isp, user, amount }
+            | LedgerRecord::UserSell { isp, user, amount } => {
+                // Two rows, perhaps on two shards: both legs are checked
+                // before the first record is written.
+                let fits = self.map.try_locate(isp, user).is_some()
+                    && self.map.pool_shard.get(isp as usize).is_some()
+                    && self.user(isp, user).applied(&rec).is_some()
+                    && pool_applied(self.pool(isp).avail, &rec).is_some();
+                let pool = |kind| XferLeg {
+                    kind,
+                    isp,
+                    user: 0,
+                    amount,
+                };
+                let counter = |kind| XferLeg {
+                    kind,
+                    isp,
+                    user,
+                    amount,
+                };
+                // A buy: the pool pays out (debit), the user's account buys
+                // in (credit). A sale the other way round.
+                let (debit, credit) = match rec {
+                    LedgerRecord::UserBuy { .. } => {
+                        (pool(XferKind::PoolSell), counter(XferKind::CounterBuy))
+                    }
+                    _ => (counter(XferKind::CounterSell), pool(XferKind::PoolBuy)),
+                };
+                if fits {
+                    self.transfer(debit, credit);
+                }
+                fits
+            }
+            LedgerRecord::UserCounterBuy { .. }
+            | LedgerRecord::UserCounterSell { .. }
+            | LedgerRecord::XferPrepare { .. }
+            | LedgerRecord::XferApply { .. }
+            | LedgerRecord::XferRelease { .. } => {
+                panic!("internal shard record cannot be routed: {rec:?}")
+            }
+        };
+        if fits {
+            Ok(())
+        } else {
+            Err(Refused)
+        }
     }
 }
 

@@ -284,3 +284,32 @@ fn grants_show_up_in_audit_as_counterfeit() {
     let err = system.audit().unwrap_err();
     assert!(err.to_string().contains("conservation broken"));
 }
+
+/// Balances that start at `i64::MAX` cannot take a paid e-penny: every
+/// paid delivery into a full row is refused, not a panic — a local one
+/// before its sender is charged, an inter-ISP one at the receiver, its
+/// e-penny counted lost — and the books still audit and recover, volatile
+/// and durable alike.
+#[test]
+fn full_balances_refuse_paid_mail_and_the_books_still_audit() {
+    for durable in [false, true] {
+        let builder = ZmailConfig::builder(2, 4).initial_balance(EPennies(i64::MAX));
+        let config = if durable { builder.durable() } else { builder }.build();
+        let traffic = TrafficConfig {
+            isps: 2,
+            users_per_isp: 4,
+            horizon: SimDuration::from_days(1),
+            personal_per_user_day: 6.0,
+            ..TrafficConfig::default()
+        };
+        let trace = TrafficGenerator::new(traffic).generate(&mut Sampler::new(5));
+        let mut system = ZmailSystem::new(config, 17);
+        let report = system.run_trace(&trace);
+        assert!(report.refused_deliveries > 0, "durable {durable}");
+        system
+            .audit()
+            .unwrap_or_else(|e| panic!("durable {durable}: {e}"));
+        let recovered = system.verify_durable_books();
+        assert_eq!(recovered, durable.then_some(true), "durable {durable}");
+    }
+}

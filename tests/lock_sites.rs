@@ -7,12 +7,16 @@
 //! bytes pass through hold no condvar, no hand-written queue and exactly
 //! the two `catch_unwind`s (session, inner sink).
 //!
-//! Two more scans keep neighbouring promises. What std does, std does: no
+//! More scans keep neighbouring promises. What std does, std does: no
 //! first-party source names one of the `vendored/` stand-ins that have no
-//! caller left, so deleting them is a change to manifests only. And the
-//! store has one front end: outside `crates/store/`, production code holds
+//! caller left, so deleting them is a change to manifests only. The store
+//! has one front end: outside `crates/store/`, production code holds
 //! durable books as a `ShardedLedgerStore` and never names the per-shard
-//! `LedgerStore` engine inside it.
+//! `LedgerStore` engine inside it. And the books have one refusal rule:
+//! production code in `crates/core/src` and `src/` writes no
+//! `.checked_add(`/`.checked_sub(` of its own, because whether a record's
+//! sums fit is `zmail_store::books`'s to say, reached through
+//! `Ledger::try_commit`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -191,4 +195,37 @@ fn no_first_party_source_names_a_caller_free_stand_in() {
         offenders.is_empty(),
         "std does this (vendored/README.md): {offenders:?}"
     );
+}
+
+/// Whether `code` does overflow-checked ledger arithmetic by hand.
+fn checks_sums_by_hand(code: &str) -> bool {
+    code.contains(".checked_add(") || code.contains(".checked_sub(")
+}
+
+#[test]
+fn no_protocol_site_checks_a_sum_by_hand() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("src"), &mut files);
+    rust_files(&root.join("crates/core/src"), &mut files);
+    assert!(
+        files.len() > 15,
+        "only {} files found: scan broken",
+        files.len()
+    );
+    let offenders: Vec<_> = files
+        .iter()
+        .filter(|path| checks_sums_by_hand(&production_code(path)))
+        .collect();
+    assert!(
+        offenders.is_empty(),
+        "state the paper's guard and call `Ledger::try_commit`: {offenders:?}"
+    );
+    assert!(checks_sums_by_hand(
+        "user.balance.checked_add(x.0).is_some()"
+    ));
+    assert!(checks_sums_by_hand("books.issued.checked_sub(value)"));
+    assert!(!checks_sums_by_hand(
+        "self.exchange.checked_to_real(EPennies(value))"
+    ));
 }
