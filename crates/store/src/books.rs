@@ -589,7 +589,10 @@ pub trait Ledger {
     fn try_commit(&mut self, rec: LedgerRecord) -> Result<(), Refused>;
 
     /// [`try_commit`](Ledger::try_commit), for a record whose fit its
-    /// caller has already established.
+    /// caller has already established. This body passes a copy of `rec`
+    /// on and keeps the original for the panic message; [`Books`] and
+    /// `ShardedLedgerStore` override it to run the same check on the
+    /// record where the caller built it.
     ///
     /// # Panics
     ///
@@ -636,6 +639,12 @@ impl Ledger for Books {
         } else {
             Err(Refused)
         }
+    }
+
+    /// [`Books::apply`], which reads `rec` where the caller built it: the
+    /// provided method copies it first, to keep it for the panic message.
+    fn commit(&mut self, rec: LedgerRecord) {
+        self.apply(&rec);
     }
 }
 

@@ -721,7 +721,8 @@ impl<S: Storage> ShardedLedgerStore<S> {
     }
 
     /// [`Ledger::commit`]: routes one global-index record to its shard(s)
-    /// — see [`try_commit`](Ledger::try_commit).
+    /// — see [`try_commit`](Ledger::try_commit). Both run `try_route`,
+    /// which takes the record by reference, so `append` does not copy it.
     ///
     /// # Panics
     ///
@@ -729,7 +730,9 @@ impl<S: Storage> ShardedLedgerStore<S> {
     /// transfer variants (`UserCounter*`, `Xfer*`) — those are emitted by
     /// the engine, never routed into it.
     pub fn append(&mut self, rec: &LedgerRecord) {
-        self.commit(*rec);
+        if self.try_route(rec).is_err() {
+            panic!("record does not fit the books: {rec:?}");
+        }
     }
 
     /// Whether `rec` touches a row the outbox still owes a credit leg: a
@@ -1090,6 +1093,23 @@ impl<S: Storage> Ledger for ShardedLedgerStore<S> {
             .banks[bank as usize]
     }
 
+    /// Routes `rec` to its shard(s) and journals it there, if replay
+    /// would apply it to [`books`](ShardedLedgerStore::books): the routing
+    /// [`append`](ShardedLedgerStore::append) runs, refusing where it
+    /// panics.
+    fn try_commit(&mut self, rec: LedgerRecord) -> Result<(), Refused> {
+        self.try_route(&rec)
+    }
+
+    /// [`append`](ShardedLedgerStore::append), which reads `rec` where
+    /// the caller built it: the provided method copies it first, to keep
+    /// it for the panic message.
+    fn commit(&mut self, rec: LedgerRecord) {
+        self.append(&rec);
+    }
+}
+
+impl<S: Storage> ShardedLedgerStore<S> {
     /// Routes one global-index record to its shard(s) and journals it
     /// there, if replay would apply it to [`books`](Self::books).
     /// Single-account records are rewritten into the owning shard's local
@@ -1111,17 +1131,17 @@ impl<S: Storage> Ledger for ShardedLedgerStore<S> {
     ///
     /// Panics on the internal transfer variants (`UserCounter*`, `Xfer*`)
     /// — those are emitted by the engine, never routed into it.
-    fn try_commit(&mut self, rec: LedgerRecord) -> Result<(), Refused> {
+    fn try_route(&mut self, rec: &LedgerRecord) -> Result<(), Refused> {
         let overwrites = matches!(
-            rec,
+            *rec,
             LedgerRecord::DailyReset { .. }
                 | LedgerRecord::SnapshotMarker { .. }
                 | LedgerRecord::LimitSet { .. }
         );
-        if overwrites || self.owes(&rec) {
+        if overwrites || self.owes(rec) {
             self.flush_pending_applies();
         }
-        let fits = match rec {
+        let fits = match *rec {
             LedgerRecord::Charge { isp, user } => {
                 self.try_append_user(isp, user, |user| LedgerRecord::Charge { isp, user })
             }
@@ -1143,10 +1163,10 @@ impl<S: Storage> Ledger for ShardedLedgerStore<S> {
             | LedgerRecord::NonceSeen { isp, .. }
             | LedgerRecord::PoolBuy { isp, .. }
             | LedgerRecord::PoolSell { isp, .. } => (self.map.pool_shard.get(isp as usize))
-                .is_some_and(|&s| self.stores[s as usize].try_append(&rec)),
+                .is_some_and(|&s| self.stores[s as usize].try_append(rec)),
             LedgerRecord::BankBuy { bank, .. } | LedgerRecord::BankSell { bank, .. } => {
                 (self.map.bank_shard.get(bank as usize))
-                    .is_some_and(|&s| self.stores[s as usize].try_append(&rec))
+                    .is_some_and(|&s| self.stores[s as usize].try_append(rec))
             }
             LedgerRecord::DailyReset { isp } => {
                 let Some(&pool) = self.map.pool_shard.get(isp as usize) else {
@@ -1158,12 +1178,12 @@ impl<S: Storage> Ledger for ShardedLedgerStore<S> {
                 let mut any = false;
                 for s in 0..self.stores.len() {
                     if !self.map.owned[s][isp as usize].is_empty() {
-                        self.stores[s].append(&rec);
+                        self.stores[s].append(rec);
                         any = true;
                     }
                 }
                 if !any {
-                    self.stores[pool as usize].append(&rec);
+                    self.stores[pool as usize].append(rec);
                 }
                 true
             }
@@ -1173,8 +1193,8 @@ impl<S: Storage> Ledger for ShardedLedgerStore<S> {
                 // before the first record is written.
                 let fits = self.map.try_locate(isp, user).is_some()
                     && self.map.pool_shard.get(isp as usize).is_some()
-                    && self.user(isp, user).applied(&rec).is_some()
-                    && pool_applied(self.pool(isp).avail, &rec).is_some();
+                    && self.user(isp, user).applied(rec).is_some()
+                    && pool_applied(self.pool(isp).avail, rec).is_some();
                 let pool = |kind| XferLeg {
                     kind,
                     isp,
@@ -1189,7 +1209,7 @@ impl<S: Storage> Ledger for ShardedLedgerStore<S> {
                 };
                 // A buy: the pool pays out (debit), the user's account buys
                 // in (credit). A sale the other way round.
-                let (debit, credit) = match rec {
+                let (debit, credit) = match *rec {
                     LedgerRecord::UserBuy { .. } => {
                         (pool(XferKind::PoolSell), counter(XferKind::CounterBuy))
                     }
