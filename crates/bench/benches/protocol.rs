@@ -108,8 +108,41 @@ fn bench_system(c: &mut Criterion) {
 /// to a second later (`schedule_pop`, out of order: the queue's heap) or
 /// exactly `depth` ms later (`schedule_pop_in_order`: its sorted run);
 /// the payload is as large as `zmail-core`'s `Event`.
+///
+/// `two_streams_x1024` is the protocol world's shape: a day end and a billing
+/// kickoff far ahead, and a workload send that schedules the next send
+/// 10–100 ms on and its delivery 50 ms on, so sends and deliveries are
+/// two interleaved in-order streams and the queue never holds more than
+/// 8 events. An iteration pops 1,024 events, each scheduling what it
+/// does, so the stub's clock read per iteration does not swamp them.
 fn bench_event_queue(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue");
+    group.bench_function("two_streams_x1024", |b| {
+        const SEND: u64 = 0;
+        const DELIVER: u64 = 1;
+        let gaps: Vec<SimDuration> = {
+            let mut rng = Sampler::new(44);
+            (0..4096)
+                .map(|_| SimDuration::from_millis(rng.uniform_range(10, 101)))
+                .collect()
+        };
+        let mut gap = gaps.iter().cycle();
+        let mut queue = EventQueue::new();
+        queue.schedule(SimTime::ZERO, [SEND; 18]);
+        let far = SimTime::ZERO + SimDuration::from_days(10_000);
+        queue.schedule(far, [2; 18]);
+        queue.schedule(far + SimDuration::from_days(1), [3; 18]);
+        b.iter(|| {
+            for _ in 0..1024 {
+                let (now, payload) = queue.pop().expect("sends never stop");
+                if payload[0] == SEND {
+                    queue.schedule(now + *gap.next().expect("cycles"), payload);
+                    queue.schedule(now + SimDuration::from_millis(50), [DELIVER; 18]);
+                }
+                debug_assert!(queue.len() <= 8);
+            }
+        });
+    });
     for depth in [16u64, 1 << 10, 1 << 16] {
         group.bench_function(BenchmarkId::new("schedule_pop", depth), |b| {
             let mut rng = Sampler::new(depth);

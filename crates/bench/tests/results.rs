@@ -3,9 +3,10 @@
 //!
 //! E1–E8, E10, E13 and E14 run on fixed seeds and print no wall-clock
 //! column, so each binary's stdout must equal `results/<bin>.txt` byte
-//! for byte. A failure names the first line that differs. To re-record a
-//! table after a change that is meant to move it, run the binary and
-//! redirect its stdout over the file:
+//! for byte, and so must `zmail_trace --seed 7`'s report
+//! (`results/zmail_trace_seed7.txt`). A failure names the first line
+//! that differs. To re-record a table after a change that is meant to
+//! move it, run the binary and redirect its stdout over the file:
 //!
 //! ```sh
 //! cargo run --release -q -p zmail-bench --bin e3_misbehavior > results/e3_misbehavior.txt
@@ -14,19 +15,22 @@
 use std::path::Path;
 use std::process::Command;
 
-/// Runs the experiment binary at `exe` and compares its stdout with
-/// `results/<bin>.txt`.
-fn check(bin: &str, exe: &str) {
-    let output = Command::new(exe).output().expect("experiment binary runs");
+/// Runs the experiment binary at `exe` with `args` and compares its
+/// stdout with `results/<name>.txt`.
+fn check(name: &str, exe: &str, args: &[&str]) {
+    let output = Command::new(exe)
+        .args(args)
+        .output()
+        .expect("experiment binary runs");
     assert!(
         output.status.success(),
-        "{bin} exited with {}",
+        "{name} exited with {}",
         output.status
     );
     let printed = String::from_utf8(output.stdout).expect("stdout is UTF-8");
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../../results")
-        .join(format!("{bin}.txt"));
+        .join(format!("{name}.txt"));
     let recorded = std::fs::read_to_string(&path).expect("recorded table exists");
     if printed == recorded {
         return;
@@ -37,20 +41,20 @@ fn check(bin: &str, exe: &str) {
         let (now, then) = (printed_lines.next(), recorded_lines.next());
         assert_eq!(
             now, then,
-            "{bin} line {line} differs from results/{bin}.txt (left: printed, right: recorded)"
+            "{name} line {line} differs from results/{name}.txt (left: printed, right: recorded)"
         );
         if now.is_none() {
             break;
         }
     }
-    panic!("{bin} differs from results/{bin}.txt in line endings only");
+    panic!("{name} differs from results/{name}.txt in line endings only");
 }
 
 macro_rules! pinned {
     ($($test:ident => $bin:literal,)*) => {$(
         #[test]
         fn $test() {
-            check($bin, env!(concat!("CARGO_BIN_EXE_", $bin)));
+            check($bin, env!(concat!("CARGO_BIN_EXE_", $bin)), &[]);
         }
     )*};
 }
@@ -67,4 +71,14 @@ pinned! {
     e10 => "e10_spam_share",
     e13 => "e13_lossy_network",
     e14 => "e14_federated_banks",
+}
+
+/// The flight-recorder report of the seed the verify notes drive.
+#[test]
+fn zmail_trace_seed_7() {
+    check(
+        "zmail_trace_seed7",
+        env!("CARGO_BIN_EXE_zmail_trace"),
+        &["--seed", "7"],
+    );
 }

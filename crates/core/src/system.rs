@@ -35,8 +35,8 @@ use zmail_store::{Books, Ledger, MemStorage, ShardedLedgerStore};
 /// Events driving the world.
 #[derive(Debug)]
 enum Event {
-    /// Process trace entry `index` and schedule the next one.
-    Workload(usize),
+    /// Process this workload entry and schedule the next one.
+    Workload(SendEvent),
     /// A network message arrives at `to`.
     Deliver {
         from: Endpoint,
@@ -261,7 +261,11 @@ struct ZmailWorld {
     /// call; with durability on, each event's records share one group
     /// commit at its end.
     books: WorldBooks,
-    trace: Vec<SendEvent>,
+    /// The workload entry after the one queued as `Event::Workload`,
+    /// which that event schedules when it applies. A run's
+    /// [`TraceFeed`] puts it here from the borrowed trace, so the
+    /// world holds one entry of the trace, never the trace.
+    next_send: Option<SendEvent>,
     horizon: SimTime,
     /// Every e-penny that is neither in a balance nor in a pool: on the
     /// wire, destroyed, counterfeited, or stranded at the bank. What
@@ -953,14 +957,14 @@ impl World for ZmailWorld {
     /// a `stage`) and therefore outside the domain.
     fn footprint(&self, event: &Event, keys: &mut Vec<u64>) {
         match event {
-            Event::Workload(index) => {
-                // Stage reads only the immutable trace; apply mutates
+            Event::Workload(entry) => {
+                // Stage reads only the event's entry; apply mutates
                 // the *sender's* ISP (debit, buffer, topup, bank pump —
                 // and for local delivery the credit lands on the same
                 // ISP; cross-ISP credit happens in the receiver's own
                 // Deliver event). Non-compliant senders keep no ledger:
                 // their apply touches nothing in the domain.
-                let sender = IspId(self.trace[*index].from.isp);
+                let sender = IspId(entry.from.isp);
                 if self.config.is_compliant(sender) {
                     keys.push(isp_key(sender.0));
                 }
@@ -1013,12 +1017,12 @@ impl World for ZmailWorld {
 
     fn stage(&self, _now: SimTime, event: &Event, _rec: &mut AccessRecorder) -> u64 {
         // Stage phases read only immutable run inputs (the workload
-        // trace, the message being delivered) — nothing in the mutable
+        // entry, the message being delivered) — nothing in the mutable
         // footprint domain — so there is nothing to record. SIM001 holds
         // vacuously, which is exactly what makes every batch selection
         // safe for this world.
         match event {
-            Event::Workload(index) => trace_digest(&self.trace[*index]),
+            Event::Workload(entry) => trace_digest(entry),
             Event::Deliver { msg, .. } => msg.digest(),
             _ => 0,
         }
@@ -1034,11 +1038,11 @@ impl World for ZmailWorld {
         self.report.digest_checksum = self.report.digest_checksum.wrapping_add(effect);
         self.apply_ctx = None;
         match event {
-            Event::Workload(index) => {
-                if index + 1 < self.trace.len() {
-                    scheduler.at(self.trace[index + 1].at, Event::Workload(index + 1));
+            Event::Workload(SendEvent { from, to, kind, .. }) => {
+                // A trace run again after its start is sent from `now`.
+                if let Some(next) = self.next_send.take() {
+                    scheduler.at(next.at.max(now), Event::Workload(next));
                 }
-                let SendEvent { from, to, kind, .. } = self.trace[index];
                 self.process_send(scheduler, from, to, kind, SendCause::Fresh);
             }
             Event::Deliver { from, to, msg, ctx } => {
@@ -1130,6 +1134,23 @@ impl World for ZmailWorld {
     }
 }
 
+/// The part of a borrowed trace not yet handed to the world.
+struct TraceFeed<'t> {
+    rest: std::slice::Iter<'t, SendEvent>,
+}
+
+impl TraceFeed<'_> {
+    /// Puts the next entry in the world's one-entry lookahead if the
+    /// queued send has taken it. Run before every event (or tick), it
+    /// keeps the lookahead full whenever a `Workload` applies: the send
+    /// that applies schedules the next, so a tick holds at most one.
+    fn refill(&mut self, world: &mut ZmailWorld) {
+        if world.next_send.is_none() {
+            world.next_send = self.rest.next().copied();
+        }
+    }
+}
+
 /// The runnable Zmail deployment.
 ///
 /// The world always sits inside a [`CheckedWorld`] adapter; disarmed
@@ -1213,7 +1234,7 @@ impl ZmailSystem {
             isps,
             banks,
             books,
-            trace: Vec::new(),
+            next_send: None,
             horizon: SimTime::ZERO,
             ledger: FlightLedger::default(),
             attest_pair_drift: BTreeMap::new(),
@@ -1254,19 +1275,19 @@ impl ZmailSystem {
         self.world_mut().flight = recorder;
     }
 
-    /// Installs `trace` on the world and schedules the workload driver
-    /// plus the daily/billing periodic events across its span. Shared
-    /// preamble of [`ZmailSystem::run_trace`] and
-    /// [`ZmailSystem::run_trace_parallel`].
-    fn seed_trace(&mut self, trace: &[SendEvent]) {
+    /// Schedules `trace`'s first entry and the daily/billing periodic
+    /// events across its span, and returns the feed that hands the world
+    /// the rest of it. Shared preamble of [`ZmailSystem::run_trace`] and
+    /// [`ZmailSystem::run_trace_parallel`]; every entry, the first
+    /// included, is sent at `max(at, now)`.
+    fn seed_trace<'t>(&mut self, trace: &'t [SendEvent]) -> TraceFeed<'t> {
         let start = self.sim.now();
-        let world = self.world_mut();
-        world.trace = trace.to_vec();
         let horizon = trace.last().map_or(start, |e| e.at);
-        world.horizon = horizon;
-        if !trace.is_empty() {
-            let first_at = trace[0].at.max(start);
-            self.sim.schedule(first_at, Event::Workload(0));
+        self.world_mut().horizon = horizon;
+        let mut rest = trace.iter();
+        if let Some(&first) = rest.next() {
+            self.sim
+                .schedule(first.at.max(start), Event::Workload(first));
             // Daily resets and billing kickoffs across the trace span.
             let first_day = start.next_day_boundary();
             if first_day <= horizon {
@@ -1278,15 +1299,19 @@ impl ZmailSystem {
                 self.sim.schedule(first_billing, Event::BillingKickoff);
             }
         }
+        TraceFeed { rest }
     }
 
     /// Runs a workload trace to completion (including network drain and any
     /// pending snapshot), returning the cumulative report.
     ///
-    /// May be called repeatedly; time continues from the previous run.
+    /// May be called repeatedly; time continues from the previous run,
+    /// and an entry whose `at` is already past is sent at the current
+    /// time. The trace is borrowed: the world holds the one entry after
+    /// the queued send, refilled between events.
     pub fn run_trace(&mut self, trace: &[SendEvent]) -> RunReport {
-        self.seed_trace(trace);
-        self.sim.run_to_completion();
+        let mut feed = self.seed_trace(trace);
+        self.sim.run_fed(|world| feed.refill(world.inner_mut()));
         self.report().clone()
     }
 
@@ -1296,10 +1321,14 @@ impl ZmailSystem {
     /// worker threads (`0` = all cores), and all applies run serially in
     /// FIFO order. The resulting [`RunReport`] — including
     /// [`RunReport::digest_checksum`] — is byte-identical to a serial run
-    /// of the same seed at any thread count.
+    /// of the same seed at any thread count. Entries already past are
+    /// sent at the current time, as in `run_trace`, and the trace is fed
+    /// between ticks, one entry ahead: a tick holds at most one send of
+    /// it.
     pub fn run_trace_parallel(&mut self, trace: &[SendEvent], threads: usize) -> RunReport {
-        self.seed_trace(trace);
-        self.sim.run_parallel_to_completion(threads);
+        let mut feed = self.seed_trace(trace);
+        self.sim
+            .run_parallel_fed(threads, |world| feed.refill(world.inner_mut()));
         self.report().clone()
     }
 
@@ -1772,6 +1801,41 @@ mod tests {
         let total = system.run_trace(&shifted).delivered_total();
         assert!(total > first, "second run should add deliveries");
         system.audit().expect("conservation");
+    }
+
+    #[test]
+    fn a_trace_run_again_sends_its_past_entries_now() {
+        let config = ZmailConfig::builder(2, 5).build();
+        let trace = TrafficGenerator::new(traffic(2, 5, 1)).generate(&mut Sampler::new(10));
+        // `None` runs serially.
+        let twice = |threads: Option<usize>| {
+            let mut system = ZmailSystem::new(config.clone(), 10);
+            let run = |system: &mut ZmailSystem, trace: &[SendEvent]| match threads {
+                None => system.run_trace(trace),
+                Some(threads) => system.run_trace_parallel(trace, threads),
+            };
+            let first = run(&mut system, &trace);
+            let now = system.now();
+            let again = run(&mut system, &trace);
+            system.audit().expect("conservation");
+            // The same as sending the trace again with every entry at
+            // `now`, but for the entries' digests, which keep their `at`.
+            let mut twin = ZmailSystem::new(config.clone(), 10);
+            run(&mut twin, &trace);
+            let retimed: Vec<SendEvent> =
+                trace.iter().map(|e| SendEvent { at: now, ..*e }).collect();
+            let expected = run(&mut twin, &retimed);
+            let undigested = |report: &RunReport| RunReport {
+                digest_checksum: 0,
+                ..report.clone()
+            };
+            assert_eq!(undigested(&again), undigested(&expected));
+            assert!(again.delivered_total() > first.delivered_total());
+            again
+        };
+        let serial = twice(None);
+        assert_eq!(twice(Some(1)), serial);
+        assert_eq!(twice(Some(2)), serial);
     }
 
     #[test]
@@ -2476,18 +2540,19 @@ mod tests {
             }
         }
 
-        /// A small deployment with bank traffic, its trace seeded and
-        /// not yet stepped.
+        /// A small deployment with bank traffic, not yet run.
         fn deployment(store: StoreConfig) -> ZmailSystem {
             let config = ZmailConfig::builder(2, 6)
                 .initial_balance(EPennies(20))
                 .avail_bounds(EPennies(100), EPennies(300), EPennies(150))
                 .durability(store)
                 .build();
-            let trace = TrafficGenerator::new(traffic(2, 6, 2)).generate(&mut Sampler::new(5));
-            let mut system = ZmailSystem::new(config, 5);
-            system.seed_trace(&trace);
-            system
+            ZmailSystem::new(config, 5)
+        }
+
+        /// [`deployment`]'s workload.
+        fn deployment_trace() -> Vec<SendEvent> {
+            TrafficGenerator::new(traffic(2, 6, 2)).generate(&mut Sampler::new(5))
         }
 
         /// What stepping [`deployment`] one event at a time saw.
@@ -2505,7 +2570,9 @@ mod tests {
         }
 
         fn step_by_event() -> Stepped {
+            let trace = deployment_trace();
             let mut system = deployment(per_event());
+            let mut feed = system.seed_trace(&trace);
             let bootstrap = system.store().unwrap().books();
             let mut seen = Stepped {
                 boundaries: vec![(0, bootstrap.clone())],
@@ -2515,7 +2582,12 @@ mod tests {
                 wal: Vec::new(),
                 commits: 0,
             };
-            while system.sim.step() {
+            // Each step goes through the feed, as `run_trace`'s do.
+            loop {
+                feed.refill(system.world_mut());
+                if !system.sim.step() {
+                    break;
+                }
                 assert_eq!(system.verify_durable_books(), Some(true));
                 let store = system.store().unwrap().shard(0);
                 assert_eq!(store.pending_records(), 0, "records left buffered");
@@ -2556,7 +2628,7 @@ mod tests {
                 batch_records: 1,
                 ..per_event()
             });
-            alone.drain();
+            alone.run_trace(&deployment_trace());
             let store = alone.store().unwrap().shard(0);
             assert_eq!(store.storage().read(WAL), seen.wal);
             assert_eq!(store.commits(), store.records_appended());

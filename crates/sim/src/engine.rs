@@ -363,6 +363,17 @@ impl<W: World> Simulation<W> {
         W: Sync,
         W::Event: Send + Sync,
     {
+        self.run_parallel_fed(threads, |_| {})
+    }
+
+    /// [`Simulation::run_parallel_to_completion`] with a driver: `feed`
+    /// gets the world before every tick, as [`Simulation::run_fed`]'s
+    /// does before every event.
+    pub fn run_parallel_fed(&mut self, threads: usize, mut feed: impl FnMut(&mut W)) -> u64
+    where
+        W: Sync,
+        W::Event: Send + Sync,
+    {
         let threads = if threads == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
@@ -370,7 +381,12 @@ impl<W: World> Simulation<W> {
         };
         let before = self.processed;
         let started = std::time::Instant::now();
-        while self.step_tick(threads) {}
+        loop {
+            feed(&mut self.world);
+            if !self.step_tick(threads) {
+                break;
+            }
+        }
         let handled = self.processed - before;
         if let Some(tel) = &self.telemetry {
             tel.on_run_complete(handled, started.elapsed());
@@ -398,9 +414,24 @@ impl<W: World> Simulation<W> {
 
     /// Runs until the event queue is exhausted. Returns events handled.
     pub fn run_to_completion(&mut self) -> u64 {
+        self.run_fed(|_| {})
+    }
+
+    /// [`Simulation::run_to_completion`] with a driver: `feed` gets the
+    /// world before every event, and the run ends when the queue is
+    /// empty after a feed. A caller streams input through it — a world
+    /// that holds the next item of a borrowed workload, which the
+    /// applying event schedules, is refilled here — so the input is
+    /// never copied into the world.
+    pub fn run_fed(&mut self, mut feed: impl FnMut(&mut W)) -> u64 {
         let before = self.processed;
         let started = std::time::Instant::now();
-        while self.step() {}
+        loop {
+            feed(&mut self.world);
+            if !self.step() {
+                break;
+            }
+        }
         let handled = self.processed - before;
         if let Some(tel) = &self.telemetry {
             tel.on_run_complete(handled, started.elapsed());
@@ -724,6 +755,70 @@ mod tests {
         assert!(sim.step_tick(4));
         assert_eq!(sim.processed(), 4);
         assert!(!sim.step_tick(4));
+    }
+
+    /// A world that holds one item of a borrowed input, as `zmail-core`'s
+    /// trace sends do: the applying item schedules the one after it at
+    /// its own time (in ms), and the run's feed refills the slot.
+    struct Relay {
+        next: Option<u64>,
+        /// `(item, tick)` per apply.
+        seen: Vec<(u64, u64)>,
+    }
+
+    impl World for Relay {
+        type Event = u64;
+        type Effect = ();
+        fn footprint(&self, _event: &u64, keys: &mut Vec<u64>) {
+            keys.push(0);
+        }
+        fn stage(&self, _now: SimTime, _event: &u64, _rec: &mut AccessRecorder) {}
+        fn apply(&mut self, now: SimTime, item: u64, _: (), scheduler: &mut Scheduler<'_, u64>) {
+            self.seen.push((item, scheduler.tick()));
+            if let Some(next) = self.next.take() {
+                scheduler.at(SimTime::from_millis(next).max(now), next);
+            }
+        }
+    }
+
+    #[test]
+    fn a_fed_run_streams_its_input_through_a_one_item_slot() {
+        let input = [0u64, 0, 0, 5, 5, 9];
+        let run = |threads: Option<usize>| {
+            let mut sim = Simulation::new(Relay {
+                next: None,
+                seen: Vec::new(),
+            });
+            sim.schedule(SimTime::ZERO, input[0]);
+            let mut rest = input[1..].iter();
+            let feed = |world: &mut Relay| {
+                if world.next.is_none() {
+                    world.next = rest.next().copied();
+                }
+            };
+            let handled = match threads {
+                None => sim.run_fed(feed),
+                Some(threads) => sim.run_parallel_fed(threads, feed),
+            };
+            assert_eq!(handled, input.len() as u64);
+            sim.into_world().seen
+        };
+        let serial = run(None);
+        let items: Vec<u64> = serial.iter().map(|&(item, _)| item).collect();
+        assert_eq!(items, input);
+        // An item scheduled at its predecessor's instant runs a tick later.
+        let ticks: Vec<u64> = serial.iter().map(|&(_, tick)| tick).collect();
+        assert_eq!(ticks, [1, 2, 3, 4, 5, 6]);
+        assert_eq!(run(Some(1)), serial);
+        assert_eq!(run(Some(2)), serial);
+
+        // Unfed, the slot stays empty and the first item ends the run.
+        let mut sim = Simulation::new(Relay {
+            next: None,
+            seen: Vec::new(),
+        });
+        sim.schedule(SimTime::ZERO, 0);
+        assert_eq!(sim.run_to_completion(), 1);
     }
 
     #[test]

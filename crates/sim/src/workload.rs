@@ -18,19 +18,24 @@
 //! by send instant, and sends at one instant in the order the generator
 //! drew them — personal mail user by user in row-major order, then each
 //! campaign, then each infection. That is the order a stable sort of the
-//! drawn sends by `at` leaves; the generator reaches it by sorting
-//! `(at, index)` keys and gathering the sends once into a vector of
-//! exactly the trace's length. Every model draws from the one
-//! [`Sampler`] in that same generation order, so a trace is a pure
-//! function of `(config, seed)`.
+//! drawn sends by `at` leaves. The generator reaches it without sorting
+//! sends or building `(at, index)` keys: it counts the sends per bucket
+//! of `at`, writes each send's 4-byte index into its bucket in drawing
+//! order, sorts each bucket stably by `at` and gathers the sends once
+//! into a vector of exactly the trace's length. Every model draws from
+//! the one [`Sampler`] in that same generation order, so a trace is a
+//! pure function of `(config, seed)`.
 //!
 //! **Cost.** A personal send costs one exponential gap (one `ln`), one
 //! affinity trial and one Zipf draw against a law built once per trace
 //! (usually two uniforms and one `powf`, see [`Zipf`]), plus its share
-//! of the key sort: ≈125 ns a send for the `sim_world` benchmark's
-//! 320k-send trace in a release build on a 2-thread Xeon VM, against
-//! ≈240 ns when every draw recomputed its envelope and the sends
-//! themselves were sorted.
+//! of the ordering: two bucket passes, a sort of about four indices and
+//! a gather. Beside the drawn sends and the trace, the ordering holds
+//! 5 bytes a send (an index and a quarter of a bucket counter). The
+//! `sim_world` benchmark's 320k-send trace takes 58–64 ms
+//! (`sim.workload.generate_ms`, four traced runs in a release build on a
+//! 2-thread Xeon VM), against 62–69 ms when the ordering sorted 16-byte
+//! `(at, index)` keys.
 
 use crate::clock::{SimDuration, SimTime};
 use crate::rng::{Sampler, Zipf};
@@ -381,15 +386,55 @@ impl Popularity {
     }
 }
 
+/// About how many sends share a bucket of [`time_order`].
+const SENDS_PER_BUCKET: usize = 4;
+
 /// `events` in time order, events at one instant in the order they come
-/// in: the order `slice::sort_by_key(|e| e.at)` leaves, reached by
-/// sorting 16-byte `(at, index)` keys — unique, so an unstable sort
-/// leaves them in one order — and gathering the events once into a
-/// vector of exactly their length.
+/// in: the order `slice::sort_by_key(|e| e.at)` leaves. One pass counts
+/// the events in each bucket of `at` (a power-of-two width, with about
+/// [`SENDS_PER_BUCKET`] events a bucket), a second writes each event's
+/// index into its bucket's range in input order, a stable sort by `at`
+/// orders each bucket, and one gather copies the events into a vector of
+/// exactly their length. Beside that vector it holds a 4-byte index per
+/// event and a 4-byte counter per bucket.
 fn time_order(events: &[SendEvent]) -> Vec<SendEvent> {
-    let mut keys: Vec<(SimTime, usize)> = events.iter().map(|e| e.at).zip(0..).collect();
-    keys.sort_unstable();
-    keys.iter().map(|&(_, i)| events[i]).collect()
+    let Some(first) = events.first() else {
+        return Vec::new();
+    };
+    let len = u32::try_from(events.len()).expect("fewer than 2^32 sends");
+    let (min, max) = events.iter().fold((first.at, first.at), |(lo, hi), e| {
+        (lo.min(e.at), hi.max(e.at))
+    });
+    let span = max.as_millis() - min.as_millis();
+    // At least two buckets wanted, so a shift of 63 always fits.
+    let wanted = (events.len() / SENDS_PER_BUCKET).max(2) as u64;
+    let shift = (0..64)
+        .find(|&s| span >> s < wanted)
+        .expect("span >> 63 < 2");
+    let bucket = |e: &SendEvent| ((e.at.as_millis() - min.as_millis()) >> shift) as usize;
+    let mut ends = vec![0u32; (span >> shift) as usize + 1];
+    for e in events {
+        ends[bucket(e)] += 1;
+    }
+    // Each bucket's start, advanced to its end as the bucket fills.
+    let mut start = 0;
+    for slot in &mut ends {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+    let mut order = vec![0u32; events.len()];
+    for (i, e) in (0..len).zip(events) {
+        let slot = &mut ends[bucket(e)];
+        order[*slot as usize] = i;
+        *slot += 1;
+    }
+    let mut start = 0;
+    for &end in &ends {
+        order[start..end as usize].sort_by_key(|&i| events[i as usize].at);
+        start = end as usize;
+    }
+    order.iter().map(|&i| events[i as usize]).collect()
 }
 
 #[cfg(test)]
@@ -550,30 +595,81 @@ mod tests {
         assert!(events.iter().all(|e| e.from.isp == e.to.isp));
     }
 
+    /// Sends at `at(pick)`, told apart only by sender, recipient and kind.
+    fn sends(raw: &[(u64, u32, u32, u8)], at: impl Fn(u64) -> u64) -> Vec<SendEvent> {
+        raw.iter()
+            .map(|&(pick, from, to, spam)| SendEvent {
+                at: SimTime::from_millis(at(pick)),
+                from: UserAddr::new(0, from),
+                to: UserAddr::new(1, to),
+                kind: if spam == 1 {
+                    MailKind::Spam
+                } else {
+                    MailKind::Personal
+                },
+            })
+            .collect()
+    }
+
+    /// `time_order` leaves what a stable sort of whole events leaves,
+    /// in a vector of exactly their length.
+    fn is_the_stable_sort(events: &[SendEvent]) -> Result<(), TestCaseError> {
+        let mut stable = events.to_vec();
+        stable.sort_by_key(|e| e.at);
+        let ordered = time_order(events);
+        prop_assert_eq!(ordered.len(), ordered.capacity());
+        prop_assert_eq!(ordered, stable);
+        Ok(())
+    }
+
+    #[test]
+    fn time_order_of_no_send_and_of_one_send() {
+        assert_eq!(time_order(&[]).capacity(), 0);
+        for at in [0, 1, u64::MAX] {
+            let one = sends(&[(at, 1, 2, 1)], |at| at);
+            assert_eq!(time_order(&one), one);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The key sort leaves the order a stable sort of whole events
-        /// leaves, on lists where most instants are shared: few distinct
-        /// times, events told apart only by sender, recipient and kind.
+        /// On lists where most instants are shared: few distinct times,
+        /// events told apart only by sender, recipient and kind.
         #[test]
         fn time_order_is_the_stable_sort(
             raw in proptest::collection::vec((0u64..8, 0u32..4, 0u32..4, 0u8..2), 0..300),
         ) {
-            let events: Vec<SendEvent> = raw
-                .iter()
-                .map(|&(at, from, to, spam)| SendEvent {
-                    at: SimTime::from_millis(at),
-                    from: UserAddr::new(0, from),
-                    to: UserAddr::new(1, to),
-                    kind: if spam == 1 { MailKind::Spam } else { MailKind::Personal },
-                })
-                .collect();
-            let mut stable = events.clone();
-            stable.sort_by_key(|e| e.at);
-            let ordered = time_order(&events);
-            prop_assert_eq!(ordered.len(), ordered.capacity());
-            prop_assert_eq!(ordered, stable);
+            is_the_stable_sort(&sends(&raw, |at| at))?;
+        }
+
+        /// Instants anywhere in `u64`, a few sends apart or most of the
+        /// range apart, and up to its last value: a pick past `bases`
+        /// counts down from `u64::MAX`. Ties stay common.
+        #[test]
+        fn time_order_is_the_stable_sort_over_wide_ranges(
+            bases in proptest::collection::vec(any::<u64>(), 1..6),
+            raw in proptest::collection::vec((0u64..64, 0u32..4, 0u32..4, 0u8..2), 0..300),
+        ) {
+            let at = |pick: u64| {
+                let offset = pick % 8;
+                bases
+                    .get((pick / 8) as usize)
+                    .map_or(u64::MAX - offset, |base| base.saturating_add(offset))
+            };
+            is_the_stable_sort(&sends(&raw, at))?;
+        }
+
+        /// Every send at one instant makes one bucket of them all, which
+        /// must come out in input order.
+        #[test]
+        fn time_order_keeps_one_instant_in_input_order(
+            at in any::<u64>(),
+            raw in proptest::collection::vec((0u64..1, 0u32..4, 0u32..4, 0u8..2), 1..3000),
+        ) {
+            let events = sends(&raw, |_| at);
+            prop_assert_eq!(time_order(&events), events.clone());
+            is_the_stable_sort(&events)?;
         }
     }
 }
