@@ -155,7 +155,9 @@ pub struct ZmailConfig {
     pub faults: FaultPlan,
     /// If set, an ISP whose buy/sell exchange has not completed after this
     /// long retransmits with a **fresh nonce** (the paper's replay guard
-    /// rejects identical retransmissions — see experiment E15).
+    /// rejects identical retransmissions — see experiment E15). The check
+    /// fires `net_latency` plus this after the request, so without
+    /// `idempotent_bank_ids` it must exceed `net_latency`.
     pub bank_retry_after: Option<SimDuration>,
     /// If set, buy/sell retransmissions reuse the **same nonce** and the
     /// bank answers replays from a cached reply instead of rejecting
@@ -242,7 +244,9 @@ impl ZmailConfig {
     /// # Panics
     ///
     /// Panics if vector lengths disagree with `isps` or thresholds are
-    /// inverted — configuration bugs that should fail fast.
+    /// inverted — configuration bugs that should fail fast — and if a
+    /// fresh-nonce `bank_retry_after` is no longer than `net_latency`,
+    /// which would fire every retry before its reply lands.
     pub fn validate(&self) {
         assert!(self.isps >= 1, "need at least one ISP");
         assert!(self.users_per_isp >= 1, "need at least one user per ISP");
@@ -269,6 +273,20 @@ impl ZmailConfig {
             self.attest_weakness.is_none() || self.attestations,
             "attest_weakness requires attestations"
         );
+        if let Some(retry) = self.bank_retry_after.filter(|_| !self.idempotent_bank_ids) {
+            // The retry check is armed at `net_latency + retry` after the
+            // request and the reply lands at twice the latency; armed
+            // first, the check wins a tie. A fresh-nonce retry that never
+            // comes after its reply makes every reply stale, for ever.
+            assert!(
+                retry.as_millis() > self.net_latency.as_millis(),
+                "bank_retry_after ({} ms) must exceed net_latency ({} ms) unless bank ids \
+                 are idempotent: a fresh-nonce retry that fires before the bank's reply \
+                 lands makes every reply stale",
+                retry.as_millis(),
+                self.net_latency.as_millis()
+            );
+        }
         self.faults.validate(self.isps);
     }
 
@@ -392,6 +410,12 @@ impl ZmailConfigBuilder {
     /// Enables (or disables, with `None`) fresh-nonce retransmission of
     /// buy/sell exchanges that have not completed after `retry_after` —
     /// independently of any fault clauses.
+    ///
+    /// # Panics
+    ///
+    /// Panics at `build` if `retry_after` is no longer than the network
+    /// latency and bank ids are not idempotent: every retry would fire
+    /// before its reply landed and the exchange would never complete.
     pub fn bank_retry(mut self, retry_after: Option<SimDuration>) -> Self {
         self.config.bank_retry_after = retry_after;
         self

@@ -75,8 +75,9 @@ fn lockstep() -> Vec<SendEvent> {
 }
 
 /// Low balances and a narrow pool, so sends top up at the counter and
-/// pools buy and sell; a retry timer one latency long, so retries tie
-/// with replies.
+/// pools buy and sell; a retry timer two latencies long, so a retry
+/// check fires three latencies after its request — one after the reply,
+/// on an instant where lockstep sends and deliveries land.
 fn config(durable: bool) -> ZmailConfig {
     let builder = ZmailConfig::builder(ISPS, USERS)
         .initial_balance(EPennies(20))

@@ -51,6 +51,12 @@
 //! backend's bytes — no clocks, no randomness — so a fixed plan+seed
 //! recovers byte-identically every run.
 //!
+//! The path is two halves: a read takes from the backend everything
+//! recovery needs (the image, or a clone of the bootstrap books, and the
+//! log bytes), and a fold replays them, touching nothing else — so a
+//! sharded store reads its shards in the caller's thread and folds them
+//! on workers, and `Storage` needs no `Send` or `Sync`.
+//!
 //! Without an observer that path reads nothing before the older image's
 //! `wal_offset`, so an engine opened without one lets go of that prefix:
 //! once an image is synced, [`Storage::release`] is called before the
@@ -197,41 +203,52 @@ impl<S: Storage> LedgerStore<S> {
         initial: Books,
         observe: Option<Observer<'_>>,
     ) -> (Self, RecoveryReport) {
-        let mut store = LedgerStore {
-            storage,
-            config,
-            initial,
-            books: Books::default(),
-            pending: Vec::new(),
-            pending_records: 0,
-            wal_len: 0,
-            appended: 0,
-            commits: 0,
-            ckpt_seq: 0,
-            since_checkpoint: 0,
-            checkpointed_len: 0,
-            slot_floor: 0,
-            releases: observe.is_none(),
-            tally: Tally::default(),
-        };
+        let loaded = read(&storage, &initial, observe.is_some());
+        Self::recovered(storage, config, initial, fold(loaded, observe))
+    }
+
+    /// The engine over `storage` that `recovered` — a [`fold`] of what
+    /// [`read`] found in `storage` — reconstructs: a torn tail is
+    /// truncated in the backend, and the checkpoint counters resume from
+    /// what was replayed.
+    pub(crate) fn recovered(
+        storage: S,
+        config: StoreConfig,
+        initial: Books,
+        recovered: Recovered,
+    ) -> (Self, RecoveryReport) {
         let Recovered {
             books,
             report,
             next_seq,
             replayed_from,
-        } = recover(&store.storage, &store.initial, observe);
+            observed,
+        } = recovered;
+        let slot_floor = checkpoint::slot_len(&books) as u64;
+        let mut store = LedgerStore {
+            storage,
+            config,
+            initial,
+            books,
+            pending: Vec::new(),
+            pending_records: 0,
+            wal_len: report.wal_bytes,
+            appended: 0,
+            commits: 0,
+            ckpt_seq: next_seq,
+            // The replayed tail is checkpoint debt this incarnation
+            // inherits: a process that restarts before appending
+            // `checkpoint_every` records of its own must still get to
+            // write an image.
+            since_checkpoint: report.replayed_records,
+            checkpointed_len: replayed_from.min(report.wal_bytes),
+            slot_floor,
+            releases: !observed,
+            tally: Tally::default(),
+        };
         if report.truncated_bytes > 0 {
             store.storage.truncate(WAL, report.wal_bytes);
         }
-        store.books = books;
-        store.wal_len = report.wal_bytes;
-        store.ckpt_seq = next_seq;
-        // The replayed tail is checkpoint debt this incarnation inherits:
-        // a process that restarts before appending `checkpoint_every`
-        // records of its own must still get to write an image.
-        store.since_checkpoint = report.replayed_records;
-        store.checkpointed_len = replayed_from.min(report.wal_bytes);
-        store.slot_floor = checkpoint::slot_len(&store.books) as u64;
         StoreMetrics::get().recoveries.inc();
         StoreMetrics::get()
             .replayed_records
@@ -381,8 +398,14 @@ impl<S: Storage> LedgerStore<S> {
         &self,
         observe: Option<Observer<'_>>,
     ) -> (Books, RecoveryReport) {
-        let recovered = recover(&self.storage, &self.initial, observe);
+        let recovered = fold(self.read_recovery(observe.is_some()), observe);
         (recovered.books, recovered.report)
+    }
+
+    /// What a recovery of this engine's backend reads out of it (see
+    /// [`read`]), for an observer or not.
+    pub(crate) fn read_recovery(&self, observed: bool) -> Loaded {
+        read(&self.storage, &self.initial, observed)
     }
 
     /// The engine's live books (checkpoint image source).
@@ -512,25 +535,90 @@ fn walk(bytes: &[u8], from: u64, mut visit: impl FnMut(&LedgerRecord) -> bool) -
     }
 }
 
-/// What [`recover`] reconstructed.
-struct Recovered {
+/// What recovery reads out of a backend before it folds anything: the
+/// books replay starts from and the log it walks, owned. Everything that
+/// touches the [`Storage`] is [`read`]; [`fold`] is pure over this, so a
+/// sharded store reads its shards in the caller's thread and folds them
+/// on workers without asking anything of `S`.
+#[derive(Default)]
+pub(crate) struct Loaded {
+    /// The newest usable image's books, or a clone of the bootstrap.
     books: Books,
-    report: RecoveryReport,
+    /// The WAL from `base` on.
+    wal: Vec<u8>,
+    /// Where `wal` starts in the log: 0 for an observer, who walks the
+    /// whole log, otherwise where replay starts.
+    base: u64,
+    /// WAL offset replay starts at: the image's `wal_offset`, 0 without
+    /// one.
+    replayed_from: u64,
+    checkpoint_seq: Option<u64>,
+    corrupt_slots: u32,
+    /// Whether the log was read for an observer.
+    observed: bool,
+}
+
+/// What [`fold`] reconstructed.
+#[derive(Default)]
+pub(crate) struct Recovered {
+    pub(crate) books: Books,
+    pub(crate) report: RecoveryReport,
     /// Sequence the next checkpoint will carry.
     next_seq: u64,
     /// WAL offset the replay started at: the recovered checkpoint's
     /// `wal_offset`, 0 without one.
     replayed_from: u64,
+    /// Whether an observer was shown the log: then the whole log was
+    /// read, and an engine built on this recovery must keep it.
+    observed: bool,
 }
 
-/// The shared recovery pass: pure over the backend's bytes.
+/// The storage half of recovery: the newest usable checkpoint (the slot
+/// decode included), the books replay starts from, and the log it
+/// walks.
 ///
 /// Replay starts at the checkpoint's `wal_offset`, and without an
 /// observer that is also where the read starts: the log before it is
-/// neither copied out of the backend nor walked. An `observe`r needs the
-/// whole valid log, so for it the WAL is read from 0 and the frames
-/// before the checkpoint are walked first, each frame still checksummed
-/// and decoded once.
+/// neither copied out of the backend nor walked. An observer needs the
+/// whole valid log, so for one (`observed`) the WAL is read from 0.
+///
+/// # Panics
+///
+/// Panics if the log was released and no usable image is left to
+/// replay its rest onto: the bootstrap books plus a log with a hole are
+/// not the books.
+pub(crate) fn read<S: Storage>(storage: &S, initial: &Books, observed: bool) -> Loaded {
+    let (best, corrupt_slots) = load_checkpoint(storage, initial);
+    let released = storage.released(WAL);
+    assert!(
+        best.is_some() || released == 0,
+        "no usable checkpoint image covers the WAL released before offset {released}: \
+         refusing to replay the rest onto the bootstrap books"
+    );
+    let (books, replayed_from, checkpoint_seq) = match best {
+        Some(ckpt) => (ckpt.books, ckpt.wal_offset, Some(ckpt.seq)),
+        None => (initial.clone(), 0, None),
+    };
+    let base = if observed {
+        0
+    } else {
+        replayed_from.min(storage.len(WAL))
+    };
+    Loaded {
+        books,
+        wal: storage.read_from(WAL, base),
+        base,
+        replayed_from,
+        checkpoint_seq,
+        corrupt_slots,
+        observed,
+    }
+}
+
+/// The pure half of recovery: replays `loaded`'s log onto its books,
+/// and shows `observe`, if there is one, every record of the valid log.
+/// With an observer the frames before the checkpoint are walked first,
+/// each frame still checksummed and decoded once.
 ///
 /// The replay ends at the first record that does not fit the books
 /// ([`Books::try_apply`]) or, with an observer, fails its check; the
@@ -539,35 +627,28 @@ struct Recovered {
 ///
 /// # Panics
 ///
-/// Panics if the log was released and no usable image is left to
-/// replay its rest onto: the bootstrap books plus a log with a hole are
-/// not the books.
-fn recover<S: Storage>(
-    storage: &S,
-    initial: &Books,
-    mut observe: Option<Observer<'_>>,
-) -> Recovered {
-    let (best, corrupt_slots) = load_checkpoint(storage, initial);
-    let released = storage.released(WAL);
-    assert!(
-        best.is_some() || released == 0,
-        "no usable checkpoint image covers the WAL released before offset {released}: \
-         refusing to replay the rest onto the bootstrap books"
+/// Panics if `observe` is given for a log read without one, or withheld
+/// from a log read for one.
+pub(crate) fn fold(loaded: Loaded, mut observe: Option<Observer<'_>>) -> Recovered {
+    let Loaded {
+        mut books,
+        wal: wal_bytes,
+        base,
+        replayed_from,
+        checkpoint_seq,
+        corrupt_slots,
+        observed,
+    } = loaded;
+    assert_eq!(
+        observe.is_some(),
+        observed,
+        "an observer walks the whole log: read it for one"
     );
     let lands = observe.as_ref().map(|o| o.lands);
-    let (mut books, replayed_from, checkpoint_seq, next_seq) = match best {
-        Some(ckpt) => (ckpt.books, ckpt.wal_offset, Some(ckpt.seq), ckpt.seq + 1),
-        None => (initial.clone(), 0, None, 0),
-    };
     // `wal_bytes` is the log from `base` on; every offset below is
     // relative to it until the report is written.
-    let base = match observe {
-        Some(_) => 0,
-        None => replayed_from.min(storage.len(WAL)),
-    };
-    let wal_bytes = storage.read_from(WAL, base);
     let from = (replayed_from - base).min(wal_bytes.len() as u64);
-    let observed = match observe.as_mut() {
+    let observed_to = match observe.as_mut() {
         Some(observe) => walk(&wal_bytes[..from as usize], 0, |rec| {
             show_if_fits(observe, rec)
         }),
@@ -575,7 +656,7 @@ fn recover<S: Storage>(
     };
     // The observer joins the replay only if its own walk arrived where
     // the replay starts.
-    let mut joined = if observed == from {
+    let mut joined = if observed_to == from {
         observe.take()
     } else {
         None
@@ -594,7 +675,7 @@ fn recover<S: Storage>(
     if let Some(mut observe) = observe {
         // Damage in the old log: the observer goes on alone from where
         // it stopped, within what the replay found valid.
-        walk(&wal_bytes[..valid_len as usize], observed, |rec| {
+        walk(&wal_bytes[..valid_len as usize], observed_to, |rec| {
             show_if_fits(&mut observe, rec)
         });
     }
@@ -609,8 +690,9 @@ fn recover<S: Storage>(
     Recovered {
         books,
         report,
-        next_seq,
+        next_seq: checkpoint_seq.map_or(0, |seq| seq + 1),
         replayed_from,
+        observed,
     }
 }
 

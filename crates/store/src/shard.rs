@@ -44,6 +44,10 @@
 //!   prepare itself was torn, fully-reverted) — never a half-transfer,
 //!   so conservation drift is exactly 0. The engine never truncates a
 //!   WAL at checkpoint time, which is what makes the full scan sound.
+//!   Every shard is read in the caller's thread and folded, with its
+//!   scan, on up to `min(shards, available_parallelism())` scoped
+//!   workers; the scans are absorbed in shard order, so the result is
+//!   the one-shard-at-a-time one.
 //!   The scan leans on the order the engine writes in — xids ascend, and
 //!   a shard releases its prepares in the order it made them — so the
 //!   open prepares of a log are a FIFO (a prepare pushes, its release
@@ -72,7 +76,9 @@
 //! ([`ShardMetrics`]).
 
 use crate::books::{pool_applied, BankBooks, Books, IspBooks, Ledger, PoolRow, Refused, UserBooks};
-use crate::engine::{LedgerStore, Observer, RecoveryReport, StoreConfig};
+use crate::engine::{
+    self, LedgerStore, Loaded, Observer, Recovered, RecoveryReport, StoreConfig, WAL,
+};
 use crate::record::{LedgerRecord, XferKind, XferLeg};
 use crate::storage::Storage;
 use std::cmp::Reverse;
@@ -348,6 +354,102 @@ impl ShardRecoveryReport {
 /// engine's: no observer, so only the tail it replays is read.
 fn journals_transfers(shards: usize) -> bool {
     shards > 1
+}
+
+/// Log bytes a fold must have per thread before a thread is spawned for
+/// it. Folding costs ≈3 ns a byte (the benchmark's `recovery` cell folds
+/// 3.4 MB in ≈10 ms on one thread) and a scoped thread's spawn and join
+/// ≈42 µs (two vCPUs of an Intel Xeon under KVM), the fold of ≈14 KB; at
+/// 64 KiB a thread saves several times what it costs. A store opened on
+/// empty backends spawns none.
+const FOLD_BYTES_PER_WORKER: u64 = 1 << 16;
+
+/// How many threads a recovery of `shards` shards holding `log_bytes` of
+/// WAL folds on: one per shard, up to the CPUs this process may run on,
+/// and no more than the log pays for ([`FOLD_BYTES_PER_WORKER`]). The
+/// host is asked once a process (the answer reads cgroup files).
+fn fold_workers(shards: usize, log_bytes: u64) -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    let cpus = *CPUS.get_or_init(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    });
+    let paid = usize::try_from(log_bytes / FOLD_BYTES_PER_WORKER).unwrap_or(usize::MAX);
+    cpus.min(shards).min(paid).max(1)
+}
+
+/// One shard's recovery, folded, and what its log says about transfers.
+type Folded = (Recovered, XferScan);
+
+/// Reads every shard's recovery with `read`, in shard order and in the
+/// caller's thread, and folds them on up to `workers` threads, each
+/// taking a contiguous group of shards: a group is handed to a scoped
+/// thread as soon as it is read, so it folds while the caller reads the
+/// next, and the caller folds the last group itself. With one worker
+/// (one shard, one allowed CPU, or a short log) the caller folds each
+/// shard as soon as it has read it.
+///
+/// Every shard's observer and [`XferScan`] are built on the thread that
+/// folds it, into slots the caller allocated, so a worker allocates
+/// nothing the caller keeps and frees only the log it folded; nothing
+/// here runs a backend off the caller's thread, so `S` needs no `Send` or
+/// `Sync`. The result is in shard order. A worker's panic is raised
+/// again in the caller with its own payload.
+fn fold_shards(
+    map: &ShardMap,
+    shards: usize,
+    workers: usize,
+    mut read: impl FnMut(usize) -> Loaded,
+) -> Vec<Folded> {
+    let observed = journals_transfers(shards);
+    let fold_one = |loaded: Loaded| -> Folded {
+        let mut scan = XferScan::default();
+        let mut visit = |rec: &LedgerRecord| scan.observe(rec);
+        let lands = |dst, credit| map.lands(dst, credit);
+        let observer = observed.then_some(Observer {
+            lands: &lands,
+            visit: &mut visit,
+        });
+        let recovered = engine::fold(loaded, observer);
+        (recovered, scan)
+    };
+    let workers = workers.clamp(1, shards.max(1));
+    if workers == 1 {
+        return (0..shards).map(|shard| fold_one(read(shard))).collect();
+    }
+    let fold_group = |loaded: &mut [Loaded], folded: &mut [Folded]| {
+        for (loaded, folded) in loaded.iter_mut().zip(folded) {
+            *folded = fold_one(std::mem::take(loaded));
+        }
+    };
+    let mut loaded: Vec<Loaded> = (0..shards).map(|_| Loaded::default()).collect();
+    let mut folded: Vec<Folded> = (0..shards).map(|_| Folded::default()).collect();
+    std::thread::scope(|scope| {
+        let fold_group = &fold_group;
+        let mut spawned = Vec::with_capacity(workers - 1);
+        let (mut unread, mut unfolded) = (&mut loaded[..], &mut folded[..]);
+        let mut first = 0;
+        for group in 1..=workers {
+            let end = group * shards / workers;
+            let (inputs, rest) = std::mem::take(&mut unread).split_at_mut(end - first);
+            let (outputs, rest_out) = std::mem::take(&mut unfolded).split_at_mut(end - first);
+            (unread, unfolded) = (rest, rest_out);
+            for (shard, input) in (first..end).zip(inputs.iter_mut()) {
+                *input = read(shard);
+            }
+            if group < workers {
+                spawned.push(scope.spawn(move || fold_group(inputs, outputs)));
+            } else {
+                fold_group(inputs, outputs);
+            }
+            first = end;
+        }
+        for worker in spawned {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+    folded
 }
 
 /// A growable set of small integers, one bit each.
@@ -658,20 +760,19 @@ impl<S: Storage> ShardedLedgerStore<S> {
         // Each engine is about to clone its part: give the global
         // books' memory back first so the copies can reuse it.
         drop(bootstrap);
-        let mut stores = Vec::with_capacity(storages.len());
-        let mut reports = Vec::with_capacity(storages.len());
-        let mut in_doubt = InDoubt::default();
         let shards = storages.len();
-        for (s, (storage, part)) in storages.into_iter().zip(parts).enumerate() {
-            let mut scan = XferScan::default();
-            let mut visit = |rec: &LedgerRecord| scan.observe(rec);
-            let lands = |dst, credit| map.lands(dst, credit);
-            let observer = journals_transfers(shards).then_some(Observer {
-                lands: &lands,
-                visit: &mut visit,
-            });
-            let (store, report) = LedgerStore::open_observed(storage, config, part, observer);
+        let observed = journals_transfers(shards);
+        let log_bytes = storages.iter().map(|storage| storage.len(WAL)).sum();
+        let folded = fold_shards(&map, shards, fold_workers(shards, log_bytes), |s| {
+            engine::read(&storages[s], &parts[s], observed)
+        });
+        let mut stores = Vec::with_capacity(shards);
+        let mut reports = Vec::with_capacity(shards);
+        let mut in_doubt = InDoubt::default();
+        let engines = storages.into_iter().zip(parts).zip(folded);
+        for (s, ((storage, part), (recovered, scan))) in engines.enumerate() {
             in_doubt.absorb(s, scan);
+            let (store, report) = LedgerStore::recovered(storage, config, part, recovered);
             stores.push(store);
             reports.push(report);
         }
@@ -1001,21 +1102,19 @@ impl<S: Storage> ShardedLedgerStore<S> {
     /// Per-shard engine recovery with the in-doubt transfers resolved on
     /// the recovered images, in shard order.
     fn recover_parts(&self) -> (Vec<Books>, ShardRecoveryReport) {
-        let mut parts = Vec::with_capacity(self.stores.len());
+        let shards = self.stores.len();
+        let observed = journals_transfers(shards);
+        let log_bytes = self.stores.iter().map(|s| s.storage().len(WAL)).sum();
+        let folded = fold_shards(&self.map, shards, fold_workers(shards, log_bytes), |s| {
+            self.stores[s].read_recovery(observed)
+        });
+        let mut parts = Vec::with_capacity(shards);
         let mut report = ShardRecoveryReport::default();
         let mut in_doubt = InDoubt::default();
-        for (s, store) in self.stores.iter().enumerate() {
-            let mut scan = XferScan::default();
-            let mut visit = |rec: &LedgerRecord| scan.observe(rec);
-            let lands = |dst, credit| self.map.lands(dst, credit);
-            let observer = journals_transfers(self.stores.len()).then_some(Observer {
-                lands: &lands,
-                visit: &mut visit,
-            });
-            let (books, shard_report) = store.simulate_recovery_observed(observer);
+        for (s, (recovered, scan)) in folded.into_iter().enumerate() {
             in_doubt.absorb(s, scan);
-            parts.push(books);
-            report.shards.push(shard_report);
+            parts.push(recovered.books);
+            report.shards.push(recovered.report);
         }
         in_doubt.sealed().resolve(&mut report, |_, dst, leg| {
             parts[dst].try_apply(&leg.record())
@@ -1955,5 +2054,154 @@ mod tests {
         }
         let members: Vec<usize> = (0..200).filter(|&i| sources.contains(i)).collect();
         assert_eq!(members, vec![3, 64, 70]);
+    }
+
+    /// What a sharded recovery of `store`'s backends rebuilds from its
+    /// shards' folds: every part, then the in-doubt transfers resolved on
+    /// them. `fold` is handed the shard count and each shard's read.
+    fn recovered_with(
+        store: &ShardedLedgerStore<MemStorage>,
+        fold: impl FnOnce(usize, &mut dyn FnMut(usize) -> Loaded) -> Vec<Folded>,
+    ) -> (Vec<Books>, ShardRecoveryReport) {
+        let observed = journals_transfers(store.stores.len());
+        let mut read = |s: usize| store.stores[s].read_recovery(observed);
+        let mut parts = Vec::new();
+        let mut report = ShardRecoveryReport::default();
+        let mut in_doubt = InDoubt::default();
+        for (s, (recovered, scan)) in fold(store.stores.len(), &mut read).into_iter().enumerate() {
+            in_doubt.absorb(s, scan);
+            parts.push(recovered.books);
+            report.shards.push(recovered.report);
+        }
+        in_doubt.sealed().resolve(&mut report, |_, dst, leg| {
+            parts[dst].try_apply(&leg.record())
+        });
+        (parts, report)
+    }
+
+    /// The reference: one shard after another on the caller's thread,
+    /// each read, then folded with its own observer and scan.
+    fn recovered_one_shard_at_a_time(
+        store: &ShardedLedgerStore<MemStorage>,
+    ) -> (Vec<Books>, ShardRecoveryReport) {
+        recovered_with(store, |shards, read| {
+            let observed = journals_transfers(shards);
+            (0..shards)
+                .map(|s| {
+                    let loaded = read(s);
+                    let mut scan = XferScan::default();
+                    let mut visit = |rec: &LedgerRecord| scan.observe(rec);
+                    let lands = |dst, credit| store.map.lands(dst, credit);
+                    let observer = observed.then_some(Observer {
+                        lands: &lands,
+                        visit: &mut visit,
+                    });
+                    let recovered = engine::fold(loaded, observer);
+                    (recovered, scan)
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Folding shards at once changes nothing: over stores of 2, 3, 4
+        /// and 8 shards — each shard's log cut somewhere in the last
+        /// flush, so transfers are left between their prepare, apply and
+        /// release, then a torn tail and a corrupt slot, and
+        /// shard 0's log the longest, so a later shard's fold ends first
+        /// — `simulate_recovery`, `recovers_live_books`, `open`, and the
+        /// fold at every worker count from 1 to the shard count rebuild
+        /// the books and report of the one-shard-at-a-time reference.
+        #[test]
+        fn folding_shards_at_once_recovers_what_one_at_a_time_recovers(
+            shards in prop_oneof![Just(2usize), Just(3), Just(4), Just(8)],
+            ops in proptest::collection::vec((0u32..8, 0u32..48, 0u32..48, 1i64..50), 0..300),
+            ballast in 0usize..1_500,
+            checkpoint_every in prop_oneof![Just(u64::MAX), 0u64..200],
+            crash in proptest::collection::vec(0u64..=1_000, 8..9),
+            torn in (0usize..8, 0usize..8),
+            spoiled in (0usize..8, 0usize..2, any::<usize>()),
+        ) {
+            const ISPS: u32 = 3;
+            const USERS: u32 = 16;
+            let config = StoreConfig { batch_records: 64, checkpoint_every };
+            let (mut sharded, _) =
+                ShardedLedgerStore::open(storages(shards), config, bootstrap(ISPS, USERS));
+            let account = |a: u32| (a % ISPS, a / ISPS % USERS);
+            let on_zero: Vec<(u32, u32)> = (0..ISPS * USERS)
+                .map(account)
+                .filter(|&(isp, user)| sharded.map().user_shard(isp, user) == 0)
+                .collect();
+            for i in 0..ballast {
+                if let Some(&(isp, user)) = on_zero.get(i % on_zero.len().max(1)) {
+                    sharded.append(&if i % 2 == 0 {
+                        LedgerRecord::Charge { isp, user }
+                    } else {
+                        LedgerRecord::Deposit { isp, user }
+                    });
+                }
+            }
+            for (i, &(kind, a, b, amount)) in ops.iter().enumerate() {
+                let ((isp, user), (peer, other)) = (account(a), account(b));
+                let leg = |kind, isp, user| XferLeg { kind, isp, user, amount };
+                match kind {
+                    0 => sharded.append(&LedgerRecord::Charge { isp, user }),
+                    1 => sharded.append(&LedgerRecord::Deposit { isp, user }),
+                    2 => sharded.append(&LedgerRecord::UserBuy { isp, user, amount }),
+                    3 => sharded.append(&LedgerRecord::UserSell { isp, user, amount }),
+                    4 => sharded.append(&LedgerRecord::CreditDelta { isp, peer, delta: 1 }),
+                    _ => sharded.transfer(
+                        leg(XferKind::Charge, isp, user),
+                        leg(XferKind::Deposit, peer, other),
+                    ),
+                }
+                if i % 5 == 4 && i + 20 < ops.len() {
+                    sharded.commit_all();
+                }
+            }
+            // The last flush's prepares, applies and releases are each
+            // cut off on some shards and not on others.
+            let flushed: Vec<u64> = sharded.stores.iter().map(|s| s.wal_len()).collect();
+            sharded.commit_all();
+            for (s, (&from, per_mille)) in flushed.iter().zip(crash).enumerate() {
+                let storage = sharded.shard_mut(s).storage_mut();
+                let len = storage.len(WAL);
+                storage.truncate(WAL, from + (len - from) * per_mille / 1_000);
+            }
+            // Tear a tail, spoil a slot.
+            let (victim, garbage) = torn;
+            sharded
+                .shard_mut(victim % shards)
+                .storage_mut()
+                .append(WAL, &[0xA5; 8][..garbage]);
+            let (victim, slot, at) = spoiled;
+            let storage = sharded.shard_mut(victim % shards).storage_mut();
+            let mut image = storage.read(crate::checkpoint::SLOTS[slot]);
+            if !image.is_empty() {
+                let at = at % image.len();
+                image[at] ^= 0x10;
+                storage.write(crate::checkpoint::SLOTS[slot], &image);
+            }
+
+            let (parts, report) = recovered_one_shard_at_a_time(&sharded);
+            let books = sharded.map().merge(&parts);
+            prop_assert_eq!(sharded.simulate_recovery(), (books.clone(), report.clone()));
+            prop_assert_eq!(
+                sharded.recovers_live_books(),
+                (books == sharded.books(), report.clone())
+            );
+            for workers in 1..=shards {
+                let at_once = recovered_with(&sharded, |shards, read| {
+                    fold_shards(sharded.map(), shards, workers, read)
+                });
+                prop_assert_eq!(&at_once, &(parts.clone(), report.clone()), "{} workers", workers);
+            }
+            let (opened, opened_report) =
+                ShardedLedgerStore::open(sharded.into_storages(), config, bootstrap(ISPS, USERS));
+            prop_assert_eq!(opened_report, report);
+            prop_assert_eq!(opened.books(), books);
+        }
     }
 }

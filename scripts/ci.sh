@@ -15,6 +15,9 @@ cargo build --release
 echo "== cargo test (every suite, once; tests/docs.rs is the doc-link and doc-presence gate, tests/lock_sites.rs the lock-discipline scan)"
 cargo test -q --workspace
 
+echo "== store and fault suites on one allowed CPU (available_parallelism is 1: recovery folds every shard in the caller's thread; the fold tests still drive the scoped workers at every worker count)"
+taskset -c 0 cargo test -q --release -p zmail-store -p zmail-fault
+
 echo "== cargo doc (first-party crates, warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
   -p zmail -p zmail-ap -p zmail-core -p zmail-bench -p zmail-crypto \
