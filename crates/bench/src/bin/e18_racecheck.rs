@@ -1,9 +1,11 @@
-//! E18 — The price of proof: footprint race-detector overhead and the
-//! full protocol harness on the tick-parallel path.
+//! E18 — The price of proof: footprint race-detector overhead on the
+//! tick-parallel sharded-ledger world, and the full protocol harness
+//! checked.
 //!
-//! PR 6 made the million-user ledger parallel; this PR makes the
-//! parallelism *checkable*. Two questions matter for keeping the
-//! checker on by default in development runs:
+//! The million-user ledger stages each tick's independent events on
+//! worker threads; the footprint contract makes that parallelism
+//! *checkable*. Two questions matter for keeping the checker on by
+//! default in development runs:
 //!
 //! 1. **What does checking cost?** `CheckedWorld` re-derives every
 //!    event's declared footprint, replays the batch-selection decision,
@@ -11,13 +13,14 @@
 //!    first table runs the E17 sharded-ledger world checked vs.
 //!    unchecked at matched thread counts and reports the events/s
 //!    penalty.
-//! 2. **What does the full harness gain?** `ZmailWorld` — every ISP,
-//!    the bank, latency-modelled delivery, billing — implements the
+//! 2. **Are the full harness's footprints exact?** `ZmailWorld` — every
+//!    ISP, the bank, latency-modelled delivery, billing — implements the
 //!    `zmail_sim::World` contract with footprints developed under the
-//!    checker. The second table drives a multi-day deployment through
-//!    `run_trace_parallel` at 1/2/4/8 threads, asserting byte-identical
-//!    reports while measuring events/s, plus one armed run so the
-//!    `racecheck.*` counters land in the obs registry.
+//!    checker. Its ticks hold about one event each, so it runs serially
+//!    (`run_trace`); the second table drives a multi-day deployment
+//!    unchecked and checked, asserting byte-identical reports and zero
+//!    findings while measuring events/s, and the armed run puts the
+//!    `racecheck.*` counters in the obs registry.
 //!
 //! Mode: `--smoke` shrinks both workloads to a seconds-scale CI gate
 //! over the same code paths.
@@ -25,8 +28,7 @@
 use std::time::Instant;
 use zmail_bench::Report;
 use zmail_core::{
-    run_massive, run_massive_checked, DurabilityConfig, MassiveConfig, RunReport, ZmailConfig,
-    ZmailSystem,
+    run_massive, run_massive_checked, DurabilityConfig, MassiveConfig, ZmailConfig, ZmailSystem,
 };
 use zmail_sim::workload::{SendEvent, TrafficConfig, TrafficGenerator};
 use zmail_sim::{Sampler, SimDuration, Table};
@@ -126,9 +128,9 @@ fn harness_system(isps: u32, users_per_isp: u32, seed: u64) -> ZmailSystem {
     ZmailSystem::new(config, seed)
 }
 
-/// Full-harness tick-parallel throughput: serial baseline, 1/2/4/8
-/// stage threads (byte-identical reports asserted), and one armed run
-/// for the checker's cost on the richest world in the codebase.
+/// The full harness checked: one armed run (zero findings, report
+/// byte-identical to the unchecked run) and the checker's cost on the
+/// richest world in the codebase.
 fn harness_throughput(isps: u32, users_per_isp: u32, days: u64) -> bool {
     const SEED: u64 = 18;
     let trace = harness_trace(isps, users_per_isp, days, SEED);
@@ -138,7 +140,7 @@ fn harness_throughput(isps: u32, users_per_isp: u32, days: u64) -> bool {
     let mut armed = harness_system(isps, users_per_isp, SEED);
     armed.enable_racecheck();
     let start = Instant::now();
-    let armed_report = armed.run_trace_parallel(&trace, 4);
+    let armed_report = armed.run_trace(&trace);
     let armed_wall = start.elapsed().as_secs_f64();
     let racecheck = armed.racecheck_report();
     let events = racecheck.events_checked;
@@ -155,30 +157,20 @@ fn harness_throughput(isps: u32, users_per_isp: u32, days: u64) -> bool {
     let serial_wall = start.elapsed().as_secs_f64();
     serial_system.audit().expect("serial run must audit clean");
 
-    let mut table = Table::new(&["path", "threads", "events/s", "wall", "identical"]);
-    let row = |table: &mut Table, path: &str, threads: &str, wall: f64, same: bool| {
+    let same = armed_report == reference;
+    let ok = racecheck.findings.is_empty() && same;
+    let mut table = Table::new(&["path", "events/s", "wall", "identical"]);
+    for (path, wall, same) in [
+        ("serial", serial_wall, true),
+        ("serial+racecheck", armed_wall, same),
+    ] {
         table.row_owned(vec![
             path.to_string(),
-            threads.to_string(),
             format!("{:.0}", events as f64 / wall.max(1e-9)),
             format!("{:.3}s", wall),
             if same { "yes" } else { "NO" }.to_string(),
         ]);
-    };
-    row(&mut table, "serial", "-", serial_wall, true);
-
-    let mut ok = racecheck.findings.is_empty();
-    ok &= armed_report == reference;
-    for threads in [1usize, 2, 4, 8] {
-        let mut system = harness_system(isps, users_per_isp, SEED);
-        let start = Instant::now();
-        let report: RunReport = system.run_trace_parallel(&trace, threads);
-        let wall = start.elapsed().as_secs_f64();
-        let same = report == reference;
-        ok &= same;
-        row(&mut table, "parallel", &threads.to_string(), wall, same);
     }
-    row(&mut table, "parallel+racecheck", "4", armed_wall, true);
     println!("{table}");
 
     let registry = zmail_obs::global();
@@ -197,8 +189,8 @@ fn harness_throughput(isps: u32, users_per_isp: u32, days: u64) -> bool {
 
 fn main() {
     let experiment = Report::new(
-        "E18: racecheck overhead + full-harness tick-parallel throughput",
-        "the footprint race detector is cheap enough to leave on in development runs, and the full protocol harness — ISPs, bank, billing, latency — runs tick-parallel with byte-identical reports under a clean racecheck",
+        "E18: racecheck overhead + the full harness checked",
+        "the footprint race detector is cheap enough to leave on in development runs, and the full protocol harness — ISPs, bank, billing, latency — declares exact footprints: a clean racecheck, with the checked run's report byte-identical to the unchecked one",
     );
     zmail_obs::global().set_enabled(true);
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -214,7 +206,7 @@ fn main() {
     };
     experiment.finish(
         ok,
-        "zero findings on both worlds, checked books identical to unchecked, and every parallel RunReport byte-identical to serial",
+        "zero findings on both worlds, and checked books and RunReports identical to unchecked",
     );
     if !ok {
         std::process::exit(1);

@@ -1,23 +1,16 @@
-//! E19 — The price of looking: causal flight-recorder overhead and
-//! trace determinism across thread counts.
+//! E19 — The price of looking: causal flight-recorder overhead.
 //!
-//! PR 7 wires a per-message flight recorder through the whole stack —
+//! A per-message flight recorder runs through the whole stack —
 //! TraceId minted at submission, child spans for queue wait, bank
-//! round-trips, WAL group-commit, delivery, and acks. Two questions
-//! decide whether it can stay on outside postmortems:
-//!
-//! 1. **What does recording cost?** Span timestamps come from the sim
-//!    clock, so the only real cost is bookkeeping. The first pair of
-//!    tables runs the full protocol harness (`ZmailWorld`) and the
-//!    million-user sharded ledger (`MassiveWorld`) at head-sampling
-//!    rates {off, 1/64, 1/8, 1/1} and reports the wall-clock penalty,
-//!    asserting at every rate that the run itself is byte-identical to
-//!    the untraced baseline.
-//! 2. **Is the trace a pure function of plan + seed?** The recorder
-//!    mutates only on the serial apply path, so the span stream must be
-//!    byte-identical at any stage-thread count. The determinism table
-//!    re-runs full sampling at 1/2/4/8 threads and diffs both the raw
-//!    span streams and the folded `trace.phase.*` latency metrics.
+//! round-trips, WAL group-commit, delivery, and acks. What decides
+//! whether it can stay on outside postmortems is its cost. Span
+//! timestamps come from the sim clock, so the only real cost is
+//! bookkeeping. The two tables run the full protocol harness
+//! (`ZmailWorld`, serially) and the million-user sharded ledger
+//! (`MassiveWorld`, tick-parallel at 4 threads) at head-sampling rates
+//! {off, 1/64, 1/8, 1/1} and report the wall-clock penalty, asserting at
+//! every rate that the run itself is byte-identical to the untraced
+//! baseline.
 //!
 //! The run ends with the latency-attribution view itself: per-phase
 //! p50/p99/p999 (sim-clock ms) and the slowest lifecycles with their
@@ -87,7 +80,6 @@ fn run_harness(
     isps: u32,
     users_per_isp: u32,
     trace: &[SendEvent],
-    threads: usize,
     rate: Option<u64>,
 ) -> (RunReport, SpanLog, f64) {
     let mut system = harness_system(isps, users_per_isp);
@@ -98,11 +90,7 @@ fn run_harness(
         r
     });
     let start = Instant::now();
-    let report = if threads == 1 {
-        system.run_trace(trace)
-    } else {
-        system.run_trace_parallel(trace, threads)
-    };
+    let report = system.run_trace(trace);
     let wall = start.elapsed().as_secs_f64();
     let log = recorder
         .map(|r| {
@@ -137,7 +125,7 @@ fn harness_overhead(isps: u32, users_per_isp: u32, days: u64) -> (bool, SpanLog)
     let mut reference: Option<RunReport> = None;
     let mut full_log = SpanLog::default();
     for rate in RATES {
-        let (report, log, wall) = run_harness(isps, users_per_isp, &trace, 1, rate);
+        let (report, log, wall) = run_harness(isps, users_per_isp, &trace, rate);
         let same = match &reference {
             None => {
                 baseline_wall = wall;
@@ -175,48 +163,6 @@ fn harness_overhead(isps: u32, users_per_isp: u32, days: u64) -> (bool, SpanLog)
          timestamps are sim-clock, so overhead is pure bookkeeping.)\n"
     );
     (ok, full_log)
-}
-
-/// Trace determinism: full sampling at 1/2/4/8 stage threads must yield
-/// byte-identical span streams and identical `trace.phase.*` metrics.
-fn harness_determinism(isps: u32, users_per_isp: u32, days: u64) -> bool {
-    let trace = harness_trace(isps, users_per_isp, days);
-    let (ref_report, ref_log, _) = run_harness(isps, users_per_isp, &trace, 1, Some(1));
-    let ref_metrics = {
-        let registry = Registry::new();
-        registry.set_enabled(true);
-        attribute(&ref_log, &registry);
-        registry.snapshot()
-    };
-    let mut table = Table::new(&[
-        "threads",
-        "spans",
-        "stream identical",
-        "phase metrics identical",
-    ]);
-    let mut ok = true;
-    for threads in [1usize, 2, 4, 8] {
-        let (report, log, _) = run_harness(isps, users_per_isp, &trace, threads, Some(1));
-        let registry = Registry::new();
-        registry.set_enabled(true);
-        attribute(&log, &registry);
-        let streams = log == ref_log && report == ref_report;
-        let metrics = registry.snapshot() == ref_metrics;
-        ok &= streams && metrics;
-        table.row_owned(vec![
-            threads.to_string(),
-            log.spans.len().to_string(),
-            if streams { "yes" } else { "NO" }.to_string(),
-            if metrics { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
-    println!("trace determinism: full sampling, tick-parallel stage threads");
-    println!("{table}");
-    println!(
-        "(the recorder mutates only on the serial apply path, so the span\n\
-         stream is a pure function of plan + seed at any thread count.)\n"
-    );
-    ok
 }
 
 /// Sampling-rate overhead on the million-user sharded-ledger world.
@@ -340,27 +286,25 @@ fn attribution_view(log: &SpanLog) {
 
 fn main() {
     let experiment = Report::new(
-        "E19: flight-recorder overhead + cross-thread trace determinism",
-        "causal lifecycle tracing is cheap enough to leave on (head sampling makes it a dial, not a switch), never perturbs the run, and emits byte-identical span streams at any thread count",
+        "E19: flight-recorder overhead",
+        "causal lifecycle tracing is cheap enough to leave on (head sampling makes it a dial, not a switch) and never perturbs the run",
     );
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (a, full_log, b, c) = if smoke {
+    let (a, full_log, b) = if smoke {
         println!("(--smoke: reduced workloads, same code paths)\n");
         let (a, log) = harness_overhead(3, 10, 1);
-        let b = harness_determinism(3, 10, 1);
-        let c = massive_overhead(1_000, 4, 2_500);
-        (a, log, b, c)
+        let b = massive_overhead(1_000, 4, 2_500);
+        (a, log, b)
     } else {
         let (a, log) = harness_overhead(10, 40, 3);
-        let b = harness_determinism(6, 20, 2);
-        let c = massive_overhead(20_000, 8, 10_000);
-        (a, log, b, c)
+        let b = massive_overhead(20_000, 8, 10_000);
+        (a, log, b)
     };
     attribution_view(&full_log);
-    let ok = a && b && c;
+    let ok = a && b;
     experiment.finish(
         ok,
-        "every traced run identical to its untraced baseline at all sampling rates, and full-sampling span streams + trace.phase.* metrics byte-identical at 1/2/4/8 threads",
+        "every traced run identical to its untraced baseline at all sampling rates, on both worlds",
     );
     if !ok {
         std::process::exit(1);

@@ -4,9 +4,8 @@
 //!
 //! 1. the sim engine's **event counters and final queue depth** are a
 //!    pure function of the workload — running the same trace twice
-//!    yields equal snapshots (the byte-identical sim-clock span stream
-//!    is gated by `tests/parallel_harness.rs` and `zmail-core --lib
-//!    flight_recorder`);
+//!    yields equal snapshots (the sim-clock span stream is pinned by
+//!    `zmail-core`'s `tests/tie_golden.rs` and `--lib flight_recorder`);
 //! 2. explorer **profiling never perturbs verification**: the
 //!    [`ExploreReport`](zmail_ap::ExploreReport) half of a profiled run
 //!    is byte-identical to the unprofiled run at every thread count.

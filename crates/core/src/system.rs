@@ -197,10 +197,10 @@ pub struct RunReport {
     /// (empty unless durability is configured and a `Crash` fired).
     pub recoveries: Vec<RecoveryEvent>,
     /// Fold of every staged per-event digest ([`NetMsg::digest`] for
-    /// deliveries, the trace-entry digest for workload sends) — the
-    /// parallel staging payload. Serial and tick-parallel runs of one
-    /// seed must agree on it exactly, so it anchors the serial≡parallel
-    /// equivalence gate to the staged computation, not just the applies.
+    /// deliveries, the trace-entry digest for workload sends) — what
+    /// every event's `stage` computes. It ties a report comparison (a
+    /// rerun, a checked run against an unchecked one) to the staged
+    /// computation, not just the applies.
     pub digest_checksum: u64,
 }
 
@@ -263,8 +263,8 @@ struct ZmailWorld {
     books: WorldBooks,
     /// The workload entry after the one queued as `Event::Workload`,
     /// which that event schedules when it applies. A run's
-    /// [`TraceFeed`] puts it here from the borrowed trace, so the
-    /// world holds one entry of the trace, never the trace.
+    /// [`ZmailWorld::refill`] puts it here from the borrowed trace, so
+    /// the world holds one entry of the trace, never the trace.
     next_send: Option<SendEvent>,
     horizon: SimTime,
     /// Every e-penny that is neither in a balance nor in a pool: on the
@@ -360,6 +360,16 @@ fn msg_class(msg: &NetMsg) -> MsgClass {
 }
 
 impl ZmailWorld {
+    /// Puts the next entry of `rest`, the part of a borrowed trace not
+    /// yet handed over, in the one-entry lookahead if the queued send
+    /// has taken it. Run before every event, it keeps the lookahead full
+    /// whenever a `Workload` applies.
+    fn refill(&mut self, rest: &mut std::slice::Iter<'_, SendEvent>) {
+        if self.next_send.is_none() {
+            self.next_send = rest.next().copied();
+        }
+    }
+
     /// Counts a message that reached an inbox.
     fn delivered(&mut self, kind: MailKind, paid: bool) {
         *self.report.delivered_by_kind.entry(kind).or_default() += 1;
@@ -998,8 +1008,8 @@ impl World for ZmailWorld {
     fn event_label(event: &Event) -> &'static str {
         match event {
             Event::Workload(_) => "workload",
-            // Deliveries are the parallel-staged digest events; split
-            // the label by traffic class so telemetry and racecheck
+            // Deliveries stage message digests; split the label
+            // by traffic class so telemetry and racecheck
             // findings name the actual wire protocol involved.
             Event::Deliver { msg, .. } => match msg_class(msg) {
                 MsgClass::Email => "deliver_email",
@@ -1134,23 +1144,6 @@ impl World for ZmailWorld {
     }
 }
 
-/// The part of a borrowed trace not yet handed to the world.
-struct TraceFeed<'t> {
-    rest: std::slice::Iter<'t, SendEvent>,
-}
-
-impl TraceFeed<'_> {
-    /// Puts the next entry in the world's one-entry lookahead if the
-    /// queued send has taken it. Run before every event (or tick), it
-    /// keeps the lookahead full whenever a `Workload` applies: the send
-    /// that applies schedules the next, so a tick holds at most one.
-    fn refill(&mut self, world: &mut ZmailWorld) {
-        if world.next_send.is_none() {
-            world.next_send = self.rest.next().copied();
-        }
-    }
-}
-
 /// The runnable Zmail deployment.
 ///
 /// The world always sits inside a [`CheckedWorld`] adapter; disarmed
@@ -1269,18 +1262,19 @@ impl ZmailSystem {
     /// trace-id hash); sampled lifecycles grow parent/child spans for
     /// queue wait, bank round trips, WAL group-commits, wire hops, and
     /// §5 acks, all stamped with the **sim clock** — the span stream is
-    /// a pure function of plan + seed at any thread count. The caller
-    /// keeps a clone to `finalize` and `drain` after the run.
+    /// a pure function of plan + seed. The caller keeps a clone to
+    /// `finalize` and `drain` after the run.
     pub fn attach_flight_recorder(&mut self, recorder: FlightRecorder) {
         self.world_mut().flight = recorder;
     }
 
     /// Schedules `trace`'s first entry and the daily/billing periodic
-    /// events across its span, and returns the feed that hands the world
-    /// the rest of it. Shared preamble of [`ZmailSystem::run_trace`] and
-    /// [`ZmailSystem::run_trace_parallel`]; every entry, the first
-    /// included, is sent at `max(at, now)`.
-    fn seed_trace<'t>(&mut self, trace: &'t [SendEvent]) -> TraceFeed<'t> {
+    /// events across its span, and returns the rest of it, which
+    /// [`ZmailWorld::refill`] hands the world. The preamble of
+    /// [`ZmailSystem::run_trace`] (and of a test that steps the run one
+    /// event at a time); every entry, the first included, is sent at
+    /// `max(at, now)`.
+    fn seed_trace<'t>(&mut self, trace: &'t [SendEvent]) -> std::slice::Iter<'t, SendEvent> {
         let start = self.sim.now();
         let horizon = trace.last().map_or(start, |e| e.at);
         self.world_mut().horizon = horizon;
@@ -1299,7 +1293,7 @@ impl ZmailSystem {
                 self.sim.schedule(first_billing, Event::BillingKickoff);
             }
         }
-        TraceFeed { rest }
+        rest
     }
 
     /// Runs a workload trace to completion (including network drain and any
@@ -1310,25 +1304,9 @@ impl ZmailSystem {
     /// time. The trace is borrowed: the world holds the one entry after
     /// the queued send, refilled between events.
     pub fn run_trace(&mut self, trace: &[SendEvent]) -> RunReport {
-        let mut feed = self.seed_trace(trace);
-        self.sim.run_fed(|world| feed.refill(world.inner_mut()));
-        self.report().clone()
-    }
-
-    /// Runs a workload trace like [`ZmailSystem::run_trace`], but on the
-    /// tick-parallel engine path: within each tick, footprint-independent
-    /// events' stage phases (message digests) execute on up to `threads`
-    /// worker threads (`0` = all cores), and all applies run serially in
-    /// FIFO order. The resulting [`RunReport`] — including
-    /// [`RunReport::digest_checksum`] — is byte-identical to a serial run
-    /// of the same seed at any thread count. Entries already past are
-    /// sent at the current time, as in `run_trace`, and the trace is fed
-    /// between ticks, one entry ahead: a tick holds at most one send of
-    /// it.
-    pub fn run_trace_parallel(&mut self, trace: &[SendEvent], threads: usize) -> RunReport {
-        let mut feed = self.seed_trace(trace);
+        let mut rest = self.seed_trace(trace);
         self.sim
-            .run_parallel_fed(threads, |world| feed.refill(world.inner_mut()));
+            .run_fed(|world| world.inner_mut().refill(&mut rest));
         self.report().clone()
     }
 
@@ -1807,35 +1785,23 @@ mod tests {
     fn a_trace_run_again_sends_its_past_entries_now() {
         let config = ZmailConfig::builder(2, 5).build();
         let trace = TrafficGenerator::new(traffic(2, 5, 1)).generate(&mut Sampler::new(10));
-        // `None` runs serially.
-        let twice = |threads: Option<usize>| {
-            let mut system = ZmailSystem::new(config.clone(), 10);
-            let run = |system: &mut ZmailSystem, trace: &[SendEvent]| match threads {
-                None => system.run_trace(trace),
-                Some(threads) => system.run_trace_parallel(trace, threads),
-            };
-            let first = run(&mut system, &trace);
-            let now = system.now();
-            let again = run(&mut system, &trace);
-            system.audit().expect("conservation");
-            // The same as sending the trace again with every entry at
-            // `now`, but for the entries' digests, which keep their `at`.
-            let mut twin = ZmailSystem::new(config.clone(), 10);
-            run(&mut twin, &trace);
-            let retimed: Vec<SendEvent> =
-                trace.iter().map(|e| SendEvent { at: now, ..*e }).collect();
-            let expected = run(&mut twin, &retimed);
-            let undigested = |report: &RunReport| RunReport {
-                digest_checksum: 0,
-                ..report.clone()
-            };
-            assert_eq!(undigested(&again), undigested(&expected));
-            assert!(again.delivered_total() > first.delivered_total());
-            again
+        let mut system = ZmailSystem::new(config.clone(), 10);
+        let first = system.run_trace(&trace);
+        let now = system.now();
+        let again = system.run_trace(&trace);
+        system.audit().expect("conservation");
+        // The same as sending the trace again with every entry at
+        // `now`, but for the entries' digests, which keep their `at`.
+        let mut twin = ZmailSystem::new(config, 10);
+        twin.run_trace(&trace);
+        let retimed: Vec<SendEvent> = trace.iter().map(|e| SendEvent { at: now, ..*e }).collect();
+        let expected = twin.run_trace(&retimed);
+        let undigested = |report: &RunReport| RunReport {
+            digest_checksum: 0,
+            ..report.clone()
         };
-        let serial = twice(None);
-        assert_eq!(twice(Some(1)), serial);
-        assert_eq!(twice(Some(2)), serial);
+        assert_eq!(undigested(&again), undigested(&expected));
+        assert!(again.delivered_total() > first.delivered_total());
     }
 
     #[test]
@@ -2122,20 +2088,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_run_is_byte_identical_to_serial() {
-        let trace = TrafficGenerator::new(traffic(3, 10, 2)).generate(&mut Sampler::new(19));
-        let mut serial = ZmailSystem::new(ZmailConfig::builder(3, 10).build(), 19);
-        let reference = serial.run_trace(&trace);
-        assert_ne!(reference.digest_checksum, 0, "digests must fold in");
-        for threads in [1usize, 2, 4, 8] {
-            let mut system = ZmailSystem::new(ZmailConfig::builder(3, 10).build(), 19);
-            let report = system.run_trace_parallel(&trace, threads);
-            assert_eq!(report, reference, "threads={threads}");
-            system.audit().expect("conservation on the parallel path");
-        }
-    }
-
-    #[test]
     fn full_protocol_racecheck_is_clean() {
         // Billing rounds, lists, non-compliant ISPs, bank retries: drive
         // every event arm under the armed checker and demand zero
@@ -2147,18 +2099,12 @@ mod tests {
         let mut t = traffic(3, 10, 3);
         t.same_isp_affinity = 0.3;
         let trace = TrafficGenerator::new(t).generate(&mut Sampler::new(29));
-        for threads in [1usize, 4] {
-            let mut system = ZmailSystem::new(config.clone(), 29);
-            system.enable_racecheck();
-            system.run_trace_parallel(&trace, threads);
-            let report = system.racecheck_report();
-            assert!(
-                report.findings.is_empty(),
-                "threads={threads}:\n{}",
-                report.render()
-            );
-            assert!(report.events_checked > 500, "{}", report.events_checked);
-        }
+        let mut system = ZmailSystem::new(config, 29);
+        system.enable_racecheck();
+        system.run_trace(&trace);
+        let report = system.racecheck_report();
+        assert!(report.findings.is_empty(), "{}", report.render());
+        assert!(report.events_checked > 500, "{}", report.events_checked);
     }
 
     #[test]
@@ -2295,17 +2241,12 @@ mod tests {
         config: ZmailConfig,
         traffic: TrafficConfig,
         seed: u64,
-        threads: usize,
     ) -> (zmail_obs::SpanLog, RunReport) {
         let trace = TrafficGenerator::new(traffic).generate(&mut Sampler::new(seed));
         let mut system = ZmailSystem::new(config, seed);
         let recorder = FlightRecorder::new(1 << 20);
         system.attach_flight_recorder(recorder.clone());
-        let report = if threads <= 1 {
-            system.run_trace(&trace)
-        } else {
-            system.run_trace_parallel(&trace, threads)
-        };
+        let report = system.run_trace(&trace);
         recorder.finalize(system.now().as_millis());
         (recorder.drain(), report)
     }
@@ -2322,7 +2263,7 @@ mod tests {
             .avail_bounds(EPennies(100), EPennies(300), EPennies(150))
             .durable()
             .build();
-        let (log, report) = run_recorded(config, traffic(2, 10, 2), 41, 1);
+        let (log, report) = run_recorded(config, traffic(2, 10, 2), 41);
         log.validate().expect("span log well-formed");
         assert!(report.delivered_total() > 0);
         let phases: std::collections::BTreeSet<&str> = log.spans.iter().map(|s| s.phase).collect();
@@ -2334,32 +2275,13 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_is_identical_across_thread_counts() {
-        let config = || {
-            ZmailConfig::builder(3, 10)
-                .billing_period(SimDuration::from_days(1))
-                .durable()
-                .build()
-        };
-        let (serial, base) = run_recorded(config(), traffic(3, 10, 2), 42, 1);
-        for threads in [2, 4, 8] {
-            let (parallel, report) = run_recorded(config(), traffic(3, 10, 2), 42, threads);
-            assert_eq!(base.digest_checksum, report.digest_checksum);
-            assert_eq!(
-                serial.spans, parallel.spans,
-                "span stream diverged at {threads} threads"
-            );
-        }
-    }
-
-    #[test]
     fn flight_recorder_does_not_change_the_run() {
         let config = || ZmailConfig::builder(2, 10).durable().build();
         let t = || traffic(2, 10, 1);
         let trace = TrafficGenerator::new(t()).generate(&mut Sampler::new(43));
         let mut bare = ZmailSystem::new(config(), 43);
         let bare_report = bare.run_trace(&trace);
-        let (_, recorded_report) = run_recorded(config(), t(), 43, 1);
+        let (_, recorded_report) = run_recorded(config(), t(), 43);
         assert_eq!(bare_report.digest_checksum, recorded_report.digest_checksum);
         assert_eq!(
             bare_report.delivered_total(),
@@ -2410,7 +2332,7 @@ mod tests {
             .faults(zmail_fault::FaultPlan::none().with(Fault::Crash(crash)))
             .durable()
             .build();
-        let (log, report) = run_recorded(config, traffic(2, 8, 1), 45, 1);
+        let (log, report) = run_recorded(config, traffic(2, 8, 1), 45);
         assert!(!report.recoveries.is_empty(), "crash must recover");
         log.validate().expect("span log well-formed across crash");
         assert_eq!(
@@ -2572,7 +2494,7 @@ mod tests {
         fn step_by_event() -> Stepped {
             let trace = deployment_trace();
             let mut system = deployment(per_event());
-            let mut feed = system.seed_trace(&trace);
+            let mut rest = system.seed_trace(&trace);
             let bootstrap = system.store().unwrap().books();
             let mut seen = Stepped {
                 boundaries: vec![(0, bootstrap.clone())],
@@ -2582,9 +2504,9 @@ mod tests {
                 wal: Vec::new(),
                 commits: 0,
             };
-            // Each step goes through the feed, as `run_trace`'s do.
+            // Each step is refilled first, as `run_trace`'s are.
             loop {
-                feed.refill(system.world_mut());
+                system.world_mut().refill(&mut rest);
                 if !system.sim.step() {
                     break;
                 }

@@ -8,9 +8,7 @@
 //! earlier or later in an apply, moves a report or the flight
 //! recorder's span stream here: span and trace ids are minted in apply
 //! order, so the stream sees an order change that leaves every count
-//! as it was. Each case runs volatile and durable, serially and
-//! tick-parallel at 1, 2 and 4 threads; every run of a case must record
-//! the same report and spans.
+//! as it was. Each case runs volatile and durable.
 //!
 //! The constants were recorded by running this file at the commit
 //! before the trace was streamed into the world. On a mismatch the
@@ -103,32 +101,21 @@ fn fold(value: &impl Debug) -> u64 {
 }
 
 /// `(delivered, digest_checksum, report fold, span fold)` of one case,
-/// after checking that the serial run and the tick-parallel runs at 1, 2
-/// and 4 threads agree and audit.
+/// after checking that its run audits.
 fn run(trace: &[SendEvent], durable: bool) -> (u64, u64, u64, u64) {
-    let runs = [None, Some(1), Some(2), Some(4)].map(|threads| {
-        let mut system = ZmailSystem::new(config(durable), 44);
-        let recorder = FlightRecorder::new(1 << 20);
-        system.attach_flight_recorder(recorder.clone());
-        let report = match threads {
-            None => system.run_trace(trace),
-            Some(threads) => system.run_trace_parallel(trace, threads),
-        };
-        system.audit().expect("the books balance");
-        assert_eq!(system.verify_durable_books(), durable.then_some(true));
-        recorder.finalize(system.now().as_millis());
-        let spans: SpanLog = recorder.drain();
-        assert_eq!(spans.dropped, 0, "the ring holds every span");
-        (report, spans)
-    });
-    for (run, threads) in runs[1..].iter().zip([1, 2, 4]) {
-        assert!(run == &runs[0], "{threads} threads against the serial run");
-    }
-    let (report, spans) = &runs[0];
+    let mut system = ZmailSystem::new(config(durable), 44);
+    let recorder = FlightRecorder::new(1 << 20);
+    system.attach_flight_recorder(recorder.clone());
+    let report = system.run_trace(trace);
+    system.audit().expect("the books balance");
+    assert_eq!(system.verify_durable_books(), durable.then_some(true));
+    recorder.finalize(system.now().as_millis());
+    let spans: SpanLog = recorder.drain();
+    assert_eq!(spans.dropped, 0, "the ring holds every span");
     (
         report.delivered_total(),
         report.digest_checksum,
-        fold(report),
+        fold(&report),
         fold(&spans.spans),
     )
 }

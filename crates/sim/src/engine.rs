@@ -363,17 +363,6 @@ impl<W: World> Simulation<W> {
         W: Sync,
         W::Event: Send + Sync,
     {
-        self.run_parallel_fed(threads, |_| {})
-    }
-
-    /// [`Simulation::run_parallel_to_completion`] with a driver: `feed`
-    /// gets the world before every tick, as [`Simulation::run_fed`]'s
-    /// does before every event.
-    pub fn run_parallel_fed(&mut self, threads: usize, mut feed: impl FnMut(&mut W)) -> u64
-    where
-        W: Sync,
-        W::Event: Send + Sync,
-    {
         let threads = if threads == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
@@ -381,12 +370,7 @@ impl<W: World> Simulation<W> {
         };
         let before = self.processed;
         let started = std::time::Instant::now();
-        loop {
-            feed(&mut self.world);
-            if !self.step_tick(threads) {
-                break;
-            }
-        }
+        while self.step_tick(threads) {}
         let handled = self.processed - before;
         if let Some(tel) = &self.telemetry {
             tel.on_run_complete(handled, started.elapsed());
@@ -784,33 +768,24 @@ mod tests {
     #[test]
     fn a_fed_run_streams_its_input_through_a_one_item_slot() {
         let input = [0u64, 0, 0, 5, 5, 9];
-        let run = |threads: Option<usize>| {
-            let mut sim = Simulation::new(Relay {
-                next: None,
-                seen: Vec::new(),
-            });
-            sim.schedule(SimTime::ZERO, input[0]);
-            let mut rest = input[1..].iter();
-            let feed = |world: &mut Relay| {
-                if world.next.is_none() {
-                    world.next = rest.next().copied();
-                }
-            };
-            let handled = match threads {
-                None => sim.run_fed(feed),
-                Some(threads) => sim.run_parallel_fed(threads, feed),
-            };
-            assert_eq!(handled, input.len() as u64);
-            sim.into_world().seen
-        };
-        let serial = run(None);
-        let items: Vec<u64> = serial.iter().map(|&(item, _)| item).collect();
+        let mut sim = Simulation::new(Relay {
+            next: None,
+            seen: Vec::new(),
+        });
+        sim.schedule(SimTime::ZERO, input[0]);
+        let mut rest = input[1..].iter();
+        let handled = sim.run_fed(|world| {
+            if world.next.is_none() {
+                world.next = rest.next().copied();
+            }
+        });
+        assert_eq!(handled, input.len() as u64);
+        let seen = sim.into_world().seen;
+        let items: Vec<u64> = seen.iter().map(|&(item, _)| item).collect();
         assert_eq!(items, input);
         // An item scheduled at its predecessor's instant runs a tick later.
-        let ticks: Vec<u64> = serial.iter().map(|&(_, tick)| tick).collect();
+        let ticks: Vec<u64> = seen.iter().map(|&(_, tick)| tick).collect();
         assert_eq!(ticks, [1, 2, 3, 4, 5, 6]);
-        assert_eq!(run(Some(1)), serial);
-        assert_eq!(run(Some(2)), serial);
 
         // Unfed, the slot stays empty and the first item ends the run.
         let mut sim = Simulation::new(Relay {

@@ -3,15 +3,16 @@
 //! in a tick of same-instant events. Each test proves three things:
 //!
 //! 1. the checker reports *exactly* that finding class (no more, no less);
-//! 2. the report is deterministic across thread counts — stages record
-//!    into private logs, all checking happens in the serial apply pass;
+//! 2. the report is deterministic across thread counts and equal on the
+//!    serial `Simulation::step` path — stages record into private logs,
+//!    all checking happens in the apply pass, on the engine's ticks;
 //! 3. `ddmin` shrinks the triggering schedule to a 1-minimal event
 //!    subsequence — removing any remaining event loses the finding.
 
 use zmail_sim::racecheck::{
     run_checked, shrink_schedule, AccessRecorder, RacecheckReport, SimCode,
 };
-use zmail_sim::{Scheduler, SimDuration, SimTime, World};
+use zmail_sim::{CheckedWorld, Scheduler, SimDuration, SimTime, Simulation, World};
 
 /// Which footprint-contract lie this toy world tells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,14 +163,25 @@ fn schedule() -> Vec<(SimTime, Op)> {
     events
 }
 
-/// Runs the lie's schedule at several thread counts, asserting the
-/// reports are identical, then returns the (shared) report.
+/// Runs the lie's schedule at several thread counts and through an
+/// armed [`CheckedWorld`] on the serial `run_to_completion`, asserting
+/// the reports are identical, then returns the (shared) report.
 fn check_deterministic(lie: Lie) -> RacecheckReport {
     let reference = run_checked(Toy::new(lie), &schedule(), 1).1;
     for threads in [2, 4, 8] {
         let (_, report) = run_checked(Toy::new(lie), &schedule(), threads);
         assert_eq!(report, reference, "{lie:?} diverged at threads={threads}");
     }
+    let mut sim = Simulation::new(CheckedWorld::armed(Toy::new(lie)));
+    for (at, op) in schedule() {
+        sim.schedule(at, op);
+    }
+    sim.run_to_completion();
+    assert_eq!(
+        sim.world().report(),
+        reference,
+        "{lie:?} diverged on the serial step path"
+    );
     reference
 }
 

@@ -42,10 +42,10 @@ cargo run --release -q -p zmail-bench --bin e16_durability -- --smoke > /dev/nul
 echo "== sharding (E17 smoke)"
 cargo run --release -q -p zmail-bench --bin e17_million_users -- --smoke > /dev/null
 
-echo "== parallel equivalence (serial vs threaded E17 runs byte-identical)"
+echo "== MassiveWorld parallel equivalence (E17: serial vs tick-parallel runs byte-identical)"
 cargo run --release -q -p zmail-bench --bin e17_million_users -- --equivalence > /dev/null
 
-echo "== racecheck (E18 smoke: both worlds checked)"
+echo "== racecheck (E18 smoke: MassiveWorld checked at 1 and 4 threads, ZmailWorld checked serially)"
 cargo run --release -q -p zmail-bench --bin e18_racecheck -- --smoke > /dev/null
 
 echo "== flight recorder (E19 smoke)"

@@ -354,18 +354,6 @@ impl Scenario {
         self.outcome(system, report)
     }
 
-    /// Like [`Scenario::run`], but executes the trace on the
-    /// tick-parallel engine path with `threads` stage workers (`0` = all
-    /// cores). The [`Outcome`] — report, counters, and violations — is
-    /// byte-identical to [`Scenario::run`] at any thread count; the
-    /// CI-gated `tests/parallel_harness.rs` holds this over the frozen
-    /// scenario seeds.
-    pub fn run_parallel(&self, threads: usize) -> Outcome {
-        let (mut system, trace) = self.build();
-        let report = system.run_trace_parallel(&trace, threads);
-        self.outcome(system, report)
-    }
-
     /// Like [`Scenario::run`], but with `recorder` attached as the
     /// system's causal flight recorder: every sampled message lifecycle
     /// — submission, queueing, bank round-trips, WAL commits, delivery,
@@ -381,31 +369,14 @@ impl Scenario {
         (self.outcome(system, report), recorder.drain())
     }
 
-    /// [`Scenario::run_traced`] on the tick-parallel engine path with
-    /// `threads` stage workers. The recorder mutates only on the serial
-    /// apply path, so the span log — like the outcome — is byte-identical
-    /// to [`Scenario::run_traced`] at any thread count; the CI-gated
-    /// `tests/parallel_harness.rs` holds this over frozen seeds.
-    pub fn run_traced_parallel(
-        &self,
-        threads: usize,
-        recorder: FlightRecorder,
-    ) -> (Outcome, SpanLog) {
-        let (mut system, trace) = self.build();
-        system.attach_flight_recorder(recorder.clone());
-        let report = system.run_trace_parallel(&trace, threads);
-        recorder.finalize(system.now().as_millis());
-        (self.outcome(system, report), recorder.drain())
-    }
-
-    /// Like [`Scenario::run_parallel`], but with the footprint race
-    /// detector armed: every event's actual key accesses are recorded
-    /// and diffed against the declared [`zmail_sim::World`]
-    /// footprints. Returns the outcome plus the detector's findings.
-    pub fn run_racechecked(&self, threads: usize) -> (Outcome, RacecheckReport) {
+    /// Like [`Scenario::run`], but with the footprint race detector
+    /// armed: every event's actual key accesses are recorded and diffed
+    /// against the declared [`zmail_sim::World`] footprints. Returns the
+    /// outcome plus the detector's findings.
+    pub fn run_racechecked(&self) -> (Outcome, RacecheckReport) {
         let (mut system, trace) = self.build();
         system.enable_racecheck();
-        let report = system.run_trace_parallel(&trace, threads);
+        let report = system.run_trace(&trace);
         let racecheck = system.racecheck_report();
         (self.outcome(system, report), racecheck)
     }

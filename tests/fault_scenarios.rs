@@ -1,7 +1,10 @@
 //! Randomized fault-injection scenarios: the full system must keep its
 //! zero-sum, pairwise-consistency, and liveness invariants under any
 //! recoverable fault plan, and failures must reproduce and shrink
-//! deterministically.
+//! deterministically. The footprint race detector, armed on the same
+//! runs, must find nothing: the hand-written `ZmailWorld` footprints are
+//! exact even while faults drop, duplicate, delay, and crash their way
+//! through the run.
 
 use zmail::fault::{
     ChannelFault, Crash, EndpointSel, Fault, FaultPlan, MsgClass, Partition, Window,
@@ -240,4 +243,55 @@ fn structural_faults_are_observed_and_survived() {
     );
     assert_eq!(outcome.counters.partitions_opened, 1);
     assert_eq!(outcome.counters.partitions_closed, 1);
+}
+
+#[test]
+fn racecheck_is_clean_over_every_frozen_seed() {
+    for seed in SEEDS {
+        let scenario = Scenario::random(seed);
+        let (outcome, racecheck) = scenario.run_racechecked();
+        assert!(outcome.is_ok(), "{}", scenario.failure_report(&outcome));
+        assert!(
+            racecheck.findings.is_empty(),
+            "seed {seed}: footprint findings (including warnings):\n{}",
+            racecheck.render()
+        );
+        assert!(
+            racecheck.events_checked > 0,
+            "seed {seed}: the checker observed nothing — the gate is vacuous"
+        );
+    }
+}
+
+#[test]
+fn racecheck_is_clean_with_durability_and_billing() {
+    // The widest configuration: durable stores journalling every
+    // mutation, daily billing rounds resetting credit, plus the random
+    // fault plan. Still zero findings — store persistence is outside
+    // the footprint domain by design, and the billing events' declared
+    // keys are exact.
+    for seed in [3u64, 42] {
+        let mut scenario = Scenario::random(seed).with_durability();
+        scenario.daily_billing = true;
+        let (outcome, racecheck) = scenario.run_racechecked();
+        assert!(outcome.is_ok(), "{}", scenario.failure_report(&outcome));
+        assert!(
+            racecheck.findings.is_empty(),
+            "seed {seed}:\n{}",
+            racecheck.render()
+        );
+    }
+}
+
+#[test]
+fn checked_outcome_matches_unchecked() {
+    // Arming the detector is pure observation: the checked run's report
+    // is byte-identical to the plain run's.
+    for seed in [8u64, 1337] {
+        let scenario = Scenario::random(seed);
+        let reference = scenario.run();
+        let (checked, _) = scenario.run_racechecked();
+        assert_eq!(checked.report, reference.report, "seed {seed}");
+        assert_eq!(checked.violations, reference.violations, "seed {seed}");
+    }
 }
