@@ -22,6 +22,11 @@
 //!    findings while measuring events/s, and the armed run puts the
 //!    `racecheck.*` counters in the obs registry.
 //!
+//! Each wall-clock figure is the median of repetitions that alternate
+//! the unchecked and the checked run, with the obs registry off; one
+//! more checked run per configuration, with it on, is the run whose
+//! findings and `racecheck.*` counters are reported.
+//!
 //! Mode: `--smoke` shrinks both workloads to a seconds-scale CI gate
 //! over the same code paths.
 
@@ -32,6 +37,36 @@ use zmail_core::{
 };
 use zmail_sim::workload::{SendEvent, TrafficConfig, TrafficGenerator};
 use zmail_sim::{Sampler, SimDuration, Table};
+
+/// Repetitions of each side of an overhead comparison.
+const REPS: usize = 9;
+
+/// Median wall-clock seconds of `unchecked` and of `checked`, run
+/// [`REPS`] times each, alternating, with the obs registry off so that
+/// timing runs feed no counter.
+fn median_walls(mut unchecked: impl FnMut(), mut checked: impl FnMut()) -> (f64, f64) {
+    let registry = zmail_obs::global();
+    let was_enabled = registry.is_enabled();
+    registry.set_enabled(false);
+    let mut walls = [Vec::new(), Vec::new()];
+    for _ in 0..REPS {
+        for (side, walls) in walls.iter_mut().enumerate() {
+            let start = Instant::now();
+            if side == 0 {
+                unchecked();
+            } else {
+                checked();
+            }
+            walls.push(start.elapsed().as_secs_f64());
+        }
+    }
+    registry.set_enabled(was_enabled);
+    let [plain, armed] = walls.map(|mut walls| {
+        walls.sort_by(f64::total_cmp);
+        walls[walls.len() / 2]
+    });
+    (plain, armed)
+}
 
 fn massive_config(users_per_isp: u32, ticks: u32, sends_per_tick: u32) -> MassiveConfig {
     MassiveConfig {
@@ -68,13 +103,8 @@ fn checker_overhead(users_per_isp: u32, ticks: u32, sends_per_tick: u32) -> bool
     ]);
     let mut ok = true;
     for threads in [1usize, 4] {
-        let start = Instant::now();
         let unchecked = run_massive(&cfg, threads);
-        let plain_wall = start.elapsed().as_secs_f64();
-
-        let start = Instant::now();
         let (checked, racecheck) = run_massive_checked(&cfg, threads);
-        let checked_wall = start.elapsed().as_secs_f64();
 
         // Checking is observation: the books must not move.
         ok &= racecheck.findings.is_empty();
@@ -84,6 +114,12 @@ fn checker_overhead(users_per_isp: u32, ticks: u32, sends_per_tick: u32) -> bool
                 unchecked.digest_checksum,
                 unchecked.books_crc,
             );
+        let (plain_wall, checked_wall) = median_walls(
+            || {
+                run_massive(&cfg, threads);
+            },
+            || drop(run_massive_checked(&cfg, threads)),
+        );
 
         let events = unchecked.events as f64;
         let plain_rate = events / plain_wall.max(1e-9);
@@ -102,9 +138,10 @@ fn checker_overhead(users_per_isp: u32, ticks: u32, sends_per_tick: u32) -> bool
     }
     println!("{table}");
     println!(
-        "(overhead is wall-clock; the checker replays batch selection and\n\
-         diffs every recorded access on the serial apply path. findings = 0\n\
-         means the E17 footprints are exact on this workload.)\n"
+        "(overhead is wall-clock, medians of {REPS} alternating runs a side;\n\
+         the checker replays batch selection and diffs every recorded access\n\
+         on the serial apply path. findings = 0 means the E17 footprints are\n\
+         exact on this workload.)\n"
     );
     ok
 }
@@ -139,9 +176,7 @@ fn harness_throughput(isps: u32, users_per_isp: u32, days: u64) -> bool {
     // rate denominator and pushes racecheck.* into the obs registry.
     let mut armed = harness_system(isps, users_per_isp, SEED);
     armed.enable_racecheck();
-    let start = Instant::now();
     let armed_report = armed.run_trace(&trace);
-    let armed_wall = start.elapsed().as_secs_f64();
     let racecheck = armed.racecheck_report();
     let events = racecheck.events_checked;
 
@@ -151,11 +186,17 @@ fn harness_throughput(isps: u32, users_per_isp: u32, days: u64) -> bool {
         trace.len()
     );
 
-    let start = Instant::now();
     let mut serial_system = harness_system(isps, users_per_isp, SEED);
     let reference = serial_system.run_trace(&trace);
-    let serial_wall = start.elapsed().as_secs_f64();
     serial_system.audit().expect("serial run must audit clean");
+    let (serial_wall, armed_wall) = median_walls(
+        || drop(harness_system(isps, users_per_isp, SEED).run_trace(&trace)),
+        || {
+            let mut armed = harness_system(isps, users_per_isp, SEED);
+            armed.enable_racecheck();
+            drop(armed.run_trace(&trace));
+        },
+    );
 
     let same = armed_report == reference;
     let ok = racecheck.findings.is_empty() && same;
@@ -182,7 +223,8 @@ fn harness_throughput(isps: u32, users_per_isp: u32, days: u64) -> bool {
     println!(
         "(identical = RunReport byte-equal to the serial baseline, digest\n\
          checksum included. The armed row is the checker's full-harness\n\
-         cost; its findings count is folded into the verdict below.)\n"
+         cost, wall the median of {REPS} alternating runs a side; its\n\
+         findings count is folded into the verdict below.)\n"
     );
     ok
 }

@@ -7,7 +7,10 @@
 //! Keys are 24-byte `(time, seq, slot)` triples over a slab of payloads,
 //! so the queue moves a key, never an event (`zmail-core` asserts its
 //! `Event`'s 144 bytes). A popped slot goes on a free list for the next
-//! `schedule`: the slab is as long as the queue's peak depth.
+//! `schedule`: the slab is as long as the queue's peak depth since it
+//! last drained. A pop that drains a slab grown past `KEEP_SLOTS` drops
+//! the slab, the free list, the run and the heap, so a burst scheduled up
+//! front (E17's 200,010 events) does not hold its memory after it has run.
 //!
 //! The keys live in two places, after the ladder queue's observation
 //! (Tang, Goh & Thng, ACM TOMACS 2005) that work which arrives in order
@@ -26,6 +29,11 @@ use std::collections::{BinaryHeap, VecDeque};
 /// `(time, seq, slot)`: `seq` is unique, so a comparison never reaches
 /// `slot` and the payload needs no `Ord`.
 type Key = (SimTime, u64, u32);
+
+/// Slab length a drained queue keeps its storage at: one longer is given
+/// back when the last pending event pops. A queue that never grows past
+/// it keeps its slab, so draining and refilling it allocates nothing.
+const KEEP_SLOTS: usize = 4096;
 
 /// A time-ordered queue of future events.
 #[derive(Debug, Clone)]
@@ -95,10 +103,17 @@ impl<E> EventQueue<E> {
         } else {
             self.heap.pop().map(|Reverse(key)| key)
         }?;
-        self.free.push(slot);
         let event = self.slab[slot as usize]
             .take()
             .expect("a key's slot is full");
+        if self.is_empty() && self.slab.len() > KEEP_SLOTS {
+            self.run = VecDeque::new();
+            self.heap = BinaryHeap::new();
+            self.slab = Vec::new();
+            self.free = Vec::new();
+        } else {
+            self.free.push(slot);
+        }
         Some((time, seq, event))
     }
 
@@ -201,6 +216,45 @@ mod tests {
         assert_eq!(q.pop_tick(), Some((t(2), vec!["a1", "a2", "a3"])));
         assert_eq!(q.pop_tick(), Some((t(5), vec!["b"])));
         assert_eq!(q.pop_tick(), None);
+    }
+
+    /// A burst past `KEEP_SLOTS` gives its storage back when the last
+    /// event pops; a queue that stayed under it keeps its slab for reuse.
+    /// Either way the sequence numbers carry on.
+    #[test]
+    fn a_drained_queue_above_the_floor_holds_no_storage() {
+        let mut q = EventQueue::new();
+        for i in 0..KEEP_SLOTS as u64 + 1 {
+            q.schedule(t(i % 7), i);
+        }
+        q.schedule(t(0), u64::MAX); // behind the run: the heap is used too
+        while q.len() > 1 {
+            q.pop();
+        }
+        assert!(
+            q.slab.capacity() > KEEP_SLOTS,
+            "nothing is given back early"
+        );
+        q.pop();
+        assert!(q.is_empty());
+        assert_eq!(
+            (
+                q.slab.capacity(),
+                q.free.capacity(),
+                q.run.capacity(),
+                q.heap.capacity()
+            ),
+            (0, 0, 0, 0)
+        );
+        assert_eq!(q.next_seq(), KEEP_SLOTS as u64 + 2);
+        q.schedule(t(3), 9);
+        assert_eq!(q.pop_seq(), Some((t(3), KEEP_SLOTS as u64 + 2, 9)));
+
+        for i in 0..KEEP_SLOTS as u64 {
+            q.schedule(t(i), i);
+        }
+        while q.pop().is_some() {}
+        assert_eq!((q.slab.len(), q.free.len()), (KEEP_SLOTS, KEEP_SLOTS));
     }
 
     #[test]
@@ -334,64 +388,117 @@ mod heap_model {
         },
         Pop,
         PopTick,
+        /// A burst that grows the slab past `KEEP_SLOTS`, so the next
+        /// drain gives the storage back.
+        Flood {
+            from: u64,
+            step: u64,
+        },
+        /// Pops to empty, then schedules a burst of `count` again.
+        DrainRefill {
+            from: u64,
+            step: u64,
+            count: usize,
+        },
     }
 
-    fn op() -> impl Strategy<Value = Op> {
-        (0u8..10, 0u64..8, 0u64..3, 1usize..12).prop_map(|(kind, from, step, count)| match kind {
-            0..=3 => Op::Schedule(from),
-            4..=5 => Op::Burst { from, step, count },
-            6..=8 => Op::Pop,
-            _ => Op::PopTick,
+    /// An op, with a [`Op::Flood`] one time in 24 if `floods`, else none
+    /// (a flood is 4,097 schedules: too many for every case).
+    fn op(floods: bool) -> impl Strategy<Value = Op> {
+        let kinds = if floods { 24 } else { 23 };
+        (0..kinds, 0u64..8, 0u64..3, 1usize..12).prop_map(|(kind, from, step, count)| match kind {
+            0..=7 => Op::Schedule(from),
+            8..=11 => Op::Burst { from, step, count },
+            12..=17 => Op::Pop,
+            18..=20 => Op::PopTick,
+            21..=22 => Op::DrainRefill { from, step, count },
+            _ => Op::Flood { from, step },
         })
+    }
+
+    /// Run plus heap against one binary heap of `(time, serial)` keys,
+    /// where the payload is the serial: every pop answers the same
+    /// `(time, payload)`, and `peek_time`, `len` and `is_empty` agree
+    /// after every op; a drain gives the storage back exactly when the
+    /// slab had grown past `KEEP_SLOTS`.
+    fn replay(ops: Vec<Op>) -> Result<(), TestCaseError> {
+        let at = |secs| SimTime::ZERO + SimDuration::from_secs(secs);
+        let mut queue = EventQueue::new();
+        let mut model: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
+        let mut serial = 0u64;
+        let mut schedule =
+            |queue: &mut EventQueue<u64>, model: &mut BinaryHeap<Reverse<(SimTime, u64)>>, secs| {
+                queue.schedule(at(secs), serial);
+                model.push(Reverse((at(secs), serial)));
+                serial += 1;
+            };
+        for op in ops {
+            match op {
+                Op::Schedule(secs) => schedule(&mut queue, &mut model, secs),
+                Op::Burst { from, step, count } => {
+                    for i in 0..count as u64 {
+                        schedule(&mut queue, &mut model, from + i * step);
+                    }
+                }
+                Op::Flood { from, step } => {
+                    for i in 0..KEEP_SLOTS as u64 + 1 {
+                        schedule(&mut queue, &mut model, from + i % 5 * step);
+                    }
+                    prop_assert!(queue.slab.len() > KEEP_SLOTS);
+                }
+                Op::DrainRefill { from, step, count } => {
+                    let slab = queue.slab.len();
+                    while let Some(popped) = queue.pop() {
+                        prop_assert_eq!(Some(popped), model.pop().map(|Reverse(key)| key));
+                    }
+                    prop_assert!(model.is_empty());
+                    if slab > KEEP_SLOTS {
+                        prop_assert_eq!(queue.slab.capacity(), 0);
+                    } else {
+                        prop_assert_eq!(queue.slab.len(), slab);
+                    }
+                    for i in 0..count as u64 {
+                        schedule(&mut queue, &mut model, from + i * step);
+                    }
+                }
+                Op::Pop => {
+                    let expected = model.pop().map(|Reverse(key)| key);
+                    prop_assert_eq!(queue.pop(), expected);
+                }
+                Op::PopTick => {
+                    let expected = model.peek().map(|&Reverse((time, _))| time).map(|time| {
+                        let mut tick = Vec::new();
+                        while model.peek().is_some_and(|Reverse((t, _))| *t == time) {
+                            tick.push(model.pop().expect("peeked").0 .1);
+                        }
+                        (time, tick)
+                    });
+                    prop_assert_eq!(queue.pop_tick(), expected);
+                }
+            }
+            prop_assert_eq!(queue.peek_time(), model.peek().map(|Reverse((t, _))| *t));
+            prop_assert_eq!(queue.len(), model.len());
+            prop_assert_eq!(queue.is_empty(), model.is_empty());
+            prop_assert_eq!(queue.slab.len(), queue.len() + queue.free.len());
+        }
+        Ok(())
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Run plus heap against one binary heap of `(time, serial)`
-        /// keys, where the payload is the serial: every pop answers
-        /// the same `(time, payload)`, and `peek_time`, `len` and
-        /// `is_empty` agree after every op.
         #[test]
-        fn run_and_heap_pop_what_one_heap_pops(ops in proptest::collection::vec(op(), 0..150)) {
-            let at = |secs| SimTime::ZERO + SimDuration::from_secs(secs);
-            let mut queue = EventQueue::new();
-            let mut model: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
-            let mut serial = 0u64;
-            let mut schedule = |queue: &mut EventQueue<u64>,
-                                model: &mut BinaryHeap<Reverse<(SimTime, u64)>>,
-                                secs| {
-                queue.schedule(at(secs), serial);
-                model.push(Reverse((at(secs), serial)));
-                serial += 1;
-            };
-            for op in ops {
-                match op {
-                    Op::Schedule(secs) => schedule(&mut queue, &mut model, secs),
-                    Op::Burst { from, step, count } => {
-                        for i in 0..count as u64 {
-                            schedule(&mut queue, &mut model, from + i * step);
-                        }
-                    }
-                    Op::Pop => {
-                        let expected = model.pop().map(|Reverse(key)| key);
-                        prop_assert_eq!(queue.pop(), expected);
-                    }
-                    Op::PopTick => {
-                        let expected = model.peek().map(|&Reverse((time, _))| time).map(|time| {
-                            let mut tick = Vec::new();
-                            while model.peek().is_some_and(|Reverse((t, _))| *t == time) {
-                                tick.push(model.pop().expect("peeked").0 .1);
-                            }
-                            (time, tick)
-                        });
-                        prop_assert_eq!(queue.pop_tick(), expected);
-                    }
-                }
-                prop_assert_eq!(queue.peek_time(), model.peek().map(|Reverse((t, _))| *t));
-                prop_assert_eq!(queue.len(), model.len());
-                prop_assert_eq!(queue.is_empty(), model.is_empty());
-            }
+        fn run_and_heap_pop_what_one_heap_pops(ops in proptest::collection::vec(op(false), 0..150)) {
+            replay(ops)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn floods_drain_to_what_one_heap_pops(ops in proptest::collection::vec(op(true), 0..150)) {
+            replay(ops)?;
         }
     }
 }

@@ -144,10 +144,11 @@ pub fn stable_bank_hash(bank: u32) -> u64 {
 pub struct ShardMap {
     shards: u32,
     /// `users[isp][user]` — the owning shard of a global account and the
-    /// account's index inside that shard's slice of the ISP, side by
-    /// side: routing a record needs both, and at a million accounts each
-    /// look-up is a cache miss.
-    users: Vec<Vec<(u32, u32)>>,
+    /// account's index inside that shard's slice of the ISP, packed into
+    /// one word by [`pack`]: routing a record needs both, at a million
+    /// accounts each look-up is a cache miss, and a second word per
+    /// account would be 4 MB more.
+    users: Vec<Vec<u32>>,
     /// `owned[shard][isp]` — global user indices the shard holds, in
     /// ascending order (the shard-local index space).
     owned: Vec<Vec<Vec<u32>>>,
@@ -160,8 +161,15 @@ pub struct ShardMap {
 impl ShardMap {
     /// Builds the assignment for `shards` shards over the deployment
     /// shape in `template` (user counts per ISP, bank count).
+    ///
+    /// # Panics
+    ///
+    /// Panics if one shard's slice of an ISP holds more accounts than a
+    /// route has bits left for the local index: 2^32 at one shard, 2^31
+    /// at two, 2^22 at 1,024.
     pub fn new(shards: u32, template: &Books) -> ShardMap {
         let shards = shards.max(1);
+        let bits = local_bits(shards);
         let isps = template.isps.len();
         let mut users = Vec::with_capacity(isps);
         let mut owned = vec![vec![Vec::new(); isps]; shards as usize];
@@ -169,7 +177,7 @@ impl ShardMap {
             let mut placed = Vec::with_capacity(isp.users.len());
             for u in 0..isp.users.len() as u32 {
                 let s = (stable_account_hash(i as u32, u) % u64::from(shards)) as u32;
-                placed.push((s, owned[s as usize][i].len() as u32));
+                placed.push(pack(s, owned[s as usize][i].len(), bits, i));
                 owned[s as usize][i].push(u);
             }
             users.push(placed);
@@ -197,13 +205,21 @@ impl ShardMap {
     /// Owning shard of a global user account, and the account's index
     /// inside that shard's slice of the ISP.
     pub fn locate(&self, isp: u32, user: u32) -> (u32, u32) {
-        self.users[isp as usize][user as usize]
+        self.unpack(self.users[isp as usize][user as usize])
     }
 
     /// [`locate`](Self::locate), or `None` for an account outside the
     /// books.
     fn try_locate(&self, isp: u32, user: u32) -> Option<(u32, u32)> {
-        self.users.get(isp as usize)?.get(user as usize).copied()
+        let route = *self.users.get(isp as usize)?.get(user as usize)?;
+        Some(self.unpack(route))
+    }
+
+    /// The `(shard, local)` pair a [`pack`]ed route holds.
+    fn unpack(&self, route: u32) -> (u32, u32) {
+        let bits = local_bits(self.shards);
+        let shard = (u64::from(route) >> bits) as u32;
+        (shard, (u64::from(route) & ((1 << bits) - 1)) as u32)
     }
 
     /// Owning shard of a global user account.
@@ -300,7 +316,10 @@ impl ShardMap {
                 IspBooks {
                     users: users
                         .iter()
-                        .map(|&(s, local)| parts[s as usize].isps[i].users[local as usize])
+                        .map(|&route| {
+                            let (s, local) = self.unpack(route);
+                            parts[s as usize].isps[i].users[local as usize]
+                        })
                         .collect(),
                     avail: owner.isps[i].avail,
                     credit: owner.isps[i].credit.clone(),
@@ -316,6 +335,28 @@ impl ShardMap {
             .collect();
         Books { isps, banks }
     }
+}
+
+/// Bits of a route that hold the local index: 32 less ⌈log2 `shards`⌉,
+/// which the shard id takes at the top (none at one shard).
+fn local_bits(shards: u32) -> u32 {
+    (shards - 1).leading_zeros()
+}
+
+/// One word for an account of ISP `isp` on `shard` at index `local` of
+/// that shard's slice: the shard above the low `bits` bits, the local
+/// index in them.
+///
+/// # Panics
+///
+/// Panics if `local` needs more than `bits` bits.
+fn pack(shard: u32, local: usize, bits: u32, isp: usize) -> u32 {
+    assert!(
+        (local as u64) < 1 << bits,
+        "ISP {isp} has more than 2^{bits} accounts on shard {shard}: \
+         a route holds the shard id and the local index in 32 bits"
+    );
+    ((u64::from(shard) << bits) | local as u64) as u32
 }
 
 /// Aggregate of one sharded recovery pass.
@@ -1440,6 +1481,62 @@ mod tests {
             let parts = map.split(&books);
             assert_eq!(parts.len(), shards as usize);
             assert_eq!(map.merge(&parts), books, "{shards} shards");
+        }
+    }
+
+    /// Every packed route answers the pair the hash and ascending local
+    /// order give, at shard counts on both sides of powers of two and at
+    /// 1,024, and an account outside the books has none.
+    #[test]
+    fn packed_routes_answer_the_hash_and_ascending_local_order() {
+        let (isps, users) = (3, 3_000);
+        let books = bootstrap(isps, users);
+        for shards in [1, 2, 3, 4, 16, 17, 1024] {
+            let map = ShardMap::new(shards, &books);
+            for isp in 0..isps {
+                let mut next = vec![0; shards as usize];
+                for user in 0..users {
+                    let shard = (stable_account_hash(isp, user) % u64::from(shards)) as u32;
+                    let route = (shard, next[shard as usize]);
+                    next[shard as usize] += 1;
+                    assert_eq!(
+                        map.locate(isp, user),
+                        route,
+                        "{shards} shards, {isp}/{user}"
+                    );
+                    assert_eq!(map.try_locate(isp, user), Some(route));
+                }
+                assert_eq!(map.try_locate(isp, users), None);
+            }
+            assert_eq!(map.try_locate(isps, 0), None);
+            assert_eq!(map.merge(&map.split(&books)), books, "{shards} shards");
+        }
+    }
+
+    /// The local index gets what the shard id leaves of 32 bits: the
+    /// largest index that fits packs and unpacks whole, one more is
+    /// refused by a panic that names the ISP.
+    #[test]
+    fn a_slice_too_large_for_its_route_is_refused() {
+        for (shards, bits) in [
+            (1, 32),
+            (2, 31),
+            (3, 30),
+            (4, 30),
+            (16, 28),
+            (17, 27),
+            (1024, 22),
+        ] {
+            assert_eq!(local_bits(shards), bits, "{shards} shards");
+            let (top, last) = (shards - 1, (1usize << bits) - 1);
+            let map = ShardMap::new(shards, &Books::default());
+            assert_eq!(map.unpack(pack(top, last, bits, 0)), (top, last as u32));
+            let refused = std::panic::catch_unwind(|| pack(top, last + 1, bits, 7))
+                .expect_err("an index past the bits left must be refused");
+            let message = refused
+                .downcast_ref::<String>()
+                .expect("a formatted message");
+            assert!(message.contains("ISP 7"), "{message}");
         }
     }
 

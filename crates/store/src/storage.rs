@@ -290,16 +290,18 @@ impl Storage for MemStorage {
 
 /// File-backed storage rooted at a directory, for the bench bins.
 ///
-/// Each blob is one flat file under the root. Handles are opened per
-/// operation — the engine batches appends into group commits, so the
-/// open cost is paid once per commit, not once per record. `sync` maps
-/// to `File::sync_all`. A blob's file is a directory entry too, and a
-/// file created since it was last synced could vanish after a power loss
-/// with its bytes: so `write` and `append` note a blob they create, and
-/// the next `sync` of it also fsyncs the root directory, once. Power loss
-/// cannot be produced in a test, so this is argued from POSIX `fsync`
-/// semantics, not tested. It keeps the provided [`Storage::release`],
-/// which frees nothing: a file's prefix stays on disk.
+/// Each blob is one flat file under the root, and the store holds one
+/// handle per blob, opened for appending at the blob's first `write`,
+/// `append`, `sync` or `truncate` and kept: a group commit's append and
+/// sync open nothing. `sync` maps to `File::sync_all`. A blob's file is a
+/// directory entry too, and a file created since it was last synced
+/// could vanish after a power loss with its bytes: so `write` and
+/// `append` note a blob they create, and the next `sync` of it also
+/// fsyncs the root directory, once. Power loss cannot be produced in a
+/// test, so this is argued from POSIX `fsync` semantics, not tested. It
+/// keeps the provided [`Storage::release`], which frees nothing: a
+/// file's prefix stays on disk. Reads open the file by name, so they see
+/// what another store over the same root wrote.
 ///
 /// A blob that does not exist reads empty, has length 0, and syncs and
 /// truncates as a no-op. Any other I/O error panics with the blob's
@@ -309,6 +311,8 @@ impl Storage for MemStorage {
 #[derive(Debug)]
 pub struct FileStorage {
     root: PathBuf,
+    /// The open handle of every blob this store has changed or synced.
+    files: BTreeMap<String, fs::File>,
     /// Blobs created and not synced since: their directory entries are
     /// not yet durable.
     created: BTreeSet<String>,
@@ -326,6 +330,7 @@ impl FileStorage {
         fs::create_dir_all(&root).expect("create FileStorage root");
         Self {
             root,
+            files: BTreeMap::new(),
             created: BTreeSet::new(),
         }
     }
@@ -339,18 +344,27 @@ impl FileStorage {
         self.root.join(name)
     }
 
-    /// Opens blob `name` with `options`, creating it if it does not
-    /// exist; a blob it creates is noted for the next [`sync`](Storage::sync).
-    fn open_creating(&mut self, name: &str, op: &str, options: &mut fs::OpenOptions) -> fs::File {
-        let path = self.path(name);
-        let file = match options.open(&path) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                self.created.insert(name.to_owned());
-                options.create(true).open(&path)
-            }
-            opened => opened,
-        };
-        Self::or_refuse(name, op, file)
+    /// The handle of blob `name`, opened for appending on first use. An
+    /// absent blob is created if `create` (and noted for the next
+    /// [`sync`](Storage::sync)), else answered with `None`.
+    fn file(&mut self, name: &str, op: &str, create: bool) -> Option<&mut fs::File> {
+        if !self.files.contains_key(name) {
+            let path = self.path(name);
+            let mut options = fs::OpenOptions::new();
+            let file = match options.append(true).open(&path) {
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                    if !create {
+                        return None;
+                    }
+                    self.created.insert(name.to_owned());
+                    options.create(true).open(&path)
+                }
+                opened => opened,
+            };
+            let file = Self::or_refuse(name, op, file);
+            self.files.insert(name.to_owned(), file);
+        }
+        self.files.get_mut(name)
     }
 
     /// `result`'s value.
@@ -394,20 +408,19 @@ impl Storage for FileStorage {
     }
 
     fn write(&mut self, name: &str, bytes: &[u8]) {
-        let mut options = fs::OpenOptions::new();
-        let mut file = self.open_creating(name, "write", options.write(true).truncate(true));
-        Self::or_refuse(name, "write", file.write_all(bytes));
+        let file = self.file(name, "write", true).expect("a created blob");
+        // Emptied first, an appending handle writes from offset 0.
+        let written = file.set_len(0).and_then(|()| file.write_all(bytes));
+        Self::or_refuse(name, "write", written);
     }
 
     fn append(&mut self, name: &str, bytes: &[u8]) {
-        let mut options = fs::OpenOptions::new();
-        let mut file = self.open_creating(name, "append", options.append(true));
+        let file = self.file(name, "append", true).expect("a created blob");
         Self::or_refuse(name, "append", file.write_all(bytes));
     }
 
     fn sync(&mut self, name: &str) {
-        let open = fs::OpenOptions::new().write(true).open(self.path(name));
-        if let Some(file) = Self::unless_absent(name, "sync", open) {
+        if let Some(file) = self.file(name, "sync", false) {
             Self::or_refuse(name, "sync", file.sync_all());
             if self.created.remove(name) {
                 let root = fs::File::open(&self.root).and_then(|root| root.sync_all());
@@ -421,8 +434,7 @@ impl Storage for FileStorage {
     }
 
     fn truncate(&mut self, name: &str, len: u64) {
-        let open = fs::OpenOptions::new().write(true).open(self.path(name));
-        if let Some(file) = Self::unless_absent(name, "truncate", open) {
+        if let Some(file) = self.file(name, "truncate", false) {
             if Self::or_refuse(name, "truncate", file.metadata()).len() > len {
                 Self::or_refuse(name, "truncate", file.set_len(len));
             }
@@ -680,6 +692,88 @@ mod tests {
         s.write("ckpt.a", b"snap");
         assert_eq!(s.read("ckpt.a"), b"snap");
         fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// One step of [`file_storage_reads_what_mem_storage_reads`].
+    #[derive(Debug, Clone)]
+    enum BlobOp {
+        Write(Vec<u8>),
+        Append(Vec<u8>),
+        Sync,
+        Truncate(u64),
+        Read,
+        ReadFrom(u64),
+        Len,
+    }
+
+    fn blob_op() -> impl Strategy<Value = BlobOp> {
+        let bytes = || proptest::collection::vec(any::<u8>(), 0..24);
+        prop_oneof![
+            bytes().prop_map(BlobOp::Write),
+            bytes().prop_map(BlobOp::Append),
+            bytes().prop_map(BlobOp::Append),
+            Just(BlobOp::Sync),
+            (0u64..64).prop_map(BlobOp::Truncate),
+            Just(BlobOp::Read),
+            (0u64..64).prop_map(BlobOp::ReadFrom),
+            Just(BlobOp::Len),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// A `FileStorage` holding its handles answers every read, and
+        /// creates every file, as the in-memory model does after each op
+        /// of a random sequence over two blobs, absent ones included.
+        #[test]
+        fn file_storage_reads_what_mem_storage_reads(
+            ops in proptest::collection::vec((0usize..2, blob_op()), 1..40),
+        ) {
+            const NAMES: [&str; 2] = ["wal", "ckpt.a"];
+            let root = std::env::temp_dir().join(format!(
+                "zmail-store-model-{}-{:?}",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            let _ = fs::remove_dir_all(&root);
+            let (mut file, mut mem) = (FileStorage::new(&root), MemStorage::new());
+            for (blob, op) in ops {
+                let name = NAMES[blob];
+                match op {
+                    BlobOp::Write(bytes) => {
+                        file.write(name, &bytes);
+                        mem.write(name, &bytes);
+                    }
+                    BlobOp::Append(bytes) => {
+                        file.append(name, &bytes);
+                        mem.append(name, &bytes);
+                    }
+                    BlobOp::Sync => {
+                        file.sync(name);
+                        mem.sync(name);
+                    }
+                    BlobOp::Truncate(len) => {
+                        file.truncate(name, len);
+                        mem.truncate(name, len);
+                    }
+                    BlobOp::Read => prop_assert_eq!(file.read(name), mem.read(name)),
+                    BlobOp::ReadFrom(at) => {
+                        prop_assert_eq!(file.read_from(name, at), mem.read_from(name, at));
+                    }
+                    BlobOp::Len => prop_assert_eq!(file.len(name), mem.len(name)),
+                }
+                for name in NAMES {
+                    prop_assert_eq!(file.read(name), mem.read(name), "blob {}", name);
+                    prop_assert_eq!(file.len(name), mem.len(name));
+                    prop_assert_eq!(
+                        root.join(name).exists(),
+                        mem.names().iter().any(|n| n == name)
+                    );
+                }
+            }
+            fs::remove_dir_all(&root).unwrap();
+        }
     }
 
     /// A blob `write` or `append` creates owes its directory entry a

@@ -15,6 +15,15 @@
 # in the wrong direction. Exits non-zero if any run failed or was
 # incorrect.
 #
+# A pair line ends in `trimmed: <side>` when that side's run shows
+# glibc's heap-trim mode: `setup_s` at least 1.3x the median of the
+# side's earlier runs next to a `peak_rss_mb` at least 1 MiB below
+# theirs (the set-up re-faults what the previous round's drop gave
+# back; the verify skill has the mechanism). Each side is held to its
+# own runs, so a change that lowers memory is not read as trimming, and
+# pair 1 has nothing to be held to. The summary counts marked pairs per
+# side. A marked run is a lead, not a verdict.
+#
 # With --json PATH the same run is also merged into PATH (created if
 # needed) under the workload's name: host parallelism, run seconds, both
 # checkouts, every pair's values per side in run order, and per
@@ -66,6 +75,20 @@ print(f"{workload}: {pairs} pairs x {seconds} s, {os.cpu_count()} hardware threa
       f"  parent {parent}\n  change {change}")
 values = {side: {} for side in sides}
 runs = []
+TRIM_SETUP, TRIM_RSS_MIB = 1.3, 1.0
+trimmed = {side: 0 for side in sides}
+
+def trimmed_sides():
+    """Sides whose latest run reads as heap-trimmed against their earlier runs."""
+    marked = []
+    for side in sides:
+        setup, rss = values[side].get("setup_s", []), values[side].get("peak_rss_mb", [])
+        if len(setup) > 1 and len(rss) > 1 \
+                and setup[-1] >= TRIM_SETUP * statistics.median(setup[:-1]) \
+                and rss[-1] <= statistics.median(rss[:-1]) - TRIM_RSS_MIB:
+            marked.append(side)
+    return marked
+
 for k in range(1, pairs + 1):
     order = ("parent", "change") if k % 2 else ("change", "parent")
     pair = {"seed": k, "order": list(order)}
@@ -73,10 +96,15 @@ for k in range(1, pairs + 1):
         pair[side] = run(side, k, seconds)
         for name, value in pair[side].items():
             values[side].setdefault(name, []).append(value)
+    trim = trimmed_sides()
+    for side in trim:
+        trimmed[side] += 1
+    pair["trimmed"] = trim
     runs.append(pair)
     print(f"  pair {k}: " + "; ".join(
         f"{name} {values['parent'][name][-1]:.4f} -> {values['change'][name][-1]:.4f}"
-        for name in values["parent"]), flush=True)
+        for name in values["parent"]) + (f"; trimmed: {', '.join(trim)}" if trim else ""),
+        flush=True)
 
 def quartiles(v):
     q1, _, q3 = statistics.quantiles(v, n=4) if len(v) > 1 else (v[0], v[0], v[0])
@@ -108,6 +136,8 @@ for metric in spec["end_to_end"]:
         "ratio": cm / pm, "wins": wins, "losses": losses, "verdict": verdict,
     }
 
+print(f"\n  heap-trim pairs: parent {trimmed['parent']}, change {trimmed['change']}")
+
 if json_path:
     def checkout(path):
         head = subprocess.run(["git", "-C", path, "rev-parse", "HEAD"],
@@ -122,6 +152,7 @@ if json_path:
         "checkouts": {side: checkout(path) for side, path in sides.items()},
         "pairs": runs,
         "end_to_end": summary,
+        "trimmed_pairs": trimmed,
     }
     with open(json_path, "w") as out:
         json.dump(record, out, indent=2, sort_keys=True)
