@@ -1,26 +1,23 @@
-//! E18 — The price of proof: footprint race-detector overhead on the
-//! tick-parallel sharded-ledger world, and the full protocol harness
-//! checked.
+//! E18 — The price of proof: footprint-checker overhead on the
+//! sharded-ledger world, and the full protocol harness checked.
 //!
-//! The million-user ledger stages each tick's independent events on
-//! worker threads; the footprint contract makes that parallelism
-//! *checkable*. Two questions matter for keeping the checker on by
-//! default in development runs:
+//! Every world declares, per event, the state keys it touches; those
+//! footprints are what the AP model's independence relation is
+//! cross-checked against, so they must be exact. Two questions matter
+//! for keeping the checker on by default in development runs:
 //!
 //! 1. **What does checking cost?** `CheckedWorld` re-derives every
-//!    event's declared footprint, replays the batch-selection decision,
-//!    and diffs recorded accesses — all on the serial apply path. The
-//!    first table runs the E17 sharded-ledger world checked vs.
-//!    unchecked at matched thread counts and reports the events/s
-//!    penalty.
+//!    event's declared footprint and diffs the recorded accesses
+//!    against it, in the apply phase. The first table runs the E17
+//!    sharded-ledger world checked vs. unchecked and reports the
+//!    events/s penalty.
 //! 2. **Are the full harness's footprints exact?** `ZmailWorld` — every
 //!    ISP, the bank, latency-modelled delivery, billing — implements the
 //!    `zmail_sim::World` contract with footprints developed under the
-//!    checker. Its ticks hold about one event each, so it runs serially
-//!    (`run_trace`); the second table drives a multi-day deployment
-//!    unchecked and checked, asserting byte-identical reports and zero
-//!    findings while measuring events/s, and the armed run puts the
-//!    `racecheck.*` counters in the obs registry.
+//!    checker. The second table drives a multi-day deployment through
+//!    `run_trace`, unchecked and checked, asserting byte-identical
+//!    reports and zero findings while measuring events/s, and the armed
+//!    run puts the `racecheck.*` counters in the obs registry.
 //!
 //! Each wall-clock figure is the median of repetitions that alternate
 //! the unchecked and the checked run, with the obs registry off; one
@@ -94,54 +91,49 @@ fn checker_overhead(users_per_isp: u32, ticks: u32, sends_per_tick: u32) -> bool
         ticks
     );
     let mut table = Table::new(&[
-        "threads",
         "unchecked ev/s",
         "checked ev/s",
         "overhead",
         "events checked",
         "findings",
     ]);
-    let mut ok = true;
-    for threads in [1usize, 4] {
-        let unchecked = run_massive(&cfg, threads);
-        let (checked, racecheck) = run_massive_checked(&cfg, threads);
+    let unchecked = run_massive(&cfg, 1);
+    let (checked, racecheck) = run_massive_checked(&cfg);
 
-        // Checking is observation: the books must not move.
-        ok &= racecheck.findings.is_empty();
-        ok &= (checked.paid, checked.digest_checksum, checked.books_crc)
+    // Checking is observation: the books must not move.
+    let ok = racecheck.findings.is_empty()
+        && (checked.paid, checked.digest_checksum, checked.books_crc)
             == (
                 unchecked.paid,
                 unchecked.digest_checksum,
                 unchecked.books_crc,
             );
-        let (plain_wall, checked_wall) = median_walls(
-            || {
-                run_massive(&cfg, threads);
-            },
-            || drop(run_massive_checked(&cfg, threads)),
-        );
+    let (plain_wall, checked_wall) = median_walls(
+        || {
+            run_massive(&cfg, 1);
+        },
+        || drop(run_massive_checked(&cfg)),
+    );
 
-        let events = unchecked.events as f64;
-        let plain_rate = events / plain_wall.max(1e-9);
-        let checked_rate = events / checked_wall.max(1e-9);
-        table.row_owned(vec![
-            threads.to_string(),
-            format!("{plain_rate:.0}"),
-            format!("{checked_rate:.0}"),
-            format!(
-                "{:+.1}%",
-                100.0 * (checked_wall - plain_wall) / plain_wall.max(1e-9)
-            ),
-            racecheck.events_checked.to_string(),
-            racecheck.findings.len().to_string(),
-        ]);
-    }
+    let events = unchecked.events as f64;
+    let plain_rate = events / plain_wall.max(1e-9);
+    let checked_rate = events / checked_wall.max(1e-9);
+    table.row_owned(vec![
+        format!("{plain_rate:.0}"),
+        format!("{checked_rate:.0}"),
+        format!(
+            "{:+.1}%",
+            100.0 * (checked_wall - plain_wall) / plain_wall.max(1e-9)
+        ),
+        racecheck.events_checked.to_string(),
+        racecheck.findings.len().to_string(),
+    ]);
     println!("{table}");
     println!(
         "(overhead is wall-clock, medians of {REPS} alternating runs a side;\n\
-         the checker replays batch selection and diffs every recorded access\n\
-         on the serial apply path. findings = 0 means the E17 footprints are\n\
-         exact on this workload.)\n"
+         the checker diffs every recorded access against the declared\n\
+         footprint. findings = 0 means the E17 footprints are exact on\n\
+         this workload.)\n"
     );
     ok
 }

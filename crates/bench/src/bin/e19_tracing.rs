@@ -6,15 +6,17 @@
 //! whether it can stay on outside postmortems is its cost. Span
 //! timestamps come from the sim clock, so the only real cost is
 //! bookkeeping. The two tables run the full protocol harness
-//! (`ZmailWorld`, serially) and the million-user sharded ledger
-//! (`MassiveWorld`, tick-parallel at 4 threads) at head-sampling rates
-//! {off, 1/64, 1/8, 1/1} and report the wall-clock penalty, asserting at
-//! every rate that the run itself is byte-identical to the untraced
-//! baseline. One run is milliseconds long, so each rate's wall is the
-//! median of repetitions that cycle through all four rates in turn
-//! (drift on the host hits every rate alike), and the penalty is also
-//! stated per span: the median's excess over the untraced median,
-//! divided by the spans the rate records.
+//! (`ZmailWorld`) and the million-user sharded ledger (`MassiveWorld`)
+//! at head-sampling rates {off, 1/64, 1/8, 1/1} and report the
+//! wall-clock penalty, asserting at every rate that the run itself is
+//! byte-identical to the untraced baseline. One run is milliseconds
+//! long, so each rate's wall is the median of repetitions that cycle
+//! through all four rates in turn (drift on the host hits every rate
+//! alike), and the penalty is also stated per span: the median's excess
+//! over the untraced median, divided by the spans the rate records. A
+//! median within the untraced runs' interquartile range of the untraced
+//! median is no measurable difference, and both penalty cells read
+//! `unresolved`.
 //!
 //! The run ends with the latency-attribution view itself: per-phase
 //! p50/p99/p999 (sim-clock ms) and the slowest lifecycles with their
@@ -32,7 +34,7 @@ use zmail_core::{
 use zmail_econ::EPennies;
 use zmail_obs::{attribute, FlightRecorder, Registry, SpanLog};
 use zmail_sim::workload::{SendEvent, TrafficConfig, TrafficGenerator};
-use zmail_sim::{Sampler, SimDuration, Table};
+use zmail_sim::{Quantiles, Sampler, SimDuration, Table};
 
 const SEED: u64 = 19;
 /// Span-ring capacity: big enough that nothing is dropped at 1/1
@@ -48,20 +50,21 @@ const RATES: [Option<u64>; 4] = [None, Some(64), Some(8), Some(1)];
 const HARNESS_REPS: usize = 15;
 const MASSIVE_REPS: usize = 7;
 
-fn median(mut walls: Vec<f64>) -> f64 {
-    walls.sort_by(f64::total_cmp);
-    walls[walls.len() / 2]
-}
-
 /// The table's two penalty columns for a rate of median wall `wall`
-/// that recorded `spans` spans, against the untraced median `off`.
-fn penalty(rate: Option<u64>, wall: f64, off: f64, spans: usize) -> [String; 2] {
+/// that recorded `spans` spans, against the untraced runs `off`: both
+/// `unresolved` unless `wall` differs from their median by more than
+/// their interquartile range.
+fn penalty(rate: Option<u64>, wall: f64, off: &Quantiles, spans: usize) -> [String; 2] {
     if rate.is_none() {
         return ["-".into(), "-".into()];
     }
+    let median = off.quantile(0.5);
+    if (wall - median).abs() <= off.quantile(0.75) - off.quantile(0.25) {
+        return ["unresolved".into(), "unresolved".into()];
+    }
     [
-        format!("{:+.1}%", 100.0 * (wall - off) / off.max(1e-9)),
-        format!("{:.0}", (wall - off) * 1e9 / spans.max(1) as f64),
+        format!("{:+.1}%", 100.0 * (wall - median) / median.max(1e-9)),
+        format!("{:.0}", (wall - median) * 1e9 / spans.max(1) as f64),
     ]
 }
 
@@ -161,18 +164,19 @@ fn harness_overhead(isps: u32, users_per_isp: u32, days: u64) -> (bool, SpanLog)
             logs[i] = log;
         }
     }
-    let walls: Vec<f64> = walls.into_iter().map(median).collect();
+    let walls: Vec<Quantiles> = walls.into_iter().map(Quantiles::from_samples).collect();
     for (i, rate) in RATES.into_iter().enumerate() {
         let log = &logs[i];
         ok &= same[i];
-        let [overhead, per_span] = penalty(rate, walls[i], walls[0], log.spans.len());
+        let wall = walls[i].quantile(0.5);
+        let [overhead, per_span] = penalty(rate, wall, &walls[0], log.spans.len());
         table.row_owned(vec![
             rate_label(rate),
             log.traces().len().to_string(),
             log.spans.len().to_string(),
             log.dropped.to_string(),
-            format!("{:.3}s", walls[i]),
-            format!("{:.0}", trace.len() as f64 / walls[i].max(1e-9)),
+            format!("{wall:.3}s"),
+            format!("{:.0}", trace.len() as f64 / wall.max(1e-9)),
             overhead,
             per_span,
             if same[i] { "yes" } else { "NO" }.to_string(),
@@ -233,8 +237,8 @@ fn massive_overhead(users_per_isp: u32, ticks: u32, sends_per_tick: u32) -> bool
             });
             let start = Instant::now();
             let report = match &recorder {
-                None => run_massive(&cfg, 4),
-                Some(recorder) => run_massive_traced(&cfg, 4, recorder.clone()),
+                None => run_massive(&cfg, 1),
+                Some(recorder) => run_massive_traced(&cfg, recorder.clone()),
             };
             walls[i].push(start.elapsed().as_secs_f64());
             logs[i] = recorder.map_or_else(SpanLog::default, |recorder| {
@@ -245,18 +249,19 @@ fn massive_overhead(users_per_isp: u32, ticks: u32, sends_per_tick: u32) -> bool
             ok &= logs[i].validate().is_ok();
         }
     }
-    let walls: Vec<f64> = walls.into_iter().map(median).collect();
+    let walls: Vec<Quantiles> = walls.into_iter().map(Quantiles::from_samples).collect();
     let events = reference.map_or(0, |r| r.events);
     for (i, rate) in RATES.into_iter().enumerate() {
         let log = &logs[i];
         ok &= same[i];
-        let [overhead, per_span] = penalty(rate, walls[i], walls[0], log.spans.len());
+        let wall = walls[i].quantile(0.5);
+        let [overhead, per_span] = penalty(rate, wall, &walls[0], log.spans.len());
         table.row_owned(vec![
             rate_label(rate),
             log.traces().len().to_string(),
             log.spans.len().to_string(),
-            format!("{:.3}s", walls[i]),
-            format!("{:.0}", events as f64 / walls[i].max(1e-9)),
+            format!("{wall:.3}s"),
+            format!("{:.0}", events as f64 / wall.max(1e-9)),
             overhead,
             per_span,
             if same[i] { "yes" } else { "NO" }.to_string(),

@@ -4,7 +4,8 @@
 //! E1–E8, E10, E13 and E14 run on fixed seeds and print no wall-clock
 //! column, so each binary's stdout must equal `results/<bin>.txt` byte
 //! for byte, and so must `zmail_trace --seed 7`'s report
-//! (`results/zmail_trace_seed7.txt`). A failure names the first line
+//! (`results/zmail_trace_seed7.txt`) and E17's shard-count equivalence
+//! (`results/e17_equivalence.txt`). A failure names the first line
 //! that differs. To re-record a table after a change that is meant to
 //! move it, run the binary and redirect its stdout over the file:
 //!
@@ -80,5 +81,15 @@ fn zmail_trace_seed_7() {
         "zmail_trace_seed7",
         env!("CARGO_BIN_EXE_zmail_trace"),
         &["--seed", "7"],
+    );
+}
+
+/// E17's `--equivalence`: one small cell's books at 4 and 16 shards against 1.
+#[test]
+fn e17_equivalence() {
+    check(
+        "e17_equivalence",
+        env!("CARGO_BIN_EXE_e17_million_users"),
+        &["--equivalence"],
     );
 }

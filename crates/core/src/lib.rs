@@ -29,7 +29,7 @@
 //! * [`mailinglist`] — the §5 acknowledgment-refund mechanism for mailing
 //!   lists, including stale-subscriber pruning;
 //! * [`massive`] — population-scale runs (1M+ users) over the sharded
-//!   durable ledger with tick-parallel execution (experiment E17);
+//!   durable ledger (experiment E17);
 //! * [`zombie`] — analysis of the §5 daily-limit defence against zombified
 //!   PCs;
 //! * [`spec`] — a literal Abstract-Protocol-notation encoding of the

@@ -26,16 +26,16 @@
 //! world reads a sender's row through [`Ledger::user`], as the protocol
 //! world's ISPs do.
 //!
-//! # Parallel-within-tick
+//! # The world
 //!
-//! [`MassiveWorld`] implements [`World`]: an event's footprint
-//! is the pair of shards its sender and receiver live on, its stage
-//! phase does the per-message digest work (modelling the §4 evidence
-//! sealing — the embarrassingly parallel part), and its apply phase
-//! moves the penny. The engine stages footprint-independent events on a
-//! worker pool and applies everything serially in FIFO order, so a run
-//! is byte-identical at any thread count — which
-//! `scripts/ci.sh` pins with the E17 equivalence gate.
+//! [`MassiveWorld`] implements [`World`]: an event's footprint is the
+//! pair of shards its sender and receiver live on, its stage phase does
+//! the per-message digest work (modelling the §4 evidence sealing), and
+//! its apply phase moves the penny. The engine runs the events one at a
+//! time in `(time, FIFO)` order; the footprints are what
+//! [`run_massive_checked`] checks. The shard count changes the WAL
+//! layout, never the economics — which E17's `--equivalence` shows and
+//! `crates/bench/tests/results.rs` pins.
 
 use crate::config::DurabilityConfig;
 use zmail_obs::{FlightRecorder, SpanStatus};
@@ -140,8 +140,7 @@ pub struct SendMail {
 }
 
 /// Outcome tallies of a population-scale run. Pure simulation state —
-/// no wall-clock, no thread-count dependence — so serial and parallel
-/// runs of one seed must produce `==` reports (the CI equivalence gate).
+/// no wall-clock — so two runs of one seed produce `==` reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MassiveReport {
     /// Events processed.
@@ -172,8 +171,7 @@ pub struct MassiveWorld {
     /// Causal flight recorder (disabled by default): each send mints a
     /// lifecycle root closed in the same apply — this world has no
     /// multi-hop protocol, so a trace is a single annotated span. All
-    /// span mutation happens in `apply`, keeping the stream
-    /// byte-identical at any thread count.
+    /// span mutation happens in `apply`.
     flight: FlightRecorder,
 }
 
@@ -241,7 +239,7 @@ impl MassiveWorld {
     }
 
     /// Exact zero-sum audit: every e-penny minted at bootstrap is still
-    /// on the books — no drift at any shard or thread count. Summed shard
+    /// on the books — no drift at any shard count. Summed shard
     /// by shard: at a million accounts the merged image is 24 MB built
     /// only to be added up.
     pub fn audit(&self) -> Result<(), String> {
@@ -294,8 +292,7 @@ impl World for MassiveWorld {
                 keys.push(u64::from(map.user_shard(send.to_isp, send.to_user)));
             }
             MassiveEvent::TickCommit => {
-                // Touches every shard: conflicts with everything, so it
-                // stages inline and applies in order.
+                // Touches every shard.
                 keys.extend(0..self.store.shard_count() as u64);
             }
         }
@@ -315,7 +312,7 @@ impl World for MassiveWorld {
             return 0;
         };
         // The per-message evidence digest (§4's sealed charge receipt):
-        // pure compute over immutable inputs — the parallel payload.
+        // pure compute over immutable inputs.
         let mut digest = (u64::from(send.from_isp) << 48)
             | (u64::from(send.from_user) << 32)
             | (u64::from(send.to_isp) << 16)
@@ -407,11 +404,10 @@ impl World for MassiveWorld {
 
 /// Schedules the full `ticks × sends_per_tick` workload of `config`
 /// (plus the per-tick commit barrier) over `world` — the bare
-/// [`MassiveWorld`] or a wrapper of it — and drives the tick-parallel
-/// engine with `threads` workers (0 = all cores, 1 = serial).
-fn drive<W>(world: W, config: &MassiveConfig, threads: usize) -> W
+/// [`MassiveWorld`] or a wrapper of it — and runs it to completion.
+fn drive<W>(world: W, config: &MassiveConfig) -> W
 where
-    W: World<Event = MassiveEvent> + Sync,
+    W: World<Event = MassiveEvent>,
 {
     let mut sim = Simulation::new(world);
     for tick in 0..config.ticks {
@@ -424,7 +420,7 @@ where
         }
         sim.schedule(at, MassiveEvent::TickCommit);
     }
-    sim.run_parallel_to_completion(threads);
+    sim.run_to_completion();
     sim.into_world()
 }
 
@@ -442,22 +438,22 @@ fn seal(mut world: MassiveWorld) -> MassiveReport {
 }
 
 /// Runs one population-scale simulation: `ticks × sends_per_tick` sends
-/// plus a per-tick commit on `threads` workers, audited and sealed.
-pub fn run_massive(config: &MassiveConfig, threads: usize) -> MassiveReport {
-    seal(drive(MassiveWorld::new(*config), config, threads))
+/// plus a per-tick commit, audited and sealed.
+///
+/// `threads` is ignored: the engine runs every event on the caller's
+/// thread. The parameter stays until the benchmark, which calls
+/// `run_massive(&cfg, 1)`, drops it (ROADMAP item 1).
+pub fn run_massive(config: &MassiveConfig, _threads: usize) -> MassiveReport {
+    seal(drive(MassiveWorld::new(*config), config))
 }
 
 /// [`run_massive`] with a causal flight recorder attached — the E19
 /// recorder-overhead probe at population scale. The caller keeps a clone
 /// of `recorder` to `finalize` and `drain` after the run.
-pub fn run_massive_traced(
-    config: &MassiveConfig,
-    threads: usize,
-    recorder: FlightRecorder,
-) -> MassiveReport {
+pub fn run_massive_traced(config: &MassiveConfig, recorder: FlightRecorder) -> MassiveReport {
     let mut world = MassiveWorld::new(*config);
     world.attach_flight_recorder(recorder);
-    seal(drive(world, config, threads))
+    seal(drive(world, config))
 }
 
 /// [`run_massive`] under the armed footprint race checker: the same
@@ -466,15 +462,8 @@ pub fn run_massive_traced(
 /// both reports; the racecheck report must be clean (it is — the shard
 /// footprints are exact, which `crates/core/tests/massive_racecheck.rs`
 /// pins down with randomized schedules and a mutation test).
-pub fn run_massive_checked(
-    config: &MassiveConfig,
-    threads: usize,
-) -> (MassiveReport, RacecheckReport) {
-    let checked = drive(
-        CheckedWorld::armed(MassiveWorld::new(*config)),
-        config,
-        threads,
-    );
+pub fn run_massive_checked(config: &MassiveConfig) -> (MassiveReport, RacecheckReport) {
+    let checked = drive(CheckedWorld::armed(MassiveWorld::new(*config)), config);
     let racecheck = checked.report();
     (seal(checked.into_inner()), racecheck)
 }
@@ -499,26 +488,10 @@ mod tests {
     }
 
     #[test]
-    fn reports_are_identical_at_every_thread_count() {
-        let config = small(4);
-        let reference = run_massive(&config, 1);
-        assert_eq!(reference.events, 4 * 200 + 4);
-        assert!(reference.paid > 0);
-        assert!(reference.cross_shard > 0, "workload must cross shards");
-        for threads in [2, 4, 8, 0] {
-            assert_eq!(
-                run_massive(&config, threads),
-                reference,
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
     fn shard_count_changes_wal_layout_not_economics() {
-        let one = run_massive(&small(1), 2);
+        let one = run_massive(&small(1), 1);
         for shards in [4, 16] {
-            let many = run_massive(&small(shards), 2);
+            let many = run_massive(&small(shards), 1);
             assert_eq!(many.paid, one.paid);
             assert_eq!(many.bounced_balance, one.bounced_balance);
             assert_eq!(many.bounced_limit, one.bounced_limit);
@@ -535,44 +508,27 @@ mod tests {
     #[test]
     fn checked_run_is_clean_and_matches_unchecked() {
         let config = small(4);
-        let reference = run_massive(&config, 2);
-        for threads in [1, 4] {
-            let (report, racecheck) = run_massive_checked(&config, threads);
-            assert_eq!(report, reference, "threads={threads}");
-            assert!(
-                racecheck.findings.is_empty(),
-                "threads={threads}:\n{}",
-                racecheck.render()
-            );
-            assert_eq!(racecheck.events_checked, 4 * 200 + 4);
-        }
+        let reference = run_massive(&config, 1);
+        let (report, racecheck) = run_massive_checked(&config);
+        assert_eq!(report, reference);
+        assert!(racecheck.findings.is_empty(), "{}", racecheck.render());
+        assert_eq!(racecheck.events_checked, 4 * 200 + 4);
     }
 
     #[test]
-    fn traced_run_matches_untraced_and_is_thread_independent() {
+    fn traced_run_matches_untraced() {
         let config = small(4);
         let reference = run_massive(&config, 1);
-        let record = |threads: usize| {
-            let recorder = FlightRecorder::new(1 << 16);
-            let report = run_massive_traced(&config, threads, recorder.clone());
-            recorder.finalize(u64::from(config.ticks) * 1000);
-            (report, recorder.drain())
-        };
-        let (serial_report, serial_log) = record(1);
-        assert_eq!(serial_report, reference, "recorder must not change the run");
-        serial_log.validate().expect("span log well-formed");
+        let recorder = FlightRecorder::new(1 << 16);
+        let report = run_massive_traced(&config, recorder.clone());
+        recorder.finalize(u64::from(config.ticks) * 1000);
+        let log = recorder.drain();
+        assert_eq!(report, reference, "recorder must not change the run");
+        log.validate().expect("span log well-formed");
         assert_eq!(
-            serial_log.traces().len() as u64,
+            log.traces().len() as u64,
             u64::from(config.ticks) * u64::from(config.sends_per_tick)
         );
-        for threads in [2, 8] {
-            let (report, log) = record(threads);
-            assert_eq!(report, reference, "threads={threads}");
-            assert_eq!(
-                serial_log.spans, log.spans,
-                "span stream diverged at {threads} threads"
-            );
-        }
     }
 
     #[test]
@@ -590,7 +546,7 @@ mod tests {
             },
             ..MassiveConfig::default()
         };
-        let report = run_massive(&config, 2);
+        let report = run_massive(&config, 1);
         assert!(report.bounced_balance > 0, "tiny balances must bounce");
         // Every payment is matched: paid = deposits = charges.
         assert_eq!(

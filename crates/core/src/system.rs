@@ -286,9 +286,8 @@ struct ZmailWorld {
     report: RunReport,
     /// Causal flight recorder (disabled by default — see
     /// [`ZmailSystem::attach_flight_recorder`]). Every call into it
-    /// happens on the serial apply path, so span ids, sampling
-    /// decisions, and record order are byte-identical at any thread
-    /// count.
+    /// happens on the apply path, so span ids, sampling decisions, and
+    /// record order are a function of the seed.
     flight: FlightRecorder,
     /// The lifecycle span of the message this apply is processing, if
     /// any — the parent the WAL group-commit span attaches to.

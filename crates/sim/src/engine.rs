@@ -4,20 +4,18 @@
 //!
 //! The engine is deliberately small — the Zmail system model in
 //! `zmail-core` supplies all domain behaviour through its `World`
-//! implementation.
+//! implementation — and runs one event at a time on the caller's thread.
 
 use crate::clock::{SimDuration, SimTime};
 use crate::event::EventQueue;
 use crate::racecheck::{AccessLog, AccessRecorder};
 use crate::telemetry::SimTelemetry;
 
-/// What the engine hands an event's apply phase: the clock, the tick,
-/// the queue to plant new events on, and the apply-phase access
-/// recorder.
+/// What the engine hands an event's apply phase: the clock, the queue
+/// to plant new events on, and the apply-phase access recorder.
 #[derive(Debug)]
 pub struct Scheduler<'a, E> {
     now: SimTime,
-    tick: u64,
     queue: &'a mut EventQueue<E>,
     recorder: AccessRecorder,
 }
@@ -26,15 +24,6 @@ impl<'a, E> Scheduler<'a, E> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// The engine tick this event runs in, numbered from 1. A tick is
-    /// what one [`Simulation::step_tick`] pops: every event at the
-    /// earliest pending time that is already queued. An event scheduled
-    /// for the current instant during a tick runs in the next one, and
-    /// [`Simulation::step`] numbers its events the same way.
-    pub fn tick(&self) -> u64 {
-        self.tick
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -77,36 +66,27 @@ impl<'a, E> Scheduler<'a, E> {
 }
 
 /// A simulated world: domain state plus an event handler split into a
-/// read-only *stage* phase and a serial *apply* phase.
-///
-/// [`Simulation::step`] runs the two back to back. [`Simulation::step_tick`]
-/// stages footprint-independent events of one tick on worker threads and
-/// applies every event serially in FIFO order, so results are identical
-/// at any thread count.
+/// read-only *stage* phase and a mutating *apply* phase, which the
+/// engine runs back to back for each event.
 ///
 /// The contract: [`World::footprint`] must name (as opaque `u64` keys)
 /// every piece of state the event's stage phase reads *and* its apply
-/// phase writes. Within one tick the engine greedily selects a
-/// prefix-independent set — an event joins the parallel group only if its
-/// footprint is disjoint from the footprints of **all** events before it
-/// in FIFO order — so a parallel stage observes exactly the pre-tick
-/// state it would have observed serially. Conflicting events stage
-/// inline during the apply pass. Both phases report the keys they touch,
-/// through their [`AccessRecorder`] and [`Scheduler::read`] /
-/// [`Scheduler::write`]; recording is a no-op unless a
-/// [`CheckedWorld`](crate::CheckedWorld) arms it, and never changes
-/// behaviour.
+/// phase writes. The engine does not consult it; it is what a
+/// [`CheckedWorld`](crate::CheckedWorld) checks, serially, against the
+/// keys both phases report through their [`AccessRecorder`] and
+/// [`Scheduler::read`] / [`Scheduler::write`], and what `speclint
+/// --independence-json` compares with the AP model's independence
+/// relation. Recording is a no-op unless a `CheckedWorld` arms it, and
+/// never changes behaviour.
 pub trait World {
     /// The event type driving this world.
     type Event;
 
-    /// What `stage` computes for `apply` to consume. `Send` so worker
-    /// threads can hand effects back.
-    type Effect: Send;
+    /// What `stage` computes for `apply` to consume.
+    type Effect;
 
     /// Appends the event's state-footprint keys to `keys`. Coarser keys
-    /// are always safe (they only shrink the parallel group); a missing
-    /// key is unsound.
+    /// are always safe; a missing key is unsound.
     fn footprint(&self, event: &Self::Event, keys: &mut Vec<u64>);
 
     /// Short static label for an event, used by telemetry to bucket
@@ -117,12 +97,12 @@ pub trait World {
         "event"
     }
 
-    /// The parallelizable part: compute everything derivable from
-    /// immutable world state (digests, signature checks, routing),
+    /// The read-only part: compute everything derivable from world
+    /// state without changing it (digests, signature checks, routing),
     /// recording the footprint-domain keys it reads or writes in `rec`.
     fn stage(&self, now: SimTime, event: &Self::Event, rec: &mut AccessRecorder) -> Self::Effect;
 
-    /// The serial part: mutate the world with the staged effect,
+    /// The mutating part: change the world with the staged effect,
     /// possibly planting new events and recording accesses through
     /// `scheduler`.
     fn apply(
@@ -140,12 +120,6 @@ pub struct Simulation<W: World> {
     world: W,
     queue: EventQueue<W::Event>,
     now: SimTime,
-    /// The current tick's number ([`Scheduler::tick`]); 0 before the
-    /// first.
-    tick: u64,
-    /// The queue's next sequence number when the current tick began:
-    /// an event at the tick's time scheduled later belongs to the next.
-    tick_seq: u64,
     processed: u64,
     telemetry: Option<SimTelemetry>,
 }
@@ -157,8 +131,6 @@ impl<W: World> Simulation<W> {
             world,
             queue: EventQueue::new(),
             now: SimTime::ZERO,
-            tick: 0,
-            tick_seq: 0,
             processed: 0,
             telemetry: None,
         }
@@ -201,32 +173,23 @@ impl<W: World> Simulation<W> {
         self.world
     }
 
-    /// Opens tick `self.tick + 1` at `time`.
-    fn start_tick(&mut self, time: SimTime) {
+    /// The per-event body of every loop: stages `event` at `time`,
+    /// applies it, counts it, and reports it to telemetry.
+    #[inline]
+    fn run_event(&mut self, time: SimTime, event: W::Event) {
         debug_assert!(time >= self.now);
         self.now = time;
-        self.tick += 1;
-        self.tick_seq = self.queue.next_seq();
-    }
-
-    /// The per-event body of both loops: stages `event` unless a worker
-    /// already did, applies it, counts it, and reports it to telemetry.
-    #[inline]
-    fn run_event(&mut self, event: W::Event, staged: Option<W::Effect>) {
-        let time = self.now;
         // Read the label and start the timer before `apply` consumes
         // the event.
         let label_and_start = self.telemetry.as_ref().map(|tel| {
             let label = W::event_label(&event);
             (label, tel.is_profiling().then(std::time::Instant::now))
         });
-        let effect = staged.unwrap_or_else(|| {
-            self.world
-                .stage(time, &event, &mut AccessRecorder::disabled())
-        });
+        let effect = self
+            .world
+            .stage(time, &event, &mut AccessRecorder::disabled());
         let mut scheduler = Scheduler {
             now: time,
-            tick: self.tick,
             queue: &mut self.queue,
             recorder: AccessRecorder::disabled(),
         };
@@ -238,144 +201,43 @@ impl<W: World> Simulation<W> {
     }
 
     /// Processes one event; returns `false` when the queue is empty.
-    ///
-    /// The event opens a new tick when its time differs from the current
-    /// tick's or it was scheduled after the tick's first pop, so serial
-    /// runs number ticks exactly as [`Simulation::step_tick`] does.
     pub fn step(&mut self) -> bool {
-        let Some((time, seq, event)) = self.queue.pop_seq() else {
+        let Some((time, event)) = self.queue.pop() else {
             return false;
         };
-        if time != self.now || seq >= self.tick_seq {
-            self.start_tick(time);
-        }
-        self.run_event(event, None);
+        self.run_event(time, event);
         true
     }
 
-    /// Processes one whole tick (every event at the earliest pending
-    /// time), staging footprint-independent events on up to `threads`
-    /// worker threads and applying all of them serially in FIFO order.
-    /// Returns `false` when the queue is empty.
+    /// Processes one whole tick — every event at the earliest pending
+    /// time that is already queued — in FIFO order, and returns `false`
+    /// when the queue is empty. An event scheduled for the current
+    /// instant during the tick runs in the next one, so a loop of
+    /// `step_tick` applies exactly the events a loop of
+    /// [`Simulation::step`] does, in the same order.
     ///
-    /// With `threads <= 1` everything stages inline, but the tick is
-    /// still popped and applied through the same code path, so serial
-    /// and parallel runs perform the identical event sequence.
-    pub fn step_tick(&mut self, threads: usize) -> bool
-    where
-        W: Sync,
-        W::Event: Send + Sync,
-    {
+    /// `threads` is ignored: the engine runs every event on the
+    /// caller's thread. The parameter stays until the benchmark, which
+    /// calls `step_tick(1)`, drops it (ROADMAP item 1).
+    pub fn step_tick(&mut self, _threads: usize) -> bool {
         let Some((time, events)) = self.queue.pop_tick() else {
             return false;
         };
-        self.start_tick(time);
-        let mut effects: Vec<Option<W::Effect>> = Vec::new();
-        effects.resize_with(events.len(), || None);
-        let mut staged_parallel = 0usize;
-        if threads > 1 && events.len() > 1 {
-            // Greedy prefix-independence: an event stages in parallel
-            // only if its footprint is disjoint from *every* earlier
-            // event's footprint this tick, so its stage provably reads
-            // pure pre-tick state.
-            let mut claimed = std::collections::HashSet::new();
-            let mut keys = Vec::new();
-            let mut independent = Vec::new();
-            for (i, event) in events.iter().enumerate() {
-                keys.clear();
-                self.world.footprint(event, &mut keys);
-                if let Some(tel) = self.telemetry.as_mut() {
-                    for &k in &keys {
-                        tel.on_footprint_key(k);
-                    }
-                }
-                if keys.iter().all(|k| !claimed.contains(k)) {
-                    independent.push(i);
-                }
-                claimed.extend(keys.iter().copied());
-            }
-            if independent.len() > 1 {
-                staged_parallel = independent.len();
-                let chunk = independent.len().div_ceil(threads);
-                let world = &self.world;
-                let events = &events;
-                let timing = self
-                    .telemetry
-                    .as_ref()
-                    .is_some_and(|tel| tel.is_profiling());
-                // Per worker: its staged (index, effect) batch plus its
-                // wall-clock occupancy in µs (0 when not profiling).
-                type StagedBatches<E> = Vec<(Vec<(usize, E)>, u64)>;
-                let staged: StagedBatches<W::Effect> = std::thread::scope(|scope| {
-                    let workers: Vec<_> = independent
-                        .chunks(chunk)
-                        .map(|ids| {
-                            scope.spawn(move || {
-                                let started = timing.then(std::time::Instant::now);
-                                let mut rec = AccessRecorder::disabled();
-                                let batch: Vec<(usize, W::Effect)> = ids
-                                    .iter()
-                                    .map(|&i| (i, world.stage(time, &events[i], &mut rec)))
-                                    .collect();
-                                let micros = started.map_or(0, |s| s.elapsed().as_micros() as u64);
-                                (batch, micros)
-                            })
-                        })
-                        .collect();
-                    workers
-                        .into_iter()
-                        .map(|w| w.join().expect("stage worker panicked"))
-                        .collect()
-                });
-                for (batch, micros) in staged {
-                    if let Some(tel) = &self.telemetry {
-                        if timing {
-                            tel.on_stage_worker(micros);
-                        }
-                    }
-                    for (i, effect) in batch {
-                        effects[i] = Some(effect);
-                    }
-                }
-            }
-        }
         let apply_started = self
             .telemetry
             .as_ref()
             .filter(|tel| tel.is_profiling())
             .map(|tel| {
-                tel.on_tick(effects.len(), staged_parallel);
+                tel.on_tick(events.len());
                 std::time::Instant::now()
             });
-        for (event, effect) in events.into_iter().zip(effects) {
-            self.run_event(event, effect);
+        for event in events {
+            self.run_event(time, event);
         }
         if let (Some(tel), Some(started)) = (&self.telemetry, apply_started) {
             tel.on_apply_pass(started.elapsed().as_micros() as u64);
         }
         true
-    }
-
-    /// Runs tick-parallel until the queue is exhausted. `threads == 0`
-    /// means all available cores. Returns events handled.
-    pub fn run_parallel_to_completion(&mut self, threads: usize) -> u64
-    where
-        W: Sync,
-        W::Event: Send + Sync,
-    {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            threads
-        };
-        let before = self.processed;
-        let started = std::time::Instant::now();
-        while self.step_tick(threads) {}
-        let handled = self.processed - before;
-        if let Some(tel) = &self.telemetry {
-            tel.on_run_complete(handled, started.elapsed());
-        }
-        handled
     }
 
     /// Runs until the queue empties or virtual time would pass `until`;
@@ -431,10 +293,9 @@ mod tests {
     use zmail_obs::Registry;
 
     /// A world that rings a bell every `period` until `limit` rings,
-    /// noting each ring's time and tick.
+    /// noting each ring's time.
     struct BellTower {
         rings: Vec<SimTime>,
-        ticks: Vec<u64>,
         period: SimDuration,
         limit: usize,
     }
@@ -442,7 +303,6 @@ mod tests {
     fn tower(period: SimDuration, limit: usize) -> BellTower {
         BellTower {
             rings: Vec::new(),
-            ticks: Vec::new(),
             period,
             limit,
         }
@@ -464,7 +324,6 @@ mod tests {
             scheduler: &mut Scheduler<'_, Ring>,
         ) {
             self.rings.push(now);
-            self.ticks.push(scheduler.tick());
             if self.rings.len() < self.limit {
                 scheduler.after(self.period, Ring);
             }
@@ -481,7 +340,6 @@ mod tests {
             .map(|i| SimTime::ZERO + SimDuration::from_mins(10).mul(i))
             .collect();
         assert_eq!(sim.world().rings, expected);
-        assert_eq!(sim.world().ticks, [1, 2, 3, 4]);
     }
 
     #[test]
@@ -505,24 +363,81 @@ mod tests {
         assert_eq!(sim.now(), SimTime::ZERO + SimDuration::from_hours(1));
     }
 
+    /// A world whose events each plant two children until `depth`: one
+    /// at the same instant and one a second later, so ticks refill at
+    /// the instant they run. Every apply is logged as `(time, id)`.
+    struct Sprouts {
+        next_id: u32,
+        depth: u32,
+        log: Vec<(SimTime, u32)>,
+    }
+
+    #[derive(Debug)]
+    struct Sprout {
+        id: u32,
+        depth: u32,
+    }
+
+    impl World for Sprouts {
+        type Event = Sprout;
+        type Effect = ();
+        fn footprint(&self, _event: &Sprout, _keys: &mut Vec<u64>) {}
+        fn stage(&self, _now: SimTime, _event: &Sprout, _rec: &mut AccessRecorder) {}
+        fn apply(
+            &mut self,
+            now: SimTime,
+            event: Sprout,
+            _: (),
+            scheduler: &mut Scheduler<'_, Sprout>,
+        ) {
+            self.log.push((now, event.id));
+            if event.depth < self.depth {
+                for delay in [SimDuration::ZERO, SimDuration::from_secs(1)] {
+                    self.next_id += 1;
+                    let child = Sprout {
+                        id: self.next_id,
+                        depth: event.depth + 1,
+                    };
+                    scheduler.after(delay, child);
+                }
+            }
+        }
+    }
+
     #[test]
-    fn serial_steps_number_ticks_like_step_tick() {
-        // Two rings at t=0, each ringing again at the same instant: the
-        // second rings are scheduled during the first tick, so they run
-        // in the next one.
-        let ticks = |threads: Option<usize>| {
-            let mut sim = Simulation::new(tower(SimDuration::ZERO, 4));
-            sim.schedule(SimTime::ZERO, Ring);
-            sim.schedule(SimTime::ZERO, Ring);
-            match threads {
-                None => sim.run_to_completion(),
-                Some(threads) => sim.run_parallel_to_completion(threads),
-            };
-            sim.into_world().ticks
+    fn step_and_step_tick_apply_the_same_sequence() {
+        let run = |by_tick: bool| {
+            let mut sim = Simulation::new(Sprouts {
+                next_id: 3,
+                depth: 4,
+                log: Vec::new(),
+            });
+            for (id, secs) in [(1, 0), (2, 0), (3, 1)] {
+                let at = SimTime::ZERO + SimDuration::from_secs(secs);
+                sim.schedule(at, Sprout { id, depth: 0 });
+            }
+            if by_tick {
+                while sim.step_tick(1) {}
+            } else {
+                while sim.step() {}
+            }
+            sim.into_world().log
         };
-        assert_eq!(ticks(None), [1, 1, 2, 2, 3]);
-        assert_eq!(ticks(Some(1)), ticks(None));
-        assert_eq!(ticks(Some(2)), ticks(None));
+        let stepped = run(false);
+        // Three roots, each with 2 + 4 + 8 + 16 descendants.
+        assert_eq!(stepped.len(), 3 * 31);
+        assert!(stepped.windows(2).all(|w| w[0].0 <= w[1].0));
+        // The roots' same-instant children run at t=0 after both roots.
+        assert_eq!(
+            &stepped[..4],
+            &[
+                (SimTime::ZERO, 1),
+                (SimTime::ZERO, 2),
+                (SimTime::ZERO, 4),
+                (SimTime::ZERO, 6)
+            ]
+        );
+        assert_eq!(run(true), stepped);
     }
 
     #[test]
@@ -567,10 +482,7 @@ mod tests {
     }
 
     /// A bank of cells: each event bumps one cell with a staged value
-    /// derived from the *pre-tick* cell contents, then chains a
-    /// follow-up event. Conflicting events in a tick (same cell) must
-    /// observe each other's writes in FIFO order; independent ones must
-    /// not care.
+    /// derived from the cell's contents, then chains a follow-up event.
     struct Cells {
         cells: Vec<u64>,
         hops: u32,
@@ -591,8 +503,6 @@ mod tests {
             keys.push(event.cell as u64);
         }
         fn stage(&self, _now: SimTime, event: &Bump, _rec: &mut AccessRecorder) -> u64 {
-            // Reads the cell it will write: any missed conflict would
-            // surface as a wrong value, not just a reordering.
             self.cells[event.cell]
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(event.salt)
@@ -619,8 +529,7 @@ mod tests {
         }
     }
 
-    /// Five cells, six hops, and deliberate conflicts: 12 events over
-    /// the 5 cells at t=0.
+    /// Five cells, six hops: 12 events over the 5 cells at t=0.
     fn cells_sim() -> Simulation<Cells> {
         let mut sim = Simulation::new(Cells {
             cells: vec![1; 5],
@@ -641,33 +550,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_ticks_are_byte_identical_at_any_thread_count() {
-        // Serial reference through the plain step() path.
-        let mut sim = cells_sim();
-        let serial_handled = sim.run_to_completion();
-        let reference = sim.into_world();
-        for threads in [1, 2, 4, 8, 0] {
-            let mut sim = cells_sim();
-            let handled = sim.run_parallel_to_completion(threads);
-            let world = sim.into_world();
-            assert_eq!(handled, serial_handled, "threads={threads}");
-            assert_eq!(world.cells, reference.cells, "threads={threads}");
-            assert_eq!(world.log, reference.log, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn step_and_step_tick_report_events_alike() {
         // (sim.events, every sim.handle_us.<label> count, final
-        // sim.queue_depth) after a run; `None` runs the serial loop.
-        let telemetry = |threads: Option<usize>| {
+        // sim.queue_depth) after a run of `step`s or of `step_tick`s.
+        let telemetry = |by_tick: bool| {
             let registry = Registry::new();
             let mut sim = cells_sim();
             sim.attach_telemetry(SimTelemetry::new(&registry));
-            match threads {
-                None => sim.run_to_completion(),
-                Some(threads) => sim.run_parallel_to_completion(threads),
-            };
+            if by_tick {
+                while sim.step_tick(1) {}
+            } else {
+                sim.run_to_completion();
+            }
             let snap = registry.snapshot();
             let handled: Vec<(String, u64)> = snap
                 .histograms
@@ -678,34 +572,24 @@ mod tests {
             let depth = snap.gauges["sim.queue_depth"];
             (snap.counters["sim.events"], handled, depth)
         };
-        let serial = telemetry(None);
+        let serial = telemetry(false);
         assert_eq!(serial, (84, vec![("sim.handle_us.event".into(), 84)], 0));
-        assert_eq!(telemetry(Some(1)), serial);
-        assert_eq!(telemetry(Some(4)), serial);
+        assert_eq!(telemetry(true), serial);
     }
 
     #[test]
-    fn tick_profiler_records_batches_and_heat() {
+    fn tick_profiler_records_batches_and_apply_passes() {
         let registry = Registry::new();
         let mut sim = cells_sim();
         sim.attach_telemetry(SimTelemetry::new(&registry));
-        let handled = sim.run_parallel_to_completion(4);
-        let snap = registry.snapshot();
-        // Every event either staged in parallel or inline.
-        assert_eq!(
-            snap.counters["sim.tick.staged_parallel"] + snap.counters["sim.tick.staged_inline"],
-            handled
-        );
-        // 12 events over 5 cells: 5 stage in parallel the first tick.
-        assert!(snap.counters["sim.tick.staged_parallel"] >= 5);
-        let batches = &snap.histograms["sim.tick.batch"];
-        assert_eq!(batches.max, 12);
-        // Each of the 5 cells is its own footprint key and gets heat.
-        for cell in 0..5 {
-            assert!(snap.counters[&format!("sim.shard.heat.{cell}")] > 0);
+        let mut ticks = 0;
+        while sim.step_tick(1) {
+            ticks += 1;
         }
-        assert!(snap.histograms["sim.tick.stage_worker_us"].count > 0);
-        assert!(snap.histograms["sim.tick.apply_us"].count > 0);
+        let snap = registry.snapshot();
+        let batches = &snap.histograms["sim.tick.batch"];
+        assert_eq!((batches.count, batches.sum, batches.max), (ticks, 84, 12));
+        assert_eq!(snap.histograms["sim.tick.apply_us"].count, ticks);
     }
 
     #[test]
@@ -733,12 +617,12 @@ mod tests {
                 hop: 0,
             },
         );
-        assert!(sim.step_tick(4));
+        assert!(sim.step_tick(1));
         assert_eq!(sim.processed(), 3, "later tick must not be touched");
         assert_eq!(sim.now(), SimTime::ZERO);
-        assert!(sim.step_tick(4));
+        assert!(sim.step_tick(1));
         assert_eq!(sim.processed(), 4);
-        assert!(!sim.step_tick(4));
+        assert!(!sim.step_tick(1));
     }
 
     /// A world that holds one item of a borrowed input, as `zmail-core`'s
@@ -746,8 +630,7 @@ mod tests {
     /// its own time (in ms), and the run's feed refills the slot.
     struct Relay {
         next: Option<u64>,
-        /// `(item, tick)` per apply.
-        seen: Vec<(u64, u64)>,
+        seen: Vec<u64>,
     }
 
     impl World for Relay {
@@ -758,7 +641,7 @@ mod tests {
         }
         fn stage(&self, _now: SimTime, _event: &u64, _rec: &mut AccessRecorder) {}
         fn apply(&mut self, now: SimTime, item: u64, _: (), scheduler: &mut Scheduler<'_, u64>) {
-            self.seen.push((item, scheduler.tick()));
+            self.seen.push(item);
             if let Some(next) = self.next.take() {
                 scheduler.at(SimTime::from_millis(next).max(now), next);
             }
@@ -780,12 +663,8 @@ mod tests {
             }
         });
         assert_eq!(handled, input.len() as u64);
-        let seen = sim.into_world().seen;
-        let items: Vec<u64> = seen.iter().map(|&(item, _)| item).collect();
-        assert_eq!(items, input);
-        // An item scheduled at its predecessor's instant runs a tick later.
-        let ticks: Vec<u64> = seen.iter().map(|&(_, tick)| tick).collect();
-        assert_eq!(ticks, [1, 2, 3, 4, 5, 6]);
+        assert_eq!(sim.now(), SimTime::from_millis(9));
+        assert_eq!(sim.into_world().seen, input);
 
         // Unfed, the slot stays empty and the first item ends the run.
         let mut sim = Simulation::new(Relay {

@@ -87,18 +87,15 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the earliest event, FIFO among ties.
+    // Inlined into `Simulation::step`: called there out of line, it cost
+    // the protocol world's trace run ≈5 % of its wall time.
+    #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_seq().map(|(time, _, event)| (time, event))
-    }
-
-    /// [`EventQueue::pop`] plus the event's sequence number: how many
-    /// events were scheduled before it.
-    pub(crate) fn pop_seq(&mut self) -> Option<(SimTime, u64, E)> {
         let from_run = match (self.run.front(), self.heap.peek()) {
             (Some(run), Some(Reverse(heap))) => run < heap,
             (run, _) => run.is_some(),
         };
-        let (time, seq, slot) = if from_run {
+        let (time, _, slot) = if from_run {
             self.run.pop_front()
         } else {
             self.heap.pop().map(|Reverse(key)| key)
@@ -114,12 +111,7 @@ impl<E> EventQueue<E> {
         } else {
             self.free.push(slot);
         }
-        Some((time, seq, event))
-    }
-
-    /// The sequence number the next scheduled event will get.
-    pub(crate) fn next_seq(&self) -> u64 {
-        self.seq
+        Some((time, event))
     }
 
     /// The time of the earliest pending event.
@@ -133,9 +125,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes *every* event scheduled at the earliest pending time —
-    /// one tick's ready set — in FIFO order. The parallel-within-tick
-    /// engine partitions this batch by footprint; popping the whole tick
-    /// keeps the batch identical to what serial `pop` calls would see.
+    /// one tick's ready set — in FIFO order: the events that as many
+    /// `pop` calls would return.
     pub fn pop_tick(&mut self) -> Option<(SimTime, Vec<E>)> {
         let time = self.peek_time()?;
         let mut events = Vec::new();
@@ -246,9 +237,9 @@ mod tests {
             ),
             (0, 0, 0, 0)
         );
-        assert_eq!(q.next_seq(), KEEP_SLOTS as u64 + 2);
+        assert_eq!(q.seq, KEEP_SLOTS as u64 + 2);
         q.schedule(t(3), 9);
-        assert_eq!(q.pop_seq(), Some((t(3), KEEP_SLOTS as u64 + 2, 9)));
+        assert_eq!(q.pop(), Some((t(3), 9)));
 
         for i in 0..KEEP_SLOTS as u64 {
             q.schedule(t(i), i);

@@ -9,13 +9,13 @@
 //!   calendar units the protocol cares about (the paper resets `sent`
 //!   daily and reconciles credit monthly);
 //! * [`event`] — a deterministic event queue with stable FIFO tie-breaking;
-//! * [`engine`] — a minimal simulation driver over one [`World`] trait:
-//!   each event is a read-only stage plus a serial apply, run back to back
-//!   or tick-parallel;
-//! * [`racecheck`] — a footprint race detector for the [`World`]
-//!   contract: [`CheckedWorld`] records actual per-event key accesses and
-//!   diffs them against declared footprints, emitting stable findings
-//!   SIM001–SIM006;
+//! * [`engine`] — a minimal single-threaded simulation driver over one
+//!   [`World`] trait: each event is a read-only stage plus an apply, run
+//!   back to back;
+//! * [`racecheck`] — a footprint checker for the [`World`] contract:
+//!   [`CheckedWorld`] records actual per-event key accesses and diffs
+//!   them against declared footprints, emitting stable findings
+//!   (SIM001, SIM002, SIM004–SIM006);
 //! * [`shrink`] — generic Zeller–Hildebrandt `ddmin` delta debugging,
 //!   shared by racecheck's schedule shrinker and `zmail-fault`'s plan
 //!   shrinker;
@@ -25,8 +25,8 @@
 //! * [`stats`] — streaming summaries, exact quantiles, and an
 //!   aligned-table printer used by every experiment binary;
 //! * [`telemetry`] — an optional [`SimTelemetry`] sink wiring the engine
-//!   into `zmail-obs`: event counts, queue depth, and per-event-type
-//!   handler latency;
+//!   into `zmail-obs`: event counts, queue depth, per-event-type
+//!   handler latency, and per-tick batch sizes;
 //! * [`workload`] — email traffic models: normal users, spammers,
 //!   newsletters, mailing lists, and virus/zombie outbreaks.
 //!

@@ -1,31 +1,28 @@
-//! Footprint race detector for the [`World`] contract.
+//! Footprint checker for the [`World`] contract.
 //!
-//! The parallel-within-tick engine rests on an *unchecked promise*:
-//! [`World::footprint`] must name every state key an event's `stage`
-//! phase reads and its `apply` phase writes. One under-declared key and
-//! the "byte-identical at any thread count" guarantee silently becomes a
-//! data race. This module is the analyzer that catches every lie: a
-//! [`CheckedWorld`] adapter wraps any world, arms the recorders its
-//! `stage` and `apply` already report to (an [`AccessRecorder`] and the
-//! [`Scheduler`]), and diffs the *actual* key accesses against the
-//! declared footprints — emitting deterministic, stably-coded findings
-//! SIM001–SIM006.
+//! [`World::footprint`] promises to name every state key an event's
+//! `stage` phase reads and its `apply` phase writes. Nothing in the
+//! engine relies on that promise — it runs one event at a time — but
+//! the footprints are what `speclint --independence-json` compares with
+//! the AP model's independence relation, and what any future
+//! partial-order reduction or parallel apply would rest on. This module
+//! keeps them honest: a [`CheckedWorld`] adapter wraps any world, arms
+//! the recorders its `stage` and `apply` already report to (an
+//! [`AccessRecorder`] and the [`Scheduler`]), and diffs the *actual* key
+//! accesses against the declared footprints — emitting deterministic,
+//! stably-coded findings.
 //!
 //! # The finding catalog
 //!
 //! | Code   | Severity | Meaning |
 //! |--------|----------|---------|
-//! | SIM001 | error    | `stage` read a key outside the declared footprint — a parallel stage could observe mid-tick state |
-//! | SIM002 | error    | `apply` wrote a key outside the declared footprint — the engine may batch a later stage over state this event mutates |
-//! | SIM003 | error    | two events co-selected into one parallel batch whose `stage` phases touched the same key with at least one write — racy staging scratch state |
-//! | SIM004 | warning  | `apply` *read* a key outside the declared footprint — harmless under today's serial apply, but defeats footprint reasoning for future parallel-apply / partial-order reduction |
-//! | SIM005 | warning  | over-broad footprint: a declared key that no event of that label ever touched across the whole run — needlessly defeats batching |
+//! | SIM001 | error    | `stage` read a key outside the declared footprint |
+//! | SIM002 | error    | `apply` wrote a key outside the declared footprint |
+//! | SIM004 | warning  | `apply` *read* a key outside the declared footprint — harmless under serial apply, but defeats footprint reasoning for parallel apply or partial-order reduction |
+//! | SIM005 | warning  | over-broad footprint: a declared key that no event of that label ever touched across the whole run |
 //! | SIM006 | error    | constant-key collision: one `u64` key recorded under two distinct access classes, so disjointness checks conflate unrelated resources |
 //!
-//! A sound per-event contract (no SIM001/SIM002/SIM003) *implies* batch
-//! safety: the engine only co-stages events whose declared footprints
-//! are pairwise disjoint, so if declarations cover all actual accesses,
-//! no two batched stages can touch common mutable state.
+//! Codes are stable: a retired code's number is never reused.
 //!
 //! # Instrumentation honesty
 //!
@@ -36,14 +33,8 @@
 //! (report counters, RNG samplers, durable journals drained in apply) is
 //! deliberately outside the domain and needs no declaration. See
 //! `crates/sim/README.md` for the full contract.
-//!
-//! Findings are deterministic across thread counts: stages record into
-//! private logs returned as effects, and all checking happens in the
-//! serial FIFO apply pass. The per-tick state (the batch replay, earlier
-//! writes) follows the engine's ticks ([`Scheduler::tick`]), so an event
-//! scheduled for the current instant is checked in the tick it really
-//! stages in.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::OnceLock;
 
@@ -55,9 +46,9 @@ use zmail_obs::Counter;
 /// Severity of a racecheck finding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
-    /// Advisory: does not threaten byte-identity today.
+    /// Advisory: loosens footprint reasoning, breaks no declaration.
     Warning,
-    /// Contract violation: parallel staging may diverge from serial.
+    /// Contract violation: a footprint leaves out a key the event uses.
     Error,
 }
 
@@ -68,24 +59,20 @@ pub enum SimCode {
     UndeclaredStageRead,
     /// SIM002: undeclared apply write.
     UndeclaredWrite,
-    /// SIM003: stage-phase write-write (or write-read) overlap inside a
-    /// parallel batch.
-    BatchStageOverlap,
     /// SIM004: apply read escaping the declared footprint.
     ApplyReadEscape,
-    /// SIM005: vacuous / over-broad footprint that defeats batching.
+    /// SIM005: vacuous / over-broad footprint.
     OverbroadFootprint,
     /// SIM006: one key constant recorded under two access classes.
     KeyClassCollision,
 }
 
 impl SimCode {
-    /// The stable code string (`SIM001`..`SIM006`).
+    /// The stable code string (`SIM001`, `SIM002`, `SIM004`..`SIM006`).
     pub fn code(self) -> &'static str {
         match self {
             SimCode::UndeclaredStageRead => "SIM001",
             SimCode::UndeclaredWrite => "SIM002",
-            SimCode::BatchStageOverlap => "SIM003",
             SimCode::ApplyReadEscape => "SIM004",
             SimCode::OverbroadFootprint => "SIM005",
             SimCode::KeyClassCollision => "SIM006",
@@ -97,17 +84,15 @@ impl SimCode {
         match self {
             SimCode::UndeclaredStageRead
             | SimCode::UndeclaredWrite
-            | SimCode::BatchStageOverlap
             | SimCode::KeyClassCollision => Severity::Error,
             SimCode::ApplyReadEscape | SimCode::OverbroadFootprint => Severity::Warning,
         }
     }
 
     /// All codes, in stable order.
-    pub const ALL: [SimCode; 6] = [
+    pub const ALL: [SimCode; 5] = [
         SimCode::UndeclaredStageRead,
         SimCode::UndeclaredWrite,
-        SimCode::BatchStageOverlap,
         SimCode::ApplyReadEscape,
         SimCode::OverbroadFootprint,
         SimCode::KeyClassCollision,
@@ -215,7 +200,7 @@ impl Finding {
 
 /// The result of checking a run: every finding, deduplicated and in
 /// stable `(code, label, class, key)` order, so reports are identical
-/// across thread counts and reruns.
+/// across reruns.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RacecheckReport {
     /// Events that went through the checked apply pass.
@@ -269,9 +254,9 @@ pub struct RacecheckMetrics {
     pub events: Counter,
     /// Total finding occurrences (`racecheck.findings`).
     pub findings: Counter,
-    /// Per-code occurrence counters
+    /// Per-code occurrence counters, in [`SimCode::ALL`] order
     /// (`racecheck.findings.sim001` … `racecheck.findings.sim006`).
-    pub by_code: [Counter; 6],
+    pub by_code: [Counter; 5],
 }
 
 impl RacecheckMetrics {
@@ -287,7 +272,6 @@ impl RacecheckMetrics {
                 by_code: [
                     r.counter("racecheck.findings.sim001"),
                     r.counter("racecheck.findings.sim002"),
-                    r.counter("racecheck.findings.sim003"),
                     r.counter("racecheck.findings.sim004"),
                     r.counter("racecheck.findings.sim005"),
                     r.counter("racecheck.findings.sim006"),
@@ -310,31 +294,19 @@ struct LabelUniverse {
     used: BTreeSet<u64>,
 }
 
-/// Checker state threaded through the serial apply pass.
+/// Checker state threaded through the apply phase.
 #[derive(Debug, Default)]
 struct CheckState {
     events_checked: u64,
     /// Deduplicated findings keyed by `(code, label, class, key)`.
     findings: BTreeMap<(SimCode, &'static str, &'static str, u64), Finding>,
-    /// The engine tick ([`Scheduler::tick`]) the per-tick sets below
-    /// belong to; 0 before the first, as the engine numbers from 1.
-    tick: u64,
-    /// Keys claimed by declared footprints so far this tick (the
-    /// engine's greedy prefix-independence, replayed).
-    claimed: HashSet<u64>,
-    /// Keys written by apply phases earlier this tick, with the
-    /// label of the first writer.
-    tick_writes: HashMap<u64, &'static str>,
-    /// Stage-phase accesses of parallel-batch members this tick:
-    /// key → (first toucher's label, any write yet).
-    batch_stage: HashMap<u64, (&'static str, bool)>,
     /// First class each key was recorded under (SIM006).
     key_class: HashMap<u64, &'static str>,
     /// Per-label declared/used key sets across the run (SIM005).
     universe: BTreeMap<&'static str, LabelUniverse>,
     /// SIM005 is aggregated at report time; mirror each aggregate into
     /// the metrics counters only once even if `report()` runs twice.
-    sim005_mirrored: std::sync::atomic::AtomicBool,
+    sim005_mirrored: Cell<bool>,
 }
 
 impl CheckState {
@@ -386,8 +358,7 @@ impl CheckState {
 
 /// Adapter that wraps a [`World`] and checks the footprint contract on
 /// every event. It is a [`World`] itself, so it drops into [`Simulation`]
-/// in place of the inner world on either the serial or the tick-parallel
-/// path.
+/// in place of the inner world.
 ///
 /// Created disarmed: behaviour and overhead match the bare world (one
 /// branch per event). [`CheckedWorld::arm`] switches checking on.
@@ -444,10 +415,7 @@ impl<W: World> CheckedWorld<W> {
     /// computed over everything observed up to this point.
     pub fn report(&self) -> RacecheckReport {
         let mut findings: Vec<Finding> = self.check.findings.values().cloned().collect();
-        let mirror = !self
-            .check
-            .sim005_mirrored
-            .swap(true, std::sync::atomic::Ordering::Relaxed);
+        let mirror = !self.check.sim005_mirrored.replace(true);
         for (label, u) in &self.check.universe {
             for &key in u.declared.difference(&u.used) {
                 if mirror {
@@ -463,7 +431,7 @@ impl<W: World> CheckedWorld<W> {
                     detail: format!(
                         "footprint of `{label}` declares key {key}, but no event \
                          with this label ever read or wrote it — the over-broad \
-                         declaration only shrinks the parallel batch"
+                         declaration only blurs footprint reasoning"
                     ),
                 });
             }
@@ -475,6 +443,85 @@ impl<W: World> CheckedWorld<W> {
             events_checked: self.check.events_checked,
             findings,
         }
+    }
+
+    /// `apply` with checking on: runs the inner apply with the
+    /// scheduler's recorder armed and diffs what both phases recorded
+    /// against the declared footprint. Out of line, so that the
+    /// disarmed `apply` stays a branch and a call.
+    #[inline(never)]
+    fn checked_apply(
+        &mut self,
+        now: SimTime,
+        event: W::Event,
+        effect: W::Effect,
+        stage_log: AccessLog,
+        scheduler: &mut Scheduler<'_, W::Event>,
+    ) {
+        let label = W::event_label(&event);
+        let mut declared = Vec::new();
+        self.inner.footprint(&event, &mut declared);
+        let declared_set: HashSet<u64> = declared.iter().copied().collect();
+
+        // SIM001: stage reads outside the declared footprint.
+        for &(class, key) in &stage_log.reads {
+            self.check.note_class(now, label, class, key);
+            if !declared_set.contains(&key) {
+                self.check
+                    .finding(now, SimCode::UndeclaredStageRead, label, class, key, || {
+                        format!(
+                            "stage of `{label}` read {class} key {key} outside its \
+                         declared footprint"
+                        )
+                    });
+            }
+        }
+        for &(class, key) in &stage_log.writes {
+            self.check.note_class(now, label, class, key);
+        }
+
+        // Run the real apply with the scheduler's recorder armed.
+        let apply_log = scheduler.recording(|s| self.inner.apply(now, event, effect, s));
+
+        // SIM002: apply writes outside the declared footprint.
+        for &(class, key) in &apply_log.writes {
+            self.check.note_class(now, label, class, key);
+            if !declared_set.contains(&key) {
+                self.check
+                    .finding(now, SimCode::UndeclaredWrite, label, class, key, || {
+                        format!(
+                            "apply of `{label}` wrote {class} key {key} outside its \
+                         declared footprint"
+                        )
+                    });
+            }
+        }
+        // SIM004: apply reads outside the declared footprint (warning).
+        for &(class, key) in &apply_log.reads {
+            self.check.note_class(now, label, class, key);
+            if !declared_set.contains(&key) {
+                self.check
+                    .finding(now, SimCode::ApplyReadEscape, label, class, key, || {
+                        format!(
+                            "apply of `{label}` read {class} key {key} outside its \
+                         declared footprint — sound under serial apply, but it \
+                         defeats footprint reasoning for parallel apply or \
+                         partial-order reduction"
+                        )
+                    });
+            }
+        }
+
+        // SIM005 bookkeeping: per-label declared vs. used universes.
+        let u = self.check.universe.entry(label).or_default();
+        u.declared.extend(declared.iter().copied());
+        u.used.extend(stage_log.reads.iter().map(|&(_, k)| k));
+        u.used.extend(stage_log.writes.iter().map(|&(_, k)| k));
+        u.used.extend(apply_log.reads.iter().map(|&(_, k)| k));
+        u.used.extend(apply_log.writes.iter().map(|&(_, k)| k));
+
+        self.check.events_checked += 1;
+        RacecheckMetrics::get().events.inc();
     }
 }
 
@@ -506,153 +553,26 @@ impl<W: World> World for CheckedWorld<W> {
         (effect, stage_log): Self::Effect,
         scheduler: &mut Scheduler<'_, Self::Event>,
     ) {
-        if !self.armed {
+        if self.armed {
+            self.checked_apply(now, event, effect, stage_log, scheduler);
+        } else {
             self.inner.apply(now, event, effect, scheduler);
-            return;
         }
-        let label = W::event_label(&event);
-        if self.check.tick != scheduler.tick() {
-            self.check.tick = scheduler.tick();
-            self.check.claimed.clear();
-            self.check.tick_writes.clear();
-            self.check.batch_stage.clear();
-        }
-        let mut declared = Vec::new();
-        self.inner.footprint(&event, &mut declared);
-        let declared_set: HashSet<u64> = declared.iter().copied().collect();
-        // Replay the engine's greedy prefix-independence: this event
-        // parallel-stages only if its declared footprint is disjoint
-        // from every earlier declaration this tick.
-        let in_batch = declared.iter().all(|k| !self.check.claimed.contains(k));
-        self.check.claimed.extend(declared.iter().copied());
-
-        // SIM001: stage reads outside the declared footprint.
-        for &(class, key) in &stage_log.reads {
-            self.check.note_class(now, label, class, key);
-            if !declared_set.contains(&key) {
-                let racing = in_batch && self.check.tick_writes.contains_key(&key);
-                let writer = self.check.tick_writes.get(&key).copied();
-                self.check
-                    .finding(now, SimCode::UndeclaredStageRead, label, class, key, || {
-                        let mut d = format!(
-                            "stage of `{label}` read {class} key {key} outside its \
-                         declared footprint"
-                        );
-                        if racing {
-                            let w = writer.unwrap_or("?");
-                            d.push_str(&format!(
-                                " — materialized race: `{w}` wrote key {key} earlier \
-                             this tick, so a parallel stage observes torn state"
-                            ));
-                        }
-                        d
-                    });
-            }
-        }
-        // SIM003: stage-phase accesses of batch members must not
-        // overlap with a write anywhere in the batch. Stage writes
-        // (interior-mutability scratch state) are the only way this
-        // arises without an accompanying SIM001/SIM002.
-        if in_batch {
-            let staged: Vec<(&'static str, u64, bool)> = stage_log
-                .reads
-                .iter()
-                .map(|&(c, k)| (c, k, false))
-                .chain(stage_log.writes.iter().map(|&(c, k)| (c, k, true)))
-                .collect();
-            for (class, key, is_write) in staged {
-                if let Some(&(other, other_wrote)) = self.check.batch_stage.get(&key) {
-                    if is_write || other_wrote {
-                        self.check.finding(
-                            now,
-                            SimCode::BatchStageOverlap,
-                            label,
-                            class,
-                            key,
-                            || {
-                                format!(
-                                    "stage of `{label}` and stage of `{other}` were \
-                                 co-selected into one parallel batch and both \
-                                 touched {class} key {key} with at least one \
-                                 write — concurrent staging races on it"
-                                )
-                            },
-                        );
-                    }
-                }
-                let entry = self.check.batch_stage.entry(key).or_insert((label, false));
-                entry.1 |= is_write;
-            }
-        }
-        for &(class, key) in &stage_log.writes {
-            self.check.note_class(now, label, class, key);
-        }
-
-        // Run the real apply with the scheduler's recorder armed.
-        let apply_log = scheduler.recording(|s| self.inner.apply(now, event, effect, s));
-
-        // SIM002: apply writes outside the declared footprint.
-        for &(class, key) in &apply_log.writes {
-            self.check.note_class(now, label, class, key);
-            if !declared_set.contains(&key) {
-                self.check
-                    .finding(now, SimCode::UndeclaredWrite, label, class, key, || {
-                        format!(
-                            "apply of `{label}` wrote {class} key {key} outside its \
-                         declared footprint — the engine may co-stage a later \
-                         event over state this one mutates"
-                        )
-                    });
-            }
-            self.check.tick_writes.entry(key).or_insert(label);
-        }
-        // SIM004: apply reads outside the declared footprint (warning).
-        for &(class, key) in &apply_log.reads {
-            self.check.note_class(now, label, class, key);
-            if !declared_set.contains(&key) {
-                self.check
-                    .finding(now, SimCode::ApplyReadEscape, label, class, key, || {
-                        format!(
-                            "apply of `{label}` read {class} key {key} outside its \
-                         declared footprint — sound under serial apply, but it \
-                         defeats footprint reasoning for parallel apply or \
-                         partial-order reduction"
-                        )
-                    });
-            }
-        }
-
-        // SIM005 bookkeeping: per-label declared vs. used universes.
-        let u = self.check.universe.entry(label).or_default();
-        u.declared.extend(declared.iter().copied());
-        u.used.extend(stage_log.reads.iter().map(|&(_, k)| k));
-        u.used.extend(stage_log.writes.iter().map(|&(_, k)| k));
-        u.used.extend(apply_log.reads.iter().map(|&(_, k)| k));
-        u.used.extend(apply_log.writes.iter().map(|&(_, k)| k));
-
-        self.check.events_checked += 1;
-        RacecheckMetrics::get().events.inc();
     }
 }
 
-/// Runs `schedule` through an armed [`CheckedWorld`] on the
-/// tick-parallel path and returns the world plus the report.
-/// `threads` follows [`Simulation::run_parallel_to_completion`]
-/// (0 = all cores, 1 = serial staging through the same code path).
-pub fn run_checked<W>(
-    world: W,
-    schedule: &[(SimTime, W::Event)],
-    threads: usize,
-) -> (W, RacecheckReport)
+/// Runs `schedule` through an armed [`CheckedWorld`] and returns the
+/// world plus the report.
+pub fn run_checked<W>(world: W, schedule: &[(SimTime, W::Event)]) -> (W, RacecheckReport)
 where
-    W: World + Sync,
-    W::Event: Clone + Send + Sync,
+    W: World,
+    W::Event: Clone,
 {
     let mut sim = Simulation::new(CheckedWorld::armed(world));
     for (at, event) in schedule {
         sim.schedule(*at, event.clone());
     }
-    sim.run_parallel_to_completion(threads);
+    sim.run_to_completion();
     let checked = sim.into_world();
     let report = checked.report();
     (checked.into_inner(), report)
@@ -670,19 +590,19 @@ pub struct ScheduleShrink<E> {
 /// Shrinks `schedule` to a 1-minimal event subsequence that still makes
 /// a fresh world (from `world_factory`) report a finding with `code`,
 /// using the shared [`ddmin`] delta debugger. Each probe replays the
-/// candidate serially (thread count does not affect findings).
+/// candidate through [`run_checked`].
 pub fn shrink_schedule<W, F>(
     schedule: &[(SimTime, W::Event)],
     mut world_factory: F,
     code: SimCode,
 ) -> ScheduleShrink<W::Event>
 where
-    W: World + Sync,
-    W::Event: Clone + Send + Sync,
+    W: World,
+    W::Event: Clone,
     F: FnMut() -> W,
 {
     let outcome = ddmin(schedule, |candidate| {
-        let (_, report) = run_checked(world_factory(), candidate, 1);
+        let (_, report) = run_checked(world_factory(), candidate);
         report.has(code)
     });
     ScheduleShrink {
@@ -736,14 +656,12 @@ mod tests {
     }
 
     #[test]
-    fn honest_world_is_clean_at_any_thread_count() {
-        for threads in [1, 2, 4] {
-            let (world, report) = run_checked(Honest { cells: vec![0; 3] }, &bumps(), threads);
-            assert!(report.is_clean(), "threads={threads}: {}", report.render());
-            assert!(report.findings.is_empty());
-            assert_eq!(report.events_checked, 12);
-            assert_eq!(world.cells.iter().sum::<u64>(), 12);
-        }
+    fn honest_world_is_clean() {
+        let (world, report) = run_checked(Honest { cells: vec![0; 3] }, &bumps());
+        assert!(report.is_clean(), "{}", report.render());
+        assert!(report.findings.is_empty());
+        assert_eq!(report.events_checked, 12);
+        assert_eq!(world.cells.iter().sum::<u64>(), 12);
     }
 
     #[test]
@@ -752,7 +670,7 @@ mod tests {
         for (at, e) in bumps() {
             sim.schedule(at, e);
         }
-        sim.run_parallel_to_completion(2);
+        sim.run_to_completion();
         let checked = sim.into_world();
         assert!(!checked.is_armed());
         assert_eq!(checked.report().events_checked, 0);
@@ -773,7 +691,7 @@ mod tests {
 
     #[test]
     fn report_rendering_is_stable() {
-        let (_, report) = run_checked(Honest { cells: vec![0; 3] }, &bumps(), 2);
+        let (_, report) = run_checked(Honest { cells: vec![0; 3] }, &bumps());
         assert!(report
             .render()
             .starts_with("racecheck: 12 events checked, 0 findings"));
@@ -783,10 +701,7 @@ mod tests {
     #[test]
     fn codes_are_stable_and_ordered() {
         let codes: Vec<&str> = SimCode::ALL.iter().map(|c| c.code()).collect();
-        assert_eq!(
-            codes,
-            ["SIM001", "SIM002", "SIM003", "SIM004", "SIM005", "SIM006"]
-        );
+        assert_eq!(codes, ["SIM001", "SIM002", "SIM004", "SIM005", "SIM006"]);
         assert_eq!(SimCode::UndeclaredStageRead.severity(), Severity::Error);
         assert_eq!(SimCode::OverbroadFootprint.severity(), Severity::Warning);
     }
@@ -798,6 +713,6 @@ mod tests {
         assert!(std::ptr::eq(a, b));
         let snap = zmail_obs::global().snapshot();
         assert!(snap.counters.contains_key("racecheck.events"));
-        assert!(snap.counters.contains_key("racecheck.findings.sim003"));
+        assert!(snap.counters.contains_key("racecheck.findings.sim006"));
     }
 }

@@ -11,33 +11,20 @@
 //!   type (histogram), where `<label>` comes from
 //!   [`World::event_label`](crate::World::event_label).
 //!
-//! The tick-parallel path adds a profiler over the same registry:
+//! [`Simulation::step_tick`](crate::Simulation::step_tick) adds two
+//! per-tick histograms over the same registry:
 //!
-//! * `sim.tick.batch` — events per tick (histogram);
-//! * `sim.tick.staged_parallel` / `sim.tick.staged_inline` — how many
-//!   events the greedy prefix-independence selection sent to worker
-//!   threads versus staged inline during apply (counters);
-//! * `sim.tick.stage_worker_us` — per-worker wall-clock stage occupancy
-//!   (histogram; one sample per worker per tick);
-//! * `sim.tick.apply_us` — wall time of the serial apply pass per tick
-//!   (histogram);
-//! * `sim.shard.heat.<key>` — how often each footprint key appeared in
-//!   a tick's conflict analysis (counters; the first
-//!   [`HEAT_KEY_CAP`] distinct keys get their own series, the rest pool
-//!   into `sim.shard.heat.other`).
+//! * `sim.tick.batch` — events per tick;
+//! * `sim.tick.apply_us` — wall time of the tick's events.
 //!
 //! The counters and the final `sim.queue_depth` are a pure function of
 //! the workload; wall-clock values (`sim.events_per_sec`, the latency
-//! histograms and the profiler timings) are gated on the registry being
+//! histograms and the per-tick timings) are gated on the registry being
 //! enabled and never feed back into the run.
 
 use std::collections::HashMap;
 use std::time::Instant;
 use zmail_obs::{Counter, Gauge, Histogram, Registry};
-
-/// Distinct footprint keys that get their own `sim.shard.heat.<key>`
-/// series before further keys pool into `sim.shard.heat.other`.
-pub const HEAT_KEY_CAP: usize = 64;
 
 /// Telemetry sink for one [`Simulation`](crate::Simulation).
 #[derive(Debug)]
@@ -50,14 +37,7 @@ pub struct SimTelemetry {
     /// `&'static str` so lookups never allocate.
     handle_us: HashMap<&'static str, Histogram>,
     tick_batch: Histogram,
-    staged_parallel: Counter,
-    staged_inline: Counter,
-    stage_worker_us: Histogram,
     apply_us: Histogram,
-    /// Lazily created per-footprint-key heat counters, capped at
-    /// [`HEAT_KEY_CAP`] distinct keys.
-    heat: HashMap<u64, Counter>,
-    heat_other: Counter,
 }
 
 impl SimTelemetry {
@@ -70,12 +50,7 @@ impl SimTelemetry {
             events_per_sec: registry.gauge("sim.events_per_sec"),
             handle_us: HashMap::new(),
             tick_batch: registry.histogram("sim.tick.batch"),
-            staged_parallel: registry.counter("sim.tick.staged_parallel"),
-            staged_inline: registry.counter("sim.tick.staged_inline"),
-            stage_worker_us: registry.histogram("sim.tick.stage_worker_us"),
             apply_us: registry.histogram("sim.tick.apply_us"),
-            heat: HashMap::new(),
-            heat_other: registry.counter("sim.shard.heat.other"),
         }
     }
 
@@ -105,44 +80,17 @@ impl SimTelemetry {
         }
     }
 
-    /// Called by the engine once per tick on the tick-parallel path with
-    /// the batch size and how many events staged on worker threads.
+    /// Called by [`Simulation::step_tick`](crate::Simulation::step_tick)
+    /// once per tick with the batch size.
     #[inline]
-    pub(crate) fn on_tick(&self, batch: usize, parallel: usize) {
+    pub(crate) fn on_tick(&self, batch: usize) {
         self.tick_batch.record(batch as u64);
-        self.staged_parallel.add(parallel as u64);
-        self.staged_inline.add((batch - parallel) as u64);
     }
 
-    /// Called once per worker thread per tick with its wall-clock stage
-    /// occupancy in microseconds.
-    #[inline]
-    pub(crate) fn on_stage_worker(&self, micros: u64) {
-        self.stage_worker_us.record(micros);
-    }
-
-    /// Called once per tick with the wall time of the serial apply pass.
+    /// Called once per tick with the wall time of its events.
     #[inline]
     pub(crate) fn on_apply_pass(&self, micros: u64) {
         self.apply_us.record(micros);
-    }
-
-    /// Called for every footprint key the tick's conflict analysis saw;
-    /// feeds the `sim.shard.heat.*` counters so hot shards stand out.
-    #[inline]
-    pub(crate) fn on_footprint_key(&mut self, key: u64) {
-        if !self.registry.is_enabled() {
-            return;
-        }
-        if let Some(c) = self.heat.get(&key) {
-            c.inc();
-        } else if self.heat.len() < HEAT_KEY_CAP {
-            let c = self.registry.counter(&format!("sim.shard.heat.{key}"));
-            c.inc();
-            self.heat.insert(key, c);
-        } else {
-            self.heat_other.inc();
-        }
     }
 
     /// Called by the engine at the end of a full run with the events

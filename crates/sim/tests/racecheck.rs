@@ -1,11 +1,9 @@
-//! Negative-test suite for the footprint race detector: six deliberately
-//! broken worlds, one per SIM code, plus a seventh that hides its SIM003
-//! in a tick of same-instant events. Each test proves three things:
+//! Negative-test suite for the footprint checker: five deliberately
+//! broken worlds, one per SIM code. Each test proves three things:
 //!
 //! 1. the checker reports *exactly* that finding class (no more, no less);
-//! 2. the report is deterministic across thread counts and equal on the
-//!    serial `Simulation::step` path — stages record into private logs,
-//!    all checking happens in the apply pass, on the engine's ticks;
+//! 2. the report is deterministic: `run_checked` and a hand-built
+//!    checked `Simulation` stepped event by event agree;
 //! 3. `ddmin` shrinks the triggering schedule to a 1-minimal event
 //!    subsequence — removing any remaining event loses the finding.
 
@@ -21,8 +19,6 @@ enum Lie {
     LeakyStage,
     /// SIM002: apply writes the neighbor cell but never declares it.
     WideWriter,
-    /// SIM003: stage phases share an undeclared scratch key with writes.
-    ScratchShare,
     /// SIM004: apply reads the neighbor cell but never declares it.
     NosyApply,
     /// SIM005: footprint declares key 777 that nothing ever touches.
@@ -30,10 +26,6 @@ enum Lie {
     /// SIM006: even cells record key `cell/2` under class `rows`, odd
     /// cells record the same key under class `pools`.
     Mixup,
-    /// SIM003 at one instant: each op schedules a child op on its own
-    /// cell with delay 0, and only children stage-write a shared scratch
-    /// key. The engine stages the children as a tick of their own.
-    Echo,
 }
 
 /// A bank of cells whose footprint honesty depends on `lie`. The
@@ -69,7 +61,6 @@ impl Toy {
 #[derive(Debug, Clone, Copy)]
 struct Op {
     cell: usize,
-    child: bool,
 }
 
 impl World for Toy {
@@ -100,16 +91,6 @@ impl World for Toy {
                 rec.read("cell", n as u64);
                 return self.cells[e.cell].wrapping_add(self.cells[n]);
             }
-            Lie::ScratchShare => {
-                rec.read("cell", e.cell as u64);
-                // A shared staging scratch slot — interior mutability in
-                // a real world; here only the recording matters.
-                rec.write("scratch", 999);
-            }
-            Lie::Echo if e.child => {
-                rec.read("cell", e.cell as u64);
-                rec.write("scratch", 999);
-            }
             Lie::Mixup => rec.read(Toy::class_for(e.cell), (e.cell / 2) as u64),
             _ => rec.read("cell", e.cell as u64),
         }
@@ -138,13 +119,6 @@ impl World for Toy {
             _ => {
                 s.write("cell", e.cell as u64);
                 self.cells[e.cell] = eff;
-                if self.lie == Lie::Echo && !e.child {
-                    let child = Op {
-                        cell: e.cell,
-                        child: true,
-                    };
-                    s.after(SimDuration::ZERO, child);
-                }
             }
         }
     }
@@ -157,30 +131,26 @@ fn schedule() -> Vec<(SimTime, Op)> {
     for tick in 0..3u64 {
         let at = SimTime::ZERO + SimDuration::from_secs(tick);
         for cell in [0usize, 2, 4, 1, 6] {
-            events.push((at, Op { cell, child: false }));
+            events.push((at, Op { cell }));
         }
     }
     events
 }
 
-/// Runs the lie's schedule at several thread counts and through an
-/// armed [`CheckedWorld`] on the serial `run_to_completion`, asserting
-/// the reports are identical, then returns the (shared) report.
+/// Runs the lie's schedule through `run_checked` and through an armed
+/// [`CheckedWorld`] stepped event by event, asserting the reports are
+/// identical, then returns the (shared) report.
 fn check_deterministic(lie: Lie) -> RacecheckReport {
-    let reference = run_checked(Toy::new(lie), &schedule(), 1).1;
-    for threads in [2, 4, 8] {
-        let (_, report) = run_checked(Toy::new(lie), &schedule(), threads);
-        assert_eq!(report, reference, "{lie:?} diverged at threads={threads}");
-    }
+    let reference = run_checked(Toy::new(lie), &schedule()).1;
     let mut sim = Simulation::new(CheckedWorld::armed(Toy::new(lie)));
     for (at, op) in schedule() {
         sim.schedule(at, op);
     }
-    sim.run_to_completion();
+    while sim.step() {}
     assert_eq!(
         sim.world().report(),
         reference,
-        "{lie:?} diverged on the serial step path"
+        "{lie:?} diverged on the step path"
     );
     reference
 }
@@ -194,7 +164,7 @@ fn shrink_to_minimal(lie: Lie, code: SimCode, expect_len: usize) {
         "{lie:?}: expected a {expect_len}-event minimum"
     );
     assert!(shrunk.tests_run > 1);
-    let (_, report) = run_checked(Toy::new(lie), &shrunk.events, 1);
+    let (_, report) = run_checked(Toy::new(lie), &shrunk.events);
     assert!(
         report.has(code),
         "{lie:?}: shrunk schedule lost the finding"
@@ -202,7 +172,7 @@ fn shrink_to_minimal(lie: Lie, code: SimCode, expect_len: usize) {
     for skip in 0..shrunk.events.len() {
         let mut smaller = shrunk.events.clone();
         smaller.remove(skip);
-        let (_, report) = run_checked(Toy::new(lie), &smaller, 1);
+        let (_, report) = run_checked(Toy::new(lie), &smaller);
         assert!(
             !report.has(code),
             "{lie:?}: not 1-minimal, event {skip} is removable"
@@ -224,16 +194,6 @@ fn sim002_undeclared_write() {
     assert_eq!(report.codes(), vec![SimCode::UndeclaredWrite]);
     assert!(!report.is_clean());
     shrink_to_minimal(Lie::WideWriter, SimCode::UndeclaredWrite, 1);
-}
-
-#[test]
-fn sim003_batch_stage_overlap() {
-    let report = check_deterministic(Lie::ScratchShare);
-    assert_eq!(report.codes(), vec![SimCode::BatchStageOverlap]);
-    assert!(!report.is_clean());
-    // The race needs two co-batched events: the minimum is a pair, and
-    // neither member alone reproduces it.
-    shrink_to_minimal(Lie::ScratchShare, SimCode::BatchStageOverlap, 2);
 }
 
 #[test]
@@ -259,17 +219,6 @@ fn sim006_key_class_collision() {
     assert!(!report.is_clean());
     // Needs one event from each class family over the same key.
     shrink_to_minimal(Lie::Mixup, SimCode::KeyClassCollision, 2);
-}
-
-#[test]
-fn sim003_batch_stage_overlap_in_a_same_instant_tick() {
-    let report = check_deterministic(Lie::Echo);
-    assert_eq!(report.codes(), vec![SimCode::BatchStageOverlap]);
-    assert!(!report.is_clean());
-    // Two parents at one instant: their children, scheduled during the
-    // parents' tick, make up the next tick at the same time and are
-    // co-selected there.
-    shrink_to_minimal(Lie::Echo, SimCode::BatchStageOverlap, 2);
 }
 
 #[test]

@@ -1,14 +1,15 @@
 //! Property tests for the SMTP substrate: the parsers never panic on
 //! byte noise, render→parse is the identity on the command and reply
-//! grammars, and a full server session survives a deterministically
-//! faulty line transport.
+//! grammars, a message's headers and dot-stuffed body survive a whole
+//! client-to-server session, and a full server session survives a
+//! deterministically faulty line transport.
 
 use proptest::prelude::*;
 use zmail_fault::LineFaults;
 use zmail_sim::Sampler;
 use zmail_smtp::{
-    CollectSink, Command, Connection, FaultyConnection, MemoryTransport, Reply, ReplyCode,
-    SmtpServer,
+    Client, CollectSink, Command, Connection, FaultyConnection, MailMessage, MemoryTransport,
+    Reply, ReplyCode, SmtpServer,
 };
 
 const CODES: [ReplyCode; 12] = [
@@ -91,6 +92,54 @@ proptest! {
         let terminated = format!("{line}\r\n");
         prop_assert_eq!(Command::parse(&line).ok(), Command::parse(&terminated).ok());
         prop_assert_eq!(Reply::parse(&line).ok(), Reply::parse(&terminated).ok());
+    }
+
+    /// `DATA` transparency end to end: a message sent by `Client` through
+    /// `SmtpServer` over `MemoryTransport` is answered `250` and arrives
+    /// with equal headers (no CR, LF or edge whitespace) and an equal
+    /// CRLF-terminated body, whatever mix of empty, `.`-only and dot-led
+    /// lines the body holds.
+    #[test]
+    fn dot_stuffed_data_survives_the_session(
+        headers in proptest::collection::vec(
+            (
+                "[!-9;-~]{1,12}",
+                prop_oneof![Just(String::new()), "[!-~]", "[!-~][ -~]{0,24}[!-~]"],
+            ),
+            0..4,
+        ),
+        lines in proptest::collection::vec(
+            prop_oneof![
+                Just(String::new()),
+                "\\.",
+                "\\.\\.",
+                "\\.[ -~]{0,12}",
+                "\\.\\.[ -~]{0,12}",
+                "[ -~]{0,20}",
+            ],
+            0..12,
+        ),
+    ) {
+        let body: String = lines.iter().map(|line| format!("{line}\r\n")).collect();
+        let mut builder = MailMessage::builder("a@client.test", "b@mx.test").body(body);
+        for (name, value) in &headers {
+            builder = builder.header(name.clone(), value.clone());
+        }
+        let message = builder.build();
+        let (client_end, server_end) = MemoryTransport::pair();
+        let sink = CollectSink::shared();
+        let server = SmtpServer::new("mx.test", sink.clone());
+        let server_thread = std::thread::spawn(move || server.serve(server_end));
+        let mut client = Client::connect(client_end, "client.test").expect("greeting and HELO");
+        // `send` is `Ok` only on a final `250`.
+        let sent = client.send(&message);
+        client.quit().expect("QUIT");
+        prop_assert_eq!(server_thread.join().expect("server thread").ok(), Some(1));
+        prop_assert!(sent.is_ok(), "DATA not answered 250: {:?}", sent);
+        let delivered = sink.messages();
+        prop_assert_eq!(delivered.len(), 1);
+        prop_assert_eq!(delivered[0].headers(), message.headers());
+        prop_assert_eq!(delivered[0].body(), message.body());
     }
 }
 

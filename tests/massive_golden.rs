@@ -36,8 +36,9 @@ const CELL: MassiveConfig = MassiveConfig {
     seed: 20,
 };
 
-/// The finished world of one serial run, driven through the calls
-/// `run_massive` makes.
+/// The finished world of one run, hand-driven tick by tick with the
+/// `step_tick(1)` loop the benchmark's `ledger_sharded` workload uses
+/// and compares with `run_massive`.
 fn run() -> MassiveWorld {
     let mut sim = Simulation::new(MassiveWorld::new(CELL));
     for tick in 0..CELL.ticks {
@@ -50,7 +51,7 @@ fn run() -> MassiveWorld {
         }
         sim.schedule(at, MassiveEvent::TickCommit);
     }
-    sim.run_parallel_to_completion(1);
+    while sim.step_tick(1) {}
     sim.into_world()
 }
 
