@@ -550,6 +550,23 @@ mod tests {
     }
 
     #[test]
+    fn step_tick_runs_are_byte_identical_to_step_runs() {
+        // Every t=0 tick holds same-cell bumps whose staged values read
+        // the cell: a tick that applied out of FIFO order would leave
+        // different cells, not just a reordered log.
+        let mut sim = cells_sim();
+        let handled = sim.run_to_completion();
+        let reference = sim.into_world();
+        let mut sim = cells_sim();
+        while sim.step_tick(1) {}
+        assert_eq!(sim.processed(), handled);
+        let world = sim.into_world();
+        assert_eq!(handled, 84);
+        assert_eq!(world.cells, reference.cells);
+        assert_eq!(world.log, reference.log);
+    }
+
+    #[test]
     fn step_and_step_tick_report_events_alike() {
         // (sim.events, every sim.handle_us.<label> count, final
         // sim.queue_depth) after a run of `step`s or of `step_tick`s.
